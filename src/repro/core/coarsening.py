@@ -255,74 +255,23 @@ def _match_pass_arrays(
     return pairs
 
 
-class _OverlapIndex:
-    """Per-vertex sorted substream-index arrays for fast overlap rates.
-
-    ``space.overlap_rate(mask_a, mask_b)`` unpacks two full-width bit
-    vectors per call; during collapse that is the dominant cost.  Keeping
-    each vertex's interest as a sorted ``int64`` index array instead
-    turns the overlap into ``rates[intersect1d(a, b)].sum()`` -- and
-    because both formulations sum the *same* rates in the same ascending
-    index order, the results are bit-identical to the mask path.
-    """
-
-    def __init__(self, space: SubstreamSpace):
-        self.space = space
-        self._idx: Dict[VertexId, np.ndarray] = {}
-        # reusable membership scratch over the substream universe: an
-        # O(deg) gather per neighbour instead of a sort per overlap
-        self._mark = np.zeros(len(space), dtype=bool)
-
-    def indices(self, v: QVertex) -> np.ndarray:
-        """Sorted substream indices of ``v``'s interest mask (cached)."""
-        arr = self._idx.get(v.vid)
-        if arr is None:
-            arr = self.space._indices(v.mask)
-            self._idx[v.vid] = arr
-        return arr
-
-    def merged(self, merged: QVertex, u: QVertex, v: QVertex) -> None:
-        """Record the index array of a freshly merged vertex."""
-        self._idx[merged.vid] = np.union1d(self.indices(u), self.indices(v))
-        self._idx.pop(u.vid, None)
-        self._idx.pop(v.vid, None)
-
-    def overlap_rates(self, v: QVertex, others: List[QVertex]) -> List[float]:
-        """Overlap rate of ``v`` against each of ``others`` (batched).
-
-        Each result equals ``space.overlap_rate(v.mask, o.mask)`` exactly:
-        the selected indices come out in the same ascending order, so the
-        float summation order matches the mask path bit for bit.
-        """
-        mark = self._mark
-        vidx = self.indices(v)
-        mark[vidx] = True
-        rates = self.space.rates
-        out: List[float] = []
-        for other in others:
-            oidx = self.indices(other)
-            sel = oidx[mark[oidx]]
-            out.append(float(rates[sel].sum()) if sel.size else 0.0)
-        mark[vidx] = False
-        return out
-
-
 def _collapse_pairs(
     work: QueryGraph,
     pairs: List[Tuple[VertexId, VertexId]],
     space: SubstreamSpace,
     origin: Optional[Hashable],
     vmax: int,
-    overlap: Optional[_OverlapIndex] = None,
+    fast: bool = True,
     steps_out: Optional[List[Tuple[PlanKey, PlanKey]]] = None,
 ) -> bool:
     """Merge matched pairs in order until ``vmax`` is reached (lines 8-11).
 
     Neighbour edges of a collapsed pair are unioned; q-q edges are then
     re-estimated exactly from the merged interest mask (the paper's
-    bit-vector estimation) -- through the index-array cache when
-    ``overlap`` is given (fast path), through ``space.overlap_rate``
-    otherwise.  Returns whether any merge happened.
+    bit-vector estimation) -- in one batched
+    :meth:`SubstreamSpace.overlap_rates` pass over the vertices' cached
+    index arrays on the ``fast`` path, one scalar ``overlap_rate`` per
+    neighbour on the reference path.  Returns whether any merge happened.
     """
     merged_any = False
     for a, b in pairs:
@@ -334,8 +283,6 @@ def _collapse_pairs(
         if steps_out is not None:
             steps_out.append((plan_key(u), plan_key(v)))
         w_new = merge_qvertices(u, v, origin=origin)
-        if overlap is not None:
-            overlap.merged(w_new, u, v)
 
         # collect union of neighbour edges before removal
         nbr_edges: Dict[VertexId, float] = {}
@@ -347,12 +294,15 @@ def _collapse_pairs(
         work.remove_vertex(a)
         work.remove_vertex(b)
         work.add_qvertex(w_new)
-        if overlap is not None:
-            # re-estimate all q-q overlaps of the merged vertex in one
-            # batched membership pass
+        # the pair lives on only as ``w_new.children``: nothing estimates
+        # overlaps against it again unless a later uncoarsening brings it
+        # back, so it must not pin its index array
+        u.drop_indices()
+        v.drop_indices()
+        if fast:
             qnbrs = [nbr for nbr in nbr_edges if nbr in work.qverts]
-            qrates = overlap.overlap_rates(
-                w_new, [work.qverts[nbr] for nbr in qnbrs]
+            qrates = space.overlap_rates(
+                w_new.indices, [work.qverts[nbr].indices for nbr in qnbrs]
             )
             for nbr, w in zip(qnbrs, qrates):
                 work.set_edge(w_new.vid, nbr, w)
@@ -401,7 +351,6 @@ def coarsen(
     """
     rng = rng or random.Random(0)
     match_pass = _match_pass_arrays if fast else _match_pass_reference
-    overlap = _OverlapIndex(space) if fast else None
 
     # working copy
     work = QueryGraph()
@@ -427,7 +376,7 @@ def coarsen(
             ):
                 continue
             if _collapse_pairs(
-                work, [(va, vb)], space, origin, vmax, overlap,
+                work, [(va, vb)], space, origin, vmax, fast,
                 steps_out=steps_out,
             ):
                 merged = next(reversed(work.qverts.values()))
@@ -440,7 +389,7 @@ def coarsen(
         if not pairs:
             break  # nothing left to collapse (graph may stay above vmax)
         if not _collapse_pairs(
-            work, pairs, space, origin, vmax, overlap, steps_out=steps_out
+            work, pairs, space, origin, vmax, fast, steps_out=steps_out
         ):
             break
     return work

@@ -60,7 +60,7 @@ from .graphs import (
 )
 from .fastcost import CostWorkspace
 from .hierarchy import Cluster
-from .insertion import attach_vertex, choose_target
+from .insertion import choose_target
 from .mapping import map_graph, refine_mapping
 from .rebalance import RebalanceStats, rebalance, refine_distribution
 
@@ -160,6 +160,14 @@ class Coordinator:
         self._child_masks = None
         self._loads: Dict[VertexId, float] = {}
         self._total_weight: float = 0.0
+        # atomic query id -> vid of the vertex of ``self.vertices`` holding
+        # it.  Valid while ``_owners_of is self.vertices``: rebinding
+        # ``self.vertices`` (distribute, adopt, an adaptation round) makes
+        # it stale by construction and the next removal rebuilds it;
+        # insert, removal and ``_replace_pair`` keep a valid index current
+        # in place, so unlike the routing state it survives removals.
+        self._owners: Dict[int, VertexId] = {}
+        self._owners_of: Optional[Dict[VertexId, QVertex]] = None
         # incremental-adaptation state: a cost workspace that outlives
         # rounds, the previous round's move count (0 + no changes => the
         # round can be skipped), and dirtiness flags set by statistics
@@ -417,6 +425,9 @@ class Coordinator:
         total_q = self._total_weight + w
         total_c = self.ng.total_capability()
 
+        # child aggregates change with every insert and belong to no
+        # vertex, so there is no index array to reuse: the one-pair form
+        # (unpack only the intersection) is the cheapest exact estimate
         overlaps = {
             c: self.space.overlap_rate(v.mask, mask)
             for c, mask in self._child_masks.items()
@@ -447,6 +458,7 @@ class Coordinator:
         target = best if best is not None else fallback
 
         self.vertices[v.vid] = v
+        self._index_members(v)
         self.assignment[v.vid] = target
         self._child_masks[target] |= v.mask
         self._loads[target] += w
@@ -466,42 +478,83 @@ class Coordinator:
         """Remove one atomic query from this subtree's state (Section 3.6
         in reverse: query departure).
 
-        The query may sit inside a coarse vertex at upper levels; coarse
-        vertices are stripped of the departed member in place (weight,
-        mask and rate maps re-aggregated from the remaining children) so
-        later adaptation rounds and insert routing no longer account for
-        it.  Vertex *objects* are shared between adjacent levels (a
-        child's vertices are the parent vertices' ``children``), so one
-        strip cascades into every level holding the same coarse object;
-        the recursion still visits the whole subtree because each level
-        must drop vanished vertices from its own dictionaries.  Edge
-        weights touching a stripped vertex go stale until the next graph
-        rebuild, exactly like after a statistics refresh.  Returns False
-        when the query is unknown to this subtree.
+        Departure retraces the arrival route: only the coordinators on the
+        root-to-leaf path of the query's host hold it, so only they are
+        visited (the whole subtree is swept only for an id the placement
+        does not know).  The query may sit inside a coarse vertex at upper
+        levels; coarse vertices are stripped of the departed member in
+        place (weight, mask and rate maps re-aggregated from the remaining
+        children) so later adaptation rounds and insert routing no longer
+        account for it.  Vertex *objects* are shared between adjacent
+        levels (a child's vertices are the parent vertices' ``children``),
+        so one strip cascades into every level holding the same coarse
+        object -- all of them on the path; each level still drops vanished
+        vertices from its own dictionaries.  Returns False when the query
+        is unknown to this subtree.
         """
-        found = self._remove_query_level(query_id)
-        if found and _obs.ACTIVE is not None:
-            _obs.ACTIVE.inc("opt.removals")
+        host = self.placement.get(query_id)
+        visited = (
+            self.all_coordinators() if host is None else self._path_to(host)
+        )
+        found = False
+        for coord in visited:
+            if coord._remove_query_level(query_id):
+                found = True
         if found:
-            # descendants sharing a stripped coarse object may have had
-            # their vertices cleaned without noticing (their own owner
-            # search misses), yet their cached per-child masks/loads
-            # still count the departed query -- invalidate routing state
-            # once over the whole subtree (lazily rebuilt on next insert)
-            for coord in self.all_coordinators():
+            if _obs.ACTIVE is not None:
+                _obs.ACTIVE.inc("opt.removals")
+            # a level sharing a coarse object its ancestor stripped had
+            # its vertex cleaned without noticing (its own owner search
+            # misses), yet its cached per-child masks/loads still count
+            # the departed query -- invalidate routing state on every
+            # visited level (lazily rebuilt on next insert); nothing off
+            # the path ever counted the query
+            for coord in visited:
                 coord._invalidate_routing_state()
         return found
 
+    def _path_to(self, host: int) -> List["Coordinator"]:
+        """The coordinators from this one down to the leaf covering
+        processor ``host`` (just this one when ``host`` is not below)."""
+        path = [self]
+        coord = self
+        while not coord.is_leaf:
+            vid = coord.ng.covering_vertex(host)
+            if vid is None:
+                break
+            coord = coord._child_by_vid(vid)
+            path.append(coord)
+        return path
+
+    def _owner_index(self) -> Dict[int, VertexId]:
+        """The member -> owner-vid index, rebuilt if ``vertices`` was
+        rebound since it was built."""
+        if self._owners_of is not self.vertices:
+            self._owners = {
+                query_id: vid
+                for vid, v in self.vertices.items()
+                for query_id in v.members
+            }
+            self._owners_of = self.vertices
+        return self._owners
+
+    def _index_members(self, v: QVertex) -> None:
+        """Record ``v`` (just stored in ``vertices``) as its members' owner."""
+        if self._owners_of is self.vertices:
+            for query_id in v.members:
+                self._owners[query_id] = v.vid
+
     def _remove_query_level(self, query_id: int) -> bool:
+        """Drop ``query_id`` from this level's own state."""
         t0 = time.perf_counter()
-        found = False
-        owner_vid = next(
-            (vid for vid, v in self.vertices.items() if query_id in v.members),
-            None,
-        )
-        if owner_vid is not None:
-            found = True
-            v = self.vertices[owner_vid]
+        if _obs.ACTIVE is not None:
+            _obs.ACTIVE.inc("opt.remove_hops")
+        owner_vid = self._owner_index().pop(query_id, None)
+        v = self.vertices.get(owner_vid)
+        # an owner an ancestor's cascade already stripped no longer lists
+        # the query: this level misses (no edge refresh, not dirtied)
+        found = v is not None and query_id in v.members
+        if found:
             if v.members == (query_id,):
                 # the query's last trace at this level: drop the vertex
                 # and any n-vertices its departure leaves isolated
@@ -525,9 +578,6 @@ class Coordinator:
             self._stats_dirty = True
             self._subtree_quiet = False
         self.cpu_time += time.perf_counter() - t0
-        for child in self.children:
-            if child._remove_query_level(query_id):
-                found = True
         return found
 
     def _ensure_routing_state(self) -> None:
@@ -737,10 +787,15 @@ class Coordinator:
         del self.assignment[a], self.assignment[b]
         self.qg.add_qvertex(merged)
         self.vertices[merged.vid] = merged
+        self._index_members(merged)
         self.assignment[merged.vid] = target
+        # q-q overlaps re-estimated exactly from the merged mask, in one
+        # batch; edges are still set in ``neighbor_edges`` order
+        qnbrs = [nbr for nbr in neighbor_edges if nbr in self.qg.qverts]
+        neighbor_edges.update(zip(qnbrs, self.space.overlap_rates(
+            merged.indices, [self.qg.qverts[nbr].indices for nbr in qnbrs]
+        )))
         for nbr, w in neighbor_edges.items():
-            if nbr in self.qg.qverts:
-                w = self.space.overlap_rate(merged.mask, self.qg.qverts[nbr].mask)
             self.qg.set_edge(merged.vid, nbr, w)
 
     # ------------------------------------------------------------------
@@ -901,19 +956,19 @@ class Coordinator:
         for node, rate in v.proxy_rates.items():
             nvid = ("n", node)
             rates[nvid] = rates.get(nvid, 0.0) + rate
-        for nbr in list(qg.neighbors(v.vid)):
+        nbrs = list(qg.neighbors(v.vid))
+        qnbrs = [nbr for nbr in nbrs if nbr in qg.qverts]
+        overlaps = dict(zip(qnbrs, self.space.overlap_rates(
+            v.indices, [qg.qverts[nbr].indices for nbr in qnbrs]
+        )))
+        for nbr in nbrs:
             if nbr in qg.nverts:
                 new = rates.pop(nbr, 0.0)
                 qg.set_edge(v.vid, nbr, new)
                 if new == 0.0 and not qg.neighbors(nbr):
                     qg.remove_vertex(nbr)
-            else:
-                other = qg.qverts.get(nbr)
-                if other is not None:
-                    qg.set_edge(
-                        v.vid, nbr,
-                        self.space.overlap_rate(v.mask, other.mask),
-                    )
+            elif nbr in overlaps:
+                qg.set_edge(v.vid, nbr, overlaps[nbr])
         for nvid, rate in rates.items():
             # rate-map nodes that had no edge yet (only ones whose
             # n-vertex this graph already tracks, as in rebuild_edges)
@@ -933,6 +988,9 @@ class Coordinator:
         perturbed since the last refresh, per-source rate maps are
         re-derived everywhere and every coordinator's edges are marked
         stale (re-estimated by the next adaptation round's graph sync).
+        Either way the routing state of every coordinator whose weights
+        moved is invalidated, so the next insert checks Eqn 3.1 against
+        the refreshed loads.
         """
         rates_changed = self.space.rates_generation != self._rates_gen
         if rates_changed:
@@ -944,6 +1002,7 @@ class Coordinator:
                 coord._edges_stale = True
                 coord._subtree_quiet = False
                 coord._rates_gen = self.space.rates_generation
+                coord._invalidate_routing_state()
             return
         changed_qids = set(query_loads)
         memo2: Dict[int, bool] = {}
@@ -955,6 +1014,8 @@ class Coordinator:
             if dirty:
                 coord._stats_dirty = True
                 coord._subtree_quiet = False
+                # cached per-child loads summed the old weights
+                coord._invalidate_routing_state()
 
 
 def _strip_member(v: QVertex, query_id: int) -> None:

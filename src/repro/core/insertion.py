@@ -42,13 +42,9 @@ def attach_vertex(
             qg.add_nvertex(NVertex(vid=nvid, node=node, clu=clu))
         qg.add_edge(v.vid, nvid, rate)
 
-    overlaps = []
-    for other_id, other in qg.qverts.items():
-        if other_id == v.vid:
-            continue
-        ov = space.overlap_rate(v.mask, other.mask)
-        if ov > 0:
-            overlaps.append((ov, other_id))
+    others = [other for other in qg.qverts.values() if other.vid != v.vid]
+    rates = space.overlap_rates(v.indices, [other.indices for other in others])
+    overlaps = [(ov, other.vid) for ov, other in zip(rates, others) if ov > 0]
     overlaps.sort(key=lambda t: -t[0])
     for ov, other_id in overlaps[:max_overlap_neighbors]:
         qg.set_edge(v.vid, other_id, ov)

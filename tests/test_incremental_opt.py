@@ -11,12 +11,16 @@ interleavings through both modes side by side and assert exact equality
 of placements, per-coordinator vertex aggregates and WEC.
 """
 
+import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import Cosmos, CosmosConfig
+from repro.core import coordinator as coordinator_module
+from repro.core import hierarchy as hierarchy_module
 from repro.core.coarsening import (
     coarsen_cached,
     plan_key,
@@ -465,3 +469,377 @@ class TestSnapshotAndWorkspaceParity:
             mapping[vid] = target
             tracked = arrays.update(vid, target)
             assert tracked == pytest.approx(arrays.wec(mapping), rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# path-routed removal == the full-sweep removal it replaced
+# ----------------------------------------------------------------------
+
+
+def _reference_remove_level(coord, query_id):
+    """The pre-index removal, kept verbatim as the oracle: every level of
+    the subtree linear-scans its vertices' member tuples for the owner."""
+    found = False
+    owner_vid = next(
+        (vid for vid, v in coord.vertices.items() if query_id in v.members),
+        None,
+    )
+    if owner_vid is not None:
+        found = True
+        v = coord.vertices[owner_vid]
+        if v.members == (query_id,):
+            del coord.vertices[owner_vid]
+            coord.assignment.pop(owner_vid, None)
+            if owner_vid in coord.qg.qverts:
+                nbrs = [
+                    n for n in coord.qg.neighbors(owner_vid)
+                    if n in coord.qg.nverts
+                ]
+                coord.qg.remove_vertex(owner_vid)
+                for n in nbrs:
+                    if not coord.qg.neighbors(n):
+                        coord.qg.remove_vertex(n)
+        else:
+            coordinator_module._strip_member(v, query_id)
+            if owner_vid in coord.qg.qverts:
+                coord._refresh_stripped_edges(v)
+        coord._stats_dirty = True
+        coord._subtree_quiet = False
+    for child in coord.children:
+        if _reference_remove_level(child, query_id):
+            found = True
+    return found
+
+
+def reference_remove(cosmos, query_id):
+    """``Cosmos.remove`` over the full-sweep oracle, with its tree-wide
+    routing-state invalidation."""
+    cosmos._known_queries.pop(query_id, None)
+    found = _reference_remove_level(cosmos.root, query_id)
+    if found:
+        for coord in cosmos.root.all_coordinators():
+            coord._invalidate_routing_state()
+    cosmos.root.placement.pop(query_id, None)
+    return found
+
+
+def edge_fingerprint(coord):
+    """``qg.edges()`` with instance-specific coarse ids replaced by member
+    keys; weights compared exactly."""
+    keys = {vid: ("q", plan_key(v)) for vid, v in coord.qg.qverts.items()}
+    keys.update((vid, vid) for vid in coord.qg.nverts)
+    return sorted(
+        tuple(sorted((keys[a], keys[b]))) + (w,)
+        for a, b, w in coord.qg.edges()
+    )
+
+
+def assert_same_trees(ca, cb):
+    """Every piece of optimizer state a removal touches, level by level."""
+    assert dict(ca.placement) == dict(cb.placement)
+    coords_a = ca.root.all_coordinators()
+    coords_b = cb.root.all_coordinators()
+    assert len(coords_a) == len(coords_b)
+    for a, b in zip(coords_a, coords_b):
+        assert a.cluster.members == b.cluster.members
+        assert coord_fingerprint(a) == coord_fingerprint(b)
+        assert edge_fingerprint(a) == edge_fingerprint(b)
+        assert (a._stats_dirty, a._subtree_quiet, a._edges_stale,
+                a._last_moves) == (b._stats_dirty, b._subtree_quiet,
+                                   b._edges_stale, b._last_moves)
+    assert_owner_index(ca)
+
+
+def assert_owner_index(cosmos):
+    """A built owner index equals one rebuilt from scratch (insert,
+    removal and ``_replace_pair`` kept it current in place)."""
+    for coord in cosmos.root.all_coordinators():
+        if coord._owners_of is coord.vertices:
+            assert coord._owners == {
+                m: vid for vid, v in coord.vertices.items() for m in v.members
+            }
+
+
+def report_tuple(report):
+    return (report.migrated_queries, report.migrated_state,
+            report.coordinator_moves, report.refinement_moves)
+
+
+@pytest.fixture(scope="module")
+def deep_env(env):
+    """32 processors: a three-level tree (root, 2 mid, 8 leaves) whose
+    upper levels hold dozens of coarse vertices at ``vmax=40``."""
+    topo, oracle, _, _ = env
+    sources, processors = select_roles(topo, 5, 32, seed=4)
+    return topo, oracle, sources, processors
+
+
+def deep_workload(deep_env, seed):
+    return make_workload(deep_env, seed=seed, num_queries=96)
+
+
+def twin_cosmos(env, workload, **config):
+    """Two Cosmos instances that behave identically: coordinator names
+    embed a process-global cluster counter and some exact-tie breaks order
+    them by ``str``, so both trees are numbered from the same start."""
+    _, oracle, _, processors = env
+    twins = []
+    for _ in range(2):
+        hierarchy_module._cluster_ids = itertools.count(10_000)
+        twins.append(Cosmos(oracle, processors, workload.space,
+                            CosmosConfig(k=4, vmax=40, **config)))
+    return twins
+
+
+class RemovalPair:
+    """Two identical Cosmos instances; ``fast`` removes through the
+    path-routed production code, ``ref`` through the full-sweep oracle."""
+
+    def __init__(self, env, workload, incremental):
+        self.processors = env[3]
+        self.workload = workload
+        self.fast, self.ref = twin_cosmos(
+            env, workload, incremental=incremental
+        )
+        for cosmos in (self.fast, self.ref):
+            cosmos.distribute(workload.queries)
+        self.live = [q.query_id for q in workload.queries]
+        self.specs = {q.query_id: q for q in workload.queries}
+        assert_same_trees(self.fast, self.ref)
+
+    def insert(self, count):
+        fresh = self.workload.new_queries(count, self.processors)
+        for q in fresh:
+            self.specs[q.query_id] = q
+            self.live.append(q.query_id)
+            # same host <=> same routing state (path-only invalidation
+            # against the oracle's tree-wide one)
+            assert self.fast.insert(q) == self.ref.insert(q)
+        return [q.query_id for q in fresh]
+
+    def remove(self, query_id):
+        self.live.remove(query_id)
+        found = self.fast.remove(query_id)
+        assert found == reference_remove(self.ref, query_id)
+        assert_same_trees(self.fast, self.ref)
+        return found
+
+    def adapt(self):
+        ra, rb = self.fast.adapt(), self.ref.adapt()
+        assert report_tuple(ra) == report_tuple(rb)
+        assert_same_trees(self.fast, self.ref)
+        return ra
+
+    def refresh(self, rng):
+        ids = rng.sample(self.live, max(1, len(self.live) // 10))
+        loads = {q: self.specs[q].load * rng.uniform(0.5, 2.0) for q in ids}
+        for cosmos in (self.fast, self.ref):
+            cosmos.refresh_measured_loads(dict(loads))
+
+
+@pytest.mark.parametrize("incremental", [True, False])
+class TestRemovalEquivalence:
+    @pytest.mark.parametrize("seed", PARITY_SEEDS)
+    def test_random_interleavings(self, deep_env, seed, incremental):
+        workload = deep_workload(deep_env, 600 + seed)
+        pair = RemovalPair(deep_env, workload, incremental)
+        assert pair.fast.tree_height() == 3
+        rng = random.Random(7000 + seed)
+        for _ in range(10):
+            r = rng.random()
+            if r < 0.30:
+                pair.insert(rng.randint(1, 6))
+            elif r < 0.65 and len(pair.live) > 12:
+                for qid in rng.sample(pair.live, rng.randint(1, 5)):
+                    pair.remove(qid)
+            elif r < 0.80:
+                pair.refresh(rng)
+            elif r < 0.90:
+                ids = workload.space.random_substreams(20, rng)
+                workload.space.perturb_rates(ids, rng.choice([0.25, 4.0]))
+                for cosmos in (pair.fast, pair.ref):
+                    cosmos.refresh_statistics(workload)
+            else:
+                pair.adapt()
+        pair.adapt()
+
+    def test_query_inserted_since_last_adapt(self, deep_env, incremental):
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 620), incremental)
+        pair.adapt()
+        for qid in pair.insert(4):
+            assert pair.remove(qid)
+        pair.adapt()
+
+    def test_owner_already_stripped_by_ancestor(self, deep_env, incremental):
+        """Straight after distribute adjacent levels share coarse objects:
+        the root's strip cascades, the levels below miss."""
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 621), incremental)
+        coarse = [
+            v for v in pair.fast.root.vertices.values() if len(v.members) >= 4
+        ]
+        assert coarse, "distribute left no coarse vertex at the root"
+        for qid in coarse[0].members[:2]:
+            assert pair.remove(qid)
+        pair.adapt()
+
+    def test_last_member_of_a_coarse_vertex(self, deep_env, incremental):
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 622), incremental)
+        victim = min(
+            (v for v in pair.fast.root.vertices.values() if v.children),
+            key=lambda v: len(v.members),
+        )
+        vid, members = victim.vid, list(victim.members)
+        for qid in members:
+            assert pair.remove(qid)
+        assert vid not in pair.fast.root.vertices
+        pair.adapt()
+
+    def test_right_after_compress_merged_its_vertex(self, deep_env, incremental):
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 623), incremental)
+        inserted = pair.insert(100)  # root now exceeds 3 * vmax q-vertices
+        pair.adapt()                # ... so this round compresses it
+        root = pair.fast.root
+        merged = [
+            qid for qid in inserted
+            if ("q", qid) not in root.vertices and qid in pair.fast.placement
+        ]
+        assert merged, "no inserted query was merged by _maybe_compress"
+        for qid in merged[:5]:
+            assert pair.remove(qid)
+        pair.adapt()
+
+    def test_after_membership_rebuilt_the_root(self, deep_env, incremental):
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 624), incremental)
+        rng = random.Random(5)
+        victim = sorted(set(pair.fast.placement.values()))[1]
+        orphans = pair.fast.remove_processor(victim)
+        assert orphans == pair.ref.remove_processor(victim)
+        # an orphan has no placement entry: the sweep finds nothing either
+        assert pair.fast.remove(orphans[0]) is False
+        assert reference_remove(pair.ref, orphans[0]) is False
+        pair.live = [q for q in pair.live if q not in orphans]
+        for qid in rng.sample(pair.live, 5):
+            assert pair.remove(qid)
+        pair.fast.add_processor(victim)
+        pair.ref.add_processor(victim)
+        for qid in rng.sample(pair.live, 5):
+            assert pair.remove(qid)
+        pair.adapt()
+
+
+class TestRemoveHops:
+    def _counters(self, fn):
+        from repro.obs.registry import MetricsRegistry, set_active
+
+        reg = MetricsRegistry()
+        set_active(reg)
+        try:
+            result = fn()
+        finally:
+            set_active(None)
+        return result, reg.counters
+
+    def test_placed_query_visits_one_coordinator_per_level(self, env):
+        _, oracle, _, processors = env
+        workload = make_workload(env, seed=640)
+        cosmos = Cosmos(oracle, processors, workload.space,
+                        CosmosConfig(k=4, vmax=15))
+        cosmos.distribute(workload.queries)
+        assert cosmos.coordinator_count() > cosmos.tree_height()
+        qid = workload.queries[3].query_id
+        found, counters = self._counters(lambda: cosmos.remove(qid))
+        assert found
+        assert counters["opt.remove_hops"] == cosmos.tree_height()
+        assert counters["opt.removals"] == 1
+
+    def test_unplaced_id_sweeps_and_reports_found_correctly(self, env):
+        _, oracle, _, processors = env
+        workload = make_workload(env, seed=641)
+        cosmos = Cosmos(oracle, processors, workload.space,
+                        CosmosConfig(k=4, vmax=15))
+        cosmos.distribute(workload.queries)
+        # never seen: nothing found, every coordinator looked at
+        found, counters = self._counters(lambda: cosmos.remove(10**9))
+        assert found is False
+        assert counters["opt.remove_hops"] == cosmos.coordinator_count()
+        assert "opt.removals" not in counters
+        # in the tree but missing from the placement: the sweep finds it
+        qid = workload.queries[5].query_id
+        del cosmos.placement[qid]
+        found, counters = self._counters(lambda: cosmos.remove(qid))
+        assert found is True
+        assert counters["opt.remove_hops"] == cosmos.coordinator_count()
+        for coord in cosmos.root.all_coordinators():
+            assert all(qid not in v.members for v in coord.vertices.values())
+
+
+class TestOwnerIndex:
+    def test_compress_keeps_a_built_index_current(self, deep_env):
+        """``_replace_pair`` re-points the merged members in place (inside
+        an adaptation round the index is stale anyway, so drive it
+        directly)."""
+        workload = deep_workload(deep_env, 650)
+        cosmos = twin_cosmos(deep_env, workload)[0]
+        cosmos.distribute(workload.queries)
+        fresh = workload.new_queries(100, deep_env[3])
+        for q in fresh:
+            cosmos.insert(q)
+        root = cosmos.root
+        index = root._owner_index()
+        before = len(root.vertices)
+        root._sync_graph(list(root.vertices.values()))  # inserts join qg
+        root._maybe_compress()
+        assert len(root.vertices) < before
+        assert root._owner_index() is index  # not rebuilt ...
+        assert_owner_index(cosmos)           # ... and still exact
+        merged = [q.query_id for q in fresh
+                  if ("q", q.query_id) not in root.vertices]
+        assert merged
+        assert cosmos.remove(merged[0])
+        for coord in root.all_coordinators():
+            assert all(
+                merged[0] not in v.members for v in coord.vertices.values()
+            )
+
+
+class TestRefreshInvalidatesRouting:
+    def test_insert_sees_refreshed_loads(self, deep_env):
+        """Eqn 3.1 feasibility is checked against post-refresh loads even
+        with no adapt/remove between the refresh and the insert."""
+        workload = deep_workload(deep_env, 660)
+        warm, cold = twin_cosmos(deep_env, workload)
+        probe = workload.new_queries(1, deep_env[3])[0]
+        light = probe.load
+        total = sum(q.load for q in workload.queries)
+        hosts = []
+        for cosmos in (warm, cold):
+            cosmos.distribute(workload.queries[:-1])
+            for _ in range(4):  # balance first: feasible children exist
+                cosmos.adapt()
+            # inserting warms the routing state along the probe's path
+            hosts.append(cosmos.insert(probe))
+        assert hosts[0] == hosts[1]
+        # the probe turns out heavier than everything else together: the
+        # child holding it is far over its share
+        for cosmos in (warm, cold):
+            cosmos.refresh_measured_loads({probe.query_id: 10.0 * total})
+        # ground truth: every coordinator recomputes loads from scratch
+        for coord in cold.root.all_coordinators():
+            coord._invalidate_routing_state()
+
+        # a twin has the same WEC-cheapest route; only load can divert it
+        twin = replace(probe, query_id=probe.query_id + 10**6, load=light)
+        assert warm.insert(twin) == cold.insert(twin) != hosts[0]
+        # at the level where the twin left the probe's route, the probe's
+        # child is infeasible and the chosen one is not
+        for coord in warm.root._path_to(hosts[0]):
+            hot = coord.assignment[("q", probe.query_id)]
+            target = coord.assignment[("q", twin.query_id)]
+            if target != hot:
+                break
+        coord._invalidate_routing_state()
+        coord._ensure_routing_state()
+        share = ((1.0 + coord.alpha) * coord._total_weight
+                 / coord.ng.total_capability())
+        assert coord._loads[hot] > share * coord.ng.capability(hot)
+        assert coord._loads[target] <= share * coord.ng.capability(target)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.interest import SubstreamSpace, bits_of, iter_bits, mask_of
+from repro.core.graphs import QVertex
+from repro.query.interest import (
+    SubstreamSpace,
+    bits_of,
+    index_array,
+    iter_bits,
+    mask_of,
+)
 from repro.query.workload import WorkloadParams, generate_workload
 
 
@@ -83,6 +90,86 @@ class TestSpace:
         expected = sum(float(space.rates[i]) for i in ids_a & ids_b)
         got = space.overlap_rate(mask_of(ids_a), mask_of(ids_b))
         assert got == pytest.approx(expected)
+
+
+@st.composite
+def spaces_and_masks(draw):
+    """A random space (widths not divisible by 8 included) and masks over
+    it: empty, all-ones, dense random and sparse random."""
+    n = draw(st.integers(1, 5000))
+    full = (1 << n) - 1
+    mask = st.one_of(
+        st.just(0),
+        st.just(full),
+        st.integers(0, full),
+        st.sets(st.integers(0, n - 1), max_size=40).map(mask_of),
+    )
+    space = SubstreamSpace.random(
+        n, sources=[1, 2, 3], seed=draw(st.integers(0, 2**16))
+    )
+    return space, draw(mask), draw(st.lists(mask, min_size=1, max_size=6))
+
+
+class TestOverlapKernel:
+    """The batched kernel equals the mask path *bit for bit*: it gathers
+    the same rates in the same ascending order, so even the float sums'
+    rounding agrees -- placements depend on that."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=spaces_and_masks(), factor=st.sampled_from([0.25, 3.0]))
+    def test_bit_identical_to_mask_path(self, case, factor):
+        space, probe, others = case
+
+        def check():
+            got = space.overlap_rates(
+                index_array(probe), [index_array(o) for o in others]
+            )
+            assert got == [space.rate(probe & o) for o in others]
+            assert got == [space.overlap_rate(probe, o) for o in others]
+            assert not space._mark.any()  # scratch handed back clean
+
+        check()
+        # rates are read live: no cache to invalidate after a perturbation
+        space.perturb_rates(bits_of(probe)[::2], factor)
+        check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=spaces_and_masks())
+    def test_vertex_cache_follows_the_mask(self, case):
+        """``QVertex.indices`` through fill, reuse, mask reassignment (what
+        stripping a member does) and an explicit drop."""
+        space, probe, others = case
+
+        def vertex(mask):
+            return QVertex(vid=("t", mask), weight=1.0, mask=mask,
+                           source_rates={}, proxy_rates={})
+
+        v = vertex(probe)
+        ws = [vertex(o) for o in others]
+
+        def check():
+            got = space.overlap_rates(v.indices, [w.indices for w in ws])
+            assert got == [space.rate(v.mask & w.mask) for w in ws]
+
+        check()
+        assert v.indices is v.indices  # second read is the cached array
+        space.perturb_rates(bits_of(probe)[::3], 2.0)
+        check()
+        v.mask, ws[0].mask = ws[0].mask, v.mask  # reassigned: re-unpacked
+        check()
+        assert bits_of(v.mask) == v.indices.tolist()
+        for w in [v] + ws:
+            w.drop_indices()
+        check()
+
+    def test_scratch_restored_after_a_failed_call(self, space):
+        bad = np.array([len(space)])  # out of range for the rates vector
+        with pytest.raises(IndexError):
+            space.overlap_rates(index_array(0b1011), [index_array(0b11), bad])
+        assert not space._mark.any()
+        assert space.overlap_rates(
+            index_array(0b1011), [index_array(0b0110)]
+        ) == [space.rate(0b0010)]
 
 
 class TestWorkload:
