@@ -14,12 +14,18 @@ Subpackages
     Continuous-query engine (windows, joins) and synthetic sensors.
 ``repro.core``
     The COSMOS optimizer: graph mapping, coordinator hierarchy, online
-    insertion, adaptive redistribution, sharing deployment.
+    insertion, adaptive redistribution.
 ``repro.baselines`` / ``repro.placement``
     Evaluation baselines, including the two-phase operator-placement
     comparator.
-``repro.sim`` / ``repro.experiments``
-    Metrics and one driver per paper figure/table.
+``repro.sim``
+    Evaluation metrics and the discrete-event cluster simulator:
+    engines over the pub/sub overlay, shared multi-query execution
+    (Section 2), churn, adaptation rounds, fault injection and recovery.
+``repro.experiments``
+    One driver per paper figure/table.
+``repro.obs`` / ``repro.bench``
+    Observability (spans, metrics, profiler) and the kernel benchmarks.
 """
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 from .broker import Broker
 from .index import EventMatch, ForwardingIndex
-from .messages import Event, result_stream_name
+from .messages import Event
 from .network import PubSubNetwork
 from .predicates import AttributeRange, Constraint, Filter, TRUE_FILTER
 from .routing import LOCAL, RoutingTable
@@ -10,7 +10,6 @@ from .subscriptions import Advertisement, Subscription
 
 __all__ = [
     "Event",
-    "result_stream_name",
     "Constraint",
     "AttributeRange",
     "Filter",

@@ -1,12 +1,8 @@
-"""Events and stream naming for the content-based pub/sub substrate.
+"""Events for the content-based pub/sub substrate.
 
 A message (event) is a set of attribute/value pairs plus the name of the
 stream it belongs to, exactly as in Siena-style content-based networking:
 routing decisions look only at the content, never at destination addresses.
-
-Result streams get globally unique names derived from the processor that
-produces them (the paper names them with the processor's identifier, e.g.
-its IP address); :func:`result_stream_name` reproduces that convention.
 """
 
 from __future__ import annotations
@@ -14,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping
 
-__all__ = ["Event", "result_stream_name"]
-
-
-def result_stream_name(processor_id: int, query_id: str) -> str:
-    """Unique name for the result stream of ``query_id`` hosted at a processor."""
-    return f"result::{processor_id}::{query_id}"
+__all__ = ["Event"]
 
 
 @dataclass(frozen=True)
@@ -29,8 +20,7 @@ class Event:
     Attributes
     ----------
     stream:
-        Name of the stream the event belongs to (source streams use their
-        own names, result streams use :func:`result_stream_name`).
+        Name of the stream the event belongs to.
     attributes:
         Attribute/value mapping; values are numbers or strings.
     size:

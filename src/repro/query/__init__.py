@@ -17,8 +17,6 @@ __all__ = [
 from .ast import AttrRef, Comparison, Literal, NOW, Query, SelectItem, StreamBinding, Window
 from .containment import contains, equivalent, selection_filter, selections_imply
 from .merging import (
-    SharedGroup,
-    SharedGroupEntry,
     merge_all,
     merge_queries,
     mergeable,
@@ -31,5 +29,4 @@ __all__ += [
     "SelectItem", "Query", "parse_query", "ParseError",
     "contains", "equivalent", "selection_filter", "selections_imply",
     "merge_queries", "merge_all", "mergeable", "split_subscription",
-    "SharedGroup", "SharedGroupEntry",
 ]

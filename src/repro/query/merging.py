@@ -13,8 +13,7 @@ constraint (as a timestamp band) and the projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..pubsub.predicates import Constraint, Filter
 from ..pubsub.subscriptions import Subscription
@@ -35,8 +34,6 @@ __all__ = [
     "split_subscription",
     "source_subscriptions",
     "mergeable",
-    "SharedGroup",
-    "SharedGroupEntry",
 ]
 
 
@@ -270,140 +267,3 @@ def source_subscriptions(query: Query) -> List[Subscription]:
         Subscription.to_streams([stream], filter=filt)
         for stream, filt in by_stream.items()
     ]
-
-
-@dataclass
-class SharedGroupEntry:
-    """One shared group: a merged superset query plus its members.
-
-    ``gid`` is stable for the entry's whole lifetime -- result streams,
-    engine plans and advertisements key off it, never off a list index
-    (indices shift when groups collapse or retire, leaving orphan state
-    behind).
-    """
-
-    gid: int
-    merged: Query
-    members: List[Query] = field(default_factory=list)
-
-    def member_names(self) -> List[str]:
-        return [m.name for m in self.members]
-
-
-class SharedGroup:
-    """Bookkeeping for result sharing at one processor.
-
-    Greedy pairwise merging: queries are added one by one; each new query
-    merges into the first group it is mergeable with, and the group's
-    superset query is recomputed.  Groups carry stable ids
-    (:class:`SharedGroupEntry`); mutations report every entry they
-    retired so the deployment layer can tear down the retired groups'
-    plans, advertisements and subscriptions.
-    """
-
-    def __init__(self, processor: int):
-        self.processor = processor
-        self.entries: List[SharedGroupEntry] = []
-        self._next_gid = 0
-
-    # -- compatibility view used by older callers/tests ----------------
-    @property
-    def groups(self) -> List[Tuple[Query, List[Query]]]:
-        """``[(merged query, member originals)]`` in entry order."""
-        return [(e.merged, e.members) for e in self.entries]
-
-    def _name(self, gid: int) -> str:
-        return f"shared_{self.processor}_{gid}"
-
-    def _fold(self, entry: SharedGroupEntry) -> None:
-        entry.merged = merge_all(entry.members, name=self._name(entry.gid))
-
-    def add(self, query: Query) -> Tuple[SharedGroupEntry, List[SharedGroupEntry]]:
-        """Add (or re-declare) a query.
-
-        Returns ``(entry, retired)``: the entry now executing the query,
-        plus every entry this add retired -- the previous home of a
-        re-declared query that emptied, and any group the widened merged
-        query absorbed.  Re-declaring a name replaces the old member, so
-        the fold can *narrow* filters/windows the stale version forced.
-        Note: if a re-declared query lands in a *different* group, the
-        old group survives re-folded but is not reported -- a deployment
-        layer that installs merged plans should withdraw the old
-        declaration first (``SharingDeployment.deploy`` does) so the
-        narrowed survivor is reinstalled.
-        """
-        retired: List[SharedGroupEntry] = []
-        if query.name:
-            retired.extend(self.remove(query.name)[1])
-        home: Optional[SharedGroupEntry] = None
-        for entry in self.entries:
-            if mergeable(entry.merged, query):
-                entry.members.append(query)
-                self._fold(entry)
-                home = entry
-                break
-        if home is None:
-            home = SharedGroupEntry(gid=self._next_gid, merged=query, members=[query])
-            self._next_gid += 1
-            self._fold(home)
-            self.entries.append(home)
-        # collapse: a widened merged query can become mergeable with other
-        # groups; absorb them so each query class runs exactly once
-        absorbed = True
-        while absorbed:
-            absorbed = False
-            for other in self.entries:
-                if other is home:
-                    continue
-                if mergeable(home.merged, other.merged):
-                    home.members.extend(other.members)
-                    self._fold(home)
-                    self.entries.remove(other)
-                    retired.append(other)
-                    absorbed = True
-                    break
-        return home, retired
-
-    def remove(
-        self, name: str
-    ) -> Tuple[Optional[SharedGroupEntry], List[SharedGroupEntry]]:
-        """Remove the member called ``name`` and re-fold its group.
-
-        Returns ``(entry, retired)``: the member's (re-merged) group, or
-        ``None`` with the emptied group in ``retired``.  Unknown names
-        are a no-op.
-        """
-        for entry in self.entries:
-            kept = [m for m in entry.members if m.name != name]
-            if len(kept) == len(entry.members):
-                continue
-            if not kept:
-                self.entries.remove(entry)
-                return None, [entry]
-            entry.members = kept
-            self._fold(entry)
-            return entry, []
-        return None, []
-
-    def entry_of(self, name: str) -> Optional[SharedGroupEntry]:
-        for entry in self.entries:
-            if any(m.name == name for m in entry.members):
-                return entry
-        return None
-
-    def executed_queries(self) -> List[Query]:
-        return [e.merged for e in self.entries]
-
-    def subscriptions(self, stream_namer) -> List[Tuple[Query, Subscription]]:
-        """Per original query: its split subscription.
-
-        ``stream_namer(gid)`` names each merged result stream.
-        """
-        out: List[Tuple[Query, Subscription]] = []
-        for entry in self.entries:
-            stream = stream_namer(entry.gid)
-            for original in entry.members:
-                out.append(
-                    (original, split_subscription(entry.merged, original, stream))
-                )
-        return out

@@ -29,6 +29,20 @@ Determinism: all randomness flows from one ``numpy`` seed through
 heap-based :class:`~repro.sim.events.EventLoop`, so two runs of the same
 scenario produce bit-identical traces.
 
+Delivery units
+--------------
+Everything engine-side -- routing targets, the release chain, drains,
+migration, checkpoints, crash teardown and restore -- operates on one
+type, the delivery unit (:class:`_Unit`): a compiled plan on a host
+engine with its source subscriptions and its members.  An unshared
+query is a unit of one member; with ``ScenarioParams.use_sharing`` a
+unit is a shared group executing the merged superset of its members.
+The planes differ in exactly four functions: how a query finds its unit
+(:meth:`SimCluster.add_query`), how it leaves it
+(:meth:`SimCluster.remove_query`), how source rows are routed to units
+(stream match vs per-row content match) and how a unit's results are
+accounted (one transfer to the proxy vs ``p^2`` carving).
+
 Data planes
 -----------
 With ``ScenarioParams.use_batches`` (the default) the tuple path runs
@@ -64,12 +78,21 @@ from ..engine.plans import QueryPlan
 from ..engine.tuples import StreamTuple, TupleBatch
 from ..pubsub.messages import Event
 from ..pubsub.network import PubSubNetwork
-from ..pubsub.subscriptions import Subscription
+from ..pubsub.subscriptions import Advertisement, Subscription
 from ..topology.latency import LatencyOracle, select_roles
 from ..topology.overlay import minimum_latency_spanning_tree
 from ..topology.transit_stub import TransitStubParams, generate_transit_stub
+from ..query.ast import Query
 from ..query.interest import SubstreamSpace
+from ..query.merging import (
+    merge_all,
+    merge_queries,
+    mergeable,
+    source_subscriptions,
+    split_subscription,
+)
 from .events import EventLoop
+from .faults import RECOVERY_POLICIES, FaultInjector
 from .trace import AdaptationMark, SimTrace, TraceSample
 from .workload import (
     VALUE_DOMAIN,
@@ -158,33 +181,89 @@ class ScenarioParams:
     #: bit-identical either way)
     opt_incremental: bool = True
 
+    def __post_init__(self) -> None:
+        if self.initial_placement not in ("cosmos", "skewed"):
+            raise ValueError(
+                f"initial_placement: unknown placement {self.initial_placement!r}"
+                " (expected 'cosmos' or 'skewed')"
+            )
+        if self.recovery not in RECOVERY_POLICIES:
+            raise ValueError(
+                f"recovery: unknown policy {self.recovery!r}"
+                f" (expected one of {sorted(RECOVERY_POLICIES)})"
+            )
+        for name in ("duration", "sample_interval"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name}: must be positive, got {getattr(self, name)!r}"
+                )
+        for name in ("adapt_interval", "checkpoint_interval"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(
+                    f"{name}: must be positive or None, got {value!r}"
+                )
+        if self.spare_processors < 0:
+            raise ValueError(
+                f"spare_processors: must be >= 0, got {self.spare_processors!r}"
+            )
+
 
 @dataclass
-class _QueryState:
-    """Runtime state of one query inside the cluster.
+class _Unit:
+    """One delivery unit: a compiled plan on a host engine, and everything
+    the engine-side machinery (routing targets, release chain, drain,
+    migration, checkpoint, crash/restore) needs to know about it.
 
-    On the shared plane (``use_sharing=True``) a query does not own a
-    plan or a source subscription -- its group does -- so ``sub``/``plan``
-    stay ``None`` and the sharing fields at the bottom point at the
-    group and the member's ``p^2`` result subscription instead.
+    Both planes run on units.  An unshared query is a unit with one
+    member whose single source subscription matches on streams only; a
+    shared group is a unit whose plan executes the merged superset of its
+    members, whose ``p^1`` source subscriptions carry the merged selection
+    hulls, and whose results leave through an advertised result stream
+    that the members' ``p^2`` subscriptions carve.  All members of a unit
+    read the *same* streams (mergeability requires aligned bindings), so
+    one reordering slack and one release chain serve the whole unit.
     """
 
-    simq: SimQuery
+    uid: int
+    #: ``"query"`` or ``"group"``: the key spans and annotations file
+    #: ``uid`` under (a label, never a behaviour switch)
+    kind: str
     host: int
-    sub: Optional[Subscription]
-    plan: Optional[QueryPlan]
+    #: the query the plan executes.  For a group: the merged superset,
+    #: monotone -- member joins widen the plan in place; departures must
+    #: not narrow it, because the join-window state the survivors still
+    #: need was built under the wide version.
+    executed: Query
+    plan: QueryPlan
+    result_stream: str
+    #: input substreams, founder binding order
+    substreams: Tuple[int, ...]
+    streams: Tuple[str, ...]
     #: reordering slack: worst input-path delay (seconds)
     slack: float
     #: release time assigned to the latest delivered tuple (monotone)
-    last_release: float = 0.0
+    last_release: float
     #: batch plane: ``last_release`` as of the last control-plane event.
     #: Within a control-free window the scalar release chain collapses to
     #: ``max(ts + slack, release_floor)`` per row (timestamps are merged
     #: in order, so earlier chain links never dominate), which makes the
     #: release of a row independent of *publish* order -- coalesced
     #: batches of different substreams may publish out of timestamp order
-    last_release_floor: float = 0.0
-    #: earliest time deliveries may resume after a migration handoff
+    last_release_floor: float
+    #: live member query ids, join order
+    members: List[int]
+    #: every query id that ever executed here (CPU attribution at report)
+    all_members: List[int]
+    #: installed source subscriptions
+    subs: List[Subscription] = field(default_factory=list)
+    #: current advertisement of ``result_stream`` (groups only; re-issued
+    #: whenever the unit changes host)
+    adv: Optional[Advertisement] = None
+    #: member query ids with an installed ``p^2`` subscription (join
+    #: order; departed members linger until their carve drains)
+    listeners: List[int] = field(default_factory=list)
+    #: earliest time deliveries may resume after a state handoff
     ready: float = 0.0
     #: scalar-plane pending deliveries: (tuple, release) in FIFO order;
     #: releases are non-decreasing, and keeping them lets a release event
@@ -201,83 +280,55 @@ class _QueryState:
     #: pending drain at T delivers every row with release <= T, so no
     #: extra event is needed for rows releasing at or before T
     drain_at: float = float("-inf")
+    #: False once the last member left (the unit retires after its drain)
     alive: bool = True
+    #: True while no engine hosts the plan (drained and torn down, or
+    #: lost in a crash and not yet restored)
     detached: bool = False
-    cpu_at_sample: int = 0
-    cpu_at_adapt: int = 0
-    results: List[StreamTuple] = field(default_factory=list)
-    #: per-query latency accumulators for the current sample interval;
-    #: merged in query-id order at each sample so the scalar and batch
-    #: paths sum floats in one canonical order
-    lat_sum: float = 0.0
-    lat_max: float = 0.0
-    #: shared plane: the group this member executes in
-    group: Optional[int] = None
-    #: shared plane: the member's ``p^2`` split result subscription
-    result_sub: Optional[Subscription] = None
-    #: shared plane: when the member joined (its carve's lower time bound)
-    added_at: float = 0.0
-
-    @property
-    def name(self) -> str:
-        return self.simq.name
-
-    @property
-    def substreams(self) -> Tuple[int, ...]:
-        """Input substreams (delivery units expose these uniformly)."""
-        return self.simq.substreams
-
-
-@dataclass
-class _GroupState:
-    """One shared group: the delivery unit of the shared data plane.
-
-    Carries exactly the release/drain machinery a :class:`_QueryState`
-    carries on the unshared plane (the event-loop delivery code treats
-    either as its "unit"), plus the merged plan and the subscription
-    bookkeeping of the group.  All members of a group read the *same*
-    streams (mergeability requires aligned bindings), so one reordering
-    slack and one release chain serve the whole group.
-    """
-
-    gid: int
-    host: int
-    #: the merged superset query the plan executes.  Monotone: it only
-    #: ever *widens* (member joins widen the plan in place; member
-    #: departures must not narrow it, because the join-window state the
-    #: survivors still need was built under the wide version).
-    executed: Query
-    plan: QueryPlan
-    result_stream: str
-    #: current advertisement of ``result_stream`` (re-issued on migration)
-    adv: object
-    #: live member query ids, join order
-    members: List[int] = field(default_factory=list)
-    #: every query id that ever executed here (CPU attribution at report)
-    all_members: List[int] = field(default_factory=list)
-    #: input substreams, founder binding order
-    substreams: Tuple[int, ...] = ()
-    streams: Tuple[str, ...] = ()
-    #: installed ``p^1`` source subscriptions (merged filters)
-    p1_subs: List[Subscription] = field(default_factory=list)
-    slack: float = 0.0
-    last_release: float = 0.0
-    last_release_floor: float = 0.0
-    ready: float = 0.0
-    pending: Deque[Tuple[StreamTuple, float]] = field(default_factory=deque)
-    pending_rel: List[Tuple[float, int, StreamTuple, float]] = field(
-        default_factory=list
-    )
-    drain_at: float = float("-inf")
-    alive: bool = True
-    detached: bool = False
-    #: engine CPU counter snapshots (per-group; shares attributed to members)
+    #: engine CPU counter snapshots (deltas are shared out over members)
     cpu_at_sample: int = 0
     cpu_at_adapt: int = 0
 
     @property
     def name(self) -> str:
         return self.plan.query.name
+
+
+@dataclass
+class _QueryState:
+    """Per-user-query state; everything engine-side lives on its unit."""
+
+    simq: SimQuery
+    unit: _Unit
+    #: when the query joined (its carve's lower time bound)
+    added_at: float
+    alive: bool = True
+    results: List[StreamTuple] = field(default_factory=list)
+    #: per-query latency accumulators for the current sample interval;
+    #: merged in query-id order at each sample so the scalar and batch
+    #: paths sum floats in one canonical order
+    lat_sum: float = 0.0
+    lat_max: float = 0.0
+    #: shared plane: the query's ``p^2`` split result subscription
+    result_sub: Optional[Subscription] = None
+
+    @property
+    def name(self) -> str:
+        return self.simq.name
+
+    @property
+    def host(self) -> int:
+        return self.unit.host
+
+
+def _same_subscription(old: Optional[Subscription], new: Subscription) -> bool:
+    """Whether re-installing ``new`` in place of ``old`` would change nothing."""
+    return (
+        old is not None
+        and old.streams == new.streams
+        and old.projection == new.projection
+        and old.filter == new.filter
+    )
 
 
 @dataclass
@@ -295,14 +346,14 @@ class SimReport:
     actions: Optional[List[Tuple[str, object]]] = None
     #: final per-link data traffic, only when ``record=True``
     link_bytes: Optional[Dict[Tuple[int, int], float]] = None
-    #: final per-query engine CPU counters, only when ``record=True``.
-    #: On the shared plane these are per-group totals attributed equally
-    #: to every query that ever executed in the group (floats).
+    #: final per-query engine CPU counters, only when ``record=True``:
+    #: each unit's total attributed in equal shares to every query that
+    #: ever executed in it (so exactly the plan's counter when unshared)
     cpu_costs: Optional[Dict[int, float]] = None
     #: user queries submitted over the whole run
     user_queries: int = 0
-    #: plans that actually executed: equals ``user_queries`` on the
-    #: unshared plane, the number of shared groups with ``use_sharing``
+    #: plans that actually executed (units): equals ``user_queries`` on
+    #: the unshared plane, the number of shared groups with ``use_sharing``
     executed_queries: int = 0
     #: ordered fault/membership/recovery log (empty without faults)
     fault_log: List[Dict] = field(default_factory=list)
@@ -360,8 +411,6 @@ class SimCluster:
             overlay, record_deliveries=False, use_index=params.use_index
         )
         self.network.observer = observer
-        from ..pubsub.subscriptions import Advertisement
-
         for sid in range(len(space)):
             self.network.advertise(
                 int(space.source_of[sid]), Advertisement(stream=stream_name(sid))
@@ -371,22 +420,18 @@ class SimCluster:
             for p in self.processors
         }
         self.queries: Dict[int, _QueryState] = {}
+        #: delivery units by id: the query id on the unshared plane, a
+        #: group counter on the shared one.  Source deliveries resolve
+        #: through ``_by_sub`` (source subscription id -> unit id).
+        self.units: Dict[int, _Unit] = {}
         self._by_sub: Dict[int, int] = {}
-        #: shared plane state.  Source deliveries resolve through
-        #: ``_by_sub`` to a *delivery unit* id -- a query id on the
-        #: unshared plane, a group id (``_by_sub`` maps ``p^1`` sub ids)
-        #: on the shared one -- and ``_units`` is the matching dict, so
-        #: the release/drain machinery is identical on both planes.
         self._sharing = params.use_sharing
-        self.groups: Dict[int, _GroupState] = {}
-        self._units: Dict[int, object] = self.groups if self._sharing else self.queries
         self._next_gid = 0
-        self._host_groups: Dict[int, List[int]] = {}
+        #: host -> ids of the units it runs, arrival order (a joining
+        #: query merges into the first compatible one)
+        self._host_units: Dict[int, List[int]] = {}
         #: ``p^2`` result subscription id -> member query id
         self._by_result_sub: Dict[int, int] = {}
-        #: group id -> member query ids with an installed ``p^2`` sub
-        #: (join order; departed members linger until their carve drains)
-        self._res_listeners: Dict[int, List[int]] = {}
         #: memoised dissemination routes (shared plane): per-row content
         #: matching against every candidate subscription with per-link
         #: traffic charged on the union of paths to the accepting nodes
@@ -397,7 +442,7 @@ class SimCluster:
         #: route bypasses broker tables, so it cannot observe a wiped
         #: broker (BrokerLoss) or a partitioned link.
         self._route_fast = not params.faults
-        #: substream -> (network version, [(host, compiled matcher, gid)])
+        #: substream -> (network version, [(host, compiled matcher, unit id)])
         self._src_route: Dict[int, Tuple[int, List[Tuple[int, object, int]]]] = {}
         self._edge_paths: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         #: sub_id -> compiled membership test (fast path of Filter.matches)
@@ -428,8 +473,6 @@ class SimCluster:
         self.fault_log: List[Dict] = []
         self.faults = None
         if params.faults or params.checkpoint_interval is not None:
-            from .faults import FaultInjector
-
             self.faults = FaultInjector(self, fault_rng, params)
 
     # ------------------------------------------------------------------
@@ -446,46 +489,72 @@ class SimCluster:
             self._path_ms[key] = lat
         return lat
 
-    def _slack(self, simq: SimQuery, host: int) -> float:
-        """Reordering slack (s): the query's worst input transit delay."""
+    def _slack(self, substreams: Tuple[int, ...], host: int) -> float:
+        """Reordering slack (s): the worst input transit delay to ``host``."""
         return max(
             self._path_latency_ms(int(self.space.source_of[sid]), host)
-            for sid in simq.substreams
+            for sid in substreams
         ) / 1000.0
 
     # ------------------------------------------------------------------
     # query lifecycle
     # ------------------------------------------------------------------
     def add_query(self, simq: SimQuery, host: int) -> _QueryState:
-        """Install a query on its host engine and subscribe its inputs."""
-        if self._sharing:
-            return self._shared_add(simq, host)
+        """Install a query on ``host`` and subscribe its inputs.
+
+        Unshared, the query founds a unit of its own whose one source
+        subscription matches on streams only; shared, it joins or founds
+        a group (:meth:`_join_group`).
+        """
         # the new subscription changes routing tables: coalesced batches
         # emitted under the old tables must be published first
         self._flush_batches()
-        engine = self.engines[host]
-        plan = engine.add_query(simq.ast, result_stream=f"out_{simq.name}")
-        sub = Subscription.to_streams(simq.streams)
-        self.network.subscribe(host, sub)
-        qs = _QueryState(
-            simq=simq,
-            host=host,
-            sub=sub,
-            plan=plan,
-            slack=self._slack(simq, host),
-            last_release=self.loop.now,
-            last_release_floor=self.loop.now,
-        )
-        self.queries[simq.query_id] = qs
-        self._by_sub[sub.sub_id] = simq.query_id
+        if self._sharing:
+            qs = self._join_group(simq, host)
+        else:
+            unit = self._new_unit(
+                simq.query_id, "query", host, simq.ast, f"out_{simq.name}", simq
+            )
+            self._install_sources(unit, [Subscription.to_streams(simq.streams)])
+            qs = _QueryState(simq=simq, unit=unit, added_at=self.loop.now)
+            self.queries[simq.query_id] = qs
         if self.actions is not None:
             self.actions.append(("add", simq))
         return qs
 
-    # ------------------------------------------------------------------
-    # shared plane: group lifecycle
-    # ------------------------------------------------------------------
-    def _shared_add(self, simq: SimQuery, host: int) -> _QueryState:
+    def _new_unit(
+        self,
+        uid: int,
+        kind: str,
+        host: int,
+        executed: Query,
+        result_stream: str,
+        founder: SimQuery,
+    ) -> _Unit:
+        """Compile ``executed`` on ``host`` as a unit of one member."""
+        now = self.loop.now
+        unit = _Unit(
+            uid=uid,
+            kind=kind,
+            host=host,
+            executed=executed,
+            plan=self.engines[host].add_query(
+                executed, result_stream=result_stream
+            ),
+            result_stream=result_stream,
+            substreams=founder.substreams,
+            streams=founder.streams,
+            slack=self._slack(founder.substreams, host),
+            last_release=now,
+            last_release_floor=now,
+            members=[founder.query_id],
+            all_members=[founder.query_id],
+        )
+        self.units[uid] = unit
+        self._host_units.setdefault(host, []).append(uid)
+        return unit
+
+    def _join_group(self, simq: SimQuery, host: int) -> _QueryState:
         """Install a query into a shared group on ``host``.
 
         The query joins the first live group on its host it is mergeable
@@ -497,36 +566,51 @@ class SimCluster:
         (its own freshly-compiled plan would have started with empty
         windows -- the single-engine oracle semantics).
         """
-        from ..query.merging import merge_all, merge_queries, mergeable, split_subscription
-
-        self._flush_batches()
         now = self.loop.now
-        replaced = 0
-        gs: Optional[_GroupState] = None
-        for gid in self._host_groups.get(host, ()):
-            cand = self.groups[gid]
+        unit: Optional[_Unit] = None
+        for uid in self._host_units.get(host, ()):
+            cand = self.units[uid]
             if cand.alive and mergeable(cand.executed, simq.ast):
-                gs = cand
+                unit = cand
                 break
-        if gs is None:
-            gs = self._found_group(simq, host)
+        replaced = 0
+        if unit is None:
+            gid = self._next_gid
+            self._next_gid += 1
+            unit = self._new_unit(
+                gid,
+                "group",
+                host,
+                Query(
+                    select=simq.ast.select,
+                    bindings=simq.ast.bindings,
+                    where=simq.ast.where,
+                    name=f"shared_g{gid}",
+                ),
+                f"shared::{gid}",
+                simq,
+            )
+            unit.adv = Advertisement(stream=unit.result_stream)
+            self.network.advertise(host, unit.adv)
+            self._install_sources(unit, source_subscriptions(unit.executed))
         else:
-            widened = merge_queries(gs.executed, simq.ast, name=gs.name)
-            gs.plan.widen_to(widened)
-            gs.executed = widened
-            gs.members.append(simq.query_id)
-            gs.all_members.append(simq.query_id)
-            # merged filters may have weakened: replace the p^1 set (old
-            # set torn down first) and repair covering holes the
-            # teardown opened for other groups on the same streams.  The
-            # filters track the *live* members' hull -- tighter than the
-            # monotone executed query whenever departures narrowed it
-            self._install_p1(
-                gs,
-                query=merge_all(
-                    [self.queries[qid].simq.ast for qid in gs.members[:-1]]
-                    + [simq.ast],
-                    name=gs.name,
+            widened = merge_queries(unit.executed, simq.ast, name=unit.name)
+            unit.plan.widen_to(widened)
+            unit.executed = widened
+            earlier = list(unit.members)
+            unit.members.append(simq.query_id)
+            unit.all_members.append(simq.query_id)
+            # merged filters may have weakened.  The filters track the
+            # *live* members' hull -- tighter than the monotone executed
+            # query whenever departures narrowed it
+            self._install_sources(
+                unit,
+                source_subscriptions(
+                    merge_all(
+                        [self.queries[qid].simq.ast for qid in earlier]
+                        + [simq.ast],
+                        name=unit.name,
+                    )
                 ),
             )
             # existing members' carves were built against the previous
@@ -534,38 +618,21 @@ class SimCluster:
             # window need a (new) timestamp_lag band, so recompute them.
             # Once the group's hull stabilises the recomputed carve is
             # unchanged and the member keeps its installed subscription.
-            for qid in gs.members[:-1]:
+            for qid in earlier:
                 mqs = self.queries[qid]
                 carve = split_subscription(
-                    gs.executed, mqs.simq.ast, gs.result_stream,
+                    unit.executed, mqs.simq.ast, unit.result_stream,
                     emitted_after=mqs.added_at,
                 )
-                old = mqs.result_sub
-                if (
-                    old is not None
-                    and old.streams == carve.streams
-                    and old.projection == carve.projection
-                    and old.filter == carve.filter
-                ):
-                    continue
-                self._replace_result_sub(mqs, carve)
-                replaced += 1
-        qs = _QueryState(
-            simq=simq,
-            host=host,
-            sub=None,
-            plan=None,
-            slack=gs.slack,
-            last_release=now,
-            last_release_floor=now,
-            group=gs.gid,
-            added_at=now,
-        )
+                if not _same_subscription(mqs.result_sub, carve):
+                    self._replace_result_sub(mqs, carve)
+                    replaced += 1
+        qs = _QueryState(simq=simq, unit=unit, added_at=now)
         self.queries[simq.query_id] = qs
         self._replace_result_sub(
             qs,
             split_subscription(
-                gs.executed, simq.ast, gs.result_stream, emitted_after=now
+                unit.executed, simq.ast, unit.result_stream, emitted_after=now
             ),
         )
         # replacing subscriptions tears old ones down one at a time; when
@@ -573,220 +640,189 @@ class SimCluster:
         # set (departed members' capped carves included -- they listen
         # until their drain) closes any covering hole a removal opened
         if replaced:
-            for qid in self._res_listeners.get(gs.gid, ()):
-                mqs = self.queries[qid]
-                self.network.subscribe(
-                    mqs.simq.spec.proxy, mqs.result_sub, force=True
-                )
-        if self.actions is not None:
-            self.actions.append(("add", simq))
+            self._resubscribe_results(unit.listeners)
         return qs
 
-    def _found_group(self, simq: SimQuery, host: int) -> _GroupState:
-        """Create a fresh group executing ``simq`` alone."""
-        from ..pubsub.subscriptions import Advertisement
-        from ..query.ast import Query as QueryAst
+    def _install_sources(self, unit: _Unit, fresh: List[Subscription]) -> None:
+        """(Re)install a unit's source subscriptions; the old set goes first.
 
-        gid = self._next_gid
-        self._next_gid += 1
-        name = f"shared_g{gid}"
-        executed = QueryAst(
-            select=simq.ast.select,
-            bindings=simq.ast.bindings,
-            where=simq.ast.where,
-            name=name,
-        )
-        result_stream = f"shared::{gid}"
-        engine = self.engines[host]
-        plan = engine.add_query(executed, result_stream=result_stream)
-        adv = Advertisement(stream=result_stream)
-        self.network.advertise(host, adv)
-        gs = _GroupState(
-            gid=gid,
-            host=host,
-            executed=executed,
-            plan=plan,
-            result_stream=result_stream,
-            adv=adv,
-            members=[simq.query_id],
-            all_members=[simq.query_id],
-            substreams=simq.substreams,
-            streams=simq.streams,
-            slack=self._slack(simq, host),
-            last_release=self.loop.now,
-            last_release_floor=self.loop.now,
-        )
-        self.groups[gid] = gs
-        self._host_groups.setdefault(host, []).append(gid)
-        self._install_p1(gs)
-        return gs
-
-    def _install_p1(self, gs: _GroupState, query=None) -> None:
-        """(Re)install a group's ``p^1`` set; old subscriptions go first.
-
-        ``query`` defaults to the group's executed query; departures pass
-        the survivors' (narrower) hull instead.  Leaving the stale set
-        installed would accumulate subscriptions on the processor forever
-        and, whenever a re-merge narrows the hull, keep pulling tuples
-        nobody needs.  The teardown can open covering holes for other
-        groups' subscriptions on the same streams, so they are repaired
-        by forced re-propagation.  A re-merge that leaves every filter
-        where it was (the common case once a group's hull stabilises) is
-        a no-op: nothing is torn down, so nothing needs repair.
+        Leaving a stale set installed would accumulate subscriptions on
+        the processor forever and, whenever a re-merge narrows the hull,
+        keep pulling tuples nobody needs.  The teardown can open covering
+        holes for other units' subscriptions on the same streams, so they
+        are repaired by forced re-propagation.  A re-merge that leaves
+        every filter where it was (the common case once a group's hull
+        stabilises) is a no-op: nothing is torn down, so nothing needs
+        repair.
         """
-        from ..query.merging import source_subscriptions
-
-        fresh = source_subscriptions(query if query is not None else gs.executed)
-        if len(fresh) == len(gs.p1_subs) and all(
-            old.streams == new.streams
-            and old.projection == new.projection
-            and old.filter == new.filter
-            for old, new in zip(gs.p1_subs, fresh)
+        if len(fresh) == len(unit.subs) and all(
+            _same_subscription(old, new) for old, new in zip(unit.subs, fresh)
         ):
             return
-        had_old = bool(gs.p1_subs)
-        touched = set(gs.streams)
-        for sub in gs.p1_subs:
+        had_old = bool(unit.subs)
+        self._unsubscribe_sources(unit)
+        unit.subs = fresh
+        for sub in fresh:
+            self.network.subscribe(unit.host, sub)
+            self._by_sub[sub.sub_id] = unit.uid
+        if had_old:
+            self._refresh_subscriptions(streams=set(unit.streams))
+
+    def _unsubscribe_sources(self, unit: _Unit) -> None:
+        """Tear a unit's source subscriptions out of the network."""
+        for sub in unit.subs:
             self.network.unsubscribe(sub.sub_id)
             self._by_sub.pop(sub.sub_id, None)
             self._match_fns.pop(sub.sub_id, None)
-        gs.p1_subs = fresh
-        for sub in gs.p1_subs:
-            self.network.subscribe(gs.host, sub)
-            self._by_sub[sub.sub_id] = gs.gid
-        if had_old:
-            self._refresh_subscriptions(streams=touched)
 
     def _replace_result_sub(self, qs: _QueryState, sub: Subscription) -> None:
         """Swap a member's ``p^2`` subscription for ``sub`` at its proxy."""
-        if qs.result_sub is not None:
-            self.network.unsubscribe(qs.result_sub.sub_id)
-            self._by_result_sub.pop(qs.result_sub.sub_id, None)
-            self._match_fns.pop(qs.result_sub.sub_id, None)
+        self._drop_result_sub(qs)
         qs.result_sub = sub
         self._by_result_sub[sub.sub_id] = qs.simq.query_id
-        listeners = self._res_listeners.setdefault(qs.group, [])
+        listeners = qs.unit.listeners
         if qs.simq.query_id not in listeners:
             listeners.append(qs.simq.query_id)
         self.network.subscribe(qs.simq.spec.proxy, sub)
 
-    def _shared_remove(self, query_id: int) -> None:
-        """Member departure on the shared plane.
+    def _drop_result_sub(self, qs: _QueryState) -> None:
+        if qs.result_sub is not None:
+            self.network.unsubscribe(qs.result_sub.sub_id)
+            self._by_result_sub.pop(qs.result_sub.sub_id, None)
+            self._match_fns.pop(qs.result_sub.sub_id, None)
+            qs.result_sub = None
 
-        The member's carve gets an upper time bound at ``now`` (results
-        derived from later inputs belong only to the survivors), its
-        group's membership shrinks -- the merged plan itself stays wide:
-        narrowing it would rebuild operators and lose the window state
-        the survivors still need -- and the ``p^1`` filters narrow to the
-        survivors' hull.  The capped subscription is finally torn down
-        once every input emitted before the departure has drained.
+    def _resubscribe_results(self, query_ids) -> None:
+        """Force-re-propagate the installed ``p^2`` carves of ``query_ids``
+        toward their result stream (covering repair / new advertiser)."""
+        for qid in query_ids:
+            qs = self.queries[qid]
+            if qs.result_sub is not None:
+                self.network.subscribe(
+                    qs.simq.spec.proxy, qs.result_sub, force=True
+                )
+
+    def remove_query(self, query_id: int) -> None:
+        """Query departure: stop deliveries now, detach after the drain.
+
+        The unit's membership shrinks at once, but its plan stays on the
+        engine until every already-delivered tuple has been processed, so
+        the distributed run emits exactly the results a single-engine
+        oracle does for the same action order.  The last member out
+        retires the unit (source subscriptions torn down immediately: no
+        new tuples).  While members remain -- shared groups only -- the
+        merged plan stays wide (narrowing it would rebuild operators and
+        lose the window state the survivors still need) and the source
+        filters narrow to the survivors' hull.
+
+        Shared, the departing member's carve first gets an upper time
+        bound at ``now`` (results derived from later inputs belong only
+        to the survivors); the capped subscription is torn down once
+        every input emitted before the departure has drained.
         """
-        from ..query.merging import merge_all, split_subscription
-
         qs = self.queries[query_id]
         if not qs.alive:
             return
         self._flush_batches()
         now = self.loop.now
         qs.alive = False
-        gs = self.groups[qs.group]
+        unit = qs.unit
         self._annotate_pending(
-            gs, "query_remove", query=query_id, group=gs.gid
+            unit, "query_remove", **{"query": query_id, unit.kind: unit.uid}
         )
         if self.actions is not None:
             self.actions.append(("remove", qs.simq))
-        self._replace_result_sub(
-            qs,
-            split_subscription(
-                gs.executed, qs.simq.ast, gs.result_stream,
-                emitted_after=qs.added_at, emitted_before=now,
-            ),
-        )
-        # the cap tore the member's old subscription down: repair any
-        # covering hole that opened for the group's other listeners
-        for qid in self._res_listeners.get(gs.gid, ()):
-            if qid == query_id:
-                continue
-            lqs = self.queries[qid]
-            self.network.subscribe(
-                lqs.simq.spec.proxy, lqs.result_sub, force=True
+        if self._sharing:
+            self._replace_result_sub(
+                qs,
+                split_subscription(
+                    unit.executed, qs.simq.ast, unit.result_stream,
+                    emitted_after=qs.added_at, emitted_before=now,
+                ),
             )
-        gs.members.remove(query_id)
-        if gs.members:
-            # p^1 filters narrow to the survivors' hull; the plan's own
-            # (wider) select keeps running -- tuples the narrowed filters
-            # drop cannot contribute to any survivor's carved results
-            survivors = merge_all(
-                [self.queries[qid].simq.ast for qid in gs.members],
-                name=gs.name,
+            # the cap tore the member's old subscription down: repair any
+            # covering hole that opened for the group's other listeners
+            self._resubscribe_results(
+                qid for qid in unit.listeners if qid != query_id
             )
-            self._install_p1(gs, query=survivors)
-            self.loop.schedule(
-                max(now, gs.last_release),
-                partial(self._shared_detach_member, query_id),
+        unit.members.remove(query_id)
+        if unit.members:
+            # the plan's own (wider) select keeps running -- tuples the
+            # narrowed filters drop cannot contribute to any survivor's
+            # carved results
+            self._install_sources(
+                unit,
+                source_subscriptions(
+                    merge_all(
+                        [self.queries[qid].simq.ast for qid in unit.members],
+                        name=unit.name,
+                    )
+                ),
             )
         else:
-            # last member out: the group retires with it
-            gs.alive = False
-            for sub in gs.p1_subs:
-                self.network.unsubscribe(sub.sub_id)
-                self._by_sub.pop(sub.sub_id, None)
-                self._match_fns.pop(sub.sub_id, None)
-            gs.p1_subs = []
-            self._refresh_subscriptions(streams=set(gs.streams))
+            unit.alive = False
+            self._unsubscribe_sources(unit)
+            unit.subs = []
+            self._refresh_subscriptions(streams=set(unit.streams))
             self.loop.schedule(
-                max(now, gs.last_release),
-                partial(self._shared_detach_group, gs.gid),
+                max(now, unit.last_release),
+                partial(self._detach_unit, unit.uid),
             )
+        if qs.result_sub is not None:
             self.loop.schedule(
-                max(now, gs.last_release),
-                partial(self._shared_detach_member, query_id),
+                max(now, unit.last_release),
+                partial(self._detach_member, query_id),
             )
 
-    def _shared_detach_member(self, query_id: int) -> None:
-        """Finish a member departure once its group drained.
+    def _detach_member(self, query_id: int) -> None:
+        """Tear a departed member's capped carve down once its unit drained.
 
-        Mirrors :meth:`_detach`: inputs emitted before the departure may
-        still sit in the group's pending buffers when a migration pause
-        pushed their release events to this very instant but behind this
-        event in the queue -- deliver them first (later inputs ride along
-        early; the departed member's upper time bound keeps them out of
-        its carve, and survivors receive identical content either way).
+        Inputs emitted before the departure may still sit in the unit's
+        pending buffers when a migration pause pushed their release
+        events to this very instant but behind this event in the queue
+        -- deliver them first (later inputs ride along early; the
+        departed member's upper time bound keeps them out of its carve,
+        and survivors receive identical content either way).
         """
         qs = self.queries[query_id]
-        if qs.detached:
+        if qs.result_sub is None:
             return
-        gs = self.groups[qs.group]
-        if not gs.detached:
-            self._drain_unit_completely(gs)
-        qs.detached = True
-        if qs.result_sub is not None:
-            self.network.unsubscribe(qs.result_sub.sub_id)
-            self._by_result_sub.pop(qs.result_sub.sub_id, None)
-            self._match_fns.pop(qs.result_sub.sub_id, None)
-            qs.result_sub = None
-        listeners = self._res_listeners.get(qs.group)
-        if listeners and query_id in listeners:
-            listeners.remove(query_id)
+        unit = qs.unit
+        if not unit.detached:
+            self._drain_unit_completely(unit)
+        self._drop_result_sub(qs)
+        if query_id in unit.listeners:
+            unit.listeners.remove(query_id)
 
-    def _shared_detach_group(self, gid: int) -> None:
-        """Tear a retired group down after its drain: deliver what is in
-        flight, remove the merged plan, retire the result stream."""
-        gs = self.groups[gid]
-        if gs.detached:
+    def _detach_unit(self, uid: int) -> None:
+        """Tear a retired unit down after its drain: deliver what is in
+        flight, remove the plan, retire an advertised result stream.
+
+        Delivering first matters: a migration can push ``last_release``
+        past already-scheduled release events, making them fire
+        (rescheduled) at the same instant as this detach but after it in
+        the queue -- dropping them would diverge from the oracle, which
+        processes every tuple emitted before the departure.
+        """
+        unit = self.units[uid]
+        if unit.detached:
             return
-        self._drain_unit_completely(gs)
-        gs.detached = True
-        plan = self.engines[gs.host].remove_query(gs.name)
+        self._drain_unit_completely(unit)
+        unit.detached = True
+        plan = self.engines[unit.host].remove_query(unit.name)
         if self.obs is not None:
-            self.obs.plan_retired(gs.host, gs.name, plan)
-        self.network.unadvertise(gs.adv.adv_id)
-        host_list = self._host_groups.get(gs.host)
-        if host_list and gid in host_list:
-            host_list.remove(gid)
+            self.obs.plan_retired(unit.host, unit.name, plan)
+        if unit.adv is not None:
+            self.network.unadvertise(unit.adv.adv_id)
+        self._host_units[unit.host].remove(uid)
 
-    def _drain_unit_completely(self, unit) -> None:
-        """Deliver everything pending on a unit, releases regardless."""
+    def _drain_unit_completely(self, unit: _Unit) -> None:
+        """Deliver everything pending on a unit, releases regardless.
+
+        Batch-plane rows still pending here were paused past their
+        release (migration handoff) -- the scalar plane's loop delivers
+        exactly those at ``loop.now`` as well.
+        """
         while unit.pending:
             self._deliver_now(unit, unit.pending.popleft()[0])
         if unit.pending_rel:
@@ -794,84 +830,25 @@ class SimCluster:
             unit.pending_rel.clear()
             self._deliver_rows(unit, rows)
 
-    def remove_query(self, query_id: int) -> None:
-        """Query departure: stop deliveries now, detach after the drain.
-
-        The subscription is torn down immediately (no new tuples), but
-        the plan stays on its engine until every already-delivered tuple
-        has been processed, so the distributed run emits exactly the
-        results a single-engine oracle does for the same action order.
-        """
-        if self._sharing:
-            self._shared_remove(query_id)
-            return
-        qs = self.queries[query_id]
-        if not qs.alive:
-            return
-        self._flush_batches()
-        qs.alive = False
-        self._annotate_pending(qs, "query_remove", query=query_id)
-        if self.actions is not None:
-            self.actions.append(("remove", qs.simq))
-        self.network.unsubscribe(qs.sub.sub_id)
-        self._by_sub.pop(qs.sub.sub_id, None)
-        self._refresh_subscriptions(streams=set(qs.simq.streams))
-        self.loop.schedule(
-            max(self.loop.now, qs.last_release), partial(self._detach, query_id)
-        )
-
-    def _detach(self, query_id: int) -> None:
-        qs = self.queries[query_id]
-        if qs.detached:
-            return
-        # deliver anything still in flight first: a migration can push
-        # last_release past already-scheduled release events, making them
-        # fire (rescheduled) at the same instant as this detach but after
-        # it in the queue -- dropping them would diverge from the oracle,
-        # which processes every tuple emitted before the departure
-        while qs.pending:
-            self._deliver_now(qs, qs.pending.popleft()[0])
-        if qs.pending_rel:
-            # batch mode: rows still pending here were paused past their
-            # release (migration handoff) -- the scalar plane's detach
-            # loop above delivers exactly those at loop.now as well
-            rows = [(t, self.loop.now) for _, _, t, _ in qs.pending_rel]
-            qs.pending_rel.clear()
-            self._deliver_rows(qs, rows)
-        qs.detached = True
-        plan = self.engines[qs.host].remove_query(qs.name)
-        if self.obs is not None:
-            self.obs.plan_retired(qs.host, qs.name, plan)
-
     def _refresh_subscriptions(self, streams: Optional[set] = None) -> None:
-        """Re-propagate live subscriptions (optionally: only those sharing
-        a stream with ``streams``).
+        """Re-propagate live source subscriptions (optionally: only those
+        sharing a stream with ``streams``).
 
         Covering-based tables prune a subscription whose propagation an
         identical earlier one made redundant; when that earlier one is
         torn down (migration, departure) the pruned path must be
         re-announced.  Re-subscribing is idempotent, so this simply fills
-        the gaps the removal opened.  On the shared plane the live source
-        subscriptions are the groups' ``p^1`` sets.
+        the gaps the removal opened.
         """
-        if self._sharing:
-            for gid in sorted(self.groups):
-                gs = self.groups[gid]
-                if not gs.alive or gs.detached:
-                    continue
-                if streams is not None and not (streams & set(gs.streams)):
-                    continue
-                for sub in gs.p1_subs:
-                    self.network.subscribe(gs.host, sub, force=True)
-            return
-        for qs in self.queries.values():
-            if not qs.alive or qs.detached:
+        for unit in self.units.values():
+            if not unit.alive or unit.detached:
                 continue
-            if streams is not None and not (streams & set(qs.simq.streams)):
+            if streams is not None and not (streams & set(unit.streams)):
                 continue
-            self.network.subscribe(qs.host, qs.sub, force=True)
+            for sub in unit.subs:
+                self.network.subscribe(unit.host, sub, force=True)
 
-    def _annotate_pending(self, unit, kind: str, **fields) -> None:
+    def _annotate_pending(self, unit: _Unit, kind: str, **fields) -> None:
         """Annotate the spans of every tuple still queued on ``unit``.
 
         Lifecycle events (migration, crash, removal) touch tuples that
@@ -888,88 +865,62 @@ class SimCluster:
         for _ts, _seq, tup, _release in unit.pending_rel:
             spans.annotate(tup, kind, now, **fields)
 
-    def _migrate(self, query_id: int, new_host: int) -> float:
-        """Move a query's plan (state included) to ``new_host``.
+    def _migrate(self, unit: _Unit, new_host: int) -> float:
+        """Move a unit -- plan, state, subscriptions -- to ``new_host``.
 
-        Charges the overlay for the state transfer and pauses the query's
-        deliveries for the handoff delay; returns the state size moved.
+        A plan is one unit of window state: its members execute together
+        or not at all, so a shared group moves wholesale.  Charges the
+        overlay for the state transfer and pauses the unit's deliveries
+        for the handoff delay; returns the state size moved.
         """
-        qs = self.queries[query_id]
-        old = qs.host
-        self._annotate_pending(qs, "migrate", query=query_id, src=old,
-                               dst=new_host)
-        plan = self.engines[old].remove_query(qs.name)
+        old = unit.host
+        self._annotate_pending(
+            unit, "migrate", **{unit.kind: unit.uid}, src=old, dst=new_host
+        )
+        plan = self.engines[old].remove_query(unit.name)
         self.engines[new_host].adopt_plan(plan)
-        self.network.unsubscribe(qs.sub.sub_id)
-        qs.host = new_host
-        self.network.subscribe(new_host, qs.sub)
-        qs.slack = self._slack(qs.simq, new_host)
-        state_tuples = float(plan.state_size())
-        lat_ms = self.network.account_path(old, new_host, max(1.0, state_tuples))
+        self._unsubscribe_sources(unit)
+        if unit.adv is not None:
+            self.network.unadvertise(unit.adv.adv_id)
+        self._host_units[old].remove(unit.uid)
+        self._home_unit(unit, new_host)
+        self.migrations += 1
+        return self._handoff(unit, old)
+
+    def _home_unit(self, unit: _Unit, host: int) -> None:
+        """Attach a unit (its plan already on ``host``'s engine) to the
+        network there: source subscriptions, a fresh result-stream
+        advertisement flooded from the new host, and the members' ``p^2``
+        carves force-re-propagated toward it."""
+        unit.host = host
+        unit.slack = self._slack(unit.substreams, host)
+        for sub in unit.subs:
+            self.network.subscribe(host, sub)
+            self._by_sub[sub.sub_id] = unit.uid
+        if unit.adv is not None:
+            unit.adv = Advertisement(stream=unit.result_stream)
+            self.network.advertise(host, unit.adv)
+        self._host_units.setdefault(host, []).append(unit.uid)
+        self._resubscribe_results(unit.members)
+
+    def _handoff(self, unit: _Unit, src: int) -> float:
+        """Ship the unit's plan state ``src`` -> its host: charge the
+        overlay, pause deliveries for the transfer; returns the state size.
+
+        A handoff is a control-plane event: every already-emitted row has
+        been published (the caller flushed), so the scalar release chain
+        restarts from the bumped value.
+        """
+        state_tuples = float(unit.plan.state_size())
+        lat_ms = self.network.account_path(
+            src, unit.host, max(1.0, state_tuples)
+        )
         handoff_s = (
             lat_ms + state_tuples * self.params.handoff_ms_per_tuple
         ) / 1000.0
-        qs.ready = self.loop.now + handoff_s
-        qs.last_release = max(qs.last_release, qs.ready)
-        # a migration is a control-plane event: every already-emitted row
-        # has been published (the adapt round flushed), so the scalar
-        # release chain restarts from the bumped value
-        qs.last_release_floor = qs.last_release
-        self.migrations += 1
-        return state_tuples
-
-    def _migrate_group(self, gid: int, new_host: int) -> float:
-        """Move a whole shared group -- plan, state, subscriptions.
-
-        A merged plan is one unit of window state: its members execute
-        together or not at all, so adaptation moves the group wholesale.
-        The result stream is re-homed (old advertisement retired, a fresh
-        one flooded from the new host) and every member's ``p^2``
-        subscription re-propagates toward it with ``force=True``; the
-        handoff pauses the *group's* deliveries, exactly like a
-        single-query migration pauses one query.
-        """
-        from ..pubsub.subscriptions import Advertisement
-
-        gs = self.groups[gid]
-        old = gs.host
-        self._annotate_pending(gs, "migrate", group=gid, src=old,
-                               dst=new_host)
-        plan = self.engines[old].remove_query(gs.name)
-        self.engines[new_host].adopt_plan(plan)
-        for sub in gs.p1_subs:
-            self.network.unsubscribe(sub.sub_id)
-            self._by_sub.pop(sub.sub_id, None)
-        gs.host = new_host
-        for sub in gs.p1_subs:
-            self.network.subscribe(new_host, sub)
-            self._by_sub[sub.sub_id] = gid
-        self.network.unadvertise(gs.adv.adv_id)
-        gs.adv = Advertisement(stream=gs.result_stream)
-        self.network.advertise(new_host, gs.adv)
-        for qid in gs.members:
-            mqs = self.queries[qid]
-            mqs.host = new_host
-            self.network.subscribe(
-                mqs.simq.spec.proxy, mqs.result_sub, force=True
-            )
-        gs.slack = max(
-            self._path_latency_ms(int(self.space.source_of[sid]), new_host)
-            for sid in gs.substreams
-        ) / 1000.0
-        state_tuples = float(plan.state_size())
-        lat_ms = self.network.account_path(old, new_host, max(1.0, state_tuples))
-        handoff_s = (
-            lat_ms + state_tuples * self.params.handoff_ms_per_tuple
-        ) / 1000.0
-        gs.ready = self.loop.now + handoff_s
-        gs.last_release = max(gs.last_release, gs.ready)
-        gs.last_release_floor = gs.last_release
-        self.migrations += 1
-        host_list = self._host_groups.get(old)
-        if host_list and gid in host_list:
-            host_list.remove(gid)
-        self._host_groups.setdefault(new_host, []).append(gid)
+        unit.ready = self.loop.now + handoff_s
+        unit.last_release = max(unit.last_release, unit.ready)
+        unit.last_release_floor = unit.last_release
         return state_tuples
 
     # ------------------------------------------------------------------
@@ -1036,83 +987,92 @@ class SimCluster:
         """Publish (seq, tuple) rows of one substream; queue deliveries.
 
         The scalar plane calls this once per tuple (one content-based
-        probe each); the batch plane once per coalesced buffer (one probe
-        for the whole batch, link traffic still accounted per row).
-        Release times follow the scalar formula ``max(ts + slack,
-        last_release)``; along a query's timestamp order that equals
-        ``max(ts + slack, last_release at publish)`` for every row, so
-        computing them batch-at-a-time yields the scalar values.
+        probe each); the batch plane once per coalesced buffer.  Routing
+        is the plane's business (:meth:`_route_streams` /
+        :meth:`_route_content`); what comes back is, per reached unit,
+        the rows it accepted.  Release times follow the scalar formula
+        ``max(ts + slack, last_release)``; along a unit's timestamp order
+        that equals ``max(ts + slack, last_release at publish)`` for
+        every row, so computing them batch-at-a-time yields the scalar
+        values.
         """
-        if self._sharing:
-            self._publish_rows_shared(sid, rows)
-            return
         obs = self.obs
         profiler = obs.profiler if obs is not None else None
         spans = obs.spans if obs is not None else None
         if profiler is not None:
             profiler.start("dissemination")
         source = int(self.space.source_of[sid])
+        now = self.loop.now
         if spans is not None:
             for seq, tup in rows:
                 span = spans.lookup(tup)
                 if span is not None:
-                    span.hop(
-                        "publish", self.loop.now, substream=sid, source=source
-                    )
+                    span.hop("publish", now, substream=sid, source=source)
+        if self._sharing:
+            routed = self._route_content(source, sid, rows)
+        else:
+            routed = self._route_streams(source, sid, rows)
+        if self._batching:
+            self.batch_publishes += 1
+        for unit, unit_rows in routed:
+            if not self._batching:
+                tup = unit_rows[0][1]
+                release = max(tup.timestamp + unit.slack, unit.last_release)
+                unit.last_release = release
+                unit.pending.append((tup, release))
+                self._span_queued(spans, tup, unit, source, release)
+                self.loop.schedule(
+                    release, partial(self._release_one, unit.uid)
+                )
+                continue
+            release_last = 0.0
+            for seq, tup in unit_rows:
+                release = max(tup.timestamp + unit.slack, unit.last_release_floor)
+                unit.last_release = max(unit.last_release, release)
+                # sorted insert by (timestamp, emission seq): rows of
+                # *other* substreams may already sit in pending_rel with
+                # later timestamps (their batch flushed earlier)
+                bisect.insort(unit.pending_rel, (tup.timestamp, seq, tup, release))
+                release_last = release
+                self._span_queued(spans, tup, unit, source, release)
+            when = max(release_last, now)
+            if when > unit.drain_at:
+                unit.drain_at = when
+                self.loop.schedule(when, partial(self._drain_query, unit.uid))
+        if profiler is not None:
+            profiler.stop()
+
+    def _span_queued(self, spans, tup, unit: _Unit, source: int, release) -> None:
+        if spans is None:
+            return
+        span = spans.lookup(tup)
+        if span is not None:
+            span.hop(
+                "queued", self.loop.now, **{unit.kind: unit.uid},
+                host=unit.host, release=round(release, 9),
+                overlay_hops=len(self._edges(source, unit.host)),
+            )
+
+    def _route_streams(
+        self, source: int, sid: int, rows: List[Tuple[int, StreamTuple]]
+    ) -> List[Tuple[_Unit, List[Tuple[int, StreamTuple]]]]:
+        """Unshared routing: source subscriptions match on the stream
+        alone, so every reached unit takes all rows -- one forwarding
+        probe for the whole batch, link traffic still accounted per row."""
         if self._batching:
             deliveries = self.network.publish_batch(
                 source, stream_name(sid), len(rows)
             )
-            self.batch_publishes += 1
         else:
             tup0 = rows[0][1]
             event = Event(stream=tup0.stream, attributes=tup0.values, size=1.0)
             deliveries = self.network.publish(source, event)
+        routed = []
         for _node, _ev, sub in deliveries:
-            query_id = self._by_sub.get(sub.sub_id)
-            if query_id is None:
-                continue
-            qs = self.queries[query_id]
-            if not self._batching:
-                tup = rows[0][1]
-                release = max(tup.timestamp + qs.slack, qs.last_release)
-                qs.last_release = release
-                qs.pending.append((tup, release))
-                if spans is not None:
-                    span = spans.lookup(tup)
-                    if span is not None:
-                        span.hop(
-                            "queued", self.loop.now, query=query_id,
-                            host=qs.host, release=round(release, 9),
-                            overlay_hops=len(self._edges(source, qs.host)),
-                        )
-                self.loop.schedule(
-                    release, partial(self._release_one, query_id)
-                )
-                continue
-            release_last = 0.0
-            for seq, tup in rows:
-                release = max(tup.timestamp + qs.slack, qs.last_release_floor)
-                qs.last_release = max(qs.last_release, release)
-                # sorted insert by (timestamp, emission seq): rows of
-                # *other* substreams may already sit in pending_rel with
-                # later timestamps (their batch flushed earlier)
-                bisect.insort(qs.pending_rel, (tup.timestamp, seq, tup, release))
-                release_last = release
-                if spans is not None:
-                    span = spans.lookup(tup)
-                    if span is not None:
-                        span.hop(
-                            "queued", self.loop.now, query=query_id,
-                            host=qs.host, release=round(release, 9),
-                            overlay_hops=len(self._edges(source, qs.host)),
-                        )
-            when = max(release_last, self.loop.now)
-            if when > qs.drain_at:
-                qs.drain_at = when
-                self.loop.schedule(when, partial(self._drain_query, query_id))
-        if profiler is not None:
-            profiler.stop()
+            uid = self._by_sub.get(sub.sub_id)
+            if uid is not None:
+                routed.append((self.units[uid], rows))
+        return routed
 
     def _edges(self, u: int, v: int) -> List[Tuple[int, int]]:
         """Overlay path ``u -> v`` as normalised edge keys, memoised."""
@@ -1192,8 +1152,9 @@ class SimCluster:
         self._match_fns[sub.sub_id] = fn
         return fn
 
-    def _src_candidates(self, sid: int) -> List[Tuple[int, Subscription, int]]:
-        """Groups whose ``p^1`` set requests substream ``sid``'s stream.
+    def _src_candidates(self, sid: int) -> List[Tuple[int, object, int]]:
+        """Units whose source subscriptions request substream ``sid``'s
+        stream, as (host, compiled matcher, unit id).
 
         Memoised against the network's control-plane version: the
         candidate set only changes when subscriptions change.
@@ -1202,19 +1163,20 @@ class SimCluster:
         if route is not None and route[0] == self.network.version:
             return route[1]
         stream = stream_name(sid)
-        cands: List[Tuple[int, Subscription, int]] = []
-        for gid in sorted(self.groups):
-            gs = self.groups[gid]
-            if not gs.alive:
+        cands: List[Tuple[int, object, int]] = []
+        for unit in self.units.values():
+            if not unit.alive:
                 continue
-            for sub in gs.p1_subs:
+            for sub in unit.subs:
                 if stream in sub.streams:
-                    cands.append((gs.host, self._matcher(sub), gid))
+                    cands.append((unit.host, self._matcher(sub), unit.uid))
         self._src_route[sid] = (self.network.version, cands)
         return cands
 
-    def _publish_rows_shared(self, sid: int, rows: List[Tuple[int, StreamTuple]]) -> None:
-        """Publish one substream's rows on the shared plane.
+    def _route_content(
+        self, source: int, sid: int, rows: List[Tuple[int, StreamTuple]]
+    ) -> List[Tuple[_Unit, List[Tuple[int, StreamTuple]]]]:
+        """Shared routing: each row to the groups whose ``p^1`` accepts it.
 
         The groups' ``p^1`` subscriptions carry content filters (the
         merged selection hulls), so every row is matched individually
@@ -1229,33 +1191,18 @@ class SimCluster:
         buffer's surviving rows reach each group through its sorted
         pending list and drain as TupleBatch pushes.
         """
-        obs = self.obs
-        profiler = obs.profiler if obs is not None else None
-        spans = obs.spans if obs is not None else None
-        if profiler is not None:
-            profiler.start("dissemination")
-        source = int(self.space.source_of[sid])
-        if spans is not None:
-            for seq, tup in rows:
-                span = spans.lookup(tup)
-                if span is not None:
-                    span.hop(
-                        "publish", self.loop.now, substream=sid, source=source
-                    )
         per_unit: Dict[int, List[Tuple[int, StreamTuple]]] = {}
-        order: List[int] = []
         if self._route_fast:
             cands = self._src_candidates(sid)
             charges: Dict[Tuple[int, ...], int] = {}
             for seq, tup in rows:
                 accepted: List[int] = []
-                for host, matches, gid in cands:
+                for host, matches, uid in cands:
                     if not matches(tup.values):
                         continue
-                    bucket = per_unit.get(gid)
+                    bucket = per_unit.get(uid)
                     if bucket is None:
-                        per_unit[gid] = bucket = []
-                        order.append(gid)
+                        per_unit[uid] = bucket = []
                     bucket.append((seq, tup))
                     accepted.append(host)
                 if accepted:
@@ -1270,54 +1217,14 @@ class SimCluster:
             for seq, tup in rows:
                 event = Event(stream=tup.stream, attributes=tup.values, size=1.0)
                 for _node, _ev, sub in self.network.publish(source, event):
-                    gid = self._by_sub.get(sub.sub_id)
-                    if gid is None:
+                    uid = self._by_sub.get(sub.sub_id)
+                    if uid is None:
                         continue
-                    bucket = per_unit.get(gid)
+                    bucket = per_unit.get(uid)
                     if bucket is None:
-                        per_unit[gid] = bucket = []
-                        order.append(gid)
+                        per_unit[uid] = bucket = []
                     bucket.append((seq, tup))
-        if self._batching:
-            self.batch_publishes += 1
-        for gid in order:
-            gs = self.groups[gid]
-            unit_rows = per_unit[gid]
-            if not self._batching:
-                (seq, tup) = unit_rows[0]
-                release = max(tup.timestamp + gs.slack, gs.last_release)
-                gs.last_release = release
-                gs.pending.append((tup, release))
-                if spans is not None:
-                    span = spans.lookup(tup)
-                    if span is not None:
-                        span.hop(
-                            "queued", self.loop.now, group=gid, host=gs.host,
-                            release=round(release, 9),
-                            overlay_hops=len(self._edges(source, gs.host)),
-                        )
-                self.loop.schedule(release, partial(self._release_one, gid))
-                continue
-            release_last = 0.0
-            for seq, tup in unit_rows:
-                release = max(tup.timestamp + gs.slack, gs.last_release_floor)
-                gs.last_release = max(gs.last_release, release)
-                bisect.insort(gs.pending_rel, (tup.timestamp, seq, tup, release))
-                release_last = release
-                if spans is not None:
-                    span = spans.lookup(tup)
-                    if span is not None:
-                        span.hop(
-                            "queued", self.loop.now, group=gid, host=gs.host,
-                            release=round(release, 9),
-                            overlay_hops=len(self._edges(source, gs.host)),
-                        )
-            when = max(release_last, self.loop.now)
-            if when > gs.drain_at:
-                gs.drain_at = when
-                self.loop.schedule(when, partial(self._drain_query, gid))
-        if profiler is not None:
-            profiler.stop()
+        return [(self.units[uid], bucket) for uid, bucket in per_unit.items()]
 
     def _flush_substream(self, sid: int) -> None:
         """Publish a substream's coalesced rows as one batch."""
@@ -1342,10 +1249,10 @@ class SimCluster:
         for sid in range(len(self._src_pending)):
             if self._src_pending[sid]:
                 self._flush_substream(sid)
-        for unit_id in sorted(self._units):
-            qs = self._units[unit_id]
-            if not qs.detached and qs.pending_rel:
-                self._drain_ready(qs)
+        for unit_id in sorted(self.units):
+            unit = self.units[unit_id]
+            if not unit.detached and unit.pending_rel:
+                self._drain_ready(unit)
 
     def _release_one(self, unit_id: int) -> None:
         """Deliver the oldest pending tuple of a unit to its plan.
@@ -1354,35 +1261,35 @@ class SimCluster:
         group), so deliveries happen in emission order even when a
         migration's handoff pause reschedules release events.
         """
-        qs = self._units[unit_id]
-        if qs.detached or not qs.pending:
+        unit = self.units[unit_id]
+        if unit.detached or not unit.pending:
             return
-        if self.loop.now < qs.ready:
-            self.loop.schedule(qs.ready, partial(self._release_one, unit_id))
+        if self.loop.now < unit.ready:
+            self.loop.schedule(unit.ready, partial(self._release_one, unit_id))
             return
-        tup, release = qs.pending[0]
+        tup, release = unit.pending[0]
         if self.loop.now < release:
             # stale event: its own tuple was force-drained earlier (member
             # departure, crash recovery).  The head tuple's own release
             # event is still queued and will deliver it on time.
             return
-        qs.pending.popleft()
-        self._deliver_now(qs, tup)
+        unit.pending.popleft()
+        self._deliver_now(unit, tup)
 
     def _drain_query(self, unit_id: int) -> None:
         """Deliver a unit's released batch rows (batch plane)."""
-        qs = self._units.get(unit_id)
-        if qs is None or qs.detached:
+        unit = self.units.get(unit_id)
+        if unit is None or unit.detached:
             return
-        if self.loop.now >= qs.drain_at:
-            qs.drain_at = float("-inf")
-        if not qs.pending_rel:
+        if self.loop.now >= unit.drain_at:
+            unit.drain_at = float("-inf")
+        if not unit.pending_rel:
             return
-        if self.loop.now < qs.ready:
-            if qs.ready > qs.drain_at:
-                qs.drain_at = qs.ready
+        if self.loop.now < unit.ready:
+            if unit.ready > unit.drain_at:
+                unit.drain_at = unit.ready
                 self.loop.schedule(
-                    qs.ready, partial(self._drain_query, unit_id)
+                    unit.ready, partial(self._drain_query, unit_id)
                 )
             return
         # a two-input query must consume its inputs in timestamp order:
@@ -1390,12 +1297,12 @@ class SimCluster:
         # in a coalescing buffer (their flush is later) -- publish them
         # first so pending_rel holds every row that can precede the
         # released prefix (flushing early is always safe)
-        for sid in qs.substreams:
+        for sid in unit.substreams:
             if self._src_pending[sid]:
                 self._flush_substream(sid)
-        self._drain_ready(qs)
+        self._drain_ready(unit)
 
-    def _drain_ready(self, qs) -> None:
+    def _drain_ready(self, unit: _Unit) -> None:
         """Deliver the prefix of ``pending_rel`` whose release has come.
 
         Each row is accounted at ``max(release, ready)`` -- exactly when
@@ -1404,20 +1311,20 @@ class SimCluster:
         migration handoff pause).
         """
         now = self.loop.now
-        if now < qs.ready:
+        if now < unit.ready:
             return
-        pend = qs.pending_rel
+        pend = unit.pending_rel
         k = 0
         while k < len(pend) and pend[k][3] <= now:
             k += 1
         if not k:
             return
-        rows = [(tup, max(release, qs.ready)) for _, _, tup, release in pend[:k]]
+        rows = [(tup, max(release, unit.ready)) for _, _, tup, release in pend[:k]]
         del pend[:k]
-        self._deliver_rows(qs, rows)
+        self._deliver_rows(unit, rows)
 
     def _deliver_rows(
-        self, qs, rows: List[Tuple[StreamTuple, float]]
+        self, unit: _Unit, rows: List[Tuple[StreamTuple, float]]
     ) -> None:
         """Deliver (tuple, delivery-time) rows as same-stream batches.
 
@@ -1434,8 +1341,8 @@ class SimCluster:
         spans = obs.spans if obs is not None else None
         if profiler is not None:
             profiler.start("operator_exec")
-        engine = self.engines[qs.host]
-        scalar_ok = qs.plan.join is None
+        engine = self.engines[unit.host]
+        scalar_ok = unit.plan.join is None
         i = 0
         while i < len(rows):
             j = i
@@ -1450,21 +1357,21 @@ class SimCluster:
                     for span in (spans.lookup(tup),)
                     if span is not None
                 ]
-                before = qs.plan.operator_counters() if tracked else None
+                before = unit.plan.operator_counters() if tracked else None
             if scalar_ok and j - i == 1:
                 tup, at = rows[i]
                 self._account_results(
-                    qs, tup, engine.push_query(qs.name, tup), at
+                    unit, tup, engine.push_query(unit.name, tup), at
                 )
             else:
                 batch = TupleBatch.from_tuples(
                     stream, [tup for tup, _ in rows[i:j]]
                 )
-                per_row = engine.push_query_batch(qs.name, batch)
+                per_row = engine.push_query_batch(unit.name, batch)
                 for (tup, at), results in zip(rows[i:j], per_row):
-                    self._account_results(qs, tup, results, at)
+                    self._account_results(unit, tup, results, at)
             if tracked:
-                after = qs.plan.operator_counters()
+                after = unit.plan.operator_counters()
                 delta = {
                     key: after[key] - before.get(key, 0)
                     for key in after
@@ -1479,7 +1386,7 @@ class SimCluster:
         if profiler is not None:
             profiler.stop()
 
-    def _deliver_now(self, qs, tup: StreamTuple) -> None:
+    def _deliver_now(self, unit: _Unit, tup: StreamTuple) -> None:
         """Push one tuple into a query's plan and account its results."""
         obs = self.obs
         profiler = obs.profiler if obs is not None else None
@@ -1487,28 +1394,72 @@ class SimCluster:
         if profiler is not None:
             profiler.start("operator_exec")
         span = spans.lookup(tup) if spans is not None else None
-        before = qs.plan.operator_counters() if span is not None else None
-        results = self.engines[qs.host].push_query(qs.name, tup)
+        before = unit.plan.operator_counters() if span is not None else None
+        results = self.engines[unit.host].push_query(unit.name, tup)
         if span is not None:
-            after = qs.plan.operator_counters()
+            after = unit.plan.operator_counters()
             delta = {
                 key: after[key] - before.get(key, 0)
                 for key in after
                 if after[key] != before.get(key, 0)
             }
             span.annotate("operators", self.loop.now, rows=1, counters=delta)
-        self._account_results(qs, tup, results, self.loop.now)
+        self._account_results(unit, tup, results, self.loop.now)
         if profiler is not None:
             profiler.stop()
 
-    def _account_group_results(
+    def _account_results(
         self,
-        gs: _GroupState,
+        unit: _Unit,
         tup: StreamTuple,
         results: List[StreamTuple],
         at: float,
     ) -> None:
-        """Publish a merged plan's results; members carve at their proxies.
+        """Account one delivered tuple's results (latency, proxy traffic)."""
+        obs = self.obs
+        span = None
+        if obs is not None and obs.spans is not None:
+            span = obs.spans.lookup(tup)
+            if span is not None:
+                span.hop(
+                    "engine", at, **{unit.kind: unit.uid}, host=unit.host,
+                    results=len(results),
+                )
+        if not results:
+            return
+        if self._sharing:
+            self._carve_results(unit, tup, results, at, span)
+        else:
+            self._sink_results(unit, tup, results, at, span)
+
+    def _sink_results(self, unit, tup, results, at, span) -> None:
+        """Unshared accounting: every result belongs to the unit's one
+        query and travels host -> proxy as one transfer."""
+        qs = self.queries[unit.all_members[0]]
+        proxy = qs.simq.spec.proxy
+        proxy_ms = 0.0
+        if unit.host != proxy:
+            proxy_ms = self.network.account_path(
+                unit.host, proxy, float(len(results))
+            )
+        latency = (at - tup.timestamp) + proxy_ms / 1000.0
+        if span is not None:
+            span.hop(
+                "sink", at, query=qs.simq.query_id, proxy=proxy,
+                results=len(results), latency=round(latency, 9),
+            )
+        for r in results:
+            self._interval_results += 1
+            qs.lat_sum += latency
+            if latency > qs.lat_max:
+                qs.lat_max = latency
+            self.results_total += 1
+            if self.record:
+                qs.results.append(r)
+
+    def _carve_results(self, unit, tup, results, at, span) -> None:
+        """Shared accounting: publish a merged plan's results; members
+        carve at their proxies.
 
         Every result of the merged query is published on the group's
         result stream through the real pub/sub network; each delivery is
@@ -1516,34 +1467,23 @@ class SimCluster:
         window bands, lifetime span), and is accounted against *that*
         member -- latency is the input's age at delivery plus the
         host-to-proxy transit, traffic is charged per overlay link by the
-        publish itself.
+        publish itself (or, on the memoised route, on the union of paths
+        to the accepting proxies).
         """
-        obs = self.obs
-        span = None
-        if obs is not None and obs.spans is not None:
-            span = obs.spans.lookup(tup)
-            if span is not None:
-                span.hop(
-                    "engine", at, group=gs.gid, host=gs.host,
-                    results=len(results),
-                )
-        if not results:
-            return
+        carved: Optional[Dict[int, int]] = {} if span is not None else None
+        base = at - tup.timestamp
         if self._route_fast:
-            host = gs.host
             checks = []
-            carved: Optional[Dict[int, int]] = {} if span is not None else None
-            for query_id in self._res_listeners.get(gs.gid, ()):
+            for query_id in unit.listeners:
                 qs = self.queries[query_id]
                 checks.append((
                     qs,
                     self._matcher(qs.result_sub),
                     qs.result_sub.projection,
                     qs.simq.spec.proxy,
-                    self._path_latency_ms(host, qs.simq.spec.proxy) / 1000.0,
+                    self._path_latency_ms(unit.host, qs.simq.spec.proxy) / 1000.0,
                 ))
             charges: Dict[Tuple[int, ...], int] = {}
-            base = at - tup.timestamp
             for r in results:
                 values = r.values
                 accepted: List[int] = []
@@ -1570,90 +1510,48 @@ class SimCluster:
                             }
                         )
                         qs.results.append(
-                            StreamTuple(gs.result_stream, delivered)
+                            StreamTuple(unit.result_stream, delivered)
                         )
                 if accepted:
                     key = tuple(accepted)
                     charges[key] = charges.get(key, 0) + 1
             for key, count in charges.items():
-                self._charge_union(gs.host, list(key), float(count))
-            if span is not None:
-                for qid in sorted(carved):
-                    span.hop(
-                        "carve", at, group=gs.gid, member=qid,
-                        results=carved[qid],
-                    )
-            return
-        carved = {} if span is not None else None
-        for r in results:
-            event = Event(
-                stream=gs.result_stream, attributes=dict(r.values), size=1.0
-            )
-            for node, delivered, sub in self.network.publish(gs.host, event):
-                query_id = self._by_result_sub.get(sub.sub_id)
-                if query_id is None:
-                    continue
-                if carved is not None:
-                    carved[query_id] = carved.get(query_id, 0) + 1
-                qs = self.queries[query_id]
-                latency = (at - tup.timestamp) + (
-                    self._path_latency_ms(gs.host, node) / 1000.0
+                self._charge_union(unit.host, list(key), float(count))
+        else:
+            for r in results:
+                event = Event(
+                    stream=unit.result_stream, attributes=dict(r.values),
+                    size=1.0,
                 )
-                self._interval_results += 1
-                qs.lat_sum += latency
-                if latency > qs.lat_max:
-                    qs.lat_max = latency
-                self.results_total += 1
-                if self.record:
-                    qs.results.append(
-                        StreamTuple(delivered.stream, dict(delivered.attributes))
+                for node, delivered, sub in self.network.publish(
+                    unit.host, event
+                ):
+                    query_id = self._by_result_sub.get(sub.sub_id)
+                    if query_id is None:
+                        continue
+                    if carved is not None:
+                        carved[query_id] = carved.get(query_id, 0) + 1
+                    qs = self.queries[query_id]
+                    latency = base + (
+                        self._path_latency_ms(unit.host, node) / 1000.0
                     )
+                    self._interval_results += 1
+                    qs.lat_sum += latency
+                    if latency > qs.lat_max:
+                        qs.lat_max = latency
+                    self.results_total += 1
+                    if self.record:
+                        qs.results.append(
+                            StreamTuple(
+                                delivered.stream, dict(delivered.attributes)
+                            )
+                        )
         if span is not None:
             for qid in sorted(carved):
                 span.hop(
-                    "carve", at, group=gs.gid, member=qid, results=carved[qid]
+                    "carve", at, group=unit.uid, member=qid,
+                    results=carved[qid],
                 )
-
-    def _account_results(
-        self,
-        qs,
-        tup: StreamTuple,
-        results: List[StreamTuple],
-        at: float,
-    ) -> None:
-        """Account one delivered tuple's results (latency, proxy traffic)."""
-        if self._sharing:
-            self._account_group_results(qs, tup, results, at)
-            return
-        obs = self.obs
-        span = None
-        if obs is not None and obs.spans is not None:
-            span = obs.spans.lookup(tup)
-            if span is not None:
-                span.hop(
-                    "engine", at, query=qs.simq.query_id, host=qs.host,
-                    results=len(results),
-                )
-        if not results:
-            return
-        proxy = qs.simq.spec.proxy
-        proxy_ms = 0.0
-        if qs.host != proxy:
-            proxy_ms = self.network.account_path(qs.host, proxy, float(len(results)))
-        latency = (at - tup.timestamp) + proxy_ms / 1000.0
-        if span is not None:
-            span.hop(
-                "sink", at, query=qs.simq.query_id, proxy=proxy,
-                results=len(results), latency=round(latency, 9),
-            )
-        for r in results:
-            self._interval_results += 1
-            qs.lat_sum += latency
-            if latency > qs.lat_max:
-                qs.lat_max = latency
-            self.results_total += 1
-            if self.record:
-                qs.results.append(r)
 
     # ------------------------------------------------------------------
     # dynamics: churn, hot spots, adaptation, sampling
@@ -1711,35 +1609,33 @@ class SimCluster:
     def _measured_loads(self, dt: float, counter: str) -> Dict[int, float]:
         """Per-query loads from engine CPU counters since the last round.
 
-        On the shared plane the engine only meters merged plans, so each
-        group's CPU delta is attributed back to its live members in equal
-        shares -- the per-query numbers the optimizer's refresh
-        (Section 3.8) expects, measured on what actually executed.
+        The engine meters plans, so each unit's CPU delta is attributed
+        back to its live members in equal shares -- the per-query numbers
+        the optimizer's refresh (Section 3.8) expects, measured on what
+        actually executed (the whole delta for a unit of one).
         """
         loads: Dict[int, float] = {}
-        if self._sharing:
-            for gid in sorted(self.groups):
-                gs = self.groups[gid]
-                cpu = gs.plan.cpu_cost()
-                delta = cpu - getattr(gs, counter)
-                setattr(gs, counter, cpu)
-                members = [
-                    qid for qid in gs.members
-                    if self.queries[qid].alive and not self.queries[qid].detached
-                ]
-                if not members:
-                    continue
-                share = delta / len(members) / dt
-                for qid in members:
-                    loads[qid] = share
-            return loads
-        for query_id, qs in self.queries.items():
-            if not qs.alive or qs.detached:
+        for unit in self.units.values():
+            if not unit.alive or unit.detached:
                 continue
-            cpu = qs.plan.cpu_cost()
-            loads[query_id] = (cpu - getattr(qs, counter)) / dt
-            setattr(qs, counter, cpu)
+            cpu = unit.plan.cpu_cost()
+            share = (cpu - getattr(unit, counter)) / len(unit.members) / dt
+            setattr(unit, counter, cpu)
+            for qid in unit.members:
+                loads[qid] = share
         return loads
+
+    @staticmethod
+    def _majority_host(hosts) -> Optional[int]:
+        """The host most of ``hosts`` name (``None`` entries abstain, ties
+        go to the smallest host id); ``None`` when nobody votes."""
+        votes: Dict[int, int] = {}
+        for host in hosts:
+            if host is not None:
+                votes[host] = votes.get(host, 0) + 1
+        if not votes:
+            return None
+        return min(votes, key=lambda h: (-votes[h], h))
 
     def _placement_stddev(self, loads: Dict[int, float]) -> float:
         per_host = np.zeros(len(self.processors))
@@ -1769,39 +1665,22 @@ class SimCluster:
             moved = 0
             moved_state = 0.0
             moved_streams: set = set()
-            if self._sharing:
-                # a shared plan moves as one unit: the group follows the
-                # majority of its members' new placements (ties to the
-                # smallest host id), so the optimizer's per-query wishes
-                # steer groups without splitting their window state
-                for gid in sorted(self.groups):
-                    gs = self.groups[gid]
-                    if not gs.alive or not gs.members:
-                        continue
-                    votes: Dict[int, int] = {}
-                    for qid in gs.members:
-                        host = self.cosmos.placement.get(qid)
-                        if host is not None:
-                            votes[host] = votes.get(host, 0) + 1
-                    if not votes:
-                        continue
-                    target = min(
-                        votes, key=lambda h: (-votes[h], h)
-                    )
-                    if target != gs.host:
-                        moved_state += self._migrate_group(gid, target)
-                        moved += len(gs.members)
-                        moved_streams.update(gs.streams)
-            else:
-                for query_id in loads:
-                    qs = self.queries[query_id]
-                    new_host = self.cosmos.placement.get(query_id)
-                    if new_host is not None and new_host != qs.host:
-                        moved_state += self._migrate(query_id, new_host)
-                        moved += 1
-                        moved_streams.update(qs.simq.streams)
+            # a plan moves as one unit: it follows the majority of its
+            # members' new placements, so the optimizer's per-query
+            # wishes steer shared groups without splitting their window
+            # state (a unit of one simply follows its query)
+            for unit in self.units.values():
+                if not unit.alive or unit.detached:
+                    continue
+                target = self._majority_host(
+                    self.cosmos.placement.get(qid) for qid in unit.members
+                )
+                if target is not None and target != unit.host:
+                    moved_state += self._migrate(unit, target)
+                    moved += len(unit.members)
+                    moved_streams.update(unit.streams)
             if moved:
-                # only subscriptions overlapping a moved query's streams
+                # only subscriptions overlapping a moved unit's streams
                 # can have been left with coverage holes
                 self._refresh_subscriptions(streams=moved_streams)
             self.trace.adaptations.append(
@@ -1980,12 +1859,8 @@ def run_scenario(
             specs,
             {q.query_id: hosts[i % len(hosts)] for i, q in enumerate(specs)},
         )
-    elif scenario.initial_placement == "cosmos":
-        cosmos.distribute(specs)
     else:
-        raise ValueError(
-            f"unknown initial placement {scenario.initial_placement!r}"
-        )
+        cosmos.distribute(specs)
 
     cluster = SimCluster(
         oracle=oracle,
@@ -2038,20 +1913,13 @@ def run_scenario(
             for query_id, qs in cluster.queries.items()
         }
         link_bytes = dict(cluster.network.link_bytes)
-        if scenario.use_sharing:
-            # the engine meters merged plans; attribute each group's
-            # total equally over every query that ever executed in it
-            cpu_costs = {}
-            for gid in sorted(cluster.groups):
-                gs = cluster.groups[gid]
-                share = gs.plan.cpu_cost() / max(1, len(gs.all_members))
-                for qid in gs.all_members:
-                    cpu_costs[qid] = cpu_costs.get(qid, 0.0) + share
-        else:
-            cpu_costs = {
-                query_id: qs.plan.cpu_cost()
-                for query_id, qs in cluster.queries.items()
-            }
+        # the engine meters plans; attribute each unit's total equally
+        # over every query that ever executed in it
+        cpu_costs = {}
+        for unit in cluster.units.values():
+            share = unit.plan.cpu_cost() / len(unit.all_members)
+            for qid in unit.all_members:
+                cpu_costs[qid] = cpu_costs.get(qid, 0.0) + share
     return SimReport(
         trace=cluster.trace,
         queries={qid: qs.simq for qid, qs in cluster.queries.items()},
@@ -2063,9 +1931,7 @@ def run_scenario(
         link_bytes=link_bytes,
         cpu_costs=cpu_costs,
         user_queries=len(cluster.queries),
-        executed_queries=(
-            len(cluster.groups) if scenario.use_sharing else len(cluster.queries)
-        ),
+        executed_queries=len(cluster.units),
         fault_log=cluster.fault_log,
     )
 

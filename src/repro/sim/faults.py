@@ -42,7 +42,6 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.executor import Engine
-from ..pubsub.subscriptions import Advertisement
 
 __all__ = [
     "ProcessorCrash",
@@ -124,10 +123,10 @@ class RecoveryPolicy:
         inj: "FaultInjector",
         fault: ProcessorCrash,
         node: int,
-        victims: List[int],
-        gids: List[int],
+        orphans: List[int],
     ) -> None:
-        """Called right after the crash took effect."""
+        """Called right after the crash took effect; ``orphans`` are the
+        ids of the live units the node was running."""
 
     def on_broker_loss(
         self, inj: "FaultInjector", fault: BrokerLoss, node: int
@@ -150,24 +149,25 @@ class CheckpointRecovery(RecoveryPolicy):
     """Default policy: re-place orphans, restore state from checkpoints.
 
     After ``detect_delay``: the crashed node leaves the coordinator
-    hierarchy, each orphaned query re-enters through online insertion
-    (Section 3.6), its plan is restored on the new host from the latest
-    periodic checkpoint (or recompiled empty when none was taken) via
-    the same ``adopt_plan`` handoff a migration uses -- the state
-    transfer from the checkpoint store is charged on the overlay and
-    pauses deliveries for the handoff delay -- and subscription covering
-    holes are repaired with forced re-propagation.  Shared groups
-    re-home wholesale: one restored merged plan, a re-flooded result
-    advertisement, reinstalled ``p^1`` subscriptions and forced ``p^2``
-    re-propagation for every member.
+    hierarchy, the members of each orphaned unit re-enter through online
+    insertion (Section 3.6), the unit's plan is restored on the host
+    most of them landed on from the latest periodic checkpoint (or
+    recompiled empty when none was taken) via the same ``adopt_plan``
+    handoff a migration uses -- the state transfer from the checkpoint
+    store is charged on the overlay and pauses deliveries for the
+    handoff delay -- and subscription covering holes are repaired with
+    forced re-propagation.  A shared group thus re-homes wholesale: one
+    restored merged plan, a re-flooded result advertisement, reinstalled
+    ``p^1`` subscriptions and forced ``p^2`` re-propagation for every
+    member.
     """
 
     name = "checkpoint"
 
-    def on_processor_crash(self, inj, fault, node, victims, gids):
+    def on_processor_crash(self, inj, fault, node, orphans):
         inj.cluster.loop.schedule(
             inj.cluster.loop.now + fault.detect_delay,
-            partial(inj.recover_processor_crash, node, victims, gids),
+            partial(inj.recover_processor_crash, node, orphans),
         )
 
     def on_broker_loss(self, inj, fault, node):
@@ -201,12 +201,8 @@ class FaultInjector:
         self.cluster = cluster
         self.rng = rng
         self.params = params
-        policy = RECOVERY_POLICIES.get(params.recovery)
-        if policy is None:
-            raise ValueError(f"unknown recovery policy {params.recovery!r}")
-        self.recovery: RecoveryPolicy = policy()
-        #: unit id -> pristine checkpoint plan (query_id on the unshared
-        #: plane, group id on the shared one -- ``_units``' key space)
+        self.recovery: RecoveryPolicy = RECOVERY_POLICIES[params.recovery]()
+        #: unit id -> pristine checkpoint plan
         self.checkpoints: Dict[int, object] = {}
 
     # -- scheduling ----------------------------------------------------
@@ -258,9 +254,9 @@ class FaultInjector:
         store = self._store_node()
         shipped = 0
         state_tuples = 0
-        for uid in sorted(c._units):
-            unit = c._units[uid]
-            if not unit.alive or unit.detached or unit.plan is None:
+        for uid in sorted(c.units):
+            unit = c.units[uid]
+            if not unit.alive or unit.detached:
                 continue
             self.checkpoints[uid] = unit.plan.checkpoint()
             state = float(unit.plan.state_size())
@@ -287,7 +283,7 @@ class FaultInjector:
         c = self.cluster
         hosts = {
             u.host
-            for u in c._units.values()
+            for u in c.units.values()
             if u.alive and not u.detached
         }
         return sorted(h for h in hosts if h in c.engines)
@@ -304,50 +300,30 @@ class FaultInjector:
             )
             return
         victims: List[int] = []
-        gids: List[int] = []
-        members: List[int] = []
+        orphans: List[int] = []
         torn_streams: set = set()
-        if c._sharing:
-            for gid in sorted(c.groups):
-                gs = c.groups[gid]
-                if gs.host != node or gs.detached:
-                    continue
-                c._annotate_pending(gs, "crash", node=node, group=gid)
-                gs.pending.clear()
-                gs.pending_rel.clear()
-                gs.drain_at = float("-inf")
-                gs.detached = True
-                for sub in gs.p1_subs:
-                    c.network.unsubscribe(sub.sub_id)
-                    c._by_sub.pop(sub.sub_id, None)
-                c.network.unadvertise(gs.adv.adv_id)
-                torn_streams.update(gs.streams)
-                if gs.alive:
-                    gids.append(gid)
-                for qid in gs.members:
-                    mqs = c.queries[qid]
-                    if mqs.alive:
-                        mqs.alive = False
-                        members.append(qid)
-                host_list = c._host_groups.get(node)
-                if host_list and gid in host_list:
-                    host_list.remove(gid)
-        else:
-            for qid in sorted(c.queries):
-                qs = c.queries[qid]
-                if qs.host != node or qs.detached:
-                    continue
-                c._annotate_pending(qs, "crash", node=node, query=qid)
-                qs.pending.clear()
-                qs.pending_rel.clear()
-                qs.drain_at = float("-inf")
-                qs.detached = True
-                c.network.unsubscribe(qs.sub.sub_id)
-                c._by_sub.pop(qs.sub.sub_id, None)
-                torn_streams.update(qs.simq.streams)
-                if qs.alive:
-                    qs.alive = False
-                    victims.append(qid)
+        for uid in sorted(c.units):
+            unit = c.units[uid]
+            if unit.host != node or unit.detached:
+                continue
+            c._annotate_pending(
+                unit, "crash", node=node, **{unit.kind: uid}
+            )
+            unit.pending.clear()
+            unit.pending_rel.clear()
+            unit.drain_at = float("-inf")
+            unit.detached = True
+            # the subscription objects stay on the unit for the restore
+            c._unsubscribe_sources(unit)
+            if unit.adv is not None:
+                c.network.unadvertise(unit.adv.adv_id)
+            torn_streams.update(unit.streams)
+            if unit.alive:
+                orphans.append(uid)
+            for qid in unit.members:
+                c.queries[qid].alive = False
+                victims.append(qid)
+            c._host_units[node].remove(uid)
         # the engine process is gone; the overlay node keeps routing
         if c.obs is not None:
             c.obs.engine_retired(node, c.engines[node])
@@ -367,16 +343,16 @@ class FaultInjector:
                 "kind": "crash",
                 "t": c.loop.now,
                 "node": node,
-                "queries": sorted(victims + members),
-                "groups": gids,
+                "queries": sorted(victims),
+                "groups": [
+                    uid for uid in orphans if c.units[uid].kind == "group"
+                ],
             }
         )
-        self.recovery.on_processor_crash(self, fault, node, victims, gids)
+        self.recovery.on_processor_crash(self, fault, node, orphans)
 
-    def recover_processor_crash(
-        self, node: int, victims: List[int], gids: List[int]
-    ) -> None:
-        """Re-place and restore everything the crash orphaned."""
+    def recover_processor_crash(self, node: int, orphans: List[int]) -> None:
+        """Re-place and restore every unit the crash orphaned."""
         c = self.cluster
         c._flush_batches()
         obs = c.obs
@@ -385,10 +361,8 @@ class FaultInjector:
             profiler.start("recovery")
         touched: set = set()
         resumed = c.loop.now
-        for qid in victims:
-            resumed = max(resumed, self._restore_query(qid, touched))
-        for gid in gids:
-            resumed = max(resumed, self._rehome_group(gid, touched))
+        for uid in orphans:
+            resumed = max(resumed, self._restore_unit(c.units[uid], touched))
         if touched:
             c._refresh_subscriptions(streams=touched)
         if obs is not None and obs.registry is not None:
@@ -405,102 +379,44 @@ class FaultInjector:
             }
         )
 
-    def _restore_query(self, qid: int, touched: set) -> float:
-        """Restore one unshared query on a freshly chosen host."""
+    def _place_members(self, unit) -> int:
+        """Re-enter a live unit's members through online insertion;
+        returns the host most of them landed on."""
         c = self.cluster
-        qs = c.queries[qid]
-        new_host = c.cosmos.insert(qs.simq.spec)
-        engine = c.engines[new_host]
-        ckpt = self.checkpoints.get(qid)
+        return c._majority_host(
+            [c.cosmos.insert(c.queries[qid].simq.spec) for qid in unit.members]
+        )
+
+    def _restore_unit(self, unit, touched: set) -> float:
+        """Restore one orphaned unit where most of its members re-placed."""
+        c = self.cluster
+        target = self._place_members(unit)
+        engine = c.engines[target]
+        ckpt = self.checkpoints.get(unit.uid)
         if ckpt is not None:
             plan = ckpt.checkpoint()
+            if plan.query is not unit.executed:
+                # members that joined after the snapshot widened the
+                # unit's query; widen the restored operators to match
+                plan.widen_to(unit.executed)
             engine.adopt_plan(plan)
         else:
             plan = engine.add_query(
-                qs.simq.ast, result_stream=f"out_{qs.name}"
+                unit.executed, result_stream=unit.result_stream
             )
-        qs.plan = plan
-        qs.host = new_host
-        qs.alive = True
-        qs.detached = False
-        qs.slack = c._slack(qs.simq, new_host)
-        c.network.subscribe(new_host, qs.sub)
-        c._by_sub[qs.sub.sub_id] = qid
-        ready = self._handoff(qs, plan, new_host)
+        unit.plan = plan
+        unit.detached = False
+        for qid in unit.members:
+            c.queries[qid].alive = True
+        c._home_unit(unit, target)
+        c._handoff(unit, self._store_node())
         # the lost plan's CPU counter died with it: rebase deltas on the
         # restored plan so measured loads stay non-negative
-        qs.cpu_at_sample = plan.cpu_cost()
-        qs.cpu_at_adapt = plan.cpu_cost()
-        touched.update(qs.simq.streams)
+        unit.cpu_at_sample = plan.cpu_cost()
+        unit.cpu_at_adapt = plan.cpu_cost()
+        touched.update(unit.streams)
         if c.obs is not None and c.obs.registry is not None:
-            c.obs.registry.inc("recovery.orphans_restored")
-        return ready
-
-    def _rehome_group(self, gid: int, touched: set) -> float:
-        """Restore a whole shared group on the members' majority host."""
-        c = self.cluster
-        gs = c.groups[gid]
-        votes: Dict[int, int] = {}
-        for qid in gs.members:
-            host = c.cosmos.insert(c.queries[qid].simq.spec)
-            votes[host] = votes.get(host, 0) + 1
-        if not votes:
-            return c.loop.now
-        target = min(votes, key=lambda h: (-votes[h], h))
-        engine = c.engines[target]
-        ckpt = self.checkpoints.get(gid)
-        if ckpt is not None:
-            plan = ckpt.checkpoint()
-            if plan.query is not gs.executed:
-                # members that joined after the snapshot widened the
-                # group's query; widen the restored operators to match
-                plan.widen_to(gs.executed)
-            engine.adopt_plan(plan)
-        else:
-            plan = engine.add_query(
-                gs.executed, result_stream=gs.result_stream
-            )
-        gs.plan = plan
-        gs.host = target
-        gs.detached = False
-        gs.slack = max(
-            c._path_latency_ms(int(c.space.source_of[sid]), target)
-            for sid in gs.substreams
-        ) / 1000.0
-        gs.adv = Advertisement(stream=gs.result_stream)
-        c.network.advertise(target, gs.adv)
-        for sub in gs.p1_subs:
-            c.network.subscribe(target, sub)
-            c._by_sub[sub.sub_id] = gid
-        c._host_groups.setdefault(target, []).append(gid)
-        for qid in gs.members:
-            mqs = c.queries[qid]
-            mqs.host = target
-            mqs.alive = True
-            c.network.subscribe(
-                mqs.simq.spec.proxy, mqs.result_sub, force=True
-            )
-        ready = self._handoff(gs, plan, target)
-        gs.cpu_at_sample = plan.cpu_cost()
-        gs.cpu_at_adapt = plan.cpu_cost()
-        touched.update(gs.streams)
-        if c.obs is not None and c.obs.registry is not None:
-            c.obs.registry.inc("recovery.groups_rehomed")
-        return ready
-
-    def _handoff(self, unit, plan, new_host: int) -> float:
-        """Charge the checkpoint-store transfer; pause deliveries."""
-        c = self.cluster
-        state = float(plan.state_size())
-        lat_ms = c.network.account_path(
-            self._store_node(), new_host, max(1.0, state)
-        )
-        handoff_s = (
-            lat_ms + state * c.params.handoff_ms_per_tuple
-        ) / 1000.0
-        unit.ready = c.loop.now + handoff_s
-        unit.last_release = max(unit.last_release, unit.ready)
-        unit.last_release_floor = unit.last_release
+            c.obs.registry.inc("recovery.units_restored")
         return unit.ready
 
     # -- broker loss ---------------------------------------------------
@@ -536,14 +452,8 @@ class FaultInjector:
             profiler.start("recovery")
         c.network.reflood_advertisements()
         c._refresh_subscriptions()
-        if c._sharing:
-            for gid in sorted(c._res_listeners):
-                for qid in c._res_listeners[gid]:
-                    qs = c.queries[qid]
-                    if qs.result_sub is not None:
-                        c.network.subscribe(
-                            qs.simq.spec.proxy, qs.result_sub, force=True
-                        )
+        for uid in sorted(c.units):
+            c._resubscribe_results(c.units[uid].listeners)
         if obs is not None and obs.registry is not None:
             obs.registry.inc("recovery.broker_recoveries")
         if profiler is not None:
@@ -613,40 +523,22 @@ class FaultInjector:
                 {"kind": "leave_skipped", "t": c.loop.now, "node": node}
             )
             return
-        orphans = c.cosmos.remove_processor(node)
+        c.cosmos.remove_processor(node)
         touched: set = set()
         moved = 0
-        if c._sharing:
-            for gid in sorted(c.groups):
-                gs = c.groups[gid]
-                if gs.host != node or gs.detached:
-                    continue
-                if gs.alive and gs.members:
-                    votes: Dict[int, int] = {}
-                    for qid in gs.members:
-                        host = c.cosmos.insert(c.queries[qid].simq.spec)
-                        votes[host] = votes.get(host, 0) + 1
-                    target = min(votes, key=lambda h: (-votes[h], h))
-                    c._migrate_group(gid, target)
-                    touched.update(gs.streams)
-                    moved += len(gs.members)
-                else:
-                    # a retiring group mid-drain: finish it now, while
-                    # its engine still exists
-                    c._shared_detach_group(gid)
-        else:
-            specs = {qid: c.queries[qid].simq.spec for qid in orphans}
-            for qid in orphans:
-                new_host = c.cosmos.insert(specs[qid])
-                c._migrate(qid, new_host)
-                touched.update(c.queries[qid].simq.streams)
-                moved += 1
-            # departures mid-drain are not in the placement any more:
-            # finish their detach while the engine is still up
-            for qid in sorted(c.queries):
-                qs = c.queries[qid]
-                if qs.host == node and not qs.detached:
-                    c._detach(qid)
+        for uid in sorted(c.units):
+            unit = c.units[uid]
+            if unit.host != node or unit.detached:
+                continue
+            if unit.alive:
+                c._migrate(unit, self._place_members(unit))
+                touched.update(unit.streams)
+                moved += len(unit.members)
+            else:
+                # a retiring unit mid-drain (its members are not in the
+                # placement any more): finish it now, while its engine
+                # still exists
+                c._detach_unit(uid)
         if touched:
             c._refresh_subscriptions(streams=touched)
         if c.obs is not None:
@@ -658,15 +550,11 @@ class FaultInjector:
         # the engine left, not the users: members whose *proxy* sits at
         # the departing node keep listening there (the node stays in the
         # overlay as a router), so reinstall their carves
-        for sub_id in removed_subs:
-            qid = c._by_result_sub.get(sub_id)
-            if qid is None:
-                continue
-            qs = c.queries[qid]
-            if qs.result_sub is not None:
-                c.network.subscribe(
-                    qs.simq.spec.proxy, qs.result_sub, force=True
-                )
+        c._resubscribe_results(
+            c._by_result_sub[sub_id]
+            for sub_id in removed_subs
+            if sub_id in c._by_result_sub
+        )
         c.trace.mark(c.loop.now, "leave", f"p{node}")
         c.fault_log.append(
             {

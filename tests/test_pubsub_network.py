@@ -10,7 +10,6 @@ from repro.pubsub import (
     Filter,
     PubSubNetwork,
     Subscription,
-    result_stream_name,
 )
 from repro.pubsub.routing import LOCAL, RoutingTable
 from repro.topology import OverlayTree
@@ -73,9 +72,6 @@ class TestSubscription:
         sub_miss = Subscription.to_streams(["R"], filter=Filter.of(("a", "<", -5)))
         assert adv.intersects(sub_hit)
         assert not adv.intersects(sub_miss)
-
-    def test_result_stream_name_unique_per_processor(self):
-        assert result_stream_name(1, "q") != result_stream_name(2, "q")
 
 
 class TestRoutingTable:

@@ -11,7 +11,6 @@ from repro.query.containment import (
     selections_imply,
 )
 from repro.query.merging import (
-    SharedGroup,
     merge_all,
     merge_queries,
     mergeable,
@@ -300,71 +299,3 @@ class TestMergeAll:
     def test_empty_fold_rejected(self):
         with pytest.raises(ValueError):
             merge_all([])
-
-
-class TestSharedGroup:
-    def q(self, name, window, threshold):
-        return parse_query(
-            f"SELECT R.a, R.timestamp FROM R [Range {window} Seconds] R"
-            f" WHERE R.a > {threshold}", name=name,
-        )
-
-    def test_stable_gids_survive_retirement(self):
-        group = SharedGroup(0)
-        e1, _ = group.add(self.q("a", 10, 5))
-        other = parse_query("SELECT S.b, S.timestamp FROM S [Now] S", name="b")
-        e2, _ = group.add(other)
-        assert (e1.gid, e2.gid) == (0, 1)
-        entry, retired = group.remove("a")
-        assert entry is None and [e.gid for e in retired] == [0]
-        # a new group never recycles a retired id
-        e3, _ = group.add(self.q("c", 10, 5))
-        assert e3.gid == 2
-        assert {e.gid for e in group.entries} == {1, 2}
-
-    def test_redeclared_member_replaces_stale_version(self):
-        group = SharedGroup(0)
-        group.add(self.q("a", 10, 5))
-        entry, _ = group.add(self.q("b", 50, 0))
-        assert entry.merged.binding("R").window.seconds == 50
-        # re-declare b with a narrow window: the fold must narrow back
-        entry, retired = group.add(self.q("b", 10, 3))
-        assert not retired
-        assert entry.member_names() == ["a", "b"]
-        assert entry.merged.binding("R").window.seconds == 10
-
-    def test_remove_refolds_survivors(self):
-        group = SharedGroup(0)
-        group.add(self.q("a", 10, 5))
-        group.add(self.q("b", 50, 0))
-        entry, retired = group.remove("b")
-        assert retired == []
-        assert entry.merged.binding("R").window.seconds == 10
-        assert len(entry.merged.selections()) == 1
-
-    def test_collapse_retires_absorbed_group(self, monkeypatch):
-        """A widened merged query can bridge two groups; the absorbed
-        entry must be reported so its plan/adv/stream can be retired."""
-        import repro.query.merging as merging
-
-        real = merging.mergeable
-        blocked = [True]
-
-        def gated(a, b):
-            # while blocked, pretend the two seed queries differ so they
-            # found separate groups; afterwards restore real semantics
-            if blocked[0]:
-                return False
-            return real(a, b)
-
-        group = SharedGroup(0)
-        monkeypatch.setattr(merging, "mergeable", gated)
-        e1, _ = group.add(self.q("a", 10, 5))
-        e2, _ = group.add(self.q("b", 20, 3))
-        assert len(group.entries) == 2
-        blocked[0] = False
-        entry, retired = group.add(self.q("c", 30, 1))
-        assert len(group.entries) == 1
-        assert [e.gid for e in retired] == [e2.gid]
-        assert sorted(entry.member_names()) == ["a", "b", "c"]
-        assert entry.merged.binding("R").window.seconds == 30

@@ -162,58 +162,46 @@ class TestMidDrainRemoval:
 
     @staticmethod
     def _mini_cluster():
-        """A one-query cluster wired just deep enough for the scalar
-        delivery machinery (`_publish_rows` -> `_release_one`)."""
-        from types import SimpleNamespace
-
-        from repro.engine.executor import Engine
+        """A one-query scalar-plane cluster, source 0 -- 1000 ms --
+        processor 1 (so the query's reordering slack is 1 s), built
+        through the public constructor and ``add_query``."""
+        from repro.core.cosmos import Cosmos
         from repro.query.interest import mask_of
-        from repro.query.workload import QuerySpec
-        from repro.sim.cluster import SimCluster, _QueryState
-        from repro.sim.workload import SimQuery
         from repro.query.parser import parse_query
+        from repro.query.workload import QuerySpec
+        from repro.sim import SimCluster, SimQuery
+        from repro.topology.latency import LatencyOracle
+        from repro.topology.transit_stub import Topology
 
-        c = SimCluster.__new__(SimCluster)
-        c.loop = EventLoop()
-        c._sharing = False
-        c._batching = False
-        c.record = False
-        c.obs = None
-        c.results_total = 0
-        c._interval_results = 0
-        c.engines = {0: Engine(node=0, use_batches=False)}
-        c.queries = {}
-        c._units = c.queries
-        c.space = SimpleNamespace(source_of=[1])
+        topo = Topology(n=2, adjacency=[[], []])
+        topo.add_edge(0, 1, 1000.0)
+        oracle = LatencyOracle(topo)
+        space = SubstreamSpace(rates=[1.0], source_of=[0])
+        rng = np.random.default_rng(0)
+        c = SimCluster(
+            oracle=oracle,
+            sources=[0],
+            processors=[1],
+            space=space,
+            cosmos=Cosmos(oracle, [1], space),
+            params=ScenarioParams(use_batches=False),
+            factory=SimQueryFactory(
+                space, [1], SimWorkloadParams(num_substreams=1), rng
+            ),
+            arrival_rng=rng,
+            value_rng=rng,
+        )
         ast = parse_query(
             "SELECT A.value FROM S0 [Range 5 Seconds] A", name="q0"
         )
-        plan = c.engines[0].add_query(ast, result_stream="out_q0")
         spec = QuerySpec(
-            query_id=0, proxy=0, mask=mask_of([0]), group=0,
+            query_id=0, proxy=1, mask=mask_of([0]), group=0,
             load=1.0, result_rate=1.0, state_size=0.0,
         )
         simq = SimQuery(
             spec=spec, ast=ast, text="", streams=("S0",), substreams=(0,)
         )
-        qs = _QueryState(simq=simq, host=0, sub=None, plan=plan, slack=1.0)
-        c.queries[0] = qs
-
-        class _OneSubNet:
-            """Every publish reaches the single query's subscription."""
-
-            def __init__(self):
-                from repro.pubsub.subscriptions import Subscription
-
-                self.sub = Subscription.to_streams(("S0",))
-
-            def publish(self, source, event):
-                return [(0, event, self.sub)]
-
-        c.network = _OneSubNet()
-        c._by_sub = {c.network.sub.sub_id: 0}
-        c.actions = None
-        return c, qs
+        return c, c.add_query(simq, 1)
 
     def test_stale_release_event_cannot_deliver_early(self):
         from repro.engine.tuples import StreamTuple
@@ -231,7 +219,7 @@ class TestMidDrainRemoval:
         loop.schedule(1.0, publish)
         # mid-drain at t=1.5: x1 force-delivered, its release event at
         # t=2.0 is now stale but still queued
-        loop.schedule(1.5, lambda: c._drain_unit_completely(qs))
+        loop.schedule(1.5, lambda: c._drain_unit_completely(qs.unit))
         # x2 published at t=1.8, release max(2.8, last_release)=2.8
         loop.schedule(1.8, publish)
         loop.run()
@@ -358,13 +346,29 @@ class TestRunScenario:
         assert ("hotspot" in {e[1] for e in shifted.trace.events})
         assert shifted.tuples_emitted > quiet.tuples_emitted
 
-    def test_rejects_unknown_placement_mode(self):
-        with pytest.raises(ValueError):
-            run_scenario(
-                seed=0,
-                workload=small_workload(),
-                scenario=ScenarioParams(initial_placement="nope"),
-            )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("initial_placement", "nope"),
+            ("recovery", "pray"),
+            ("duration", 0.0),
+            ("duration", -1.0),
+            ("sample_interval", 0.0),
+            ("adapt_interval", 0.0),
+            ("adapt_interval", -2.0),
+            ("checkpoint_interval", 0.0),
+            ("spare_processors", -1),
+        ],
+    )
+    def test_malformed_params_fail_at_construction(self, field, value):
+        """Before any topology, workload or optimizer is built, with a
+        message naming the offending field."""
+        with pytest.raises(ValueError, match=rf"^{field}:"):
+            ScenarioParams(**{field: value})
+
+    def test_disabled_intervals_are_valid(self):
+        params = ScenarioParams(adapt_interval=None, checkpoint_interval=None)
+        assert params.adapt_interval is None
 
 
 class TestFig10SimLoads:

@@ -211,6 +211,34 @@ class TestCrashRecoveryInvariants:
                 assert is_subsequence(bare.results.get(qid, []), oracle[qid])
 
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_adapt_round_inside_the_detect_window(self, seed):
+        """An adaptation round between a crash and its recovery must
+        leave the orphaned units alone: a shared group whose member's own
+        placement survived (it sat on another processor) used to be
+        'migrated' off the dead engine (KeyError)."""
+        report = run_scenario(
+            seed=seed,
+            workload=fault_workload(),
+            scenario=fault_scenario(
+                faults=(ProcessorCrash(at=15.9),), use_sharing=True
+            ),
+            record=True,
+        )
+        kinds = [e["kind"] for e in report.fault_log]
+        assert kinds == ["crash", "recover"]
+        crash_t, recover_t = (e["t"] for e in report.fault_log)
+        assert any(
+            crash_t < a.t < recover_t for a in report.trace.adaptations
+        ), "no adaptation round fell inside the detect window"
+        violations = recovery_invariants(
+            report.results,
+            oracle_results(report.actions),
+            affected=crashed_queries(report),
+        )
+        assert violations == []
+
+
 class TestBrokerLossAndPartition:
     @pytest.mark.parametrize("use_sharing", [False, True])
     def test_broker_loss_recovery_restores_delivery(self, use_sharing):
