@@ -363,6 +363,7 @@ class FaultInjector:
         resumed = c.loop.now
         for uid in orphans:
             resumed = max(resumed, self._restore_unit(c.units[uid], touched))
+        self._reinsert_stranded()
         if touched:
             c._refresh_subscriptions(streams=touched)
         if obs is not None and obs.registry is not None:
@@ -381,11 +382,33 @@ class FaultInjector:
 
     def _place_members(self, unit) -> int:
         """Re-enter a live unit's members through online insertion;
-        returns the host most of them landed on."""
+        returns the host most of them landed on.
+
+        A unit follows the majority of its members, so a member's own
+        placement can be a processor that is still up: it was never
+        orphaned and must leave its old root-to-leaf path first
+        (``Cosmos.insert`` does not look for an existing copy).
+        """
         c = self.cluster
-        return c._majority_host(
-            [c.cosmos.insert(c.queries[qid].simq.spec) for qid in unit.members]
-        )
+        hosts = []
+        for qid in unit.members:
+            if qid in c.cosmos.placement:
+                c.cosmos.remove(qid)
+            hosts.append(c.cosmos.insert(c.queries[qid].simq.spec))
+        return c._majority_host(hosts)
+
+    def _reinsert_stranded(self) -> None:
+        """Tell the optimizer again about live queries it lost with a node.
+
+        The mirror image of :meth:`_place_members`: a member placed on
+        the departed node whose unit runs elsewhere kept its plan but was
+        dropped from the coordinator tree with the node.
+        """
+        c = self.cluster
+        for qid in sorted(c.queries):
+            qs = c.queries[qid]
+            if qs.alive and qid not in c.cosmos.placement:
+                c.cosmos.insert(qs.simq.spec)
 
     def _restore_unit(self, unit, touched: set) -> float:
         """Restore one orphaned unit where most of its members re-placed."""
@@ -539,6 +562,7 @@ class FaultInjector:
                 # placement any more): finish it now, while its engine
                 # still exists
                 c._detach_unit(uid)
+        self._reinsert_stranded()
         if touched:
             c._refresh_subscriptions(streams=touched)
         if c.obs is not None:

@@ -333,6 +333,70 @@ class TestElasticMembership:
         assert a.results == b.results
 
 
+def vertex_holders(cosmos):
+    """(tree depth, query id) -> number of coordinator vertices at that
+    depth holding the query.  A query on one root-to-leaf path is held
+    exactly once per level."""
+    counts = {}
+    stack = [(cosmos.root, 0)]
+    while stack:
+        coord, depth = stack.pop()
+        for vertex in coord.vertices.values():
+            for qid in vertex.members:
+                counts[(depth, qid)] = counts.get((depth, qid), 0) + 1
+        stack.extend((child, depth + 1) for child in coord.children)
+    return counts
+
+
+class TestReplacementKeepsOnePath:
+    """Re-homing a shared unit re-inserts *every* member, including the
+    ones whose own COSMOS placement is a surviving processor (the group
+    follows the majority, so a member's wish can sit elsewhere).  Those
+    were never orphaned: re-inserting them without removing them first
+    put the query on two root-to-leaf paths."""
+
+    @pytest.mark.parametrize(
+        "fault", [ProcessorCrash(at=12.0), ProcessorLeave(at=12.0)],
+        ids=["crash_recover", "leave"],
+    )
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_no_query_on_two_paths(self, fault, seed, monkeypatch):
+        import repro.sim.cluster as cluster_mod
+
+        clusters = []
+        orig_init = cluster_mod.SimCluster.__init__
+
+        def capturing_init(self, *args, **kw):
+            orig_init(self, *args, **kw)
+            clusters.append(self)
+
+        monkeypatch.setattr(cluster_mod.SimCluster, "__init__", capturing_init)
+        # one adaptation round (t=8) lets member wishes diverge from
+        # their group's host; the run ends right after the re-placement
+        report = run_scenario(
+            seed=seed,
+            workload=fault_workload(),
+            scenario=fault_scenario(
+                duration=12.6, faults=(fault,), use_sharing=True
+            ),
+        )
+        assert report.fault_log[-1]["kind"] in ("recover", "leave")
+        (cluster,) = clusters
+        cosmos = cluster.cosmos
+        live = sorted(q for q, qs in cluster.queries.items() if qs.alive)
+        assert any(
+            cosmos.placement[q] != cluster.queries[q].host for q in live
+        ), "no member is placed away from its group -- test is vacuous"
+        doubled = {
+            qid for (_, qid), n in vertex_holders(cosmos).items() if n > 1
+        }
+        assert doubled == set()
+        for qid in live:
+            assert cosmos.remove(qid)
+        left = {qid for _, qid in vertex_holders(cosmos)} & set(live)
+        assert left == set()
+
+
 class TestMixedFaultDeterminism:
     def test_mixed_fault_schedule_bit_identical(self):
         """Everything at once, twice: crashes, broker loss, partition,
