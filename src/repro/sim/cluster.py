@@ -321,11 +321,10 @@ class _QueryState:
         return self.unit.host
 
 
-def _same_subscription(old: Optional[Subscription], new: Subscription) -> bool:
+def _same_subscription(old: Subscription, new: Subscription) -> bool:
     """Whether re-installing ``new`` in place of ``old`` would change nothing."""
     return (
-        old is not None
-        and old.streams == new.streams
+        old.streams == new.streams
         and old.projection == new.projection
         and old.filter == new.filter
     )
@@ -1020,7 +1019,8 @@ class SimCluster:
                 release = max(tup.timestamp + unit.slack, unit.last_release)
                 unit.last_release = release
                 unit.pending.append((tup, release))
-                self._span_queued(spans, tup, unit, source, release)
+                if spans is not None:
+                    self._span_queued(spans, tup, unit, source, release)
                 self.loop.schedule(
                     release, partial(self._release_one, unit.uid)
                 )
@@ -1034,7 +1034,8 @@ class SimCluster:
                 # later timestamps (their batch flushed earlier)
                 bisect.insort(unit.pending_rel, (tup.timestamp, seq, tup, release))
                 release_last = release
-                self._span_queued(spans, tup, unit, source, release)
+                if spans is not None:
+                    self._span_queued(spans, tup, unit, source, release)
             when = max(release_last, now)
             if when > unit.drain_at:
                 unit.drain_at = when
@@ -1043,8 +1044,6 @@ class SimCluster:
             profiler.stop()
 
     def _span_queued(self, spans, tup, unit: _Unit, source: int, release) -> None:
-        if spans is None:
-            return
         span = spans.lookup(tup)
         if span is not None:
             span.hop(

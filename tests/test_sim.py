@@ -404,3 +404,18 @@ class TestFig10SimLoads:
 
         with pytest.raises(ValueError):
             fig10.run(load_source="bogus")
+
+
+class TestUnitFollowsMajority:
+    """The one placement policy of a delivery unit: it goes where most of
+    its members were placed (a unit of one follows its query)."""
+
+    def test_majority_ties_and_abstentions(self):
+        from repro.sim import SimCluster
+
+        vote = SimCluster._majority_host
+        assert vote([7]) == 7
+        assert vote([3, 5, 5]) == 5
+        assert vote([7, 2]) == 2  # ties go to the smallest host id
+        assert vote([None, 4, None]) == 4  # unplaced members abstain
+        assert vote([None]) is None and vote([]) is None
