@@ -375,7 +375,8 @@ def bench_diffusion(scale: Dict) -> Dict:
 
 @scenario("coarsening")
 def bench_coarsening(scale: Dict) -> Dict:
-    """Heavy-edge matching: dict candidate scan vs CSR argmax kernel."""
+    """Coarsening: dict matcher + pair-by-pair collapse vs CSR matcher +
+    pass-level collapse."""
     qg, ng, space, _mapping = synthetic_testbed(
         scale["coarsen_queries"], scale["rebalance_processors"],
         scale["substreams"], scale["sources"], seed=2,

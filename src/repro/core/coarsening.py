@@ -1,20 +1,25 @@
 """Query graph coarsening (Algorithm 1).
 
-Repeatedly collapses matched vertex pairs -- preferring the heaviest
+Repeatedly collapses matched q-vertex pairs -- preferring the heaviest
 incident edge, since heavily-connected vertices are likely to be mapped to
 the same network vertex anyway -- until the graph has at most ``vmax``
-vertices.  Constraints from the paper:
+vertices or no pair is left.
 
-* an n-vertex may only merge with an n-vertex of the *same* child cluster
-  (two n-vertices pinned to different clusters must stay separable);
-* an n-vertex with unknown cluster (external node) never merges with
-  another n-vertex;
-* merging a q-vertex into an n-vertex yields an n-vertex (``is_n(w)``),
-  keeping the cluster tag.
+Only q-vertices merge.  The paper's q/n and n/n merge rules are not
+performed here: the mapping layer pins every n-vertex to its cluster, so
+folding a q-vertex into an n-vertex adds nothing a zero-distance
+preference does not already express, and n-vertices staying apart is the
+strictest reading of the cluster constraint (see :func:`coarsen`).
 
-The coarse graph's vertices carry enough aggregate state (interest mask,
-per-source and per-proxy rate maps, children) that edges can be
-re-estimated exactly and the vertex can later be uncoarsened one level.
+A coarse vertex carries enough aggregate state (interest mask, per-source
+and per-proxy rate maps, children) that its edges are re-estimated exactly
+and it can later be uncoarsened one level.  All of it happens on a
+:class:`_WorkGraph` -- plain vertex and adjacency dicts, no mutation
+journal -- that is turned into a :class:`QueryGraph` once, at the end.
+The fast path collapses a whole matching pass at a time
+(:func:`_collapse_pass`: every surviving coarse edge estimated once per
+pass); the reference path (:func:`_collapse_pairs`) merges pair by pair
+with one scalar estimate per neighbour and produces the identical graph.
 """
 
 from __future__ import annotations
@@ -23,15 +28,15 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs import registry as _obs
 from ..query.interest import SubstreamSpace
-from .graphs import NetworkGraph, NVertex, QueryGraph, QVertex, VertexId
+from .graphs import QueryGraph, QVertex, VertexId, _add_overlap_edges
 
 __all__ = [
-    "CoarseVertex",
     "CoarsePlan",
     "coarsen",
     "coarsen_cached",
@@ -106,25 +111,6 @@ class CoarsePlan:
     output: List[QVertex] = field(default_factory=list)
 
 
-@dataclass
-class CoarseVertex:
-    """Bookkeeping wrapper: a coarse q-vertex plus its pinned n-part.
-
-    When a q-vertex merges with an n-vertex the collapsed vertex must stay
-    an n-vertex (it is pinned to the n-vertex's cluster) while still
-    carrying query load.  ``pinned_node``/``clu`` record the n-part.
-    """
-
-    qvertex: QVertex
-    pinned_node: Optional[int] = None
-    clu: Optional[VertexId] = None
-
-    @property
-    def is_n(self) -> bool:
-        """Whether the collapsed vertex carries a pinned n-part."""
-        return self.pinned_node is not None
-
-
 def _merge_rate_maps(a: Dict[int, float], b: Dict[int, float]) -> Dict[int, float]:
     out = dict(a)
     for k, v in b.items():
@@ -158,8 +144,6 @@ def rebuild_edges(
     interest-mask AND (the paper's bit-vector estimation).
     """
     g.clear_edges()
-    from .graphs import _add_overlap_edges
-
     qlist = list(g.qverts.values())
     for qv in qlist:
         for node, rate in qv.source_rates.items():
@@ -173,8 +157,42 @@ def rebuild_edges(
     _add_overlap_edges(g, qlist, space, max_overlap_neighbors)
 
 
+class _WorkGraph:
+    """The graph a coarsening run mutates: vertices and adjacency only.
+
+    A run rewrites most of the graph and keeps nothing but the final
+    vertices, so it carries none of :class:`QueryGraph`'s canonical edge
+    store, mutation journal or version.  :meth:`to_query_graph` builds the
+    public result once, from the final (at most ``vmax``-vertex) state.
+    """
+
+    __slots__ = ("qverts", "nverts", "adj")
+
+    def __init__(self, g: QueryGraph):
+        self.qverts = dict(g.qverts)
+        self.nverts = dict(g.nverts)
+        self.adj = {vid: dict(nbrs) for vid, nbrs in g.adj.items()}
+
+    def vertex_count(self) -> int:
+        return len(self.qverts) + len(self.nverts)
+
+    def to_query_graph(self) -> QueryGraph:
+        out = QueryGraph()
+        for qv in self.qverts.values():
+            out.add_qvertex(qv)
+        for nv in self.nverts.values():
+            out.add_nvertex(nv)
+        done = set()
+        for a, nbrs in self.adj.items():
+            for b, w in nbrs.items():
+                if b not in done:
+                    out.set_edge(a, b, w)
+            done.add(a)
+        return out
+
+
 def _match_pass_reference(
-    work: QueryGraph, order: List[VertexId]
+    work: _WorkGraph, order: List[VertexId]
 ) -> List[Tuple[VertexId, VertexId]]:
     """One heavy-edge matching pass over ``order`` (dict reference path).
 
@@ -190,7 +208,7 @@ def _match_pass_reference(
             continue
         best = None
         best_key = None
-        for nbr, w in work.neighbors(vid).items():
+        for nbr, w in work.adj[vid].items():
             if nbr not in work.qverts or nbr in matched or nbr == vid:
                 continue
             key = (w, -rank[nbr])
@@ -205,7 +223,7 @@ def _match_pass_reference(
 
 
 def _match_pass_arrays(
-    work: QueryGraph, order: List[VertexId]
+    work: _WorkGraph, order: List[VertexId]
 ) -> List[Tuple[VertexId, VertexId]]:
     """One heavy-edge matching pass (array fast path).
 
@@ -222,7 +240,7 @@ def _match_pass_arrays(
     qverts = work.qverts
     for r, vid in enumerate(order):
         count = 0
-        for nbr, w in work.neighbors(vid).items():
+        for nbr, w in work.adj[vid].items():
             if nbr in qverts and nbr != vid:
                 flat_idx.append(rank[nbr])
                 flat_w.append(w)
@@ -255,68 +273,183 @@ def _match_pass_arrays(
     return pairs
 
 
+def _merge_pair(
+    qverts: Dict[VertexId, QVertex],
+    a: VertexId,
+    b: VertexId,
+    origin: Optional[Hashable],
+    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
+) -> QVertex:
+    """Take ``a`` and ``b`` out of ``qverts``; return their merged vertex
+    (not yet inserted), recording the step."""
+    u, v = qverts.pop(a), qverts.pop(b)
+    if steps_out is not None:
+        steps_out.append((plan_key(u), plan_key(v)))
+    # the pair lives on only as the merged vertex's ``children``: nothing
+    # estimates overlaps against it again unless a later uncoarsening
+    # brings it back, so it must not pin its index array
+    u.drop_indices()
+    v.drop_indices()
+    return merge_qvertices(u, v, origin=origin)
+
+
 def _collapse_pairs(
-    work: QueryGraph,
+    work: _WorkGraph,
     pairs: List[Tuple[VertexId, VertexId]],
     space: SubstreamSpace,
     origin: Optional[Hashable],
     vmax: int,
-    fast: bool = True,
-    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]] = None,
-) -> bool:
-    """Merge matched pairs in order until ``vmax`` is reached (lines 8-11).
+    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
+) -> None:
+    """Merge matched pairs one at a time until ``vmax`` (reference path).
 
     Neighbour edges of a collapsed pair are unioned; q-q edges are then
     re-estimated exactly from the merged interest mask (the paper's
-    bit-vector estimation) -- in one batched
-    :meth:`SubstreamSpace.overlap_rates` pass over the vertices' cached
-    index arrays on the ``fast`` path, one scalar ``overlap_rate`` per
-    neighbour on the reference path.  Returns whether any merge happened.
+    bit-vector estimation), one scalar ``overlap_rate`` per neighbour --
+    including neighbours that a later pair of the same pass collapses
+    again.  :func:`_collapse_pass` must produce the same graph.
     """
-    merged_any = False
+    qverts, adj = work.qverts, work.adj
     for a, b in pairs:
         if work.vertex_count() <= vmax:
             break
-        if a not in work.qverts or b not in work.qverts:
-            continue
-        u, v = work.qverts[a], work.qverts[b]
-        if steps_out is not None:
-            steps_out.append((plan_key(u), plan_key(v)))
-        w_new = merge_qvertices(u, v, origin=origin)
+        w_new = _merge_pair(qverts, a, b, origin, steps_out)
 
-        # collect union of neighbour edges before removal
+        # collect union of neighbour edges, q-n weights summed a then b
         nbr_edges: Dict[VertexId, float] = {}
         for old in (a, b):
-            for nbr, w in work.neighbors(old).items():
-                if nbr in (a, b):
+            for nbr, w in adj.pop(old).items():
+                if nbr == a or nbr == b:
                     continue
+                del adj[nbr][old]
                 nbr_edges[nbr] = nbr_edges.get(nbr, 0.0) + w
-        work.remove_vertex(a)
-        work.remove_vertex(b)
-        work.add_qvertex(w_new)
-        # the pair lives on only as ``w_new.children``: nothing estimates
-        # overlaps against it again unless a later uncoarsening brings it
-        # back, so it must not pin its index array
-        u.drop_indices()
-        v.drop_indices()
-        if fast:
-            qnbrs = [nbr for nbr in nbr_edges if nbr in work.qverts]
-            qrates = space.overlap_rates(
-                w_new.indices, [work.qverts[nbr].indices for nbr in qnbrs]
+        mine = adj[w_new.vid] = {}
+        for nbr, w in nbr_edges.items():
+            if nbr in qverts:
+                # re-estimate overlap exactly from the merged mask
+                w = space.overlap_rate(w_new.mask, qverts[nbr].mask)
+            if w > 0:
+                mine[nbr] = adj[nbr][w_new.vid] = w
+        qverts[w_new.vid] = w_new
+
+
+def _collapse_pass(
+    work: _WorkGraph,
+    pairs: List[Tuple[VertexId, VertexId]],
+    space: SubstreamSpace,
+    origin: Optional[Hashable],
+    vmax: int,
+    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
+) -> None:
+    """Collapse one matching pass (disjoint ``pairs``) as a whole.
+
+    The first ``vertex_count - vmax`` pairs merge, in pair order (same
+    coarse ids and ``steps_out`` as merging them one by one).  Every old
+    endpoint is then mapped to its representative and each merged vertex
+    takes the union of its pair's neighbour sets through that map: q-n
+    weights are summed ``a`` then ``b``; a q-q edge is estimated from the
+    two final masks by :meth:`SubstreamSpace.overlap_rates` -- once, by
+    whichever endpoint comes first in pair order -- so an edge between two
+    vertices merged in this pass costs one estimate instead of the three
+    the pair-by-pair reference spends on its intermediate states.
+
+    The result equals :func:`_collapse_pairs`' because an edge touching a
+    merged vertex depends on the two final masks only, the kernel is
+    symmetric in its operands (either way round it sums the ascending
+    intersection), and q-vertex order (survivors, then merged vertices in
+    creation order) is the same.  It relies on what holds for every graph
+    the optimizer builds: q-q edges join interests that share a
+    positive-rate substream, so a union of them never estimates to zero.
+    """
+    pairs = pairs[: work.vertex_count() - vmax]
+    qverts, adj = work.qverts, work.adj
+    rep: Dict[VertexId, VertexId] = {}
+    merged: List[QVertex] = []
+    for a, b in pairs:
+        w_new = _merge_pair(qverts, a, b, origin, steps_out)
+        rep[a] = rep[b] = w_new.vid
+        merged.append(w_new)
+    for w_new in merged:
+        qverts[w_new.vid] = w_new
+        adj[w_new.vid] = {}
+
+    estimates = 0
+    for (a, b), w_new in zip(pairs, merged):
+        wid = w_new.vid
+        mine = adj[wid]
+        # q-neighbours whose edge to ``w_new`` no earlier vertex has set
+        todo: List[VertexId] = []
+        for old in (a, b):
+            for nbr, w in adj.pop(old).items():
+                r = rep.get(nbr)
+                if r is None:
+                    del adj[nbr][old]
+                    if nbr in qverts:
+                        if nbr not in mine:
+                            mine[nbr] = 0.0
+                            todo.append(nbr)
+                    else:
+                        mine[nbr] = adj[nbr][wid] = mine.get(nbr, 0.0) + w
+                elif r != wid and r not in mine:
+                    mine[r] = 0.0
+                    todo.append(r)
+        if todo:
+            rates = space.overlap_rates(
+                w_new.indices, [qverts[nbr].indices for nbr in todo]
             )
-            for nbr, w in zip(qnbrs, qrates):
-                work.set_edge(w_new.vid, nbr, w)
-            for nbr, w in nbr_edges.items():
-                if nbr not in work.qverts:
-                    work.set_edge(w_new.vid, nbr, w)
-        else:
-            for nbr, w in nbr_edges.items():
-                if nbr in work.qverts:
-                    # re-estimate overlap exactly from the merged mask
-                    w = space.overlap_rate(w_new.mask, work.qverts[nbr].mask)
-                work.set_edge(w_new.vid, nbr, w)
-        merged_any = True
-    return merged_any
+            for nbr, w in zip(todo, rates):
+                if w > 0:
+                    mine[nbr] = adj[nbr][wid] = w
+                else:
+                    del mine[nbr]
+            estimates += len(todo)
+    if _obs.ACTIVE is not None:
+        _obs.ACTIVE.inc("opt.coarsen_passes")
+        _obs.ACTIVE.inc("opt.coarsen_merges", len(merged))
+        _obs.ACTIVE.inc("opt.coarsen_overlap_pairs", estimates)
+
+
+def _coarsen_work(
+    g: QueryGraph,
+    vmax: int,
+    space: SubstreamSpace,
+    origin: Optional[Hashable],
+    rng: Optional[random.Random],
+    fast: bool,
+    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
+    warm_steps: Optional[Sequence[Tuple[PlanKey, PlanKey]]],
+) -> _WorkGraph:
+    """:func:`coarsen` up to, not including, the result graph."""
+    rng = rng or random.Random(0)
+    match_pass = _match_pass_arrays if fast else _match_pass_reference
+    collapse = _collapse_pass if fast else _collapse_pairs
+    work = _WorkGraph(g)
+    qverts = work.qverts
+
+    if warm_steps:
+        # replay still-valid merge steps from a previous plan before any
+        # fresh matching, each as a one-pair pass; a step is resolved
+        # through a member-key -> vid map that grows as merges produce
+        # new vertices
+        kv = {plan_key(v): v.vid for v in qverts.values()}
+        for ka, kb in warm_steps:
+            if work.vertex_count() <= vmax:
+                break
+            va, vb = kv.get(ka), kv.get(kb)
+            if va not in qverts or vb not in qverts:
+                continue
+            collapse(work, [(va, vb)], space, origin, vmax, steps_out)
+            merged = next(reversed(qverts.values()))
+            kv[plan_key(merged)] = merged.vid
+
+    while work.vertex_count() > vmax:
+        qids = list(qverts)
+        rng.shuffle(qids)
+        pairs = match_pass(work, qids)
+        if not pairs:
+            break  # nothing left to collapse (graph may stay above vmax)
+        collapse(work, pairs, space, origin, vmax, steps_out)
+    return work
 
 
 def coarsen(
@@ -325,7 +458,6 @@ def coarsen(
     space: SubstreamSpace,
     origin: Optional[Hashable] = None,
     rng: Optional[random.Random] = None,
-    ng: Optional[NetworkGraph] = None,
     fast: bool = True,
     steps_out: Optional[List[Tuple[PlanKey, PlanKey]]] = None,
     warm_steps: Optional[Sequence[Tuple[PlanKey, PlanKey]]] = None,
@@ -337,9 +469,11 @@ def coarsen(
     the same network vertex anyway) and collapses the matched pairs;
     rounds repeat until the graph fits in ``vmax`` or no pair is left.
     ``fast`` selects the numpy matching kernel
-    (:func:`_match_pass_arrays`); the dict-based reference
-    (:func:`_match_pass_reference`) implements the identical rule and
-    produces the identical graph for the same ``rng``.
+    (:func:`_match_pass_arrays`) and the pass-level collapse
+    (:func:`_collapse_pass`); the dict-based matcher
+    (:func:`_match_pass_reference`) and the pair-by-pair scalar collapse
+    (:func:`_collapse_pairs`) implement the identical rules and produce
+    the identical graph for the same ``rng``.
 
     ``g`` is not modified; a new graph is returned.  Only q-vertices are
     collapsed with each other in this implementation of the n-vertex rule:
@@ -349,50 +483,9 @@ def coarsen(
     uncoarsening bookkeeping simple.  n-vertices therefore never merge
     (the strictest reading of the cluster constraint).
     """
-    rng = rng or random.Random(0)
-    match_pass = _match_pass_arrays if fast else _match_pass_reference
-
-    # working copy
-    work = QueryGraph()
-    for qv in g.qverts.values():
-        work.add_qvertex(qv)
-    for nv in g.nverts.values():
-        work.add_nvertex(nv)
-    for a, b, w in g.edges():
-        work.set_edge(a, b, w)
-
-    if warm_steps:
-        # replay still-valid merge steps from a previous plan before any
-        # fresh matching; each step is resolved through a member-key ->
-        # vid map that grows as merges produce new vertices
-        kv = {plan_key(v): v.vid for v in work.qverts.values()}
-        for ka, kb in warm_steps:
-            if work.vertex_count() <= vmax:
-                break
-            va, vb = kv.get(ka), kv.get(kb)
-            if (
-                va is None or vb is None
-                or va not in work.qverts or vb not in work.qverts
-            ):
-                continue
-            if _collapse_pairs(
-                work, [(va, vb)], space, origin, vmax, fast,
-                steps_out=steps_out,
-            ):
-                merged = next(reversed(work.qverts.values()))
-                kv[plan_key(merged)] = merged.vid
-
-    while work.vertex_count() > vmax:
-        qids = list(work.qverts)
-        rng.shuffle(qids)
-        pairs = match_pass(work, qids)
-        if not pairs:
-            break  # nothing left to collapse (graph may stay above vmax)
-        if not _collapse_pairs(
-            work, pairs, space, origin, vmax, fast, steps_out=steps_out
-        ):
-            break
-    return work
+    return _coarsen_work(
+        g, vmax, space, origin, rng, fast, steps_out, warm_steps
+    ).to_query_graph()
 
 
 def _replay_steps(
@@ -462,11 +555,11 @@ def coarsen_cached(
                 avail.add(tuple(sorted(ka + kb)))
 
     steps: List[Tuple[PlanKey, PlanKey]] = []
-    coarse = coarsen(
-        g, vmax, space, origin=origin, rng=rng, fast=fast,
-        steps_out=steps, warm_steps=warm,
+    out = list(
+        _coarsen_work(
+            g, vmax, space, origin, rng, fast, steps, warm
+        ).qverts.values()
     )
-    out = list(coarse.qverts.values())
     new_plan = CoarsePlan(vmax=vmax, sigs=sigs, steps=steps, output=list(out))
     return out, new_plan, "partial" if warm else "none"
 

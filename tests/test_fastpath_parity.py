@@ -7,18 +7,21 @@ randomized workloads:
 * ``QueryGraph.wec`` (GraphArrays gather) vs ``QueryGraph.wec_reference``
 * ``GraphArrays.loads`` vs ``QueryGraph.loads``
 * ``diffusion_solution`` (closed form) vs ``diffusion_solution_reference``
-* ``coarsen(fast=True)`` vs ``coarsen(fast=False)`` -- identical graphs
+* ``coarsen(fast=True)`` vs ``coarsen(fast=False)`` -- identical graphs,
+  compared exactly (weights, vertex order, merge steps)
 * ``CostWorkspace.attach_costs`` vs the scalar ``_attach_cost`` loop
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coarsening import coarsen
+from repro.core import coarsening
+from repro.core.coarsening import coarsen, coarsen_cached, plan_key, vertex_sig
 from repro.core.diffusion import diffusion_solution, diffusion_solution_reference
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
@@ -29,6 +32,7 @@ from repro.core.graphs import (
     qvertex_from_query,
 )
 from repro.core.mapping import _attach_cost, _positions, map_graph
+from repro.obs.registry import MetricsRegistry, set_active
 from repro.query.interest import SubstreamSpace, mask_of
 from repro.query.workload import QuerySpec
 
@@ -50,11 +54,13 @@ def ng():
     )
 
 
-def make_graph(space, ng, n, seed=0):
+def make_queries(space, n, seed=0, universe=None):
+    """``n`` random queries over the substream ids in ``universe``."""
     rng = random.Random(seed)
+    universe = range(len(space)) if universe is None else universe
     queries = []
     for i in range(n):
-        ids = rng.sample(range(len(space)), rng.randint(4, 18))
+        ids = rng.sample(universe, rng.randint(4, 18))
         mask = mask_of(ids)
         queries.append(
             QuerySpec(
@@ -67,9 +73,17 @@ def make_graph(space, ng, n, seed=0):
                 state_size=rng.uniform(1, 5),
             )
         )
+    return queries
+
+
+def graph_of(space, ng, queries):
     return build_query_graph(
         [qvertex_from_query(q, space) for q in queries], space, ng
     )
+
+
+def make_graph(space, ng, n, seed=0):
+    return graph_of(space, ng, make_queries(space, n, seed))
 
 
 def random_mapping(g, ng, seed=0):
@@ -173,32 +187,218 @@ class TestDiffusionParity:
         assert diffusion_solution_reference({"a": 3.0}, {"a": 1.0}) == {}
 
 
+def coarse_facts(cg):
+    """Everything two coarsening runs of one input must agree on, exactly.
+
+    Coarse vertex ids come from a process-wide counter, so vertices are
+    named by their member keys.
+    """
+
+    def name(vid):
+        return plan_key(cg.qverts[vid]) if vid in cg.qverts else vid
+
+    return {
+        # in vertex order; a signature starts with the member key
+        "sigs": [vertex_sig(v) for v in cg.qverts.values()],
+        "nverts": list(cg.nverts),
+        "edges": {
+            (frozenset((name(a), name(b))), w) for a, b, w in cg.edges()
+        },
+        "total_qweight": cg.total_qweight(),
+    }
+
+
+def coarsen_both(g, vmax, space, seed, **kwargs):
+    """``(fast facts, reference facts, fast graph, fast-run counters)``."""
+    reg = MetricsRegistry()
+    set_active(reg)
+    try:
+        fast_steps = []
+        fast = coarsen(g, vmax, space, rng=random.Random(seed), fast=True,
+                       steps_out=fast_steps, **kwargs)
+    finally:
+        set_active(None)
+    ref_steps = []
+    ref = coarsen(g, vmax, space, rng=random.Random(seed), fast=False,
+                  steps_out=ref_steps, **kwargs)
+    fast_facts = dict(coarse_facts(fast), steps=fast_steps)
+    ref_facts = dict(coarse_facts(ref), steps=ref_steps)
+    return fast_facts, ref_facts, fast, reg.counters
+
+
 class TestCoarseningParity:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 1000), vmax=st.integers(5, 30))
     def test_identical_partition_and_edges(self, space, ng, seed, vmax):
         g = make_graph(space, ng, 40, seed=seed % 5)
-        fast = coarsen(g, vmax, space, rng=random.Random(seed), fast=True)
-        ref = coarsen(g, vmax, space, rng=random.Random(seed), fast=False)
+        fast, ref, _, _ = coarsen_both(g, vmax, space, seed)
+        assert fast == ref
 
-        def partition(cg):
-            return sorted(
-                tuple(sorted(v.members)) for v in cg.qverts.values()
+    def test_three_or_more_passes(self, space, ng):
+        g = make_graph(space, ng, 40, seed=1)
+        vmax = len(g.nverts) + 2
+        fast, ref, cg, counters = coarsen_both(g, vmax, space, seed=11)
+        assert fast == ref
+        assert cg.vertex_count() == vmax
+        assert counters["opt.coarsen_passes"] >= 3
+        assert counters["opt.coarsen_merges"] == 40 - len(cg.qverts)
+
+    def test_vmax_cuts_a_pass_in_the_middle(self, space, ng):
+        g = make_graph(space, ng, 40, seed=2)
+        # the same first pass (same rng) matches at least 15 pairs ...
+        _, _, _, whole = coarsen_both(g, g.vertex_count() - 15, space, seed=5)
+        assert whole["opt.coarsen_passes"] == 1
+        # ... of which only the first 6 may collapse here
+        fast, ref, cg, counters = coarsen_both(
+            g, g.vertex_count() - 6, space, seed=5
+        )
+        assert fast == ref
+        assert counters["opt.coarsen_passes"] == 1
+        assert counters["opt.coarsen_merges"] == 6
+        assert len(cg.qverts) == 34
+        assert len(fast["steps"]) == 6
+
+    def test_vmax_below_nvertex_count(self, space, ng):
+        # n-vertices never merge: the loop ends when no pair is left, with
+        # the graph still above vmax
+        g = make_graph(space, ng, 40, seed=3)
+        vmax = len(g.nverts) - 2
+        fast, ref, cg, _ = coarsen_both(g, vmax, space, seed=2)
+        assert fast == ref
+        assert cg.vertex_count() > vmax
+        assert set(cg.nverts) == set(g.nverts)
+        assert all(
+            nbr not in cg.qverts
+            for vid in cg.qverts for nbr in cg.neighbors(vid)
+        )
+
+    def test_qvertex_without_qneighbour(self, space, ng):
+        queries = make_queries(space, 30, seed=4, universe=range(360))
+        mask = mask_of(range(380, 392))  # shares no substream with them
+        queries.append(replace(
+            queries[0], query_id=30, mask=mask, load=0.01 * space.rate(mask)
+        ))
+        g = graph_of(space, ng, queries)
+        loner = ("q", 30)
+        assert not any(nbr in g.qverts for nbr in g.neighbors(loner))
+        fast, ref, cg, _ = coarsen_both(g, len(g.nverts) + 2, space, seed=9)
+        assert fast == ref
+        # it can never be matched, so it survives every pass untouched
+        assert cg.qverts[loner] is g.qverts[loner]
+
+    def test_warm_replay_then_fresh_passes(self, space, ng):
+        g = make_graph(space, ng, 40, seed=4)
+        vmax = len(g.nverts) + 3
+        _, plan, _ = coarsen_cached(
+            g, vmax, space, origin="t", rng=random.Random(3)
+        )
+        runs = []
+        for fast in (True, False):
+            g2 = make_graph(space, ng, 40, seed=4)
+            for vid in list(g2.qverts)[:6]:
+                g2.qverts[vid].weight *= 3.0
+            out, plan2, reused = coarsen_cached(
+                g2, vmax, space, origin="t", rng=random.Random(3),
+                fast=fast, plan=plan, mode="partial",
             )
+            assert reused == "partial"
+            runs.append(([vertex_sig(v) for v in out], plan2.steps))
+        assert runs[0] == runs[1]
+        steps = runs[0][1]
+        assert any(s in plan.steps for s in steps)  # replayed
+        assert any(s not in plan.steps for s in steps)  # matched afresh
 
-        assert partition(fast) == partition(ref)
-        assert fast.total_qweight() == pytest.approx(ref.total_qweight())
 
-        def edge_set(cg):
-            return {
-                (frozenset((tuple(sorted(cg.qverts[a].members))
-                            if a in cg.qverts else a,
-                            tuple(sorted(cg.qverts[b].members))
-                            if b in cg.qverts else b)), round(w, 9))
-                for a, b, w in cg.edges()
+class TestCollapsePass:
+    """The mechanism behind the pass-level collapse, pinned exactly."""
+
+    def _observed_run(self, g, vmax, space, monkeypatch):
+        """Coarsen with spies on the pass function and the kernel.
+
+        Returns ``(counters, per-pass q-q edge count at merged vertices)``
+        after checking, pass by pass, which pairs the kernel was handed.
+        """
+        calls = []
+        real_rates = SubstreamSpace.overlap_rates
+
+        def spy_rates(self, idx, others):
+            others = list(others)
+            calls.append((idx, others))
+            return real_rates(self, idx, others)
+
+        incident_per_pass = []
+        real_pass = coarsening._collapse_pass
+
+        def spy_pass(work, *args):
+            before = set(work.qverts)
+            del calls[:]
+            real_pass(work, *args)
+            owner = {id(v.indices): vid for vid, v in work.qverts.items()}
+            handed = [
+                frozenset((owner[id(idx)], owner[id(o)]))
+                for idx, others in calls for o in others
+            ]
+            # (a) no unordered pair is estimated twice within the pass
+            assert len(handed) == len(set(handed))
+            incident = {
+                frozenset((vid, nbr))
+                for vid in set(work.qverts) - before
+                for nbr in work.adj[vid] if nbr in work.qverts
             }
+            # ... and the pairs are exactly the coarse edges it created
+            assert set(handed) == incident
+            incident_per_pass.append(len(incident))
 
-        assert edge_set(fast) == edge_set(ref)
+        monkeypatch.setattr(SubstreamSpace, "overlap_rates", spy_rates)
+        monkeypatch.setattr(coarsening, "_collapse_pass", spy_pass)
+        reg = MetricsRegistry()
+        set_active(reg)
+        try:
+            coarsen(g, vmax, space, rng=random.Random(8))
+        finally:
+            set_active(None)
+        return reg.counters, incident_per_pass
+
+    def test_every_coarse_edge_estimated_once_per_pass(
+        self, space, ng, monkeypatch
+    ):
+        g = make_graph(space, ng, 40, seed=0)
+        vmax = len(g.nverts) + 2
+        counters, incident = self._observed_run(g, vmax, space, monkeypatch)
+        assert len(incident) >= 3
+        assert counters["opt.coarsen_passes"] == len(incident)
+        assert counters["opt.coarsen_merges"] == 38
+        # (b) one estimate per q-q edge at a merged vertex, summed over
+        # passes -- and the same number on every run
+        assert counters["opt.coarsen_overlap_pairs"] == sum(incident)
+        again, _ = self._observed_run(g, vmax, space, monkeypatch)
+        assert again == counters
+
+    def test_scratch_mark_clean_after_return_and_after_raise(
+        self, space, ng, monkeypatch
+    ):
+        g = make_graph(space, ng, 40, seed=0)
+        vmax = len(g.nverts) + 2
+        coarsen(g, vmax, space, rng=random.Random(8))
+        assert not space._mark.any()
+
+        real_rates = SubstreamSpace.overlap_rates
+        seen = []
+
+        def failing_rates(self, idx, others):
+            seen.append(idx)
+            if len(seen) == 5:
+                # fails inside the kernel, with the probe marked
+                others = list(others) + [None]
+            return real_rates(self, idx, others)
+
+        monkeypatch.setattr(SubstreamSpace, "overlap_rates", failing_rates)
+        count = g.vertex_count()
+        with pytest.raises(AttributeError):
+            coarsen(g, vmax, space, rng=random.Random(8))
+        assert len(seen) == 5
+        assert not space._mark.any()
+        assert g.vertex_count() == count
 
 
 class TestAttachCostParity:
