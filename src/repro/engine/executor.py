@@ -12,19 +12,107 @@ path (:meth:`push_batch`, :meth:`push_query_batch`, a
 bit-identical to pushing the batch's rows through the scalar path one by
 one -- same results in the same per-query order, same CPU counters --
 and ``use_batches=False`` degrades it to exactly that scalar loop, which
-is the reference the parity tests compare against.
+is the reference the parity tests compare against.  It materialises
+late: :meth:`push_query_batch` answers with a :class:`BatchResults`
+whose result tuples are built when they are read.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..obs import registry as _obs
 from ..query.ast import Query
 from .plans import QueryPlan, compile_query
 from .tuples import StreamTuple, TupleBatch
 
-__all__ = ["Engine"]
+__all__ = ["Engine", "BatchResults"]
+
+
+class BatchResults:
+    """What one :meth:`Engine.push_query_batch` produced: one entry per
+    input row, in input order, each the row's results in scalar order.
+
+    It reads like the list of lists it stands for -- ``len()``, indexing,
+    iteration and ``==`` against one -- but the result tuples of a batch
+    are built only when an entry is iterated (once, all rows of the
+    batch together); sizes come from ``counts`` and cost nothing.  So a
+    caller that only counts results never pays for their dicts.
+    """
+
+    __slots__ = ("counts", "_rows")
+
+    def __init__(self, counts: List[int], rows):
+        #: results per input row
+        self.counts = counts
+        #: the result rows in order: a batch (``to_tuples()`` not called
+        #: yet) or, once built, the list of tuples
+        self._rows = rows
+
+    def tuples(self) -> List[StreamTuple]:
+        """Every result of the batch, in order (built on first use)."""
+        rows = self._rows
+        if not isinstance(rows, list):
+            self._rows = rows = rows.to_tuples()
+            reg = _obs.ACTIVE
+            if reg is not None:
+                reg.inc("engine.rows_materialised", len(rows))
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator["_RowResults"]:
+        start = 0
+        for count in self.counts:
+            yield _RowResults(self, start, count)
+            start += count
+
+    def __getitem__(self, i: int) -> "_RowResults":
+        counts = self.counts
+        if i < 0:
+            i += len(counts)
+        return _RowResults(self, sum(counts[:i]), counts[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (BatchResults, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None
+
+
+class _RowResults:
+    """The results of one input row of a :class:`BatchResults`: sized
+    for free, built (with the rest of its batch) when iterated."""
+
+    __slots__ = ("_batch", "_start", "_count")
+
+    def __init__(self, batch: BatchResults, start: int, count: int):
+        self._batch = batch
+        self._start = start
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[StreamTuple]:
+        if not self._count:
+            return iter(())
+        start = self._start
+        return iter(self._batch.tuples()[start:start + self._count])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_RowResults, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
 
 
 class Engine:
@@ -202,48 +290,53 @@ class Engine:
                     sink(result)
         return out
 
-    def push_query_batch(
-        self, name: str, batch: TupleBatch
-    ) -> List[List[StreamTuple]]:
+    def push_query_batch(self, name: str, batch: TupleBatch) -> BatchResults:
         """Route a batch to a single named plan; results grouped per row.
 
-        The batch counterpart of :meth:`push_query`: returns one result
-        list per input row (so the simulator can account latency and
-        proxy traffic per source tuple), calls the query's sinks in the
-        same order as row-at-a-time delivery, and does not buffer in
-        :attr:`results`.  Unknown names are a no-op.  Plans reading the
-        batch's stream through two aliases (self-joins) and engines with
+        The batch counterpart of :meth:`push_query`: returns one entry
+        per input row (so the simulator can account latency and proxy
+        traffic per source tuple), calls the query's sinks in the same
+        order as row-at-a-time delivery, and does not buffer in
+        :attr:`results`.  What is done before it returns: predicate
+        masks, the kept ``(row, partner)`` index arrays, window state and
+        every counter.  What is not: the result tuples themselves -- see
+        :class:`BatchResults`; a sink on the query builds them here.
+        Unknown names are a no-op.  Plans reading the batch's stream
+        through two aliases (self-joins) and engines with
         ``use_batches=False`` fall back to the scalar path row by row --
         output and counters are identical either way.
         """
         plan = self.plans.get(name)
-        if plan is None:
-            return [[] for _ in range(batch.n)]
-        aliases = [
+        aliases = () if plan is None else [
             b.alias for b in plan.query.bindings if b.stream == batch.stream
         ]
         if not aliases:
-            return [[] for _ in range(batch.n)]
-        sinks = self._sinks.get(name, ())
-        per_row: List[List[StreamTuple]]
+            return BatchResults([0] * batch.n, [])
         if self.use_batches and len(aliases) == 1:
             results, row_index = plan.push_batch(aliases[0], batch)
-            tuples = results.to_tuples()
-            per_row = [[] for _ in range(batch.n)]
-            for result, row in zip(tuples, row_index.tolist()):
-                per_row[row].append(result)
+            # result rows are in input-row order: a row's results are one
+            # contiguous run of them
+            counts = (
+                [results.n]
+                if batch.n == 1
+                else np.bincount(row_index, minlength=batch.n).tolist()
+            )
+            out = BatchResults(counts, results)
         else:
-            per_row = []
+            counts = []
+            tuples: List[StreamTuple] = []
             for t in batch.to_tuples():
-                row_out: List[StreamTuple] = []
+                before = len(tuples)
                 for alias in aliases:
-                    row_out.extend(plan.push(alias, t))
-                per_row.append(row_out)
-        for row_out in per_row:
-            for result in row_out:
+                    tuples.extend(plan.push(alias, t))
+                counts.append(len(tuples) - before)
+            out = BatchResults(counts, tuples)
+        sinks = self._sinks.get(name)
+        if sinks:
+            for result in out.tuples():
                 for sink in sinks:
                     sink(result)
-        return per_row
+        return out
 
     def run(self, tuples: Sequence[StreamTuple]) -> Dict[str, List[StreamTuple]]:
         """Push a whole trace (must be timestamp-ordered per stream)."""

@@ -22,12 +22,13 @@ attributes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..query.ast import AttrRef, Comparison, Literal, Window
-from .tuples import StreamTuple, TupleBatch
+from .tuples import DeferredBatch, StreamTuple, TupleBatch
 from .windows import ColumnWindow, SlidingWindow
 
 __all__ = [
@@ -260,13 +261,23 @@ class Project(Operator):
         stream = self.out_stream or t.stream
         return [StreamTuple(stream, values)]
 
-    def process_batch(self, batch: TupleBatch) -> Tuple[TupleBatch, np.ndarray]:
-        """Column selection; rows map 1:1 to the input."""
+    def process_batch(self, batch):
+        """Column selection; rows map 1:1 to the input.
+
+        Works on a :class:`~repro.engine.tuples.DeferredBatch` as well:
+        which columns survive is decided here, from the projection as it
+        is now, whenever the columns are gathered.
+        """
         self.inspected += batch.n
         out = batch if self.attributes is None else batch.select_columns(self._keeps)
         if self.out_stream:
             out = out.with_stream(self.out_stream)
         return out, np.arange(batch.n)
+
+
+def _lag(ts, rows, partner_ts, partners) -> np.ndarray:
+    """Per pair: the probing row's timestamp minus its partner's."""
+    return ts[rows] - partner_ts[partners]
 
 
 class WindowJoin(Operator):
@@ -296,6 +307,16 @@ class WindowJoin(Operator):
         self.left_cols: Optional[ColumnWindow] = None
         self.right_cols: Optional[ColumnWindow] = None
         self.predicates = list(predicates)
+        #: the qualified attributes the predicates read -- all a batch
+        #: probe gathers before it knows which pairs survive
+        self._probe_attrs = sorted(
+            {
+                str(operand)
+                for c in self.predicates
+                for operand in (c.left, c.right)
+                if not isinstance(operand, Literal)
+            }
+        )
         self.out_stream = out_stream
         self.inspected = 0
 
@@ -380,15 +401,19 @@ class WindowJoin(Operator):
 
     def process_batch_side(
         self, alias: str, batch: TupleBatch
-    ) -> Tuple[TupleBatch, np.ndarray]:
+    ) -> Tuple[DeferredBatch, np.ndarray]:
         """Batch insert + probe; bit-identical to per-tuple process_side.
 
-        Returns the joined (predicate-filtered) output batch plus the
-        input-row index of each output row.  Candidate pairs are built
-        from one ``searchsorted`` over the partner window's timestamps
-        per batch (row windows probe the full extent, exactly like the
-        scalar path), and ``inspected`` counts every candidate pair, so
-        CPU accounting matches the scalar counters.
+        Returns the joined (predicate-filtered) output plus the input-row
+        index of each output row.  Candidate pairs are built from one
+        ``searchsorted`` over the partner window's timestamps per batch
+        (row windows probe the full extent, exactly like the scalar
+        path), and ``inspected`` counts every candidate pair, so CPU
+        accounting matches the scalar counters.  Only the columns the
+        predicates read are gathered for the candidates; the output is a
+        :class:`~repro.engine.tuples.DeferredBatch` over the kept
+        ``(row, partner)`` index arrays, so its row count is known and
+        its columns cost nothing until somebody reads them.
         """
         side, own_alias, other_alias = self._sides(alias)
         if len(self.left_window) or len(self.right_window):
@@ -406,7 +431,7 @@ class WindowJoin(Operator):
         )
         n = batch.n
         if n == 0:
-            return TupleBatch.empty(self.out_stream), np.arange(0)
+            return DeferredBatch(self.out_stream, {}, 0), np.arange(0)
         ts = batch.timestamps
         own.append_batch(batch)
 
@@ -415,9 +440,7 @@ class WindowJoin(Operator):
         if other.spec.rows is not None:
             starts = np.zeros(n, dtype=np.int64)
         else:
-            starts = np.searchsorted(
-                other_ts, ts - other.spec.seconds, side="left"
-            )
+            starts = other_ts.searchsorted(ts - other.spec.seconds, side="left")
         counts = m - starts
         total = int(counts.sum())
         self.inspected += total
@@ -426,40 +449,75 @@ class WindowJoin(Operator):
         if total == 0:
             if other.spec.rows is None:
                 other.evict(other_final_ts)
-            return TupleBatch.empty(self.out_stream), np.arange(0)
+            return DeferredBatch(self.out_stream, {}, 0), np.arange(0)
 
-        row_idx = np.repeat(np.arange(n), counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        partner_idx = (
-            np.arange(total) - offsets[row_idx] + starts[row_idx]
+        # partner positions are taken in the window's backing arrays, not
+        # in its live extent: they stay valid after the extent moves on
+        first, other_buf_ts, other_cols = other.buffers()
+        if n == 1:
+            # one probing row (the usual simulator delivery): its
+            # candidates are one contiguous run
+            row_idx = np.zeros(total, dtype=np.int64)
+            partner_idx = np.arange(first + m - total, first + m)
+        else:
+            row_idx = np.repeat(np.arange(n), counts)
+            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            partner_idx = (
+                np.arange(total) - offsets[row_idx] + (starts + first)[row_idx]
+            )
+
+        # an output column is ``array[index]`` over the pairs' input rows
+        # (True) or their partners' positions (False).  Insertion order is
+        # the output's column order and a repeated name keeps its first
+        # place; the two lags are computed, not gathered, so their
+        # entries only hold that place
+        own_lag = f"{own_alias}.timestamp_lag"
+        other_lag = f"{other_alias}.timestamp_lag"
+        gathers: Dict[str, Tuple[np.ndarray, Optional[np.ndarray], bool]] = {}
+        for k, col in batch.columns.items():
+            gathers[f"{own_alias}.{k}"] = (col, batch.present.get(k), True)
+        for k, col, mask in other_cols:
+            gathers[f"{other_alias}.{k}"] = (col, mask, False)
+        gathers["timestamp"] = gathers[own_lag] = gathers[other_lag] = (
+            ts, None, True
         )
 
+        # eager, over every candidate pair: what the predicates read
         cols: Dict[str, np.ndarray] = {}
         present: Dict[str, np.ndarray] = {}
-        for k, col in batch.columns.items():
-            cols[f"{own_alias}.{k}"] = col[row_idx]
-            mask = batch.present.get(k)
-            if mask is not None:
-                present[f"{own_alias}.{k}"] = mask[row_idx]
-        for k in other.attributes():
-            cols[f"{other_alias}.{k}"] = other.column(k)[partner_idx]
-            mask = other.presence(k)
-            if mask is not None:
-                present[f"{other_alias}.{k}"] = mask[partner_idx]
-        pair_ts = ts[row_idx]
-        cols["timestamp"] = pair_ts
-        cols[f"{own_alias}.timestamp_lag"] = np.zeros(total, dtype=np.float64)
-        cols[f"{other_alias}.timestamp_lag"] = pair_ts - other_ts[partner_idx]
-
+        for name in self._probe_attrs:
+            if name == own_lag:
+                cols[name] = np.zeros(total, dtype=np.float64)
+            elif name == other_lag:
+                cols[name] = _lag(ts, row_idx, other_buf_ts, partner_idx)
+            elif name in gathers:
+                col, mask, own_side = gathers[name]
+                idx = row_idx if own_side else partner_idx
+                cols[name] = col[idx]
+                if mask is not None:
+                    present[name] = mask[idx]
         keep = evaluate_predicates_batch(
             self.predicates, cols, total, present
         )
-        out = TupleBatch(self.out_stream, cols, total, present or None).filter(
-            keep
-        )
         if other.spec.rows is None:
             other.evict(other_final_ts)
-        return out, row_idx[keep]
+
+        # deferred, over the kept pairs: every column, gathered on demand
+        rows = row_idx[keep]
+        partners = partner_idx[keep]
+        out_cols: Dict[str, Callable[[], np.ndarray]] = {}
+        out_present: Dict[str, Callable[[], np.ndarray]] = {}
+        for name, (col, mask, own_side) in gathers.items():
+            idx = rows if own_side else partners
+            out_cols[name] = partial(col.__getitem__, idx)
+            if mask is not None:
+                out_present[name] = partial(mask.__getitem__, idx)
+        out_cols[own_lag] = partial(np.zeros, len(rows), dtype=np.float64)
+        out_cols[other_lag] = partial(_lag, ts, rows, other_buf_ts, partners)
+        return (
+            DeferredBatch(self.out_stream, out_cols, len(rows), out_present),
+            rows,
+        )
 
     def process(self, t: StreamTuple) -> List[StreamTuple]:
         """Unsupported: a join needs to know which side ``t`` arrives on."""

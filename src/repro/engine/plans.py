@@ -8,13 +8,13 @@ returns result tuples named after the query's result stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..query.ast import AttrRef, Query
 from .operators import Project, Select, WindowJoin
-from .tuples import StreamTuple, TupleBatch
+from .tuples import DeferredBatch, StreamTuple, TupleBatch
 
 __all__ = ["QueryPlan", "compile_query"]
 
@@ -62,14 +62,16 @@ class QueryPlan:
 
     def push_batch(
         self, alias: str, batch: TupleBatch
-    ) -> Tuple[TupleBatch, np.ndarray]:
+    ) -> Tuple[Union[TupleBatch, DeferredBatch], np.ndarray]:
         """Feed a batch of input tuples on ``alias``; columnar fast path.
 
         Returns the result batch plus an index array mapping each result
         row to the input row that produced it (non-decreasing).  Output
         rows, their order, and every operator's ``inspected`` counter are
         bit-identical to pushing the rows one at a time through
-        :meth:`push`.
+        :meth:`push`.  A join plan's result batch is deferred (row count
+        and column names known, columns gathered by ``to_tuples()``), with
+        the projection of *this* push already applied.
         """
         if alias not in self.selects:
             raise KeyError(f"query {self.query.name!r} has no input {alias!r}")

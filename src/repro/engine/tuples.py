@@ -1,6 +1,8 @@
 """Stream tuples, schemas, and columnar tuple batches.
 
-Two representations of stream data coexist:
+Two representations of stream data coexist (a third,
+:class:`DeferredBatch`, is a :class:`TupleBatch` that has not been
+gathered yet):
 
 * :class:`StreamTuple` -- one row as a ``dict`` (the scalar reference
   path, unchanged semantics since the seed);
@@ -16,11 +18,21 @@ Two representations of stream data coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-__all__ = ["Schema", "StreamTuple", "TupleBatch"]
+__all__ = ["Schema", "StreamTuple", "TupleBatch", "DeferredBatch"]
 
 
 @dataclass(frozen=True)
@@ -133,13 +145,28 @@ class TupleBatch:
     ) -> "TupleBatch":
         """Columnarise tuples (all of ``stream``); order is preserved."""
         n = len(tuples)
-        cols: Dict[str, List[Any]] = {}
-        ragged = set()  # columns some row does not carry
-        for i, t in enumerate(tuples):
+        for t in tuples:
             if t.stream != stream:
                 raise ValueError(
                     f"tuple of stream {t.stream!r} in a {stream!r} batch"
                 )
+        if n:
+            # rows that all carry the first row's attributes (every source
+            # batch of the simulator) need no presence bookkeeping
+            first = tuples[0].values
+            keys = first.keys()
+            if all(t.values.keys() == keys for t in tuples):
+                return cls(
+                    stream,
+                    {
+                        k: _column_array([t.values[k] for t in tuples])
+                        for k in first
+                    },
+                    n,
+                )
+        cols: Dict[str, List[Any]] = {}
+        ragged = set()  # columns some row does not carry
+        for i, t in enumerate(tuples):
             for k, v in t.values.items():
                 col = cols.get(k)
                 if col is None:
@@ -278,3 +305,56 @@ class TupleBatch:
             f"TupleBatch({self.stream!r}, n={self.n}, "
             f"columns={sorted(self.columns)})"
         )
+
+
+class DeferredBatch:
+    """``n`` rows of one stream whose columns have not been gathered yet.
+
+    ``columns`` and ``present`` map attribute names to zero-argument
+    callables returning what the same-named :class:`TupleBatch` entries
+    hold.  The row count and the attribute names are known at once, so a
+    consumer that only counts rows pays for nothing else, and projection
+    is still column selection; :meth:`batch` calls the thunks.  A join
+    probe builds its output this way (``array[index]`` gathers over the
+    kept pairs): the thunks hold arrays, never a window, so the rows
+    they describe do not change when the window later moves on.
+    """
+
+    __slots__ = ("stream", "columns", "present", "n")
+
+    def __init__(
+        self,
+        stream: str,
+        columns: Dict[str, Callable[[], np.ndarray]],
+        n: int,
+        present: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
+    ):
+        self.stream = stream
+        self.columns = columns
+        self.present = present or {}
+        self.n = n
+
+    def with_stream(self, stream: str) -> "DeferredBatch":
+        """Same rows under another stream name."""
+        if stream == self.stream:
+            return self
+        return DeferredBatch(stream, self.columns, self.n, self.present)
+
+    def select_columns(self, keep) -> "DeferredBatch":
+        """Only the columns accepted by predicate ``keep``, decided now."""
+        cols = {k: c for k, c in self.columns.items() if keep(k)}
+        present = {k: m for k, m in self.present.items() if k in cols}
+        return DeferredBatch(self.stream, cols, self.n, present)
+
+    def batch(self) -> TupleBatch:
+        """Gather the columns."""
+        return TupleBatch(
+            self.stream,
+            {k: col() for k, col in self.columns.items()},
+            self.n,
+            {k: mask() for k, mask in self.present.items()} or None,
+        )
+
+    def to_tuples(self) -> List[StreamTuple]:
+        """The rows as :class:`StreamTuple`\\ s (see :meth:`TupleBatch.to_tuples`)."""
+        return self.batch().to_tuples()

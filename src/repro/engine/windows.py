@@ -18,7 +18,7 @@ Two implementations share those semantics:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -132,6 +132,26 @@ class ColumnWindow:
 
     def attributes(self) -> List[str]:
         return list(self._cols)
+
+    def buffers(
+        self,
+    ) -> Tuple[int, np.ndarray, List[Tuple[str, np.ndarray, Optional[np.ndarray]]]]:
+        """``(first, timestamps, [(name, column, presence or None)])``:
+        the backing arrays themselves and the position of the live
+        extent's first row in them.
+
+        A snapshot that outlives the extent: appends write past ``_end``,
+        eviction only advances ``_start``, and growing, demoting a column
+        to ``object`` or adding a presence mask all allocate *new*
+        arrays, so rows ``first .. _end`` of the arrays returned here are
+        never written again.
+        """
+        present = self._present
+        return (
+            self._start,
+            self._ts,
+            [(k, col, present.get(k)) for k, col in self._cols.items()],
+        )
 
     def clone(self) -> "ColumnWindow":
         """An independent copy of the columnar state, capacity included,

@@ -241,6 +241,16 @@ class ForwardingIndex:
         matched.sort()
         return matched
 
+    def attribute_filtered(self, stream: str) -> Optional[Subscription]:
+        """A subscription of ``stream`` constraining some attribute (the
+        oldest such entry), or ``None`` when the bucket matches on the
+        stream alone."""
+        bucket = self._streams.get(stream)
+        if bucket is None or not bucket.attrs:
+            return None
+        eid = min(bucket.members - bucket.unconstrained, default=None)
+        return None if eid is None else self._entries[eid].sub
+
     def local_matches(self, event: Event) -> List[Subscription]:
         """Matching LOCAL subscriptions in subscription-list order,
         without building the per-interface structures of :meth:`match`."""

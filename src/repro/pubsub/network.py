@@ -23,7 +23,7 @@ next to the optimizer's WEC estimate.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..topology.overlay import OverlayTree
 from .broker import Broker
@@ -36,6 +36,17 @@ __all__ = ["PubSubNetwork"]
 
 def _edge(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+class _BatchRoute(NamedTuple):
+    """Where an attribute-free event of one stream goes from one source."""
+
+    #: (broker, its matching LOCAL subscriptions), in delivery order
+    local: List[Tuple[Broker, List[Subscription]]]
+    #: the overlay links crossed, each once (normalised pairs)
+    edges: List[Tuple[int, int]]
+    #: brokers reached = forwarding-table probes of the walk
+    probes: int
 
 
 class PubSubNetwork:
@@ -72,9 +83,16 @@ class PubSubNetwork:
         #: (u, v) -> (edge list, latency ms) memo for :meth:`account_path`
         self._path_cache: Dict[Tuple[int, int], Tuple[list, float]] = {}
         #: control-plane version: bumped by every subscribe / unsubscribe /
-        #: advertise / unadvertise, so callers can memoise routing-derived
-        #: state and invalidate it exactly when tables may have changed
+        #: advertise / unadvertise, broker reset and link partition / heal,
+        #: so callers can memoise routing-derived state and invalidate it
+        #: exactly when tables or reachability may have changed
         self.version = 0
+        #: sub_id -> every stream a declaration of it has named (a
+        #: superset of the streams its table entries can match on)
+        self._sub_streams: Dict[int, FrozenSet[str]] = {}
+        #: stream -> source -> memoised :meth:`publish_batch` route; a
+        #: control-plane change drops the streams it names (:meth:`_changed`)
+        self._batch_routes: Dict[str, Dict[int, _BatchRoute]] = {}
         #: optional :class:`repro.obs.Observer`; when set, its metrics
         #: registry receives broker-level counters (probes, forwards,
         #: suppressions, repairs).  Reads only -- never affects routing.
@@ -85,7 +103,7 @@ class PubSubNetwork:
     # ------------------------------------------------------------------
     def advertise(self, source: int, adv: Advertisement, size: float = 1.0) -> None:
         """Flood ``adv`` from ``source`` over the whole tree."""
-        self.version += 1
+        self._changed((adv.stream,))
         obs = self.observer
         if obs is not None and obs.registry is not None:
             obs.registry.inc("broker.advertisements")
@@ -121,7 +139,9 @@ class PubSubNetwork:
         migration rounds) repair such holes by re-subscribing with
         ``force=True``; the call is idempotent.
         """
-        self.version += 1
+        streams = self._sub_streams.get(sub.sub_id, sub.streams) | sub.streams
+        self._sub_streams[sub.sub_id] = streams
+        self._changed(streams)
         obs = self.observer
         if obs is not None and obs.registry is not None:
             obs.registry.inc("broker.subscribes")
@@ -158,7 +178,7 @@ class PubSubNetwork:
 
     def unsubscribe(self, sub_id: int) -> None:
         """Remove a subscription everywhere (tree-wide)."""
-        self.version += 1
+        self._changed(self._sub_streams.pop(sub_id, ()))
         self._subscriber_node.pop(sub_id, None)
         for broker in self.brokers.values():
             broker.table.remove_subscription(sub_id)
@@ -175,8 +195,8 @@ class PubSubNetwork:
         old advertiser keep their entries and are repaired by the
         caller's ``subscribe(..., force=True)`` pass.
         """
-        self.version += 1
-        self._advertiser.pop(adv_id, None)
+        known = self._advertiser.pop(adv_id, None)
+        self._changed(() if known is None else (known[1].stream,))
         for broker in self.brokers.values():
             broker.table.remove_advertisement(adv_id)
 
@@ -215,7 +235,7 @@ class PubSubNetwork:
         ``force=True`` pass); deliveries whose path crosses it silently
         stop in the meantime -- a restarted broker with empty tables.
         """
-        self.version += 1
+        self._changed(None)
         self._broker(node).table.clear()
 
     def reflood_advertisements(self, size: float = 1.0) -> None:
@@ -235,11 +255,29 @@ class PubSubNetwork:
         """Partition one overlay link: events stop crossing it."""
         if v not in self.tree.neighbors(u):
             raise ValueError(f"({u}, {v}) is not an overlay link")
+        self._changed(None)
         self.down_links.add(_edge(u, v))
 
     def set_link_up(self, u: int, v: int) -> None:
         """Heal a partitioned link."""
+        self._changed(None)
         self.down_links.discard(_edge(u, v))
+
+    def _changed(self, streams: Optional[Iterable[str]]) -> None:
+        """Note a control-plane change that can alter how events of
+        ``streams`` are forwarded (``None``: of any stream).
+
+        Table entries match on the streams their subscription names, and
+        covering only ever prunes entries whose streams the new
+        subscription names too, so a subscription change leaves every
+        other stream's forwarding -- and its memoised route -- as it was.
+        """
+        self.version += 1
+        if streams is None:
+            self._batch_routes.clear()
+        else:
+            for stream in streams:
+                self._batch_routes.pop(stream, None)
 
     def path_is_up(self, u: int, v: int) -> bool:
         """Whether the overlay path ``u`` -> ``v`` avoids down links."""
@@ -256,44 +294,64 @@ class PubSubNetwork:
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def publish(self, source: int, event: Event) -> List[Tuple[int, Event, Subscription]]:
-        """Route ``event`` from ``source``; returns local deliveries.
+    def _walk(
+        self, source: int, event: Event
+    ) -> Iterator[Tuple[Broker, Event, List[Subscription], List[Tuple[int, Event]]]]:
+        """Disseminate ``event`` from ``source``, breadth first.
 
-        Each returned triple is ``(node, projected_event, subscription)``.
-        Each dissemination hop matches the event against the broker's
-        table exactly once (:meth:`RoutingTable.match_event`) -- one index
-        probe (or one reference scan) yields the local deliveries, the
-        forwarding set *and* the per-link projections.  Neighbour links
-        are walked in sorted order so delivery order is identical on the
-        indexed and reference paths.
+        Yields, per broker reached: the broker, the event as it arrived
+        there, the LOCAL subscriptions it matches and the
+        ``(neighbour, event as forwarded)`` hops it takes from there.
+        Each hop matches the event against the broker's table exactly
+        once (:meth:`RoutingTable.match_event`) -- one index probe (or
+        one reference scan) yields the local deliveries, the forwarding
+        set *and* the per-link projections.  Neighbour links are walked
+        in sorted order so delivery order is identical on the indexed
+        and reference paths; a partitioned link loses the event.
         """
-        deliveries: List[Tuple[int, Event, Subscription]] = []
-        probes = 0
-        forwards = 0
         queue = deque([(source, None, event)])
         while queue:
             node, arrived_via, ev = queue.popleft()
             broker = self._broker(node)
             match = broker.table.match_event(ev, arrived_via)
-            probes += 1
-            for projected, sub in broker.deliver_matched(ev, match.local):
-                deliveries.append((node, projected, sub))
+            hops = []
             for nbr in match.forward_order(LOCAL):
                 assert isinstance(nbr, int)
                 if self.down_links and _edge(node, nbr) in self.down_links:
                     continue  # partitioned: the event is lost, no bytes
                 needed = match.needed[nbr]
                 forwarded = ev if needed is None else ev.project(needed)
-                self._account(self.link_bytes, node, nbr, forwarded.size)
+                hops.append((nbr, forwarded))
                 queue.append((nbr, node, forwarded))
-                forwards += 1
+            yield broker, ev, match.local, hops
+
+    def publish(self, source: int, event: Event) -> List[Tuple[int, Event, Subscription]]:
+        """Route ``event`` from ``source``; returns local deliveries.
+
+        Each returned triple is ``(node, projected_event, subscription)``;
+        every link crossed is charged the size of the event as forwarded
+        over it (see :meth:`_walk`).
+        """
+        deliveries: List[Tuple[int, Event, Subscription]] = []
+        probes = 0
+        forwards = 0
+        for broker, ev, local, hops in self._walk(source, event):
+            probes += 1
+            for projected, sub in broker.deliver_matched(ev, local):
+                deliveries.append((broker.node, projected, sub))
+            for nbr, forwarded in hops:
+                self._account(self.link_bytes, broker.node, nbr, forwarded.size)
+            forwards += len(hops)
+        self._count_dissemination(probes, forwards, len(deliveries))
+        return deliveries
+
+    def _count_dissemination(self, probes: int, forwards: int, delivered: int) -> None:
         obs = self.observer
         if obs is not None and obs.registry is not None:
             reg = obs.registry
             reg.inc("broker.index_probes", probes)
             reg.inc("broker.forwards", forwards)
-            reg.inc("broker.local_deliveries", len(deliveries))
-        return deliveries
+            reg.inc("broker.local_deliveries", delivered)
 
     def publish_batch(
         self, source: int, stream: str, rows: int
@@ -301,24 +359,77 @@ class PubSubNetwork:
         """Route a coalesced batch of ``rows`` same-stream events at once.
 
         One representative event of size ``rows`` crosses the overlay, so
-        each dissemination hop probes the forwarding index (or reference
-        scan) once per *batch* instead of once per tuple, while per-link
-        traffic is still accounted per row (``size = rows``).
+        each dissemination hop is decided once per *batch* instead of
+        once per tuple, while per-link traffic is still accounted per row
+        (``size = rows``).
 
-        The representative carries no per-row attributes, so matching is
-        decided by the stream alone: correct whenever the installed
-        subscriptions for ``stream`` are attribute-insensitive (true for
-        the simulator's per-query stream subscriptions -- content filters
-        there live inside the engines, not the network).  Callers mixing
-        batch publishing with attribute-filtered subscriptions would
-        diverge from per-tuple publishing; the sim parity suite pins the
-        supported behaviour.
+        The representative carries no per-row attributes, so where it
+        goes is decided by the stream alone -- and does not change until
+        a control-plane call names the stream, resets a broker or moves
+        a link.  The route (deliveries, links crossed, probes) is
+        therefore memoised per ``(stream, source)``; a memoised call
+        charges ``rows`` on each remembered link, delivers through the
+        same brokers in the same order and reports the same counters as
+        the walk it stands for.
+
+        This is only meaningful while the subscriptions of ``stream`` are
+        attribute-insensitive (true for the simulator's per-query stream
+        subscriptions -- content filters there live inside the engines,
+        not the network): an attribute-filtered one would be skipped for
+        the whole batch where per-tuple publishing delivers the rows it
+        accepts.  The walk that fills the memo checks every broker it
+        reaches and raises ``ValueError`` naming such a subscription.
         """
+        routes = self._batch_routes.get(stream)
+        route = None if routes is None else routes.get(source)
         obs = self.observer
-        if obs is not None and obs.registry is not None:
-            obs.registry.observe("broker.batch_rows", float(rows))
-        event = Event(stream=stream, attributes={}, size=float(rows))
-        return self.publish(source, event)
+        reg = None if obs is None else obs.registry
+        if reg is not None:
+            reg.observe("broker.batch_rows", float(rows))
+            reg.inc(
+                "broker.route_memo_misses"
+                if route is None
+                else "broker.route_memo_hits"
+            )
+        if route is None:
+            route = self._batch_route(source, stream)
+            self._batch_routes.setdefault(stream, {})[source] = route
+        size = float(rows)
+        event = Event(stream=stream, attributes={}, size=size)
+        book = self.link_bytes
+        for edge in route.edges:
+            book[edge] = book.get(edge, 0.0) + size
+        deliveries = [
+            (broker.node, projected, sub)
+            for broker, local in route.local
+            for projected, sub in broker.deliver_matched(event, local)
+        ]
+        self._count_dissemination(
+            route.probes, len(route.edges), len(deliveries)
+        )
+        return deliveries
+
+    def _batch_route(self, source: int, stream: str) -> _BatchRoute:
+        """Walk an attribute-free ``stream`` event from ``source`` without
+        delivering or charging anything; see :meth:`publish_batch`."""
+        local: List[Tuple[Broker, List[Subscription]]] = []
+        edges: List[Tuple[int, int]] = []
+        probes = 0
+        for broker, _ev, matched, hops in self._walk(
+            source, Event(stream=stream, attributes={})
+        ):
+            probes += 1
+            filtered = broker.table.attribute_filtered(stream)
+            if filtered is not None:
+                raise ValueError(
+                    f"publish_batch({stream!r}): subscription "
+                    f"{filtered.sub_id} ({filtered}) at broker {broker.node} "
+                    "filters on attributes; publish its stream per tuple"
+                )
+            if matched:
+                local.append((broker, matched))
+            edges.extend(_edge(broker.node, nbr) for nbr, _fwd in hops)
+        return _BatchRoute(local, edges, probes)
 
     def publish_rate(self, source: int, event: Event, rate: float) -> int:
         """Account traffic for a *stream* of events shaped like ``event``.

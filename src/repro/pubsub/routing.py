@@ -237,6 +237,18 @@ class RoutingTable:
             out.needed[iface] = needed
         return out
 
+    def attribute_filtered(self, stream: str) -> Optional[Subscription]:
+        """An entry (any interface) that requests ``stream`` and whose
+        filter constrains some attribute, or ``None``: whether matching
+        an event of ``stream`` here can depend on its attributes."""
+        if self._index is not None:
+            return self._index.attribute_filtered(stream)
+        for entries in list(self.subscriptions.values()):
+            for sub in entries:
+                if stream in sub.streams and not sub.filter.is_true():
+                    return sub
+        return None
+
     def forwarding_interfaces(
         self, event: Event, arrived_via: Optional[Interface] = None
     ) -> Set[Interface]:

@@ -52,7 +52,9 @@ inter-arrival coalesce into a single
 forwarding probe per hop per batch, link bytes accounted per row), and
 released rows reach the engines as
 :class:`~repro.engine.tuples.TupleBatch`\\ es through one drain event
-per batch instead of one release event per tuple.  Emission events stay
+per batch instead of one release event per tuple; what comes back is
+result *counts* per input row, and the unshared plane accounts from
+those without ever building a result tuple.  Emission events stay
 per-tuple (the rng draw order defines the workload), every
 control-plane event (churn, migration rounds, hot spots, sampling)
 flushes the coalescing buffers first, and per-query deliveries stay in
@@ -1411,10 +1413,15 @@ class SimCluster:
         self,
         unit: _Unit,
         tup: StreamTuple,
-        results: List[StreamTuple],
+        results,
         at: float,
     ) -> None:
-        """Account one delivered tuple's results (latency, proxy traffic)."""
+        """Account one delivered tuple's results (latency, proxy traffic).
+
+        ``results`` is sized and iterable: a list from the scalar push, or
+        one entry of a :class:`~repro.engine.executor.BatchResults`, whose
+        tuples are built only if something below iterates it.
+        """
         obs = self.obs
         span = None
         if obs is not None and obs.spans is not None:
@@ -1433,28 +1440,38 @@ class SimCluster:
 
     def _sink_results(self, unit, tup, results, at, span) -> None:
         """Unshared accounting: every result belongs to the unit's one
-        query and travels host -> proxy as one transfer."""
+        query and travels host -> proxy as one transfer.
+
+        Only the *number* of results is needed (all share one latency),
+        so nothing here reads a result: the rows stay unbuilt unless the
+        run records them.
+        """
         qs = self.queries[unit.all_members[0]]
         proxy = qs.simq.spec.proxy
+        count = len(results)
         proxy_ms = 0.0
         if unit.host != proxy:
             proxy_ms = self.network.account_path(
-                unit.host, proxy, float(len(results))
+                unit.host, proxy, float(count)
             )
         latency = (at - tup.timestamp) + proxy_ms / 1000.0
         if span is not None:
             span.hop(
                 "sink", at, query=qs.simq.query_id, proxy=proxy,
-                results=len(results), latency=round(latency, 9),
+                results=count, latency=round(latency, 9),
             )
-        for r in results:
-            self._interval_results += 1
-            qs.lat_sum += latency
-            if latency > qs.lat_max:
-                qs.lat_max = latency
-            self.results_total += 1
-            if self.record:
-                qs.results.append(r)
+        # one addition per result, in order: the sum's bits are those of
+        # accounting the results one at a time
+        lat_sum = qs.lat_sum
+        for _ in range(count):
+            lat_sum += latency
+        qs.lat_sum = lat_sum
+        if latency > qs.lat_max:
+            qs.lat_max = latency
+        self._interval_results += count
+        self.results_total += count
+        if self.record:
+            qs.results.extend(results)
 
     def _carve_results(self, unit, tup, results, at, span) -> None:
         """Shared accounting: publish a merged plan's results; members
