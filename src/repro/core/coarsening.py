@@ -34,7 +34,7 @@ import numpy as np
 
 from ..obs import registry as _obs
 from ..query.interest import SubstreamSpace
-from .graphs import QueryGraph, QVertex, VertexId, _add_overlap_edges
+from .graphs import QueryGraph, QVertex, VertexId, _estimate_edges
 
 __all__ = [
     "CoarsePlan",
@@ -140,21 +140,12 @@ def rebuild_edges(
 ) -> None:
     """Re-estimate all edges of ``g`` from vertex aggregate state.
 
-    q-n edges come from the vertices' rate maps; q-q overlap edges from
-    interest-mask AND (the paper's bit-vector estimation).
+    q-n edges come from the vertices' rate maps (nodes ``g`` tracks no
+    n-vertex for are skipped); q-q overlap edges from interest-mask AND
+    (the paper's bit-vector estimation).  The new edge set is estimated
+    first and swapped in as one journal step.
     """
-    g.clear_edges()
-    qlist = list(g.qverts.values())
-    for qv in qlist:
-        for node, rate in qv.source_rates.items():
-            nvid = ("n", node)
-            if nvid in g.nverts:
-                g.add_edge(qv.vid, nvid, rate)
-        for node, rate in qv.proxy_rates.items():
-            nvid = ("n", node)
-            if nvid in g.nverts:
-                g.add_edge(qv.vid, nvid, rate)
-    _add_overlap_edges(g, qlist, space, max_overlap_neighbors)
+    g._replace_edges(*_estimate_edges(g, space, max_overlap_neighbors))
 
 
 class _WorkGraph:
@@ -178,16 +169,24 @@ class _WorkGraph:
 
     def to_query_graph(self) -> QueryGraph:
         out = QueryGraph()
-        for qv in self.qverts.values():
-            out.add_qvertex(qv)
-        for nv in self.nverts.values():
-            out.add_nvertex(nv)
-        done = set()
-        for a, nbrs in self.adj.items():
+        out._install_vertices(self.qverts.values(), self.nverts.values())
+        # every edge once, from whichever endpoint ``adj`` lists first; a
+        # mixed edge is stored q endpoint first, as ``set_edge`` would
+        vids = list(self.adj)
+        index = {vid: i for i, vid in enumerate(vids)}
+        qverts = self.qverts
+        heads: List[int] = []
+        tails: List[int] = []
+        weights: List[float] = []
+        for i, (a, nbrs) in enumerate(self.adj.items()):
             for b, w in nbrs.items():
-                if b not in done:
-                    out.set_edge(a, b, w)
-            done.add(a)
+                j = index[b]
+                if j > i and w > 0:
+                    q_first = a in qverts or b not in qverts
+                    heads.append(i if q_first else j)
+                    tails.append(j if q_first else i)
+                    weights.append(w)
+        out._install_edges(vids, heads, tails, weights)
         return out
 
 

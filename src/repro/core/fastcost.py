@@ -238,10 +238,15 @@ class CostWorkspace:
         if idx.size == 0:
             return np.zeros(len(self.targets))
         p = self.pos[idx]
-        mask = p >= 0
-        if not mask.any():
+        placed = p >= 0
+        n_placed = np.count_nonzero(placed)
+        if n_placed == 0:
             return np.zeros(len(self.targets))
-        return self.rows[:, p[mask]] @ w[mask]
+        if n_placed < p.size:
+            # rare: in the optimizer's loops every neighbour is placed, and
+            # the masked copies would equal ``p`` and ``w`` themselves
+            p, w = p[placed], w[placed]
+        return self.rows[:, p] @ w
 
     def attach_costs_batch(self, vids: Sequence[VertexId]) -> np.ndarray:
         """Attach-cost rows for many vertices in one vectorised pass.

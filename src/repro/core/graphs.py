@@ -28,6 +28,11 @@ the journal since their last sync instead of rebuilding from scratch.
 behaves exactly like the historical rebuild-on-mutation implementation,
 which is kept as the bit-parity reference (same pattern as
 ``wec_reference``).
+
+Construction is the exception: :func:`build_query_graph` estimates a whole
+graph's edges as arrays and installs them in bulk, writing no journal
+record (nobody holds a cursor into a graph that does not exist yet), and
+``rebuild_edges`` swaps a live graph's edge set as one ``("clear",)`` step.
 """
 
 from __future__ import annotations
@@ -347,24 +352,30 @@ class QueryGraph:
     def add_edge(self, a: VertexId, b: VertexId, weight: float) -> None:
         """Accumulate ``weight`` onto the undirected edge ``(a, b)``.
 
-        Self-edges and non-positive weights are ignored.
+        Self-edges and non-positive weights are ignored; an endpoint the
+        graph does not hold raises ``KeyError`` and changes nothing.
         """
         if a == b:
             return
         if weight <= 0:
             return
+        # both rows are looked up before anything is written: an endpoint
+        # the graph does not hold raises ``KeyError`` on a graph untouched
+        row_a, row_b = self.adj[a], self.adj[b]
         key = self._ekey(a, b)
         total = self._edges.get(key, 0.0) + weight
         self._edges[key] = total
-        self.adj[a][b] = total
-        self.adj[b][a] = total
+        row_a[b] = total
+        row_b[a] = total
         self._record(("e", key[0], key[1], total))
 
     def set_edge(self, a: VertexId, b: VertexId, weight: float) -> None:
         """Set the undirected edge ``(a, b)`` to exactly ``weight``.
 
         A non-positive weight removes the edge; self-edges, no-op removals
-        and value-equal overwrites are ignored (no version bump).
+        and value-equal overwrites are ignored (no version bump).  An
+        endpoint the graph does not hold raises ``KeyError`` and changes
+        nothing.
         """
         if a == b:
             return
@@ -378,9 +389,10 @@ class QueryGraph:
             return
         if self._edges.get(key) == weight:
             return
+        row_a, row_b = self.adj[a], self.adj[b]  # KeyError before any write
         self._edges[key] = weight
-        self.adj[a][b] = weight
-        self.adj[b][a] = weight
+        row_a[b] = weight
+        row_b[a] = weight
         self._record(("e", key[0], key[1], weight))
 
     def remove_vertex(self, vid: VertexId) -> None:
@@ -406,6 +418,96 @@ class QueryGraph:
             self.adj[vid] = {}
         self._edges.clear()
         self._record(("clear",))
+
+    # ------------------------------------------------------------------
+    # bulk construction (whole vertex / edge sets, not journaled per item)
+    # ------------------------------------------------------------------
+    def _install_vertices(
+        self, qverts: Iterable[QVertex], nverts: Iterable[NVertex]
+    ) -> None:
+        """Add whole vertex sets, q-vertices first, without journal records.
+
+        For a graph under construction only: no consumer can hold a cursor
+        into a graph that does not exist yet, so there is nobody to tell.
+        Raises ``ValueError`` on a duplicate id, like :meth:`add_qvertex`.
+        """
+        adj = self.adj
+        for store, verts in ((self.qverts, qverts), (self.nverts, nverts)):
+            for v in verts:
+                if v.vid in adj:
+                    raise ValueError(f"duplicate vertex id {v.vid!r}")
+                store[v.vid] = v
+                adj[v.vid] = {}
+
+    def _install_edges(
+        self,
+        vids: Sequence[VertexId],
+        heads: Sequence[int],
+        tails: Sequence[int],
+        weights: Sequence[float],
+    ) -> None:
+        """Install a whole edge set onto an empty edge store, unjournaled.
+
+        Edge ``t`` joins ``vids[heads[t]]`` to ``vids[tails[t]]``, stored in
+        that direction.  The result is what one ``set_edge`` per edge in
+        order ``t`` leaves behind: ``_edges`` in order ``t`` and every
+        ``adj`` row in the order its vertex's edges appear in ``t`` -- that
+        order is :class:`GraphArrays` slot order and the order every float
+        sum over a neighbourhood runs in.  The caller passes distinct
+        pairs, no self-edge and positive weights.  Every vertex is checked
+        before anything is written (``KeyError`` naming a missing one).
+        """
+        adj = self.adj
+        self._require(vids)
+        heads = np.asarray(heads, dtype=np.int64)
+        tails = np.asarray(tails, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        if not weights.size:
+            return
+        vid_of = vids.__getitem__
+        self._edges.update(zip(
+            zip(map(vid_of, heads.tolist()), map(vid_of, tails.tolist())),
+            weights.tolist(),
+        ))
+        # both half-edges of every edge, edge-major; a stable sort by owner
+        # then lists each vertex's neighbours in install order
+        owner = np.empty(2 * weights.size, dtype=np.int64)
+        owner[0::2] = heads
+        owner[1::2] = tails
+        order = np.argsort(owner, kind="stable")
+        edge = order >> 1
+        other = np.where(order & 1, heads[edge], tails[edge])
+        halves = zip(map(vid_of, other.tolist()), weights[edge].tolist())
+        degree = np.bincount(owner, minlength=len(vids))
+        for vid, deg in zip(vids, degree.tolist()):
+            if deg:
+                adj[vid].update(itertools.islice(halves, deg))
+
+    def _replace_edges(
+        self,
+        vids: Sequence[VertexId],
+        heads: Sequence[int],
+        tails: Sequence[int],
+        weights: Sequence[float],
+    ) -> None:
+        """Swap in a whole new edge set on a live graph: one journal step.
+
+        The single ``("clear",)`` record is appended *after* the last edge
+        is in place, so a cursor can sit before the swap or after it, never
+        between the record and the edges; every consumer rebuilds on it.
+        """
+        self._require(vids)
+        for vid in self.adj:
+            self.adj[vid] = {}
+        self._edges.clear()
+        self._install_edges(vids, heads, tails, weights)
+        self._record(("clear",))
+
+    def _require(self, vids: Iterable[VertexId]) -> None:
+        """``KeyError`` naming the first of ``vids`` the graph does not hold."""
+        for vid in vids:
+            if vid not in self.adj:
+                raise KeyError(vid)
 
     def prune_isolated_nverts(self) -> int:
         """Drop n-vertices with no incident edge; returns how many."""
@@ -1010,30 +1112,116 @@ def build_query_graph(
       sparse each q-vertex keeps at most ``max_overlap_neighbors`` heaviest
       overlap edges (candidates found via a substream incidence matrix, so
       disjoint queries never pay a comparison).
+
+    The graph is filled in bulk (:func:`_estimate_edges`) and starts with
+    an empty journal: nobody can hold a cursor into it yet.
     """
     g = QueryGraph()
     qlist = list(qvertices)
-    for qv in qlist:
-        g.add_qvertex(qv)
-
-    # n-vertices
     nodes = set()
     for qv in qlist:
         nodes.update(qv.source_rates)
         nodes.update(qv.proxy_rates)
-    for node in sorted(nodes):
-        clu = ng.covering_vertex(node) if ng is not None else None
-        g.add_nvertex(NVertex(vid=("n", node), node=node, clu=clu))
-
-    # q-n edges
-    for qv in qlist:
-        for node, rate in qv.source_rates.items():
-            g.add_edge(qv.vid, ("n", node), rate)
-        for node, rate in qv.proxy_rates.items():
-            g.add_edge(qv.vid, ("n", node), rate)
-
-    _add_overlap_edges(g, qlist, space, max_overlap_neighbors)
+    g._install_vertices(qlist, [
+        NVertex(
+            vid=("n", node), node=node,
+            clu=ng.covering_vertex(node) if ng is not None else None,
+        )
+        for node in sorted(nodes)
+    ])
+    g._install_edges(*_estimate_edges(g, space, max_overlap_neighbors))
     return g
+
+
+def _estimate_edges(
+    g: QueryGraph, space: SubstreamSpace, max_neighbors: int
+) -> Tuple[List[VertexId], np.ndarray, np.ndarray, np.ndarray]:
+    """Every edge of ``g``, estimated from its vertices' aggregate state.
+
+    Returns ``(vids, heads, tails, weights)`` for
+    :meth:`QueryGraph._install_edges` in the order the edges have always
+    been installed in, which every downstream float sum depends on: the
+    q-n edges, q-vertex by q-vertex in graph order (source rates, then
+    proxy rates), followed by the overlap edges in first-setter order.
+    ``g`` itself is only read.
+    """
+    qlist = list(g.qverts.values())
+    vids = [*g.qverts, *g.nverts]
+    parts = [_rate_edges(g, qlist)]
+    if len(qlist) >= 2:
+        parts.append(_overlap_edges(qlist, space, max_neighbors))
+    heads, tails, weights = (np.concatenate(column) for column in zip(*parts))
+    return vids, heads, tails, weights
+
+
+def _rate_edges(
+    g: QueryGraph, qlist: List[QVertex]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q-n edges of ``g`` from its q-vertices' rate maps.
+
+    Endpoints index ``qlist`` followed by ``g.nverts``.  A non-positive
+    rate is ignored, so is a node ``g`` tracks no n-vertex for, and a node
+    that is both source and proxy of one vertex gets one edge carrying the
+    sum, at the position of the first.
+    """
+    nq = len(qlist)
+    slot = {vid: nq + k for k, vid in enumerate(g.nverts)}
+    nodes: List[int] = []
+    rates: List[float] = []
+    counts: List[int] = []
+    shared = False
+    for qv in qlist:
+        source, proxy = qv.source_rates, qv.proxy_rates
+        nodes.extend(source)
+        nodes.extend(proxy)
+        rates.extend(source.values())
+        rates.extend(proxy.values())
+        counts.append(len(source) + len(proxy))
+        shared = shared or not source.keys().isdisjoint(proxy)
+    heads = np.repeat(np.arange(nq, dtype=np.int64), counts)
+    # rate-map node x <-> n-vertex ("n", x)
+    tails = np.fromiter(
+        map(slot.get, zip(itertools.repeat("n"), nodes), itertools.repeat(-1)),
+        np.int64, len(nodes),
+    )
+    weights = np.array(rates, dtype=float)
+    keep = ~(weights <= 0) & (tails >= 0)
+    if not keep.all():
+        heads, tails, weights = heads[keep], tails[keep], weights[keep]
+    if shared:
+        pairs, first, inverse = np.unique(
+            heads * (nq + len(g.nverts)) + tails,
+            return_index=True, return_inverse=True,
+        )
+        # a pair occurs at most twice (once per rate map), so its weight
+        # is the one commutative sum of the two
+        totals = np.zeros(pairs.size)
+        np.add.at(totals, inverse, weights)
+        first.sort()
+        heads, tails, weights = heads[first], tails[first], totals[inverse[first]]
+    return heads, tails, weights
+
+
+def _overlap_edges(
+    qlist: List[QVertex], space: SubstreamSpace, max_neighbors: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q-q overlap edges among ``qlist`` (endpoints index it).
+
+    Each vertex keeps its ``max_neighbors`` heaviest overlaps; an
+    unordered pair belongs to whichever row selects it first.
+    """
+    nq = len(qlist)
+    heads, tails, weights = _select_topk(
+        np.arange(nq, dtype=np.int64),
+        _overlap_product(qlist, space),
+        max_neighbors,
+    )
+    _, first = np.unique(
+        np.minimum(heads, tails) * nq + np.maximum(heads, tails),
+        return_index=True,
+    )
+    first.sort()
+    return heads[first], tails[first], weights[first]
 
 
 def _incidence_matrix(
@@ -1059,56 +1247,66 @@ def _incidence_matrix(
     )
 
 
-def _attach_topk(
-    g: QueryGraph,
-    qlist: List[QVertex],
-    rows: Sequence[int],
-    overlap: sparse.csr_matrix,
-    max_neighbors: int,
-) -> None:
-    """Keep each row's ``max_neighbors`` heaviest overlaps as edges.
-
-    ``overlap`` holds one row per entry of ``rows`` (global q indices into
-    ``qlist``).  Rows are canonicalised (sorted indices) first so the
-    tie-breaking of the top-k selection is deterministic regardless of how
-    the product was computed (full matrix vs row slice).
-    """
-    overlap.sort_indices()
-    for r, i in enumerate(rows):
-        start, end = overlap.indptr[r], overlap.indptr[r + 1]
-        js = overlap.indices[start:end]
-        ws = overlap.data[start:end]
-        keep = (js != i) & (ws > 0)
-        js, ws = js[keep], ws[keep]
-        if js.size > max_neighbors:
-            top = np.argpartition(-ws, max_neighbors - 1)[:max_neighbors]
-            js, ws = js[top], ws[top]
-        a = qlist[i].vid
-        adj_a = g.adj[a]
-        for j, w in zip(js, ws):
-            b = qlist[int(j)].vid
-            if b not in adj_a:
-                g.set_edge(a, b, float(w))
-
-
-def _add_overlap_edges(
-    g: QueryGraph,
+def _overlap_product(
     qlist: List[QVertex],
     space: SubstreamSpace,
-    max_neighbors: int,
-) -> None:
-    """Sparse q-q overlap edges, computed as one sparse matrix product.
+    rows: Optional[Sequence[int]] = None,
+) -> sparse.csr_matrix:
+    """Pairwise overlap rates as one sparse matrix product.
 
     With ``A`` the query x substream incidence matrix, the full pairwise
-    overlap-rate matrix is ``A diag(rates) A^T``; each q-vertex then keeps
-    its ``max_neighbors`` heaviest overlap edges.
+    overlap-rate matrix is ``A diag(rates) A^T``; ``rows`` restricts the
+    left factor to those rows of ``qlist`` (one CSR row per entry).
     """
-    if len(qlist) < 2:
-        return
     incidence = _incidence_matrix(qlist, space)
     weighted = incidence.multiply(space.rates[np.newaxis, :]).tocsr()
-    overlap = (weighted @ incidence.T).tocsr()
-    _attach_topk(g, qlist, range(len(qlist)), overlap, max_neighbors)
+    if rows is not None:
+        weighted = weighted[rows]
+    return (weighted @ incidence.T).tocsr()
+
+
+def _select_topk(
+    rows: np.ndarray, overlap: sparse.csr_matrix, max_neighbors: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's ``max_neighbors`` heaviest overlaps, for all rows at once.
+
+    ``overlap`` holds one row per entry of ``rows`` (global q indices).
+    Returns ``(row ids, column ids, weights)``, row after row.  Rows are
+    canonicalised (sorted indices) first so the tie-breaking of the top-k
+    selection is deterministic regardless of how the product was computed
+    (full matrix vs row slice).  A row within the cap keeps that order; a
+    row above it is cut by ``np.argpartition`` on its own negated weights
+    and keeps the order that call returns -- on exact ties at the boundary
+    a sort picks different members, and the order is the order the edges
+    are installed in, so the per-row call is part of the graph's identity.
+    """
+    overlap.sort_indices()
+    local = np.repeat(np.arange(rows.size), np.diff(overlap.indptr))
+    heads = rows[local]
+    keep = (overlap.indices != heads) & (overlap.data > 0)
+    heads = heads[keep]
+    tails = overlap.indices[keep].astype(np.int64)
+    weights = overlap.data[keep]
+    counts = np.bincount(local[keep], minlength=rows.size)
+    capped = np.flatnonzero(counts > max_neighbors)
+    if capped.size:
+        ends = np.cumsum(counts)
+        negated = -weights
+        position = np.arange(weights.size)
+        pieces = []
+        done = 0
+        for start, end in zip(
+            (ends[capped] - counts[capped]).tolist(), ends[capped].tolist()
+        ):
+            pieces.append(position[done:start])
+            pieces.append(start + np.argpartition(
+                negated[start:end], max_neighbors - 1
+            )[:max_neighbors])
+            done = end
+        pieces.append(position[done:])
+        pick = np.concatenate(pieces)
+        heads, tails, weights = heads[pick], tails[pick], weights[pick]
+    return heads, tails, weights
 
 
 def attach_overlap_edges(
@@ -1122,13 +1320,22 @@ def attach_overlap_edges(
 
     ``new_rows`` are indices into ``qlist`` (which must enumerate every
     q-vertex of ``g``, in graph order).  Each listed row is scored against
-    the full query population — one row-sliced sparse product instead of a
-    per-pair ``overlap_rate`` loop — and keeps its ``max_neighbors``
-    heaviest overlaps, exactly like the batch path does at build time.
+    the full query population -- one row-sliced sparse product instead of a
+    per-pair ``overlap_rate`` loop -- and keeps its ``max_neighbors``
+    heaviest overlaps, selected exactly as at build time.  The graph is
+    live, so the handful of edges go through journaled ``set_edge``; an
+    edge the graph already has is left as it is.
     """
     if len(qlist) < 2 or not len(new_rows):
         return
-    incidence = _incidence_matrix(qlist, space)
-    weighted = incidence.multiply(space.rates[np.newaxis, :]).tocsr()
-    sub = (weighted[list(new_rows)] @ incidence.T).tocsr()
-    _attach_topk(g, qlist, list(new_rows), sub, max_neighbors)
+    rows = list(new_rows)
+    heads, tails, weights = _select_topk(
+        np.asarray(rows, dtype=np.int64),
+        _overlap_product(qlist, space, rows),
+        max_neighbors,
+    )
+    adj = g.adj
+    for i, j, w in zip(heads.tolist(), tails.tolist(), weights.tolist()):
+        a, b = qlist[i].vid, qlist[j].vid
+        if b not in adj[a]:
+            g.set_edge(a, b, w)

@@ -133,29 +133,48 @@ def rebalance(
     ws.ensure_synced()
     ws.init_positions(assignment)
     tindex = ws.target_index
+    qverts = qg.qverts
     by_source: Dict[VertexId, List[VertexId]] = {}
-    for vid in qg.qverts:
+    for vid in qverts:
         by_source.setdefault(assignment[vid], []).append(vid)
 
-    # a vertex's attach-cost row depends only on its neighbours'
-    # positions, so a move invalidates O(degree) rows, not all of them;
-    # caching the rest is what keeps the flow-realisation loop from
-    # re-evaluating every candidate after every single move.  Rows for
-    # every vertex on the source side of a flow are primed in one
-    # vectorised batch.
-    prime = list(dict.fromkeys(
-        v for i, _ in flows for v in by_source.get(i, ())
-    ))
-    rows = ws.attach_costs_batch(prime)
-    row_cache: Dict[VertexId, np.ndarray] = {
-        v: rows[k] for k, v in enumerate(prime)
-    }
-
-    def cost_row(v: VertexId) -> np.ndarray:
-        row = row_cache.get(v)
-        if row is None:
-            row = row_cache[v] = ws.attach_costs(v)
-        return row
+    # The candidate universe -- every vertex on the source side of a flow;
+    # only those ever move, so it is closed under the moves below -- lives
+    # in arrays, one slot per vertex, and one flow step is a handful of
+    # masks over them instead of a scan of the source child's vertex list.
+    # ``costs`` holds every slot's attach-cost row, primed in one
+    # vectorised batch.  A row depends only on its vertex's neighbours'
+    # positions, so a move stales O(degree) rows, not all of them, and a
+    # stale row is recomputed only when its vertex is next scored -- by the
+    # single-vertex kernel: the two kernels sum in different orders, so
+    # which one produced a row is part of the result.
+    universe = [v for i in dict.fromkeys(i for i, _ in flows)
+                for v in by_source.get(i, ())]
+    n = len(universe)
+    members = [qverts[v] for v in universe]
+    costs = ws.attach_costs_batch(universe)
+    ws_index = [ws.vindex[v] for v in universe]
+    # workspace index -> slot; n-vertices and q-vertices outside the
+    # universe share the spare slot ``n`` (staled, never read)
+    slot_of = np.full(len(ws.vids), n, dtype=np.int64)
+    slot_of[ws_index] = np.arange(n)
+    stale = np.zeros(n + 1, dtype=bool)
+    weight = np.fromiter((qv.weight for qv in members), float, count=n)
+    # a vertex is movable for a flow if the flow can absorb ~all of its
+    # weight (the paper: m_ij larger than 90% of its weight)
+    threshold = 0.9 * weight
+    weighty = weight > 0
+    density = np.fromiter(
+        (qv.load_density() for qv in members), float, count=n
+    )
+    child = np.fromiter(
+        (tindex[assignment[v]] for v in universe), np.int64, count=n
+    )
+    dirty = np.fromiter((v in stats.dirty for v in universe), bool, count=n)
+    # rank within a child's vertex list (arrivals queue up behind); read
+    # only when density and tie-break key both tie
+    arrival = np.arange(n)
+    arrivals = n
 
     pairs = list(flows)
     rng.shuffle(pairs)
@@ -163,49 +182,46 @@ def rebalance(
     while pairs:
         i, j = pairs[rng.randrange(len(pairs))]
         m_ij = remaining[(i, j)]
-        candidates = [v for v in by_source.get(i, []) if assignment[v] == i]
-        # a vertex is movable for this flow if the flow can absorb ~all of
-        # its weight (the paper: m_ij larger than 90% of its weight)
-        movable = [
-            v for v in candidates if m_ij > 0.9 * qg.qverts[v].weight
-            and qg.qverts[v].weight > 0
-        ]
-        if not movable:
+        ti_i, ti_j = tindex[i], tindex[j]
+        movable = np.flatnonzero(
+            (child == ti_i) & weighty & (threshold < m_ij)
+        )
+        if not movable.size:
             remaining[(i, j)] = 0.0
             pairs.remove((i, j))
             continue
-        ti_i, ti_j = tindex[i], tindex[j]
-        benefits = {}
-        for v in movable:
-            costs = cost_row(v)
-            benefits[v] = float(costs[ti_i] - costs[ti_j])
-        best_benefit = max(benefits.values())
+        for k in movable[stale[movable]].tolist():
+            costs[k] = ws.attach_costs_idx(ws_index[k])
+            stale[k] = False
+        benefits = costs[movable, ti_i] - costs[movable, ti_j]
+        best_benefit = float(benefits.max())
         span = abs(best_benefit) if best_benefit != 0 else 1.0
-        window = [
-            v for v, b in benefits.items()
-            if b >= best_benefit - benefit_window * span
-        ]
-        dirty_window = [v for v in window if v in stats.dirty]
-        pool = dirty_window or window
-        chosen = max(
-            pool,
-            key=lambda v: (
-                qg.qverts[v].load_density(),
-                stable_vertex_key(qg.qverts[v]),
-            ),
-        )
+        pool = movable[benefits >= best_benefit - benefit_window * span]
+        dirty_pool = pool[dirty[pool]]
+        if dirty_pool.size:
+            pool = dirty_pool
+        pool_density = density[pool]
+        densest = pool[pool_density == pool_density.max()]
+        if densest.size > 1:
+            densest = densest[np.argsort(arrival[densest])]
+            k = max(
+                densest.tolist(), key=lambda k: stable_vertex_key(members[k])
+            )
+        else:
+            k = int(densest[0])
 
-        qv = qg.qverts[chosen]
+        chosen, qv = universe[k], members[k]
         assignment[chosen] = j
         ws.set_position(chosen, j)
-        row_cache.pop(chosen, None)
-        for nb in qg.adj.get(chosen, ()):
-            row_cache.pop(nb, None)
-        by_source[i].remove(chosen)
-        by_source.setdefault(j, []).append(chosen)
-        if chosen not in stats.dirty:
+        stale[k] = True
+        stale[slot_of[ws.neighbour_indices(chosen)]] = True
+        child[k] = ti_j
+        arrival[k] = arrivals
+        arrivals += 1
+        if not dirty[k]:
             stats.moved_state += qv.state_size
-        stats.dirty.add(chosen)
+            dirty[k] = True
+            stats.dirty.add(chosen)
         stats.moved_vertices += 1
         stats.moved_weight += qv.weight
         remaining[(i, j)] = m_ij - qv.weight

@@ -249,3 +249,60 @@ class TestBuildQueryGraph:
         source = int(space.source_of[5])
         expected_clu = "A" if source == 0 else "B"
         assert g.nverts[("n", source)].clu == expected_clu
+
+
+class TestUnknownEndpoint:
+    """An edge write naming a vertex the graph does not hold raises
+    ``KeyError`` for that vertex and leaves the graph as it was -- no
+    half-edge in ``_edges`` / ``adj``, no journal record, no version bump."""
+
+    @staticmethod
+    def _graph():
+        g = QueryGraph()
+        g.add_qvertex(make_qvertex("q1"))
+        g.add_qvertex(make_qvertex("q2"))
+        g.add_edge("q1", "q2", 5.0)
+        return g
+
+    @staticmethod
+    def _state(g):
+        return (
+            g.edges(),
+            {v: dict(row) for v, row in g.adj.items()},
+            g.journal_cursor(),
+            list(g.journal_since(0)),
+        )
+
+    @pytest.mark.parametrize("method", ["add_edge", "set_edge"])
+    @pytest.mark.parametrize("pair", [("q1", "ghost"), ("ghost", "q1")])
+    def test_edge_methods_validate_before_writing(self, method, pair):
+        g = self._graph()
+        before = self._state(g)
+        # the repeat matters: a phantom half-edge used to make the second
+        # set_edge of the same weight return silently
+        for _ in range(2):
+            with pytest.raises(KeyError, match="ghost"):
+                getattr(g, method)(*pair, 3.0)
+            assert self._state(g) == before
+
+    def test_removing_an_edge_that_is_not_there_stays_silent(self):
+        g = self._graph()
+        before = self._state(g)
+        g.set_edge("q1", "ghost", 0.0)
+        g.add_edge("q1", "ghost", 0.0)
+        assert self._state(g) == before
+
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_bulk_install_validates_before_writing(self, replace):
+        g = self._graph()
+        g.add_qvertex(make_qvertex("q3"))
+        before = self._state(g)
+        install = g._replace_edges if replace else g._install_edges
+        with pytest.raises(KeyError, match="ghost"):
+            install(["q1", "q3", "ghost"], [0, 1], [1, 2], [2.0, 4.0])
+        assert self._state(g) == before
+        # and with every vertex known, the same call goes through
+        g._replace_edges(["q1", "q3", "q2"], [0, 1], [1, 2], [2.0, 4.0])
+        assert g.edges() == [("q1", "q3", 2.0), ("q3", "q2", 4.0)]
+        assert list(g.adj["q3"].items()) == [("q1", 2.0), ("q2", 4.0)]
+        assert g.journal_since(before[2]) == [("clear",)]
