@@ -454,19 +454,21 @@ class PubSubNetwork:
         caller can derive the transfer delay from the same walk.  Paths
         are memoised (the tree is immutable), so repeated transfers over
         one pair -- every result tuple of a query -- skip the tree walk.
+        The latency is summed from the smaller id to the larger, whichever
+        direction is asked first, so it never depends on call order.
         """
         if u == v:
             return 0.0
         key = (u, v)
         cached = self._path_cache.get(key)
         if cached is None:
-            path = self.tree.path(u, v)
-            cached = (
-                list(zip(path, path[1:])),
-                sum(self.tree.links[a][b] for a, b in zip(path, path[1:])),
-            )
-            self._path_cache[key] = cached
-            self._path_cache[(v, u)] = ([(b, a) for a, b in cached[0]], cached[1])
+            lo, hi = (u, v) if u < v else (v, u)
+            path = self.tree.path(lo, hi)
+            edges = list(zip(path, path[1:]))
+            lat = sum(self.tree.links[a][b] for a, b in edges)
+            self._path_cache[(lo, hi)] = (edges, lat)
+            self._path_cache[(hi, lo)] = ([(b, a) for a, b in reversed(edges)], lat)
+            cached = self._path_cache[key]
         for a, b in cached[0]:
             self._account(self.link_bytes, a, b, size)
         return cached[1]

@@ -480,13 +480,18 @@ class SimCluster:
     # latency helpers
     # ------------------------------------------------------------------
     def _path_latency_ms(self, u: int, v: int) -> float:
-        """Overlay path latency (ms) between two overlay nodes, cached."""
+        """Overlay path latency (ms) between two overlay nodes, cached.
+
+        Summed along the path from the smaller id to the larger: float
+        addition is order-sensitive, so summing in the direction asked
+        first would make the cached value depend on call order.
+        """
         if u == v:
             return 0.0
         key = (u, v) if u < v else (v, u)
         lat = self._path_ms.get(key)
         if lat is None:
-            lat = self.network.tree.path_latency(u, v)
+            lat = self.network.tree.path_latency(*key)
             self._path_ms[key] = lat
         return lat
 

@@ -419,3 +419,43 @@ class TestUnitFollowsMajority:
         assert vote([7, 2]) == 2  # ties go to the smallest host id
         assert vote([None, 4, None]) == 4  # unplaced members abstain
         assert vote([None]) is None and vote([]) is None
+
+
+class TestPathLatencyOrderIndependence:
+    """Cached path latencies must not depend on which direction of a
+    pair is asked first: float sums along a path differ by direction."""
+
+    @staticmethod
+    def _chain():
+        from repro.topology.overlay import OverlayTree
+
+        tree = OverlayTree(nodes=[0, 1, 2, 3])
+        for u, v, lat in ((0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3)):
+            tree.add_link(u, v, lat)
+        # the premise: the two directions' sums really differ
+        assert tree.path_latency(0, 3) != tree.path_latency(3, 0)
+        return tree
+
+    def test_cluster_path_latency(self):
+        from types import SimpleNamespace
+
+        from repro.sim import SimCluster
+
+        def fresh():
+            return SimpleNamespace(
+                network=SimpleNamespace(tree=self._chain()), _path_ms={}
+            )
+
+        forward, backward = fresh(), fresh()
+        first = SimCluster._path_latency_ms(forward, 0, 3)
+        assert SimCluster._path_latency_ms(backward, 3, 0) == first
+        assert SimCluster._path_latency_ms(backward, 0, 3) == first
+
+    def test_network_account_path(self):
+        from repro.pubsub.network import PubSubNetwork
+
+        forward, backward = (PubSubNetwork(self._chain()) for _ in range(2))
+        first = forward.account_path(0, 3, 1.0)
+        assert backward.account_path(3, 0, 1.0) == first
+        assert backward.account_path(0, 3, 1.0) == first
+        assert forward.account_path(3, 0, 1.0) == first
