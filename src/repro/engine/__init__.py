@@ -10,7 +10,7 @@ from .operators import (
 )
 from .plans import QueryPlan, compile_query
 from .sensors import SensorFleet, SensorStation
-from .tuples import Schema, StreamTuple, TupleBatch
+from .tuples import MergedBatch, Schema, StreamTuple, TupleBatch
 from .windows import ColumnWindow, SlidingWindow
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "Schema",
     "StreamTuple",
     "TupleBatch",
+    "MergedBatch",
     "SlidingWindow",
     "ColumnWindow",
     "SensorFleet",

@@ -27,7 +27,7 @@ import numpy as np
 from ..obs import registry as _obs
 from ..query.ast import Query
 from .plans import QueryPlan, compile_query
-from .tuples import StreamTuple, TupleBatch
+from .tuples import MergedBatch, StreamTuple, TupleBatch
 
 __all__ = ["Engine", "BatchResults"]
 
@@ -244,7 +244,9 @@ class Engine:
         for name, aliases in by_plan.items():
             plan = self.plans[name]
             if self.use_batches and len(aliases) == 1:
-                results, _ = plan.push_batch(aliases[0], batch)
+                results, _ = plan.push_batch(
+                    [(aliases[0], batch, np.arange(batch.n))]
+                )
                 for result in results.to_tuples():
                     self._buffer_result(name, result)
                     out.append(result)
@@ -290,30 +292,46 @@ class Engine:
                     sink(result)
         return out
 
-    def push_query_batch(self, name: str, batch: TupleBatch) -> BatchResults:
+    def push_query_batch(self, name: str, batch) -> BatchResults:
         """Route a batch to a single named plan; results grouped per row.
 
-        The batch counterpart of :meth:`push_query`: returns one entry
-        per input row (so the simulator can account latency and proxy
-        traffic per source tuple), calls the query's sinks in the same
-        order as row-at-a-time delivery, and does not buffer in
+        The batch counterpart of :meth:`push_query`.  ``batch`` is a
+        :class:`~repro.engine.tuples.TupleBatch` of one stream or a
+        :class:`~repro.engine.tuples.MergedBatch` interleaving several (a
+        two-input query's drain in delivery order); either way the
+        result has one entry per input row, in input order (so the
+        simulator can account latency and proxy traffic per source
+        tuple), the query's sinks are called in the same order as
+        row-at-a-time delivery, and nothing is buffered in
         :attr:`results`.  What is done before it returns: predicate
         masks, the kept ``(row, partner)`` index arrays, window state and
         every counter.  What is not: the result tuples themselves -- see
         :class:`BatchResults`; a sink on the query builds them here.
-        Unknown names are a no-op.  Plans reading the batch's stream
-        through two aliases (self-joins) and engines with
-        ``use_batches=False`` fall back to the scalar path row by row --
-        output and counters are identical either way.
+        Unknown names and rows of streams the plan does not read are
+        no-ops.  Plans reading one stream through two aliases
+        (self-joins) and engines with ``use_batches=False`` fall back to
+        the scalar path row by row -- output and counters are identical
+        either way.
         """
         plan = self.plans.get(name)
-        aliases = () if plan is None else [
-            b.alias for b in plan.query.bindings if b.stream == batch.stream
-        ]
-        if not aliases:
+        parts = (
+            batch.parts
+            if isinstance(batch, MergedBatch)
+            else [(batch, np.arange(batch.n))]
+        )
+        reading = []
+        for part, positions in parts:
+            aliases = () if plan is None else [
+                b.alias for b in plan.query.bindings if b.stream == part.stream
+            ]
+            if aliases and part.n:
+                reading.append((aliases, part, positions))
+        if not reading:
             return BatchResults([0] * batch.n, [])
-        if self.use_batches and len(aliases) == 1:
-            results, row_index = plan.push_batch(aliases[0], batch)
+        if self.use_batches and all(len(a) == 1 for a, _, _ in reading):
+            results, row_index = plan.push_batch(
+                [(a[0], part, positions) for a, part, positions in reading]
+            )
             # result rows are in input-row order: a row's results are one
             # contiguous run of them
             counts = (
@@ -327,8 +345,9 @@ class Engine:
             tuples: List[StreamTuple] = []
             for t in batch.to_tuples():
                 before = len(tuples)
-                for alias in aliases:
-                    tuples.extend(plan.push(alias, t))
+                for b in plan.query.bindings:
+                    if b.stream == t.stream:
+                        tuples.extend(plan.push(b.alias, t))
                 counts.append(len(tuples) - before)
             out = BatchResults(counts, tuples)
         sinks = self._sinks.get(name)

@@ -275,9 +275,17 @@ class Project(Operator):
         return out, np.arange(batch.n)
 
 
-def _lag(ts, rows, partner_ts, partners) -> np.ndarray:
-    """Per pair: the probing row's timestamp minus its partner's."""
-    return ts[rows] - partner_ts[partners]
+def _probe_ts(left_ts, right_ts, left_pos, right_pos, left_probes) -> np.ndarray:
+    """Per pair: the probing row's timestamp (the result's ``timestamp``)."""
+    return np.where(left_probes, left_ts[left_pos], right_ts[right_pos])
+
+
+def _lag(mine_ts, other_ts, mine_pos, other_pos, mine_probes) -> np.ndarray:
+    """Per pair: one side's ``timestamp_lag`` -- 0 where that side
+    probes, else the probing (other) row's timestamp minus its own."""
+    return np.where(
+        mine_probes, 0.0, other_ts[other_pos] - mine_ts[mine_pos]
+    )
 
 
 class WindowJoin(Operator):
@@ -399,23 +407,34 @@ class WindowJoin(Operator):
                 out.append(StreamTuple(self.out_stream, values))
         return out
 
-    def process_batch_side(
-        self, alias: str, batch: TupleBatch
+    def process_batch_sides(
+        self, sides: Sequence[Tuple[str, TupleBatch, np.ndarray]]
     ) -> Tuple[DeferredBatch, np.ndarray]:
-        """Batch insert + probe; bit-identical to per-tuple process_side.
+        """Insert and probe one delivery's rows of both inputs at once.
 
-        Returns the joined (predicate-filtered) output plus the input-row
-        index of each output row.  Candidate pairs are built from one
-        ``searchsorted`` over the partner window's timestamps per batch
-        (row windows probe the full extent, exactly like the scalar
-        path), and ``inspected`` counts every candidate pair, so CPU
-        accounting matches the scalar counters.  Only the columns the
-        predicates read are gathered for the candidates; the output is a
-        :class:`~repro.engine.tuples.DeferredBatch` over the kept
-        ``(row, partner)`` index arrays, so its row count is known and
-        its columns cost nothing until somebody reads them.
+        ``sides`` holds, per input alias (at most one entry each), the
+        rows arriving on it and their strictly increasing positions in
+        one merged delivery order -- ``(timestamp, arrival)`` order, the
+        order the scalar path consumes them in.  Bit-identical to calling
+        :meth:`process_side` row by row in that order: the same output
+        rows in the same order, the same ``inspected`` count (every
+        candidate pair) and the same window state afterwards.
+
+        Every arriving row is appended to its side's
+        :class:`~repro.engine.windows.ColumnWindow` first.  A row's
+        partners are then one contiguous range of the other side's backing
+        arrays: the rows live before this delivery plus the other side's
+        rows that precede it here, cut at the front by the other window's
+        row cap or time horizon as of the probing row (evictions only
+        move forward along the merged order, so the row's own horizon is
+        the binding one).  A candidate is a pair of absolute positions,
+        one per window; only the columns the predicates read are gathered
+        for it, and the output is a
+        :class:`~repro.engine.tuples.DeferredBatch` over the kept pairs,
+        so its row count is known and its columns cost nothing until
+        somebody reads them.  Returns the output and, per output row, the
+        merged position of the row that probed.
         """
-        side, own_alias, other_alias = self._sides(alias)
         if len(self.left_window) or len(self.right_window):
             raise TypeError(
                 "WindowJoin holds scalar state; scalar and batch pushes "
@@ -424,99 +443,141 @@ class WindowJoin(Operator):
         if self.left_cols is None:
             self.left_cols = ColumnWindow(self.left_window.spec)
             self.right_cols = ColumnWindow(self.right_window.spec)
-        own, other = (
-            (self.left_cols, self.right_cols)
-            if side == "left"
-            else (self.right_cols, self.left_cols)
-        )
-        n = batch.n
-        if n == 0:
+        wins = {self.left_alias: self.left_cols, self.right_alias: self.right_cols}
+        arriving: Dict[str, Tuple[TupleBatch, np.ndarray]] = {}
+        seen = set()
+        for alias, batch, positions in sides:
+            self._sides(alias)
+            if alias in seen:
+                raise ValueError(f"two batches for join input {alias!r}")
+            seen.add(alias)
+            if batch.n:
+                arriving[alias] = (batch, np.asarray(positions, dtype=np.int64))
+        if not arriving:
             return DeferredBatch(self.out_stream, {}, 0), np.arange(0)
-        ts = batch.timestamps
-        own.append_batch(batch)
+        before = {alias: len(win) for alias, win in wins.items()}
+        for alias, (batch, _) in arriving.items():
+            wins[alias].append_batch(batch)
+        # backing arrays taken after both appends: every row a probe can
+        # pair with sits below each window's ``end``
+        bufs = {alias: win.buffers() for alias, win in wins.items()}
 
-        other_ts = other.timestamps
-        m = len(other_ts)
-        if other.spec.rows is not None:
-            starts = np.zeros(n, dtype=np.int64)
+        probes = []  # per arriving side: positions, own slots, starts, counts
+        for alias, (batch, positions) in arriving.items():
+            _, own_alias, other_alias = self._sides(alias)
+            n = batch.n
+            own_end, own_ts, _ = bufs[own_alias]
+            other_end, other_ts, _ = bufs[other_alias]
+            got = arriving.get(other_alias)
+            other_new = 0 if got is None else got[0].n
+            # the other side's rows live before this delivery start here
+            base = other_end - other_new - before[other_alias]
+            ends = other_end - other_new + (
+                np.zeros(n, dtype=np.int64)
+                if got is None
+                else got[1].searchsorted(positions)
+            )
+            spec = wins[other_alias].spec
+            if spec.rows is not None:
+                starts = np.maximum(base, ends - spec.rows)
+            else:
+                ts = own_ts[own_end - n:own_end]
+                starts = base + other_ts[base:other_end].searchsorted(
+                    ts - spec.seconds, side="left"
+                )
+                starts = np.minimum(starts, ends)
+            probes.append((
+                positions,
+                np.arange(own_end - n, own_end),
+                starts,
+                ends - starts,
+                alias == self.left_alias,
+            ))
+            # every probing row evicts the other side's time window; the
+            # newest one decides
+            wins[other_alias].evict(float(own_ts[own_end - 1]))
+
+        if len(probes) == 1:
+            positions, own_slots, starts, counts, left = probes[0]
+            lefts = np.full(len(positions), left)
         else:
-            starts = other_ts.searchsorted(ts - other.spec.seconds, side="left")
-        counts = m - starts
+            positions = np.concatenate([p[0] for p in probes])
+            order = np.argsort(positions, kind="stable")
+            positions = positions[order]
+            own_slots = np.concatenate([p[1] for p in probes])[order]
+            starts = np.concatenate([p[2] for p in probes])[order]
+            counts = np.concatenate([p[3] for p in probes])[order]
+            lefts = np.concatenate(
+                [np.full(len(p[0]), p[4]) for p in probes]
+            )[order]
         total = int(counts.sum())
         self.inspected += total
-        if other.spec.rows is None:
-            other_final_ts = float(ts[-1])
         if total == 0:
-            if other.spec.rows is None:
-                other.evict(other_final_ts)
             return DeferredBatch(self.out_stream, {}, 0), np.arange(0)
 
-        # partner positions are taken in the window's backing arrays, not
-        # in its live extent: they stay valid after the extent moves on
-        first, other_buf_ts, other_cols = other.buffers()
-        if n == 1:
-            # one probing row (the usual simulator delivery): its
-            # candidates are one contiguous run
-            row_idx = np.zeros(total, dtype=np.int64)
-            partner_idx = np.arange(first + m - total, first + m)
-        else:
-            row_idx = np.repeat(np.arange(n), counts)
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            partner_idx = (
-                np.arange(total) - offsets[row_idx] + (starts + first)[row_idx]
-            )
+        probe_of = np.repeat(np.arange(len(counts)), counts)
+        firsts = np.cumsum(counts) - counts
+        partner = starts[probe_of] + (np.arange(total) - firsts[probe_of])
+        own = own_slots[probe_of]
+        left_probes = lefts[probe_of]
+        left_pos = np.where(left_probes, own, partner)
+        right_pos = np.where(left_probes, partner, own)
 
-        # an output column is ``array[index]`` over the pairs' input rows
-        # (True) or their partners' positions (False).  Insertion order is
-        # the output's column order and a repeated name keeps its first
-        # place; the two lags are computed, not gathered, so their
-        # entries only hold that place
-        own_lag = f"{own_alias}.timestamp_lag"
-        other_lag = f"{other_alias}.timestamp_lag"
+        la, ra = self.left_alias, self.right_alias
+        _, left_ts, left_cols = bufs[la]
+        _, right_ts, right_cols = bufs[ra]
+        # an output column is ``array[index]`` over one window's backing
+        # array at the pairs' positions in it (True: the left window);
+        # the timestamp and the two lags are computed, not gathered
         gathers: Dict[str, Tuple[np.ndarray, Optional[np.ndarray], bool]] = {}
-        for k, col in batch.columns.items():
-            gathers[f"{own_alias}.{k}"] = (col, batch.present.get(k), True)
-        for k, col, mask in other_cols:
-            gathers[f"{other_alias}.{k}"] = (col, mask, False)
-        gathers["timestamp"] = gathers[own_lag] = gathers[other_lag] = (
-            ts, None, True
-        )
+        for k, col, mask in left_cols:
+            gathers[f"{la}.{k}"] = (col, mask, True)
+        for k, col, mask in right_cols:
+            gathers[f"{ra}.{k}"] = (col, mask, False)
+        left_lag, right_lag = f"{la}.timestamp_lag", f"{ra}.timestamp_lag"
+        computed = {
+            "timestamp": lambda lp, rp, probes: _probe_ts(
+                left_ts, right_ts, lp, rp, probes
+            ),
+            left_lag: lambda lp, rp, probes: _lag(
+                left_ts, right_ts, lp, rp, probes
+            ),
+            right_lag: lambda lp, rp, probes: _lag(
+                right_ts, left_ts, rp, lp, ~probes
+            ),
+        }
 
         # eager, over every candidate pair: what the predicates read
         cols: Dict[str, np.ndarray] = {}
         present: Dict[str, np.ndarray] = {}
         for name in self._probe_attrs:
-            if name == own_lag:
-                cols[name] = np.zeros(total, dtype=np.float64)
-            elif name == other_lag:
-                cols[name] = _lag(ts, row_idx, other_buf_ts, partner_idx)
+            if name in computed:
+                cols[name] = computed[name](left_pos, right_pos, left_probes)
             elif name in gathers:
-                col, mask, own_side = gathers[name]
-                idx = row_idx if own_side else partner_idx
+                col, mask, on_left = gathers[name]
+                idx = left_pos if on_left else right_pos
                 cols[name] = col[idx]
                 if mask is not None:
                     present[name] = mask[idx]
-        keep = evaluate_predicates_batch(
-            self.predicates, cols, total, present
-        )
-        if other.spec.rows is None:
-            other.evict(other_final_ts)
+        keep = evaluate_predicates_batch(self.predicates, cols, total, present)
 
         # deferred, over the kept pairs: every column, gathered on demand
-        rows = row_idx[keep]
-        partners = partner_idx[keep]
+        left_pos, right_pos = left_pos[keep], right_pos[keep]
+        left_probes = left_probes[keep]
         out_cols: Dict[str, Callable[[], np.ndarray]] = {}
         out_present: Dict[str, Callable[[], np.ndarray]] = {}
-        for name, (col, mask, own_side) in gathers.items():
-            idx = rows if own_side else partners
+        for name, (col, mask, on_left) in gathers.items():
+            if name in computed:
+                continue
+            idx = left_pos if on_left else right_pos
             out_cols[name] = partial(col.__getitem__, idx)
             if mask is not None:
                 out_present[name] = partial(mask.__getitem__, idx)
-        out_cols[own_lag] = partial(np.zeros, len(rows), dtype=np.float64)
-        out_cols[other_lag] = partial(_lag, ts, rows, other_buf_ts, partners)
+        for name, fn in computed.items():
+            out_cols[name] = partial(fn, left_pos, right_pos, left_probes)
         return (
-            DeferredBatch(self.out_stream, out_cols, len(rows), out_present),
-            rows,
+            DeferredBatch(self.out_stream, out_cols, len(left_pos), out_present),
+            positions[probe_of[keep]],
         )
 
     def process(self, t: StreamTuple) -> List[StreamTuple]:
@@ -525,4 +586,4 @@ class WindowJoin(Operator):
 
     def process_batch(self, batch: TupleBatch) -> Tuple[TupleBatch, np.ndarray]:
         """Unsupported: a join needs to know which side a batch arrives on."""
-        raise TypeError("WindowJoin requires process_batch_side(alias, batch)")
+        raise TypeError("WindowJoin requires process_batch_sides(sides)")

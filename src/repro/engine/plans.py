@@ -8,7 +8,7 @@ returns result tuples named after the query's result stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,42 +61,50 @@ class QueryPlan:
         return out
 
     def push_batch(
-        self, alias: str, batch: TupleBatch
+        self, sides: Sequence[Tuple[str, TupleBatch, np.ndarray]]
     ) -> Tuple[Union[TupleBatch, DeferredBatch], np.ndarray]:
-        """Feed a batch of input tuples on ``alias``; columnar fast path.
+        """Feed batches of input tuples; columnar fast path.
 
-        Returns the result batch plus an index array mapping each result
-        row to the input row that produced it (non-decreasing).  Output
-        rows, their order, and every operator's ``inspected`` counter are
-        bit-identical to pushing the rows one at a time through
+        ``sides`` holds, per input alias (at most one entry each), a batch
+        of rows arriving on it and the increasing positions those rows
+        take in one merged delivery order; a join-less plan takes exactly
+        one entry.  Returns the result batch plus an index array mapping
+        each result row to the merged position of the input row that
+        produced it (non-decreasing).  Output rows, their order, and
+        every operator's ``inspected`` counter are bit-identical to
+        pushing the rows one at a time, in the merged order, through
         :meth:`push`.  A join plan's result batch is deferred (row count
         and column names known, columns gathered by ``to_tuples()``), with
         the projection of *this* push already applied.
         """
-        if alias not in self.selects:
-            raise KeyError(f"query {self.query.name!r} has no input {alias!r}")
-        survivors, rows = self.selects[alias].process_batch(batch)
+        survivors = []
+        for alias, batch, positions in sides:
+            if alias not in self.selects:
+                raise KeyError(
+                    f"query {self.query.name!r} has no input {alias!r}"
+                )
+            kept, rows = self.selects[alias].process_batch(batch)
+            survivors.append((alias, kept, positions[rows]))
         if self.join is not None:
-            joined, joined_rows = self.join.process_batch_side(alias, survivors)
+            joined, row_index = self.join.process_batch_sides(survivors)
             out, _ = self.project.process_batch(joined)
-            row_index = rows[joined_rows]
         else:
+            ((alias, kept, row_index),) = survivors
             qualified_cols = {
-                f"{alias}.{k}": col for k, col in survivors.columns.items()
+                f"{alias}.{k}": col for k, col in kept.columns.items()
             }
             qualified_present = {
-                f"{alias}.{k}": m for k, m in survivors.present.items()
+                f"{alias}.{k}": m for k, m in kept.present.items()
             }
-            qualified_cols["timestamp"] = survivors.timestamps if survivors.n else \
+            qualified_cols["timestamp"] = kept.timestamps if kept.n else \
                 np.empty(0, dtype=np.float64)
             qualified = TupleBatch(
                 self.result_stream,
                 qualified_cols,
-                survivors.n,
+                kept.n,
                 qualified_present or None,
             )
             out, _ = self.project.process_batch(qualified)
-            row_index = rows
         self.results_emitted += out.n
         return out, row_index
 

@@ -2,7 +2,8 @@
 
 Two representations of stream data coexist (a third,
 :class:`DeferredBatch`, is a :class:`TupleBatch` that has not been
-gathered yet):
+gathered yet, and a :class:`MergedBatch` interleaves batches of several
+streams in one delivery order):
 
 * :class:`StreamTuple` -- one row as a ``dict`` (the scalar reference
   path, unchanged semantics since the seed);
@@ -32,7 +33,13 @@ from typing import (
 
 import numpy as np
 
-__all__ = ["Schema", "StreamTuple", "TupleBatch", "DeferredBatch"]
+__all__ = [
+    "Schema",
+    "StreamTuple",
+    "TupleBatch",
+    "DeferredBatch",
+    "MergedBatch",
+]
 
 
 @dataclass(frozen=True)
@@ -358,3 +365,52 @@ class DeferredBatch:
     def to_tuples(self) -> List[StreamTuple]:
         """The rows as :class:`StreamTuple`\\ s (see :meth:`TupleBatch.to_tuples`)."""
         return self.batch().to_tuples()
+
+
+class MergedBatch:
+    """``n`` rows of several streams in one delivery order.
+
+    ``parts`` holds, per stream (first-seen order), a :class:`TupleBatch`
+    of that stream's rows and the increasing positions they take in the
+    merged order.  A two-input query consumes one drain's rows this way
+    in a single push instead of one push per same-stream run.
+    """
+
+    __slots__ = ("parts", "n")
+
+    def __init__(self, parts: List[Tuple[TupleBatch, np.ndarray]], n: int):
+        self.parts = parts
+        self.n = n
+
+    @classmethod
+    def from_tuples(cls, tuples: Sequence[StreamTuple]) -> "MergedBatch":
+        """Columnarise tuples of any streams; the order is the merged order."""
+        by_stream: Dict[str, Tuple[List[StreamTuple], List[int]]] = {}
+        for i, t in enumerate(tuples):
+            entry = by_stream.get(t.stream)
+            if entry is None:
+                by_stream[t.stream] = entry = ([], [])
+            entry[0].append(t)
+            entry[1].append(i)
+        return cls(
+            [
+                (
+                    TupleBatch.from_tuples(stream, rows),
+                    np.asarray(positions, dtype=np.int64),
+                )
+                for stream, (rows, positions) in by_stream.items()
+            ],
+            len(tuples),
+        )
+
+    def to_tuples(self) -> List[StreamTuple]:
+        """The rows as :class:`StreamTuple`\\ s, in the merged order."""
+        out: List[Optional[StreamTuple]] = [None] * self.n
+        for batch, positions in self.parts:
+            for i, t in zip(positions.tolist(), batch.to_tuples()):
+                out[i] = t
+        return out
+
+    def __len__(self) -> int:
+        return self.n
+

@@ -136,19 +136,21 @@ class ColumnWindow:
     def buffers(
         self,
     ) -> Tuple[int, np.ndarray, List[Tuple[str, np.ndarray, Optional[np.ndarray]]]]:
-        """``(first, timestamps, [(name, column, presence or None)])``:
-        the backing arrays themselves and the position of the live
-        extent's first row in them.
+        """``(end, timestamps, [(name, column, presence or None)])``:
+        the backing arrays themselves and the position one past the
+        newest row in them.
 
-        A snapshot that outlives the extent: appends write past ``_end``,
-        eviction only advances ``_start``, and growing, demoting a column
-        to ``object`` or adding a presence mask all allocate *new*
-        arrays, so rows ``first .. _end`` of the arrays returned here are
-        never written again.
+        A snapshot that outlives the extent: appends write at ``end`` and
+        beyond, eviction only advances the live start, and growing,
+        demoting a column to ``object`` or adding a presence mask all
+        allocate *new* arrays, so rows before ``end`` of the arrays
+        returned here are never written again.  Growing keeps the live
+        extent, so right after :meth:`append_batch` the rows that were
+        live before it sit just below the appended ones.
         """
         present = self._present
         return (
-            self._start,
+            self._end,
             self._ts,
             [(k, col, present.get(k)) for k, col in self._cols.items()],
         )

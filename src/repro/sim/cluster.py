@@ -50,17 +50,25 @@ columnar: same-substream tuples emitted within one mean source
 inter-arrival coalesce into a single
 :meth:`~repro.pubsub.network.PubSubNetwork.publish_batch` (one
 forwarding probe per hop per batch, link bytes accounted per row), and
-released rows reach the engines as
-:class:`~repro.engine.tuples.TupleBatch`\\ es through one drain event
-per batch instead of one release event per tuple; what comes back is
-result *counts* per input row, and the unshared plane accounts from
-those without ever building a result tuple.  Emission events stay
-per-tuple (the rng draw order defines the workload), every
-control-plane event (churn, migration rounds, hot spots, sampling)
-flushes the coalescing buffers first, and per-query deliveries stay in
-timestamp order -- so traces, results, link traffic and CPU counters
-are bit-identical to ``use_batches=False``, the per-tuple reference
-plane (``tests/test_batch_parity.py``).
+released rows are *delivered when something observes them*: a unit's
+queued rows wait until a sample, an adaptation round (migrations
+included), a fault handler, the unit's own churn or detach, or the end
+of the run, and then reach its engine in one push (a
+:class:`~repro.engine.tuples.MergedBatch` when a join's two inputs
+interleave).  No event is scheduled per publish.  Nothing reads a
+result between two such points, every row is accounted at
+``max(release, ready)`` -- the instant the per-tuple plane's release
+event would have delivered it -- and a unit's rows still reach its plan
+in timestamp order, so what comes back (result *counts* per input row;
+the unshared plane accounts from those without building a result
+tuple) and when it is accounted do not depend on when the push
+happened.  Emission events stay per-tuple (the rng draw order defines
+the workload), and every control-plane event publishes the coalescing
+buffers of the streams it re-routes first -- so traces, results, link
+traffic and CPU counters are bit-identical to ``use_batches=False``,
+the per-tuple reference plane (``tests/test_batch_parity.py``), and to
+the per-publish drain scheduler kept in ``tests/reference``
+(``tests/test_on_demand_delivery.py``).
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ from ..core.cosmos import Cosmos, CosmosConfig
 from ..engine.executor import Engine
 from ..obs.observer import Observer
 from ..engine.plans import QueryPlan
-from ..engine.tuples import StreamTuple, TupleBatch
+from ..engine.tuples import MergedBatch, StreamTuple
 from ..pubsub.messages import Event
 from ..pubsub.network import PubSubNetwork
 from ..pubsub.subscriptions import Advertisement, Subscription
@@ -278,10 +286,6 @@ class _Unit:
     pending_rel: List[Tuple[float, int, StreamTuple, float]] = field(
         default_factory=list
     )
-    #: latest scheduled (not yet fired) drain event time, for dedup: a
-    #: pending drain at T delivers every row with release <= T, so no
-    #: extra event is needed for rows releasing at or before T
-    drain_at: float = float("-inf")
     #: False once the last member left (the unit retires after its drain)
     alive: bool = True
     #: True while no engine hosts the plan (drained and torn down, or
@@ -466,8 +470,16 @@ class SimCluster:
         self._src_pending: List[List[Tuple[int, StreamTuple]]] = [
             [] for _ in range(len(space))
         ]
+        #: per substream: a coalescing timeout is scheduled.  An early
+        #: publish (a control event) leaves it in place, so the timeouts
+        #: follow the emissions alone, not when rows were observed
+        self._timeout_set: List[bool] = [False] * len(space)
         self._emit_seq = 0
         self.batch_publishes = 0
+        #: latest instant a queued row became deliverable (its release, or
+        #: the end of a handoff pause it waited out); the end-of-run drain
+        #: runs there
+        self._deliverable_by = 0.0
 
         #: ordered fault/membership/recovery log (always present; empty
         #: without configured faults)
@@ -512,9 +524,10 @@ class SimCluster:
         subscription matches on streams only; shared, it joins or founds
         a group (:meth:`_join_group`).
         """
-        # the new subscription changes routing tables: coalesced batches
-        # emitted under the old tables must be published first
-        self._flush_batches()
+        # the new subscription changes the routing of the query's
+        # streams: their coalesced rows were emitted under the old
+        # tables and must be published first
+        self._publish_substreams(simq.substreams)
         if self._sharing:
             qs = self._join_group(simq, host)
         else:
@@ -600,6 +613,8 @@ class SimCluster:
             self.network.advertise(host, unit.adv)
             self._install_sources(unit, source_subscriptions(unit.executed))
         else:
+            # rows the group released so far run under the narrower plan
+            self._observe(unit)
             widened = merge_queries(unit.executed, simq.ast, name=unit.name)
             unit.plan.widen_to(widened)
             unit.executed = widened
@@ -729,10 +744,12 @@ class SimCluster:
         qs = self.queries[query_id]
         if not qs.alive:
             return
-        self._flush_batches()
+        unit = qs.unit
+        # the unit's streams are re-routed and the unit (shared: its
+        # carves) changes: everything it released so far goes in first
+        self._observe(unit)
         now = self.loop.now
         qs.alive = False
-        unit = qs.unit
         self._annotate_pending(
             unit, "query_remove", **{"query": query_id, unit.kind: unit.uid}
         )
@@ -783,12 +800,12 @@ class SimCluster:
     def _detach_member(self, query_id: int) -> None:
         """Tear a departed member's capped carve down once its unit drained.
 
-        Inputs emitted before the departure may still sit in the unit's
-        pending buffers when a migration pause pushed their release
-        events to this very instant but behind this event in the queue
-        -- deliver them first (later inputs ride along early; the
-        departed member's upper time bound keeps them out of its carve,
-        and survivors receive identical content either way).
+        Inputs emitted before the departure may still be queued on the
+        unit (rows are delivered when observed, and a migration pause
+        can hold them past this instant) -- deliver them first (later
+        inputs ride along early; the departed member's upper time bound
+        keeps them out of its carve, and survivors receive identical
+        content either way).
         """
         qs = self.queries[query_id]
         if qs.result_sub is None:
@@ -804,10 +821,9 @@ class SimCluster:
         """Tear a retired unit down after its drain: deliver what is in
         flight, remove the plan, retire an advertised result stream.
 
-        Delivering first matters: a migration can push ``last_release``
-        past already-scheduled release events, making them fire
-        (rescheduled) at the same instant as this detach but after it in
-        the queue -- dropping them would diverge from the oracle, which
+        Delivering first matters: rows emitted before the departure may
+        still be queued (nothing observed them yet, or a migration pause
+        held them) -- dropping them would diverge from the oracle, which
         processes every tuple emitted before the departure.
         """
         unit = self.units[uid]
@@ -825,12 +841,15 @@ class SimCluster:
     def _drain_unit_completely(self, unit: _Unit) -> None:
         """Deliver everything pending on a unit, releases regardless.
 
-        Batch-plane rows still pending here were paused past their
-        release (migration handoff) -- the scalar plane's loop delivers
-        exactly those at ``loop.now`` as well.
+        Rows whose release has come are accounted at ``max(release,
+        ready)`` like any observed row (:meth:`_observe`).  The remainder
+        was paused past its release (migration handoff) or releases
+        later -- the scalar plane's loop delivers exactly those at
+        ``loop.now`` as well.
         """
         while unit.pending:
             self._deliver_now(unit, unit.pending.popleft()[0])
+        self._observe(unit)
         if unit.pending_rel:
             rows = [(t, self.loop.now) for _, _, t, _ in unit.pending_rel]
             unit.pending_rel.clear()
@@ -927,6 +946,9 @@ class SimCluster:
         unit.ready = self.loop.now + handoff_s
         unit.last_release = max(unit.last_release, unit.ready)
         unit.last_release_floor = unit.last_release
+        if unit.pending_rel and unit.ready > self._deliverable_by:
+            # queued rows releasing during the pause wait until it ends
+            self._deliverable_by = unit.ready
         return state_tuples
 
     # ------------------------------------------------------------------
@@ -942,9 +964,9 @@ class SimCluster:
         stale generation and dies here.
 
         On the batch data plane the tuple is not published here: it joins
-        the substream's coalescing buffer, and the buffer's first row
-        schedules the batch publish one mean inter-arrival later
-        (:meth:`_flush_substream`).  Drawing values/arrivals stays in
+        the substream's coalescing buffer, and unless a timeout is already
+        set, schedules the batch publish one mean inter-arrival later
+        (:meth:`_coalescing_timeout`).  Drawing values/arrivals stays in
         this per-tuple event so the rng consumption order -- and hence
         every generated tuple -- is identical on both planes.
         """
@@ -970,14 +992,14 @@ class SimCluster:
         ):
             obs.spans.begin(self._emit_seq, sid, tup, t)
         if self._batching:
-            pending = self._src_pending[sid]
-            pending.append((self._emit_seq, tup))
-            if len(pending) == 1:
+            self._src_pending[sid].append((self._emit_seq, tup))
+            if not self._timeout_set[sid]:
                 # coalescing window: one mean source inter-arrival (a
                 # dead substream's lone row flushes immediately)
+                self._timeout_set[sid] = True
                 window = 1.0 / rate if rate > 1e-12 else 0.0
                 self.loop.schedule(
-                    t + window, partial(self._flush_substream, sid)
+                    t + window, partial(self._coalescing_timeout, sid)
                 )
         else:
             self._publish_rows(sid, [(self._emit_seq, tup)])
@@ -1032,23 +1054,30 @@ class SimCluster:
                     release, partial(self._release_one, unit.uid)
                 )
                 continue
-            release_last = 0.0
-            for seq, tup in unit_rows:
-                release = max(tup.timestamp + unit.slack, unit.last_release_floor)
-                unit.last_release = max(unit.last_release, release)
-                # sorted insert by (timestamp, emission seq): rows of
-                # *other* substreams may already sit in pending_rel with
-                # later timestamps (their batch flushed earlier)
-                bisect.insort(unit.pending_rel, (tup.timestamp, seq, tup, release))
-                release_last = release
-                if spans is not None:
-                    self._span_queued(spans, tup, unit, source, release)
-            when = max(release_last, now)
-            if when > unit.drain_at:
-                unit.drain_at = when
-                self.loop.schedule(when, partial(self._drain_query, unit.uid))
+            self._queue_rows(unit, unit_rows, source)
         if profiler is not None:
             profiler.stop()
+
+    def _queue_rows(
+        self, unit: _Unit, rows: List[Tuple[int, StreamTuple]], source: int
+    ) -> float:
+        """Queue routed (seq, tuple) rows on a unit until something
+        observes them (batch plane); returns their latest release."""
+        spans = self.obs.spans if self.obs is not None else None
+        release_last = 0.0
+        for seq, tup in rows:
+            release = max(tup.timestamp + unit.slack, unit.last_release_floor)
+            unit.last_release = max(unit.last_release, release)
+            # sorted insert by (timestamp, emission seq): rows of *other*
+            # substreams may already sit in pending_rel with later
+            # timestamps (their batch was published earlier)
+            bisect.insort(unit.pending_rel, (tup.timestamp, seq, tup, release))
+            release_last = release
+            if spans is not None:
+                self._span_queued(spans, tup, unit, source, release)
+        if release_last > self._deliverable_by:
+            self._deliverable_by = release_last
+        return release_last
 
     def _span_queued(self, spans, tup, unit: _Unit, source: int, release) -> None:
         span = spans.lookup(tup)
@@ -1163,7 +1192,9 @@ class SimCluster:
         stream, as (host, compiled matcher, unit id).
 
         Memoised against the network's control-plane version: the
-        candidate set only changes when subscriptions change.
+        candidate set only changes when subscriptions change.  Retired
+        units and units no engine hosts (crashed, not yet restored) are
+        not candidates: their subscriptions are out of the network.
         """
         route = self._src_route.get(sid)
         if route is not None and route[0] == self.network.version:
@@ -1171,7 +1202,7 @@ class SimCluster:
         stream = stream_name(sid)
         cands: List[Tuple[int, object, int]] = []
         for unit in self.units.values():
-            if not unit.alive:
+            if not unit.alive or unit.detached:
                 continue
             for sub in unit.subs:
                 if stream in sub.streams:
@@ -1195,7 +1226,7 @@ class SimCluster:
         as the reference (``_route_fast=False``, pinned by the parity
         tests).  The batch plane still wins engine-side: a coalesced
         buffer's surviving rows reach each group through its sorted
-        pending list and drain as TupleBatch pushes.
+        pending list and reach it in one push when observed.
         """
         per_unit: Dict[int, List[Tuple[int, StreamTuple]]] = {}
         if self._route_fast:
@@ -1240,21 +1271,37 @@ class SimCluster:
         self._src_pending[sid] = []
         self._publish_rows(sid, rows)
 
-    def _flush_batches(self) -> None:
-        """Publish every coalesced buffer now (batch plane only).
+    def _coalescing_timeout(self, sid: int) -> None:
+        """A substream's coalescing window ended: publish its buffer."""
+        self._timeout_set[sid] = False
+        self._flush_substream(sid)
 
-        Called before any control-plane change (subscription add/remove,
-        migration round, rate shift, sampling): the buffered rows were
-        emitted under the *current* routing tables and host placements,
-        and publishing them early is always safe -- matching, releases
-        and accounting depend only on state that has not changed since
-        their emission.
+    def _publish_substreams(self, substreams) -> None:
+        """Publish the coalescing buffers of ``substreams`` now.
+
+        Publishing early is always safe -- matching, releases and
+        accounting depend only on state that has not changed since the
+        rows' emission -- and it is required before a control event
+        re-routes a stream: the buffered rows were emitted under the
+        tables and placements in force until then.
         """
         if not self._batching:
             return
-        for sid in range(len(self._src_pending)):
+        for sid in substreams:
             if self._src_pending[sid]:
                 self._flush_substream(sid)
+
+    def _flush_batches(self) -> None:
+        """Publish every coalesced buffer and observe every unit.
+
+        Samples, adaptation rounds and fault handlers read or change
+        state every delivery depends on (CPU counters, result totals,
+        hosts, window state, broker tables), so they observe everything
+        released by now first.
+        """
+        if not self._batching:
+            return
+        self._publish_substreams(range(len(self._src_pending)))
         for unit_id in sorted(self.units):
             unit = self.units[unit_id]
             if not unit.detached and unit.pending_rel:
@@ -1282,31 +1329,19 @@ class SimCluster:
         unit.pending.popleft()
         self._deliver_now(unit, tup)
 
-    def _drain_query(self, unit_id: int) -> None:
-        """Deliver a unit's released batch rows (batch plane)."""
-        unit = self.units.get(unit_id)
-        if unit is None or unit.detached:
+    def _observe(self, unit: _Unit) -> None:
+        """Deliver what a unit has released by now (batch plane).
+
+        A two-input query must consume its inputs in timestamp order:
+        rows of its other substream emitted before now may still sit in
+        a coalescing buffer -- publish them first so ``pending_rel``
+        holds every row that can precede the released prefix.
+        """
+        if unit.detached:
             return
-        if self.loop.now >= unit.drain_at:
-            unit.drain_at = float("-inf")
-        if not unit.pending_rel:
-            return
-        if self.loop.now < unit.ready:
-            if unit.ready > unit.drain_at:
-                unit.drain_at = unit.ready
-                self.loop.schedule(
-                    unit.ready, partial(self._drain_query, unit_id)
-                )
-            return
-        # a two-input query must consume its inputs in timestamp order:
-        # rows of its *other* substream emitted before now may still sit
-        # in a coalescing buffer (their flush is later) -- publish them
-        # first so pending_rel holds every row that can precede the
-        # released prefix (flushing early is always safe)
-        for sid in unit.substreams:
-            if self._src_pending[sid]:
-                self._flush_substream(sid)
-        self._drain_ready(unit)
+        self._publish_substreams(unit.substreams)
+        if unit.pending_rel:
+            self._drain_ready(unit)
 
     def _drain_ready(self, unit: _Unit) -> None:
         """Deliver the prefix of ``pending_rel`` whose release has come.
@@ -1332,15 +1367,15 @@ class SimCluster:
     def _deliver_rows(
         self, unit: _Unit, rows: List[Tuple[StreamTuple, float]]
     ) -> None:
-        """Deliver (tuple, delivery-time) rows as same-stream batches.
+        """Deliver (tuple, accounted time) rows to a unit in one push.
 
-        For join-less plans (no window state, so scalar and batch pushes
-        are freely interchangeable), single-row runs skip the columnar
-        round trip: ``push_query`` is the same computation
-        (bit-identical results and counters) without the batch assembly
-        overhead, which matters when low traffic or frequent control
-        events shrink batches to one row.  Join plans always go columnar
-        -- their ``ColumnWindow`` state must see every row.
+        The rows go in as one :class:`~repro.engine.tuples.MergedBatch`
+        in delivery order; the engine joins a join's two interleaved
+        inputs in a single two-sided pass.  A lone row for a join-less plan (no
+        window state, so scalar and batch pushes are freely
+        interchangeable) skips the columnar round trip: ``push_query`` is
+        the same computation (bit-identical results and counters)
+        without the batch assembly overhead.
         """
         obs = self.obs
         profiler = obs.profiler if obs is not None else None
@@ -1348,47 +1383,35 @@ class SimCluster:
         if profiler is not None:
             profiler.start("operator_exec")
         engine = self.engines[unit.host]
-        scalar_ok = unit.plan.join is None
-        i = 0
-        while i < len(rows):
-            j = i
-            stream = rows[i][0].stream
-            while j < len(rows) and rows[j][0].stream == stream:
-                j += 1
-            tracked = None
-            if spans is not None:
-                tracked = [
-                    span
-                    for tup, _ in rows[i:j]
-                    for span in (spans.lookup(tup),)
-                    if span is not None
-                ]
-                before = unit.plan.operator_counters() if tracked else None
-            if scalar_ok and j - i == 1:
-                tup, at = rows[i]
-                self._account_results(
-                    unit, tup, engine.push_query(unit.name, tup), at
-                )
-            else:
-                batch = TupleBatch.from_tuples(
-                    stream, [tup for tup, _ in rows[i:j]]
-                )
-                per_row = engine.push_query_batch(unit.name, batch)
-                for (tup, at), results in zip(rows[i:j], per_row):
-                    self._account_results(unit, tup, results, at)
-            if tracked:
-                after = unit.plan.operator_counters()
-                delta = {
-                    key: after[key] - before.get(key, 0)
-                    for key in after
-                    if after[key] != before.get(key, 0)
-                }
-                for span in tracked:
-                    span.annotate(
-                        "operators", self.loop.now, rows=j - i,
-                        counters=delta,
-                    )
-            i = j
+        tracked = None
+        if spans is not None:
+            tracked = [
+                (span, at)
+                for tup, at in rows
+                for span in (spans.lookup(tup),)
+                if span is not None
+            ]
+            before = unit.plan.operator_counters() if tracked else None
+        if unit.plan.join is None and len(rows) == 1:
+            tup, at = rows[0]
+            self._account_results(
+                unit, tup, engine.push_query(unit.name, tup), at
+            )
+        else:
+            per_row = engine.push_query_batch(
+                unit.name, MergedBatch.from_tuples([tup for tup, _ in rows])
+            )
+            for (tup, at), results in zip(rows, per_row):
+                self._account_results(unit, tup, results, at)
+        if tracked:
+            after = unit.plan.operator_counters()
+            delta = {
+                key: after[key] - before.get(key, 0)
+                for key in after
+                if after[key] != before.get(key, 0)
+            }
+            for span, at in tracked:
+                span.annotate("operators", at, rows=len(rows), counters=delta)
         if profiler is not None:
             profiler.stop()
 
@@ -1608,7 +1631,9 @@ class SimCluster:
         self.remove_query(query_id)
 
     def _hotspot(self, substream_ids: List[int], factor: float) -> None:
-        self._flush_batches()
+        # a rate shift re-routes nothing and changes no unit: only the
+        # shifted substreams' buffers (coalesced at the old rate) go out
+        self._publish_substreams(substream_ids)
         self.space.perturb_rates(substream_ids, factor)
         # restart each affected substream's emission chain at the new rate
         # (also revives chains whose next arrival had run past the horizon)
@@ -1787,9 +1812,18 @@ class SimCluster:
             self.faults.schedule()
 
     def run(self) -> None:
-        """Run to the horizon, then drain in-flight deliveries."""
+        """Run to the horizon, then drain in-flight deliveries.
+
+        The end-of-run drain observes every unit at the latest instant a
+        queued row became deliverable (or later, when the tail's own
+        events -- departures, detaches, heals -- ran longer), so each row
+        is still accounted at ``max(release, ready)`` and the closing
+        sample covers the whole tail.
+        """
         self.loop.run_until(self.duration)
         self.loop.run()  # nothing reschedules past the horizon
+        self.loop.run_until(max(self.loop.now, self._deliverable_by))
+        self._flush_batches()
         if self._interval_results:
             self._sample(closing=True)  # catch the drain tail
 

@@ -311,7 +311,6 @@ class FaultInjector:
             )
             unit.pending.clear()
             unit.pending_rel.clear()
-            unit.drain_at = float("-inf")
             unit.detached = True
             # the subscription objects stay on the unit for the restore
             c._unsubscribe_sources(unit)
@@ -513,6 +512,9 @@ class FaultInjector:
 
     def _heal_link(self, u: int, v: int) -> None:
         c = self.cluster
+        # rows emitted and results released while the link was down are
+        # published under the partition, as the per-tuple plane does
+        c._flush_batches()
         c.network.set_link_up(u, v)
         c.trace.mark(c.loop.now, "heal", f"{u}-{v}")
         c.fault_log.append(

@@ -208,7 +208,9 @@ class TestOperatorParity:
             want.extend(scalar.process_side(alias[t.stream], t))
         got = []
         for b in random_partition(rng, tuples):
-            out, idx = batch.process_batch_side(alias[b.stream], b)
+            out, idx = batch.process_batch_sides(
+                [(alias[b.stream], b, np.arange(b.n))]
+            )
             got.extend(out.to_tuples())
             assert len(idx) == out.n
         assert dicts(got) == dicts(want)
@@ -219,7 +221,9 @@ class TestOperatorParity:
         join = WindowJoin(
             "A", Window(seconds=5), "B", Window(seconds=5), [], "out"
         )
-        join.process_batch_side("A", TupleBatch.from_tuples("L", [tup("L", 1.0)]))
+        join.process_batch_sides(
+            [("A", TupleBatch.from_tuples("L", [tup("L", 1.0)]), np.arange(1))]
+        )
         with pytest.raises(TypeError):
             join.process_side("A", tup("L", 2.0))
         join2 = WindowJoin(
@@ -227,8 +231,8 @@ class TestOperatorParity:
         )
         join2.process_side("A", tup("L", 1.0))
         with pytest.raises(TypeError):
-            join2.process_batch_side(
-                "A", TupleBatch.from_tuples("L", [tup("L", 2.0)])
+            join2.process_batch_sides(
+                [("A", TupleBatch.from_tuples("L", [tup("L", 2.0)]), np.arange(1))]
             )
 
 

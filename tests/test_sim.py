@@ -161,10 +161,11 @@ class TestMidDrainRemoval:
     """
 
     @staticmethod
-    def _mini_cluster():
-        """A one-query scalar-plane cluster, source 0 -- 1000 ms --
-        processor 1 (so the query's reordering slack is 1 s), built
-        through the public constructor and ``add_query``."""
+    def _mini_cluster(use_batches=False):
+        """A one-query cluster (scalar plane unless ``use_batches``),
+        source 0 -- 1000 ms -- processor 1 (so the query's reordering
+        slack is 1 s), built through the public constructor and
+        ``add_query``."""
         from repro.core.cosmos import Cosmos
         from repro.query.interest import mask_of
         from repro.query.parser import parse_query
@@ -184,7 +185,7 @@ class TestMidDrainRemoval:
             processors=[1],
             space=space,
             cosmos=Cosmos(oracle, [1], space),
-            params=ScenarioParams(use_batches=False),
+            params=ScenarioParams(use_batches=use_batches),
             factory=SimQueryFactory(
                 space, [1], SimWorkloadParams(num_substreams=1), rng
             ),

@@ -198,7 +198,10 @@ class TestOverlapKnob:
 # group lifecycle on a hand-built overlay (ported from the deleted
 # SharingDeployment suite onto the simulator's units)
 # ----------------------------------------------------------------------
-def chain_cluster(use_batches: bool = True, rate: float = 25.0):
+def chain_cluster(
+    use_batches: bool = True, rate: float = 25.0, cluster_cls=None,
+    substreams: int = 1,
+):
     """source 0 -- 400 ms -- host 1 -- mid 2 -- proxies 3, 4, 5.
 
     The proxies share the 2 -> 1 path segment, so one member's result
@@ -218,9 +221,11 @@ def chain_cluster(use_batches: bool = True, rate: float = 25.0):
     for u, v, ms in ((0, 1, 400.0), (1, 2, 5.0), (2, 3, 5.0), (2, 4, 5.0), (2, 5, 5.0)):
         topo.add_edge(u, v, ms)
     oracle = LatencyOracle(topo)
-    space = SubstreamSpace(rates=[rate], source_of=[0])
+    space = SubstreamSpace(
+        rates=[rate] * substreams, source_of=[0] * substreams
+    )
     processors = [1, 2, 3, 4, 5]
-    return SimCluster(
+    return (cluster_cls or SimCluster)(
         oracle=oracle,
         sources=[0],
         processors=processors,
@@ -231,7 +236,7 @@ def chain_cluster(use_batches: bool = True, rate: float = 25.0):
             use_batches=use_batches,
         ),
         factory=SimQueryFactory(
-            space, processors, SimWorkloadParams(num_substreams=1),
+            space, processors, SimWorkloadParams(num_substreams=substreams),
             np.random.default_rng(0),
         ),
         arrival_rng=np.random.default_rng(1),
@@ -322,6 +327,22 @@ class TestGroupLifecycle:
         assert same.unit is a.unit
         assert other_host.unit is not a.unit
         assert len(c.units) == 2
+
+    def test_memoised_route_skips_detached_units(self):
+        """A unit no engine hosts (crashed, not yet restored) keeps its
+        subscription objects for the restore; a memoised route rebuilt
+        meanwhile must not list it as a candidate."""
+        c = chain_cluster()
+        lost = c.add_query(member(0, proxy=3), 1).unit
+        kept = c.add_query(member(1, proxy=4), 2).unit
+        assert {uid for _, _, uid in c._src_candidates(0)} == {
+            lost.uid, kept.uid,
+        }
+        # what a processor crash does to the unit it hosted
+        lost.detached = True
+        c._unsubscribe_sources(lost)
+        assert lost.subs
+        assert [uid for _, _, uid in c._src_candidates(0)] == [kept.uid]
 
     def test_departure_repairs_covering_for_survivors(self):
         """Identical carves from three proxies: later propagations stop
