@@ -5,18 +5,21 @@ Every bench prints the same rows/series the paper's figure reports, so
 tables.  Runs use the scaled-down config (`bench_scale`) by default; set
 ``REPRO_PAPER_SCALE=1`` to use the paper's full simulation parameters
 (hours of CPU in pure Python).
-
-Result blocks are printed through :func:`repro.bench.report.emit_block`,
-the same emitter the kernel benchmark CLI (``python -m repro.bench``)
-uses, so all benchmark output shares one format.
 """
 
 import os
 
 import pytest
 
-from repro.bench.report import emit_block as emit  # noqa: F401  (re-export)
 from repro.experiments.config import bench_scale, paper_scale
+
+
+def emit(text: str) -> None:
+    """Print a delimited results block."""
+    print()
+    print("=" * 72)
+    print(text)
+    print("=" * 72)
 
 
 @pytest.fixture

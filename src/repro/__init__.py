@@ -24,8 +24,10 @@ Subpackages
     (Section 2), churn, adaptation rounds, fault injection and recovery.
 ``repro.experiments``
     One driver per paper figure/table.
-``repro.obs`` / ``repro.bench``
-    Observability (spans, metrics, profiler) and the kernel benchmarks.
+``repro.obs``
+    Observability (spans, metrics, profiler) and the ``cosmos-obs`` CLI.
+
+Benchmarks live outside the package, under ``benchmarks/``.
 """
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 from .coarsening import coarsen, merge_qvertices, rebuild_edges, uncoarsen_vertex
 from .coordinator import AdaptationReport, Coordinator
 from .cosmos import Cosmos, CosmosConfig
-from .diffusion import diffusion_solution, diffusion_solution_reference
+from .diffusion import diffusion_solution
 from .fastcost import CostWorkspace
 from .graphs import (
     DEFAULT_ALPHA,
@@ -46,7 +46,6 @@ __all__ = [
     "attach_vertex",
     "choose_target",
     "diffusion_solution",
-    "diffusion_solution_reference",
     "RebalanceStats",
     "rebalance",
     "refine_distribution",

@@ -13,8 +13,8 @@ level peers, not physical neighbours).  For the complete graph ``K_n`` the
 Laplacian is ``n I - J`` and the system has a closed-form minimum-norm
 solution ``x = b / n`` (``b`` sums to zero, so ``J b = 0``), which
 :func:`diffusion_solution` uses together with a vectorised flow
-extraction.  :func:`diffusion_solution_reference` keeps the generic
-least-squares solve as the parity/benchmark baseline.
+extraction; ``tests/reference/scalar_kernels.py`` keeps the generic
+least-squares solve as the parity baseline.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ..obs import registry as _obs
 
-__all__ = ["diffusion_solution", "diffusion_solution_reference"]
+__all__ = ["diffusion_solution"]
 
 Flows = Dict[Tuple[Hashable, Hashable], float]
 
@@ -105,36 +105,3 @@ def diffusion_solution(
         return {}
     nodes, b = _surplus(loads, targets)
     return _flows_from_potential(nodes, b / n, floor)
-
-
-def diffusion_solution_reference(
-    loads: Dict[Hashable, float],
-    targets: Dict[Hashable, float],
-    floor: float = 0.0,
-) -> Flows:
-    """Generic least-squares diffusion solve (reference path).
-
-    Solves ``L x = b`` with ``L`` the explicit ``K_n`` Laplacian via
-    ``lstsq`` (singular with nullspace = constants; ``b`` sums to zero so
-    a solution exists and lstsq picks the minimum-norm one), then
-    extracts flows with the original Python double loop.  Kept as ground
-    truth for the parity tests and as the before-side of the benchmarks.
-    """
-    n = len(loads)
-    if n <= 1:
-        return {}
-    nodes, b = _surplus(loads, targets)
-
-    laplacian = n * np.eye(n) - np.ones((n, n))
-    x, *_ = np.linalg.lstsq(laplacian, b, rcond=None)
-
-    threshold = max(floor, 1e-12)
-    flows: Flows = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            f = x[i] - x[j]
-            if f > threshold:
-                flows[(nodes[i], nodes[j])] = f
-    return flows

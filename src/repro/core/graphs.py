@@ -26,8 +26,7 @@ snapshot here, the ``CostWorkspace`` in ``fastcost``) replay the suffix of
 the journal since their last sync instead of rebuilding from scratch.
 ``QueryGraph.incremental`` gates the patching path; with it off the graph
 behaves exactly like the historical rebuild-on-mutation implementation,
-which is kept as the bit-parity reference (same pattern as
-``wec_reference``).
+which is kept as the bit-parity reference.
 
 Construction is the exception: :func:`build_query_graph` estimates a whole
 graph's edges as arrays and installs them in bulk, writing no journal
@@ -576,33 +575,12 @@ class QueryGraph:
         the snapshot is cached per graph version and delta-patched from
         the mutation journal, so repeated evaluations against a lightly
         mutated graph cost one vectorised gather each.
-        :meth:`wec_reference` keeps the pure-Python definition.
+        ``tests/reference/scalar_kernels.py`` keeps the pure-Python
+        definition.
         """
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.inc("opt.wec_evaluations")
         return self.arrays_for(ng).wec(mapping)
-
-    def wec_reference(self, mapping: Mapping, ng: NetworkGraph) -> float:
-        """Pure-Python Weighted Edge Cut (the Eqn 3.2 reference path).
-
-        Semantically identical to :meth:`wec`; kept as the ground truth
-        for parity tests and as the before-side of the benchmarks.
-        """
-        total = 0.0
-        pos = {
-            vid: self.position(vid, mapping, ng)
-            for vid in itertools.chain(self.qverts, self.nverts)
-        }
-        done = set()
-        for a, nbrs in self.adj.items():
-            for b, w in nbrs.items():
-                # use an order-free marker based on the pair itself
-                marker = frozenset((a, b))
-                if marker in done:
-                    continue
-                done.add(marker)
-                total += w * ng.site_distance(pos[a], pos[b])
-        return total
 
     def arrays_for(self, ng: NetworkGraph) -> "GraphArrays":
         """The cached :class:`GraphArrays` snapshot against ``ng``.

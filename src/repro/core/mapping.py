@@ -49,14 +49,6 @@ class MappingResult:
     moves: int = 0
 
 
-def _positions(qg: QueryGraph, mapping: Mapping, ng: NetworkGraph) -> Dict[VertexId, int]:
-    """Topology positions of all vertices under a mapping (helper)."""
-    return {
-        vid: qg.position(vid, mapping, ng)
-        for vid in list(qg.qverts) + list(qg.nverts)
-    }
-
-
 def _attach_cost(
     qg: QueryGraph,
     vid: VertexId,

@@ -18,7 +18,7 @@ from .observer import SCHEMA, Observer
 from .profiler import SubsystemProfiler
 from .registry import MetricsRegistry, set_active
 from .spans import Span, SpanRecorder
-from .timing import Stopwatch, Timing, measure
+from .timing import Stopwatch
 
 __all__ = [
     "Observer",
@@ -29,6 +29,4 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Stopwatch",
-    "Timing",
-    "measure",
 ]

@@ -8,8 +8,7 @@ Subcommands operate on the JSON file written by
     cosmos-obs profile OBS.json            # subsystem wall-clock table
     cosmos-obs spans OBS.json [--seq N] [--limit K]
     cosmos-obs record --out OBS.json [--seed S] [--duration D]
-                      [--sample-every N] [--batches/--no-batches]
-                      [--sharing]          # run + record a scenario
+                      [--sample-every N] [--sharing]  # run + record
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ def _cmd_record(args) -> int:
     scenario = ScenarioParams(
         duration=args.duration,
         churn=ChurnParams(),
-        use_batches=args.batches,
         use_sharing=args.sharing,
     )
     run_scenario(seed=args.seed, scenario=scenario, observer=obs)
@@ -183,10 +181,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--sample-every", type=int, default=16)
-    p.add_argument("--batches", action="store_true", default=True)
-    p.add_argument(
-        "--no-batches", dest="batches", action="store_false"
-    )
     p.add_argument("--sharing", action="store_true")
     p.set_defaults(fn=_cmd_record)
 

@@ -1,60 +1,15 @@
-"""Wall-clock timing primitives shared by bench and instrumentation.
+"""One-shot wall-clock measurement.
 
-Every wall-clock attribution in the repo flows through this module:
-the bench scenarios' ``measure`` best-of-N harness, the ``Stopwatch``
-used by one-shot elapsed measurements (placement search, experiment
-scripts), and the :mod:`repro.obs.profiler` subsystem timers.  Keeping
-one code path means one place to swap the clock source or add
-calibration later.
+The ``Stopwatch`` times the observed run (:class:`repro.obs.Observer`),
+placement search and the experiment scripts.  Keeping one code path
+means one place to swap the clock source or add calibration later.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Tuple
 
-__all__ = ["Timing", "measure", "Stopwatch"]
-
-
-@dataclass(frozen=True)
-class Timing:
-    """Aggregate of repeated timed runs of one callable.
-
-    ``best`` is the headline number (least noise on a shared machine);
-    ``mean`` and ``repeat`` qualify it.
-    """
-
-    best: float
-    mean: float
-    repeat: int
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (seconds, floats)."""
-        return {"best_s": self.best, "mean_s": self.mean, "repeat": self.repeat}
-
-
-def measure(
-    fn: Callable[[], Any], repeat: int = 3, warmup: int = 0
-) -> Tuple[Any, Timing]:
-    """Time ``fn()`` ``repeat`` times; returns (last result, timing).
-
-    ``warmup`` extra untimed calls run first (JIT-less Python still
-    benefits: imports, caches and allocator warm-up).
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    for _ in range(warmup):
-        fn()
-    result = None
-    samples = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        samples.append(time.perf_counter() - t0)
-    return result, Timing(
-        best=min(samples), mean=sum(samples) / len(samples), repeat=repeat
-    )
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:

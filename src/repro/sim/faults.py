@@ -27,12 +27,11 @@ handoff), and repairs broken subscription covering with the
 ``force=True`` re-propagation machinery; :class:`NoRecovery` keeps the
 failure un-repaired as the baseline the tests compare against.
 
-The module also hosts the *recovery invariants* the test suite and the
-``sim_faults`` bench scenario assert: queries untouched by a failed
-node lose nothing (exact oracle parity); queries hosted on it lose a
-bounded window (their results are a subsequence of the oracle's) and,
-with recovery, regain full parity for results derived entirely from
-post-recovery inputs.
+The module also hosts the *recovery invariants* the test suite asserts:
+queries untouched by a failed node lose nothing (exact oracle parity);
+queries hosted on it lose a bounded window (their results are a
+subsequence of the oracle's) and, with recovery, regain full parity for
+results derived entirely from post-recovery inputs.
 """
 
 from __future__ import annotations
@@ -593,7 +592,7 @@ class FaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# recovery invariants (shared by tests and the bench gate)
+# recovery invariants (asserted by the test suite)
 # ---------------------------------------------------------------------------
 def is_subsequence(sub: List, full: List) -> bool:
     """Whether ``sub`` appears in ``full`` in order (gaps allowed)."""

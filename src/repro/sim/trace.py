@@ -1,7 +1,7 @@
 """Time-series traces of a simulation run.
 
-A :class:`SimTrace` is the machine-readable record the bench scenarios
-put in ``BENCH_core.json``: periodic samples (throughput, end-to-end
+A :class:`SimTrace` is the machine-readable record of a run: periodic
+samples (throughput, end-to-end
 latency, measured load stddev, traffic counters), one mark per
 adaptation round (load stddev regrouped before/after the round's
 migrations), and one mark per lifecycle event (query arrival/departure,
@@ -134,7 +134,7 @@ class SimTrace:
         return trace
 
     def summary(self) -> Dict:
-        """Compact stats for bench reports (full samples stay available)."""
+        """Compact stats of the run (full samples stay available)."""
         lats = self.latencies()
         return {
             "samples": len(self.samples),

@@ -1,6 +1,6 @@
 """Network topology substrate: transit-stub generation, latency, overlays."""
 
-from .latency import LatencyOracle, dijkstra, select_roles
+from .latency import LatencyOracle, SyntheticOracle, dijkstra, select_roles
 from .overlay import OverlayTree, minimum_latency_spanning_tree
 from .transit_stub import Topology, TransitStubParams, generate_transit_stub
 
@@ -9,6 +9,7 @@ __all__ = [
     "TransitStubParams",
     "generate_transit_stub",
     "LatencyOracle",
+    "SyntheticOracle",
     "dijkstra",
     "select_roles",
     "OverlayTree",

@@ -5,16 +5,21 @@ The COSMOS optimizer needs transfer latencies ``d(ni, nj)`` between the
 routers.  :class:`LatencyOracle` therefore runs Dijkstra once per relevant
 node and caches the distance rows.  Rows are computed lazily so callers can
 pass the full topology and only pay for the nodes they ask about.
+:class:`SyntheticOracle` answers the same interface from random 2-D
+coordinates, for synthetic workloads that need no router graph.
 """
 
 from __future__ import annotations
 
 import heapq
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Sequence
+
+import numpy as np
 
 from .transit_stub import Topology
 
-__all__ = ["dijkstra", "LatencyOracle", "select_roles"]
+__all__ = ["dijkstra", "LatencyOracle", "SyntheticOracle", "select_roles"]
 
 
 def dijkstra(topo: Topology, source: int) -> List[float]:
@@ -92,6 +97,31 @@ class LatencyOracle:
                 best = u
         assert best is not None
         return best
+
+
+class SyntheticOracle(LatencyOracle):
+    """Latency oracle over random 2-D coordinates, without a graph.
+
+    Latency is the Euclidean distance between node coordinates, so a row
+    is one vectorised norm instead of a Dijkstra run.  ``topology`` only
+    carries the node count ``n``.
+    """
+
+    def __init__(self, n: int, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self.coords = rng.uniform(0.0, 100.0, size=(n, 2))
+        super().__init__(SimpleNamespace(n=n))
+
+    def row(self, u: int) -> np.ndarray:
+        """Distances from ``u`` to every node (cached)."""
+        if u not in self._rows:
+            self._rows[u] = np.linalg.norm(self.coords - self.coords[u], axis=1)
+        return self._rows[u]
+
+    def __call__(self, u: int, v: int) -> float:
+        if u == v:
+            return 0.0
+        return float(self.row(u)[v])
 
 
 def select_roles(

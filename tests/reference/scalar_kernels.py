@@ -1,0 +1,72 @@
+"""The optimizer's cost kernels as plain Python loops.
+
+The definitions ``src/`` vectorises: the Weighted Edge Cut of Eqn 3.2
+(``QueryGraph.wec`` gathers it from ``GraphArrays``), the vertex
+positions the scalar attach cost (``repro.core.mapping._attach_cost``)
+reads, and Hu & Blake diffusion as a generic least-squares solve
+(``diffusion_solution`` uses the closed form for the complete graph).
+"""
+
+import itertools
+from typing import Dict, Hashable
+
+import numpy as np
+
+from repro.core.diffusion import Flows, _surplus
+from repro.core.graphs import Mapping, NetworkGraph, QueryGraph, VertexId
+
+
+def wec(qg: QueryGraph, mapping: Mapping, ng: NetworkGraph) -> float:
+    """Weighted Edge Cut of a mapping, each undirected edge once."""
+    total = 0.0
+    pos = positions(qg, mapping, ng)
+    done = set()
+    for a, nbrs in qg.adj.items():
+        for b, w in nbrs.items():
+            marker = frozenset((a, b))
+            if marker in done:
+                continue
+            done.add(marker)
+            total += w * ng.site_distance(pos[a], pos[b])
+    return total
+
+
+def positions(
+    qg: QueryGraph, mapping: Mapping, ng: NetworkGraph
+) -> Dict[VertexId, int]:
+    """Topology positions of all vertices under a mapping."""
+    return {
+        vid: qg.position(vid, mapping, ng)
+        for vid in itertools.chain(qg.qverts, qg.nverts)
+    }
+
+
+def diffusion_solution(
+    loads: Dict[Hashable, float],
+    targets: Dict[Hashable, float],
+    floor: float = 0.0,
+) -> Flows:
+    """Minimal-norm load flows from an explicit ``K_n`` Laplacian.
+
+    ``lstsq`` picks the minimum-norm solution of the singular system
+    (nullspace = constants; ``b`` sums to zero so one exists); flows are
+    extracted with a Python double loop.
+    """
+    n = len(loads)
+    if n <= 1:
+        return {}
+    nodes, b = _surplus(loads, targets)
+
+    laplacian = n * np.eye(n) - np.ones((n, n))
+    x, *_ = np.linalg.lstsq(laplacian, b, rcond=None)
+
+    threshold = max(floor, 1e-12)
+    flows: Flows = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            f = x[i] - x[j]
+            if f > threshold:
+                flows[(nodes[i], nodes[j])] = f
+    return flows

@@ -4,9 +4,9 @@ Every vectorised kernel introduced for the optimizer keeps its reference
 implementation; these property-style tests assert both paths agree on
 randomized workloads:
 
-* ``QueryGraph.wec`` (GraphArrays gather) vs ``QueryGraph.wec_reference``
+* ``QueryGraph.wec`` (GraphArrays gather) vs ``scalar_kernels.wec``
 * ``GraphArrays.loads`` vs ``QueryGraph.loads``
-* ``diffusion_solution`` (closed form) vs ``diffusion_solution_reference``
+* ``diffusion_solution`` (closed form) vs ``scalar_kernels.diffusion_solution``
 * ``coarsen(fast=True)`` vs ``coarsen(fast=False)`` -- identical graphs,
   compared exactly (weights, vertex order, merge steps)
 * ``CostWorkspace.attach_costs`` vs the scalar ``_attach_cost`` loop
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import coarsening
 from repro.core.coarsening import coarsen, coarsen_cached, plan_key, vertex_sig
-from repro.core.diffusion import diffusion_solution, diffusion_solution_reference
+from repro.core.diffusion import diffusion_solution
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
     GraphArrays,
@@ -31,10 +31,12 @@ from repro.core.graphs import (
     build_query_graph,
     qvertex_from_query,
 )
-from repro.core.mapping import _attach_cost, _positions, map_graph
+from repro.core.mapping import _attach_cost, map_graph
 from repro.obs.registry import MetricsRegistry, set_active
 from repro.query.interest import SubstreamSpace, mask_of
 from repro.query.workload import QuerySpec
+
+from reference import scalar_kernels
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +101,7 @@ class TestWECParity:
         g = make_graph(space, ng, 30, seed=seed % 7)
         mapping = random_mapping(g, ng, seed=seed)
         fast = g.wec(mapping, ng)
-        ref = g.wec_reference(mapping, ng)
+        ref = scalar_kernels.wec(g, mapping, ng)
         assert fast == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_snapshot_cache_invalidated_on_mutation(self, space, ng):
@@ -109,7 +111,7 @@ class TestWECParity:
         vids = list(g.qverts)
         g.set_edge(vids[0], vids[1], 123.0)
         after = g.wec(mapping, ng)
-        assert after == pytest.approx(g.wec_reference(mapping, ng))
+        assert after == pytest.approx(scalar_kernels.wec(g, mapping, ng))
         assert after != pytest.approx(before)
 
     def test_empty_graph(self, space, ng):
@@ -140,7 +142,7 @@ class TestWECParity:
         result = map_graph(g, ng)
         assert result.wec == pytest.approx(g.wec(result.mapping, ng))
         assert result.wec == pytest.approx(
-            g.wec_reference(result.mapping, ng)
+            scalar_kernels.wec(g, result.mapping, ng)
         )
 
     def test_no_oracle_distance_matrix(self, space, ng):
@@ -151,7 +153,7 @@ class TestWECParity:
         assert arrays.D.shape[0] == arrays.D.shape[1]
         mapping = random_mapping(g, ng, seed=5)
         assert arrays.wec(mapping) == pytest.approx(
-            g.wec_reference(mapping, ng)
+            scalar_kernels.wec(g, mapping, ng)
         )
 
 
@@ -170,7 +172,7 @@ class TestDiffusionParity:
         nodes = {f"n{i}": l for i, l in enumerate(loads)}
         targets = {n: 1.0 for n in nodes}
         fast = diffusion_solution(nodes, targets)
-        ref = diffusion_solution_reference(nodes, targets)
+        ref = scalar_kernels.diffusion_solution(nodes, targets)
         keys = set(fast) | set(ref)
         for k in keys:
             assert fast.get(k, 0.0) == pytest.approx(
@@ -178,13 +180,13 @@ class TestDiffusionParity:
             )
 
     def test_both_reject_zero_targets(self):
-        for fn in (diffusion_solution, diffusion_solution_reference):
+        for fn in (diffusion_solution, scalar_kernels.diffusion_solution):
             with pytest.raises(ValueError):
                 fn({"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 0.0})
 
     def test_both_trivial_on_single_node(self):
         assert diffusion_solution({"a": 3.0}, {"a": 1.0}) == {}
-        assert diffusion_solution_reference({"a": 3.0}, {"a": 1.0}) == {}
+        assert scalar_kernels.diffusion_solution({"a": 3.0}, {"a": 1.0}) == {}
 
 
 def coarse_facts(cg):
@@ -405,7 +407,7 @@ class TestAttachCostParity:
     def test_workspace_matches_scalar_reference(self, space, ng):
         g = make_graph(space, ng, 30, seed=9)
         mapping = random_mapping(g, ng, seed=9)
-        pos = _positions(g, mapping, ng)
+        pos = scalar_kernels.positions(g, mapping, ng)
         ws = CostWorkspace(g, ng)
         ws.init_positions(mapping)
         for vid in list(g.qverts)[:10]:

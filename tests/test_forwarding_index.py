@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.scenarios import SyntheticOracle
 from repro.pubsub import (
     Advertisement,
     Event,
@@ -26,7 +25,7 @@ from repro.pubsub import (
 from repro.pubsub.routing import LOCAL, RoutingTable
 from repro.query.interest import SubstreamSpace
 from repro.sim import ChurnParams, HotSpotShift, ScenarioParams, run_scenario
-from repro.topology import OverlayTree
+from repro.topology import OverlayTree, SyntheticOracle
 from repro.topology.overlay import minimum_latency_spanning_tree
 
 

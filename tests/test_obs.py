@@ -18,7 +18,6 @@ from repro.obs import (
     SpanRecorder,
     Stopwatch,
     SubsystemProfiler,
-    measure,
     set_active,
 )
 from repro.obs import registry as obs_registry
@@ -133,12 +132,6 @@ class TestTiming:
         assert 0.0 <= a <= b
         watch.restart()
         assert watch.elapsed() < b + 1.0
-
-    def test_measure_best_of(self):
-        value, timing = measure(lambda: 42, repeat=3)
-        assert value == 42
-        assert timing.repeat == 3
-        assert timing.best <= timing.mean
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +252,7 @@ class TestObserverExport:
         assert out["seed"] == 11
         assert out["wall_s"] > 0.0
         assert out["spans"] and out["metrics"]["counters"]
-        assert out["profile"]["coverage"] > 0.5
+        assert out["profile"]["coverage"] >= 0.9
         assert out["engines"] and out["brokers"] and out["links"]
         # per-layer counters from every instrumented subsystem
         counters = out["metrics"]["counters"]

@@ -365,7 +365,9 @@ class TestFlowRealisationParity:
         assignment = skewed_assignment(g, ng, seed, spread)
         outcomes = run_pair(g, ng, assignment, seed, workspaces=workspaces)
         assert_same_outcome(outcomes)
-        assert all(ws._dead for ws in workspaces) or len(gone) < 2
+        # a feasible or weightless start returns before the workspaces sync
+        if len(gone) > 1 and outcomes[0][1].flows_requested:
+            assert all(ws._dead for ws in workspaces)
 
     @settings(max_examples=25, deadline=None)
     @given(**flow_cases)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.topology import (
     LatencyOracle,
     OverlayTree,
+    SyntheticOracle,
     Topology,
     TransitStubParams,
     dijkstra,
@@ -135,6 +136,14 @@ class TestOracle:
     def test_median_empty_raises(self, oracle):
         with pytest.raises(ValueError):
             oracle.median([])
+
+
+class TestSyntheticOracle:
+    def test_oracle_is_metric_like(self):
+        oracle = SyntheticOracle(10, seed=1)
+        assert oracle(3, 3) == 0.0
+        assert oracle(2, 7) == pytest.approx(oracle(7, 2))
+        assert len(oracle.row(0)) == 10
 
 
 class TestRoles:
