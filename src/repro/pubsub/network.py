@@ -49,6 +49,18 @@ class _BatchRoute(NamedTuple):
     probes: int
 
 
+class _ForcedWalk(NamedTuple):
+    """Where ``subscribe(node, sub, force=True)`` goes: read off the
+    advertisement tables alone, so valid until one of ``sub``'s streams
+    is (un)advertised or a broker is reset."""
+
+    sub: Subscription
+    #: the advertisement clock when the hops were read
+    tick: int
+    #: (normalised link, sender, receiver) per hop, depth-first
+    hops: List[Tuple[Tuple[int, int], int, int]]
+
+
 class PubSubNetwork:
     """A content-based pub/sub service over an overlay tree."""
 
@@ -87,12 +99,26 @@ class PubSubNetwork:
         #: so callers can memoise routing-derived state and invalidate it
         #: exactly when tables or reachability may have changed
         self.version = 0
+        #: stream -> ``version`` of the last change naming it, and the
+        #: ``version`` of the last change naming every stream (see
+        #: :meth:`stream_version`)
+        self._stream_versions: Dict[str, int] = {}
+        self._all_streams_version = 0
         #: sub_id -> every stream a declaration of it has named (a
         #: superset of the streams its table entries can match on)
         self._sub_streams: Dict[int, FrozenSet[str]] = {}
         #: stream -> source -> memoised :meth:`publish_batch` route; a
         #: control-plane change drops the streams it names (:meth:`_changed`)
         self._batch_routes: Dict[str, Dict[int, _BatchRoute]] = {}
+        #: sub_id -> subscriber node -> memoised forced walk; validated
+        #: against the advertisement clock: every advertisement-table
+        #: change ticks it and stamps its stream (a broker reset stamps
+        #: them all), so a walk is current while its streams' stamps and
+        #: the reset stamp are no newer than the walk's tick
+        self._walks: Dict[int, Dict[int, _ForcedWalk]] = {}
+        self._adv_clock = 0
+        self._adv_stamps: Dict[str, int] = {}
+        self._adv_reset = 0
         #: optional :class:`repro.obs.Observer`; when set, its metrics
         #: registry receives broker-level counters (probes, forwards,
         #: suppressions, repairs).  Reads only -- never affects routing.
@@ -104,6 +130,7 @@ class PubSubNetwork:
     def advertise(self, source: int, adv: Advertisement, size: float = 1.0) -> None:
         """Flood ``adv`` from ``source`` over the whole tree."""
         self._changed((adv.stream,))
+        self._advertisements_changed(adv.stream)
         obs = self.observer
         if obs is not None and obs.registry is not None:
             obs.registry.inc("broker.advertisements")
@@ -138,30 +165,53 @@ class PubSubNetwork:
         its entries.  Long-running systems (the discrete-event simulator's
         migration rounds) repair such holes by re-subscribing with
         ``force=True``; the call is idempotent.
+
+        Where a forced walk goes depends on the advertisement tables of
+        ``sub``'s streams and nothing else (every hop recurses, whatever
+        the table did), so it is read off them once per ``(node, sub)``
+        and replayed: each hop charges ``size`` and installs ``sub`` in
+        the depth-first order of the recursive walk it stands for
+        (``tests/reference/covering_scan.py``).
         """
         streams = self._sub_streams.get(sub.sub_id, sub.streams) | sub.streams
         self._sub_streams[sub.sub_id] = streams
         self._changed(streams)
         obs = self.observer
-        if obs is not None and obs.registry is not None:
-            obs.registry.inc("broker.subscribes")
+        reg = None if obs is None else obs.registry
+        if reg is not None:
+            reg.inc("broker.subscribes")
             if force:
-                obs.registry.inc("broker.covering_repairs")
+                reg.inc("broker.covering_repairs")
         broker = self._broker(node)
         self._subscriber_node[sub.sub_id] = node
         broker.table.add_subscription(sub, LOCAL)
-        self._propagate(node, sub, from_iface=LOCAL, size=size, force=force)
+        if not force:
+            self._propagate(node, sub, from_iface=LOCAL, size=size)
+            return
+        walks = self._walks.setdefault(sub.sub_id, {})
+        walk = walks.get(node)
+        current = walk is not None and walk.sub is sub and self._walk_current(walk)
+        if reg is not None:
+            reg.inc("broker.walk_memo_hits" if current else "broker.walk_memo_misses")
+        if not current:
+            hops: List[Tuple[Tuple[int, int], int, int]] = []
+            self._forced_hops(node, sub, LOCAL, hops)
+            walk = walks[node] = _ForcedWalk(sub, self._adv_clock, hops)
+        book = self.control_bytes
+        brokers = self.brokers
+        for edge, sender, receiver in walk.hops:
+            book[edge] = book.get(edge, 0.0) + size
+            brokers[receiver].table.add_subscription(sub, sender)
 
     def _propagate(
-        self, node: int, sub: Subscription, from_iface, size: float,
-        force: bool = False,
+        self, node: int, sub: Subscription, from_iface, size: float
     ) -> None:
         broker = self._broker(node)
         targets = broker.table.advertiser_interfaces(sub)
         for iface in targets:
             if iface == from_iface:
                 continue
-            if not force and broker.table.covered_upstream(sub, toward=iface):
+            if broker.table.covered_upstream(sub, toward=iface):
                 obs = self.observer
                 if obs is not None and obs.registry is not None:
                     obs.registry.inc("broker.covering_suppressions")
@@ -172,14 +222,40 @@ class PubSubNetwork:
             # know the remote table already holds the subscription), so it
             # is charged whether or not the table changes
             self._account(self.control_bytes, node, nbr, size)
-            changed = self._broker(nbr).table.add_subscription(sub, node)
-            if changed or force:
-                self._propagate(nbr, sub, from_iface=node, size=size, force=force)
+            if self._broker(nbr).table.add_subscription(sub, node):
+                self._propagate(nbr, sub, from_iface=node, size=size)
+
+    def _forced_hops(
+        self, node: int, sub: Subscription, from_iface, hops: list
+    ) -> None:
+        """Append the hops of a forced walk from ``node`` to ``hops``."""
+        for nbr in self._broker(node).table.advertiser_interfaces(sub):
+            if nbr == from_iface:
+                continue
+            hops.append((_edge(node, nbr), node, nbr))
+            self._forced_hops(nbr, sub, node, hops)
+
+    def _walk_current(self, walk: _ForcedWalk) -> bool:
+        """No advertisement table a forced walk read has changed since."""
+        if self._adv_reset > walk.tick:
+            return False
+        stamps = self._adv_stamps
+        return all(stamps.get(s, 0) <= walk.tick for s in walk.sub.streams)
+
+    def _advertisements_changed(self, stream: Optional[str]) -> None:
+        """Tick the advertisement clock and stamp ``stream`` (``None``:
+        every stream) with it: forced walks reading it are stale."""
+        self._adv_clock += 1
+        if stream is None:
+            self._adv_reset = self._adv_clock
+        else:
+            self._adv_stamps[stream] = self._adv_clock
 
     def unsubscribe(self, sub_id: int) -> None:
         """Remove a subscription everywhere (tree-wide)."""
         self._changed(self._sub_streams.pop(sub_id, ()))
         self._subscriber_node.pop(sub_id, None)
+        self._walks.pop(sub_id, None)
         for broker in self.brokers.values():
             broker.table.remove_subscription(sub_id)
 
@@ -197,6 +273,8 @@ class PubSubNetwork:
         """
         known = self._advertiser.pop(adv_id, None)
         self._changed(() if known is None else (known[1].stream,))
+        if known is not None:
+            self._advertisements_changed(known[1].stream)
         for broker in self.brokers.values():
             broker.table.remove_advertisement(adv_id)
 
@@ -236,6 +314,7 @@ class PubSubNetwork:
         stop in the meantime -- a restarted broker with empty tables.
         """
         self._changed(None)
+        self._advertisements_changed(None)
         self._broker(node).table.clear()
 
     def reflood_advertisements(self, size: float = 1.0) -> None:
@@ -275,9 +354,19 @@ class PubSubNetwork:
         self.version += 1
         if streams is None:
             self._batch_routes.clear()
+            self._all_streams_version = self.version
         else:
             for stream in streams:
                 self._batch_routes.pop(stream, None)
+                self._stream_versions[stream] = self.version
+
+    def stream_version(self, stream: str) -> int:
+        """The :attr:`version` of the last control-plane call that could
+        change how events of ``stream`` are forwarded -- or which
+        subscriptions name it: state derived from the subscriptions of
+        one stream stays valid while this does not move."""
+        version = self._stream_versions.get(stream, 0)
+        return max(version, self._all_streams_version)
 
     def path_is_up(self, u: int, v: int) -> bool:
         """Whether the overlay path ``u`` -> ``v`` avoids down links."""

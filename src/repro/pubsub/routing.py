@@ -16,12 +16,20 @@ Event matching runs on one of two paths:
 * the **reference** path (``use_index=False``) scans every entry, the
   original semantics the index must reproduce bit-for-bit
   (``tests/test_forwarding_index.py``).
+
+Table *maintenance* (subscribe, unsubscribe, covering) never scans an
+interface's entry list either: each interface keeps its entries by
+``sub_id`` and by stream (:class:`_Slot`), so a redeclaration check is a
+dict probe and a covering test visits only entries that share a stream
+with the subscription -- exact, because ``a.covers(b)`` needs
+``b.streams <= a.streams``.  The list-scan maintenance this replaces is
+the oracle in ``tests/reference/covering_scan.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .index import EventMatch, ForwardingIndex
 from .messages import Event
@@ -33,6 +41,72 @@ __all__ = ["LOCAL", "Interface", "RoutingTable"]
 LOCAL = "local"
 
 Interface = Union[int, str]
+
+#: the bucket key of entries that name no stream at all
+_STREAMLESS = (None,)
+
+
+class _Slot:
+    """One interface's entries, indexed: ``sub_id`` -> entry, and the
+    same entries bucketed by each stream they name (stream-less entries
+    under ``None``).  The interface's list keeps the order."""
+
+    __slots__ = ("ids", "streams")
+
+    def __init__(self) -> None:
+        self.ids: Dict[int, Subscription] = {}
+        self.streams: Dict[Optional[str], Dict[int, Subscription]] = {}
+
+    def add(self, sub: Subscription) -> None:
+        self.ids[sub.sub_id] = sub
+        for stream in sub.streams or _STREAMLESS:
+            bucket = self.streams.get(stream)
+            if bucket is None:
+                bucket = self.streams[stream] = {}
+            bucket[sub.sub_id] = sub
+
+    def discard(self, sub: Subscription) -> None:
+        del self.ids[sub.sub_id]
+        for stream in sub.streams or _STREAMLESS:
+            bucket = self.streams[stream]
+            del bucket[sub.sub_id]
+            if not bucket:
+                del self.streams[stream]
+
+    def may_cover(self, sub: Subscription) -> Iterable[Subscription]:
+        """Every entry that names all of ``sub``'s streams, perhaps more:
+        the only ones that can cover it.  One stream's bucket (the
+        smallest) is enough; a stream-less ``sub`` needs every entry."""
+        if not sub.streams:
+            return self.ids.values()
+        best: Optional[Dict[int, Subscription]] = None
+        for stream in sub.streams:
+            bucket = self.streams.get(stream)
+            if bucket is None:
+                return ()
+            if best is None or len(bucket) < len(best):
+                best = bucket
+        return best.values()
+
+    def covered_by(self, sub: Subscription) -> Set[int]:
+        """Ids of the entries ``sub`` covers.  Only entries naming no
+        stream outside ``sub.streams`` qualify, and each of those sits in
+        a bucket of one of ``sub``'s streams or in the stream-less one."""
+        out: Set[int] = set()
+        for stream in (*sub.streams, None):
+            for sub_id, entry in self.streams.get(stream, {}).items():
+                if sub_id not in out and sub.covers(entry):
+                    out.add(sub_id)
+        return out
+
+
+def _position(entries: List[Subscription], entry: Subscription) -> int:
+    """Where ``entry`` itself sits in ``entries`` (by identity: equality
+    of subscriptions compares filters semantically and is slow)."""
+    for pos, existing in enumerate(entries):
+        if existing is entry:
+            return pos
+    raise ValueError(f"subscription {entry.sub_id} is not in the list")
 
 
 @dataclass
@@ -57,6 +131,10 @@ class RoutingTable:
     _adv_streams: Dict[str, Set[int]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: interface -> its entries by ``sub_id`` and by stream
+    _slots: Dict[Interface, _Slot] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.use_index:
@@ -64,6 +142,10 @@ class RoutingTable:
             for iface, entries in self.subscriptions.items():
                 for sub in entries:
                     self._index.add(sub, iface)
+        for iface, entries in self.subscriptions.items():
+            slot = self._slots[iface] = _Slot()
+            for sub in entries:
+                slot.add(sub)
         for adv_id, (adv, _via) in self.advertisements.items():
             self._adv_streams.setdefault(adv.stream, set()).add(adv_id)
 
@@ -77,6 +159,7 @@ class RoutingTable:
         """
         self.advertisements.clear()
         self.subscriptions.clear()
+        self._slots.clear()
         self._adv_streams.clear()
         if self.use_index:
             self._index = ForwardingIndex(LOCAL)
@@ -136,36 +219,50 @@ class RoutingTable:
         keeping tables compact even across redeclarations.  LOCAL entries
         represent distinct subscribers and are never covered away --
         every local subscriber must keep receiving its own deliveries.
+
+        Only entries sharing a stream with ``sub`` are tested for
+        covering (see :class:`_Slot`); pruned entries leave in list
+        order, so the forwarding index sees the same calls as a scan.
         """
-        entries = self.subscriptions.setdefault(via, [])
+        entries = self.subscriptions.get(via)
+        if entries is None:
+            entries = self.subscriptions[via] = []
+            slot = self._slots[via] = _Slot()
+        else:
+            slot = self._slots[via]
         changed = False
-        for pos, existing in enumerate(entries):
-            if existing.sub_id == sub.sub_id:
-                if existing is sub or existing == sub:
-                    return False
-                if via == LOCAL:
-                    entries[pos] = sub  # replace, keep delivery position
-                    if self._index is not None:
-                        self._index.add(sub, via)
-                    return True
-                del entries[pos]  # stale: drop, then re-apply covering
+        existing = slot.ids.get(sub.sub_id)
+        if existing is not None:
+            if existing is sub or existing == sub:
+                return False
+            pos = _position(entries, existing)
+            slot.discard(existing)
+            if via == LOCAL:
+                entries[pos] = sub  # replace, keep delivery position
+                slot.add(sub)
                 if self._index is not None:
-                    self._index.remove(sub.sub_id, via)
-                changed = True
-                break
+                    self._index.add(sub, via)
+                return True
+            del entries[pos]  # stale: drop, then re-apply covering
+            if self._index is not None:
+                self._index.remove(sub.sub_id, via)
+            changed = True
         if via != LOCAL:
-            for existing in entries:
-                if existing.covers(sub):
+            for other in slot.may_cover(sub):
+                if other.covers(sub):
                     return changed
-            kept, pruned = [], []
-            for e in entries:
-                (pruned if sub.covers(e) else kept).append(e)
-            if pruned:
+            pruned_ids = slot.covered_by(sub)
+            if pruned_ids:
+                kept, pruned = [], []
+                for e in entries:
+                    (pruned if e.sub_id in pruned_ids else kept).append(e)
                 entries[:] = kept
-                if self._index is not None:
-                    for e in pruned:
+                for e in pruned:
+                    slot.discard(e)
+                    if self._index is not None:
                         self._index.remove(e.sub_id, via)
         entries.append(sub)
+        slot.add(sub)
         if self._index is not None:
             self._index.add(sub, via)
         return True
@@ -173,26 +270,27 @@ class RoutingTable:
     def remove_subscription(self, sub_id: int, via: Optional[Interface] = None) -> None:
         """Drop every ``sub_id`` entry (from ``via`` only, if given).
 
-        Safe against concurrent readers: interface keys are collected
-        up front and entry lists are updated by slice assignment, so a
-        caller mid-iteration (a dissemination hop whose
+        Interfaces that do not hold ``sub_id`` are skipped by a probe.
+        Safe against concurrent readers: interface keys are collected up
+        front, so a caller mid-iteration (a dissemination hop whose
         :class:`~repro.pubsub.index.EventMatch` was computed eagerly, or
         anything walking :meth:`iter_entries`) never sees the dict mutate
         under it.
         """
         ifaces = [via] if via is not None else list(self.subscriptions)
         for iface in ifaces:
-            entries = self.subscriptions.get(iface)
-            if entries is None:
+            slot = self._slots.get(iface)
+            entry = None if slot is None else slot.ids.get(sub_id)
+            if entry is None:
                 continue
-            kept = [e for e in entries if e.sub_id != sub_id]
-            if len(kept) == len(entries):
-                continue
-            entries[:] = kept
+            entries = self.subscriptions[iface]
+            del entries[_position(entries, entry)]
+            slot.discard(entry)
             if self._index is not None:
                 self._index.remove(sub_id, iface)
             if not entries:
                 del self.subscriptions[iface]
+                del self._slots[iface]
 
     def iter_entries(self) -> List[Tuple[Interface, Subscription]]:
         """Snapshot of every (interface, subscription) entry.
@@ -286,12 +384,14 @@ class RoutingTable:
         this broker from interface ``i`` has been propagated to all other
         neighbours, so a covering entry from a different interface than
         ``toward`` means the upstream broker at ``toward`` already knows a
-        covering subscription."""
-        for iface, entries in list(self.subscriptions.items()):
+        covering subscription.  Only entries sharing a stream with
+        ``sub`` are tested."""
+        for iface, slot in self._slots.items():
             if iface == toward:
                 continue
-            if any(e.covers(sub) and e.sub_id != sub.sub_id for e in entries):
-                return True
+            for e in slot.may_cover(sub):
+                if e.sub_id != sub.sub_id and e.covers(sub):
+                    return True
         return False
 
     def size(self) -> int:

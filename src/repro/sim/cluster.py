@@ -447,7 +447,7 @@ class SimCluster:
         #: route bypasses broker tables, so it cannot observe a wiped
         #: broker (BrokerLoss) or a partitioned link.
         self._route_fast = not params.faults
-        #: substream -> (network version, [(host, compiled matcher, unit id)])
+        #: substream -> (stream version, [(host, compiled matcher, unit id)])
         self._src_route: Dict[int, Tuple[int, List[Tuple[int, object, int]]]] = {}
         self._edge_paths: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         #: sub_id -> compiled membership test (fast path of Filter.matches)
@@ -1191,15 +1191,19 @@ class SimCluster:
         """Units whose source subscriptions request substream ``sid``'s
         stream, as (host, compiled matcher, unit id).
 
-        Memoised against the network's control-plane version: the
-        candidate set only changes when subscriptions change.  Retired
-        units and units no engine hosts (crashed, not yet restored) are
-        not candidates: their subscriptions are out of the network.
+        Memoised against the stream's control-plane version
+        (:meth:`PubSubNetwork.stream_version`): the candidate set only
+        changes when a subscription naming the stream does, and every
+        change to a unit's host, liveness or subscriptions goes through
+        the network.  Retired units and units no engine hosts (crashed,
+        not yet restored) are not candidates: their subscriptions are out
+        of the network.
         """
-        route = self._src_route.get(sid)
-        if route is not None and route[0] == self.network.version:
-            return route[1]
         stream = stream_name(sid)
+        version = self.network.stream_version(stream)
+        route = self._src_route.get(sid)
+        if route is not None and route[0] == version:
+            return route[1]
         cands: List[Tuple[int, object, int]] = []
         for unit in self.units.values():
             if not unit.alive or unit.detached:
@@ -1207,7 +1211,7 @@ class SimCluster:
             for sub in unit.subs:
                 if stream in sub.streams:
                     cands.append((unit.host, self._matcher(sub), unit.uid))
-        self._src_route[sid] = (self.network.version, cands)
+        self._src_route[sid] = (version, cands)
         return cands
 
     def _route_content(

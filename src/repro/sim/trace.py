@@ -12,7 +12,7 @@ bit-identical equality.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 __all__ = ["TraceSample", "AdaptationMark", "SimTrace", "TRACE_SCHEMA_VERSION"]
@@ -55,6 +55,22 @@ class AdaptationMark:
     moved_state: float
     #: wall-clock seconds the coordinator tree spent deciding
     optimizer_cpu_s: float
+
+
+def _record(cls, kind: str, index: int, data: Dict, defaults: Optional[Dict] = None):
+    """``cls(**defaults, **data)``, or ``ValueError`` naming the first
+    missing or unknown field of ``kind`` record ``index``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"trace {kind} {index}: expected an object, got {data!r}")
+    data = {**(defaults or {}), **data}
+    names = [f.name for f in fields(cls)]
+    for name in names:
+        if name not in data:
+            raise ValueError(f"trace {kind} {index}: missing field {name!r}")
+    for name in data:
+        if name not in names:
+            raise ValueError(f"trace {kind} {index}: unknown field {name!r}")
+    return cls(**data)
 
 
 @dataclass
@@ -114,7 +130,8 @@ class SimTrace:
 
         Round-trips exactly: ``SimTrace.from_dict(t.to_dict(True))``
         equals ``t``.  Timing-stripped dicts reconstruct with
-        ``optimizer_cpu_s=0.0``.
+        ``optimizer_cpu_s=0.0``.  A sample or adaptation record with a
+        missing or unknown field raises ``ValueError`` naming the field.
         """
         version = data.get("schema_version", 1)
         if version != TRACE_SCHEMA_VERSION:
@@ -123,12 +140,13 @@ class SimTrace:
                 f"(expected {TRACE_SCHEMA_VERSION})"
             )
         trace = cls(seed=data["seed"])
-        trace.samples = [TraceSample(**s) for s in data["samples"]]
+        trace.samples = [
+            _record(TraceSample, "sample", i, s)
+            for i, s in enumerate(data["samples"])
+        ]
         trace.adaptations = [
-            AdaptationMark(optimizer_cpu_s=0.0, **a)
-            if "optimizer_cpu_s" not in a
-            else AdaptationMark(**a)
-            for a in data["adaptations"]
+            _record(AdaptationMark, "adaptation", i, a, {"optimizer_cpu_s": 0.0})
+            for i, a in enumerate(data["adaptations"])
         ]
         trace.events = [tuple(e) for e in data["events"]]
         return trace

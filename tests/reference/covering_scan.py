@@ -1,0 +1,123 @@
+"""Subscription-table maintenance by list scans; forced walks by recursion.
+
+The definition of what :class:`repro.pubsub.routing.RoutingTable` and
+``PubSubNetwork.subscribe(..., force=True)`` must do.  The table scans
+an interface's whole entry list to find a redeclared ``sub_id``, to ask
+whether an entry covers a new subscription and to prune the entries it
+covers; production asks per-interface ``sub_id`` and stream indexes the
+same questions.  A forced subscribe recurses hop by hop, re-reading the
+advertisement table at every broker; production replays the hops it
+read the last time until an advertisement of the subscription's streams
+changes.  ``tests/test_control_plane.py`` holds the two side by side.
+"""
+
+from typing import Optional
+
+from repro.pubsub.network import PubSubNetwork
+from repro.pubsub.routing import LOCAL, Interface, RoutingTable
+from repro.pubsub.subscriptions import Subscription
+
+
+class ScanRoutingTable(RoutingTable):
+    """A :class:`RoutingTable` whose maintenance scans entry lists.
+
+    Only the list and the forwarding index are kept; the interface
+    indexes of the production table stay empty and are never read.
+    """
+
+    def add_subscription(self, sub: Subscription, via: Interface) -> bool:
+        entries = self.subscriptions.setdefault(via, [])
+        changed = False
+        for pos, existing in enumerate(entries):
+            if existing.sub_id == sub.sub_id:
+                if existing is sub or existing == sub:
+                    return False
+                if via == LOCAL:
+                    entries[pos] = sub
+                    if self._index is not None:
+                        self._index.add(sub, via)
+                    return True
+                del entries[pos]
+                if self._index is not None:
+                    self._index.remove(sub.sub_id, via)
+                changed = True
+                break
+        if via != LOCAL:
+            for existing in entries:
+                if existing.covers(sub):
+                    return changed
+            kept, pruned = [], []
+            for e in entries:
+                (pruned if sub.covers(e) else kept).append(e)
+            if pruned:
+                entries[:] = kept
+                if self._index is not None:
+                    for e in pruned:
+                        self._index.remove(e.sub_id, via)
+        entries.append(sub)
+        if self._index is not None:
+            self._index.add(sub, via)
+        return True
+
+    def remove_subscription(
+        self, sub_id: int, via: Optional[Interface] = None
+    ) -> None:
+        ifaces = [via] if via is not None else list(self.subscriptions)
+        for iface in ifaces:
+            entries = self.subscriptions.get(iface)
+            if entries is None:
+                continue
+            kept = [e for e in entries if e.sub_id != sub_id]
+            if len(kept) == len(entries):
+                continue
+            entries[:] = kept
+            if self._index is not None:
+                self._index.remove(sub_id, iface)
+            if not entries:
+                del self.subscriptions[iface]
+
+    def covered_upstream(self, sub: Subscription, toward: Interface) -> bool:
+        for iface, entries in list(self.subscriptions.items()):
+            if iface == toward:
+                continue
+            if any(e.covers(sub) and e.sub_id != sub.sub_id for e in entries):
+                return True
+        return False
+
+
+class RecursiveNetwork(PubSubNetwork):
+    """A :class:`PubSubNetwork` over :class:`ScanRoutingTable` brokers
+    whose forced subscribes recurse instead of replaying a memo."""
+
+    def __init__(self, tree, record_deliveries=True, use_index=True):
+        super().__init__(tree, record_deliveries, use_index)
+        for node, broker in self.brokers.items():
+            broker.table = ScanRoutingTable(broker=node, use_index=use_index)
+
+    def subscribe(self, node, sub, size=1.0, force=False):
+        streams = self._sub_streams.get(sub.sub_id, sub.streams) | sub.streams
+        self._sub_streams[sub.sub_id] = streams
+        self._changed(streams)
+        obs = self.observer
+        if obs is not None and obs.registry is not None:
+            obs.registry.inc("broker.subscribes")
+            if force:
+                obs.registry.inc("broker.covering_repairs")
+        self._subscriber_node[sub.sub_id] = node
+        self._broker(node).table.add_subscription(sub, LOCAL)
+        self._propagate_scan(node, sub, LOCAL, size, force)
+
+    def _propagate_scan(self, node, sub, from_iface, size, force):
+        broker = self._broker(node)
+        for iface in broker.table.advertiser_interfaces(sub):
+            if iface == from_iface:
+                continue
+            if not force and broker.table.covered_upstream(sub, toward=iface):
+                obs = self.observer
+                if obs is not None and obs.registry is not None:
+                    obs.registry.inc("broker.covering_suppressions")
+                continue
+            self._account(self.control_bytes, node, iface, size)
+            changed = self._broker(iface).table.add_subscription(sub, node)
+            if changed or force:
+                self._propagate_scan(iface, sub, node, size, force)

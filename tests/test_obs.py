@@ -201,6 +201,20 @@ class TestNoPerturbation:
         # the active-registry global never leaks past the run
         assert obs_registry.ACTIVE is None
 
+    def test_shared_run_replays_forced_walks(self):
+        """Covering repairs on the shared plane mostly replay a memoised
+        walk; every repair is a hit or a miss."""
+        obs = Observer(span_sample_every=0, profile=False)
+        run_scenario(
+            seed=11, workload=_workload(True), scenario=_scenario(True, True),
+            observer=obs,
+        )
+        counters = obs.registry.to_dict()["counters"]
+        hits = counters["broker.walk_memo_hits"]
+        misses = counters["broker.walk_memo_misses"]
+        assert hits > 0 and misses > 0
+        assert hits + misses == counters["broker.covering_repairs"]
+
     def test_fault_plane_identical(self):
         params = _scenario(True, False, faults=True)
         workload = _workload(False)

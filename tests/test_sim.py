@@ -292,6 +292,36 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             SimTrace.from_dict(bad)
 
+    @pytest.mark.parametrize("records", ["samples", "adaptations"])
+    def test_trace_records_fail_loudly_naming_the_field(self, records):
+        """A missing or unknown record field is a ``ValueError`` naming
+        it, not a ``TypeError`` from deep inside a constructor."""
+        from repro.sim.trace import SimTrace
+
+        report = run_scenario(
+            seed=5, workload=small_workload(), scenario=churn_scenario()
+        )
+        data = report.trace.to_dict()
+        assert data[records], "the run produced no records to corrupt"
+        last = len(data[records]) - 1
+        record = data[records][last]
+        field = next(iter(record))
+
+        missing = json.loads(json.dumps(data))
+        del missing[records][last][field]
+        with pytest.raises(ValueError, match=f"{last}: missing field '{field}'"):
+            SimTrace.from_dict(missing)
+
+        unknown = json.loads(json.dumps(data))
+        unknown[records][last]["bogus"] = 1.0
+        with pytest.raises(ValueError, match="unknown field 'bogus'"):
+            SimTrace.from_dict(unknown)
+
+        not_an_object = json.loads(json.dumps(data))
+        not_an_object[records][last] = [1.0, 2.0]
+        with pytest.raises(ValueError, match="expected an object"):
+            SimTrace.from_dict(not_an_object)
+
     def test_seeds_differ(self):
         a = run_scenario(seed=5, workload=small_workload(), scenario=churn_scenario())
         b = run_scenario(seed=6, workload=small_workload(), scenario=churn_scenario())
