@@ -16,10 +16,12 @@ and per-proxy rate maps, children) that its edges are re-estimated exactly
 and it can later be uncoarsened one level.  All of it happens on a
 :class:`_WorkGraph` -- plain vertex and adjacency dicts, no mutation
 journal -- that is turned into a :class:`QueryGraph` once, at the end.
-The fast path collapses a whole matching pass at a time
-(:func:`_collapse_pass`: every surviving coarse edge estimated once per
-pass); the reference path (:func:`_collapse_pairs`) merges pair by pair
-with one scalar estimate per neighbour and produces the identical graph.
+Matching runs as array operations (:func:`_match_pass_arrays`) and a
+whole matching pass collapses at a time (:func:`_collapse_pass`: every
+surviving coarse edge estimated once per pass).  The dict-based matcher
+and the pair-by-pair collapse with one scalar estimate per neighbour
+define the identical graph; they are the oracle in
+``tests/reference/pair_coarsening.py`` (``tests/test_fastpath_parity.py``).
 """
 
 from __future__ import annotations
@@ -100,9 +102,7 @@ class CoarsePlan:
     operations in execution order as ``(key_a, key_b)`` member-key pairs;
     ``output`` is the resulting coarse vertex list.  A plan whose input
     signatures all match the current inputs can be replayed without
-    re-running matching or edge re-estimation; with partial reuse only
-    the steps untouched by dirty inputs are replayed and the remainder is
-    re-coarsened.
+    re-running matching or edge re-estimation.
     """
 
     vmax: int
@@ -190,45 +190,17 @@ class _WorkGraph:
         return out
 
 
-def _match_pass_reference(
+def _match_pass_arrays(
     work: _WorkGraph, order: List[VertexId]
 ) -> List[Tuple[VertexId, VertexId]]:
-    """One heavy-edge matching pass over ``order`` (dict reference path).
+    """One heavy-edge matching pass over ``order``.
 
     Visits q-vertices in the given order; each unmatched vertex pairs
     with its heaviest-edged unmatched q-neighbour.  Ties break toward the
     neighbour appearing earliest in ``order``.  Returns disjoint pairs.
-    """
-    rank = {vid: r for r, vid in enumerate(order)}
-    matched = set()
-    pairs: List[Tuple[VertexId, VertexId]] = []
-    for vid in order:
-        if vid in matched:
-            continue
-        best = None
-        best_key = None
-        for nbr, w in work.adj[vid].items():
-            if nbr not in work.qverts or nbr in matched or nbr == vid:
-                continue
-            key = (w, -rank[nbr])
-            if best is None or key > best_key:
-                best, best_key = nbr, key
-        if best is None:
-            continue
-        pairs.append((vid, best))
-        matched.add(vid)
-        matched.add(best)
-    return pairs
-
-
-def _match_pass_arrays(
-    work: _WorkGraph, order: List[VertexId]
-) -> List[Tuple[VertexId, VertexId]]:
-    """One heavy-edge matching pass (array fast path).
-
-    Same matching rule as :func:`_match_pass_reference`, but candidate
-    filtering and the heaviest-edge argmax run as numpy operations over a
-    CSR snapshot of the q-q subgraph instead of per-edge Python tuples.
+    Candidate filtering and the heaviest-edge argmax run as numpy
+    operations over a CSR snapshot of the q-q subgraph instead of
+    per-edge Python tuples.
     """
     rank = {vid: r for r, vid in enumerate(order)}
     nq = len(order)
@@ -292,46 +264,6 @@ def _merge_pair(
     return merge_qvertices(u, v, origin=origin)
 
 
-def _collapse_pairs(
-    work: _WorkGraph,
-    pairs: List[Tuple[VertexId, VertexId]],
-    space: SubstreamSpace,
-    origin: Optional[Hashable],
-    vmax: int,
-    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
-) -> None:
-    """Merge matched pairs one at a time until ``vmax`` (reference path).
-
-    Neighbour edges of a collapsed pair are unioned; q-q edges are then
-    re-estimated exactly from the merged interest mask (the paper's
-    bit-vector estimation), one scalar ``overlap_rate`` per neighbour --
-    including neighbours that a later pair of the same pass collapses
-    again.  :func:`_collapse_pass` must produce the same graph.
-    """
-    qverts, adj = work.qverts, work.adj
-    for a, b in pairs:
-        if work.vertex_count() <= vmax:
-            break
-        w_new = _merge_pair(qverts, a, b, origin, steps_out)
-
-        # collect union of neighbour edges, q-n weights summed a then b
-        nbr_edges: Dict[VertexId, float] = {}
-        for old in (a, b):
-            for nbr, w in adj.pop(old).items():
-                if nbr == a or nbr == b:
-                    continue
-                del adj[nbr][old]
-                nbr_edges[nbr] = nbr_edges.get(nbr, 0.0) + w
-        mine = adj[w_new.vid] = {}
-        for nbr, w in nbr_edges.items():
-            if nbr in qverts:
-                # re-estimate overlap exactly from the merged mask
-                w = space.overlap_rate(w_new.mask, qverts[nbr].mask)
-            if w > 0:
-                mine[nbr] = adj[nbr][w_new.vid] = w
-        qverts[w_new.vid] = w_new
-
-
 def _collapse_pass(
     work: _WorkGraph,
     pairs: List[Tuple[VertexId, VertexId]],
@@ -350,9 +282,11 @@ def _collapse_pass(
     two final masks by :meth:`SubstreamSpace.overlap_rates` -- once, by
     whichever endpoint comes first in pair order -- so an edge between two
     vertices merged in this pass costs one estimate instead of the three
-    the pair-by-pair reference spends on its intermediate states.
+    a pair-by-pair collapse spends on its intermediate states.
 
-    The result equals :func:`_collapse_pairs`' because an edge touching a
+    The result equals the pair-by-pair collapse's (merge one pair, union
+    its neighbour edges, re-estimate each q-q edge with a scalar
+    ``overlap_rate``; stop at ``vmax``) because an edge touching a
     merged vertex depends on the two final masks only, the kernel is
     symmetric in its operands (either way round it sums the ascending
     intersection), and q-vertex order (survivors, then merged vertices in
@@ -414,40 +348,19 @@ def _coarsen_work(
     space: SubstreamSpace,
     origin: Optional[Hashable],
     rng: Optional[random.Random],
-    fast: bool,
     steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
-    warm_steps: Optional[Sequence[Tuple[PlanKey, PlanKey]]],
 ) -> _WorkGraph:
     """:func:`coarsen` up to, not including, the result graph."""
     rng = rng or random.Random(0)
-    match_pass = _match_pass_arrays if fast else _match_pass_reference
-    collapse = _collapse_pass if fast else _collapse_pairs
     work = _WorkGraph(g)
     qverts = work.qverts
-
-    if warm_steps:
-        # replay still-valid merge steps from a previous plan before any
-        # fresh matching, each as a one-pair pass; a step is resolved
-        # through a member-key -> vid map that grows as merges produce
-        # new vertices
-        kv = {plan_key(v): v.vid for v in qverts.values()}
-        for ka, kb in warm_steps:
-            if work.vertex_count() <= vmax:
-                break
-            va, vb = kv.get(ka), kv.get(kb)
-            if va not in qverts or vb not in qverts:
-                continue
-            collapse(work, [(va, vb)], space, origin, vmax, steps_out)
-            merged = next(reversed(qverts.values()))
-            kv[plan_key(merged)] = merged.vid
-
     while work.vertex_count() > vmax:
         qids = list(qverts)
         rng.shuffle(qids)
-        pairs = match_pass(work, qids)
+        pairs = _match_pass_arrays(work, qids)
         if not pairs:
             break  # nothing left to collapse (graph may stay above vmax)
-        collapse(work, pairs, space, origin, vmax, steps_out)
+        _collapse_pass(work, pairs, space, origin, vmax, steps_out)
     return work
 
 
@@ -457,9 +370,7 @@ def coarsen(
     space: SubstreamSpace,
     origin: Optional[Hashable] = None,
     rng: Optional[random.Random] = None,
-    fast: bool = True,
     steps_out: Optional[List[Tuple[PlanKey, PlanKey]]] = None,
-    warm_steps: Optional[Sequence[Tuple[PlanKey, PlanKey]]] = None,
 ) -> QueryGraph:
     """Algorithm 1: coarsen ``g`` until it has at most ``vmax`` vertices.
 
@@ -467,12 +378,7 @@ def coarsen(
     pass over them (heavily-connected vertices are likely to be mapped to
     the same network vertex anyway) and collapses the matched pairs;
     rounds repeat until the graph fits in ``vmax`` or no pair is left.
-    ``fast`` selects the numpy matching kernel
-    (:func:`_match_pass_arrays`) and the pass-level collapse
-    (:func:`_collapse_pass`); the dict-based matcher
-    (:func:`_match_pass_reference`) and the pair-by-pair scalar collapse
-    (:func:`_collapse_pairs`) implement the identical rules and produce
-    the identical graph for the same ``rng``.
+    ``steps_out``, when given, receives the merge steps in order.
 
     ``g`` is not modified; a new graph is returned.  Only q-vertices are
     collapsed with each other in this implementation of the n-vertex rule:
@@ -482,9 +388,7 @@ def coarsen(
     uncoarsening bookkeeping simple.  n-vertices therefore never merge
     (the strictest reading of the cluster constraint).
     """
-    return _coarsen_work(
-        g, vmax, space, origin, rng, fast, steps_out, warm_steps
-    ).to_query_graph()
+    return _coarsen_work(g, vmax, space, origin, rng, steps_out).to_query_graph()
 
 
 def _replay_steps(
@@ -517,50 +421,25 @@ def coarsen_cached(
     space: SubstreamSpace,
     origin: Optional[Hashable] = None,
     rng: Optional[random.Random] = None,
-    fast: bool = True,
     plan: Optional[CoarsePlan] = None,
-    mode: str = "replay",
+    reuse: bool = True,
 ) -> Tuple[List[QVertex], CoarsePlan, str]:
     """Coarsen with plan reuse; returns ``(vertices, plan, reused)``.
 
-    ``reused`` is ``"full"`` when every input signature matched and the
-    recorded steps were replayed outright, ``"partial"`` when only the
-    steps untouched by dirty inputs were warm-started (``mode ==
-    "partial"``), ``"none"`` for a scratch run.  ``mode == "off"``
-    disables reuse but still records a plan for the next round.
+    ``reused`` is ``"full"`` when every input signature matched ``plan``
+    and its recorded steps were replayed outright, ``"none"`` for a
+    scratch run.  ``reuse=False`` (the optimizer's full-rebuild mode)
+    never replays but still records a plan for the next round.
     """
     inputs = {plan_key(v): v for v in g.qverts.values()}
     sigs = {k: vertex_sig(v) for k, v in inputs.items()}
-    if (
-        plan is not None
-        and mode != "off"
-        and plan.vmax == vmax
-        and plan.sigs == sigs
-    ):
+    if reuse and plan is not None and plan.vmax == vmax and plan.sigs == sigs:
         return _replay_steps(inputs, plan.steps, origin), plan, "full"
 
-    warm: Optional[List[Tuple[PlanKey, PlanKey]]] = None
-    if plan is not None and mode == "partial" and plan.vmax == vmax:
-        # a step is replayable iff both operands derive from inputs whose
-        # signatures are unchanged; dirty inputs never enter `avail`, so
-        # every step downstream of one is excluded automatically
-        avail = {k for k, s in sigs.items() if plan.sigs.get(k) == s}
-        warm = []
-        for ka, kb in plan.steps:
-            if ka in avail and kb in avail:
-                warm.append((ka, kb))
-                avail.discard(ka)
-                avail.discard(kb)
-                avail.add(tuple(sorted(ka + kb)))
-
     steps: List[Tuple[PlanKey, PlanKey]] = []
-    out = list(
-        _coarsen_work(
-            g, vmax, space, origin, rng, fast, steps, warm
-        ).qverts.values()
-    )
+    out = list(_coarsen_work(g, vmax, space, origin, rng, steps).qverts.values())
     new_plan = CoarsePlan(vmax=vmax, sigs=sigs, steps=steps, output=list(out))
-    return out, new_plan, "partial" if warm else "none"
+    return out, new_plan, "none"
 
 
 def uncoarsen_vertex(v: QVertex) -> List[QVertex]:

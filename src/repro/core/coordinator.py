@@ -107,7 +107,6 @@ class Coordinator:
         placement: Optional[Dict[int, int]] = None,
         max_overlap_neighbors: int = 20,
         incremental: bool = True,
-        coarse_reuse: str = "replay",
         plan_store: Optional[Dict] = None,
     ):
         self.cluster = cluster
@@ -131,8 +130,6 @@ class Coordinator:
         #: delta-maintain snapshots/workspaces across rounds (False = the
         #: full-rebuild reference mode; graph *mutations* are mode-shared)
         self.incremental = incremental
-        #: coarse-plan reuse policy: "replay" | "partial" | "off"
-        self.coarse_reuse = coarse_reuse
         #: stable_id -> CoarsePlan, shared by the tree (and, via Cosmos,
         #: across hierarchy rebuilds after membership changes)
         self._plan_store: Dict = plan_store if plan_store is not None else {}
@@ -143,7 +140,7 @@ class Coordinator:
             Coordinator(
                 child, oracle, space, capabilities, vmax, alpha, seed,
                 self.placement, max_overlap_neighbors,
-                incremental, coarse_reuse, self._plan_store,
+                incremental, self._plan_store,
             )
             for child in cluster.children
         ]
@@ -286,20 +283,17 @@ class Coordinator:
         see the same coarse graphs.
         """
         rng = content_rng(self._seed, self._stable_id, graph)
-        mode = self.coarse_reuse if self.incremental else "off"
         plan = self._plan_store.get(self._stable_id)
         result, plan, reused = coarsen_cached(
             graph, self.vmax, self.space, origin=self.name, rng=rng,
-            plan=plan, mode=mode,
+            plan=plan, reuse=self.incremental,
         )
         self._plan_store[self._stable_id] = plan
         if _obs.ACTIVE is not None:
-            if reused == "full":
-                _obs.ACTIVE.inc("opt.coarse_plan_hits")
-            elif reused == "partial":
-                _obs.ACTIVE.inc("opt.coarse_plan_partial")
-            else:
-                _obs.ACTIVE.inc("opt.coarse_plan_misses")
+            _obs.ACTIVE.inc(
+                "opt.coarse_plan_hits" if reused == "full"
+                else "opt.coarse_plan_misses"
+            )
         return result
 
     # ------------------------------------------------------------------

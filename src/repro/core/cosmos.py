@@ -43,10 +43,15 @@ class CosmosConfig:
     #: across rounds (False selects the full-rebuild reference mode;
     #: both modes produce bit-identical placements)
     incremental: bool = True
-    #: coarse-plan reuse policy: "replay" (reuse only on a full input
-    #: signature match), "partial" (also warm-start from clean merge
-    #: steps), or "off"
-    coarse_reuse: str = "replay"
+
+    def __post_init__(self) -> None:
+        for name, low in (
+            ("k", 2), ("vmax", 1), ("alpha", 0), ("max_overlap_neighbors", 0)
+        ):
+            if not getattr(self, name) >= low:
+                raise ValueError(
+                    f"{name}: must be >= {low}, got {getattr(self, name)!r}"
+                )
 
 
 class Cosmos:
@@ -81,7 +86,6 @@ class Cosmos:
             seed=config.seed,
             max_overlap_neighbors=config.max_overlap_neighbors,
             incremental=config.incremental,
-            coarse_reuse=config.coarse_reuse,
             plan_store=self._plan_store,
         )
         self._known_queries: Dict[int, QuerySpec] = {}
@@ -158,7 +162,6 @@ class Cosmos:
             seed=self.config.seed,
             max_overlap_neighbors=self.config.max_overlap_neighbors,
             incremental=self.config.incremental,
-            coarse_reuse=self.config.coarse_reuse,
             plan_store=self._plan_store,
         )
         self.root.adopt(list(self._known_queries.values()), old_placement)

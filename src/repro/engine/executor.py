@@ -11,10 +11,10 @@ path (:meth:`push_batch`, :meth:`push_query_batch`, a
 :class:`~repro.engine.tuples.TupleBatch` at a time).  The batch path is
 bit-identical to pushing the batch's rows through the scalar path one by
 one -- same results in the same per-query order, same CPU counters --
-and ``use_batches=False`` degrades it to exactly that scalar loop, which
-is the reference the parity tests compare against.  It materialises
-late: :meth:`push_query_batch` answers with a :class:`BatchResults`
-whose result tuples are built when they are read.
+which is the reference the parity tests compare against (a second
+engine fed row by row).  It materialises late: :meth:`push_query_batch`
+answers with a :class:`BatchResults` whose result tuples are built when
+they are read.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class BatchResults:
 
     def __getitem__(self, i: int) -> "_RowResults":
         counts = self.counts
+        if not -len(counts) <= i < len(counts):
+            raise IndexError(f"row {i} out of range for {len(counts)} rows")
         if i < 0:
             i += len(counts)
         return _RowResults(self, sum(counts[:i]), counts[i])
@@ -124,23 +126,17 @@ class Engine:
     keeps only the newest ``n`` result tuples per query -- long
     simulation runs use this so an engine cannot leak memory while
     sinks/return values still observe every result.
-
-    ``use_batches=False`` makes the batch entry points process rows
-    through the scalar operators instead of the vectorised kernels (the
-    bit-identical reference path).
     """
 
     def __init__(
         self,
         node: Optional[int] = None,
         retain_results: Optional[int] = None,
-        use_batches: bool = True,
     ):
         if retain_results is not None and retain_results < 0:
             raise ValueError("retain_results must be None or >= 0")
         self.node = node
         self.retain_results = retain_results
-        self.use_batches = use_batches
         self.plans: Dict[str, QueryPlan] = {}
         #: stream name -> [(query name, alias)] subscriptions
         self._readers: Dict[str, List[Tuple[str, str]]] = defaultdict(list)
@@ -243,7 +239,7 @@ class Engine:
         rows: Optional[List[StreamTuple]] = None  # lazy, shared by fallbacks
         for name, aliases in by_plan.items():
             plan = self.plans[name]
-            if self.use_batches and len(aliases) == 1:
+            if len(aliases) == 1:
                 results, _ = plan.push_batch(
                     [(aliases[0], batch, np.arange(batch.n))]
                 )
@@ -309,9 +305,8 @@ class Engine:
         :class:`BatchResults`; a sink on the query builds them here.
         Unknown names and rows of streams the plan does not read are
         no-ops.  Plans reading one stream through two aliases
-        (self-joins) and engines with ``use_batches=False`` fall back to
-        the scalar path row by row -- output and counters are identical
-        either way.
+        (self-joins) fall back to the scalar path row by row -- output
+        and counters are identical either way.
         """
         plan = self.plans.get(name)
         parts = (
@@ -328,7 +323,7 @@ class Engine:
                 reading.append((aliases, part, positions))
         if not reading:
             return BatchResults([0] * batch.n, [])
-        if self.use_batches and all(len(a) == 1 for a, _, _ in reading):
+        if all(len(a) == 1 for a, _, _ in reading):
             results, row_index = plan.push_batch(
                 [(a[0], part, positions) for a, part, positions in reading]
             )

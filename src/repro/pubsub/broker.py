@@ -23,8 +23,6 @@ class Broker:
     #: keep the ``delivered`` log?  The discrete-event simulator routes
     #: millions of tuples through one network and turns this off.
     record_deliveries: bool = True
-    #: forwarded to :class:`RoutingTable` when the table is auto-created
-    use_index: bool = True
     #: lifetime count of local deliveries -- always on (a single int
     #: add), unlike the ``delivered`` log; the observability layer reads
     #: it at run end
@@ -32,7 +30,7 @@ class Broker:
 
     def __post_init__(self):
         if self.table is None:
-            self.table = RoutingTable(broker=self.node, use_index=self.use_index)
+            self.table = RoutingTable(broker=self.node)
 
     def deliver_local(self, event: Event) -> List[Tuple[Event, Subscription]]:
         """Deliver ``event`` to every matching local subscription."""

@@ -5,9 +5,10 @@ every broker an event crosses: which interfaces have at least one
 matching subscription, which local subscriptions match, and which
 attributes the matching subscriptions on each interface still need.
 The reference implementation answers all three by scanning every entry
-of the subscription table (`RoutingTable` with ``use_index=False``),
-which is linear in the table size *per event per broker* -- the scaling
-wall of the discrete-event simulator.
+of the subscription table (``ScanRoutingTable`` in
+``tests/reference/covering_scan.py``), which is linear in the table
+size *per event per broker* -- the scaling wall of the discrete-event
+simulator.
 
 :class:`ForwardingIndex` is a Siena/Gryphon-style counting index over
 the same entries, a three-stage pipeline:

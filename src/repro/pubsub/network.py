@@ -64,20 +64,12 @@ class _ForcedWalk(NamedTuple):
 class PubSubNetwork:
     """A content-based pub/sub service over an overlay tree."""
 
-    def __init__(
-        self,
-        tree: OverlayTree,
-        record_deliveries: bool = True,
-        use_index: bool = True,
-    ):
+    def __init__(self, tree: OverlayTree, record_deliveries: bool = True):
         if not tree.is_tree():
             raise ValueError("pub/sub overlay must be an acyclic connected tree")
         self.tree = tree
-        self.use_index = use_index
         self.brokers: Dict[int, Broker] = {
-            n: Broker(
-                node=n, record_deliveries=record_deliveries, use_index=use_index
-            )
+            n: Broker(node=n, record_deliveries=record_deliveries)
             for n in tree.nodes
         }
         #: cumulative data bytes forwarded per link
@@ -392,11 +384,11 @@ class PubSubNetwork:
         there, the LOCAL subscriptions it matches and the
         ``(neighbour, event as forwarded)`` hops it takes from there.
         Each hop matches the event against the broker's table exactly
-        once (:meth:`RoutingTable.match_event`) -- one index probe (or
-        one reference scan) yields the local deliveries, the forwarding
-        set *and* the per-link projections.  Neighbour links are walked
-        in sorted order so delivery order is identical on the indexed
-        and reference paths; a partitioned link loses the event.
+        once (:meth:`RoutingTable.match_event`) -- one index probe
+        yields the local deliveries, the forwarding set *and* the
+        per-link projections.  Neighbour links are walked in sorted order
+        so delivery order does not depend on how a table answers; a
+        partitioned link loses the event.
         """
         queue = deque([(source, None, event)])
         while queue:

@@ -7,29 +7,24 @@ leading back to the advertiser; the subscription table records, per
 interface, which subscriptions were received from it, so that events are
 forwarded only toward interested parties.
 
-Event matching runs on one of two paths:
-
-* the **indexed** path (default, ``use_index=True``) keeps a
-  :class:`~repro.pubsub.index.ForwardingIndex` incrementally consistent
-  with the table and answers :meth:`RoutingTable.match_event` with one
-  counting probe;
-* the **reference** path (``use_index=False``) scans every entry, the
-  original semantics the index must reproduce bit-for-bit
-  (``tests/test_forwarding_index.py``).
-
-Table *maintenance* (subscribe, unsubscribe, covering) never scans an
-interface's entry list either: each interface keeps its entries by
-``sub_id`` and by stream (:class:`_Slot`), so a redeclaration check is a
-dict probe and a covering test visits only entries that share a stream
-with the subscription -- exact, because ``a.covers(b)`` needs
-``b.streams <= a.streams``.  The list-scan maintenance this replaces is
-the oracle in ``tests/reference/covering_scan.py``.
+Event matching never scans the table: a
+:class:`~repro.pubsub.index.ForwardingIndex`, kept incrementally
+consistent with it, answers :meth:`RoutingTable.match_event` with one
+counting probe.  Table *maintenance* (subscribe, unsubscribe, covering)
+never scans an interface's entry list either: each interface keeps its
+entries by ``sub_id`` and by stream (:class:`_Slot`), so a redeclaration
+check is a dict probe and a covering test visits only entries that share
+a stream with the subscription -- exact, because ``a.covers(b)`` needs
+``b.streams <= a.streams``.  The entry-list scans that define both --
+matching and maintenance -- are the oracle in
+``tests/reference/covering_scan.py`` (``tests/test_control_plane.py``,
+``tests/test_forwarding_index.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .index import EventMatch, ForwardingIndex
 from .messages import Event
@@ -120,11 +115,8 @@ class RoutingTable:
     )
     #: interface -> subscriptions received from that interface
     subscriptions: Dict[Interface, List[Subscription]] = field(default_factory=dict)
-    #: answer event matching from the counting index (False = reference scans)
-    use_index: bool = True
-    _index: Optional[ForwardingIndex] = field(
-        default=None, repr=False, compare=False
-    )
+    #: the counting index event matching is answered from
+    _index: ForwardingIndex = field(init=False, repr=False, compare=False)
     #: stream name -> adv_ids advertising it (propagation never scans the
     #: whole advertisement table; a subscription only intersects
     #: advertisements of streams it requests)
@@ -137,14 +129,11 @@ class RoutingTable:
     )
 
     def __post_init__(self):
-        if self.use_index:
-            self._index = ForwardingIndex(LOCAL)
-            for iface, entries in self.subscriptions.items():
-                for sub in entries:
-                    self._index.add(sub, iface)
+        self._index = ForwardingIndex(LOCAL)
         for iface, entries in self.subscriptions.items():
             slot = self._slots[iface] = _Slot()
             for sub in entries:
+                self._index.add(sub, iface)
                 slot.add(sub)
         for adv_id, (adv, _via) in self.advertisements.items():
             self._adv_streams.setdefault(adv.stream, set()).add(adv_id)
@@ -161,8 +150,7 @@ class RoutingTable:
         self.subscriptions.clear()
         self._slots.clear()
         self._adv_streams.clear()
-        if self.use_index:
-            self._index = ForwardingIndex(LOCAL)
+        self._index = ForwardingIndex(LOCAL)
 
     # ------------------------------------------------------------------
     # advertisements
@@ -240,12 +228,10 @@ class RoutingTable:
             if via == LOCAL:
                 entries[pos] = sub  # replace, keep delivery position
                 slot.add(sub)
-                if self._index is not None:
-                    self._index.add(sub, via)
+                self._index.add(sub, via)
                 return True
             del entries[pos]  # stale: drop, then re-apply covering
-            if self._index is not None:
-                self._index.remove(sub.sub_id, via)
+            self._index.remove(sub.sub_id, via)
             changed = True
         if via != LOCAL:
             for other in slot.may_cover(sub):
@@ -259,12 +245,10 @@ class RoutingTable:
                 entries[:] = kept
                 for e in pruned:
                     slot.discard(e)
-                    if self._index is not None:
-                        self._index.remove(e.sub_id, via)
+                    self._index.remove(e.sub_id, via)
         entries.append(sub)
         slot.add(sub)
-        if self._index is not None:
-            self._index.add(sub, via)
+        self._index.add(sub, via)
         return True
 
     def remove_subscription(self, sub_id: int, via: Optional[Interface] = None) -> None:
@@ -286,8 +270,7 @@ class RoutingTable:
             entries = self.subscriptions[iface]
             del entries[_position(entries, entry)]
             slot.discard(entry)
-            if self._index is not None:
-                self._index.remove(sub_id, iface)
+            self._index.remove(sub_id, iface)
             if not entries:
                 del self.subscriptions[iface]
                 del self._slots[iface]
@@ -314,38 +297,13 @@ class RoutingTable:
         The result is computed eagerly (it never aliases live table
         state), so a subscription removed mid-hop cannot invalidate it.
         """
-        if self._index is not None:
-            return self._index.match(event, arrived_via)
-        out = EventMatch()
-        for iface, entries in list(self.subscriptions.items()):
-            if iface == arrived_via:
-                continue
-            matching = [s for s in entries if s.matches(event)]
-            if not matching:
-                continue
-            out.interfaces.add(iface)
-            if iface == LOCAL:
-                out.local = matching
-            needed: Optional[Set[str]] = set()
-            for sub in matching:
-                if sub.projection is None:
-                    needed = None
-                    break
-                needed |= sub.projection
-            out.needed[iface] = needed
-        return out
+        return self._index.match(event, arrived_via)
 
     def attribute_filtered(self, stream: str) -> Optional[Subscription]:
         """An entry (any interface) that requests ``stream`` and whose
         filter constrains some attribute, or ``None``: whether matching
         an event of ``stream`` here can depend on its attributes."""
-        if self._index is not None:
-            return self._index.attribute_filtered(stream)
-        for entries in list(self.subscriptions.values()):
-            for sub in entries:
-                if stream in sub.streams and not sub.filter.is_true():
-                    return sub
-        return None
+        return self._index.attribute_filtered(stream)
 
     def forwarding_interfaces(
         self, event: Event, arrived_via: Optional[Interface] = None
@@ -354,9 +312,7 @@ class RoutingTable:
         return self.match_event(event, arrived_via).interfaces
 
     def matching_local_subscriptions(self, event: Event) -> List[Subscription]:
-        if self._index is not None:
-            return self._index.local_matches(event)
-        return [s for s in self.subscriptions.get(LOCAL, []) if s.matches(event)]
+        return self._index.local_matches(event)
 
     def needed_attributes(
         self, event: Event, iface: Interface
@@ -366,16 +322,7 @@ class RoutingTable:
         ``None`` means "all attributes" (some matching subscription has
         no projection); an empty set means nothing on ``iface`` matches.
         """
-        if self._index is not None:
-            return self._index.needed_for(event, iface)
-        needed: Set[str] = set()
-        for sub in list(self.subscriptions.get(iface, [])):
-            if not sub.matches(event):
-                continue
-            if sub.projection is None:
-                return None
-            needed |= sub.projection
-        return needed
+        return self._index.needed_for(event, iface)
 
     # ------------------------------------------------------------------
     def covered_upstream(self, sub: Subscription, toward: Interface) -> bool:

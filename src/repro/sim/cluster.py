@@ -43,11 +43,10 @@ The planes differ in exactly four functions: how a query finds its unit
 (stream match vs per-row content match) and how a unit's results are
 accounted (one transfer to the proxy vs ``p^2`` carving).
 
-Data planes
------------
-With ``ScenarioParams.use_batches`` (the default) the tuple path runs
-columnar: same-substream tuples emitted within one mean source
-inter-arrival coalesce into a single
+Data plane
+----------
+The tuple path runs columnar: same-substream tuples emitted within one
+mean source inter-arrival coalesce into a single
 :meth:`~repro.pubsub.network.PubSubNetwork.publish_batch` (one
 forwarding probe per hop per batch, link bytes accounted per row), and
 released rows are *delivered when something observes them*: a unit's
@@ -57,27 +56,27 @@ of the run, and then reach its engine in one push (a
 :class:`~repro.engine.tuples.MergedBatch` when a join's two inputs
 interleave).  No event is scheduled per publish.  Nothing reads a
 result between two such points, every row is accounted at
-``max(release, ready)`` -- the instant the per-tuple plane's release
-event would have delivered it -- and a unit's rows still reach its plan
-in timestamp order, so what comes back (result *counts* per input row;
+``max(release, ready)`` -- the instant a per-tuple release event would
+have delivered it -- and a unit's rows still reach its plan in
+timestamp order, so what comes back (result *counts* per input row;
 the unshared plane accounts from those without building a result
 tuple) and when it is accounted do not depend on when the push
 happened.  Emission events stay per-tuple (the rng draw order defines
 the workload), and every control-plane event publishes the coalescing
 buffers of the streams it re-routes first -- so traces, results, link
-traffic and CPU counters are bit-identical to ``use_batches=False``,
-the per-tuple reference plane (``tests/test_batch_parity.py``), and to
-the per-publish drain scheduler kept in ``tests/reference``
-(``tests/test_on_demand_delivery.py``).
+traffic and CPU counters are bit-identical to the two reference planes
+kept in ``tests/reference``: the per-tuple plane (one publish, one
+release event and one engine push per tuple) and the per-publish drain
+scheduler (``tests/test_batch_parity.py``,
+``tests/test_on_demand_delivery.py``).
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,6 +129,13 @@ class ChurnParams:
     arrival_rate: float = 0.5  # queries per second
     mean_lifetime: float = 20.0  # seconds
 
+    def __post_init__(self) -> None:
+        for name in ("arrival_rate", "mean_lifetime"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name}: must be positive, got {getattr(self, name)!r}"
+                )
+
 
 @dataclass(frozen=True)
 class HotSpotShift:
@@ -140,6 +146,13 @@ class HotSpotShift:
     at: float = 15.0
     substreams: int = 10
     factor: float = 3.0
+
+    def __post_init__(self) -> None:
+        for name in ("at", "substreams", "factor"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"{name}: must be >= 0, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -157,15 +170,6 @@ class ScenarioParams:
     hotspot: Optional[HotSpotShift] = None
     #: per-state-tuple serialisation cost added to a migration's handoff
     handoff_ms_per_tuple: float = 0.05
-    #: route dissemination through the counting forwarding index (False =
-    #: the reference scan path; traces must be identical either way)
-    use_index: bool = True
-    #: coalesce same-substream tuples emitted within one source
-    #: inter-arrival window into a single batch publish + batched engine
-    #: deliveries (False = the per-tuple scalar data plane; full-run
-    #: traces, results, link traffic and cpu_costs must be identical
-    #: either way)
-    use_batches: bool = True
     #: shared multi-query execution (Section 2): per-processor groups of
     #: overlapping queries execute ONE merged superset plan, with
     #: ``p^1`` source subscriptions carrying the merged filters for early
@@ -186,10 +190,6 @@ class ScenarioParams:
     #: extra processors selected but kept outside the initial membership,
     #: available to :class:`~repro.sim.faults.ProcessorJoin` events
     spare_processors: int = 0
-    #: delta-maintained optimizer state across adaptation rounds (False
-    #: selects the full-rebuild reference mode; placements are
-    #: bit-identical either way)
-    opt_incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.initial_placement not in ("cosmos", "skewed"):
@@ -213,10 +213,11 @@ class ScenarioParams:
                 raise ValueError(
                     f"{name}: must be positive or None, got {value!r}"
                 )
-        if self.spare_processors < 0:
-            raise ValueError(
-                f"spare_processors: must be >= 0, got {self.spare_processors!r}"
-            )
+        for name in ("handoff_ms_per_tuple", "spare_processors"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"{name}: must be >= 0, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass
@@ -254,12 +255,13 @@ class _Unit:
     slack: float
     #: release time assigned to the latest delivered tuple (monotone)
     last_release: float
-    #: batch plane: ``last_release`` as of the last control-plane event.
-    #: Within a control-free window the scalar release chain collapses to
-    #: ``max(ts + slack, release_floor)`` per row (timestamps are merged
-    #: in order, so earlier chain links never dominate), which makes the
-    #: release of a row independent of *publish* order -- coalesced
-    #: batches of different substreams may publish out of timestamp order
+    #: ``last_release`` as of the last control-plane event.  Within a
+    #: control-free window the per-tuple release chain
+    #: ``max(ts + slack, last_release)`` collapses to ``max(ts + slack,
+    #: release_floor)`` per row (timestamps are merged in order, so
+    #: earlier chain links never dominate), which makes the release of a
+    #: row independent of *publish* order -- coalesced batches of
+    #: different substreams may publish out of timestamp order
     last_release_floor: float
     #: live member query ids, join order
     members: List[int]
@@ -275,14 +277,9 @@ class _Unit:
     listeners: List[int] = field(default_factory=list)
     #: earliest time deliveries may resume after a state handoff
     ready: float = 0.0
-    #: scalar-plane pending deliveries: (tuple, release) in FIFO order;
-    #: releases are non-decreasing, and keeping them lets a release event
-    #: verify the head's time really has come (a force-drain can leave
-    #: stale events behind)
-    pending: Deque[Tuple[StreamTuple, float]] = field(default_factory=deque)
-    #: batch-mode pending deliveries: (timestamp, emit seq, tuple,
-    #: release) kept sorted by (timestamp, seq) -- the order the scalar
-    #: path delivers in.  Release times are non-decreasing along it.
+    #: pending deliveries: (timestamp, emit seq, tuple, release) kept
+    #: sorted by (timestamp, seq) -- emission order, the order the plan
+    #: consumes its inputs in.  Release times are non-decreasing along it.
     pending_rel: List[Tuple[float, int, StreamTuple, float]] = field(
         default_factory=list
     )
@@ -311,8 +308,8 @@ class _QueryState:
     alive: bool = True
     results: List[StreamTuple] = field(default_factory=list)
     #: per-query latency accumulators for the current sample interval;
-    #: merged in query-id order at each sample so the scalar and batch
-    #: paths sum floats in one canonical order
+    #: merged in query-id order at each sample so floats are summed in
+    #: one canonical order however deliveries were grouped
     lat_sum: float = 0.0
     lat_max: float = 0.0
     #: shared plane: the query's ``p^2`` split result subscription
@@ -412,18 +409,13 @@ class SimCluster:
         overlay = minimum_latency_spanning_tree(
             self.sources + self.processors + self.spares, oracle
         )
-        self.network = PubSubNetwork(
-            overlay, record_deliveries=False, use_index=params.use_index
-        )
+        self.network = PubSubNetwork(overlay, record_deliveries=False)
         self.network.observer = observer
         for sid in range(len(space)):
             self.network.advertise(
                 int(space.source_of[sid]), Advertisement(stream=stream_name(sid))
             )
-        self.engines: Dict[int, Engine] = {
-            p: Engine(node=p, use_batches=params.use_batches)
-            for p in self.processors
-        }
+        self.engines: Dict[int, Engine] = {p: Engine(node=p) for p in self.processors}
         self.queries: Dict[int, _QueryState] = {}
         #: delivery units by id: the query id on the unshared plane, a
         #: group counter on the shared one.  Source deliveries resolve
@@ -464,9 +456,8 @@ class SimCluster:
         self._last_sample_t = 0.0
         self.actions: Optional[List[Tuple[str, object]]] = [] if record else None
 
-        #: batch data plane: per-substream (emit seq, tuple) rows awaiting
-        #: the coalesced publish, plus stats on coalescing effectiveness
-        self._batching = params.use_batches
+        #: per-substream (emit seq, tuple) rows awaiting the coalesced
+        #: publish
         self._src_pending: List[List[Tuple[int, StreamTuple]]] = [
             [] for _ in range(len(space))
         ]
@@ -475,7 +466,6 @@ class SimCluster:
         #: follow the emissions alone, not when rows were observed
         self._timeout_set: List[bool] = [False] * len(space)
         self._emit_seq = 0
-        self.batch_publishes = 0
         #: latest instant a queued row became deliverable (its release, or
         #: the end of a handoff pause it waited out); the end-of-run drain
         #: runs there
@@ -844,11 +834,9 @@ class SimCluster:
         Rows whose release has come are accounted at ``max(release,
         ready)`` like any observed row (:meth:`_observe`).  The remainder
         was paused past its release (migration handoff) or releases
-        later -- the scalar plane's loop delivers exactly those at
-        ``loop.now`` as well.
+        later; it is accounted at ``loop.now``, as a per-tuple plane
+        force-draining its queue would.
         """
-        while unit.pending:
-            self._deliver_now(unit, unit.pending.popleft()[0])
         self._observe(unit)
         if unit.pending_rel:
             rows = [(t, self.loop.now) for _, _, t, _ in unit.pending_rel]
@@ -885,8 +873,6 @@ class SimCluster:
             return
         spans = obs.spans
         now = self.loop.now
-        for tup, _release in unit.pending:
-            spans.annotate(tup, kind, now, **fields)
         for _ts, _seq, tup, _release in unit.pending_rel:
             spans.annotate(tup, kind, now, **fields)
 
@@ -933,7 +919,7 @@ class SimCluster:
         overlay, pause deliveries for the transfer; returns the state size.
 
         A handoff is a control-plane event: every already-emitted row has
-        been published (the caller flushed), so the scalar release chain
+        been published (the caller flushed), so the release chain
         restarts from the bumped value.
         """
         state_tuples = float(unit.plan.state_size())
@@ -963,12 +949,12 @@ class SimCluster:
         applies the new rate immediately; the superseded chain sees the
         stale generation and dies here.
 
-        On the batch data plane the tuple is not published here: it joins
-        the substream's coalescing buffer, and unless a timeout is already
-        set, schedules the batch publish one mean inter-arrival later
+        The tuple is not published here: it joins the substream's
+        coalescing buffer, and unless a timeout is already set, schedules
+        the batch publish one mean inter-arrival later
         (:meth:`_coalescing_timeout`).  Drawing values/arrivals stays in
         this per-tuple event so the rng consumption order -- and hence
-        every generated tuple -- is identical on both planes.
+        every generated tuple -- does not depend on how rows are grouped.
         """
         if gen != self._emit_gen[sid]:
             return
@@ -991,18 +977,13 @@ class SimCluster:
             and obs.spans.wants(self._emit_seq)
         ):
             obs.spans.begin(self._emit_seq, sid, tup, t)
-        if self._batching:
-            self._src_pending[sid].append((self._emit_seq, tup))
-            if not self._timeout_set[sid]:
-                # coalescing window: one mean source inter-arrival (a
-                # dead substream's lone row flushes immediately)
-                self._timeout_set[sid] = True
-                window = 1.0 / rate if rate > 1e-12 else 0.0
-                self.loop.schedule(
-                    t + window, partial(self._coalescing_timeout, sid)
-                )
-        else:
-            self._publish_rows(sid, [(self._emit_seq, tup)])
+        self._src_pending[sid].append((self._emit_seq, tup))
+        if not self._timeout_set[sid]:
+            # coalescing window: one mean source inter-arrival (a dead
+            # substream's lone row flushes immediately)
+            self._timeout_set[sid] = True
+            window = 1.0 / rate if rate > 1e-12 else 0.0
+            self.loop.schedule(t + window, partial(self._coalescing_timeout, sid))
         self.tuples_emitted += 1
         if rate > 1e-12:
             nxt = t + float(self.arrival_rng.exponential(1.0 / rate))
@@ -1012,17 +993,12 @@ class SimCluster:
     def _publish_rows(
         self, sid: int, rows: List[Tuple[int, StreamTuple]]
     ) -> None:
-        """Publish (seq, tuple) rows of one substream; queue deliveries.
+        """Publish a coalesced buffer of (seq, tuple) rows of one
+        substream; queue deliveries.
 
-        The scalar plane calls this once per tuple (one content-based
-        probe each); the batch plane once per coalesced buffer.  Routing
-        is the plane's business (:meth:`_route_streams` /
+        Routing is the plane's business (:meth:`_route_streams` /
         :meth:`_route_content`); what comes back is, per reached unit,
-        the rows it accepted.  Release times follow the scalar formula
-        ``max(ts + slack, last_release)``; along a unit's timestamp order
-        that equals ``max(ts + slack, last_release at publish)`` for
-        every row, so computing them batch-at-a-time yields the scalar
-        values.
+        the rows it accepted, which :meth:`_queue_rows` queues.
         """
         obs = self.obs
         profiler = obs.profiler if obs is not None else None
@@ -1040,20 +1016,7 @@ class SimCluster:
             routed = self._route_content(source, sid, rows)
         else:
             routed = self._route_streams(source, sid, rows)
-        if self._batching:
-            self.batch_publishes += 1
         for unit, unit_rows in routed:
-            if not self._batching:
-                tup = unit_rows[0][1]
-                release = max(tup.timestamp + unit.slack, unit.last_release)
-                unit.last_release = release
-                unit.pending.append((tup, release))
-                if spans is not None:
-                    self._span_queued(spans, tup, unit, source, release)
-                self.loop.schedule(
-                    release, partial(self._release_one, unit.uid)
-                )
-                continue
             self._queue_rows(unit, unit_rows, source)
         if profiler is not None:
             profiler.stop()
@@ -1062,7 +1025,13 @@ class SimCluster:
         self, unit: _Unit, rows: List[Tuple[int, StreamTuple]], source: int
     ) -> float:
         """Queue routed (seq, tuple) rows on a unit until something
-        observes them (batch plane); returns their latest release."""
+        observes them; returns their latest release.
+
+        Release times follow the per-tuple formula ``max(ts + slack,
+        last_release)``; along a unit's timestamp order that equals
+        ``max(ts + slack, last_release_floor)`` for every row, so
+        computing them batch-at-a-time yields the per-tuple values.
+        """
         spans = self.obs.spans if self.obs is not None else None
         release_last = 0.0
         for seq, tup in rows:
@@ -1094,14 +1063,7 @@ class SimCluster:
         """Unshared routing: source subscriptions match on the stream
         alone, so every reached unit takes all rows -- one forwarding
         probe for the whole batch, link traffic still accounted per row."""
-        if self._batching:
-            deliveries = self.network.publish_batch(
-                source, stream_name(sid), len(rows)
-            )
-        else:
-            tup0 = rows[0][1]
-            event = Event(stream=tup0.stream, attributes=tup0.values, size=1.0)
-            deliveries = self.network.publish(source, event)
+        deliveries = self.network.publish_batch(source, stream_name(sid), len(rows))
         routed = []
         for _node, _ev, sub in deliveries:
             uid = self._by_sub.get(sub.sub_id)
@@ -1226,11 +1188,11 @@ class SimCluster:
         the (default) memoised route, each row is matched against the
         cached candidate set and charged on the union of overlay paths to
         its accepting hosts -- delivery-and-byte identical to routing the
-        row through :meth:`PubSubNetwork.publish`, which stays available
-        as the reference (``_route_fast=False``, pinned by the parity
-        tests).  The batch plane still wins engine-side: a coalesced
-        buffer's surviving rows reach each group through its sorted
-        pending list and reach it in one push when observed.
+        row through :meth:`PubSubNetwork.publish`, the hop-by-hop route
+        fault scenarios run on (pinned equal by the parity tests).
+        Batching still wins engine-side: a coalesced buffer's surviving
+        rows reach each group through its sorted pending list and reach
+        it in one push when observed.
         """
         per_unit: Dict[int, List[Tuple[int, StreamTuple]]] = {}
         if self._route_fast:
@@ -1289,8 +1251,6 @@ class SimCluster:
         re-routes a stream: the buffered rows were emitted under the
         tables and placements in force until then.
         """
-        if not self._batching:
-            return
         for sid in substreams:
             if self._src_pending[sid]:
                 self._flush_substream(sid)
@@ -1303,38 +1263,14 @@ class SimCluster:
         hosts, window state, broker tables), so they observe everything
         released by now first.
         """
-        if not self._batching:
-            return
         self._publish_substreams(range(len(self._src_pending)))
         for unit_id in sorted(self.units):
             unit = self.units[unit_id]
             if not unit.detached and unit.pending_rel:
                 self._drain_ready(unit)
 
-    def _release_one(self, unit_id: int) -> None:
-        """Deliver the oldest pending tuple of a unit to its plan.
-
-        Pending tuples form a FIFO per delivery unit (query, or shared
-        group), so deliveries happen in emission order even when a
-        migration's handoff pause reschedules release events.
-        """
-        unit = self.units[unit_id]
-        if unit.detached or not unit.pending:
-            return
-        if self.loop.now < unit.ready:
-            self.loop.schedule(unit.ready, partial(self._release_one, unit_id))
-            return
-        tup, release = unit.pending[0]
-        if self.loop.now < release:
-            # stale event: its own tuple was force-drained earlier (member
-            # departure, crash recovery).  The head tuple's own release
-            # event is still queued and will deliver it on time.
-            return
-        unit.pending.popleft()
-        self._deliver_now(unit, tup)
-
     def _observe(self, unit: _Unit) -> None:
-        """Deliver what a unit has released by now (batch plane).
+        """Deliver what a unit has released by now.
 
         A two-input query must consume its inputs in timestamp order:
         rows of its other substream emitted before now may still sit in
@@ -1351,9 +1287,9 @@ class SimCluster:
         """Deliver the prefix of ``pending_rel`` whose release has come.
 
         Each row is accounted at ``max(release, ready)`` -- exactly when
-        the scalar path's per-tuple release event would have delivered it
-        (its event fires at ``release``, or is pushed to ``ready`` by a
-        migration handoff pause).
+        a per-tuple release event would have delivered it (it fires at
+        ``release``, or is pushed to ``ready`` by a migration handoff
+        pause).
         """
         now = self.loop.now
         if now < unit.ready:
@@ -1416,28 +1352,6 @@ class SimCluster:
             }
             for span, at in tracked:
                 span.annotate("operators", at, rows=len(rows), counters=delta)
-        if profiler is not None:
-            profiler.stop()
-
-    def _deliver_now(self, unit: _Unit, tup: StreamTuple) -> None:
-        """Push one tuple into a query's plan and account its results."""
-        obs = self.obs
-        profiler = obs.profiler if obs is not None else None
-        spans = obs.spans if obs is not None else None
-        if profiler is not None:
-            profiler.start("operator_exec")
-        span = spans.lookup(tup) if spans is not None else None
-        before = unit.plan.operator_counters() if span is not None else None
-        results = self.engines[unit.host].push_query(unit.name, tup)
-        if span is not None:
-            after = unit.plan.operator_counters()
-            delta = {
-                key: after[key] - before.get(key, 0)
-                for key in after
-                if after[key] != before.get(key, 0)
-            }
-            span.annotate("operators", self.loop.now, rows=1, counters=delta)
-        self._account_results(unit, tup, results, self.loop.now)
         if profiler is not None:
             profiler.stop()
 
@@ -1702,8 +1616,8 @@ class SimCluster:
         profiler = obs.profiler if obs is not None else None
         if profiler is not None:
             profiler.start("coordinator")
-        # measured loads must include every delivery the scalar plane
-        # would have processed by now; migrations change hosts/tables
+        # measured loads must include every delivery released by now;
+        # migrations change hosts/tables
         self._flush_batches()
         dt = self.params.adapt_interval
         loads = self._measured_loads(dt, "cpu_at_adapt")
@@ -1754,8 +1668,7 @@ class SimCluster:
         profiler = obs.profiler if obs is not None else None
         if profiler is not None:
             profiler.start("sampling")
-        # the sample must observe every delivery the scalar plane has
-        # processed by this instant
+        # the sample must observe every delivery released by this instant
         self._flush_batches()
         # actual elapsed interval: equals sample_interval for periodic
         # samples, but the closing sample covers only the drain tail
@@ -1907,10 +1820,7 @@ def run_scenario(
         oracle,
         processors,
         space,
-        cosmos_config
-        or CosmosConfig(
-            k=4, vmax=60, seed=seed, incremental=scenario.opt_incremental
-        ),
+        cosmos_config or CosmosConfig(k=4, vmax=60, seed=seed),
     )
     if scenario.initial_placement == "skewed":
         hosts = processors[: max(1, len(processors) // 8)]

@@ -308,7 +308,6 @@ class FaultInjector:
             c._annotate_pending(
                 unit, "crash", node=node, **{unit.kind: uid}
             )
-            unit.pending.clear()
             unit.pending_rel.clear()
             unit.detached = True
             # the subscription objects stay on the unit for the restore
@@ -529,7 +528,7 @@ class FaultInjector:
             )
             return
         node = c.spares.pop(0)
-        c.engines[node] = Engine(node=node, use_batches=c.params.use_batches)
+        c.engines[node] = Engine(node=node)
         c.processors.append(node)
         c._pindex = {p: i for i, p in enumerate(c.processors)}
         c.cosmos.add_processor(node)

@@ -1,28 +1,34 @@
-"""Subscription-table maintenance by list scans; forced walks by recursion.
+"""Subscription tables by list scans; forced walks by recursion.
 
 The definition of what :class:`repro.pubsub.routing.RoutingTable` and
 ``PubSubNetwork.subscribe(..., force=True)`` must do.  The table scans
 an interface's whole entry list to find a redeclared ``sub_id``, to ask
 whether an entry covers a new subscription and to prune the entries it
-covers; production asks per-interface ``sub_id`` and stream indexes the
-same questions.  A forced subscribe recurses hop by hop, re-reading the
-advertisement table at every broker; production replays the hops it
-read the last time until an advertisement of the subscription's streams
-changes.  ``tests/test_control_plane.py`` holds the two side by side.
+covers, and it matches an event by testing every entry; production asks
+per-interface ``sub_id`` and stream indexes the maintenance questions
+and a counting forwarding index the matching ones.  A forced subscribe
+recurses hop by hop, re-reading the advertisement table at every
+broker; production replays the hops it read the last time until an
+advertisement of the subscription's streams changes.
+``tests/test_control_plane.py`` and ``tests/test_forwarding_index.py``
+hold the two side by side.
 """
 
-from typing import Optional
+from typing import List, Optional, Set
 
+from repro.pubsub.index import EventMatch
 from repro.pubsub.network import PubSubNetwork
 from repro.pubsub.routing import LOCAL, Interface, RoutingTable
 from repro.pubsub.subscriptions import Subscription
 
 
 class ScanRoutingTable(RoutingTable):
-    """A :class:`RoutingTable` whose maintenance scans entry lists.
+    """A :class:`RoutingTable` that maintains and matches by scanning
+    entry lists.
 
-    Only the list and the forwarding index are kept; the interface
-    indexes of the production table stay empty and are never read.
+    The interface indexes of the production table stay empty and are
+    never read.  The forwarding index is fed the same maintenance calls
+    as production's (so their order can be compared) but never asked.
     """
 
     def add_subscription(self, sub: Subscription, via: Interface) -> bool:
@@ -34,12 +40,10 @@ class ScanRoutingTable(RoutingTable):
                     return False
                 if via == LOCAL:
                     entries[pos] = sub
-                    if self._index is not None:
-                        self._index.add(sub, via)
+                    self._index.add(sub, via)
                     return True
                 del entries[pos]
-                if self._index is not None:
-                    self._index.remove(sub.sub_id, via)
+                self._index.remove(sub.sub_id, via)
                 changed = True
                 break
         if via != LOCAL:
@@ -51,12 +55,10 @@ class ScanRoutingTable(RoutingTable):
                 (pruned if sub.covers(e) else kept).append(e)
             if pruned:
                 entries[:] = kept
-                if self._index is not None:
-                    for e in pruned:
-                        self._index.remove(e.sub_id, via)
+                for e in pruned:
+                    self._index.remove(e.sub_id, via)
         entries.append(sub)
-        if self._index is not None:
-            self._index.add(sub, via)
+        self._index.add(sub, via)
         return True
 
     def remove_subscription(
@@ -71,8 +73,7 @@ class ScanRoutingTable(RoutingTable):
             if len(kept) == len(entries):
                 continue
             entries[:] = kept
-            if self._index is not None:
-                self._index.remove(sub_id, iface)
+            self._index.remove(sub_id, iface)
             if not entries:
                 del self.subscriptions[iface]
 
@@ -84,15 +85,55 @@ class ScanRoutingTable(RoutingTable):
                 return True
         return False
 
+    def match_event(self, event, arrived_via=None) -> EventMatch:
+        out = EventMatch()
+        for iface, entries in list(self.subscriptions.items()):
+            if iface == arrived_via:
+                continue
+            matching = [s for s in entries if s.matches(event)]
+            if not matching:
+                continue
+            out.interfaces.add(iface)
+            if iface == LOCAL:
+                out.local = matching
+            needed: Optional[Set[str]] = set()
+            for sub in matching:
+                if sub.projection is None:
+                    needed = None
+                    break
+                needed |= sub.projection
+            out.needed[iface] = needed
+        return out
+
+    def attribute_filtered(self, stream: str) -> Optional[Subscription]:
+        for entries in list(self.subscriptions.values()):
+            for sub in entries:
+                if stream in sub.streams and not sub.filter.is_true():
+                    return sub
+        return None
+
+    def matching_local_subscriptions(self, event) -> List[Subscription]:
+        return [s for s in self.subscriptions.get(LOCAL, []) if s.matches(event)]
+
+    def needed_attributes(self, event, iface: Interface) -> Optional[Set[str]]:
+        needed: Set[str] = set()
+        for sub in list(self.subscriptions.get(iface, [])):
+            if not sub.matches(event):
+                continue
+            if sub.projection is None:
+                return None
+            needed |= sub.projection
+        return needed
+
 
 class RecursiveNetwork(PubSubNetwork):
     """A :class:`PubSubNetwork` over :class:`ScanRoutingTable` brokers
     whose forced subscribes recurse instead of replaying a memo."""
 
-    def __init__(self, tree, record_deliveries=True, use_index=True):
-        super().__init__(tree, record_deliveries, use_index)
+    def __init__(self, tree, record_deliveries=True):
+        super().__init__(tree, record_deliveries)
         for node, broker in self.brokers.items():
-            broker.table = ScanRoutingTable(broker=node, use_index=use_index)
+            broker.table = ScanRoutingTable(broker=node)
 
     def subscribe(self, node, sub, size=1.0, force=False):
         streams = self._sub_streams.get(sub.sub_id, sub.streams) | sub.streams

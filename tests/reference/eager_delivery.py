@@ -16,7 +16,6 @@ left out here.
 
 from functools import partial
 
-from repro.sim import cluster as _cluster
 from repro.sim.cluster import SimCluster
 
 
@@ -40,13 +39,3 @@ class EagerCluster(SimCluster):
             self.loop.schedule(unit.ready, partial(self._drain_query, unit_id))
             return
         self._observe(unit)
-
-
-def run_eager(**kwargs):
-    """:func:`repro.sim.run_scenario` on :class:`EagerCluster`."""
-    original = _cluster.SimCluster
-    _cluster.SimCluster = EagerCluster
-    try:
-        return _cluster.run_scenario(**kwargs)
-    finally:
-        _cluster.SimCluster = original

@@ -10,6 +10,7 @@ the hop-by-hop ``publish`` of an attribute-free event on a third network.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.covering_scan import RecursiveNetwork
 
 from repro.obs import Observer
 from repro.pubsub import Advertisement, Event, Filter, PubSubNetwork, Subscription
@@ -248,19 +249,20 @@ class TestInvalidation:
         assert self.net.link_bytes[(2, 3)] - before == 2.0 + 7.0
 
 
-@pytest.mark.parametrize("use_index", [True, False])
+@pytest.mark.parametrize("indexed", [True, False])
 class TestAttributeFilteredSubscriptions:
     """``publish_batch`` decides by stream alone; a subscription that
-    filters on attributes makes that wrong, and the walk says so."""
+    filters on attributes makes that wrong, and the walk says so -- on
+    indexed and on scanned broker tables."""
 
-    def network(self, use_index):
-        net = PubSubNetwork(tree(), use_index=use_index)
+    def network(self, indexed):
+        net = (PubSubNetwork if indexed else RecursiveNetwork)(tree())
         net.advertise(0, Advertisement(stream="A"))
         net.subscribe(3, Subscription.to_streams(["A"]))
         return net
 
-    def test_raises_naming_the_subscription(self, use_index):
-        net = self.network(use_index)
+    def test_raises_naming_the_subscription(self, indexed):
+        net = self.network(indexed)
         picky = Subscription.to_streams(["A"], filter=Filter.of(("x", ">", 5)))
         net.subscribe(5, picky)
         with pytest.raises(ValueError, match=str(picky.sub_id)) as err:
@@ -268,8 +270,8 @@ class TestAttributeFilteredSubscriptions:
         assert "x" in str(err.value)
         assert net.link_bytes == {}
 
-    def test_a_memoised_route_does_not_outlive_the_check(self, use_index):
-        net = self.network(use_index)
+    def test_a_memoised_route_does_not_outlive_the_check(self, indexed):
+        net = self.network(indexed)
         assert len(net.publish_batch(0, "A", 1)) == 1
         picky = Subscription.to_streams(["A"], filter=Filter.of(("x", ">", 5)))
         net.subscribe(4, picky)
@@ -278,8 +280,8 @@ class TestAttributeFilteredSubscriptions:
         net.unsubscribe(picky.sub_id)
         assert len(net.publish_batch(0, "A", 1)) == 1
 
-    def test_other_streams_may_filter(self, use_index):
-        net = self.network(use_index)
+    def test_other_streams_may_filter(self, indexed):
+        net = self.network(indexed)
         net.advertise(0, Advertisement(stream="B"))
         net.subscribe(5, Subscription.to_streams(["B"], filter=Filter.of(("x", ">", 5))))
         assert len(net.publish_batch(0, "A", 1)) == 1

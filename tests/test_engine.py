@@ -295,8 +295,8 @@ class TestCheckpointRestore:
         " S [Range {ws} Seconds] S WHERE R.a > S.a"
     )
 
-    def _engine(self, wr, ws, use_batches):
-        e = Engine(use_batches=use_batches)
+    def _engine(self, wr, ws):
+        e = Engine()
         e.add_query(parse_query(self.QUERY.format(wr=wr, ws=ws), name="q"))
         return e
 
@@ -304,15 +304,15 @@ class TestCheckpointRestore:
     @settings(max_examples=60, deadline=None)
     def test_scalar_roundtrip_exact(self, case):
         wr, ws, rows, cut = case
-        ref = self._engine(wr, ws, use_batches=False)
-        live = self._engine(wr, ws, use_batches=False)
+        ref = self._engine(wr, ws)
+        live = self._engine(wr, ws)
         for stream, t, a in rows[:cut]:
             ref.push(tup(stream, t, a=a))
             live.push(tup(stream, t, a=a))
         snap = live.plans["q"].checkpoint()
         assert snap.cpu_cost() == live.plans["q"].cpu_cost()
         assert snap.state_size() == live.plans["q"].state_size()
-        restored = Engine(use_batches=False)
+        restored = Engine()
         restored.adopt_plan(snap)
         n_prefix = len(ref.results["q"])
         for stream, t, a in rows[cut:]:
@@ -348,15 +348,15 @@ class TestCheckpointRestore:
                 out.append(TupleBatch.from_tuples(run[0].stream, run))
             return out
 
-        ref = self._engine(wr, ws, use_batches=True)
-        live = self._engine(wr, ws, use_batches=True)
+        ref = self._engine(wr, ws)
+        live = self._engine(wr, ws)
         for batch in chunks(rows[:cut]):
             ref.push_batch(batch)
             live.push_batch(batch)
         snap = live.plans["q"].checkpoint()
         assert snap.cpu_cost() == live.plans["q"].cpu_cost()
         assert snap.state_size() == live.plans["q"].state_size()
-        restored = Engine(use_batches=True)
+        restored = Engine()
         restored.adopt_plan(snap)
         n_prefix = len(ref.results["q"])
         for batch in chunks(rows[cut:]):
@@ -381,7 +381,7 @@ class TestCheckpointRestore:
         assert other.plans["q"].results_emitted == 2  # counter carried over
 
     def test_checkpoint_shares_no_window_state(self):
-        e = Engine(use_batches=False)
+        e = Engine()
         e.add_query(parse_query(
             "SELECT * FROM R [Range 100 Seconds] R, S [Now] S"
             " WHERE R.a = S.a", name="q"))

@@ -7,8 +7,9 @@ randomized workloads:
 * ``QueryGraph.wec`` (GraphArrays gather) vs ``scalar_kernels.wec``
 * ``GraphArrays.loads`` vs ``QueryGraph.loads``
 * ``diffusion_solution`` (closed form) vs ``scalar_kernels.diffusion_solution``
-* ``coarsen(fast=True)`` vs ``coarsen(fast=False)`` -- identical graphs,
-  compared exactly (weights, vertex order, merge steps)
+* ``coarsen`` vs ``coarsen`` on ``pair_coarsening``'s matcher and
+  pair-by-pair collapse -- identical graphs, compared exactly (weights,
+  vertex order, merge steps)
 * ``CostWorkspace.attach_costs`` vs the scalar ``_attach_cost`` loop
 """
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import coarsening
-from repro.core.coarsening import coarsen, coarsen_cached, plan_key, vertex_sig
+from repro.core.coarsening import coarsen, plan_key, vertex_sig
 from repro.core.diffusion import diffusion_solution
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
@@ -37,6 +38,7 @@ from repro.query.interest import SubstreamSpace, mask_of
 from repro.query.workload import QuerySpec
 
 from reference import scalar_kernels
+from reference.pair_coarsening import pairwise_coarsening
 
 
 @pytest.fixture(scope="module")
@@ -216,13 +218,14 @@ def coarsen_both(g, vmax, space, seed, **kwargs):
     set_active(reg)
     try:
         fast_steps = []
-        fast = coarsen(g, vmax, space, rng=random.Random(seed), fast=True,
+        fast = coarsen(g, vmax, space, rng=random.Random(seed),
                        steps_out=fast_steps, **kwargs)
     finally:
         set_active(None)
     ref_steps = []
-    ref = coarsen(g, vmax, space, rng=random.Random(seed), fast=False,
-                  steps_out=ref_steps, **kwargs)
+    with pairwise_coarsening():
+        ref = coarsen(g, vmax, space, rng=random.Random(seed),
+                      steps_out=ref_steps, **kwargs)
     fast_facts = dict(coarse_facts(fast), steps=fast_steps)
     ref_facts = dict(coarse_facts(ref), steps=ref_steps)
     return fast_facts, ref_facts, fast, reg.counters
@@ -287,28 +290,6 @@ class TestCoarseningParity:
         assert fast == ref
         # it can never be matched, so it survives every pass untouched
         assert cg.qverts[loner] is g.qverts[loner]
-
-    def test_warm_replay_then_fresh_passes(self, space, ng):
-        g = make_graph(space, ng, 40, seed=4)
-        vmax = len(g.nverts) + 3
-        _, plan, _ = coarsen_cached(
-            g, vmax, space, origin="t", rng=random.Random(3)
-        )
-        runs = []
-        for fast in (True, False):
-            g2 = make_graph(space, ng, 40, seed=4)
-            for vid in list(g2.qverts)[:6]:
-                g2.qverts[vid].weight *= 3.0
-            out, plan2, reused = coarsen_cached(
-                g2, vmax, space, origin="t", rng=random.Random(3),
-                fast=fast, plan=plan, mode="partial",
-            )
-            assert reused == "partial"
-            runs.append(([vertex_sig(v) for v in out], plan2.steps))
-        assert runs[0] == runs[1]
-        steps = runs[0][1]
-        assert any(s in plan.steps for s in steps)  # replayed
-        assert any(s not in plan.steps for s in steps)  # matched afresh
 
 
 class TestCollapsePass:

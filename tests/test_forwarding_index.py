@@ -4,8 +4,9 @@ The counting index (``repro.pubsub.index``) must be observationally
 identical to the reference scans it replaces: same forwarding sets, same
 local deliveries in the same order, same per-link projections, same
 traffic accounting -- under adds, unsubscribes, covering-based pruning
-and ``force=True`` re-propagation.  These tests drive both paths with
-the *same* Subscription objects and compare everything.
+and ``force=True`` re-propagation.  These tests drive production tables
+and networks and their scanning twins (:mod:`reference.covering_scan`)
+with the *same* Subscription objects and compare everything.
 """
 
 import json
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cluster_contract import swapped
+from reference.covering_scan import RecursiveNetwork, ScanRoutingTable
 
 from repro.pubsub import (
     Advertisement,
@@ -37,9 +40,7 @@ def chain_tree(n):
 
 
 def table_pair():
-    return RoutingTable(broker=0, use_index=True), RoutingTable(
-        broker=0, use_index=False
-    )
+    return RoutingTable(broker=0), ScanRoutingTable(broker=0)
 
 
 def normalized(deliveries):
@@ -189,9 +190,7 @@ def build_parity_networks(seed, processors=24, subscriptions=160, substreams=48)
     oracle = SyntheticOracle(n_sources + processors, seed=seed)
     space = SubstreamSpace.random(substreams, sources, rng=rng)
     tree = minimum_latency_spanning_tree(sources + procs, oracle)
-    nets = [
-        PubSubNetwork(tree, use_index=use_index) for use_index in (True, False)
-    ]
+    nets = [PubSubNetwork(tree), RecursiveNetwork(tree)]
     for sid in range(len(space)):
         adv = Advertisement(stream=f"S{sid}")
         for net in nets:
@@ -276,11 +275,12 @@ class TestNetworkParity:
             hotspot=HotSpotShift(at=9.0, substreams=6, factor=3.0),
         )
         indexed = run_scenario(
-            seed=11, scenario=ScenarioParams(use_index=True, **base), record=True
+            seed=11, scenario=ScenarioParams(**base), record=True
         )
-        reference = run_scenario(
-            seed=11, scenario=ScenarioParams(use_index=False, **base), record=True
-        )
+        with swapped(PubSubNetwork=RecursiveNetwork):
+            reference = run_scenario(
+                seed=11, scenario=ScenarioParams(**base), record=True
+            )
         assert json.dumps(indexed.trace.to_dict(), sort_keys=True) == (
             json.dumps(reference.trace.to_dict(), sort_keys=True)
         )
@@ -297,8 +297,8 @@ class TestSubIdDedup:
     def test_stale_neighbour_entry_replaced_in_place(self):
         """A re-declared subscription (same id, changed filter) must
         replace its stale entry, not sit next to it."""
-        for use_index in (True, False):
-            t = RoutingTable(broker=0, use_index=use_index)
+        for table_cls in (RoutingTable, ScanRoutingTable):
+            t = table_cls(broker=0)
             old = Subscription.to_streams(
                 ["R"], filter=Filter.of(("a", "<", 0)), )
             new = Subscription(
@@ -318,8 +318,8 @@ class TestSubIdDedup:
         """A redeclared neighbour entry must not bypass covering: if the
         new filter is covered by another entry from the same interface,
         the stale entry goes and nothing redundant replaces it."""
-        for use_index in (True, False):
-            t = RoutingTable(broker=0, use_index=use_index)
+        for table_cls in (RoutingTable, ScanRoutingTable):
+            t = table_cls(broker=0)
             wide = Subscription.to_streams(["R"], filter=Filter.of(("a", ">", 0)))
             old = Subscription.to_streams(["R"], filter=Filter.of(("b", "<", 9)))
             assert t.add_subscription(wide, 1)
@@ -335,8 +335,8 @@ class TestSubIdDedup:
             assert t.forwarding_interfaces(ev) == {1}
 
     def test_redeclaration_prunes_newly_covered_entries(self):
-        for use_index in (True, False):
-            t = RoutingTable(broker=0, use_index=use_index)
+        for table_cls in (RoutingTable, ScanRoutingTable):
+            t = table_cls(broker=0)
             other = Subscription.to_streams(["R"], filter=Filter.of(("a", ">", 5)))
             old = Subscription.to_streams(["R"], filter=Filter.of(("a", "<", -5)))
             assert t.add_subscription(other, 1)
@@ -421,7 +421,7 @@ class TestRemovalSafety:
 class TestIndexConsistency:
     def test_index_tracks_table_through_random_churn(self):
         rng = np.random.default_rng(7)
-        t = RoutingTable(broker=0, use_index=True)
+        t = RoutingTable(broker=0)
         live = []
         for step in range(300):
             if not live or rng.random() < 0.6:
@@ -435,7 +435,7 @@ class TestIndexConsistency:
             else:
                 t.remove_subscription(live.pop(int(rng.integers(len(live)))).sub_id)
             assert len(t._index) == t.size()
-        reference = RoutingTable(broker=0, use_index=False)
+        reference = ScanRoutingTable(broker=0)
         for iface, sub in t.iter_entries():
             reference.add_subscription(sub, iface)
         for value in range(0, 60, 3):

@@ -311,7 +311,7 @@ class TestCoarsePlanReuse:
         fresh_graph = self._rebuild(coarse_env)
         out2, plan2, reused2 = coarsen_cached(
             fresh_graph, 12, workload.space, origin="t",
-            rng=random.Random(7), plan=plan, mode="replay",
+            rng=random.Random(7), plan=plan,
         )
         assert reused2 == "full"
         assert plan2 is plan
@@ -337,36 +337,26 @@ class TestCoarsePlanReuse:
         dirty.weight *= 3.0
         out2, plan2, reused = coarsen_cached(
             fresh_graph, 12, workload.space, origin="t",
-            rng=random.Random(7), plan=plan, mode="replay",
+            rng=random.Random(7), plan=plan,
         )
         assert reused == "none"
         assert plan2 is not plan
 
-    def test_partial_reuse_invariants(self, coarse_env):
+    def test_no_reuse_records_but_never_replays(self, coarse_env):
+        """The full-rebuild optimizer mode: a matching plan is not
+        replayed, and the scratch run records the same plan."""
         workload, _, graph = coarse_env
         out1, plan, _ = coarsen_cached(
             graph, 12, workload.space, origin="t", rng=random.Random(7)
         )
-        fresh_graph = self._rebuild(coarse_env)
-        dirty = next(iter(fresh_graph.qverts.values()))
-        dirty.weight *= 3.0
         out2, plan2, reused = coarsen_cached(
-            fresh_graph, 12, workload.space, origin="t",
-            rng=random.Random(7), plan=plan, mode="partial",
+            self._rebuild(coarse_env), 12, workload.space, origin="t",
+            rng=random.Random(7), plan=plan, reuse=False,
         )
-        assert reused == "partial"
-        assert len(out2) <= 12
-        # the coarse outputs partition exactly the input member universe
-        in_members = sorted(
-            m for v in fresh_graph.qverts.values() for m in v.members
-        )
-        out_members = sorted(m for v in out2 for m in v.members)
-        assert in_members == out_members
-        for v in out2:
-            if v.children:
-                assert v.weight == pytest.approx(
-                    sum(c.weight for c in v.children)
-                )
+        assert reused == "none"
+        assert plan2 is not plan
+        assert (plan2.sigs, plan2.steps) == (plan.sigs, plan.steps)
+        assert [vertex_sig(v) for v in out1] == [vertex_sig(v) for v in out2]
 
 
 class TestSnapshotAndWorkspaceParity:

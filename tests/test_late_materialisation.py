@@ -8,6 +8,7 @@ the scalar path's, and a run that reads no result must build none.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_batch_parity import (
@@ -55,7 +56,7 @@ class TestLazyRowsEqualScalarRows:
             parse_query(text, name=f"x{i}")
             for i, text in enumerate(EXTRA_QUERIES)
         ]
-        scalar = Engine(use_batches=False)
+        scalar = Engine()
         batch = Engine()
         for q in queries:
             scalar.add_query(q)
@@ -110,6 +111,17 @@ class TestLazyRowsEqualScalarRows:
         assert empty == [] and len(empty) == 0
         assert e.push_query_batch("nope", TupleBatch.from_tuples("R", [tup("R", 4.0)])) == [[]]
 
+    def test_rows_out_of_range_raise_like_a_list(self):
+        e = Engine()
+        e.add_query(parse_query("SELECT * FROM R [Now] A", name="q"))
+        out = e.push_query_batch(
+            "q", TupleBatch.from_tuples("R", [tup("R", float(t)) for t in range(3)])
+        )
+        assert [len(out[i]) for i in (-3, -1, 0, 2)] == [1, 1, 1, 1]
+        for i in (-5, -4, 3, 4):
+            with pytest.raises(IndexError):
+                out[i]
+
     def test_projection_is_the_one_of_the_push(self):
         """Widening a plan after a push must not widen rows already pushed."""
         narrow = parse_query(
@@ -136,7 +148,7 @@ class TestLazyRowsEqualScalarRows:
 
     def test_sinks_see_every_result_in_order(self):
         text = "SELECT * FROM R [Rows 5] A, S [Rows 5] B WHERE A.value > B.value"
-        scalar, batch = Engine(use_batches=False), Engine()
+        scalar, batch = Engine(), Engine()
         seen = {id(scalar): [], id(batch): []}
         for e in (scalar, batch):
             e.add_query(parse_query(text, name="q"))

@@ -3,14 +3,17 @@
 The load-bearing contract: observation must never perturb the
 simulation.  The matrix tests run the same seeded scenario with the
 observer off, on at full span sampling and on at a coarse sampling
-rate, across the batch/scalar x shared/unshared plane combinations and
-a fault scenario, and require bit-identical traces, per-query results,
-link bytes and CPU costs every time.
+rate, across the shared/unshared planes -- in production and on the
+per-tuple reference plane (:mod:`reference.scalar_plane`) -- and a fault
+scenario, and require bit-identical traces, per-query results, link
+bytes and CPU costs every time.
 """
 
 import json
 
 import pytest
+from cluster_contract import run_on
+from reference.scalar_plane import ScalarCluster
 
 from repro.obs import (
     MetricsRegistry,
@@ -25,6 +28,7 @@ from repro.obs.cli import main as obs_main
 from repro.sim import (
     ChurnParams,
     ScenarioParams,
+    SimCluster,
     SimWorkloadParams,
     run_scenario,
 )
@@ -147,14 +151,13 @@ def _workload(use_sharing: bool) -> SimWorkloadParams:
     )
 
 
-def _scenario(use_batches: bool, use_sharing: bool, faults: bool = False):
+def _scenario(use_sharing: bool, faults: bool = False):
     kwargs = dict(
         duration=10.0,
         sample_interval=4.0,
         adapt_interval=8.0,
         initial_placement="skewed",
         churn=ChurnParams(arrival_rate=0.4, mean_lifetime=8.0),
-        use_batches=use_batches,
         use_sharing=use_sharing,
     )
     if faults:
@@ -179,14 +182,15 @@ def _digest(report) -> str:
 
 
 class TestNoPerturbation:
-    @pytest.mark.parametrize("use_batches", [True, False])
+    @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("use_sharing", [True, False])
-    def test_off_on_sampled_identical(self, use_batches, use_sharing):
-        params = _scenario(use_batches, use_sharing)
+    def test_off_on_sampled_identical(self, batched, use_sharing):
+        params = _scenario(use_sharing)
         workload = _workload(use_sharing)
 
         def run(observer=None):
-            return run_scenario(
+            return run_on(
+                SimCluster if batched else ScalarCluster,
                 seed=11, workload=workload, scenario=params,
                 record=True, observer=observer,
             )
@@ -206,7 +210,7 @@ class TestNoPerturbation:
         walk; every repair is a hit or a miss."""
         obs = Observer(span_sample_every=0, profile=False)
         run_scenario(
-            seed=11, workload=_workload(True), scenario=_scenario(True, True),
+            seed=11, workload=_workload(True), scenario=_scenario(True),
             observer=obs,
         )
         counters = obs.registry.to_dict()["counters"]
@@ -216,7 +220,7 @@ class TestNoPerturbation:
         assert hits + misses == counters["broker.covering_repairs"]
 
     def test_fault_plane_identical(self):
-        params = _scenario(True, False, faults=True)
+        params = _scenario(False, faults=True)
         workload = _workload(False)
 
         def run(observer=None):
@@ -235,7 +239,7 @@ class TestNoPerturbation:
         assert counters["recovery.checkpoints"] > 0
 
     def test_observed_spans_are_deterministic(self):
-        params = _scenario(True, False)
+        params = _scenario(False)
         workload = _workload(False)
         exports = []
         for _ in range(2):
@@ -255,7 +259,7 @@ class TestObserverExport:
         obs = Observer(span_sample_every=8)
         run_scenario(
             seed=11, workload=_workload(False),
-            scenario=_scenario(True, False), observer=obs,
+            scenario=_scenario(False), observer=obs,
         )
         return obs
 
@@ -285,7 +289,7 @@ class TestObserverExport:
         obs = Observer(span_sample_every=0, metrics=False, profile=False)
         run_scenario(
             seed=11, workload=_workload(False),
-            scenario=_scenario(True, False), observer=obs,
+            scenario=_scenario(False), observer=obs,
         )
         out = obs.export()
         assert out["spans"] is None

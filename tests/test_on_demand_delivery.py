@@ -8,183 +8,30 @@ one delivery into its engine at once.  What it must reproduce bit for
 bit:
 
 * whole runs of the per-publish drain scheduler
-  (:mod:`reference.eager_delivery`) -- traces, recorded results, fault
-  logs, link traffic and CPU counters -- across both execution planes,
-  churn, hot spots and every fault kind, and on the run edges where the
-  last observation and the horizon do not coincide;
+  (:mod:`reference.eager_delivery`) under the
+  :class:`cluster_contract.ClusterContract`, every scenario included;
 * per row, the scalar :meth:`~repro.engine.operators.WindowJoin.process_side`
   walk, for any interleaving of the two inputs handed to
   :meth:`~repro.engine.operators.WindowJoin.process_batch_sides`.
 """
 
-import json
-from functools import partial
-
 import numpy as np
 import pytest
+from cluster_contract import WORKLOAD, ClusterContract, scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference.eager_delivery import EagerCluster, run_eager
+from reference.eager_delivery import EagerCluster
 from test_batch_parity import dicts, random_queries, random_tuples, tup
 
 from repro.engine import Engine, MergedBatch, TupleBatch, WindowJoin
 from repro.query.ast import AttrRef, Comparison, Window
 from repro.query.parser import parse_query
-from repro.sim import (
-    BrokerLoss,
-    ChurnParams,
-    HotSpotShift,
-    LinkPartition,
-    ProcessorCrash,
-    ProcessorJoin,
-    ProcessorLeave,
-    ScenarioParams,
-    SimCluster,
-    SimWorkloadParams,
-    run_scenario,
-)
-
-WORKLOAD = SimWorkloadParams(
-    num_substreams=40, num_queries=24, pool_substreams=6, window_range=(2, 4)
-)
-#: coalescing windows far shorter than the reordering slack
-FAST = SimWorkloadParams(
-    num_substreams=20, num_queries=12, pool_substreams=6, window_range=(2, 4),
-    rate_range=(20.0, 40.0),
-)
-#: every query a join, windows of seconds
-SLOW_JOINS = SimWorkloadParams(
-    num_substreams=30, num_queries=24, pool_substreams=6, window_range=(2, 4),
-    rate_range=(0.3, 3.0), join_fraction=1.0,
-)
-
-FAULTS = {
-    "churn_hotspot": {},
-    "crash": dict(
-        faults=(ProcessorCrash(at=6.0),), checkpoint_interval=3.0
-    ),
-    "broker_loss": dict(faults=(BrokerLoss(at=6.0),)),
-    "partition": dict(faults=(LinkPartition(at=6.0, duration=3.0),)),
-    "join_leave": dict(
-        faults=(ProcessorJoin(at=5.0), ProcessorLeave(at=11.0)),
-        spare_processors=1,
-    ),
-}
+from repro.sim import SimCluster, run_scenario
 
 
-def scenario(**overrides) -> ScenarioParams:
-    base = dict(
-        duration=16.0,
-        sample_interval=4.0,
-        adapt_interval=8.0,
-        initial_placement="skewed",
-        churn=ChurnParams(arrival_rate=0.4, mean_lifetime=10.0),
-        hotspot=HotSpotShift(at=9.0, substreams=8, factor=3.0),
-    )
-    base.update(overrides)
-    return ScenarioParams(**base)
-
-
-def outputs(report):
-    return {
-        "trace": json.dumps(report.trace.to_dict(), sort_keys=True),
-        "results": report.results,
-        "fault_log": report.fault_log,
-        "link_bytes": report.link_bytes,
-        "cpu_costs": report.cpu_costs,
-    }
-
-
-def assert_same_run(seed, params, workload=WORKLOAD):
-    kwargs = dict(seed=seed, workload=workload, scenario=params, record=True)
-    want = outputs(run_eager(**kwargs))
-    got = outputs(run_scenario(**kwargs))
-    for key in want:
-        assert got[key] == want[key], f"{key} diverged (seed {seed})"
-    assert want["results"] and any(want["results"].values())
-
-
-class TestMatchesPerPublishDrains:
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
-    @pytest.mark.parametrize("use_sharing", [False, True])
-    @pytest.mark.parametrize("seed", [0, 2])
-    def test_full_run(self, seed, use_sharing, fault):
-        assert_same_run(
-            seed, scenario(use_sharing=use_sharing, **FAULTS[fault])
-        )
-
-    @pytest.mark.parametrize(
-        "workload,seed,edge",
-        [
-            # the last sample falls before the horizon
-            (WORKLOAD, 3, dict(duration=10.0, sample_interval=3.0)),
-            # no periodic sample at all: the closing one sees everything
-            (WORKLOAD, 3, dict(duration=10.0, sample_interval=15.0)),
-            # rows release between the last observation and the horizon,
-            # and after it: only the end-of-run drain observes them
-            (FAST, 3, dict(duration=3.0, sample_interval=2.0, adapt_interval=None)),
-            # migrations at the horizon pause units with rows queued
-            (FAST, 3, dict(duration=3.0, sample_interval=2.0, adapt_interval=3.0)),
-            # slow joins: coalescing timeouts outlast every release
-            (SLOW_JOINS, 4, dict(duration=10.0, sample_interval=4.0, adapt_interval=None)),
-        ],
-        ids=[
-            "indivisible", "longer_than_run", "released_after_last_look",
-            "paused_at_horizon", "timeouts_outlast_releases",
-        ],
-    )
-    @pytest.mark.parametrize("use_sharing", [False, True])
-    def test_run_edges(self, workload, seed, edge, use_sharing):
-        assert_same_run(
-            seed,
-            scenario(
-                churn=None, hotspot=None, use_sharing=use_sharing, **edge
-            ),
-            workload,
-        )
-
-    def test_group_join_drains_under_the_narrow_plan(self):
-        """A member joining a shared join group widens its windows in
-        place; rows the group released before are joined under the
-        narrow ones."""
-        from test_sim_sharing import chain_cluster
-
-        from repro.query.interest import mask_of
-        from repro.query.workload import QuerySpec
-        from repro.sim import SimQuery
-
-        def join_member(query_id, proxy, window):
-            text = (
-                f"SELECT * FROM S0 [Range {window} Seconds] A,"
-                f" S1 [Range {window} Seconds] B WHERE A.value > B.value"
-            )
-            spec = QuerySpec(
-                query_id=query_id, proxy=proxy, mask=mask_of([0, 1]),
-                group=0, load=1.0, result_rate=1.0, state_size=0.0,
-            )
-            return SimQuery(
-                spec=spec, ast=parse_query(text, name=f"q{query_id}"),
-                text=text, streams=("S0", "S1"), substreams=(0, 1),
-            )
-
-        runs = []
-        for cls in (EagerCluster, SimCluster):
-            c = chain_cluster(cluster_cls=cls, rate=10.0, substreams=2)
-            c.add_query(join_member(0, proxy=3, window=1), 1)
-            c.loop.schedule(
-                3.0, partial(c.add_query, join_member(1, proxy=4, window=4), 1)
-            )
-            c.start()
-            c.run()
-            assert len(c.units) == 1
-            runs.append((
-                {u.uid: u.plan.operator_counters() for u in c.units.values()},
-                {q: [dict(t.values) for t in qs.results]
-                 for q, qs in c.queries.items()},
-                json.dumps(c.trace.to_dict(), sort_keys=True),
-            ))
-        assert runs[0] == runs[1]
-        assert runs[0][1][0] and runs[0][1][1]
+class TestMatchesPerPublishDrains(ClusterContract):
+    cluster_cls = EagerCluster
+    seeds = (0, 2)
 
 
 class TestObservationIsNarrow:
@@ -218,7 +65,7 @@ class TestObservationIsNarrow:
         accounts them at their release, not at the teardown instant."""
         from test_sim import TestMidDrainRemoval
 
-        c, qs = TestMidDrainRemoval._mini_cluster(use_batches=True)
+        c, qs = TestMidDrainRemoval._mini_cluster(SimCluster)
         loop = c.loop
         # one row at t=1.0 (slack 1 s: it releases at 2.0)
         loop.schedule(
@@ -320,10 +167,11 @@ class TestTwoSidedKernel:
             assert kernel.evicted() == scalar.evicted()
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), use_batches=st.booleans())
-    def test_engine_push_matches_scalar_rows(self, seed, use_batches):
-        """``push_query_batch`` of a merged delivery: the two-sided kernel,
-        or the scalar fallback (self-joins, ``use_batches=False``)."""
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_engine_push_matches_scalar_rows(self, seed):
+        """``push_query_batch`` of a merged delivery -- the two-sided
+        kernel, or the scalar fallback for the self-join -- against
+        ``push_query`` row by row on a second engine."""
         rng = np.random.default_rng(seed)
         streams = ["S0", "S1"]
         queries = random_queries(rng, streams, 4) + [
@@ -333,8 +181,8 @@ class TestTwoSidedKernel:
                 name="self",
             )
         ]
-        scalar = Engine(use_batches=False)
-        merged = Engine(use_batches=use_batches)
+        scalar = Engine()
+        merged = Engine()
         for q in queries:
             scalar.add_query(q)
             merged.add_query(q)

@@ -342,7 +342,7 @@ class TestBrokerLossAndRecovery:
     def test_routing_table_clear_matches_fresh_table(self):
         table = self.net._broker(2).table
         table.clear()
-        fresh = RoutingTable(broker=2, use_index=table.use_index)
+        fresh = RoutingTable(broker=2)
         assert table.advertisements == fresh.advertisements
         assert table.subscriptions == fresh.subscriptions
         assert table.size() == 0

@@ -215,7 +215,7 @@ class TestGraphBuildParity:
         g = build_query_graph(verts, space, ng)
         fast = coarsen(g, vmax, space, rng=random.Random(seed))
         slow = graph_build.to_query_graph(_coarsen_work(
-            g, vmax, space, None, random.Random(seed), True, None, None
+            g, vmax, space, None, random.Random(seed), None
         ))
 
         # coarse ids come from a process-wide counter: name by members

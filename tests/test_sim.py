@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.cosmos import CosmosConfig
 from repro.query.interest import SubstreamSpace
 from repro.query.workload import WorkloadParams, generate_workload
 from repro.sim import (
@@ -154,23 +155,22 @@ class TestMeasureRates:
 
 
 class TestMidDrainRemoval:
-    """Satellite regression: a unit force-drained mid-stream (a member
-    departing its shared group, a crashed host's recovery) leaves its
-    already-scheduled release events in the loop; those stale events must
-    not deliver *later* pending tuples before their own release time.
+    """Satellite regression: on the per-tuple reference plane, a unit
+    force-drained mid-stream (a member departing its shared group) leaves
+    its already-scheduled release events in the loop; those stale events
+    must not deliver *later* pending tuples before their own release time.
     """
 
     @staticmethod
-    def _mini_cluster(use_batches=False):
-        """A one-query cluster (scalar plane unless ``use_batches``),
-        source 0 -- 1000 ms -- processor 1 (so the query's reordering
-        slack is 1 s), built through the public constructor and
-        ``add_query``."""
+    def _mini_cluster(cluster_cls):
+        """A one-query ``cluster_cls`` cluster, source 0 -- 1000 ms --
+        processor 1 (so the query's reordering slack is 1 s), built
+        through the public constructor and ``add_query``."""
         from repro.core.cosmos import Cosmos
         from repro.query.interest import mask_of
         from repro.query.parser import parse_query
         from repro.query.workload import QuerySpec
-        from repro.sim import SimCluster, SimQuery
+        from repro.sim import SimQuery
         from repro.topology.latency import LatencyOracle
         from repro.topology.transit_stub import Topology
 
@@ -179,13 +179,13 @@ class TestMidDrainRemoval:
         oracle = LatencyOracle(topo)
         space = SubstreamSpace(rates=[1.0], source_of=[0])
         rng = np.random.default_rng(0)
-        c = SimCluster(
+        c = cluster_cls(
             oracle=oracle,
             sources=[0],
             processors=[1],
             space=space,
             cosmos=Cosmos(oracle, [1], space),
-            params=ScenarioParams(use_batches=use_batches),
+            params=ScenarioParams(),
             factory=SimQueryFactory(
                 space, [1], SimWorkloadParams(num_substreams=1), rng
             ),
@@ -205,9 +205,11 @@ class TestMidDrainRemoval:
         return c, c.add_query(simq, 1)
 
     def test_stale_release_event_cannot_deliver_early(self):
+        from reference.scalar_plane import ScalarCluster
+
         from repro.engine.tuples import StreamTuple
 
-        c, qs = self._mini_cluster()
+        c, qs = self._mini_cluster(ScalarCluster)
         loop = c.loop
         seq = iter(range(1, 10))
 
@@ -396,6 +398,35 @@ class TestRunScenario:
         message naming the offending field."""
         with pytest.raises(ValueError, match=rf"^{field}:"):
             ScenarioParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (CosmosConfig, "k", 1),
+            (CosmosConfig, "vmax", 0),
+            (CosmosConfig, "alpha", -1.0),
+            (CosmosConfig, "max_overlap_neighbors", -1),
+            (ChurnParams, "arrival_rate", 0.0),
+            (ChurnParams, "mean_lifetime", -5.0),
+            (HotSpotShift, "factor", -2.0),
+            (HotSpotShift, "at", -1.0),
+            (HotSpotShift, "substreams", -1),
+            (ScenarioParams, "handoff_ms_per_tuple", -50.0),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_malformed_knobs_fail_at_construction(self, cls, field, value):
+        """The configuration objects a run is built from reject
+        out-of-range values when constructed, naming the field --
+        instead of running silently or failing deep inside a run."""
+        with pytest.raises(ValueError, match=rf"^{field}:"):
+            cls(**{field: value})
+
+    def test_boundary_knobs_are_valid(self):
+        # no overlap edges is the ablation bench's setting
+        assert CosmosConfig(max_overlap_neighbors=0, alpha=0.0, vmax=1, k=2)
+        assert HotSpotShift(at=0.0, substreams=0, factor=0.0)
+        assert ScenarioParams(handoff_ms_per_tuple=0.0)
 
     def test_disabled_intervals_are_valid(self):
         params = ScenarioParams(adapt_interval=None, checkpoint_interval=None)

@@ -16,13 +16,18 @@ invariants:
 * the ``none`` recovery baseline is demonstrably worse than
   ``checkpoint``.
 
-All of it across batch/scalar data planes, shared/unshared execution
-and indexed/reference routing.
+All of it across shared/unshared execution, on production and on the
+per-publish drain scheduler (:mod:`reference.eager_delivery`), and on
+indexed and scanned broker tables (:mod:`reference.covering_scan`).
 """
 
+import functools
 import json
 
 import pytest
+from cluster_contract import run_on, swapped
+from reference.covering_scan import RecursiveNetwork
+from reference.eager_delivery import EagerCluster
 
 from repro.sim import (
     BrokerLoss,
@@ -33,6 +38,7 @@ from repro.sim import (
     ProcessorJoin,
     ProcessorLeave,
     ScenarioParams,
+    SimCluster,
     SimWorkloadParams,
     is_subsequence,
     oracle_results,
@@ -74,6 +80,20 @@ def trace_json(report) -> str:
     return json.dumps(report.trace.to_dict(), sort_keys=True)
 
 
+@functools.lru_cache(maxsize=None)
+def routed_crash_run(indexed: bool):
+    """The seed-5 crash run on production broker tables, or on tables
+    that maintain and match by scanning their entry lists (run once per
+    module: the tests below only read it)."""
+    kwargs = dict(
+        seed=5, workload=fault_workload(), scenario=fault_scenario(), record=True
+    )
+    if indexed:
+        return run_scenario(**kwargs)
+    with swapped(PubSubNetwork=RecursiveNetwork):
+        return run_scenario(**kwargs)
+
+
 def crashed_queries(report) -> set:
     """Every query id that was hosted on a crashed/lost node."""
     hit = set()
@@ -104,17 +124,16 @@ def total_loss(report, oracle, affected) -> int:
 class TestCrashRecoveryInvariants:
     """ProcessorCrash + CheckpointRecovery across every plane combo."""
 
-    @pytest.mark.parametrize("use_batches", [True, False])
+    @pytest.mark.parametrize("on_demand", [True, False])
     @pytest.mark.parametrize("use_sharing", [False, True])
-    def test_bounded_loss_and_post_recovery_parity(
-        self, use_batches, use_sharing
-    ):
-        report = run_scenario(
+    def test_bounded_loss_and_post_recovery_parity(self, on_demand, use_sharing):
+        """On production and on the per-publish drain scheduler it must
+        reproduce (:mod:`reference.eager_delivery`)."""
+        report = run_on(
+            SimCluster if on_demand else EagerCluster,
             seed=3,
             workload=fault_workload(),
-            scenario=fault_scenario(
-                use_batches=use_batches, use_sharing=use_sharing
-            ),
+            scenario=fault_scenario(use_sharing=use_sharing),
             record=True,
         )
         oracle = oracle_results(report.actions)
@@ -141,15 +160,10 @@ class TestCrashRecoveryInvariants:
         )
         assert checked > 0, "post-recovery window empty -- shorten windows"
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_invariants_hold_on_both_routing_paths(self, use_index):
-        """Indexed and reference routing agree under faults too."""
-        report = run_scenario(
-            seed=5,
-            workload=fault_workload(),
-            scenario=fault_scenario(use_index=use_index),
-            record=True,
-        )
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_invariants_hold_on_both_routing_paths(self, indexed):
+        """Indexed and scanned broker tables agree under faults too."""
+        report = routed_crash_run(indexed)
         oracle = oracle_results(report.actions)
         affected = crashed_queries(report)
         assert affected
@@ -163,16 +177,8 @@ class TestCrashRecoveryInvariants:
         assert violations == []
 
     def test_routing_paths_bit_identical_under_faults(self):
-        """use_index only changes the matching machinery, never results."""
-        runs = [
-            run_scenario(
-                seed=5,
-                workload=fault_workload(),
-                scenario=fault_scenario(use_index=flag),
-                record=True,
-            )
-            for flag in (True, False)
-        ]
+        """The table machinery never changes results."""
+        runs = [routed_crash_run(indexed) for indexed in (True, False)]
         assert runs[0].results == runs[1].results
         assert runs[0].fault_log == runs[1].fault_log
         assert trace_json(runs[0]) == trace_json(runs[1])

@@ -93,16 +93,6 @@ class TestSharedOracleParity:
 
 
 class TestSharedPlaneParity:
-    def test_scalar_and_batch_planes_identical(self):
-        """Sharing composes with the PR 4 batch plane bit-identically."""
-        kwargs = dict(seed=7, workload=overlap_workload(), record=True)
-        batch = run_scenario(scenario=sharing_scenario(use_batches=True), **kwargs)
-        scalar = run_scenario(scenario=sharing_scenario(use_batches=False), **kwargs)
-        assert trace_json(batch) == trace_json(scalar)
-        assert batch.results == scalar.results
-        assert batch.link_bytes == scalar.link_bytes
-        assert batch.cpu_costs == scalar.cpu_costs
-
     def test_route_fast_matches_hop_by_hop_walk(self, monkeypatch):
         """The memoised routes equal publishing through the broker walk."""
         kwargs = dict(seed=7, workload=overlap_workload(), record=True)
@@ -198,10 +188,7 @@ class TestOverlapKnob:
 # group lifecycle on a hand-built overlay (ported from the deleted
 # SharingDeployment suite onto the simulator's units)
 # ----------------------------------------------------------------------
-def chain_cluster(
-    use_batches: bool = True, rate: float = 25.0, cluster_cls=None,
-    substreams: int = 1,
-):
+def chain_cluster(rate: float = 25.0, cluster_cls=None, substreams: int = 1):
     """source 0 -- 400 ms -- host 1 -- mid 2 -- proxies 3, 4, 5.
 
     The proxies share the 2 -> 1 path segment, so one member's result
@@ -232,8 +219,7 @@ def chain_cluster(
         space=space,
         cosmos=Cosmos(oracle, processors, space),
         params=ScenarioParams(
-            duration=6.0, adapt_interval=None, use_sharing=True,
-            use_batches=use_batches,
+            duration=6.0, adapt_interval=None, use_sharing=True
         ),
         factory=SimQueryFactory(
             space, processors, SimWorkloadParams(num_substreams=substreams),
@@ -365,12 +351,15 @@ class TestGroupLifecycle:
             late = [r for r in oracle[survivor] if r["timestamp"] > 2.5]
             assert late, "no results after the departure -- test is vacuous"
 
-    @pytest.mark.parametrize("use_batches", [True, False])
-    def test_departure_between_publish_and_drain(self, use_batches):
+    @pytest.mark.parametrize("per_tuple", [False, True])
+    def test_departure_between_publish_and_drain(self, per_tuple):
         """Tuples published but not yet drained when a member leaves
         still produce that member's results (they were emitted before
-        the departure) and nothing later does."""
-        c = chain_cluster(use_batches=use_batches)
+        the departure) and nothing later does -- in production and on
+        the per-tuple reference plane."""
+        from reference.scalar_plane import ScalarCluster
+
+        c = chain_cluster(cluster_cls=ScalarCluster if per_tuple else None)
         c.add_query(member(0, proxy=3, threshold=200), 1)
         c.add_query(member(1, proxy=4, threshold=500), 1)
         in_flight = []
@@ -378,7 +367,8 @@ class TestGroupLifecycle:
         def leave():
             c._flush_batches()
             unit = c.queries[1].unit
-            in_flight.append(len(unit.pending) + len(unit.pending_rel))
+            queued = getattr(c, "pending", {}).get(unit.uid, ())
+            in_flight.append(len(queued) + len(unit.pending_rel))
             c.remove_query(1)
 
         c.loop.schedule(3.0, leave)
