@@ -4,7 +4,9 @@ Builds a COSMOS tree over a synthetic latency oracle, distributes the
 workload, adapts to quiescence, then times steady rounds (nothing
 changed) and localized-churn rounds (one leaf cluster's region sheds and
 gains queries and 1 % of the live loads drift).  It prints what it
-measured and asserts nothing; ``benchmarks/e2e`` judges speed claims.
+measured -- seconds per phase, and the interpreter's peak resident set
+(``ru_maxrss``) after it -- and asserts nothing; ``benchmarks/e2e``
+judges speed and memory claims.
 
     PYTHONPATH=src python benchmarks/opt_scale.py                  # 100k x 1k
     PYTHONPATH=src python benchmarks/opt_scale.py --queries 1500 --processors 32
@@ -12,6 +14,7 @@ measured and asserts nothing; ``benchmarks/e2e`` judges speed claims.
 
 import argparse
 import random
+import resource
 import time
 from collections import Counter
 
@@ -37,6 +40,12 @@ def timed(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t0
+
+
+def peak_rss() -> str:
+    """High-water resident set so far, as a column (Linux reports KiB)."""
+    mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return f"peak_rss_mb {mb:7.1f}"
 
 
 def churn(cosmos, specs, region, space, rng):
@@ -79,13 +88,14 @@ def main(argv=None):
         cosmos = Cosmos(oracle, processors, space, CosmosConfig(k=4, vmax=VMAX))
         coordinators = cosmos.root.all_coordinators()
         _, secs = timed(cosmos.distribute, list(specs.values()))
-        print(f"distribute       {secs:9.3f} s  {args.queries} queries, "
-              f"{args.processors} processors, {len(coordinators)} coordinators")
+        print(f"distribute       {secs:9.3f} s  {peak_rss()}  {args.queries} "
+              f"queries, {args.processors} processors, "
+              f"{len(coordinators)} coordinators")
 
         for i in range(1, MAX_ADAPT_ROUNDS + 1):
             report, secs = timed(cosmos.adapt)
             moves = report.coordinator_moves + report.refinement_moves
-            print(f"adapt round {i:<4} {secs:9.3f} s  {moves} moves")
+            print(f"adapt round {i:<4} {secs:9.3f} s  {peak_rss()}  {moves} moves")
             if moves == 0:
                 break
         quiet = f"{i}" if moves == 0 else f"> {MAX_ADAPT_ROUNDS}"
@@ -99,13 +109,14 @@ def main(argv=None):
 
         for i in range(1, ROUNDS + 1):
             _, secs = timed(cosmos.adapt)
-            print(f"steady round {i:<3} {secs:9.3f} s")
+            print(f"steady round {i:<3} {secs:9.3f} s  {peak_rss()}")
         leaves = [c for c in coordinators if c.is_leaf]
         for i in range(1, ROUNDS + 1):
             region = sorted(leaves[(i - 1) % len(leaves)].cluster.members)
             churn(cosmos, specs, region, space, rng)
             _, secs = timed(cosmos.adapt)
-            print(f"churn round {i:<4} {secs:9.3f} s  {CHURN_EVENTS} events")
+            print(f"churn round {i:<4} {secs:9.3f} s  {peak_rss()}  "
+                  f"{CHURN_EVENTS} events")
     finally:
         set_active(None)
 

@@ -64,16 +64,23 @@ def vertex_sig(v: QVertex) -> Tuple:
 
     Two vertices with equal signatures produce bit-identical coarsening
     aggregates, so a recorded plan whose input signatures all match can be
-    reused wholesale.
+    reused wholesale.  Each rate map is held as ``(sorted keys, values in
+    key order)``: equal exactly when the maps are, and built from the map's
+    own key and value objects (no tuple per entry).
     """
     return (
         plan_key(v),
         v.weight,
         v.mask,
         v.state_size,
-        tuple(sorted(v.source_rates.items())),
-        tuple(sorted(v.proxy_rates.items())),
+        _rate_sig(v.source_rates),
+        _rate_sig(v.proxy_rates),
     )
+
+
+def _rate_sig(rates: Dict[int, float]) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+    keys = tuple(sorted(rates))
+    return keys, tuple(map(rates.__getitem__, keys))
 
 
 def content_rng(seed: int, stable_id: int, g: QueryGraph) -> random.Random:

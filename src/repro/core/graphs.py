@@ -464,9 +464,11 @@ class QueryGraph:
         if not weights.size:
             return
         vid_of = vids.__getitem__
+        # one float object per edge, shared by _edges and both adj halves
+        wlist = weights.tolist()
         self._edges.update(zip(
             zip(map(vid_of, heads.tolist()), map(vid_of, tails.tolist())),
-            weights.tolist(),
+            wlist,
         ))
         # both half-edges of every edge, edge-major; a stable sort by owner
         # then lists each vertex's neighbours in install order
@@ -476,7 +478,9 @@ class QueryGraph:
         order = np.argsort(owner, kind="stable")
         edge = order >> 1
         other = np.where(order & 1, heads[edge], tails[edge])
-        halves = zip(map(vid_of, other.tolist()), weights[edge].tolist())
+        halves = zip(
+            map(vid_of, other.tolist()), map(wlist.__getitem__, edge.tolist())
+        )
         degree = np.bincount(owner, minlength=len(vids))
         for vid, deg in zip(vids, degree.tolist()):
             if deg:
@@ -754,8 +758,8 @@ class GraphArrays:
             self._inc_len[s] = 0
             tail += int(caps[s])
         self._inc_tail = tail
-        for (a, b), w in qg._edges.items():
-            self._append_edge(a, b, w)
+        for key, w in qg._edges.items():
+            self._append_edge(key, w)
         self._tracked = None
 
     def _new_vslot(self, vid: VertexId, isq: bool, fixed: int) -> int:
@@ -803,7 +807,7 @@ class GraphArrays:
             a = self.sites[r]
             if a != site:
                 if self._oracle is not None:
-                    self._D[r, i] = float(np.asarray(self._oracle.row(a))[site])
+                    self._D[r, i] = self._oracle.row(a)[site]
                 else:
                     self._D[r, i] = self.ng.site_distance(a, site)
         return i
@@ -842,9 +846,10 @@ class GraphArrays:
         self._inc_pool[int(self._inc_start[vs]) + length] = es
         self._inc_len[vs] = length + 1
 
-    def _append_edge(self, a: VertexId, b: VertexId, w: float) -> None:
-        sa = self._vslot[a]
-        sb = self._vslot[b]
+    def _append_edge(self, key: Tuple[VertexId, VertexId], w: float) -> None:
+        """Append edge slot ``key = (a, b)``; the key object itself is kept."""
+        sa = self._vslot[key[0]]
+        sb = self._vslot[key[1]]
         s = self._ne
         if s == self._eu.size:
             grow = max(16, s)
@@ -858,7 +863,7 @@ class GraphArrays:
         self._ev[s] = sb
         self._ew[s] = w
         self._ealive[s] = True
-        self._eslot[(a, b)] = s
+        self._eslot[key] = s
         self._ne += 1
         self._live_cache = None
         self._inc_append(sa, s)
@@ -893,7 +898,7 @@ class GraphArrays:
                 elif s is not None:
                     self._ew[s] = w
                 else:
-                    self._append_edge(a, b, w)
+                    self._append_edge((a, b), w)
             elif tag == "+q":
                 self._new_vslot(op[1], True, -1)
             elif tag == "+n":

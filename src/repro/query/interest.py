@@ -80,6 +80,9 @@ class SubstreamSpace:
     #: reusable membership scratch of :meth:`overlap_rates` (all False
     #: between calls)
     _mark: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``_node_ids[s] == s`` for every source node id: the int objects
+    #: :meth:`rates_by_source` keys its maps with, built once per space
+    _node_ids: List[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rates = np.asarray(self.rates, dtype=float)
@@ -87,6 +90,8 @@ class SubstreamSpace:
         if len(self.rates) != len(self.source_of):
             raise ValueError("rates and source_of must have the same length")
         self._mark = np.zeros(len(self.rates), dtype=bool)
+        top = int(self.source_of.max()) + 1 if len(self.source_of) else 0
+        self._node_ids = list(range(top))
         self._rebuild_source_masks()
 
     def _rebuild_source_masks(self) -> None:
@@ -180,7 +185,8 @@ class SubstreamSpace:
         """Per-source requested rate for a query interest mask.
 
         These are the q-vertex -> source n-vertex edge weights of the query
-        graph.
+        graph.  Keys are the space's own node-id ints, so the many maps the
+        optimizer holds share them instead of each boxing its own.
         """
         idx = index_array(mask)
         if idx.size == 0:
@@ -190,7 +196,8 @@ class SubstreamSpace:
         totals = np.zeros(int(srcs.max()) + 1)
         np.add.at(totals, srcs, weights)
         nz = np.nonzero(totals)[0]
-        return {int(s): float(totals[s]) for s in nz}
+        keys = map(self._node_ids.__getitem__, nz.tolist())
+        return dict(zip(keys, totals[nz].tolist()))
 
     def perturb_rates(
         self, substream_ids: Sequence[int], factor: float

@@ -12,6 +12,7 @@ coordinates, for synthetic workloads that need no router graph.
 from __future__ import annotations
 
 import heapq
+from array import array
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Sequence
 
@@ -46,22 +47,29 @@ class LatencyOracle:
     """Lazy all-pairs latency oracle over a topology.
 
     ``oracle(u, v)`` returns the shortest-path latency between two nodes.
-    Distance rows are computed on first use and memoised; ``prefetch`` can
-    be used to compute rows for a known set of relevant nodes up front.
+    Distance rows are computed on first use and memoised as ``array('d')``
+    (8 bytes per entry, readable through the buffer protocol); ``prefetch``
+    can be used to compute rows for a known set of relevant nodes up front.
+
+    ``oracle(u, v)`` reads row ``u`` if it is cached, else row ``v`` if that
+    one is, else computes row ``u``.  Dijkstra sums a path from its source
+    end, so d(u, v) and d(v, u) can differ in the last bits: an answer
+    depends on which rows earlier calls cached, and changing the rule
+    changes the optimizer's output.
     """
 
     def __init__(self, topo: Topology):
         self._topo = topo
-        self._rows: Dict[int, List[float]] = {}
+        self._rows: Dict[int, array] = {}
 
     @property
     def topology(self) -> Topology:
         return self._topo
 
-    def row(self, u: int) -> List[float]:
+    def row(self, u: int) -> array:
         """Distance row from ``u`` to every node in the topology."""
         if u not in self._rows:
-            self._rows[u] = dijkstra(self._topo, u)
+            self._rows[u] = array("d", dijkstra(self._topo, u))
         return self._rows[u]
 
     def __call__(self, u: int, v: int) -> float:

@@ -1,0 +1,222 @@
+"""Each value on the optimizer's resident path is held once.
+
+The optimizer's graphs, plans and latency rows are the bulk of its
+memory.  These tests pin the sharing rules that keep them small -- one
+float object per edge weight, rate-map signatures built from the map's
+own objects, node-id keys shared across rate maps, snapshot edge keys
+shared with the edge store, latency rows as ``array('d')`` -- each next
+to an equality with the representation it replaced, so that sharing
+never changes a value, an order or a lookup.  They also pin the latency
+oracle's lookup rule, whose answer depends on which rows are cached.
+"""
+
+import random
+from array import array
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fastpath_parity import make_queries, ng, space  # noqa: F401  (fixtures)
+
+from repro.core.coarsening import coarsen, rebuild_edges, vertex_sig
+from repro.core.graphs import (
+    GraphArrays,
+    QVertex,
+    build_query_graph,
+    qvertex_from_query,
+)
+from repro.query.interest import SubstreamSpace, index_array, mask_of
+from repro.topology import (
+    LatencyOracle,
+    TransitStubParams,
+    dijkstra,
+    generate_transit_stub,
+)
+
+
+def assert_weights_shared(g):
+    """Every edge's weight is one object, seen from both ``adj`` rows."""
+    assert g._edges
+    for (a, b), w in g._edges.items():
+        assert g.adj[a][b] is w
+        assert g.adj[b][a] is w
+
+
+@pytest.fixture
+def graph(space, ng):
+    queries = make_queries(space, 40, seed=3)
+    return build_query_graph(
+        [qvertex_from_query(q, space) for q in queries], space, ng
+    )
+
+
+class TestEdgeWeightsShared:
+    def test_build_query_graph(self, graph):
+        assert_weights_shared(graph)
+
+    def test_rebuild_edges(self, graph, space):
+        rebuild_edges(graph, space, max_overlap_neighbors=3)
+        assert_weights_shared(graph)
+
+    def test_coarsen_result(self, graph, space):
+        out = coarsen(graph, 12, space, rng=random.Random(5))
+        assert out.vertex_count() < graph.vertex_count()
+        assert_weights_shared(out)
+
+    def test_snapshot_keys_are_edge_store_keys(self, graph, ng):
+        arrays = GraphArrays(graph, ng)
+        stored = {key: key for key in graph._edges}
+        assert len(arrays._eslot) == len(stored)
+        for key in arrays._eslot:
+            assert stored[key] is key
+
+
+# ----------------------------------------------------------------------
+# plan signatures
+# ----------------------------------------------------------------------
+def old_sig(v):
+    """The signature as it was: one ``(key, value)`` tuple per entry."""
+    return (
+        tuple(sorted(v.members)),
+        v.weight,
+        v.mask,
+        v.state_size,
+        tuple(sorted(v.source_rates.items())),
+        tuple(sorted(v.proxy_rates.items())),
+    )
+
+
+def vertex(source_rates, proxy_rates):
+    return QVertex(vid=0, weight=1.0, mask=7, source_rates=source_rates,
+                   proxy_rates=proxy_rates, members=(3, 1))
+
+
+rate_maps = st.dictionaries(
+    st.integers(0, 12), st.sampled_from([0.0, -0.0, 1, 1.0, 2.5, 1e300]), max_size=6
+)
+
+
+def reordered(d, rng):
+    items = list(d.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a_src=rate_maps, a_prx=rate_maps, b_src=rate_maps, b_prx=rate_maps,
+       same=st.booleans(), seed=st.integers(0, 99))
+def test_vertex_sig_equality_matches_item_tuples(a_src, a_prx, b_src, b_prx,
+                                                 same, seed):
+    rng = random.Random(seed)
+    if same:
+        # equal maps, other insertion orders
+        b_src, b_prx = reordered(a_src, rng), reordered(a_prx, rng)
+    a, b = vertex(a_src, a_prx), vertex(b_src, b_prx)
+    assert (vertex_sig(a) == vertex_sig(b)) == (old_sig(a) == old_sig(b))
+    if same:
+        assert vertex_sig(a) == vertex_sig(b)
+
+
+def test_vertex_sig_holds_the_maps_own_objects():
+    rates = {900: 2.5, 300: 1.25, 7000: 3.0}
+    v = vertex(rates, {})
+    keys, values = vertex_sig(v)[4]
+    assert keys == (300, 900, 7000)
+    for k, x in zip(keys, values):
+        assert x is rates[k]
+        assert next(o for o in rates if o == k) is k
+
+
+# ----------------------------------------------------------------------
+# rate maps
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def wide_space():
+    # source ids above 256, where CPython no longer caches small ints
+    return SubstreamSpace.random(300, sources=[257, 600, 1031, 4000], seed=11)
+
+
+def old_rates_by_source(space, mask):
+    """The rate map as it was: one fresh ``int`` per key per call."""
+    idx = index_array(mask)
+    if idx.size == 0:
+        return {}
+    srcs = space.source_of[idx]
+    totals = np.zeros(int(srcs.max()) + 1)
+    np.add.at(totals, srcs, space.rates[idx])
+    return {int(s): float(totals[s]) for s in np.nonzero(totals)[0]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(st.integers(0, 299), max_size=40))
+def test_rates_by_source_matches_old_comprehension(wide_space, ids):
+    mask = mask_of(ids)
+    got = wide_space.rates_by_source(mask)
+    want = old_rates_by_source(wide_space, mask)
+    assert got == want
+    assert list(got.items()) == list(want.items())
+
+
+def test_rates_by_source_shares_key_objects(wide_space):
+    first = wide_space.rates_by_source(mask_of(range(0, 300, 2)))
+    second = wide_space.rates_by_source(mask_of(range(1, 300, 2)))
+    assert set(first) == set(second) == {257, 600, 1031, 4000}
+    for k in first:
+        assert next(o for o in second if o == k) is k
+
+
+# ----------------------------------------------------------------------
+# latency oracle
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def topo():
+    return generate_transit_stub(TransitStubParams(), seed=0)
+
+
+@pytest.fixture(scope="module")
+def asymmetric_pair(topo):
+    """A pair ``(u, v)`` whose two Dijkstra sums differ in the last bits."""
+    for u in range(topo.n):
+        du = dijkstra(topo, u)
+        for v in range(u + 1, topo.n):
+            dv = dijkstra(topo, v)
+            if du[v] != dv[u]:
+                return u, v, du[v], dv[u]
+    pytest.fail("no asymmetric pair on this topology")
+
+
+def test_oracle_row_is_a_double_array(topo):
+    oracle = LatencyOracle(topo)
+    row = oracle.row(5)
+    assert isinstance(row, array) and row.typecode == "d"
+    assert list(row) == dijkstra(topo, 5)
+    assert oracle.row(5) is row
+
+
+class TestOracleLookupRule:
+    """``oracle(u, v)`` reads row u if cached, else row v, else computes u.
+
+    d(u, v) and d(v, u) are summed from opposite ends, so the rule decides
+    the bits; changing it would move every optimizer digest.
+    """
+
+    def test_fresh_oracle_computes_and_reads_row_u(self, topo, asymmetric_pair):
+        u, v, d_uv, _ = asymmetric_pair
+        oracle = LatencyOracle(topo)
+        assert oracle(u, v) == d_uv
+        assert set(oracle._rows) == {u}
+
+    def test_cached_row_v_is_read_and_no_row_u_computed(self, topo, asymmetric_pair):
+        u, v, _, d_vu = asymmetric_pair
+        oracle = LatencyOracle(topo)
+        oracle.row(v)
+        assert oracle(u, v) == d_vu
+        assert set(oracle._rows) == {v}
+
+    def test_both_rows_cached_reads_row_u(self, topo, asymmetric_pair):
+        u, v, d_uv, d_vu = asymmetric_pair
+        oracle = LatencyOracle(topo)
+        oracle.prefetch([v, u])
+        assert oracle(u, v) == d_uv
+        assert oracle(v, u) == d_vu
