@@ -29,8 +29,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,83 +38,36 @@ from ..query.interest import SubstreamSpace
 from .graphs import QueryGraph, QVertex, VertexId, _estimate_edges
 
 __all__ = [
-    "CoarsePlan",
     "coarsen",
     "coarsen_cached",
     "content_rng",
     "plan_key",
-    "vertex_sig",
     "uncoarsen_vertex",
     "rebuild_edges",
 ]
 
 _coarse_ids = itertools.count()
 
-PlanKey = Tuple[int, ...]
 
-
-def plan_key(v: QVertex) -> PlanKey:
+def plan_key(v: QVertex) -> Tuple[int, ...]:
     """Content-derived identity of a coarsening input (sorted members)."""
     return tuple(sorted(v.members))
-
-
-def vertex_sig(v: QVertex) -> Tuple:
-    """Content signature of a coarsening input.
-
-    Two vertices with equal signatures produce bit-identical coarsening
-    aggregates, so a recorded plan whose input signatures all match can be
-    reused wholesale.  Each rate map is held as ``(sorted keys, values in
-    key order)``: equal exactly when the maps are, and built from the map's
-    own key and value objects (no tuple per entry).
-    """
-    return (
-        plan_key(v),
-        v.weight,
-        v.mask,
-        v.state_size,
-        _rate_sig(v.source_rates),
-        _rate_sig(v.proxy_rates),
-    )
-
-
-def _rate_sig(rates: Dict[int, float]) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
-    keys = tuple(sorted(rates))
-    return keys, tuple(map(rates.__getitem__, keys))
 
 
 def content_rng(seed: int, stable_id: int, g: QueryGraph) -> random.Random:
     """An rng derived from ``(seed, coordinator, graph content)``.
 
     Coarsening consumes randomness (the per-round shuffle); deriving it
-    from the input content instead of a shared sequential stream makes
-    each invocation a pure function of its inputs — the property that
-    lets a cached plan stand in for a fresh run, and that keeps the
-    incremental and full-rebuild optimizer modes on identical coarse
-    graphs.  Hashing uses blake2b over canonical int tuples, so it is
-    independent of ``PYTHONHASHSEED``.
+    from the input's member sets instead of a shared sequential stream
+    makes each invocation a pure function of its inputs, whatever ran
+    before it on the coordinator.  Hashing uses blake2b over canonical
+    int tuples, so it is independent of ``PYTHONHASHSEED``.
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(str((seed, stable_id)).encode())
     for v in g.qverts.values():
         h.update(str(plan_key(v)).encode())
     return random.Random(int.from_bytes(h.digest(), "big"))
-
-
-@dataclass
-class CoarsePlan:
-    """Recorded outcome of one coarsening invocation.
-
-    ``sigs`` fingerprints every input vertex; ``steps`` lists the merge
-    operations in execution order as ``(key_a, key_b)`` member-key pairs;
-    ``output`` is the resulting coarse vertex list.  A plan whose input
-    signatures all match the current inputs can be replayed without
-    re-running matching or edge re-estimation.
-    """
-
-    vmax: int
-    sigs: Dict[PlanKey, Tuple]
-    steps: List[Tuple[PlanKey, PlanKey]] = field(default_factory=list)
-    output: List[QVertex] = field(default_factory=list)
 
 
 def _merge_rate_maps(a: Dict[int, float], b: Dict[int, float]) -> Dict[int, float]:
@@ -256,13 +208,10 @@ def _merge_pair(
     a: VertexId,
     b: VertexId,
     origin: Optional[Hashable],
-    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
 ) -> QVertex:
     """Take ``a`` and ``b`` out of ``qverts``; return their merged vertex
-    (not yet inserted), recording the step."""
+    (not yet inserted)."""
     u, v = qverts.pop(a), qverts.pop(b)
-    if steps_out is not None:
-        steps_out.append((plan_key(u), plan_key(v)))
     # the pair lives on only as the merged vertex's ``children``: nothing
     # estimates overlaps against it again unless a later uncoarsening
     # brings it back, so it must not pin its index array
@@ -277,19 +226,18 @@ def _collapse_pass(
     space: SubstreamSpace,
     origin: Optional[Hashable],
     vmax: int,
-    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
 ) -> None:
     """Collapse one matching pass (disjoint ``pairs``) as a whole.
 
     The first ``vertex_count - vmax`` pairs merge, in pair order (same
-    coarse ids and ``steps_out`` as merging them one by one).  Every old
-    endpoint is then mapped to its representative and each merged vertex
-    takes the union of its pair's neighbour sets through that map: q-n
-    weights are summed ``a`` then ``b``; a q-q edge is estimated from the
-    two final masks by :meth:`SubstreamSpace.overlap_rates` -- once, by
-    whichever endpoint comes first in pair order -- so an edge between two
-    vertices merged in this pass costs one estimate instead of the three
-    a pair-by-pair collapse spends on its intermediate states.
+    coarse ids as merging them one by one).  Every old endpoint is then
+    mapped to its representative and each merged vertex takes the union
+    of its pair's neighbour sets through that map: q-n weights are summed
+    ``a`` then ``b``; a q-q edge is estimated from the two final masks by
+    :meth:`SubstreamSpace.overlap_rates` -- once, by whichever endpoint
+    comes first in pair order -- so an edge between two vertices merged
+    in this pass costs one estimate instead of the three a pair-by-pair
+    collapse spends on its intermediate states.
 
     The result equals the pair-by-pair collapse's (merge one pair, union
     its neighbour edges, re-estimate each q-q edge with a scalar
@@ -306,7 +254,7 @@ def _collapse_pass(
     rep: Dict[VertexId, VertexId] = {}
     merged: List[QVertex] = []
     for a, b in pairs:
-        w_new = _merge_pair(qverts, a, b, origin, steps_out)
+        w_new = _merge_pair(qverts, a, b, origin)
         rep[a] = rep[b] = w_new.vid
         merged.append(w_new)
     for w_new in merged:
@@ -355,7 +303,6 @@ def _coarsen_work(
     space: SubstreamSpace,
     origin: Optional[Hashable],
     rng: Optional[random.Random],
-    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]],
 ) -> _WorkGraph:
     """:func:`coarsen` up to, not including, the result graph."""
     rng = rng or random.Random(0)
@@ -367,7 +314,7 @@ def _coarsen_work(
         pairs = _match_pass_arrays(work, qids)
         if not pairs:
             break  # nothing left to collapse (graph may stay above vmax)
-        _collapse_pass(work, pairs, space, origin, vmax, steps_out)
+        _collapse_pass(work, pairs, space, origin, vmax)
     return work
 
 
@@ -377,7 +324,6 @@ def coarsen(
     space: SubstreamSpace,
     origin: Optional[Hashable] = None,
     rng: Optional[random.Random] = None,
-    steps_out: Optional[List[Tuple[PlanKey, PlanKey]]] = None,
 ) -> QueryGraph:
     """Algorithm 1: coarsen ``g`` until it has at most ``vmax`` vertices.
 
@@ -385,7 +331,6 @@ def coarsen(
     pass over them (heavily-connected vertices are likely to be mapped to
     the same network vertex anyway) and collapses the matched pairs;
     rounds repeat until the graph fits in ``vmax`` or no pair is left.
-    ``steps_out``, when given, receives the merge steps in order.
 
     ``g`` is not modified; a new graph is returned.  Only q-vertices are
     collapsed with each other in this implementation of the n-vertex rule:
@@ -395,31 +340,7 @@ def coarsen(
     uncoarsening bookkeeping simple.  n-vertices therefore never merge
     (the strictest reading of the cluster constraint).
     """
-    return _coarsen_work(g, vmax, space, origin, rng, steps_out).to_query_graph()
-
-
-def _replay_steps(
-    inputs: Dict[PlanKey, QVertex],
-    steps: Sequence[Tuple[PlanKey, PlanKey]],
-    origin: Optional[Hashable],
-) -> List[QVertex]:
-    """Re-apply recorded merge steps to content-equal fresh inputs.
-
-    Merging is the only part of coarsening whose output feeds downstream
-    consumers (``collect``/``adopt`` keep just the vertex list), so a full
-    plan hit skips matching and edge re-estimation entirely and re-runs
-    the merges in recorded order.  Aggregates are order-dependent float
-    sums, so identical inputs merged in the identical order reproduce the
-    scratch result bit for bit — with ``children`` pointing at the *live*
-    input objects, which is what keeps later statistics refreshes exact.
-    """
-    cur = dict(inputs)
-    for ka, kb in steps:
-        u = cur.pop(ka)
-        v = cur.pop(kb)
-        merged = merge_qvertices(u, v, origin=origin)
-        cur[plan_key(merged)] = merged
-    return list(cur.values())
+    return _coarsen_work(g, vmax, space, origin, rng).to_query_graph()
 
 
 def coarsen_cached(
@@ -428,25 +349,13 @@ def coarsen_cached(
     space: SubstreamSpace,
     origin: Optional[Hashable] = None,
     rng: Optional[random.Random] = None,
-    plan: Optional[CoarsePlan] = None,
-    reuse: bool = True,
-) -> Tuple[List[QVertex], CoarsePlan, str]:
-    """Coarsen with plan reuse; returns ``(vertices, plan, reused)``.
+) -> List[QVertex]:
+    """:func:`coarsen`'s coarse vertices, without building their graph.
 
-    ``reused`` is ``"full"`` when every input signature matched ``plan``
-    and its recorded steps were replayed outright, ``"none"`` for a
-    scratch run.  ``reuse=False`` (the optimizer's full-rebuild mode)
-    never replays but still records a plan for the next round.
+    ``collect`` and ``adopt`` keep only the vertex list, so the result
+    graph is never assembled.
     """
-    inputs = {plan_key(v): v for v in g.qverts.values()}
-    sigs = {k: vertex_sig(v) for k, v in inputs.items()}
-    if reuse and plan is not None and plan.vmax == vmax and plan.sigs == sigs:
-        return _replay_steps(inputs, plan.steps, origin), plan, "full"
-
-    steps: List[Tuple[PlanKey, PlanKey]] = []
-    out = list(_coarsen_work(g, vmax, space, origin, rng, steps).qverts.values())
-    new_plan = CoarsePlan(vmax=vmax, sigs=sigs, steps=steps, output=list(out))
-    return out, new_plan, "none"
+    return list(_coarsen_work(g, vmax, space, origin, rng).qverts.values())
 
 
 def uncoarsen_vertex(v: QVertex) -> List[QVertex]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..obs import registry as _obs
 from ..query.interest import SubstreamSpace
@@ -61,7 +61,7 @@ from .graphs import (
 from .fastcost import CostWorkspace
 from .hierarchy import Cluster
 from .insertion import choose_target
-from .mapping import map_graph, refine_mapping
+from .mapping import map_graph
 from .rebalance import RebalanceStats, rebalance, refine_distribution
 
 __all__ = ["Coordinator", "AdaptationReport"]
@@ -106,8 +106,6 @@ class Coordinator:
         seed: int = 0,
         placement: Optional[Dict[int, int]] = None,
         max_overlap_neighbors: int = 20,
-        incremental: bool = True,
-        plan_store: Optional[Dict] = None,
     ):
         self.cluster = cluster
         self.name: VertexId = ("coord", cluster.cluster_id)
@@ -127,20 +125,13 @@ class Coordinator:
         self._seed = seed
         self._stable_id = stable_id
         self.max_overlap_neighbors = max_overlap_neighbors
-        #: delta-maintain snapshots/workspaces across rounds (False = the
-        #: full-rebuild reference mode; graph *mutations* are mode-shared)
-        self.incremental = incremental
-        #: stable_id -> CoarsePlan, shared by the tree (and, via Cosmos,
-        #: across hierarchy rebuilds after membership changes)
-        self._plan_store: Dict = plan_store if plan_store is not None else {}
         #: query_id -> processor; shared by the whole tree (leaves write it)
         self.placement: Dict[int, int] = placement if placement is not None else {}
 
         self.children: List[Coordinator] = [
-            Coordinator(
+            type(self)(
                 child, oracle, space, capabilities, vmax, alpha, seed,
                 self.placement, max_overlap_neighbors,
-                incremental, self._plan_store,
             )
             for child in cluster.children
         ]
@@ -149,7 +140,7 @@ class Coordinator:
 
         #: the (possibly coarse) vertices currently at this level
         self.vertices: Dict[VertexId, QVertex] = {}
-        self.qg: QueryGraph = QueryGraph(incremental=incremental)
+        self.qg: QueryGraph = QueryGraph()
         self.assignment: Mapping = {}
         #: CPU seconds spent in this coordinator's own optimization work
         self.cpu_time: float = 0.0
@@ -177,8 +168,7 @@ class Coordinator:
         self._rates_gen = space.rates_generation
         # True when the whole subtree reproduced itself last round (every
         # level skipped) and no mutation has touched it since; adaptation
-        # then does not even recurse into it.  Mode-shared state, like
-        # the skip rule itself, so both optimizer modes stay in lockstep.
+        # then does not even recurse into it.
         self._subtree_quiet = False
 
     # ------------------------------------------------------------------
@@ -267,34 +257,23 @@ class Coordinator:
             graph = build_query_graph(
                 incoming, self.space, self.ng, self.max_overlap_neighbors
             )
-            result = self._coarsen_cached(graph)
+            result = self._coarsen(graph)
         else:
             result = list(incoming)
         self.cpu_time += time.perf_counter() - t0
         return result
 
-    def _coarsen_cached(self, graph: QueryGraph) -> List[QVertex]:
-        """Coarsen ``graph``, reusing this coordinator's recorded plan.
+    def _coarsen(self, graph: QueryGraph) -> List[QVertex]:
+        """Coarsen ``graph`` (Algorithm 1) to this coordinator's ``vmax``.
 
         The rng is derived from the input content (not the coordinator's
         sequential stream), so a coarsening run is a pure function of its
-        inputs: a recorded plan replayed over signature-identical inputs
-        is bit-identical to running from scratch, and both optimizer modes
-        see the same coarse graphs.
+        inputs.
         """
         rng = content_rng(self._seed, self._stable_id, graph)
-        plan = self._plan_store.get(self._stable_id)
-        result, plan, reused = coarsen_cached(
-            graph, self.vmax, self.space, origin=self.name, rng=rng,
-            plan=plan, reuse=self.incremental,
+        return coarsen_cached(
+            graph, self.vmax, self.space, origin=self.name, rng=rng
         )
-        self._plan_store[self._stable_id] = plan
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.inc(
-                "opt.coarse_plan_hits" if reused == "full"
-                else "opt.coarse_plan_misses"
-            )
-        return result
 
     # ------------------------------------------------------------------
     # phase 1b: top-down initial distribution (Section 3.5)
@@ -389,7 +368,7 @@ class Coordinator:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.inc("opt.coarsen_invocations")
                 _obs.ACTIVE.inc("opt.coarsen_input_vertices", len(vertices))
-            return self._coarsen_cached(self.qg)
+            return self._coarsen(self.qg)
         return list(vertices)
 
     # ------------------------------------------------------------------
@@ -594,7 +573,6 @@ class Coordinator:
 
     def _reset_incremental_state(self) -> None:
         """Called after a wholesale graph replacement (distribute/adopt)."""
-        self.qg.incremental = self.incremental
         self._ws = None
         self._last_moves = None
         self._stats_dirty = False
@@ -605,22 +583,22 @@ class Coordinator:
     def _workspace(self) -> CostWorkspace:
         """The cost workspace for this round.
 
-        Incremental mode keeps one workspace alive across rounds and
-        journal-syncs it; the reference mode builds a fresh one every
-        round.  Both return bit-identical attach costs (costs gather
-        through the live adjacency dicts), so the modes stay in lockstep.
+        One workspace outlives rounds and is journal-synced to the graph;
+        it is rebuilt only when the graph object was replaced.  A synced
+        workspace returns the attach costs a fresh one would (costs
+        gather through the live adjacency dicts);
+        ``tests/reference/full_rebuild.py`` builds a fresh one every round
+        and is held to the same placements.
         """
-        if self.incremental:
-            if self._ws is None or self._ws.qg is not self.qg:
-                self._ws = CostWorkspace(self.qg, self.ng)
-                if _obs.ACTIVE is not None:
-                    _obs.ACTIVE.inc("opt.workspace_rebuilds")
-            else:
-                self._ws.ensure_synced()
-                if _obs.ACTIVE is not None:
-                    _obs.ACTIVE.inc("opt.workspace_syncs")
-            return self._ws
-        return CostWorkspace(self.qg, self.ng)
+        if self._ws is None or self._ws.qg is not self.qg:
+            self._ws = CostWorkspace(self.qg, self.ng)
+            if _obs.ACTIVE is not None:
+                _obs.ACTIVE.inc("opt.workspace_rebuilds")
+        else:
+            self._ws.ensure_synced()
+            if _obs.ACTIVE is not None:
+                _obs.ACTIVE.inc("opt.workspace_syncs")
+        return self._ws
 
     def _sync_graph(self, vertices: List[QVertex]) -> bool:
         """Bring ``self.qg`` in line with this round's vertex set.
@@ -631,10 +609,7 @@ class Coordinator:
         n-vertices they leave isolated), newcomers are attached with q-n
         edges from their rate maps plus one batched top-k overlap pass,
         and a periodic full edge re-estimation bounds drift from
-        localized attachment.  Both optimizer modes run this identically
-        -- the graph *content* is mode-shared; only snapshot/workspace
-        caching differs -- which is what makes incremental-vs-reference
-        bit-parity provable.
+        localized attachment.
         """
         qg = self.qg
         want = {v.vid: v for v in vertices}
@@ -658,7 +633,6 @@ class Coordinator:
             self.qg = build_query_graph(
                 vertices, self.space, self.ng, self.max_overlap_neighbors
             )
-            self.qg.incremental = self.incremental
             self._edges_stale = False
             self._graph_mutations = 0
             if _obs.ACTIVE is not None:
@@ -700,8 +674,7 @@ class Coordinator:
             self._graph_mutations += len(added) + len(removed)
             if self._graph_mutations > max(32, live):
                 # deterministic compaction: re-estimate every edge from
-                # vertex aggregate state (mode-shared, so both optimizer
-                # modes compact at the same instant to the same graph)
+                # vertex aggregate state
                 rebuild_edges(qg, self.space, self.max_overlap_neighbors)
                 self._graph_mutations = 0
                 if _obs.ACTIVE is not None:

@@ -4,7 +4,7 @@ Ties together the coordinator tree, the query-distribution algorithms and
 the substream statistics into the interface the examples and experiments
 use:
 
->>> cosmos = Cosmos(oracle, processors, workload.space, k=4)
+>>> cosmos = Cosmos(oracle, processors, workload.space, CosmosConfig(k=4))
 >>> cosmos.distribute(workload.queries)      # initial distribution
 >>> cosmos.insert(new_query)                 # online insertion
 >>> cosmos.adapt()                           # one adaptation round
@@ -13,7 +13,7 @@ use:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..query.interest import SubstreamSpace
@@ -39,10 +39,6 @@ class CosmosConfig:
     #: cap on overlap edges kept per q-vertex
     max_overlap_neighbors: int = 20
     seed: int = 0
-    #: delta-maintain graph snapshots, cost workspaces and coarse plans
-    #: across rounds (False selects the full-rebuild reference mode;
-    #: both modes produce bit-identical placements)
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         for name, low in (
@@ -73,9 +69,6 @@ class Cosmos:
         self.tree: CoordinatorTree = build_coordinator_tree(
             self.processors, oracle, k=config.k
         )
-        # coarse plans are keyed by tree-local coordinator ids, so the
-        # store survives hierarchy rebuilds after membership changes
-        self._plan_store: Dict = {}
         self.root = Coordinator(
             self.tree.root,
             oracle,
@@ -85,8 +78,6 @@ class Cosmos:
             alpha=config.alpha,
             seed=config.seed,
             max_overlap_neighbors=config.max_overlap_neighbors,
-            incremental=config.incremental,
-            plan_store=self._plan_store,
         )
         self._known_queries: Dict[int, QuerySpec] = {}
 
@@ -161,8 +152,6 @@ class Cosmos:
             alpha=self.config.alpha,
             seed=self.config.seed,
             max_overlap_neighbors=self.config.max_overlap_neighbors,
-            incremental=self.config.incremental,
-            plan_store=self._plan_store,
         )
         self.root.adopt(list(self._known_queries.values()), old_placement)
 

@@ -21,12 +21,10 @@ Incremental maintenance
 -----------------------
 
 Mutations are journalled: every structural change appends a compact delta
-op, and consumers that cache derived state (the :class:`GraphArrays`
-snapshot here, the ``CostWorkspace`` in ``fastcost``) replay the suffix of
-the journal since their last sync instead of rebuilding from scratch.
-``QueryGraph.incremental`` gates the patching path; with it off the graph
-behaves exactly like the historical rebuild-on-mutation implementation,
-which is kept as the bit-parity reference.
+op, and a consumer that caches derived state (the ``CostWorkspace`` in
+``fastcost``) replays the suffix of the journal since its last sync
+instead of rebuilding from scratch.  The WEC snapshot
+(:class:`GraphArrays`) caches nothing: it is built for one evaluation.
 
 Construction is the exception: :func:`build_query_graph` estimates a whole
 graph's edges as arrays and installs them in bulk, writing no journal
@@ -279,19 +277,16 @@ class QueryGraph:
     exact delta via :meth:`journal_since`.
     """
 
-    def __init__(self, incremental: bool = True):
+    def __init__(self):
         self.qverts: Dict[VertexId, QVertex] = {}
         self.nverts: Dict[VertexId, NVertex] = {}
         self.adj: Dict[VertexId, Dict[VertexId, float]] = {}
-        #: canonical edge store; insertion order == GraphArrays slot order
+        #: canonical edge store; insertion order == GraphArrays edge order
         self._edges: Dict[Tuple[VertexId, VertexId], float] = {}
-        #: gates the snapshot-patching path of :meth:`arrays_for`
-        self.incremental = incremental
-        #: bumped on every structural mutation; snapshot cache key
+        #: bumped on every structural mutation
         self._version: int = 0
         self._jbase: int = 0
         self._journal: List[tuple] = []
-        self._arrays_cache: Dict[int, Tuple[object, int, "GraphArrays"]] = {}
 
     # ------------------------------------------------------------------
     # journal
@@ -410,8 +405,7 @@ class QueryGraph:
         """Drop every edge, keeping all vertices.
 
         The tracked way to reset adjacency before a rebuild — mutating
-        ``adj`` directly would leave cached :class:`GraphArrays`
-        snapshots stale.
+        ``adj`` directly would leave a synced ``CostWorkspace`` stale.
         """
         for vid in self.adj:
             self.adj[vid] = {}
@@ -451,7 +445,7 @@ class QueryGraph:
         that direction.  The result is what one ``set_edge`` per edge in
         order ``t`` leaves behind: ``_edges`` in order ``t`` and every
         ``adj`` row in the order its vertex's edges appear in ``t`` -- that
-        order is :class:`GraphArrays` slot order and the order every float
+        order is :class:`GraphArrays` edge order and the order every float
         sum over a neighbourhood runs in.  The caller passes distinct
         pairs, no self-edge and positive weights.  Every vertex is checked
         before anything is written (``KeyError`` naming a missing one).
@@ -575,52 +569,13 @@ class QueryGraph:
     def wec(self, mapping: Mapping, ng: NetworkGraph) -> float:
         """Weighted Edge Cut of a mapping (Eqn 3.2, undirected edges once).
 
-        Delegates to the array-backed fast path (:class:`GraphArrays`);
-        the snapshot is cached per graph version and delta-patched from
-        the mutation journal, so repeated evaluations against a lightly
-        mutated graph cost one vectorised gather each.
-        ``tests/reference/scalar_kernels.py`` keeps the pure-Python
-        definition.
+        Gathers it from a :class:`GraphArrays` snapshot built for this
+        call.  ``tests/reference/scalar_kernels.py`` keeps the
+        pure-Python definition.
         """
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.inc("opt.wec_evaluations")
-        return self.arrays_for(ng).wec(mapping)
-
-    def arrays_for(self, ng: NetworkGraph) -> "GraphArrays":
-        """The cached :class:`GraphArrays` snapshot against ``ng``.
-
-        On a version mismatch the cached snapshot is *patched in place*
-        from the mutation journal when (a) :attr:`incremental` is on,
-        (b) the delta is still retained, contains no ``clear``, and is
-        small relative to the graph.  Otherwise the snapshot is rebuilt —
-        the full-rebuild path doubles as the bit-parity reference.
-        """
-        key = id(ng)
-        hit = self._arrays_cache.get(key)
-        if hit is not None and hit[0] is ng:
-            if hit[1] == self._version:
-                return hit[2]
-            if self.incremental:
-                ops = self.journal_since(hit[1])
-                budget = max(32, (len(self._edges) + self.vertex_count()) // 4)
-                if (
-                    ops is not None
-                    and len(ops) <= budget
-                    and all(op[0] != "clear" for op in ops)
-                ):
-                    arrays = hit[2]
-                    arrays.apply_journal(ops)
-                    self._arrays_cache = {key: (ng, self._version, arrays)}
-                    if _obs.ACTIVE is not None:
-                        _obs.ACTIVE.inc("opt.snapshot_patches")
-                        _obs.ACTIVE.inc("opt.deltas_applied", len(ops))
-                    return arrays
-        arrays = GraphArrays(self, ng)
-        # keep a strong ref to ng so the id() key cannot be recycled
-        self._arrays_cache = {key: (ng, self._version, arrays)}
-        if _obs.ACTIVE is not None and hit is not None:
-            _obs.ACTIVE.inc("opt.snapshot_rebuilds")
-        return arrays
+        return GraphArrays(self, ng).wec(mapping)
 
     def loads(self, mapping: Mapping, ng: NetworkGraph) -> Dict[VertexId, float]:
         """Per-network-vertex query load under a mapping."""
@@ -658,413 +613,103 @@ class QueryGraph:
 
 
 class GraphArrays:
-    """Array snapshot of one (query graph, network graph) pair.
+    """Read-only array snapshot of one (query graph, network graph) pair.
 
     The object API of :class:`QueryGraph` is dictionary-based and
-    convenient to mutate; the optimizer's hot kernels, however, only ever
-    *read* the graph, and at 10k queries the per-edge Python iteration of
-    the reference paths dominates running time.  ``GraphArrays`` keeps the
-    graph as flat numpy arrays:
+    convenient to mutate; a WEC evaluation only *reads* the graph, and at
+    10k queries per-edge Python iteration dominates it.  ``GraphArrays``
+    is built once, for one evaluation, and holds:
 
-    * per-vertex *slots* (kind flag, pinned-site index for n-vertices);
-    * per-edge slots (endpoint slots, weight, alive flag), appended in
-      canonical edge-store order and tombstoned on removal so that the
-      ascending live-slot order always equals the order a fresh rebuild
-      would enumerate — the foundation of the patched-vs-rebuilt
-      bit-parity guarantee;
-    * a slab-allocated incidence structure (per-vertex edge-slot rows
-      with slack, relocated on overflow) powering O(degree) updates;
-    * the *site universe* -- the topology nodes any vertex can occupy --
-      with a growable dense inter-site distance matrix :attr:`D` filled
-      row-lazily from the latency oracle when available.
+    * the *site universe* -- the target sites, then the sites of the
+      n-vertices -- with a dense inter-site distance matrix :attr:`D`;
+    * vertex slots: q-vertices, then n-vertices, in graph order, with
+      every n-vertex's site index (its covering target's site, or its own
+      node when no target covers it);
+    * the edges as endpoint-slot and weight arrays in canonical
+      ``_edges`` order.
 
-    Unlike its historical namesake the snapshot is **mutable**:
-    :meth:`apply_journal` patches it in place from a
-    :class:`QueryGraph` journal suffix, and dead-slot pressure triggers a
-    compaction (a full rebuild, which is bit-transparent because live
-    order equals canonical order).  :meth:`begin_moves` /
-    :meth:`update` maintain a WEC total across single-vertex moves in
-    O(degree) instead of O(edges).
+    The WEC reads ``D`` at row = the first endpoint's site, column = the
+    second's.  A row is read from the latency oracle when ``ng`` has one
+    (``ng.site_distance`` otherwise) with ``D[i, i] = 0``.  The oracle is
+    not symmetric in the last bits, so the row rule is part of the value.
     """
 
     def __init__(self, qg: QueryGraph, ng: NetworkGraph):
-        self.qg = qg
-        self.ng = ng
-        self.targets: List[VertexId] = list(ng.ids())
+        targets = ng.ids()
         self.target_index: Dict[VertexId, int] = {
-            t: i for i, t in enumerate(self.targets)
+            t: i for i, t in enumerate(targets)
         }
-        self._oracle = getattr(ng, "oracle", None)
-        self._build()
+        site_pos: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    # construction / compaction
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        qg, ng = self.qg, self.ng
-        # --- site universe and distance matrix ------------------------
-        self.sites: List[int] = []
-        self._site_pos: Dict[int, int] = {}
-        cap0 = max(2, len(self.targets) + len(qg.nverts) + 1)
-        self._D = np.zeros((cap0, cap0))
-        self._row_filled = np.zeros(cap0, dtype=bool)
+        def intern(site: int) -> int:
+            return site_pos.setdefault(site, len(site_pos))
+
         self.target_site_idx = np.asarray(
-            [self._intern_site(ng.site(t)) for t in self.targets],
+            [intern(ng.site(t)) for t in targets], dtype=np.int64
+        )
+        self._qvids = list(qg.qverts)
+        nq = len(self._qvids)
+        self._nsite_idx = np.asarray(
+            [
+                intern(ng.site(nv.clu) if nv.clu is not None else nv.node)
+                for nv in qg.nverts.values()
+            ],
             dtype=np.int64,
         )
+        sites = list(site_pos)
 
-        # --- vertex slots ---------------------------------------------
-        nv = qg.vertex_count()
-        vcap = max(8, nv)
-        self._vids: List[Optional[VertexId]] = []
-        self._vslot: Dict[VertexId, int] = {}
-        self._visq = np.zeros(vcap, dtype=bool)
-        self._valive = np.zeros(vcap, dtype=bool)
-        self._vfixed = np.full(vcap, -1, dtype=np.int64)
-        self._inc_start = np.zeros(vcap, dtype=np.int64)
-        self._inc_len = np.zeros(vcap, dtype=np.int64)
-        self._inc_cap = np.zeros(vcap, dtype=np.int64)
-        self._vdead = 0
-        for vid in qg.qverts:
-            self._new_vslot(vid, True, -1)
-        for vid, nvert in qg.nverts.items():
-            site = ng.site(nvert.clu) if nvert.clu is not None else nvert.node
-            self._new_vslot(vid, False, self._intern_site(site))
-        for i in self.target_site_idx.tolist():
-            self._ensure_row(i)
-
-        # --- edge slots + incidence slabs -----------------------------
+        slot = {
+            vid: s
+            for s, vid in enumerate(itertools.chain(qg.qverts, qg.nverts))
+        }
         ne = len(qg._edges)
-        ecap = max(16, ne + ne // 4)
-        self._eu = np.zeros(ecap, dtype=np.int64)
-        self._ev = np.zeros(ecap, dtype=np.int64)
-        self._ew = np.zeros(ecap, dtype=float)
-        self._ealive = np.zeros(ecap, dtype=bool)
-        self._eslot: Dict[Tuple[VertexId, VertexId], int] = {}
-        self._ne = 0
-        self._edead = 0
-        self._live_cache: Optional[np.ndarray] = None
-        # size incidence rows to exact degree plus slack
-        deg = np.zeros(len(self._vids) + 1, dtype=np.int64)
-        for a, b in qg._edges:
-            deg[self._vslot[a]] += 1
-            deg[self._vslot[b]] += 1
-        caps = deg + np.maximum(2, deg >> 2)
-        self._inc_pool = np.zeros(int(caps.sum()) + 64, dtype=np.int64)
-        tail = 0
-        for s in range(len(self._vids)):
-            self._inc_start[s] = tail
-            self._inc_cap[s] = caps[s]
-            self._inc_len[s] = 0
-            tail += int(caps[s])
-        self._inc_tail = tail
-        for key, w in qg._edges.items():
-            self._append_edge(key, w)
-        self._tracked = None
+        self.edge_u = np.fromiter(
+            (slot[a] for a, _ in qg._edges), dtype=np.int64, count=ne
+        )
+        self.edge_v = np.fromiter(
+            (slot[b] for _, b in qg._edges), dtype=np.int64, count=ne
+        )
+        self.edge_w = np.fromiter(qg._edges.values(), dtype=float, count=ne)
 
-    def _new_vslot(self, vid: VertexId, isq: bool, fixed: int) -> int:
-        s = len(self._vids)
-        if s == self._visq.size:
-            grow = max(16, s)
-            self._visq = np.concatenate([self._visq, np.zeros(grow, dtype=bool)])
-            self._valive = np.concatenate(
-                [self._valive, np.zeros(grow, dtype=bool)]
-            )
-            self._vfixed = np.concatenate(
-                [self._vfixed, np.full(grow, -1, dtype=np.int64)]
-            )
-            zeros = np.zeros(grow, dtype=np.int64)
-            self._inc_start = np.concatenate([self._inc_start, zeros])
-            self._inc_len = np.concatenate([self._inc_len, zeros.copy()])
-            self._inc_cap = np.concatenate([self._inc_cap, zeros.copy()])
-        self._vids.append(vid)
-        self._vslot[vid] = s
-        self._visq[s] = isq
-        self._valive[s] = True
-        self._vfixed[s] = fixed
-        self._inc_start[s] = 0
-        self._inc_len[s] = 0
-        self._inc_cap[s] = 0
-        return s
-
-    def _intern_site(self, site: int) -> int:
-        i = self._site_pos.get(site)
-        if i is not None:
-            return i
-        i = len(self.sites)
-        self._site_pos[site] = i
-        self.sites.append(site)
-        if i >= self._D.shape[0]:
-            cap = max(2 * self._D.shape[0], i + 1)
-            D = np.zeros((cap, cap))
-            D[: self._D.shape[0], : self._D.shape[1]] = self._D
-            self._D = D
-            filled = np.zeros(cap, dtype=bool)
-            filled[: self._row_filled.size] = self._row_filled
-            self._row_filled = filled
-        # extend the new column for rows already materialised
-        for r in np.flatnonzero(self._row_filled[:i]).tolist():
-            a = self.sites[r]
-            if a != site:
-                if self._oracle is not None:
-                    self._D[r, i] = self._oracle.row(a)[site]
-                else:
-                    self._D[r, i] = self.ng.site_distance(a, site)
-        return i
-
-    def _ensure_row(self, i: int) -> None:
-        if self._row_filled[i]:
-            return
-        m = len(self.sites)
-        a = self.sites[i]
-        if self._oracle is not None:
-            row = np.asarray(self._oracle.row(a))
-            self._D[i, :m] = row[np.asarray(self.sites, dtype=np.int64)]
-            self._D[i, i] = 0.0
-        else:
-            for j in range(m):
-                if j != i:
-                    self._D[i, j] = self.ng.site_distance(a, self.sites[j])
-        self._row_filled[i] = True
-
-    def _inc_append(self, vs: int, es: int) -> None:
-        length = int(self._inc_len[vs])
-        if length == self._inc_cap[vs]:
-            newc = max(4, 2 * length)
-            if self._inc_tail + newc > self._inc_pool.size:
-                grow = max(self._inc_pool.size, self._inc_tail + newc + 64)
-                self._inc_pool = np.concatenate(
-                    [self._inc_pool, np.zeros(grow, dtype=np.int64)]
-                )
-            start = int(self._inc_start[vs])
-            self._inc_pool[self._inc_tail : self._inc_tail + length] = (
-                self._inc_pool[start : start + length]
-            )
-            self._inc_start[vs] = self._inc_tail
-            self._inc_cap[vs] = newc
-            self._inc_tail += newc
-        self._inc_pool[int(self._inc_start[vs]) + length] = es
-        self._inc_len[vs] = length + 1
-
-    def _append_edge(self, key: Tuple[VertexId, VertexId], w: float) -> None:
-        """Append edge slot ``key = (a, b)``; the key object itself is kept."""
-        sa = self._vslot[key[0]]
-        sb = self._vslot[key[1]]
-        s = self._ne
-        if s == self._eu.size:
-            grow = max(16, s)
-            self._eu = np.concatenate([self._eu, np.zeros(grow, dtype=np.int64)])
-            self._ev = np.concatenate([self._ev, np.zeros(grow, dtype=np.int64)])
-            self._ew = np.concatenate([self._ew, np.zeros(grow)])
-            self._ealive = np.concatenate(
-                [self._ealive, np.zeros(grow, dtype=bool)]
-            )
-        self._eu[s] = sa
-        self._ev[s] = sb
-        self._ew[s] = w
-        self._ealive[s] = True
-        self._eslot[key] = s
-        self._ne += 1
-        self._live_cache = None
-        self._inc_append(sa, s)
-        self._inc_append(sb, s)
-        if not self._visq[sa]:
-            # n-n edge: the gather reads row D[site(a), :]
-            self._ensure_row(int(self._vfixed[sa]))
-
-    # ------------------------------------------------------------------
-    # journal patching
-    # ------------------------------------------------------------------
-    def apply_journal(self, ops: Sequence[tuple]) -> None:
-        """Patch the snapshot in place from a journal suffix.
-
-        Live slot order is preserved equal to the canonical edge-store /
-        vertex-dict orders, so a patched snapshot is bit-identical to a
-        rebuilt one (same gather sequence, same reduction order).
-        """
-        ng = self.ng
-        self._tracked = None
-        for op in ops:
-            tag = op[0]
-            if tag == "e":
-                _, a, b, w = op
-                s = self._eslot.get((a, b))
-                if w <= 0.0:
-                    if s is not None:
-                        del self._eslot[(a, b)]
-                        self._ealive[s] = False
-                        self._edead += 1
-                        self._live_cache = None
-                elif s is not None:
-                    self._ew[s] = w
-                else:
-                    self._append_edge((a, b), w)
-            elif tag == "+q":
-                self._new_vslot(op[1], True, -1)
-            elif tag == "+n":
-                _, vid, clu, node = op
-                site = ng.site(clu) if clu is not None else node
-                self._new_vslot(vid, False, self._intern_site(site))
-            elif tag == "-v":
-                s = self._vslot.pop(op[1], None)
-                if s is not None:
-                    self._vids[s] = None
-                    self._valive[s] = False
-                    self._inc_len[s] = 0
-                    self._vdead += 1
-            else:  # ("clear",) — arrays_for rebuilds instead, but be safe
-                self._build()
-                return
-        live_e = self._ne - self._edead
-        live_v = len(self._vids) - self._vdead
-        if (self._edead > 64 and self._edead > live_e) or (
-            self._vdead > 64 and self._vdead > live_v
-        ):
-            self._build()
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.inc("opt.snapshot_compactions")
-
-    # ------------------------------------------------------------------
-    # kernels
-    # ------------------------------------------------------------------
-    def _live_edge_slots(self) -> np.ndarray:
-        if self._live_cache is None:
-            if self._edead:
-                self._live_cache = np.flatnonzero(self._ealive[: self._ne])
+        # rows: every target site, and the site of every n-vertex that
+        # heads an edge (n-n edges); the rest of D is never read
+        heads = self.edge_u[self.edge_u >= nq] - nq
+        rows = np.union1d(self.target_site_idx, self._nsite_idx[heads])
+        self.D = np.zeros((len(sites), len(sites)))
+        oracle = getattr(ng, "oracle", None)
+        columns = np.asarray(sites, dtype=np.int64)
+        for i in rows.tolist():
+            a = sites[i]
+            if oracle is not None:
+                self.D[i] = np.asarray(oracle.row(a))[columns]
+                self.D[i, i] = 0.0
             else:
-                self._live_cache = np.arange(self._ne, dtype=np.int64)
-        return self._live_cache
-
-    @property
-    def D(self) -> np.ndarray:
-        """Dense inter-site distance matrix over the site universe."""
-        m = len(self.sites)
-        return self._D[:m, :m]
-
-    @property
-    def edge_u(self) -> np.ndarray:
-        """Live edge endpoint slots (first endpoint, canonical order)."""
-        return self._eu[self._live_edge_slots()]
-
-    @property
-    def edge_v(self) -> np.ndarray:
-        """Live edge endpoint slots (second endpoint, canonical order)."""
-        return self._ev[self._live_edge_slots()]
-
-    @property
-    def edge_w(self) -> np.ndarray:
-        """Live edge weights, canonical order."""
-        return self._ew[self._live_edge_slots()]
+                for j, b in enumerate(sites):
+                    if j != i:
+                        self.D[i, j] = ng.site_distance(a, b)
 
     def positions(self, mapping: Mapping) -> np.ndarray:
-        """Site-universe index of every vertex *slot* under ``mapping``.
+        """Site-universe index of every vertex slot under ``mapping``.
 
         q-vertices occupy the site of their mapped target; n-vertices sit
-        at their pinned node; dead slots are clamped to site 0 (they are
-        never gathered through a live edge).  Raises ``KeyError`` when a
-        live q-vertex is missing from the mapping, like the reference
-        path.
+        at their pinned site.  Raises ``KeyError`` when a q-vertex is
+        missing from the mapping, like the reference path.
         """
-        nslots = len(self._vids)
-        pos = self._vfixed[:nslots].copy()
         tindex = self.target_index
-        qslots = np.flatnonzero(self._valive[:nslots] & self._visq[:nslots])
-        if qslots.size:
-            vids = self._vids
-            ti = np.fromiter(
-                (tindex[mapping[vids[s]]] for s in qslots.tolist()),
-                dtype=np.int64,
-                count=qslots.size,
-            )
-            pos[qslots] = self.target_site_idx[ti]
-        np.maximum(pos, 0, out=pos)
-        return pos
+        ti = np.fromiter(
+            (tindex[mapping[vid]] for vid in self._qvids),
+            dtype=np.int64,
+            count=len(self._qvids),
+        )
+        return np.concatenate([self.target_site_idx[ti], self._nsite_idx])
 
     def wec(self, mapping: Mapping) -> float:
         """Weighted Edge Cut of ``mapping`` (vectorised Eqn 3.2)."""
-        live = self._live_edge_slots()
-        if live.size == 0:
+        if self.edge_w.size == 0:
             return 0.0
         pos = self.positions(mapping)
-        contrib = self._ew[live] * self._D[pos[self._eu[live]], pos[self._ev[live]]]
+        contrib = self.edge_w * self.D[pos[self.edge_u], pos[self.edge_v]]
         return float(np.add.reduce(contrib))
-
-    def loads(self, mapping: Mapping) -> np.ndarray:
-        """Per-target q-vertex load under ``mapping`` (target order).
-
-        Weights are read live from the owning graph, so in-place weight
-        refreshes (Section 3.8) are reflected without a journal op.
-        """
-        qverts = self.qg.qverts
-        nt = len(self.targets)
-        if not qverts:
-            return np.zeros(nt)
-        tindex = self.target_index
-        ti = np.fromiter(
-            (tindex[mapping[v]] for v in qverts),
-            dtype=np.int64,
-            count=len(qverts),
-        )
-        w = np.fromiter(
-            (qv.weight for qv in qverts.values()),
-            dtype=float,
-            count=len(qverts),
-        )
-        return np.bincount(ti, weights=w, minlength=nt)
-
-    # ------------------------------------------------------------------
-    # O(degree) move tracking
-    # ------------------------------------------------------------------
-    def begin_moves(self, mapping: Mapping) -> float:
-        """Start a tracked-WEC session from ``mapping``; returns the WEC.
-
-        Subsequent :meth:`update` calls adjust the cached total in
-        O(degree) per move.  The tracked total accumulates float
-        adjustments, so it may drift from a fresh :meth:`wec` evaluation
-        by ~1e-15 relative error per move; optimizer *decisions* never
-        consume it — it exists for cheap monitoring and benchmarks.  Any
-        :meth:`apply_journal` or compaction ends the session.
-        """
-        pos = self.positions(mapping)
-        live = self._live_edge_slots()
-        contrib = np.zeros(self._ne)
-        if live.size:
-            contrib[live] = (
-                self._ew[live] * self._D[pos[self._eu[live]], pos[self._ev[live]]]
-            )
-            total = float(np.add.reduce(contrib[live]))
-        else:
-            total = 0.0
-        self._tracked = [pos, contrib, total]
-        return total
-
-    def update(self, vid: VertexId, target: VertexId) -> float:
-        """Move q-vertex ``vid`` to ``target``; returns the tracked WEC.
-
-        O(degree of ``vid``): only the incident edges' contributions are
-        recomputed.  Requires an active :meth:`begin_moves` session.
-        """
-        if self._tracked is None:
-            raise RuntimeError("no tracked-WEC session; call begin_moves first")
-        pos, contrib, total = self._tracked
-        s = self._vslot[vid]
-        pos[s] = self.target_site_idx[self.target_index[target]]
-        start = int(self._inc_start[s])
-        row = self._inc_pool[start : start + int(self._inc_len[s])]
-        row = row[self._ealive[row]]
-        if row.size:
-            old = float(np.add.reduce(contrib[row]))
-            fresh = self._ew[row] * self._D[pos[self._eu[row]], pos[self._ev[row]]]
-            contrib[row] = fresh
-            total += float(np.add.reduce(fresh)) - old
-        self._tracked[2] = total
-        return total
-
-    def tracked_wec(self) -> float:
-        """Current total of the tracked-WEC session."""
-        if self._tracked is None:
-            raise RuntimeError("no tracked-WEC session; call begin_moves first")
-        return self._tracked[2]
 
 
 def qvertex_from_query(q: QuerySpec, space: SubstreamSpace) -> QVertex:

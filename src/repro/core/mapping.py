@@ -22,7 +22,7 @@ moves), so each refinement step is one masked argmax over the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

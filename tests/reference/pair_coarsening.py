@@ -46,7 +46,7 @@ def match_pass(work, order):
     return pairs
 
 
-def collapse_pairs(work, pairs, space, origin, vmax, steps_out):
+def collapse_pairs(work, pairs, space, origin, vmax):
     """Merge matched pairs one at a time until ``vmax``.
 
     Neighbour edges of a collapsed pair are unioned; q-q edges are then
@@ -57,7 +57,7 @@ def collapse_pairs(work, pairs, space, origin, vmax, steps_out):
     for a, b in pairs:
         if work.vertex_count() <= vmax:
             break
-        w_new = coarsening._merge_pair(qverts, a, b, origin, steps_out)
+        w_new = coarsening._merge_pair(qverts, a, b, origin)
         nbr_edges: Dict = {}
         for old in (a, b):
             for nbr, w in adj.pop(old).items():

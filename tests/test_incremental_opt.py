@@ -1,16 +1,18 @@
 """Incremental optimizer parity: delta maintenance == full rebuild.
 
-The optimizer stack delta-maintains its state across adaptation rounds --
-journaled graph mutations patch :class:`GraphArrays` snapshots in place,
-:class:`CostWorkspace` syncs instead of being reconstructed, coarse plans
-replay over signature-identical inputs, and converged coordinator levels
-skip their phases.  Every one of those shortcuts claims *bit-identical*
-results to the full-rebuild reference mode (``incremental=False``); these
-property-style tests drive randomized insert / remove / adapt / perturb
-interleavings through both modes side by side and assert exact equality
-of placements, per-coordinator vertex aggregates and WEC.
+The optimizer delta-maintains its state across adaptation rounds --
+journaled graph mutations, a :class:`CostWorkspace` that syncs instead of
+being reconstructed, converged coordinator levels that skip their phases.
+Every one of those shortcuts claims *bit-identical* results to the
+full-rebuild reference (``tests/reference/full_rebuild.py``, a fresh
+workspace every round); these property-style tests drive randomized
+insert / remove / adapt / perturb interleavings through both side by side
+and assert exact equality of placements, per-coordinator vertex
+aggregates and WEC.  The graph-level cases hold ``QueryGraph.wec`` on
+mutated graphs to the scalar definition.
 """
 
+import contextlib
 import itertools
 import random
 from dataclasses import replace
@@ -18,19 +20,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import full_rebuild, scalar_kernels
+from test_fastpath_parity import content_sig
+
 from repro.core import Cosmos, CosmosConfig
 from repro.core import coordinator as coordinator_module
 from repro.core import hierarchy as hierarchy_module
-from repro.core.coarsening import (
-    coarsen_cached,
-    plan_key,
-    vertex_sig,
-)
+from repro.core.coarsening import plan_key
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
-    GraphArrays,
     NetVertex,
     NetworkGraph,
+    NVertex,
     build_query_graph,
     qvertex_from_query,
 )
@@ -67,16 +68,23 @@ def make_workload(env, seed, num_queries=100):
     )
 
 
+def classes(production):
+    """The block in which a ``Cosmos`` is built (or rebuilds its root) from
+    production coordinators, or from the full-rebuild reference."""
+    return contextlib.nullcontext() if production else full_rebuild.swapped()
+
+
 def make_pair(env, workload, vmax=15):
-    """Two Cosmos instances over one workload: incremental vs reference."""
+    """Two Cosmos instances over one workload: production vs reference."""
     _, oracle, _, processors = env
     pair = []
-    for incremental in (True, False):
-        cosmos = Cosmos(
-            oracle, processors, workload.space,
-            CosmosConfig(k=4, vmax=vmax, incremental=incremental),
-        )
-        pair.append(cosmos)
+    for production in (True, False):
+        with classes(production):
+            pair.append(Cosmos(
+                oracle, processors, workload.space,
+                CosmosConfig(k=4, vmax=vmax),
+            ))
+    assert type(pair[1].root) is full_rebuild.FullRebuildCoordinator
     return pair
 
 
@@ -86,7 +94,7 @@ def coord_fingerprint(coord):
     Coarse vertex *ids* embed a process-global counter and legitimately
     differ between two runs; member keys and aggregate signatures do not.
     """
-    sigs = sorted(vertex_sig(v) for v in coord.vertices.values())
+    sigs = sorted(content_sig(v) for v in coord.vertices.values())
     # non-leaf targets are child coordinator names (instance-specific
     # counters too) -- normalize them to the child's cluster membership
     norm = {
@@ -110,9 +118,8 @@ def assert_parity(ca, cb):
         # between instances; pair by traversal order + cluster identity
         assert a.cluster.members == b.cluster.members
         assert coord_fingerprint(a) == coord_fingerprint(b)
-        # WEC of the current assignment must agree bit for bit: the
-        # incremental side evaluates a patched snapshot + synced
-        # workspace, the reference side a fresh rebuild
+        # WEC of the current assignment must agree bit for bit: it reads
+        # the graphs the two sides' placements were chosen on
         wa = a.qg.wec(a.assignment, a.ng)
         wb = b.qg.wec(b.assignment, b.ng)
         assert wa == wb
@@ -163,8 +170,8 @@ class TestCosmosModeParity:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_membership_churn_parity(self, env, seed):
-        """Processor join/leave rebuilds the hierarchy through the coarse
-        plan cache on the incremental side; placements must not diverge."""
+        """Processor join/leave rebuilds the hierarchy (and re-coarsens
+        every level); placements must not diverge."""
         workload = make_workload(env, seed=200 + seed)
         ca, cb = make_pair(env, workload)
         for cosmos in (ca, cb):
@@ -173,7 +180,9 @@ class TestCosmosModeParity:
 
         victim = sorted(set(ca.placement.values()))[seed]
         orphans_a = ca.remove_processor(victim)
-        orphans_b = cb.remove_processor(victim)
+        with classes(False):
+            orphans_b = cb.remove_processor(victim)
+        assert type(cb.root) is full_rebuild.FullRebuildCoordinator
         assert orphans_a == orphans_b
         for qid in orphans_a:
             assert ca.insert(specs[qid]) == cb.insert(specs[qid])
@@ -182,7 +191,8 @@ class TestCosmosModeParity:
         assert_parity(ca, cb)
 
         ca.add_processor(victim)
-        cb.add_processor(victim)
+        with classes(False):
+            cb.add_processor(victim)
         ca.adapt()
         cb.adapt()
         assert_parity(ca, cb)
@@ -218,15 +228,14 @@ class TestCosmosModeParity:
 
 
 class TestRemovalCycles:
-    """Satellite: insert -> remove -> insert cycles neither leak vertices
-    nor corrupt the delta-maintained snapshot cache."""
+    """Insert -> remove -> insert cycles neither leak vertices nor leave
+    a graph whose WEC departs from the definition."""
 
     def test_long_churn_cycle_no_leaks(self, env):
         _, oracle, _, processors = env
         workload = make_workload(env, seed=400, num_queries=80)
         cosmos = Cosmos(
-            oracle, processors, workload.space,
-            CosmosConfig(k=4, vmax=10, incremental=True),
+            oracle, processors, workload.space, CosmosConfig(k=4, vmax=10),
         )
         cosmos.distribute(workload.queries)
         rng = random.Random(42)
@@ -261,106 +270,23 @@ class TestRemovalCycles:
                     assert v.weight == pytest.approx(
                         sum(c.weight for c in v.children)
                     )
-            # the delta-maintained snapshot still agrees with a scratch
-            # rebuild of the same graph, bit for bit
-            arrays = coord.qg.arrays_for(coord.ng)
-            fresh_arrays = GraphArrays(coord.qg, coord.ng)
+            # the delta-maintained graph's WEC is still the definition's
             mapping = {
                 vid: t for vid, t in coord.assignment.items()
                 if vid in coord.qg.qverts
             }
-            assert arrays.wec(mapping) == fresh_arrays.wec(mapping)
-            assert np.array_equal(
-                arrays.loads(mapping), fresh_arrays.loads(mapping)
+            assert coord.qg.wec(mapping, coord.ng) == pytest.approx(
+                scalar_kernels.wec(coord.qg, mapping, coord.ng),
+                rel=1e-12, abs=1e-12,
             )
             # no orphaned n-vertices accumulate in the live graph
             for nvid in coord.qg.nverts:
                 assert coord.qg.neighbors(nvid), f"orphan n-vertex {nvid}"
 
 
-class TestCoarsePlanReuse:
-    @pytest.fixture(scope="class")
-    def coarse_env(self, env):
-        workload = make_workload(env, seed=500, num_queries=60)
-        _, oracle, _, processors = env
-        ng = NetworkGraph(
-            [
-                NetVertex(vid=("p", p), site=p, capability=1.0,
-                          covers=frozenset([p]))
-                for p in processors[:5]
-            ],
-            oracle,
-        )
-        verts = [qvertex_from_query(q, workload.space) for q in workload.queries]
-        graph = build_query_graph(verts, workload.space, ng)
-        return workload, ng, graph
-
-    def _rebuild(self, coarse_env):
-        workload, ng, _ = coarse_env
-        verts = [
-            qvertex_from_query(q, workload.space) for q in workload.queries
-        ]
-        return build_query_graph(verts, workload.space, ng)
-
-    def test_full_hit_bit_identical(self, coarse_env):
-        workload, _, graph = coarse_env
-        out1, plan, reused1 = coarsen_cached(
-            graph, 12, workload.space, origin="t", rng=random.Random(7)
-        )
-        assert reused1 == "none"
-        fresh_graph = self._rebuild(coarse_env)
-        out2, plan2, reused2 = coarsen_cached(
-            fresh_graph, 12, workload.space, origin="t",
-            rng=random.Random(7), plan=plan,
-        )
-        assert reused2 == "full"
-        assert plan2 is plan
-        assert [vertex_sig(v) for v in out1] == [vertex_sig(v) for v in out2]
-        # replay rebinds children to the *current* input objects
-        current = {plan_key(v): v for v in fresh_graph.qverts.values()}
-        for v in out2:
-            stack = list(v.children)
-            while stack:
-                c = stack.pop()
-                if c.children:
-                    stack.extend(c.children)
-                else:
-                    assert current[plan_key(c)] is c
-
-    def test_dirty_input_misses_in_replay_mode(self, coarse_env):
-        workload, _, graph = coarse_env
-        out1, plan, _ = coarsen_cached(
-            graph, 12, workload.space, origin="t", rng=random.Random(7)
-        )
-        fresh_graph = self._rebuild(coarse_env)
-        dirty = next(iter(fresh_graph.qverts.values()))
-        dirty.weight *= 3.0
-        out2, plan2, reused = coarsen_cached(
-            fresh_graph, 12, workload.space, origin="t",
-            rng=random.Random(7), plan=plan,
-        )
-        assert reused == "none"
-        assert plan2 is not plan
-
-    def test_no_reuse_records_but_never_replays(self, coarse_env):
-        """The full-rebuild optimizer mode: a matching plan is not
-        replayed, and the scratch run records the same plan."""
-        workload, _, graph = coarse_env
-        out1, plan, _ = coarsen_cached(
-            graph, 12, workload.space, origin="t", rng=random.Random(7)
-        )
-        out2, plan2, reused = coarsen_cached(
-            self._rebuild(coarse_env), 12, workload.space, origin="t",
-            rng=random.Random(7), plan=plan, reuse=False,
-        )
-        assert reused == "none"
-        assert plan2 is not plan
-        assert (plan2.sigs, plan2.steps) == (plan.sigs, plan.steps)
-        assert [vertex_sig(v) for v in out1] == [vertex_sig(v) for v in out2]
-
-
 class TestSnapshotAndWorkspaceParity:
-    """Randomized mutation sequences: patched state == scratch state."""
+    """Randomized mutation sequences: the WEC of the mutated graph is the
+    definition's, and a synced workspace equals a fresh one."""
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -400,13 +326,22 @@ class TestSnapshotAndWorkspaceParity:
         for step in range(120):
             op = rng.random()
             qvids = list(g.qverts)
+            xvids = [vid for vid in g.nverts if vid[0] == "x"]
             if op < 0.40 and len(qvids) >= 2:
                 a, b = rng.sample(qvids, 2)
                 if rng.random() < 0.3:
-                    g.set_edge(a, b, 0.0)
+                    g.set_edge(a, b, 0.0)  # a zero-weight delete
                 else:
                     g.set_edge(a, b, rng.uniform(0.1, 5.0))
-            elif op < 0.60:
+            elif op < 0.50:
+                # an n-n edge headed by an n-vertex no target covers
+                node = rng.randrange(30)
+                if ("x", node) not in g.nverts:
+                    g.add_nvertex(NVertex(vid=("x", node), node=node))
+                other = rng.choice([vid for vid in g.nverts
+                                    if vid != ("x", node)])
+                g.set_edge(("x", node), other, rng.uniform(0.1, 2.0))
+            elif op < 0.65:
                 ids = rng.sample(range(len(space)), rng.randint(4, 14))
                 mask = mask_of(ids)
                 v = qvertex_from_query(
@@ -420,20 +355,17 @@ class TestSnapshotAndWorkspaceParity:
                 g.add_qvertex(v)
                 if qvids:
                     g.set_edge(v.vid, rng.choice(qvids), rng.uniform(0.1, 2))
-            elif op < 0.75 and len(qvids) > 5:
-                g.remove_vertex(rng.choice(qvids))
+            elif op < 0.80 and len(qvids) > 5:
+                g.remove_vertex(rng.choice(qvids + xvids))
             else:
-                pass  # no-op round: snapshots must still agree
+                pass  # no-op round: the values must still agree
 
             if step % 10 == 9:
                 mapping = {
                     vid: rng.choice(ng.ids()) for vid in g.qverts
                 }
-                patched = g.arrays_for(ng)
-                fresh = GraphArrays(g, ng)
-                assert patched.wec(mapping) == fresh.wec(mapping)
-                assert np.array_equal(
-                    patched.loads(mapping), fresh.loads(mapping)
+                assert g.wec(mapping, ng) == pytest.approx(
+                    scalar_kernels.wec(g, mapping, ng), rel=1e-12, abs=1e-12
                 )
                 ws.ensure_synced()
                 ws.init_positions(mapping)
@@ -443,22 +375,6 @@ class TestSnapshotAndWorkspaceParity:
                     got = ws.attach_costs(vid)
                     want = ws2.attach_costs(vid)
                     assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("seed", [0, 3, 5])
-    def test_tracked_wec_matches_full_recompute(self, small, seed):
-        space, ng = small
-        g = self._make_graph(space, ng, 30, seed + 50)
-        arrays = g.arrays_for(ng)
-        rng = random.Random(seed)
-        mapping = {vid: rng.choice(ng.ids()) for vid in g.qverts}
-        total = arrays.begin_moves(mapping)
-        assert total == arrays.wec(mapping)
-        for _ in range(60):
-            vid = rng.choice(list(g.qverts))
-            target = rng.choice(ng.ids())
-            mapping[vid] = target
-            tracked = arrays.update(vid, target)
-            assert tracked == pytest.approx(arrays.wec(mapping), rel=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -568,29 +484,32 @@ def deep_workload(deep_env, seed):
     return make_workload(deep_env, seed=seed, num_queries=96)
 
 
-def twin_cosmos(env, workload, **config):
+def twin_cosmos(env, workload, production=True):
     """Two Cosmos instances that behave identically: coordinator names
     embed a process-global cluster counter and some exact-tie breaks order
-    them by ``str``, so both trees are numbered from the same start."""
+    them by ``str``, so both trees are numbered from the same start.
+    ``production=False`` builds both from the full-rebuild reference."""
     _, oracle, _, processors = env
     twins = []
     for _ in range(2):
         hierarchy_module._cluster_ids = itertools.count(10_000)
-        twins.append(Cosmos(oracle, processors, workload.space,
-                            CosmosConfig(k=4, vmax=40, **config)))
+        with classes(production):
+            twins.append(Cosmos(oracle, processors, workload.space,
+                                CosmosConfig(k=4, vmax=40)))
     return twins
 
 
 class RemovalPair:
     """Two identical Cosmos instances; ``fast`` removes through the
-    path-routed production code, ``ref`` through the full-sweep oracle."""
+    path-routed production code, ``ref`` through the full-sweep oracle.
+    Both run on production coordinators or both on the full-rebuild
+    reference (``production``)."""
 
-    def __init__(self, env, workload, incremental):
+    def __init__(self, env, workload, production):
         self.processors = env[3]
         self.workload = workload
-        self.fast, self.ref = twin_cosmos(
-            env, workload, incremental=incremental
-        )
+        self.production = production
+        self.fast, self.ref = twin_cosmos(env, workload, production)
         for cosmos in (self.fast, self.ref):
             cosmos.distribute(workload.queries)
         self.live = [q.query_id for q in workload.queries]
@@ -620,6 +539,10 @@ class RemovalPair:
         assert_same_trees(self.fast, self.ref)
         return ra
 
+    def classes(self):
+        """The block membership changes of this pair run in."""
+        return classes(self.production)
+
     def refresh(self, rng):
         ids = rng.sample(self.live, max(1, len(self.live) // 10))
         loads = {q: self.specs[q].load * rng.uniform(0.5, 2.0) for q in ids}
@@ -627,12 +550,12 @@ class RemovalPair:
             cosmos.refresh_measured_loads(dict(loads))
 
 
-@pytest.mark.parametrize("incremental", [True, False])
+@pytest.mark.parametrize("production", [True, False])
 class TestRemovalEquivalence:
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
-    def test_random_interleavings(self, deep_env, seed, incremental):
+    def test_random_interleavings(self, deep_env, seed, production):
         workload = deep_workload(deep_env, 600 + seed)
-        pair = RemovalPair(deep_env, workload, incremental)
+        pair = RemovalPair(deep_env, workload, production)
         assert pair.fast.tree_height() == 3
         rng = random.Random(7000 + seed)
         for _ in range(10):
@@ -653,17 +576,17 @@ class TestRemovalEquivalence:
                 pair.adapt()
         pair.adapt()
 
-    def test_query_inserted_since_last_adapt(self, deep_env, incremental):
-        pair = RemovalPair(deep_env, deep_workload(deep_env, 620), incremental)
+    def test_query_inserted_since_last_adapt(self, deep_env, production):
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 620), production)
         pair.adapt()
         for qid in pair.insert(4):
             assert pair.remove(qid)
         pair.adapt()
 
-    def test_owner_already_stripped_by_ancestor(self, deep_env, incremental):
+    def test_owner_already_stripped_by_ancestor(self, deep_env, production):
         """Straight after distribute adjacent levels share coarse objects:
         the root's strip cascades, the levels below miss."""
-        pair = RemovalPair(deep_env, deep_workload(deep_env, 621), incremental)
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 621), production)
         coarse = [
             v for v in pair.fast.root.vertices.values() if len(v.members) >= 4
         ]
@@ -672,8 +595,8 @@ class TestRemovalEquivalence:
             assert pair.remove(qid)
         pair.adapt()
 
-    def test_last_member_of_a_coarse_vertex(self, deep_env, incremental):
-        pair = RemovalPair(deep_env, deep_workload(deep_env, 622), incremental)
+    def test_last_member_of_a_coarse_vertex(self, deep_env, production):
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 622), production)
         victim = min(
             (v for v in pair.fast.root.vertices.values() if v.children),
             key=lambda v: len(v.members),
@@ -684,8 +607,8 @@ class TestRemovalEquivalence:
         assert vid not in pair.fast.root.vertices
         pair.adapt()
 
-    def test_right_after_compress_merged_its_vertex(self, deep_env, incremental):
-        pair = RemovalPair(deep_env, deep_workload(deep_env, 623), incremental)
+    def test_right_after_compress_merged_its_vertex(self, deep_env, production):
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 623), production)
         inserted = pair.insert(100)  # root now exceeds 3 * vmax q-vertices
         pair.adapt()                # ... so this round compresses it
         root = pair.fast.root
@@ -698,20 +621,22 @@ class TestRemovalEquivalence:
             assert pair.remove(qid)
         pair.adapt()
 
-    def test_after_membership_rebuilt_the_root(self, deep_env, incremental):
-        pair = RemovalPair(deep_env, deep_workload(deep_env, 624), incremental)
+    def test_after_membership_rebuilt_the_root(self, deep_env, production):
+        pair = RemovalPair(deep_env, deep_workload(deep_env, 624), production)
         rng = random.Random(5)
         victim = sorted(set(pair.fast.placement.values()))[1]
-        orphans = pair.fast.remove_processor(victim)
-        assert orphans == pair.ref.remove_processor(victim)
+        with pair.classes():
+            orphans = pair.fast.remove_processor(victim)
+            assert orphans == pair.ref.remove_processor(victim)
         # an orphan has no placement entry: the sweep finds nothing either
         assert pair.fast.remove(orphans[0]) is False
         assert reference_remove(pair.ref, orphans[0]) is False
         pair.live = [q for q in pair.live if q not in orphans]
         for qid in rng.sample(pair.live, 5):
             assert pair.remove(qid)
-        pair.fast.add_processor(victim)
-        pair.ref.add_processor(victim)
+        with pair.classes():
+            pair.fast.add_processor(victim)
+            pair.ref.add_processor(victim)
         for qid in rng.sample(pair.live, 5):
             assert pair.remove(qid)
         pair.adapt()

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import flow_scan, graph_build
+from reference import flow_scan, graph_build, scalar_kernels
 from test_fastpath_parity import (  # noqa: F401  (space, ng: fixtures)
     make_queries,
     ng,
@@ -36,9 +36,7 @@ from repro.core import graphs as graphs_module
 from repro.core.coarsening import _coarsen_work, coarsen, plan_key, rebuild_edges
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
-    GraphArrays,
     NVertex,
-    QVertex,
     attach_overlap_edges,
     build_query_graph,
     qvertex_from_query,
@@ -92,19 +90,13 @@ def assert_same_graph(g, h):
     assert g.edges() == h.edges()
 
 
-def assert_same_snapshot(a, b, mapping):
-    """Same live edges in the same order (vertex slots may be numbered
-    differently after a patch) and the same WEC, to the bit."""
-    def named(arrays):
-        return [
-            (arrays._vids[u], arrays._vids[v], w) for u, v, w in zip(
-                arrays.edge_u.tolist(), arrays.edge_v.tolist(),
-                arrays.edge_w.tolist(),
-            )
-        ]
-
-    assert named(a) == named(b)
-    assert a.wec(mapping) == b.wec(mapping)
+def assert_same_wec(g, h, ng, mapping):
+    """Two graphs with the same edge store evaluate to the same WEC, to
+    the bit, and that WEC is the scalar definition's."""
+    assert g.wec(mapping, ng) == h.wec(mapping, ng)
+    assert g.wec(mapping, ng) == pytest.approx(
+        scalar_kernels.wec(g, mapping, ng), rel=1e-12, abs=1e-12
+    )
 
 
 populations = dict(
@@ -158,7 +150,6 @@ class TestGraphBuildParity:
             for vid in list(graph.nverts)[:1]:
                 graph.remove_vertex(vid)
         mapping = random_mapping(g, ng, seed=seed)
-        g.arrays_for(ng)  # a cached snapshot for the rebuild to outdate
         ws = CostWorkspace(g, ng)
         cursor = g.journal_cursor()
 
@@ -167,8 +158,9 @@ class TestGraphBuildParity:
         assert_same_graph(g, h)
         # one record, appended once the edges are in place
         assert g.journal_since(cursor) == [("clear",)]
-        # a snapshot and a workspace taken before equal fresh ones after
-        assert_same_snapshot(g.arrays_for(ng), GraphArrays(g, ng), mapping)
+        # the WEC reads the swapped edge set, and a workspace taken
+        # before equals a fresh one after
+        assert_same_wec(g, h, ng, mapping)
         fresh = CostWorkspace(g, ng)
         for w in (ws, fresh):
             w.ensure_synced()
@@ -186,7 +178,6 @@ class TestGraphBuildParity:
         old, new = verts[:30], verts[30:]
         g = build_query_graph(old, space, ng, k)
         h = graph_build.build_query_graph(old, space, ng, k)
-        arrays = g.arrays_for(ng)
         for graph in (g, h):
             for v in new:
                 graph.add_qvertex(v)
@@ -202,10 +193,8 @@ class TestGraphBuildParity:
         graph_build.attach_overlap_edges(h, qlist, [30, 31], space, k)
         assert_same_graph(g, h)
         assert g.adj[new[0].vid][old[0].vid] == 123.0
-        # journaled edge by edge: the snapshot is patched, not rebuilt
-        assert g.arrays_for(ng) is arrays
         mapping = random_mapping(g, ng, seed=seed)
-        assert_same_snapshot(arrays, GraphArrays(g, ng), mapping)
+        assert_same_wec(g, h, ng, mapping)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), pool=st.sampled_from(POOLS),
@@ -215,7 +204,7 @@ class TestGraphBuildParity:
         g = build_query_graph(verts, space, ng)
         fast = coarsen(g, vmax, space, rng=random.Random(seed))
         slow = graph_build.to_query_graph(_coarsen_work(
-            g, vmax, space, None, random.Random(seed), None
+            g, vmax, space, None, random.Random(seed)
         ))
 
         # coarse ids come from a process-wide counter: name by members

@@ -1,13 +1,12 @@
 """Each value on the optimizer's resident path is held once.
 
-The optimizer's graphs, plans and latency rows are the bulk of its
-memory.  These tests pin the sharing rules that keep them small -- one
-float object per edge weight, rate-map signatures built from the map's
-own objects, node-id keys shared across rate maps, snapshot edge keys
-shared with the edge store, latency rows as ``array('d')`` -- each next
-to an equality with the representation it replaced, so that sharing
-never changes a value, an order or a lookup.  They also pin the latency
-oracle's lookup rule, whose answer depends on which rows are cached.
+The optimizer's graphs and latency rows are the bulk of its memory.
+These tests pin the sharing rules that keep them small -- one float
+object per edge weight, node-id keys shared across rate maps, latency
+rows as ``array('d')`` -- each next to an equality with the
+representation it replaced, so that sharing never changes a value, an
+order or a lookup.  They also pin the latency oracle's lookup rule,
+whose answer depends on which rows are cached.
 """
 
 import random
@@ -19,13 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fastpath_parity import make_queries, ng, space  # noqa: F401  (fixtures)
 
-from repro.core.coarsening import coarsen, rebuild_edges, vertex_sig
-from repro.core.graphs import (
-    GraphArrays,
-    QVertex,
-    build_query_graph,
-    qvertex_from_query,
-)
+from repro.core.coarsening import coarsen, rebuild_edges
+from repro.core.graphs import build_query_graph, qvertex_from_query
 from repro.query.interest import SubstreamSpace, index_array, mask_of
 from repro.topology import (
     LatencyOracle,
@@ -63,69 +57,6 @@ class TestEdgeWeightsShared:
         out = coarsen(graph, 12, space, rng=random.Random(5))
         assert out.vertex_count() < graph.vertex_count()
         assert_weights_shared(out)
-
-    def test_snapshot_keys_are_edge_store_keys(self, graph, ng):
-        arrays = GraphArrays(graph, ng)
-        stored = {key: key for key in graph._edges}
-        assert len(arrays._eslot) == len(stored)
-        for key in arrays._eslot:
-            assert stored[key] is key
-
-
-# ----------------------------------------------------------------------
-# plan signatures
-# ----------------------------------------------------------------------
-def old_sig(v):
-    """The signature as it was: one ``(key, value)`` tuple per entry."""
-    return (
-        tuple(sorted(v.members)),
-        v.weight,
-        v.mask,
-        v.state_size,
-        tuple(sorted(v.source_rates.items())),
-        tuple(sorted(v.proxy_rates.items())),
-    )
-
-
-def vertex(source_rates, proxy_rates):
-    return QVertex(vid=0, weight=1.0, mask=7, source_rates=source_rates,
-                   proxy_rates=proxy_rates, members=(3, 1))
-
-
-rate_maps = st.dictionaries(
-    st.integers(0, 12), st.sampled_from([0.0, -0.0, 1, 1.0, 2.5, 1e300]), max_size=6
-)
-
-
-def reordered(d, rng):
-    items = list(d.items())
-    rng.shuffle(items)
-    return dict(items)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a_src=rate_maps, a_prx=rate_maps, b_src=rate_maps, b_prx=rate_maps,
-       same=st.booleans(), seed=st.integers(0, 99))
-def test_vertex_sig_equality_matches_item_tuples(a_src, a_prx, b_src, b_prx,
-                                                 same, seed):
-    rng = random.Random(seed)
-    if same:
-        # equal maps, other insertion orders
-        b_src, b_prx = reordered(a_src, rng), reordered(a_prx, rng)
-    a, b = vertex(a_src, a_prx), vertex(b_src, b_prx)
-    assert (vertex_sig(a) == vertex_sig(b)) == (old_sig(a) == old_sig(b))
-    if same:
-        assert vertex_sig(a) == vertex_sig(b)
-
-
-def test_vertex_sig_holds_the_maps_own_objects():
-    rates = {900: 2.5, 300: 1.25, 7000: 3.0}
-    v = vertex(rates, {})
-    keys, values = vertex_sig(v)[4]
-    assert keys == (300, 900, 7000)
-    for k, x in zip(keys, values):
-        assert x is rates[k]
-        assert next(o for o in rates if o == k) is k
 
 
 # ----------------------------------------------------------------------
