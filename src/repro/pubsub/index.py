@@ -130,12 +130,15 @@ class _StreamBucket:
 class _Entry:
     """One (interface, subscription) registration."""
 
-    __slots__ = ("sub", "iface", "needed", "ranges", "dead")
+    __slots__ = ("sub", "iface", "needed", "ranges", "dead", "matches")
 
     def __init__(self, sub: Subscription, iface: Any):
         self.sub = sub
         self.iface = iface
         self.ranges = sub.filter.ranges()
+        #: the filter compiled for per-row content routing (once per
+        #: filter object, shared by every entry installing it)
+        self.matches = sub.filter.matcher()
         #: hits required for a match = number of constrained attributes
         self.needed = len(self.ranges)
         #: unsatisfiable filters can never match any event
@@ -242,39 +245,18 @@ class ForwardingIndex:
         matched.sort()
         return matched
 
-    def attribute_filtered(self, stream: str) -> Optional[Subscription]:
-        """A subscription of ``stream`` constraining some attribute (the
-        oldest such entry), or ``None`` when the bucket matches on the
-        stream alone."""
+    def stream_entries(self, stream: str) -> List[Tuple[Any, Subscription, Any]]:
+        """Every entry subscribed to ``stream`` as ``(interface,
+        subscription, compiled filter)``, in insertion (id) order -- read
+        off the stream's bucket, matching nothing."""
         bucket = self._streams.get(stream)
-        if bucket is None or not bucket.attrs:
-            return None
-        eid = min(bucket.members - bucket.unconstrained, default=None)
-        return None if eid is None else self._entries[eid].sub
-
-    def local_matches(self, event: Event) -> List[Subscription]:
-        """Matching LOCAL subscriptions in subscription-list order,
-        without building the per-interface structures of :meth:`match`."""
+        if bucket is None:
+            return []
         entries = self._entries
         return [
-            entries[eid].sub
-            for eid in self.matching_entry_ids(event)
-            if entries[eid].iface == self._local
+            (entry.iface, entry.sub, entry.matches)
+            for entry in map(entries.__getitem__, sorted(bucket.members))
         ]
-
-    def needed_for(self, event: Event, iface: Any) -> Optional[Set[str]]:
-        """Union of attributes requested by matching entries on ``iface``
-        (``None`` = all); an empty set when nothing there matches."""
-        needed: Optional[Set[str]] = set()
-        entries = self._entries
-        for eid in self.matching_entry_ids(event):
-            entry = entries[eid]
-            if entry.iface != iface:
-                continue
-            if entry.sub.projection is None:
-                return None
-            needed |= entry.sub.projection
-        return needed
 
     def match(self, event: Event, arrived_via: Any = None) -> EventMatch:
         """One probe answering a whole dissemination hop.

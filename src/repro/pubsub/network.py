@@ -13,7 +13,9 @@ implements the three Siena protocols the paper relies on:
 * **publish** -- content-based forwarding: each event crosses each overlay
   link at most once, is projected down to the attributes still needed
   downstream, and is delivered to every matching local subscriber
-  (Figure 2(d)).
+  (Figure 2(d)).  ``publish_batch`` does the same for many rows of one
+  stream at once, replaying a walk of the tables it remembers per
+  ``(stream, source)``.
 
 Every forwarded byte is accounted per link, so experiments can report the
 *measured* weighted communication cost (sum of per-link rate x latency)
@@ -23,7 +25,10 @@ next to the optimizer's WEC estimate.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
+    NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..topology.overlay import OverlayTree
 from .broker import Broker
@@ -31,22 +36,71 @@ from .messages import Event
 from .routing import LOCAL
 from .subscriptions import Advertisement, Subscription
 
-__all__ = ["PubSubNetwork"]
+__all__ = ["Delivery", "PubSubNetwork"]
+
+#: below this, adding an integral count to an integral float is exact
+_EXACT = 2.0 ** 53
 
 
 def _edge(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-class _BatchRoute(NamedTuple):
-    """Where an attribute-free event of one stream goes from one source."""
+class Delivery(NamedTuple):
+    """One subscriber's share of a :meth:`PubSubNetwork.publish_batch`."""
 
-    #: (broker, its matching LOCAL subscriptions), in delivery order
-    local: List[Tuple[Broker, List[Subscription]]]
-    #: the overlay links crossed, each once (normalised pairs)
-    edges: List[Tuple[int, int]]
-    #: brokers reached = forwarding-table probes of the walk
+    node: int
+    sub: Subscription
+    #: indices of the rows delivered, ascending
+    rows: Tuple[int, ...]
+    #: the attributes those rows arrive with; ``None``: all they carry
+    attrs: Optional[FrozenSet[str]]
+
+
+class _Gate(NamedTuple):
+    """A table entry an event must match to cross a link or be delivered."""
+
+    matches: Callable[[Mapping[str, Any]], bool]
+    #: the attributes its filter reads: projected away, the entry fails
+    reads: FrozenSet[str]
+    projection: Optional[FrozenSet[str]]
+
+
+class _Outcome(NamedTuple):
+    """What a row of one signature does on a :class:`_BatchRoute`."""
+
+    #: (index into the route's ``local``, attributes delivered or
+    #: ``None``: all), in delivery order
+    targets: Tuple[Tuple[int, Optional[FrozenSet[str]]], ...]
+    #: (link, size as forwarded over it), in walk order
+    charges: Tuple[Tuple[Tuple[int, int], float], ...]
+    #: every charge is a whole row (nothing was projected away)
+    whole: bool
+    #: brokers reached
     probes: int
+
+
+class _BatchRoute:
+    """Where events of one stream may go from one source, read off the
+    tables by one stream-only walk (see :meth:`PubSubNetwork.publish_batch`)."""
+
+    __slots__ = ("steps", "local", "tests", "shaped", "outcomes")
+
+    def __init__(self) -> None:
+        #: per broker reached, breadth first: (index of the step it is
+        #: reached from, or -1 at the source; the link from there; the
+        #: gates on that link; indices into ``local`` of its LOCAL entries)
+        self.steps: List[Tuple[int, Optional[Tuple[int, int]], List[_Gate], List[int]]] = []
+        #: (broker, subscription, gate) per LOCAL entry, in delivery order
+        self.local: List[Tuple[int, Subscription, _Gate]] = []
+        #: the distinct compiled filters that constrain some gate
+        self.tests: List[Callable[[Mapping[str, Any]], bool]] = []
+        #: some gate projects: what a row does depends on its attribute
+        #: names too (without, a filter reading an absent attribute fails)
+        self.shaped = False
+        #: row signature (each test's verdict, then the attribute names
+        #: when ``shaped``) -> what such a row does
+        self.outcomes: Dict[Tuple[Any, ...], _Outcome] = {}
 
 
 class _ForcedWalk(NamedTuple):
@@ -64,14 +118,11 @@ class _ForcedWalk(NamedTuple):
 class PubSubNetwork:
     """A content-based pub/sub service over an overlay tree."""
 
-    def __init__(self, tree: OverlayTree, record_deliveries: bool = True):
+    def __init__(self, tree: OverlayTree):
         if not tree.is_tree():
             raise ValueError("pub/sub overlay must be an acyclic connected tree")
         self.tree = tree
-        self.brokers: Dict[int, Broker] = {
-            n: Broker(node=n, record_deliveries=record_deliveries)
-            for n in tree.nodes
-        }
+        self.brokers: Dict[int, Broker] = {n: Broker(node=n) for n in tree.nodes}
         #: cumulative data bytes forwarded per link
         self.link_bytes: Dict[Tuple[int, int], float] = {}
         #: cumulative control bytes (advertisement/subscription propagation)
@@ -360,69 +411,39 @@ class PubSubNetwork:
         version = self._stream_versions.get(stream, 0)
         return max(version, self._all_streams_version)
 
-    def path_is_up(self, u: int, v: int) -> bool:
-        """Whether the overlay path ``u`` -> ``v`` avoids down links."""
-        if not self.down_links or u == v:
-            return True
-        cached = self._path_cache.get((u, v))
-        if cached is not None:
-            edges = cached[0]
-        else:
-            path = self.tree.path(u, v)
-            edges = list(zip(path, path[1:]))
-        return all(_edge(a, b) not in self.down_links for a, b in edges)
-
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def _walk(
-        self, source: int, event: Event
-    ) -> Iterator[Tuple[Broker, Event, List[Subscription], List[Tuple[int, Event]]]]:
-        """Disseminate ``event`` from ``source``, breadth first.
+    def publish(self, source: int, event: Event) -> List[Tuple[int, Event, Subscription]]:
+        """Route ``event`` from ``source``, breadth first; returns local
+        deliveries as ``(node, projected_event, subscription)``.
 
-        Yields, per broker reached: the broker, the event as it arrived
-        there, the LOCAL subscriptions it matches and the
-        ``(neighbour, event as forwarded)`` hops it takes from there.
-        Each hop matches the event against the broker's table exactly
-        once (:meth:`RoutingTable.match_event`) -- one index probe
-        yields the local deliveries, the forwarding set *and* the
-        per-link projections.  Neighbour links are walked in sorted order
-        so delivery order does not depend on how a table answers; a
+        Each broker reached matches the event against its table exactly
+        once (:meth:`RoutingTable.match_event`) -- one index probe yields
+        the local deliveries, the forwarding set *and* the per-link
+        projections -- and every link crossed is charged the size of the
+        event as forwarded over it.  Neighbour links are walked in sorted
+        order so delivery order does not depend on how a table answers; a
         partitioned link loses the event.
         """
+        deliveries: List[Tuple[int, Event, Subscription]] = []
+        probes = forwards = 0
         queue = deque([(source, None, event)])
         while queue:
             node, arrived_via, ev = queue.popleft()
             broker = self._broker(node)
             match = broker.table.match_event(ev, arrived_via)
-            hops = []
+            probes += 1
+            for projected, sub in broker.deliver_matched(ev, match.local):
+                deliveries.append((node, projected, sub))
             for nbr in match.forward_order(LOCAL):
-                assert isinstance(nbr, int)
                 if self.down_links and _edge(node, nbr) in self.down_links:
                     continue  # partitioned: the event is lost, no bytes
                 needed = match.needed[nbr]
                 forwarded = ev if needed is None else ev.project(needed)
-                hops.append((nbr, forwarded))
+                self._account(self.link_bytes, node, nbr, forwarded.size)
+                forwards += 1
                 queue.append((nbr, node, forwarded))
-            yield broker, ev, match.local, hops
-
-    def publish(self, source: int, event: Event) -> List[Tuple[int, Event, Subscription]]:
-        """Route ``event`` from ``source``; returns local deliveries.
-
-        Each returned triple is ``(node, projected_event, subscription)``;
-        every link crossed is charged the size of the event as forwarded
-        over it (see :meth:`_walk`).
-        """
-        deliveries: List[Tuple[int, Event, Subscription]] = []
-        probes = 0
-        forwards = 0
-        for broker, ev, local, hops in self._walk(source, event):
-            probes += 1
-            for projected, sub in broker.deliver_matched(ev, local):
-                deliveries.append((broker.node, projected, sub))
-            for nbr, forwarded in hops:
-                self._account(self.link_bytes, broker.node, nbr, forwarded.size)
-            forwards += len(hops)
         self._count_dissemination(probes, forwards, len(deliveries))
         return deliveries
 
@@ -435,32 +456,40 @@ class PubSubNetwork:
             reg.inc("broker.local_deliveries", delivered)
 
     def publish_batch(
-        self, source: int, stream: str, rows: int
-    ) -> List[Tuple[int, Event, Subscription]]:
-        """Route a coalesced batch of ``rows`` same-stream events at once.
+        self, source: int, stream: str, rows: int,
+        values: Sequence[Mapping[str, Any]],
+    ) -> List[Delivery]:
+        """Publish ``rows`` events of ``stream`` from ``source`` at once.
 
-        One representative event of size ``rows`` crosses the overlay, so
-        each dissemination hop is decided once per *batch* instead of
-        once per tuple, while per-link traffic is still accounted per row
-        (``size = rows``).
+        ``values`` holds each row's attributes (``rows`` is its length,
+        passed on its own so a tap metering the call reads the row count
+        off the arguments; a mismatch raises).  The batch is delivered,
+        charged and counted exactly as ``rows`` calls of :meth:`publish`
+        with ``Event(stream, values[i], size=1.0)``: the same rows reach
+        the same subscribers with the same attributes, each link gets the
+        same float additions, and the ``broker.*`` dissemination counters
+        and ``delivered_total`` move alike.  It returns one
+        :class:`Delivery` per subscriber reached (per subscriber and
+        delivered attribute set, when in-network projection shaped its
+        rows differently), in the order :meth:`publish` delivers.
 
-        The representative carries no per-row attributes, so where it
-        goes is decided by the stream alone -- and does not change until
-        a control-plane call names the stream, resets a broker or moves
-        a link.  The route (deliveries, links crossed, probes) is
-        therefore memoised per ``(stream, source)``; a memoised call
-        charges ``rows`` on each remembered link, delivers through the
-        same brokers in the same order and reports the same counters as
-        the walk it stands for.
-
-        This is only meaningful while the subscriptions of ``stream`` are
-        attribute-insensitive (true for the simulator's per-query stream
-        subscriptions -- content filters there live inside the engines,
-        not the network): an attribute-filtered one would be skipped for
-        the whole batch where per-tuple publishing delivers the rows it
-        accepts.  The walk that fills the memo checks every broker it
-        reaches and raises ``ValueError`` naming such a subscription.
+        Where a row can go is read off the tables once per ``(stream,
+        source)`` (:meth:`_batch_route`) and kept until a control-plane
+        call names the stream, resets a broker or moves a link
+        (:meth:`_changed`).  A row replays it: a link forwards the row iff
+        the row reached its upstream broker and a gating entry matches
+        the row as projected so far, and is charged the projected size.
+        That depends only on which of the route's distinct constraining
+        filters pass the row (and, where some entry projects, on its
+        attribute names), so each such signature is walked once per
+        route; a route no entry constrains or projects evaluates nothing
+        per row.
         """
+        if len(values) != rows:
+            raise ValueError(
+                f"publish_batch({stream!r}): {rows} rows but "
+                f"{len(values)} attribute mappings"
+            )
         routes = self._batch_routes.get(stream)
         route = None if routes is None else routes.get(source)
         obs = self.observer
@@ -475,53 +504,166 @@ class PubSubNetwork:
         if route is None:
             route = self._batch_route(source, stream)
             self._batch_routes.setdefault(stream, {})[source] = route
-        size = float(rows)
-        event = Event(stream=stream, attributes={}, size=size)
+        if not rows:
+            return []
+        # each row's signature, a column of verdicts at a time
+        if route.tests or route.shaped:
+            columns = [list(map(test, values)) for test in route.tests]
+            if route.shaped:
+                columns.append([tuple(row) for row in values])
+            signatures = list(zip(*columns))
+        else:
+            signatures = [()] * rows
+        outcomes = route.outcomes
+        if signatures.count(signatures[0]) == rows:
+            # one signature: every row does the same
+            key = signatures[0]
+            outcome = outcomes.get(key) or self._outcome(route, key)
+            indices = tuple(range(rows))
+            probes = outcome.probes * rows
+            forwards = len(outcome.charges) * rows
+            whole = outcome.whole
+            counts: Iterable[Tuple[Tuple[int, int], int]] = [
+                (edge, rows) for edge, _size in outcome.charges
+            ]
+            reached = [(target, indices) for target in outcome.targets]
+        else:
+            by_key: Dict[Tuple[Any, ...], List[int]] = {}
+            for i, key in enumerate(signatures):
+                by_key.setdefault(key, []).append(i)
+            probes = forwards = 0
+            whole = True
+            per_edge: Dict[Tuple[int, int], int] = {}
+            groups: Dict[Tuple[int, Optional[FrozenSet[str]]], Tuple[int, ...]] = {}
+            for key, run in by_key.items():
+                outcome = outcomes.get(key) or self._outcome(route, key)
+                indices, n = tuple(run), len(run)
+                probes += outcome.probes * n
+                forwards += len(outcome.charges) * n
+                whole = whole and outcome.whole
+                for edge, _size in outcome.charges:
+                    per_edge[edge] = per_edge.get(edge, 0) + n
+                for target in outcome.targets:
+                    got = groups.get(target)
+                    groups[target] = indices if got is None else tuple(sorted(got + indices))
+            counts = per_edge.items()
+            # walk order; a row reaches a LOCAL entry once, so one entry's
+            # differently projected targets hold disjoint rows
+            reached = sorted(groups.items(), key=lambda item: (item[0][0], item[1][0]))
         book = self.link_bytes
-        for edge in route.edges:
-            book[edge] = book.get(edge, 0.0) + size
-        deliveries = [
-            (broker.node, projected, sub)
-            for broker, local in route.local
-            for projected, sub in broker.deliver_matched(event, local)
-        ]
-        self._count_dissemination(
-            route.probes, len(route.edges), len(deliveries)
+        if whole:
+            # whole rows: one addition of the count where that is exactly
+            # the count's additions of 1.0 (an integral total below 2^53)
+            for edge, count in counts:
+                total = book.get(edge, 0.0)
+                if total.is_integer() and total + count < _EXACT:
+                    book[edge] = total + count
+                else:
+                    for _ in range(count):
+                        total += 1.0
+                    book[edge] = total
+        else:
+            # projected sizes: per row, in row order, as publish adds them
+            for signature in signatures:
+                for edge, size in outcomes[signature].charges:
+                    book[edge] = book.get(edge, 0.0) + size
+        out = []
+        delivered = 0
+        for (slot, attrs), indices in reached:
+            node, sub, _gate = route.local[slot]
+            n = len(indices)
+            self.brokers[node].delivered_total += n
+            delivered += n
+            out.append(Delivery(node, sub, indices, attrs))
+        self._count_dissemination(probes, forwards, delivered)
+        return out
+
+    def _outcome(self, route: _BatchRoute, key: Any) -> _Outcome:
+        """What a row whose signature is ``key`` does on ``route``
+        (memoised in the route): the hop-by-hop walk of :meth:`publish`,
+        with a gate matching iff its filter passes the row and reads no
+        attribute projected away.  ``kept`` is the row's attribute names
+        as projected so far (``None``: all of them -- nothing on the
+        route projects)."""
+        passes = dict(zip(route.tests, key))
+        names = frozenset(key[-1]) if route.shaped else None
+
+        def admits(gate: _Gate, kept: Optional[FrozenSet[str]]) -> bool:
+            return passes.get(gate.matches, True) and (
+                kept is None or gate.reads <= kept
+            )
+
+        reached: List[Optional[Tuple[Optional[FrozenSet[str]], float]]] = []
+        targets: List[Tuple[int, Optional[FrozenSet[str]]]] = []
+        charges: List[Tuple[Tuple[int, int], float]] = []
+        for parent, edge, gates, slots in route.steps:
+            if parent < 0:
+                kept, size = names, 1.0
+            else:
+                arrived = reached[parent]
+                passing = [] if arrived is None else [
+                    gate for gate in gates if admits(gate, arrived[0])
+                ]
+                if not passing:
+                    reached.append(None)
+                    continue
+                kept, size = arrived
+                if all(gate.projection is not None for gate in passing):
+                    # Event.project, on attribute names
+                    forwarded = kept & frozenset().union(
+                        *(gate.projection for gate in passing)
+                    )
+                    if kept:
+                        size = size * max(1, len(forwarded)) / len(kept)
+                    kept = forwarded
+                charges.append((edge, size))
+            reached.append((kept, size))
+            for slot in slots:
+                gate = route.local[slot][2]
+                if admits(gate, kept):
+                    got = kept if gate.projection is None else kept & gate.projection
+                    targets.append((slot, None if got == names else got))
+        outcome = route.outcomes[key] = _Outcome(
+            tuple(targets),
+            tuple(charges),
+            all(size == 1.0 for _edge, size in charges),
+            sum(1 for state in reached if state is not None),
         )
-        return deliveries
+        return outcome
 
     def _batch_route(self, source: int, stream: str) -> _BatchRoute:
-        """Walk an attribute-free ``stream`` event from ``source`` without
-        delivering or charging anything; see :meth:`publish_batch`."""
-        local: List[Tuple[Broker, List[Subscription]]] = []
-        edges: List[Tuple[int, int]] = []
-        probes = 0
-        for broker, _ev, matched, hops in self._walk(
-            source, Event(stream=stream, attributes={})
-        ):
-            probes += 1
-            filtered = broker.table.attribute_filtered(stream)
-            if filtered is not None:
-                raise ValueError(
-                    f"publish_batch({stream!r}): subscription "
-                    f"{filtered.sub_id} ({filtered}) at broker {broker.node} "
-                    "filters on attributes; publish its stream per tuple"
-                )
-            if matched:
-                local.append((broker, matched))
-            edges.extend(_edge(broker.node, nbr) for nbr, _fwd in hops)
-        return _BatchRoute(local, edges, probes)
-
-    def publish_rate(self, source: int, event: Event, rate: float) -> int:
-        """Account traffic for a *stream* of events shaped like ``event``.
-
-        Instead of pushing ``rate`` identical events per unit time, route a
-        single representative and multiply the per-link bytes by ``rate``.
-        Returns the number of local deliveries of the representative.
-        """
-        scaled = Event(stream=event.stream, attributes=event.attributes,
-                       size=event.size * rate)
-        return len(self.publish(source, scaled))
+        """Walk ``stream`` from ``source`` over every table entry naming
+        it, whatever its filter: the links and LOCAL entries a row of
+        the stream can reach, each with the entries that gate it."""
+        route = _BatchRoute()
+        tests: Dict[Callable, None] = {}
+        queue = deque([(source, None, -1, None, [])])
+        while queue:
+            node, via, parent, edge, gates = queue.popleft()
+            index = len(route.steps)
+            slots: List[int] = []
+            links: Dict[int, List[_Gate]] = {}
+            for iface, sub, matches in self._broker(node).table.stream_entries(stream):
+                if iface == via:
+                    continue
+                gate = _Gate(matches, sub.filter.attributes(), sub.projection)
+                if gate.projection is not None:
+                    route.shaped = True
+                if gate.reads:
+                    tests[matches] = None
+                if iface == LOCAL:
+                    slots.append(len(route.local))
+                    route.local.append((node, sub, gate))
+                else:
+                    links.setdefault(iface, []).append(gate)
+            route.steps.append((parent, edge, gates, slots))
+            for nbr in sorted(links):
+                link = _edge(node, nbr)
+                if link in self.down_links:
+                    continue  # partitioned: nothing crosses, no bytes
+                queue.append((nbr, node, index, link, links[nbr]))
+        route.tests = list(tests)
+        return route
 
     # ------------------------------------------------------------------
     # accounting

@@ -17,7 +17,7 @@ support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["Constraint", "AttributeRange", "Filter", "TRUE_FILTER"]
 
@@ -204,6 +204,10 @@ class Filter:
     conjunction reports ``is_empty()``.
     """
 
+    #: memoised compiled :meth:`matcher`, ``False`` when there is none
+    #: (set on the instance when first asked)
+    _compiled: Any = None
+
     def __init__(self, constraints: Iterable[Constraint] = ()):  # noqa: D107
         self.constraints: Tuple[Constraint, ...] = tuple(constraints)
         self._ranges: Dict[str, AttributeRange] = {}
@@ -240,6 +244,49 @@ class Filter:
             if not rng.matches(attributes.get(attr)):
                 return False
         return True
+
+    def matcher(self) -> Callable[[Mapping[str, Any]], bool]:
+        """A compiled equivalent of :meth:`matches`, built once per filter.
+
+        Content routing evaluates a filter once per row per gating table
+        entry.  A conjunction of interval bounds compiles to a flat tuple
+        walk; anything else (memberships, exclusions, an unsatisfiable
+        filter) and any value the bounds cannot compare with keep the
+        exact generic evaluator.  The compiled walk holds the ranges, not
+        the filter, so no reference cycle outlives a dropped filter.
+        """
+        if self._compiled is None:
+            self._compiled = self._compile()
+        return self._compiled or self.matches
+
+    def _compile(self):
+        ranges = self._ranges
+        if self.is_empty() or any(
+            r.membership is not None or r.exclusions for r in ranges.values()
+        ):
+            return False
+        tests = tuple(
+            (attr, r.low, r.low_inclusive, r.high, r.high_inclusive)
+            for attr, r in ranges.items()
+        )
+
+        def matches(values: Mapping[str, Any]) -> bool:
+            try:
+                for attr, low, low_inc, high, high_inc in tests:
+                    v = values.get(attr)
+                    if v is None:
+                        return False
+                    if v < low or (v == low and not low_inc):
+                        return False
+                    if v > high or (v == high and not high_inc):
+                        return False
+                return True
+            except TypeError:
+                # a value the numeric bounds cannot compare with: the
+                # generic evaluator defines the semantics
+                return all(r.matches(values.get(a)) for a, r in ranges.items())
+
+        return matches
 
     def covers(self, other: "Filter") -> bool:
         """TRUE iff every attribute assignment matching ``other`` matches self.

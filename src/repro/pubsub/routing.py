@@ -299,30 +299,11 @@ class RoutingTable:
         """
         return self._index.match(event, arrived_via)
 
-    def attribute_filtered(self, stream: str) -> Optional[Subscription]:
-        """An entry (any interface) that requests ``stream`` and whose
-        filter constrains some attribute, or ``None``: whether matching
-        an event of ``stream`` here can depend on its attributes."""
-        return self._index.attribute_filtered(stream)
-
-    def forwarding_interfaces(
-        self, event: Event, arrived_via: Optional[Interface] = None
-    ) -> Set[Interface]:
-        """Interfaces (incl. LOCAL) with at least one subscription matching."""
-        return self.match_event(event, arrived_via).interfaces
-
-    def matching_local_subscriptions(self, event: Event) -> List[Subscription]:
-        return self._index.local_matches(event)
-
-    def needed_attributes(
-        self, event: Event, iface: Interface
-    ) -> Optional[Set[str]]:
-        """Attributes required by matching subscriptions on ``iface``.
-
-        ``None`` means "all attributes" (some matching subscription has
-        no projection); an empty set means nothing on ``iface`` matches.
-        """
-        return self._index.needed_for(event, iface)
+    def stream_entries(self, stream: str) -> List[Tuple[Interface, Subscription, object]]:
+        """``(interface, subscription, compiled filter)`` for every entry
+        requesting ``stream``, in table order on each interface: what
+        can gate an event of ``stream`` here, whatever its attributes."""
+        return self._index.stream_entries(stream)
 
     # ------------------------------------------------------------------
     def covered_upstream(self, sub: Subscription, toward: Interface) -> bool:

@@ -66,9 +66,6 @@ class Subscription:
             return False
         return self.filter.covers(other.filter)
 
-    def requests_attribute(self, attr: str) -> bool:
-        return self.projection is None or attr in self.projection
-
     def merge(self, other: "Subscription") -> "Subscription":
         """The conservative merger of two subscriptions.
 
@@ -113,8 +110,3 @@ class Advertisement:
         if self.stream not in sub.streams:
             return False
         return not self.filter.conjoin(sub.filter).is_empty()
-
-    def describes(self, event: Event) -> bool:
-        return event.stream == self.stream and self.filter.matches(
-            dict(event.attributes)
-        )

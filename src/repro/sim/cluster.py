@@ -37,11 +37,16 @@ type, the delivery unit (:class:`_Unit`): a compiled plan on a host
 engine with its source subscriptions and its members.  An unshared
 query is a unit of one member; with ``ScenarioParams.use_sharing`` a
 unit is a shared group executing the merged superset of its members.
-The planes differ in exactly four functions: how a query finds its unit
-(:meth:`SimCluster.add_query`), how it leaves it
-(:meth:`SimCluster.remove_query`), how source rows are routed to units
-(stream match vs per-row content match) and how a unit's results are
-accounted (one transfer to the proxy vs ``p^2`` carving).
+The planes differ in exactly three functions: how a query finds its
+unit (:meth:`SimCluster.add_query`), how it leaves it
+(:meth:`SimCluster.remove_query`) and how a unit's results are
+accounted (one transfer to the proxy vs ``p^2`` carving).  Routing is
+the network's on both: a coalesced buffer of source rows is one
+:meth:`~repro.pubsub.network.PubSubNetwork.publish_batch`, which
+replays the broker tables row by row -- the unshared plane's stream
+subscriptions let every row go everywhere, the shared plane's ``p^1``
+filters drop rows early -- and so do a shared unit's results on its
+group stream, carved by the members' ``p^2`` subscriptions.
 
 Data plane
 ----------
@@ -85,7 +90,6 @@ from ..engine.executor import Engine
 from ..obs.observer import Observer
 from ..engine.plans import QueryPlan
 from ..engine.tuples import MergedBatch, StreamTuple
-from ..pubsub.messages import Event
 from ..pubsub.network import PubSubNetwork
 from ..pubsub.subscriptions import Advertisement, Subscription
 from ..topology.latency import LatencyOracle, select_roles
@@ -409,7 +413,7 @@ class SimCluster:
         overlay = minimum_latency_spanning_tree(
             self.sources + self.processors + self.spares, oracle
         )
-        self.network = PubSubNetwork(overlay, record_deliveries=False)
+        self.network = PubSubNetwork(overlay)
         self.network.observer = observer
         for sid in range(len(space)):
             self.network.advertise(
@@ -429,21 +433,6 @@ class SimCluster:
         self._host_units: Dict[int, List[int]] = {}
         #: ``p^2`` result subscription id -> member query id
         self._by_result_sub: Dict[int, int] = {}
-        #: memoised dissemination routes (shared plane): per-row content
-        #: matching against every candidate subscription with per-link
-        #: traffic charged on the union of paths to the accepting nodes
-        #: -- the exact deliveries and byte counts of the hop-by-hop
-        #: walk, minus the per-event tree traversal.  ``_route_fast``
-        #: stays on; the parity tests flip it to pin the equivalence.
-        #: Fault scenarios force the hop-by-hop reference: the memoised
-        #: route bypasses broker tables, so it cannot observe a wiped
-        #: broker (BrokerLoss) or a partitioned link.
-        self._route_fast = not params.faults
-        #: substream -> (stream version, [(host, compiled matcher, unit id)])
-        self._src_route: Dict[int, Tuple[int, List[Tuple[int, object, int]]]] = {}
-        self._edge_paths: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        #: sub_id -> compiled membership test (fast path of Filter.matches)
-        self._match_fns: Dict[int, object] = {}
         self._pindex = {p: i for i, p in enumerate(self.processors)}
         self._path_ms: Dict[Tuple[int, int], float] = {}
         self._emit_gen: List[int] = [0] * len(space)
@@ -684,7 +673,6 @@ class SimCluster:
         for sub in unit.subs:
             self.network.unsubscribe(sub.sub_id)
             self._by_sub.pop(sub.sub_id, None)
-            self._match_fns.pop(sub.sub_id, None)
 
     def _replace_result_sub(self, qs: _QueryState, sub: Subscription) -> None:
         """Swap a member's ``p^2`` subscription for ``sub`` at its proxy."""
@@ -700,7 +688,6 @@ class SimCluster:
         if qs.result_sub is not None:
             self.network.unsubscribe(qs.result_sub.sub_id)
             self._by_result_sub.pop(qs.result_sub.sub_id, None)
-            self._match_fns.pop(qs.result_sub.sub_id, None)
             qs.result_sub = None
 
     def _resubscribe_results(self, query_ids) -> None:
@@ -996,9 +983,8 @@ class SimCluster:
         """Publish a coalesced buffer of (seq, tuple) rows of one
         substream; queue deliveries.
 
-        Routing is the plane's business (:meth:`_route_streams` /
-        :meth:`_route_content`); what comes back is, per reached unit,
-        the rows it accepted, which :meth:`_queue_rows` queues.
+        :meth:`_route` returns, per reached unit, the rows it accepted,
+        which :meth:`_queue_rows` queues.
         """
         obs = self.obs
         profiler = obs.profiler if obs is not None else None
@@ -1012,11 +998,7 @@ class SimCluster:
                 span = spans.lookup(tup)
                 if span is not None:
                     span.hop("publish", now, substream=sid, source=source)
-        if self._sharing:
-            routed = self._route_content(source, sid, rows)
-        else:
-            routed = self._route_streams(source, sid, rows)
-        for unit, unit_rows in routed:
+        for unit, unit_rows in self._route(source, sid, rows):
             self._queue_rows(unit, unit_rows, source)
         if profiler is not None:
             profiler.stop()
@@ -1054,180 +1036,33 @@ class SimCluster:
             span.hop(
                 "queued", self.loop.now, **{unit.kind: unit.uid},
                 host=unit.host, release=round(release, 9),
-                overlay_hops=len(self._edges(source, unit.host)),
+                overlay_hops=len(self.network.tree.path(source, unit.host)) - 1,
             )
 
-    def _route_streams(
+    def _route(
         self, source: int, sid: int, rows: List[Tuple[int, StreamTuple]]
     ) -> List[Tuple[_Unit, List[Tuple[int, StreamTuple]]]]:
-        """Unshared routing: source subscriptions match on the stream
-        alone, so every reached unit takes all rows -- one forwarding
-        probe for the whole batch, link traffic still accounted per row."""
-        deliveries = self.network.publish_batch(source, stream_name(sid), len(rows))
+        """Publish (seq, tuple) rows of one substream as one batch; per
+        reached unit, the rows its source subscription accepted.
+
+        The network replays its tables per row (``p^1`` filters drop
+        rows early; a stream subscription takes them all), charges each
+        link per row crossing it, and hands back each subscriber's rows.
+        """
+        deliveries = self.network.publish_batch(
+            source, stream_name(sid), len(rows), [tup.values for _, tup in rows]
+        )
         routed = []
-        for _node, _ev, sub in deliveries:
-            uid = self._by_sub.get(sub.sub_id)
+        for delivery in deliveries:
+            uid = self._by_sub.get(delivery.sub.sub_id)
             if uid is not None:
-                routed.append((self.units[uid], rows))
+                accepted = delivery.rows
+                routed.append((
+                    self.units[uid],
+                    rows if len(accepted) == len(rows)
+                    else [rows[i] for i in accepted],
+                ))
         return routed
-
-    def _edges(self, u: int, v: int) -> List[Tuple[int, int]]:
-        """Overlay path ``u -> v`` as normalised edge keys, memoised."""
-        if u == v:
-            return []
-        key = (u, v)
-        edges = self._edge_paths.get(key)
-        if edges is None:
-            path = self.network.tree.path(u, v)
-            edges = [
-                (a, b) if a < b else (b, a) for a, b in zip(path, path[1:])
-            ]
-            self._edge_paths[key] = edges
-            self._edge_paths[(v, u)] = edges
-        return edges
-
-    def _charge_union(self, source: int, nodes: List[int], size: float) -> None:
-        """Charge ``size`` bytes on the union of paths ``source -> nodes``.
-
-        An event crosses an overlay link exactly when some matching
-        subscriber lies beyond it, i.e. on the union of the tree paths to
-        the accepting nodes -- the same links (each once) the hop-by-hop
-        forwarding walk would charge.
-        """
-        book = self.network.link_bytes
-        if len(nodes) == 1:
-            for edge in self._edges(source, nodes[0]):
-                book[edge] = book.get(edge, 0.0) + size
-            return
-        union = set()
-        for node in nodes:
-            union.update(self._edges(source, node))
-        for edge in union:
-            book[edge] = book.get(edge, 0.0) + size
-
-    def _matcher(self, sub: Subscription):
-        """A compiled equivalent of ``sub.filter.matches``, memoised.
-
-        The shared plane evaluates subscription filters once per result
-        per listener and once per source row per candidate group -- the
-        hottest per-event work left after routing is memoised.  Filters
-        here are conjunctions of numeric interval bounds, which compile
-        to a flat tuple walk; anything fancier (memberships, exclusions,
-        non-numeric values) falls back to the exact generic evaluator.
-        """
-        fn = self._match_fns.get(sub.sub_id)
-        if fn is not None:
-            return fn
-        filt = sub.filter
-        tests = []
-        simple = not filt.is_empty()
-        for attr, rng in filt.ranges().items():
-            if rng.membership is not None or rng.exclusions:
-                simple = False
-                break
-            tests.append(
-                (attr, rng.low, rng.low_inclusive, rng.high, rng.high_inclusive)
-            )
-        if not simple:
-            fn = filt.matches
-        else:
-            def fn(values, _tests=tuple(tests), _fallback=filt.matches):
-                try:
-                    for attr, low, low_inc, high, high_inc in _tests:
-                        v = values.get(attr)
-                        if v is None:
-                            return False
-                        if v < low or (v == low and not low_inc):
-                            return False
-                        if v > high or (v == high and not high_inc):
-                            return False
-                    return True
-                except TypeError:
-                    # non-numeric value against a numeric bound: the
-                    # generic evaluator defines the semantics
-                    return _fallback(values)
-        self._match_fns[sub.sub_id] = fn
-        return fn
-
-    def _src_candidates(self, sid: int) -> List[Tuple[int, object, int]]:
-        """Units whose source subscriptions request substream ``sid``'s
-        stream, as (host, compiled matcher, unit id).
-
-        Memoised against the stream's control-plane version
-        (:meth:`PubSubNetwork.stream_version`): the candidate set only
-        changes when a subscription naming the stream does, and every
-        change to a unit's host, liveness or subscriptions goes through
-        the network.  Retired units and units no engine hosts (crashed,
-        not yet restored) are not candidates: their subscriptions are out
-        of the network.
-        """
-        stream = stream_name(sid)
-        version = self.network.stream_version(stream)
-        route = self._src_route.get(sid)
-        if route is not None and route[0] == version:
-            return route[1]
-        cands: List[Tuple[int, object, int]] = []
-        for unit in self.units.values():
-            if not unit.alive or unit.detached:
-                continue
-            for sub in unit.subs:
-                if stream in sub.streams:
-                    cands.append((unit.host, self._matcher(sub), unit.uid))
-        self._src_route[sid] = (version, cands)
-        return cands
-
-    def _route_content(
-        self, source: int, sid: int, rows: List[Tuple[int, StreamTuple]]
-    ) -> List[Tuple[_Unit, List[Tuple[int, StreamTuple]]]]:
-        """Shared routing: each row to the groups whose ``p^1`` accepts it.
-
-        The groups' ``p^1`` subscriptions carry content filters (the
-        merged selection hulls), so every row is matched individually
-        against them -- early dropping *is* per-row content matching; an
-        attribute-free representative batch event would defeat it.  On
-        the (default) memoised route, each row is matched against the
-        cached candidate set and charged on the union of overlay paths to
-        its accepting hosts -- delivery-and-byte identical to routing the
-        row through :meth:`PubSubNetwork.publish`, the hop-by-hop route
-        fault scenarios run on (pinned equal by the parity tests).
-        Batching still wins engine-side: a coalesced buffer's surviving
-        rows reach each group through its sorted pending list and reach
-        it in one push when observed.
-        """
-        per_unit: Dict[int, List[Tuple[int, StreamTuple]]] = {}
-        if self._route_fast:
-            cands = self._src_candidates(sid)
-            charges: Dict[Tuple[int, ...], int] = {}
-            for seq, tup in rows:
-                accepted: List[int] = []
-                for host, matches, uid in cands:
-                    if not matches(tup.values):
-                        continue
-                    bucket = per_unit.get(uid)
-                    if bucket is None:
-                        per_unit[uid] = bucket = []
-                    bucket.append((seq, tup))
-                    accepted.append(host)
-                if accepted:
-                    key = tuple(accepted)
-                    charges[key] = charges.get(key, 0) + 1
-            # rows with one accepting set charge once with the row count:
-            # all sizes are integral, so the float totals are exactly the
-            # per-row sums the hop-by-hop walk accumulates
-            for key, count in charges.items():
-                self._charge_union(source, list(key), float(count))
-        else:
-            for seq, tup in rows:
-                event = Event(stream=tup.stream, attributes=tup.values, size=1.0)
-                for _node, _ev, sub in self.network.publish(source, event):
-                    uid = self._by_sub.get(sub.sub_id)
-                    if uid is None:
-                        continue
-                    bucket = per_unit.get(uid)
-                    if bucket is None:
-                        per_unit[uid] = bucket = []
-                    bucket.append((seq, tup))
-        return [(self.units[uid], bucket) for uid, bucket in per_unit.items()]
 
     def _flush_substream(self, sid: int) -> None:
         """Publish a substream's coalesced rows as one batch."""
@@ -1335,14 +1170,16 @@ class SimCluster:
         if unit.plan.join is None and len(rows) == 1:
             tup, at = rows[0]
             self._account_results(
-                unit, tup, engine.push_query(unit.name, tup), at
+                unit, [(tup, at, engine.push_query(unit.name, tup))]
             )
         else:
             per_row = engine.push_query_batch(
                 unit.name, MergedBatch.from_tuples([tup for tup, _ in rows])
             )
-            for (tup, at), results in zip(rows, per_row):
-                self._account_results(unit, tup, results, at)
+            self._account_results(
+                unit,
+                [(tup, at, results) for (tup, at), results in zip(rows, per_row)],
+            )
         if tracked:
             after = unit.plan.operator_counters()
             delta = {
@@ -1355,34 +1192,33 @@ class SimCluster:
         if profiler is not None:
             profiler.stop()
 
-    def _account_results(
-        self,
-        unit: _Unit,
-        tup: StreamTuple,
-        results,
-        at: float,
-    ) -> None:
-        """Account one delivered tuple's results (latency, proxy traffic).
+    def _account_results(self, unit: _Unit, delivered: List[tuple]) -> None:
+        """Account one push's results (latency, proxy traffic):
+        ``delivered`` holds (input tuple, accounted time, results) per
+        input row, in delivery order.
 
         ``results`` is sized and iterable: a list from the scalar push, or
         one entry of a :class:`~repro.engine.executor.BatchResults`, whose
         tuples are built only if something below iterates it.
         """
         obs = self.obs
-        span = None
+        spans = None
         if obs is not None and obs.spans is not None:
-            span = obs.spans.lookup(tup)
-            if span is not None:
-                span.hop(
-                    "engine", at, **{unit.kind: unit.uid}, host=unit.host,
-                    results=len(results),
-                )
-        if not results:
-            return
+            spans = [obs.spans.lookup(tup) for tup, _, _ in delivered]
+            for span, (_tup, at, results) in zip(spans, delivered):
+                if span is not None:
+                    span.hop(
+                        "engine", at, **{unit.kind: unit.uid}, host=unit.host,
+                        results=len(results),
+                    )
         if self._sharing:
-            self._carve_results(unit, tup, results, at, span)
-        else:
-            self._sink_results(unit, tup, results, at, span)
+            self._carve_results(unit, delivered, spans)
+            return
+        for k, (tup, at, results) in enumerate(delivered):
+            if results:
+                self._sink_results(
+                    unit, tup, results, at, None if spans is None else spans[k]
+                )
 
     def _sink_results(self, unit, tup, results, at, span) -> None:
         """Unshared accounting: every result belongs to the unit's one
@@ -1419,100 +1255,71 @@ class SimCluster:
         if self.record:
             qs.results.extend(results)
 
-    def _carve_results(self, unit, tup, results, at, span) -> None:
+    def _carve_results(self, unit, delivered, spans) -> None:
         """Shared accounting: publish a merged plan's results; members
         carve at their proxies.
 
-        Every result of the merged query is published on the group's
-        result stream through the real pub/sub network; each delivery is
-        one member's ``p^2`` subscription matching (residual selections,
-        window bands, lifetime span), and is accounted against *that*
-        member -- latency is the input's age at delivery plus the
-        host-to-proxy transit, traffic is charged per overlay link by the
-        publish itself (or, on the memoised route, on the union of paths
-        to the accepting proxies).
+        Every result of the push is published on the group's result
+        stream through the pub/sub network in one batch; each delivery
+        is one member's ``p^2`` subscription matching (residual
+        selections, window bands, lifetime span) at its proxy, and is
+        accounted against *that* member -- latency is the input's age at
+        delivery plus the host-to-proxy transit, traffic is charged per
+        overlay link by the publish itself.
         """
-        carved: Optional[Dict[int, int]] = {} if span is not None else None
-        base = at - tup.timestamp
-        if self._route_fast:
-            checks = []
-            for query_id in unit.listeners:
-                qs = self.queries[query_id]
-                checks.append((
-                    qs,
-                    self._matcher(qs.result_sub),
-                    qs.result_sub.projection,
-                    qs.simq.spec.proxy,
-                    self._path_latency_ms(unit.host, qs.simq.spec.proxy) / 1000.0,
-                ))
-            charges: Dict[Tuple[int, ...], int] = {}
-            for r in results:
-                values = r.values
-                accepted: List[int] = []
-                for qs, matches, projection, proxy, proxy_s in checks:
-                    if not matches(values):
-                        continue
-                    accepted.append(proxy)
-                    if carved is not None:
-                        qid = qs.simq.query_id
-                        carved[qid] = carved.get(qid, 0) + 1
-                    latency = base + proxy_s
-                    self._interval_results += 1
-                    qs.lat_sum += latency
-                    if latency > qs.lat_max:
-                        qs.lat_max = latency
-                    self.results_total += 1
-                    if self.record:
-                        delivered = (
-                            dict(values)
-                            if projection is None
-                            else {
-                                k: v for k, v in values.items()
-                                if k in projection
-                            }
-                        )
-                        qs.results.append(
-                            StreamTuple(unit.result_stream, delivered)
-                        )
-                if accepted:
-                    key = tuple(accepted)
-                    charges[key] = charges.get(key, 0) + 1
-            for key, count in charges.items():
-                self._charge_union(unit.host, list(key), float(count))
-        else:
-            for r in results:
-                event = Event(
-                    stream=unit.result_stream, attributes=dict(r.values),
-                    size=1.0,
-                )
-                for node, delivered, sub in self.network.publish(
-                    unit.host, event
-                ):
-                    query_id = self._by_result_sub.get(sub.sub_id)
-                    if query_id is None:
-                        continue
-                    if carved is not None:
-                        carved[query_id] = carved.get(query_id, 0) + 1
-                    qs = self.queries[query_id]
-                    latency = base + (
-                        self._path_latency_ms(unit.host, node) / 1000.0
+        values = []
+        owner = []  # the input row of each published result
+        for k, (_tup, _at, results) in enumerate(delivered):
+            values.extend([r.values for r in results])
+            owner.extend([k] * len(results))
+        if not values:
+            return
+        ages = [at - tup.timestamp for tup, at, _ in delivered]
+        # input row -> member -> results carved, for traced inputs
+        carved: Dict[int, Dict[int, int]] = {}
+        for delivery in self.network.publish_batch(
+            unit.host, unit.result_stream, len(values), values
+        ):
+            query_id = self._by_result_sub.get(delivery.sub.sub_id)
+            if query_id is None:
+                continue
+            qs = self.queries[query_id]
+            proxy_s = self._path_latency_ms(unit.host, delivery.node) / 1000.0
+            # one addition per result, in order, as accounting the
+            # results one at a time does
+            lat_sum = qs.lat_sum
+            lat_max = qs.lat_max
+            for i in delivery.rows:
+                latency = ages[owner[i]] + proxy_s
+                lat_sum += latency
+                if latency > lat_max:
+                    lat_max = latency
+            qs.lat_sum = lat_sum
+            qs.lat_max = lat_max
+            count = len(delivery.rows)
+            self._interval_results += count
+            self.results_total += count
+            if spans is not None:
+                for i in delivery.rows:
+                    if spans[owner[i]] is not None:
+                        members = carved.setdefault(owner[i], {})
+                        members[query_id] = members.get(query_id, 0) + 1
+            if self.record:
+                keep = delivery.attrs
+                qs.results.extend(
+                    StreamTuple(
+                        unit.result_stream,
+                        dict(values[i]) if keep is None
+                        else {k: v for k, v in values[i].items() if k in keep},
                     )
-                    self._interval_results += 1
-                    qs.lat_sum += latency
-                    if latency > qs.lat_max:
-                        qs.lat_max = latency
-                    self.results_total += 1
-                    if self.record:
-                        qs.results.append(
-                            StreamTuple(
-                                delivered.stream, dict(delivered.attributes)
-                            )
-                        )
-        if span is not None:
-            for qid in sorted(carved):
-                span.hop(
+                    for i in delivery.rows
+                )
+        for k, members in carved.items():
+            at = delivered[k][1]
+            for qid in sorted(members):
+                spans[k].hop(
                     "carve", at, group=unit.uid, member=qid,
-                    results=carved[qid],
+                    results=members[qid],
                 )
 
     # ------------------------------------------------------------------

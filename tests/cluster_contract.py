@@ -8,8 +8,9 @@ for bit, and on fault-free runs the reference must match the
 single-engine oracle too.
 
 A test class mixes :class:`ClusterContract` in and sets ``cluster_cls``
-and ``seeds``; ``disabled`` names the scenarios and run edges its
-reference does not define.  The scenarios cover both execution planes,
+(or ``network_cls``, for a reference pub/sub network) and ``seeds``;
+``disabled`` names the scenarios and run edges its reference does not
+define.  The scenarios cover both execution planes,
 churn, hot spots, adaptation (migrations) and every fault kind; the run
 edges are the runs where the last observation and the horizon do not
 coincide.
@@ -33,6 +34,7 @@ from repro.sim import (
     oracle_results,
     run_scenario,
 )
+from repro.pubsub import PubSubNetwork
 from repro.sim import cluster as _cluster
 
 WORKLOAD = SimWorkloadParams(
@@ -123,9 +125,10 @@ def swapped(**classes):
             setattr(_cluster, name, cls)
 
 
-def run_on(cluster_cls, **kwargs):
-    """:func:`repro.sim.run_scenario` on ``cluster_cls``."""
-    with swapped(SimCluster=cluster_cls):
+def run_on(cluster_cls, network_cls=PubSubNetwork, **kwargs):
+    """:func:`repro.sim.run_scenario` on ``cluster_cls`` over
+    ``network_cls``."""
+    with swapped(SimCluster=cluster_cls, PubSubNetwork=network_cls):
         return run_scenario(**kwargs)
 
 
@@ -133,6 +136,7 @@ class ClusterContract:
     """Production runs equal ``cluster_cls`` runs, scenario by scenario."""
 
     cluster_cls = SimCluster
+    network_cls = PubSubNetwork
     seeds = (0,)
     disabled = frozenset()
 
@@ -153,7 +157,7 @@ class ClusterContract:
     def assert_same_run(self, seed, params, workload=WORKLOAD):
         """Runs both clusters; returns the reference's report."""
         kwargs = dict(seed=seed, workload=workload, scenario=params, record=True)
-        reference = run_on(self.cluster_cls, **kwargs)
+        reference = run_on(self.cluster_cls, self.network_cls, **kwargs)
         want = outputs(reference)
         got = outputs(run_scenario(**kwargs))
         for key in want:
@@ -203,8 +207,11 @@ class ClusterContract:
             )
 
         runs = []
-        for cls in (self.cluster_cls, SimCluster):
-            c = chain_cluster(cluster_cls=cls, rate=10.0, substreams=2)
+        for cls, net in (
+            (self.cluster_cls, self.network_cls), (SimCluster, PubSubNetwork)
+        ):
+            with swapped(PubSubNetwork=net):
+                c = chain_cluster(cluster_cls=cls, rate=10.0, substreams=2)
             c.add_query(join_member(0, proxy=3, window=1), 1)
             c.loop.schedule(
                 3.0, partial(c.add_query, join_member(1, proxy=4, window=4), 1)

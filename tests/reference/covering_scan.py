@@ -6,7 +6,9 @@ an interface's whole entry list to find a redeclared ``sub_id``, to ask
 whether an entry covers a new subscription and to prune the entries it
 covers, and it matches an event by testing every entry; production asks
 per-interface ``sub_id`` and stream indexes the maintenance questions
-and a counting forwarding index the matching ones.  A forced subscribe
+and a counting forwarding index the matching ones -- including which
+entries can gate an event of a stream, the question a batch route is
+read from.  A forced subscribe
 recurses hop by hop, re-reading the advertisement table at every
 broker; production replays the hops it read the last time until an
 advertisement of the subscription's streams changes.
@@ -14,7 +16,7 @@ advertisement of the subscription's streams changes.
 hold the two side by side.
 """
 
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.pubsub.index import EventMatch
 from repro.pubsub.network import PubSubNetwork
@@ -105,33 +107,21 @@ class ScanRoutingTable(RoutingTable):
             out.needed[iface] = needed
         return out
 
-    def attribute_filtered(self, stream: str) -> Optional[Subscription]:
-        for entries in list(self.subscriptions.values()):
-            for sub in entries:
-                if stream in sub.streams and not sub.filter.is_true():
-                    return sub
-        return None
-
-    def matching_local_subscriptions(self, event) -> List[Subscription]:
-        return [s for s in self.subscriptions.get(LOCAL, []) if s.matches(event)]
-
-    def needed_attributes(self, event, iface: Interface) -> Optional[Set[str]]:
-        needed: Set[str] = set()
-        for sub in list(self.subscriptions.get(iface, [])):
-            if not sub.matches(event):
-                continue
-            if sub.projection is None:
-                return None
-            needed |= sub.projection
-        return needed
+    def stream_entries(self, stream: str):
+        return [
+            (iface, sub, sub.filter.matcher())
+            for iface, entries in self.subscriptions.items()
+            for sub in entries
+            if stream in sub.streams
+        ]
 
 
 class RecursiveNetwork(PubSubNetwork):
     """A :class:`PubSubNetwork` over :class:`ScanRoutingTable` brokers
     whose forced subscribes recurse instead of replaying a memo."""
 
-    def __init__(self, tree, record_deliveries=True):
-        super().__init__(tree, record_deliveries)
+    def __init__(self, tree):
+        super().__init__(tree)
         for node, broker in self.brokers.items():
             broker.table = ScanRoutingTable(broker=node)
 

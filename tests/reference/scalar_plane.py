@@ -1,13 +1,13 @@
 """The per-tuple data plane of the simulator.
 
 The definition of what :class:`repro.sim.cluster.SimCluster` must deliver
-and account: every emitted tuple is published at once -- on the
-unshared plane hop by hop through
-:meth:`~repro.pubsub.network.PubSubNetwork.publish`, on the shared plane
-by the same per-row content match production uses; every unit it
-reaches queues it behind the release chain ``max(ts + slack,
-last_release)`` and schedules one release event for it; each release
-event pushes its one tuple into the engine with ``push_query``.
+and account: every emitted tuple is published at once, hop by hop
+through :meth:`~repro.pubsub.network.PubSubNetwork.publish` (on the
+shared plane the broker tables match its content against the ``p^1``
+filters); every unit it reaches queues it behind the release chain
+``max(ts + slack, last_release)`` and schedules one release event for
+it; each release event pushes its one tuple into the engine with
+``push_query``.
 Production coalesces a substream's tuples into batch publishes and
 delivers a unit's released rows when something observes them;
 ``tests/test_batch_parity.py`` holds the two side by side.
@@ -44,7 +44,7 @@ class ScalarCluster(SimCluster):
         super()._emit(sid, gen)
         self._flush_substream(sid)
 
-    def _route_streams(self, source, sid, rows):
+    def _route(self, source, sid, rows):
         ((_seq, tup),) = rows
         event = Event(stream=tup.stream, attributes=tup.values, size=1.0)
         routed = []
@@ -102,7 +102,7 @@ class ScalarCluster(SimCluster):
                 if after[key] != before.get(key, 0)
             }
             span.annotate("operators", self.loop.now, rows=1, counters=delta)
-        self._account_results(unit, tup, results, self.loop.now)
+        self._account_results(unit, [(tup, self.loop.now, results)])
         if profiler is not None:
             profiler.stop()
 

@@ -1,19 +1,28 @@
-"""``PubSubNetwork.publish_batch``: the memoised route is the walk.
+"""``PubSubNetwork.publish_batch``: a batch is its rows, published one by one.
 
 One contract, written once, run against two networks that have seen the
-same control-plane log: one that published batches after every step (so each
-step had a full memo to evict from) and one built fresh from the log (so
-every route is walked anew).  The reference for both is
-the hop-by-hop ``publish`` of an attribute-free event on a third network.
+same control-plane log: one that published batches after every step (so
+each step had a full memo to evict from) and one built fresh from the log
+(so every route is walked anew).  The subscriptions filter on attributes
+and project them away in the network; the rows carry some, all or none of
+the attributes the filters read, and values some filters cannot compare
+with.  The reference for both is one hop-by-hop ``publish`` per row on a
+third network whose tables scan their entry lists
+(``reference.covering_scan.RecursiveNetwork``), and
+``reference.per_row_publish.PerRowPublishNetwork`` groups those
+deliveries the way ``publish_batch`` returns them.
 """
 
 import pytest
+from cluster_contract import ClusterContract
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.covering_scan import RecursiveNetwork
+from reference.per_row_publish import PerRowPublishNetwork
 
 from repro.obs import Observer
 from repro.pubsub import Advertisement, Event, Filter, PubSubNetwork, Subscription
+from repro.pubsub.predicates import TRUE_FILTER
 from repro.topology import OverlayTree
 
 STREAMS = ("A", "B", "C")
@@ -22,6 +31,15 @@ LINKS = ((0, 1), (1, 2), (2, 3), (1, 4), (2, 5))
 NODES = tuple(range(6))
 #: where each stream is published from
 SOURCE = {"A": 0, "B": 3, "C": 4}
+FILTERS = (
+    TRUE_FILTER,
+    Filter.of(("x", ">", 2)),
+    Filter.of(("x", "<=", 4), ("y", "==", 1)),
+    Filter.of(("y", "in", (1, 2))),
+    Filter.of(("z", "!=", 0)),
+    Filter.of(("x", "<", 0), ("x", ">", 1)),  # unsatisfiable
+)
+PROJECTIONS = (None, ["x"], ["x", "y"], ["y", "z"])
 
 
 def tree():
@@ -32,18 +50,24 @@ def tree():
 
 
 def subscription_pool():
-    """Attribute-free subscriptions, reused by every replay of a log so
-    that all networks see the same ``sub_id``\\ s."""
+    """Filtered and projected subscriptions, reused by every replay of a
+    log so that all networks see the same ``sub_id``\\ s."""
     return [
-        Subscription.to_streams(streams, projection=projection)
+        Subscription.to_streams(streams, projection=projection, filter=filt)
         for streams in (["A"], ["B"], ["C"], ["A", "B"], ["B", "C"])
-        for projection in (None, ["x"])
+        for filt in FILTERS
+        for projection in PROJECTIONS
     ]
 
 
+POOL = len(subscription_pool())
+
 control_ops = st.one_of(
-    st.tuples(st.just("subscribe"), st.sampled_from(NODES), st.integers(0, 9), st.booleans()),
-    st.tuples(st.just("unsubscribe"), st.integers(0, 9)),
+    st.tuples(
+        st.just("subscribe"), st.sampled_from(NODES), st.integers(0, POOL - 1),
+        st.booleans(),
+    ),
+    st.tuples(st.just("unsubscribe"), st.integers(0, POOL - 1)),
     st.tuples(st.just("advertise"), st.sampled_from(STREAMS)),
     st.tuples(st.just("unadvertise"), st.sampled_from(STREAMS)),
     st.tuples(st.just("reset_broker"), st.sampled_from(NODES)),
@@ -51,12 +75,27 @@ control_ops = st.one_of(
     st.tuples(st.just("link_up"), st.sampled_from(LINKS)),
 )
 
+#: rows of attributes: any subset of x, y, z; a string value makes the
+#: compiled interval tests fall back to the generic evaluator
+rows_of = st.lists(
+    st.dictionaries(
+        st.sampled_from("xyz"), st.one_of(st.integers(0, 5), st.just("s"))
+    ),
+    max_size=6,
+)
+batches = st.fixed_dictionaries({stream: rows_of for stream in STREAMS})
 
-def replay(log, pool, publishing):
-    """A network that has been through ``log``.  With ``publishing`` it
-    batch-published every stream after every step, so each step met a
-    full memo; without, nothing is memoised when the log ends."""
-    net = PubSubNetwork(tree(), record_deliveries=False)
+
+#: what a publishing replay publishes after every step
+ROW = [{"x": 3, "y": 1, "z": 2}]
+
+
+def replay(log, pool, publish=None, cls=PubSubNetwork):
+    """A network that has been through ``log``.  With ``publish`` it
+    published ``ROW`` on every stream after every step (by batch: each
+    step met a full memo); without, nothing is memoised when the log
+    ends and no link has carried anything."""
+    net = cls(tree())
     net.observer = Observer(span_sample_every=0, profile=False)
     adverts = {}
     for stream in STREAMS:
@@ -78,35 +117,29 @@ def replay(log, pool, publishing):
             net.set_link_down(*op[1])
         else:
             net.set_link_up(*op[1])
-        if publishing:
+        if publish is not None:
             for stream in STREAMS:
-                net.publish_batch(SOURCE[stream], stream, 1)
+                publish(net, SOURCE[stream], stream, ROW)
     return net
 
 
 COUNTERS = ("broker.index_probes", "broker.forwards", "broker.local_deliveries")
 
 
-def observe(net, publish):
-    """What one round of publishes (every stream, 3 rows) does to ``net``:
-    deliveries in order, link bytes, broker counters, delivery totals."""
-    bytes_before = dict(net.link_bytes)
+def observe(net, publish, batch):
+    """What one round of publishes (``batch[stream]`` per stream) does to
+    ``net``: deliveries, link bytes after it (absolute: deltas of floats
+    round), broker counters, delivery totals."""
     counters = net.observer.registry.counters
     counters_before = {k: counters.get(k, 0) for k in COUNTERS}
     delivered_before = {n: b.delivered_total for n, b in net.brokers.items()}
     deliveries = {
-        stream: [
-            (node, sub.sub_id, event)
-            for node, event, sub in publish(net, SOURCE[stream], stream, 3)
-        ]
+        stream: publish(net, SOURCE[stream], stream, batch[stream])
         for stream in STREAMS
     }
     return {
         "deliveries": deliveries,
-        "link_bytes": {
-            e: b - bytes_before.get(e, 0.0) for e, b in net.link_bytes.items()
-            if b != bytes_before.get(e, 0.0)
-        },
+        "link_bytes": dict(net.link_bytes),
         "counters": {k: counters.get(k, 0) - counters_before[k] for k in COUNTERS},
         "delivered": {
             n: b.delivered_total - delivered_before[n] for n, b in net.brokers.items()
@@ -115,11 +148,30 @@ def observe(net, publish):
 
 
 def by_batch(net, source, stream, rows):
-    return net.publish_batch(source, stream, rows)
+    """``publish_batch``, unrolled into (row, node, sub_id, attributes)
+    in delivery order."""
+    out = []
+    for delivery in net.publish_batch(source, stream, len(rows), rows):
+        keep = delivery.attrs
+        for i in delivery.rows:
+            attrs = {k: v for k, v in rows[i].items() if keep is None or k in keep}
+            out.append((i, delivery.node, delivery.sub.sub_id, attrs))
+    return sorted(out, key=lambda d: d[0])  # stable: each row's in order
 
 
-def by_walk(net, source, stream, rows):
-    return net.publish(source, Event(stream=stream, attributes={}, size=float(rows)))
+def by_rows(net, source, stream, rows):
+    return [
+        (i, node, sub.sub_id, dict(event.attributes))
+        for i, row in enumerate(rows)
+        for node, event, sub in net.publish(source, Event(stream, row, size=1.0))
+    ]
+
+
+def groups(net, source, stream, rows):
+    return [
+        (d.node, d.sub.sub_id, d.rows, d.attrs)
+        for d in net.publish_batch(source, stream, len(rows), rows)
+    ]
 
 
 @pytest.mark.parametrize("publishing", [True, False], ids=["memoised", "fresh"])
@@ -129,25 +181,64 @@ class TestBatchRouteContract:
     (``memoised``) or is built from the log alone (``fresh``)."""
 
     @settings(max_examples=150, deadline=None)
-    @given(log=st.lists(control_ops, max_size=30))
-    def test_a_batch_goes_where_the_walk_goes(self, publishing, log):
+    @given(log=st.lists(control_ops, max_size=30), batch=batches)
+    def test_a_batch_goes_where_the_walk_goes(self, publishing, log, batch):
         pool = subscription_pool()
-        net = replay(log, pool, publishing)
-        reference = replay(log, pool, publishing=False)
-        got = observe(net, by_batch)
-        assert got == observe(reference, by_walk)
-        # and again: now every route is a hit
-        assert observe(net, by_batch) == got
+        net = replay(log, pool, by_batch if publishing else None)
+        walked = replay(
+            log, pool, by_rows if publishing else None, RecursiveNetwork
+        )
+        # the second round finds every route and row signature memoised
+        for _ in range(2):
+            assert observe(net, by_batch, batch) == observe(walked, by_rows, batch)
+        # grouped per subscriber exactly as the per-row reference groups
+        net = replay(log, pool, by_batch if publishing else None)
+        grouped = replay(
+            log, pool, by_batch if publishing else None, PerRowPublishNetwork
+        )
+        for _ in range(2):
+            assert observe(net, groups, batch) == observe(grouped, groups, batch)
 
     @settings(max_examples=50, deadline=None)
-    @given(log=st.lists(control_ops, max_size=30))
-    def test_batch_rows_are_metered_per_call(self, publishing, log):
+    @given(log=st.lists(control_ops, max_size=30), batch=batches)
+    def test_batch_rows_are_metered_per_call(self, publishing, log, batch):
         pool = subscription_pool()
-        net = replay(log, pool, publishing)
+        net = replay(log, pool, by_batch if publishing else None)
         rows = net.observer.registry.histograms.setdefault("broker.batch_rows", [])
         before = len(rows)
-        observe(net, by_batch)
-        assert rows[before:] == [3.0] * len(STREAMS)
+        observe(net, by_batch, batch)
+        assert rows[before:] == [float(len(batch[s])) for s in STREAMS]
+
+
+class TestSimulatorRoutesRowByRow(ClusterContract):
+    """Whole simulator runs -- both planes, every scenario, faults
+    included -- equal the runs of a network that publishes every batch
+    row by row."""
+
+    network_cls = PerRowPublishNetwork
+
+
+def test_whole_rows_add_one_at_a_time_to_a_fractional_link():
+    """A projected row leaves 1/3 on each link; whole rows then add 1.0
+    per row as ``publish`` does -- adding their count at once would round
+    differently."""
+    sub = Subscription.to_streams(["A"], projection=["x"])
+    nets = []
+    for cls, publish in ((PubSubNetwork, by_batch), (RecursiveNetwork, by_rows)):
+        net = replay([], [], cls=cls)
+        net.subscribe(3, sub)
+        publish(net, 0, "A", [{"x": 1, "y": 1, "z": 1}])
+        publish(net, 0, "A", [{"x": 1}, {"x": 2}])
+        nets.append(net)
+    assert nets[0].link_bytes == nets[1].link_bytes
+    assert nets[0].link_bytes[(2, 3)] != 1 / 3 + 2
+
+
+def test_a_row_count_that_is_not_the_rows_is_refused():
+    net = replay([], [])
+    with pytest.raises(ValueError, match="2 rows"):
+        net.publish_batch(0, "A", 2, [{"x": 1}])
+    assert net.link_bytes == {}
 
 
 def memo_counts(net):
@@ -158,20 +249,24 @@ def memo_counts(net):
     )
 
 
+def rows(count):
+    return [{}] * count
+
+
 class TestInvalidation:
     def setup_method(self):
         self.a = Subscription.to_streams(["A"])
         self.b = Subscription.to_streams(["B"])
-        self.net = replay([], [], publishing=False)
+        self.net = replay([], [])
         self.net.subscribe(3, self.a)
         self.net.subscribe(0, self.b)
         for stream in ("A", "B"):
-            self.net.publish_batch(SOURCE[stream], stream, 1)
+            self.net.publish_batch(SOURCE[stream], stream, 1, rows(1))
         assert memo_counts(self.net) == (0, 2)
 
     def publish(self, stream):
         before = memo_counts(self.net)
-        deliveries = self.net.publish_batch(SOURCE[stream], stream, 2)
+        deliveries = self.net.publish_batch(SOURCE[stream], stream, 2, rows(2))
         hits, misses = memo_counts(self.net)
         return deliveries, (hits - before[0], misses - before[1])
 
@@ -182,7 +277,7 @@ class TestInvalidation:
         assert self.publish("B")[1] == (1, 0)
         deliveries, counts = self.publish("A")
         assert counts == (0, 1)
-        assert [(n, s.sub_id) for n, _, s in deliveries] == [
+        assert [(d.node, d.sub.sub_id) for d in deliveries] == [
             (3, self.a.sub_id), (5, late.sub_id),
         ]
         self.net.unsubscribe(late.sub_id)
@@ -229,7 +324,7 @@ class TestInvalidation:
         self.net.set_link_up(1, 2)
         assert self.net.version > version
         deliveries, counts = self.publish("A")
-        assert counts == (0, 1) and [n for n, _, _ in deliveries] == [3]
+        assert counts == (0, 1) and [d.node for d in deliveries] == [3]
 
     def test_removing_a_broker_evicts_what_it_subscribed_to_and_advertised(self):
         assert self.publish("C")[1] == (0, 1)
@@ -242,46 +337,10 @@ class TestInvalidation:
         assert self.publish("C")[1] == (1, 0)
 
     def test_events_carry_the_size_of_their_own_call(self):
+        """A memoised call delivers and charges its own rows, not the
+        rows of the call that filled the memo."""
         before = self.net.link_bytes[(2, 3)]
-        for rows in (2, 7):
-            deliveries = self.net.publish_batch(SOURCE["A"], "A", rows)
-            assert [e.size for _, e, _ in deliveries] == [float(rows)]
+        for count in (2, 7):
+            deliveries = self.net.publish_batch(SOURCE["A"], "A", count, rows(count))
+            assert [d.rows for d in deliveries] == [tuple(range(count))]
         assert self.net.link_bytes[(2, 3)] - before == 2.0 + 7.0
-
-
-@pytest.mark.parametrize("indexed", [True, False])
-class TestAttributeFilteredSubscriptions:
-    """``publish_batch`` decides by stream alone; a subscription that
-    filters on attributes makes that wrong, and the walk says so -- on
-    indexed and on scanned broker tables."""
-
-    def network(self, indexed):
-        net = (PubSubNetwork if indexed else RecursiveNetwork)(tree())
-        net.advertise(0, Advertisement(stream="A"))
-        net.subscribe(3, Subscription.to_streams(["A"]))
-        return net
-
-    def test_raises_naming_the_subscription(self, indexed):
-        net = self.network(indexed)
-        picky = Subscription.to_streams(["A"], filter=Filter.of(("x", ">", 5)))
-        net.subscribe(5, picky)
-        with pytest.raises(ValueError, match=str(picky.sub_id)) as err:
-            net.publish_batch(0, "A", 4)
-        assert "x" in str(err.value)
-        assert net.link_bytes == {}
-
-    def test_a_memoised_route_does_not_outlive_the_check(self, indexed):
-        net = self.network(indexed)
-        assert len(net.publish_batch(0, "A", 1)) == 1
-        picky = Subscription.to_streams(["A"], filter=Filter.of(("x", ">", 5)))
-        net.subscribe(4, picky)
-        with pytest.raises(ValueError):
-            net.publish_batch(0, "A", 1)
-        net.unsubscribe(picky.sub_id)
-        assert len(net.publish_batch(0, "A", 1)) == 1
-
-    def test_other_streams_may_filter(self, indexed):
-        net = self.network(indexed)
-        net.advertise(0, Advertisement(stream="B"))
-        net.subscribe(5, Subscription.to_streams(["B"], filter=Filter.of(("x", ">", 5))))
-        assert len(net.publish_batch(0, "A", 1)) == 1

@@ -9,9 +9,10 @@ slow twin it must agree with exactly:
 * **memoised forced walks** -- ``subscribe(force=True)`` replays the
   hops it read off the advertisement tables the last time; the
   recursion is :class:`reference.covering_scan.RecursiveNetwork`;
-* **per-stream candidate sets** -- ``SimCluster._src_candidates`` keys
-  its memo on ``PubSubNetwork.stream_version``; the definition is a
-  fresh scan of the cluster's units.
+* **content routes** -- ``PubSubNetwork.publish_batch`` remembers the
+  stream-only walk of the tables per ``(stream, source)`` and evicts it
+  on every control-plane call naming the stream; the definition is a
+  fresh walk of the tables as they are.
 
 Agreement covers entry lists in order, forwarding-index calls in order,
 matching, control and data bytes, ``version`` and batch-route eviction.
@@ -43,7 +44,6 @@ from repro.sim import (
     SimWorkloadParams,
     run_scenario,
 )
-from repro.sim.workload import stream_name
 from repro.topology import OverlayTree
 
 FILTERS = (
@@ -351,8 +351,8 @@ class TestNetworkContract:
         names = {id(s): i for i, s in enumerate(pool)}
         with recording_index():
             nets = (
-                PubSubNetwork(tree(), record_deliveries=False),
-                RecursiveNetwork(tree(), record_deliveries=False),
+                PubSubNetwork(tree()),
+                RecursiveNetwork(tree()),
             )
             for net in nets:
                 for source, adv in ADVERTS[:3]:
@@ -384,7 +384,7 @@ class TestWalkInvalidation:
     the advertisement tables (miss)."""
 
     def setup_method(self):
-        self.net = PubSubNetwork(tree(), record_deliveries=False)
+        self.net = PubSubNetwork(tree())
         self.net.observer = Observer(span_sample_every=0, profile=False)
         for source, adv in ADVERTS[:3]:
             self.net.advertise(source, adv)
@@ -450,7 +450,7 @@ class TestStreamVersion:
     stream, and with every call that names all streams."""
 
     def setup_method(self):
-        self.net = PubSubNetwork(tree(), record_deliveries=False)
+        self.net = PubSubNetwork(tree())
         for source, adv in ADVERTS[:3]:
             self.net.advertise(source, adv)
 
@@ -489,21 +489,18 @@ class TestStreamVersion:
 
 
 # ----------------------------------------------------------------------
-# the simulator's per-stream candidate memo
+# the batch-route memo under the simulator's control plane
 # ----------------------------------------------------------------------
-def fresh_candidates(cluster, sid):
-    """The definition ``SimCluster._src_candidates`` memoises."""
-    stream = stream_name(sid)
-    return [
-        (unit.host, cluster._matcher(sub), unit.uid)
-        for unit in cluster.units.values()
-        if unit.alive and not unit.detached
-        for sub in unit.subs
-        if stream in sub.streams
-    ]
+def route_shape(route):
+    """What a memoised route was read from the tables (the per-signature
+    outcomes are derived from it on demand)."""
+    return (route.steps, route.local, route.tests, route.shaped)
 
 
 class TestSourceCandidates:
+    """A memoised batch route is where a source's rows can go: its
+    candidate subscribers and the entries gating each link."""
+
     @pytest.mark.parametrize(
         "faults",
         [(), (ProcessorCrash(at=5.0), ProcessorLeave(at=9.0))],
@@ -511,9 +508,8 @@ class TestSourceCandidates:
     )
     def test_memo_equals_a_fresh_scan_after_every_event(self, faults, monkeypatch):
         """Shared plane, churn + hot spot + adaptation: after every event
-        -- every control action -- each substream's memoised candidates
-        are the fresh scan.  Fault runs pin ``_route_fast`` off, so the
-        memo is read here directly: it must be right by construction."""
+        -- every control action -- each memoised source and result route
+        is what a fresh walk of the tables reads, faults included."""
         import repro.sim.cluster as cluster_mod
 
         clusters = []
@@ -521,9 +517,12 @@ class TestSourceCandidates:
         init = cluster_mod.SimCluster.__init__
 
         def check(cluster):
-            for sid in range(len(cluster.space)):
-                assert cluster._src_candidates(sid) == fresh_candidates(cluster, sid)
-            checks.append(cluster.loop.now)
+            net = cluster.network
+            for stream, routes in net._batch_routes.items():
+                for source, route in routes.items():
+                    fresh = net._batch_route(source, stream)
+                    assert route_shape(route) == route_shape(fresh), (stream, source)
+                    checks.append(stream)
 
         def checked_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
@@ -556,13 +555,11 @@ class TestSourceCandidates:
             ),
         )
         (cluster,) = clusters
-        assert len(checks) > 100
+        assert len(checks) > 1000
+        assert any(s.startswith("shared::") for s in checks), "no result route"
         assert cluster.migrations > 0, "no unit migrated"
         assert report.executed_queries < report.user_queries, "nothing shared"
         kinds = {e["kind"] for e in report.fault_log}
         if faults:
             assert {"crash", "recover", "leave"} <= kinds
-            assert not cluster._route_fast
-        else:
-            assert cluster._route_fast
         check(cluster)

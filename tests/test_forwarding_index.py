@@ -64,16 +64,11 @@ class TestTableParity:
     def assert_same_answers(self, tables, event, ifaces=(None, LOCAL, 1, 2, 3)):
         indexed, reference = tables
         for via in ifaces:
-            assert indexed.forwarding_interfaces(event, via) == (
-                reference.forwarding_interfaces(event, via)
-            )
-        assert [s.sub_id for s in indexed.matching_local_subscriptions(event)] == [
-            s.sub_id for s in reference.matching_local_subscriptions(event)
-        ]
-        for iface in ifaces[1:]:
-            assert indexed.needed_attributes(event, iface) == (
-                reference.needed_attributes(event, iface)
-            )
+            got = indexed.match_event(event, via)
+            want = reference.match_event(event, via)
+            assert got.interfaces == want.interfaces
+            assert [s.sub_id for s in got.local] == [s.sub_id for s in want.local]
+            assert got.needed == want.needed
 
     def test_operator_mix_parity(self):
         tables = table_pair()
@@ -311,8 +306,8 @@ class TestSubIdDedup:
             assert t.add_subscription(new, 1)
             assert t.size() == 1
             assert t.subscriptions[1] == [new]
-            assert t.forwarding_interfaces(Event("R", {"a": 7})) == {1}
-            assert t.forwarding_interfaces(Event("R", {"a": -7})) == set()
+            assert t.match_event(Event("R", {"a": 7})).interfaces == {1}
+            assert t.match_event(Event("R", {"a": -7})).interfaces == set()
 
     def test_redeclaration_still_subject_to_covering(self):
         """A redeclared neighbour entry must not bypass covering: if the
@@ -332,7 +327,7 @@ class TestSubIdDedup:
             assert t.add_subscription(narrow, 1)  # table changed: old dropped
             assert t.subscriptions[1] == [wide]
             ev = Event("R", {"a": 7})
-            assert t.forwarding_interfaces(ev) == {1}
+            assert t.match_event(ev).interfaces == {1}
 
     def test_redeclaration_prunes_newly_covered_entries(self):
         for table_cls in (RoutingTable, ScanRoutingTable):
@@ -441,6 +436,6 @@ class TestIndexConsistency:
         for value in range(0, 60, 3):
             for stream in ("S0", "S1", "S2", "S3"):
                 event = Event(stream, {"a": value})
-                assert t.forwarding_interfaces(event) == (
-                    reference.forwarding_interfaces(event)
+                assert t.match_event(event).interfaces == (
+                    reference.match_event(event).interfaces
                 )

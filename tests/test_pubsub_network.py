@@ -112,8 +112,8 @@ class TestRoutingTable:
         sub = Subscription.to_streams(["R"])
         t.add_subscription(sub, 1)
         ev = Event("R", {})
-        assert t.forwarding_interfaces(ev, arrived_via=1) == set()
-        assert t.forwarding_interfaces(ev, arrived_via=2) == {1}
+        assert t.match_event(ev, arrived_via=1).interfaces == set()
+        assert t.match_event(ev, arrived_via=2).interfaces == {1}
 
     def test_remove_subscription(self):
         t = RoutingTable(broker=0)
@@ -199,13 +199,6 @@ class TestEndToEnd:
         # the narrow subscription is covered at node 4's broker: no new
         # control traffic toward the source
         assert self.net.control_bytes == before
-
-    def test_publish_rate_scales_traffic(self):
-        sub = Subscription.to_streams(["R"])
-        self.net.subscribe(1, sub)
-        self.net.reset_traffic()
-        self.net.publish_rate(0, Event("R", {"a": 1}, size=2.0), rate=5.0)
-        assert self.net.total_data_bytes() == pytest.approx(10.0)
 
     def test_weighted_cost_uses_latency(self):
         sub = Subscription.to_streams(["R"])
@@ -364,16 +357,10 @@ class TestLinkPartition:
         assert self.net.link_bytes.get((0, 1), 0.0) > before
         assert (1, 2) not in self.net.link_bytes
 
-    def test_path_is_up_and_healing(self):
-        assert self.net.path_is_up(0, 3)
+    def test_healing_restores_delivery(self):
         self.net.set_link_down(1, 2)
-        assert not self.net.path_is_up(0, 3)
-        assert not self.net.path_is_up(3, 0)
-        assert self.net.path_is_up(0, 1)
-        assert self.net.path_is_up(2, 3)
-        assert self.net.path_is_up(2, 2)
+        assert self.net.publish(0, Event("R", {"a": 1})) == []
         self.net.set_link_up(1, 2)
-        assert self.net.path_is_up(0, 3)
         assert [n for n, _, _ in self.net.publish(0, Event("R", {"a": 1}))] == [3]
 
     def test_non_overlay_link_rejected(self):

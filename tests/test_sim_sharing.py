@@ -18,7 +18,6 @@ from repro.sim import (
     oracle_results,
     run_scenario,
 )
-import repro.sim.cluster as cluster_mod
 
 
 def sharing_scenario(**overrides) -> ScenarioParams:
@@ -93,22 +92,6 @@ class TestSharedOracleParity:
 
 
 class TestSharedPlaneParity:
-    def test_route_fast_matches_hop_by_hop_walk(self, monkeypatch):
-        """The memoised routes equal publishing through the broker walk."""
-        kwargs = dict(seed=7, workload=overlap_workload(), record=True)
-        fast = run_scenario(scenario=sharing_scenario(), **kwargs)
-        orig_init = cluster_mod.SimCluster.__init__
-
-        def reference_init(self, *args, **kw):
-            orig_init(self, *args, **kw)
-            self._route_fast = False
-
-        monkeypatch.setattr(cluster_mod.SimCluster, "__init__", reference_init)
-        reference = run_scenario(scenario=sharing_scenario(), **kwargs)
-        assert trace_json(fast) == trace_json(reference)
-        assert fast.results == reference.results
-        assert fast.link_bytes == reference.link_bytes
-
     def test_shared_runs_are_deterministic(self):
         a = run_scenario(seed=9, workload=overlap_workload(), scenario=sharing_scenario())
         b = run_scenario(seed=9, workload=overlap_workload(), scenario=sharing_scenario())
@@ -316,30 +299,36 @@ class TestGroupLifecycle:
 
     def test_memoised_route_skips_detached_units(self):
         """A unit no engine hosts (crashed, not yet restored) keeps its
-        subscription objects for the restore; a memoised route rebuilt
-        meanwhile must not list it as a candidate."""
+        subscription objects for the restore; a row published meanwhile
+        -- over a route memoised before -- must not reach it."""
+        from repro.engine import StreamTuple
+
         c = chain_cluster()
         lost = c.add_query(member(0, proxy=3), 1).unit
         kept = c.add_query(member(1, proxy=4), 2).unit
-        assert {uid for _, _, uid in c._src_candidates(0)} == {
+        rows = [(1, StreamTuple("S0", {"value": 500, "timestamp": 0.0}))]
+        assert {unit.uid for unit, _ in c._route(0, 0, rows)} == {
             lost.uid, kept.uid,
         }
-        # what a processor crash does to the unit it hosted
+        # what a processor crash does to the unit it hosted: detach, tear
+        # its subscriptions out, repair the covering hole that leaves
+        # (``kept``'s identical filter was suppressed behind ``lost``'s)
         lost.detached = True
         c._unsubscribe_sources(lost)
+        c._refresh_subscriptions(streams=set(lost.streams))
         assert lost.subs
-        assert [uid for _, _, uid in c._src_candidates(0)] == [kept.uid]
+        assert [(unit.uid, got) for unit, got in c._route(0, 0, rows)] == [
+            (kept.uid, rows),
+        ]
 
     def test_departure_repairs_covering_for_survivors(self):
         """Identical carves from three proxies: later propagations stop
         at the shared mid broker, covered by the first subscription.
         When that coverer leaves, the survivors' re-subscriptions cover
         each *other* at the mid broker, so without the forced repair
-        pass neither reaches the host again.  Results walk the broker
-        tables only on the reference route (the memoised one matches the
-        listeners directly), which is the route fault scenarios run on."""
+        pass neither reaches the host again: results are routed by the
+        broker tables."""
         c = chain_cluster()
-        c._route_fast = False
         for query_id, proxy in ((0, 3), (1, 4), (2, 5)):
             c.add_query(member(query_id, proxy), 1)
         assert len(c.units) == 1
