@@ -56,13 +56,20 @@ class Subscription:
         )
 
     def covers(self, other: "Subscription") -> bool:
-        """Every event matching ``other`` also matches ``self``.
+        """Every event matching ``other`` also matches ``self``, and keeps
+        every attribute ``other`` retains.
 
         Used to stop redundant subscription propagation: a broker that has
         already forwarded a covering subscription towards a source need not
-        forward the covered one.
+        forward the covered one.  The projection matters too: events are
+        projected in the network, so a narrower projection upstream would
+        strip attributes the covered subscription filters on or keeps.
         """
         if not other.streams <= self.streams:
+            return False
+        if self.projection is not None and (
+            other.projection is None or not other.projection <= self.projection
+        ):
             return False
         return self.filter.covers(other.filter)
 

@@ -44,6 +44,13 @@ class TestSubscription:
         assert s1.covers(s2)
         assert not s2.covers(s1)
 
+    def test_covering_requires_projection_superset(self):
+        narrow = Subscription.to_streams(["R"], projection=["x"])
+        wide = Subscription.to_streams(["R"], projection=["x", "y"])
+        everything = Subscription.to_streams(["R"])
+        assert wide.covers(narrow) and everything.covers(wide)
+        assert not narrow.covers(wide) and not wide.covers(everything)
+
     def test_merge_covers_both(self):
         s1 = Subscription.to_streams(["R"], filter=Filter.of(("a", ">", 10)))
         s2 = Subscription.to_streams(["S"], filter=Filter.of(("a", ">", 20)))
@@ -199,6 +206,28 @@ class TestEndToEnd:
         # the narrow subscription is covered at node 4's broker: no new
         # control traffic toward the source
         assert self.net.control_bytes == before
+
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_a_narrower_projection_does_not_cover_a_wider_one(self, a_first):
+        """On 0-1, 1-2, 1-3: ``a`` keeps only ``x``, ``b`` filters on ``y``
+        too.  Broker 1 must forward ``b`` to 0, or the link 0-1 projects
+        ``y`` away and ``b`` loses an event it matches."""
+        tree = OverlayTree(nodes=[0, 1, 2, 3])
+        for u, v in ((0, 1), (1, 2), (1, 3)):
+            tree.add_link(u, v, 1.0)
+        net = PubSubNetwork(tree)
+        net.advertise(0, Advertisement(stream="s"))
+        a = Subscription.to_streams(["s"], projection=["x"], filter=Filter.of(("x", ">", 0)))
+        b = Subscription.to_streams(
+            ["s"], projection=["x", "y"],
+            filter=Filter.of(("x", ">", 0), ("y", ">", 0)),
+        )
+        for node, sub in ((2, a), (3, b)) if a_first else ((3, b), (2, a)):
+            net.subscribe(node, sub)
+        got = net.publish(0, Event("s", {"x": 1, "y": 2}))
+        assert sorted((n, dict(e.attributes)) for n, e, _ in got) == [
+            (2, {"x": 1}), (3, {"x": 1, "y": 2}),
+        ]
 
     def test_weighted_cost_uses_latency(self):
         sub = Subscription.to_streams(["R"])
