@@ -2,14 +2,23 @@
 
 :class:`PubSubNetwork` ties :class:`~repro.pubsub.broker.Broker` instances
 to an acyclic overlay (:class:`~repro.topology.overlay.OverlayTree`) and
-implements the three Siena protocols the paper relies on:
+implements the Siena protocols the paper relies on:
 
 * **advertise** -- flood an advertisement so every broker knows which
-  neighbour leads back to each source (Figure 2(a));
+  neighbour leads back to each source (Figure 2(a)), each broker
+  forwarding the subscriptions it holds that intersect it back toward
+  the new source;
 * **subscribe** -- reverse-path propagate a subscription toward the
   advertisers of intersecting advertisements, stopping where a covering
   subscription has already been forwarded (Figure 2(b), including the
   merge-at-``n1`` behaviour via covering);
+* **unsubscribe** -- walk the subscription's upstream path dropping its
+  entry hop by hop, re-forwarding at each hop what it had been covering
+  (``unadvertise`` is the mirror image of ``advertise``); together with
+  advertisement-driven forwarding and :meth:`PubSubNetwork.restore_broker`
+  this keeps Siena's invariant -- a recorded subscription has been
+  forwarded toward every intersecting advertiser, or is covered there --
+  so covering never leaves a subscriber behind;
 * **publish** -- content-based forwarding: each event crosses each overlay
   link at most once, is projected down to the attributes still needed
   downstream, and is delivered to every matching local subscriber
@@ -103,18 +112,6 @@ class _BatchRoute:
         self.outcomes: Dict[Tuple[Any, ...], _Outcome] = {}
 
 
-class _ForcedWalk(NamedTuple):
-    """Where ``subscribe(node, sub, force=True)`` goes: read off the
-    advertisement tables alone, so valid until one of ``sub``'s streams
-    is (un)advertised or a broker is reset."""
-
-    sub: Subscription
-    #: the advertisement clock when the hops were read
-    tick: int
-    #: (normalised link, sender, receiver) per hop, depth-first
-    hops: List[Tuple[Tuple[int, int], int, int]]
-
-
 class PubSubNetwork:
     """A content-based pub/sub service over an overlay tree."""
 
@@ -127,7 +124,9 @@ class PubSubNetwork:
         self.link_bytes: Dict[Tuple[int, int], float] = {}
         #: cumulative control bytes (advertisement/subscription propagation)
         self.control_bytes: Dict[Tuple[int, int], float] = {}
-        self._subscriber_node: Dict[int, int] = {}
+        #: sub_id -> (subscriber node, subscription as declared): every
+        #: live subscription, in the order it was (last) declared
+        self._subscribers: Dict[int, Tuple[int, Subscription]] = {}
         #: adv_id -> (source node, advertisement): which broker each
         #: advertisement was flooded from, so a departing broker's
         #: advertisements can be retired with it
@@ -137,114 +136,104 @@ class PubSubNetwork:
         self.down_links: Set[Tuple[int, int]] = set()
         #: (u, v) -> (edge list, latency ms) memo for :meth:`account_path`
         self._path_cache: Dict[Tuple[int, int], Tuple[list, float]] = {}
-        #: control-plane version: bumped by every subscribe / unsubscribe /
-        #: advertise / unadvertise, broker reset and link partition / heal,
-        #: so callers can memoise routing-derived state and invalidate it
-        #: exactly when tables or reachability may have changed
-        self.version = 0
-        #: stream -> ``version`` of the last change naming it, and the
-        #: ``version`` of the last change naming every stream (see
-        #: :meth:`stream_version`)
-        self._stream_versions: Dict[str, int] = {}
-        self._all_streams_version = 0
-        #: sub_id -> every stream a declaration of it has named (a
-        #: superset of the streams its table entries can match on)
-        self._sub_streams: Dict[int, FrozenSet[str]] = {}
         #: stream -> source -> memoised :meth:`publish_batch` route; a
         #: control-plane change drops the streams it names (:meth:`_changed`)
         self._batch_routes: Dict[str, Dict[int, _BatchRoute]] = {}
-        #: sub_id -> subscriber node -> memoised forced walk; validated
-        #: against the advertisement clock: every advertisement-table
-        #: change ticks it and stamps its stream (a broker reset stamps
-        #: them all), so a walk is current while its streams' stamps and
-        #: the reset stamp are no newer than the walk's tick
-        self._walks: Dict[int, Dict[int, _ForcedWalk]] = {}
-        self._adv_clock = 0
-        self._adv_stamps: Dict[str, int] = {}
-        self._adv_reset = 0
         #: optional :class:`repro.obs.Observer`; when set, its metrics
         #: registry receives broker-level counters (probes, forwards,
-        #: suppressions, repairs).  Reads only -- never affects routing.
+        #: suppressions, teardowns).  Reads only -- never affects routing.
         self.observer = None
 
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
     def advertise(self, source: int, adv: Advertisement, size: float = 1.0) -> None:
-        """Flood ``adv`` from ``source`` over the whole tree."""
+        """Flood ``adv`` from ``source`` over the whole tree.
+
+        Every broker the flood reaches forwards back toward ``source`` the
+        subscriptions it holds that intersect ``adv`` (Siena's
+        advertisement-driven forwarding), so a new advertiser -- a shared
+        plan re-homed on another processor, say -- is subscribed to by
+        everyone interested, through the ordinary covering rules.  A
+        broker reads only the entries naming ``adv.stream``.
+        """
         self._changed((adv.stream,))
-        self._advertisements_changed(adv.stream)
         obs = self.observer
         if obs is not None and obs.registry is not None:
             obs.registry.inc("broker.advertisements")
         self._advertiser[adv.adv_id] = (source, adv)
-        self._broker(source).table.add_advertisement(adv, LOCAL)
+        for node, came_from in self._flood(source, size):
+            table = self.brokers[node].table
+            if came_from is None:
+                table.add_advertisement(adv, LOCAL)
+                continue
+            table.add_advertisement(adv, came_from)
+            self._resend(node, came_from, [
+                sub
+                for iface, sub in table.stream_subscriptions(adv.stream)
+                if iface != came_from and adv.intersects(sub)
+            ], size)
+
+    def unadvertise(self, adv_id: int, size: float = 1.0) -> None:
+        """Retract an advertisement: the mirror image of :meth:`advertise`,
+        a flood from its source charged per hop.
+
+        Used when a result stream stops being produced (a shared group
+        retiring) or moves to another node (a shared plan migrating --
+        retire, then re-advertise from the new host).  Subscription
+        entries that had been forwarded toward the retired advertiser
+        stay: they still point toward their subscribers, and an event
+        can only match one where an advertisement intersecting it lies
+        the same way -- whose entries are there anyway.
+        """
+        self._unadvertise(adv_id, size)
+
+    def _unadvertise(self, adv_id: int, size: float) -> None:
+        known = self._advertiser.pop(adv_id, None)
+        if known is None:
+            return
+        source, adv = known
+        self._changed((adv.stream,))
+        for node, _came_from in self._flood(source, size):
+            self.brokers[node].table.remove_advertisement(adv_id)
+
+    def _flood(self, source: int, size: float) -> Iterable[Tuple[int, Optional[int]]]:
+        """Every broker, breadth first from ``source``, with the neighbour
+        the flood reached it from (``None`` at ``source``); each hop is
+        charged ``size`` control bytes."""
         queue = deque([(source, None)])
         while queue:
             node, came_from = queue.popleft()
+            yield node, came_from
             for nbr in self.tree.neighbors(node):
-                if nbr == came_from:
-                    continue
-                self._account(self.control_bytes, node, nbr, size)
-                self._broker(nbr).table.add_advertisement(adv, node)
-                queue.append((nbr, node))
+                if nbr != came_from:
+                    self._account(self.control_bytes, node, nbr, size)
+                    queue.append((nbr, node))
 
-    def subscribe(
-        self, node: int, sub: Subscription, size: float = 1.0,
-        force: bool = False,
-    ) -> None:
+    def subscribe(self, node: int, sub: Subscription, size: float = 1.0) -> None:
         """Install ``sub`` for a subscriber attached at ``node``.
 
         Propagation follows advertisement pointers toward intersecting
-        sources and stops early when coverage makes forwarding redundant.
-
-        ``force=True`` re-propagates all the way to the advertisers even
-        through brokers that already know the subscription.  The early
-        stops assume the Siena invariant "a recorded subscription has
-        been forwarded upstream", which :meth:`unsubscribe` (a tree-wide
-        delete, not a protocol walk) breaks: tearing down a subscription
-        that covered an identical one from another subscriber leaves the
-        survivor's path with a hole *beyond* the brokers that still have
-        its entries.  Long-running systems (the discrete-event simulator's
-        migration rounds) repair such holes by re-subscribing with
-        ``force=True``; the call is idempotent.
-
-        Where a forced walk goes depends on the advertisement tables of
-        ``sub``'s streams and nothing else (every hop recurses, whatever
-        the table did), so it is read off them once per ``(node, sub)``
-        and replayed: each hop charges ``size`` and installs ``sub`` in
-        the depth-first order of the recursive walk it stands for
-        (``tests/reference/covering_scan.py``).
+        sources and stops early when coverage makes forwarding redundant:
+        the tables keep Siena's invariant "a recorded subscription has
+        been forwarded toward every intersecting advertiser, or is
+        covered there", because :meth:`unsubscribe`, :meth:`advertise` and
+        :meth:`restore_broker` keep it too.  A ``sub_id`` that is live
+        already -- at another node, or declared otherwise -- is
+        unsubscribed first; the same declaration again is a no-op.
         """
-        streams = self._sub_streams.get(sub.sub_id, sub.streams) | sub.streams
-        self._sub_streams[sub.sub_id] = streams
-        self._changed(streams)
         obs = self.observer
-        reg = None if obs is None else obs.registry
-        if reg is not None:
-            reg.inc("broker.subscribes")
-            if force:
-                reg.inc("broker.covering_repairs")
-        broker = self._broker(node)
-        self._subscriber_node[sub.sub_id] = node
-        broker.table.add_subscription(sub, LOCAL)
-        if not force:
-            self._propagate(node, sub, from_iface=LOCAL, size=size)
-            return
-        walks = self._walks.setdefault(sub.sub_id, {})
-        walk = walks.get(node)
-        current = walk is not None and walk.sub is sub and self._walk_current(walk)
-        if reg is not None:
-            reg.inc("broker.walk_memo_hits" if current else "broker.walk_memo_misses")
-        if not current:
-            hops: List[Tuple[Tuple[int, int], int, int]] = []
-            self._forced_hops(node, sub, LOCAL, hops)
-            walk = walks[node] = _ForcedWalk(sub, self._adv_clock, hops)
-        book = self.control_bytes
-        brokers = self.brokers
-        for edge, sender, receiver in walk.hops:
-            book[edge] = book.get(edge, 0.0) + size
-            brokers[receiver].table.add_subscription(sub, sender)
+        if obs is not None and obs.registry is not None:
+            obs.registry.inc("broker.subscribes")
+        self._changed(sub.streams)
+        known = self._subscribers.get(sub.sub_id)
+        if known is not None:
+            if known[0] == node and (known[1] is sub or known[1] == sub):
+                return
+            self._unsubscribe(sub.sub_id, size)
+        self._subscribers[sub.sub_id] = (node, sub)
+        self._broker(node).table.add_subscription(sub, LOCAL)
+        self._propagate(node, sub, from_iface=LOCAL, size=size)
 
     def _propagate(
         self, node: int, sub: Subscription, from_iface, size: float
@@ -268,58 +257,67 @@ class PubSubNetwork:
             if self._broker(nbr).table.add_subscription(sub, node):
                 self._propagate(nbr, sub, from_iface=node, size=size)
 
-    def _forced_hops(
-        self, node: int, sub: Subscription, from_iface, hops: list
+    def _resend(
+        self, node: int, toward: int, subs: Sequence[Subscription], size: float
     ) -> None:
-        """Append the hops of a forced walk from ``node`` to ``hops``."""
-        for nbr in self._broker(node).table.advertiser_interfaces(sub):
-            if nbr == from_iface:
+        """Forward entries held at ``node`` to its neighbour ``toward``,
+        in order, and on from there by :meth:`_propagate`.  One covered
+        by an entry sent before it is not sent; the receiver's covering
+        drops anything else it already has."""
+        sent: List[Subscription] = []
+        for sub in subs:
+            if any(other.covers(sub) for other in sent):
                 continue
-            hops.append((_edge(node, nbr), node, nbr))
-            self._forced_hops(nbr, sub, node, hops)
+            sent.append(sub)
+            self._changed(sub.streams)
+            self._account(self.control_bytes, node, toward, size)
+            if self.brokers[toward].table.add_subscription(sub, node):
+                self._propagate(toward, sub, from_iface=node, size=size)
 
-    def _walk_current(self, walk: _ForcedWalk) -> bool:
-        """No advertisement table a forced walk read has changed since."""
-        if self._adv_reset > walk.tick:
-            return False
-        stamps = self._adv_stamps
-        return all(stamps.get(s, 0) <= walk.tick for s in walk.sub.streams)
+    def unsubscribe(self, sub_id: int, size: float = 1.0) -> None:
+        """Tear a subscription down (Siena's unsubscription).
 
-    def _advertisements_changed(self, stream: Optional[str]) -> None:
-        """Tick the advertisement clock and stamp ``stream`` (``None``:
-        every stream) with it: forced walks reading it are stale."""
-        self._adv_clock += 1
-        if stream is None:
-            self._adv_reset = self._adv_clock
-        else:
-            self._adv_stamps[stream] = self._adv_clock
-
-    def unsubscribe(self, sub_id: int) -> None:
-        """Remove a subscription everywhere (tree-wide)."""
-        self._changed(self._sub_streams.pop(sub_id, ()))
-        self._subscriber_node.pop(sub_id, None)
-        self._walks.pop(sub_id, None)
-        for broker in self.brokers.values():
-            broker.table.remove_subscription(sub_id)
-
-    def unadvertise(self, adv_id: int) -> None:
-        """Retire an advertisement everywhere (tree-wide).
-
-        The teardown counterpart of :meth:`advertise`, used when a result
-        stream stops being produced (a shared group retiring) or moves to
-        another node (a shared plan migrating -- retire, then re-advertise
-        from the new host).  Like :meth:`unsubscribe` it is modelled as a
-        tree-wide delete rather than a protocol walk, so no control
-        traffic is charged; subscriptions that had propagated toward the
-        old advertiser keep their entries and are repaired by the
-        caller's ``subscribe(..., force=True)`` pass.
+        The teardown walks the subscription's upstream path from its
+        subscriber node, dropping its entry hop by hop (each hop charged
+        ``size``) and stopping where a neighbour holds no entry for it.
+        At every hop it re-forwards to that neighbour the entries the
+        removed one had been covering, which then travel on by the
+        ordinary propagation -- so no surviving subscription is left
+        behind a covering hole.
         """
-        known = self._advertiser.pop(adv_id, None)
-        self._changed(() if known is None else (known[1].stream,))
-        if known is not None:
-            self._advertisements_changed(known[1].stream)
-        for broker in self.brokers.values():
-            broker.table.remove_advertisement(adv_id)
+        self._unsubscribe(sub_id, size)
+
+    def _unsubscribe(self, sub_id: int, size: float) -> None:
+        known = self._subscribers.pop(sub_id, None)
+        if known is None:
+            return
+        node, sub = known
+        self._changed(sub.streams)
+        obs = self.observer
+        if obs is not None and obs.registry is not None:
+            obs.registry.inc("broker.unsubscribes")
+        self.brokers[node].table.remove_subscription(sub_id, LOCAL)
+        for nbr in self.tree.neighbors(node):
+            self._retract(node, nbr, sub_id, size)
+
+    def _retract(self, node: int, nbr: int, sub_id: int, size: float) -> None:
+        """Withdraw the entry ``sub_id`` has at ``nbr`` from ``node``, and
+        every entry it led to beyond; then send ``nbr`` what it had been
+        covering at ``node`` (depth first, so the re-forwarded entries
+        meet no stale coverer on their way)."""
+        entry = self.brokers[nbr].table.remove_subscription(sub_id, node)
+        if entry is None:
+            return
+        self._account(self.control_bytes, node, nbr, size)
+        for nxt in self.tree.neighbors(nbr):
+            if nxt != node:
+                self._retract(nbr, nxt, sub_id, size)
+        table = self.brokers[node].table
+        self._resend(node, nbr, [
+            sub
+            for sub in table.covered_entries(entry, skip=nbr)
+            if nbr in table.advertiser_interfaces(sub)
+        ], size)
 
     # ------------------------------------------------------------------
     # faults & membership
@@ -327,51 +325,79 @@ class PubSubNetwork:
     def remove_broker(self, node: int) -> Tuple[List[int], List[int]]:
         """Tear down everything *attached* at a departing broker.
 
-        Subscriptions installed at ``node`` are unsubscribed tree-wide,
-        and advertisements flooded *from* ``node`` are retired through
-        :meth:`unadvertise` -- a departed broker was the sole advertiser
-        of its own streams, so leaving them in place would keep dangling
-        routes pointing at a producer that no longer exists.  The broker
+        Subscriptions installed at ``node`` are unsubscribed, and
+        advertisements flooded *from* ``node`` are retracted -- a departed
+        broker was the sole advertiser of its own streams.  The broker
         itself keeps forwarding (the overlay tree is immutable; the node
         stays as a pure router), which is exactly the graceful-departure
         model of the simulator.  Returns the removed (sub_ids, adv_ids).
         """
-        subs = [sid for sid, n in self._subscriber_node.items() if n == node]
+        subs = [sid for sid, (n, _sub) in self._subscribers.items() if n == node]
         advs = [
             adv_id
             for adv_id, (src, _adv) in self._advertiser.items()
             if src == node
         ]
         for sub_id in subs:
-            self.unsubscribe(sub_id)
+            self._unsubscribe(sub_id, 1.0)
         for adv_id in advs:
-            self.unadvertise(adv_id)
+            self._unadvertise(adv_id, 1.0)
         return subs, advs
 
     def reset_broker(self, node: int) -> None:
         """Wipe one broker's routing state (the broker-loss fault).
 
-        The node forwards nothing until advertisements are re-flooded and
-        subscriptions re-propagated across it (the recovery policy's
-        ``force=True`` pass); deliveries whose path crosses it silently
-        stop in the meantime -- a restarted broker with empty tables.
+        The node forwards nothing until :meth:`restore_broker`; deliveries
+        whose path crosses it silently stop in the meantime -- a
+        restarted broker with empty tables.
         """
         self._changed(None)
-        self._advertisements_changed(None)
         self._broker(node).table.clear()
 
-    def reflood_advertisements(self, size: float = 1.0) -> None:
-        """Re-flood every live advertisement from its source.
+    def restore_broker(self, node: int, size: float = 1.0) -> None:
+        """Refill a restarted broker from its neighbours (Siena's recovery).
 
-        Broker-loss recovery: flooding is idempotent on brokers that
-        still hold the advertisement (their tables dedup by adv_id), and
-        repopulates the wiped broker's pointers so subscription
-        re-propagation can cross it again.  Control traffic is charged
-        per flood, like the original advertise.
+        The broker starts from an empty table.  It re-installs its own
+        advertisements and the subscriptions attached at it; each
+        neighbour replays across the link the advertisements it holds
+        from elsewhere and the subscription entries it would forward
+        toward ``node``, which travel on by the ordinary propagation.
+        Last, a neighbour withdraws (hop by hop, as :meth:`unsubscribe`
+        does) every entry it holds from ``node`` for a subscription
+        ``node`` no longer holds from another side: one torn down while
+        the broker was down, whose teardown stopped there.  Every
+        message is charged ``size``.
         """
-        for adv_id in list(self._advertiser):
-            source, adv = self._advertiser[adv_id]
-            self.advertise(source, adv, size=size)
+        self._changed(None)
+        table = self._broker(node).table
+        table.clear()
+        nbrs = sorted(self.tree.neighbors(node))
+        for source, adv in self._advertiser.values():
+            if source == node:
+                table.add_advertisement(adv, LOCAL)
+        for nbr in nbrs:
+            for adv, via in list(self.brokers[nbr].table.advertisements.values()):
+                if via != node:
+                    self._account(self.control_bytes, nbr, node, size)
+                    table.add_advertisement(adv, nbr)
+        for home, sub in list(self._subscribers.values()):
+            if home == node:
+                table.add_subscription(sub, LOCAL)
+                self._propagate(node, sub, from_iface=LOCAL, size=size)
+        for nbr in nbrs:
+            there = self.brokers[nbr].table
+            self._resend(nbr, node, [
+                sub
+                for iface, sub in there.iter_entries()
+                if iface != node and node in there.advertiser_interfaces(sub)
+            ], size)
+        held: Dict[int, Set] = {}
+        for iface, sub in table.iter_entries():
+            held.setdefault(sub.sub_id, set()).add(iface)
+        for nbr in nbrs:
+            for sub in list(self.brokers[nbr].table.subscriptions.get(node, ())):
+                if not held.get(sub.sub_id, set()) - {nbr}:
+                    self._retract(node, nbr, sub.sub_id, size)
 
     def set_link_down(self, u: int, v: int) -> None:
         """Partition one overlay link: events stop crossing it."""
@@ -387,29 +413,20 @@ class PubSubNetwork:
 
     def _changed(self, streams: Optional[Iterable[str]]) -> None:
         """Note a control-plane change that can alter how events of
-        ``streams`` are forwarded (``None``: of any stream).
+        ``streams`` are forwarded (``None``: of any stream): their
+        memoised :meth:`publish_batch` routes go.
 
         Table entries match on the streams their subscription names, and
-        covering only ever prunes entries whose streams the new
-        subscription names too, so a subscription change leaves every
-        other stream's forwarding -- and its memoised route -- as it was.
+        covering only ever prunes or re-forwards entries whose streams
+        the subscription that did it names too, so a subscription change
+        leaves every other stream's forwarding -- and its memoised route
+        -- as it was.
         """
-        self.version += 1
         if streams is None:
             self._batch_routes.clear()
-            self._all_streams_version = self.version
         else:
             for stream in streams:
                 self._batch_routes.pop(stream, None)
-                self._stream_versions[stream] = self.version
-
-    def stream_version(self, stream: str) -> int:
-        """The :attr:`version` of the last control-plane call that could
-        change how events of ``stream`` are forwarded -- or which
-        subscriptions name it: state derived from the subscriptions of
-        one stream stays valid while this does not move."""
-        version = self._stream_versions.get(stream, 0)
-        return max(version, self._all_streams_version)
 
     # ------------------------------------------------------------------
     # data plane
@@ -699,14 +716,6 @@ class PubSubNetwork:
     def reset_traffic(self) -> None:
         self.link_bytes.clear()
         self.control_bytes.clear()
-
-    def weighted_data_cost(self) -> float:
-        """Sum over links of forwarded bytes x link latency (the paper's
-        weighted communication cost, measured on the data plane)."""
-        total = 0.0
-        for (u, v), amount in self.link_bytes.items():
-            total += amount * self.tree.links[u][v]
-        return total
 
     def total_data_bytes(self) -> float:
         return sum(self.link_bytes.values())

@@ -195,12 +195,13 @@ class RoutingTable:
         """Install ``sub`` for interface ``via``.
 
         Returns True if the table changed.  An interface never holds two
-        entries with one ``sub_id``: a re-declared subscription (e.g. the
-        covering-repair path re-propagating with ``force=True``, or a
-        subscriber narrowing its filter) first displaces its stale entry
-        -- appending next to it would bloat :meth:`size` and double-count
-        deliveries.  On LOCAL the replacement is *in place* (same list
-        position, preserving delivery order); on neighbour interfaces the
+        entries with one ``sub_id``: a re-declared subscription first
+        displaces its stale entry -- appending next to it would bloat
+        :meth:`size` and double-count deliveries.  (The network tears a
+        re-declared subscription down before it installs the new one, so
+        there this is a safety net.)  On LOCAL the replacement is *in
+        place* (same list position, preserving delivery order); on
+        neighbour interfaces the
         stale entry is dropped and the redeclaration then goes through
         the ordinary covering logic -- covering entries from the same
         interface suppress the add and covered older entries are pruned,
@@ -251,8 +252,11 @@ class RoutingTable:
         self._index.add(sub, via)
         return True
 
-    def remove_subscription(self, sub_id: int, via: Optional[Interface] = None) -> None:
-        """Drop every ``sub_id`` entry (from ``via`` only, if given).
+    def remove_subscription(
+        self, sub_id: int, via: Optional[Interface] = None
+    ) -> Optional[Subscription]:
+        """Drop every ``sub_id`` entry (from ``via`` only, if given);
+        returns the entry dropped (the last, if several), or ``None``.
 
         Interfaces that do not hold ``sub_id`` are skipped by a probe.
         Safe against concurrent readers: interface keys are collected up
@@ -261,6 +265,7 @@ class RoutingTable:
         anything walking :meth:`iter_entries`) never sees the dict mutate
         under it.
         """
+        removed = None
         ifaces = [via] if via is not None else list(self.subscriptions)
         for iface in ifaces:
             slot = self._slots.get(iface)
@@ -274,6 +279,23 @@ class RoutingTable:
             if not entries:
                 del self.subscriptions[iface]
                 del self._slots[iface]
+            removed = entry
+        return removed
+
+    def covered_entries(self, sub: Subscription, skip: Interface) -> List[Subscription]:
+        """The entries ``sub`` covers, from every interface but ``skip``,
+        in table order: what ``sub`` may have kept from being forwarded
+        toward ``skip``.  Only entries sharing a stream with ``sub`` are
+        tested (see :class:`_Slot`)."""
+        out: List[Subscription] = []
+        for iface, slot in self._slots.items():
+            if iface == skip:
+                continue
+            ids = slot.covered_by(sub)
+            ids.discard(sub.sub_id)
+            if ids:
+                out.extend(e for e in self.subscriptions[iface] if e.sub_id in ids)
+        return out
 
     def iter_entries(self) -> List[Tuple[Interface, Subscription]]:
         """Snapshot of every (interface, subscription) entry.
@@ -304,6 +326,16 @@ class RoutingTable:
         requesting ``stream``, in table order on each interface: what
         can gate an event of ``stream`` here, whatever its attributes."""
         return self._index.stream_entries(stream)
+
+    def stream_subscriptions(self, stream: str) -> List[Tuple[Interface, Subscription]]:
+        """``(interface, subscription)`` for every entry requesting
+        ``stream``: interface by interface as the table lists them, each
+        interface's entries in table order."""
+        rank = {iface: i for i, iface in enumerate(self.subscriptions)}
+        return sorted(
+            ((iface, sub) for iface, sub, _matches in self.stream_entries(stream)),
+            key=lambda entry: rank[entry[0]],
+        )
 
     # ------------------------------------------------------------------
     def covered_upstream(self, sub: Subscription, toward: Interface) -> bool:

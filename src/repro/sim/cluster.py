@@ -571,7 +571,6 @@ class SimCluster:
             if cand.alive and mergeable(cand.executed, simq.ast):
                 unit = cand
                 break
-        replaced = 0
         if unit is None:
             gid = self._next_gid
             self._next_gid += 1
@@ -626,7 +625,6 @@ class SimCluster:
                 )
                 if not _same_subscription(mqs.result_sub, carve):
                     self._replace_result_sub(mqs, carve)
-                    replaced += 1
         qs = _QueryState(simq=simq, unit=unit, added_at=now)
         self.queries[simq.query_id] = qs
         self._replace_result_sub(
@@ -635,12 +633,6 @@ class SimCluster:
                 unit.executed, simq.ast, unit.result_stream, emitted_after=now
             ),
         )
-        # replacing subscriptions tears old ones down one at a time; when
-        # that happened, one forced pass over the group's installed p^2
-        # set (departed members' capped carves included -- they listen
-        # until their drain) closes any covering hole a removal opened
-        if replaced:
-            self._resubscribe_results(unit.listeners)
         return qs
 
     def _install_sources(self, unit: _Unit, fresh: List[Subscription]) -> None:
@@ -648,25 +640,20 @@ class SimCluster:
 
         Leaving a stale set installed would accumulate subscriptions on
         the processor forever and, whenever a re-merge narrows the hull,
-        keep pulling tuples nobody needs.  The teardown can open covering
-        holes for other units' subscriptions on the same streams, so they
-        are repaired by forced re-propagation.  A re-merge that leaves
-        every filter where it was (the common case once a group's hull
-        stabilises) is a no-op: nothing is torn down, so nothing needs
-        repair.
+        keep pulling tuples nobody needs.  (The network's teardown
+        re-forwards whatever the old set had been covering.)  A re-merge
+        that leaves every filter where it was (the common case once a
+        group's hull stabilises) is a no-op.
         """
         if len(fresh) == len(unit.subs) and all(
             _same_subscription(old, new) for old, new in zip(unit.subs, fresh)
         ):
             return
-        had_old = bool(unit.subs)
         self._unsubscribe_sources(unit)
         unit.subs = fresh
         for sub in fresh:
             self.network.subscribe(unit.host, sub)
             self._by_sub[sub.sub_id] = unit.uid
-        if had_old:
-            self._refresh_subscriptions(streams=set(unit.streams))
 
     def _unsubscribe_sources(self, unit: _Unit) -> None:
         """Tear a unit's source subscriptions out of the network."""
@@ -689,16 +676,6 @@ class SimCluster:
             self.network.unsubscribe(qs.result_sub.sub_id)
             self._by_result_sub.pop(qs.result_sub.sub_id, None)
             qs.result_sub = None
-
-    def _resubscribe_results(self, query_ids) -> None:
-        """Force-re-propagate the installed ``p^2`` carves of ``query_ids``
-        toward their result stream (covering repair / new advertiser)."""
-        for qid in query_ids:
-            qs = self.queries[qid]
-            if qs.result_sub is not None:
-                self.network.subscribe(
-                    qs.simq.spec.proxy, qs.result_sub, force=True
-                )
 
     def remove_query(self, query_id: int) -> None:
         """Query departure: stop deliveries now, detach after the drain.
@@ -740,11 +717,6 @@ class SimCluster:
                     emitted_after=qs.added_at, emitted_before=now,
                 ),
             )
-            # the cap tore the member's old subscription down: repair any
-            # covering hole that opened for the group's other listeners
-            self._resubscribe_results(
-                qid for qid in unit.listeners if qid != query_id
-            )
         unit.members.remove(query_id)
         if unit.members:
             # the plan's own (wider) select keeps running -- tuples the
@@ -763,7 +735,6 @@ class SimCluster:
             unit.alive = False
             self._unsubscribe_sources(unit)
             unit.subs = []
-            self._refresh_subscriptions(streams=set(unit.streams))
             self.loop.schedule(
                 max(now, unit.last_release),
                 partial(self._detach_unit, unit.uid),
@@ -830,24 +801,6 @@ class SimCluster:
             unit.pending_rel.clear()
             self._deliver_rows(unit, rows)
 
-    def _refresh_subscriptions(self, streams: Optional[set] = None) -> None:
-        """Re-propagate live source subscriptions (optionally: only those
-        sharing a stream with ``streams``).
-
-        Covering-based tables prune a subscription whose propagation an
-        identical earlier one made redundant; when that earlier one is
-        torn down (migration, departure) the pruned path must be
-        re-announced.  Re-subscribing is idempotent, so this simply fills
-        the gaps the removal opened.
-        """
-        for unit in self.units.values():
-            if not unit.alive or unit.detached:
-                continue
-            if streams is not None and not (streams & set(unit.streams)):
-                continue
-            for sub in unit.subs:
-                self.network.subscribe(unit.host, sub, force=True)
-
     def _annotate_pending(self, unit: _Unit, kind: str, **fields) -> None:
         """Annotate the spans of every tuple still queued on ``unit``.
 
@@ -887,9 +840,9 @@ class SimCluster:
 
     def _home_unit(self, unit: _Unit, host: int) -> None:
         """Attach a unit (its plan already on ``host``'s engine) to the
-        network there: source subscriptions, a fresh result-stream
-        advertisement flooded from the new host, and the members' ``p^2``
-        carves force-re-propagated toward it."""
+        network there: source subscriptions, and a fresh result-stream
+        advertisement flooded from the new host (which draws the
+        listeners' ``p^2`` carves toward it)."""
         unit.host = host
         unit.slack = self._slack(unit.substreams, host)
         for sub in unit.subs:
@@ -899,7 +852,6 @@ class SimCluster:
             unit.adv = Advertisement(stream=unit.result_stream)
             self.network.advertise(host, unit.adv)
         self._host_units.setdefault(host, []).append(unit.uid)
-        self._resubscribe_results(unit.members)
 
     def _handoff(self, unit: _Unit, src: int) -> float:
         """Ship the unit's plan state ``src`` -> its host: charge the
@@ -1435,7 +1387,6 @@ class SimCluster:
             self.cosmos.adapt()
             moved = 0
             moved_state = 0.0
-            moved_streams: set = set()
             # a plan moves as one unit: it follows the majority of its
             # members' new placements, so the optimizer's per-query
             # wishes steer shared groups without splitting their window
@@ -1449,11 +1400,6 @@ class SimCluster:
                 if target is not None and target != unit.host:
                     moved_state += self._migrate(unit, target)
                     moved += len(unit.members)
-                    moved_streams.update(unit.streams)
-            if moved:
-                # only subscriptions overlapping a moved unit's streams
-                # can have been left with coverage holes
-                self._refresh_subscriptions(streams=moved_streams)
             self.trace.adaptations.append(
                 AdaptationMark(
                     t=self.loop.now,

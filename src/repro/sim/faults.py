@@ -11,7 +11,8 @@ exactly as bit-reproducible as one without:
 * :class:`BrokerLoss` -- one broker's routing tables are wiped
   (:meth:`~repro.pubsub.network.PubSubNetwork.reset_broker`).
   Deliveries whose dissemination path crosses the broker silently stop
-  until advertisements are re-flooded and subscriptions re-propagated.
+  until its neighbours refill it
+  (:meth:`~repro.pubsub.network.PubSubNetwork.restore_broker`).
 * :class:`LinkPartition` -- one overlay link goes down for a while;
   events routed across it are dropped (and not charged), then the link
   heals.
@@ -23,9 +24,11 @@ Recovery is pluggable (:data:`RECOVERY_POLICIES`): the default
 :class:`CheckpointRecovery` re-places orphaned queries through the
 coordinator's online insertion, restores window state from the latest
 periodic checkpoint (piggybacking on the ``adopt_plan`` migration
-handoff), and repairs broken subscription covering with the
-``force=True`` re-propagation machinery; :class:`NoRecovery` keeps the
-failure un-repaired as the baseline the tests compare against.
+handoff), and has a lost broker refilled by its neighbours; the
+pub/sub protocols themselves keep subscription covering intact across
+every teardown, so nothing else needs repair.  :class:`NoRecovery`
+keeps the failure un-repaired as the baseline the tests compare
+against.
 
 The module also hosts the *recovery invariants* the test suite asserts:
 queries untouched by a failed node lose nothing (exact oracle parity);
@@ -154,11 +157,11 @@ class CheckpointRecovery(RecoveryPolicy):
     recompiled empty when none was taken) via the same ``adopt_plan``
     handoff a migration uses -- the state transfer from the checkpoint
     store is charged on the overlay and pauses deliveries for the
-    handoff delay -- and subscription covering holes are repaired with
-    forced re-propagation.  A shared group thus re-homes wholesale: one
-    restored merged plan, a re-flooded result advertisement, reinstalled
-    ``p^1`` subscriptions and forced ``p^2`` re-propagation for every
-    member.
+    handoff delay.  A shared group thus re-homes wholesale: one restored
+    merged plan, reinstalled ``p^1`` subscriptions and a fresh result
+    advertisement, which draws every listener's ``p^2`` carve toward the
+    new host.  A lost broker is refilled by its neighbours
+    (``PubSubNetwork.restore_broker``).
     """
 
     name = "checkpoint"
@@ -300,7 +303,6 @@ class FaultInjector:
             return
         victims: List[int] = []
         orphans: List[int] = []
-        torn_streams: set = set()
         for uid in sorted(c.units):
             unit = c.units[uid]
             if unit.host != node or unit.detached:
@@ -314,7 +316,6 @@ class FaultInjector:
             c._unsubscribe_sources(unit)
             if unit.adv is not None:
                 c.network.unadvertise(unit.adv.adv_id)
-            torn_streams.update(unit.streams)
             if unit.alive:
                 orphans.append(uid)
             for qid in unit.members:
@@ -328,12 +329,6 @@ class FaultInjector:
         c.processors.remove(node)
         c._pindex = {p: i for i, p in enumerate(c.processors)}
         c.cosmos.remove_processor(node)
-        # the broker layer (alive) performed the unsubscribes above, so
-        # it repairs covering right away: survivors whose propagation a
-        # victim's identical subscription had suppressed must lose ZERO
-        # tuples, not just the detect window's worth
-        if torn_streams:
-            c._refresh_subscriptions(streams=torn_streams)
         c.trace.mark(c.loop.now, "crash", f"p{node}")
         c.fault_log.append(
             {
@@ -356,13 +351,10 @@ class FaultInjector:
         profiler = obs.profiler if obs is not None else None
         if profiler is not None:
             profiler.start("recovery")
-        touched: set = set()
         resumed = c.loop.now
         for uid in orphans:
-            resumed = max(resumed, self._restore_unit(c.units[uid], touched))
+            resumed = max(resumed, self._restore_unit(c.units[uid]))
         self._reinsert_stranded()
-        if touched:
-            c._refresh_subscriptions(streams=touched)
         if obs is not None and obs.registry is not None:
             obs.registry.inc("recovery.crash_recoveries")
         if profiler is not None:
@@ -407,7 +399,7 @@ class FaultInjector:
             if qs.alive and qid not in c.cosmos.placement:
                 c.cosmos.insert(qs.simq.spec)
 
-    def _restore_unit(self, unit, touched: set) -> float:
+    def _restore_unit(self, unit) -> float:
         """Restore one orphaned unit where most of its members re-placed."""
         c = self.cluster
         target = self._place_members(unit)
@@ -434,7 +426,6 @@ class FaultInjector:
         # restored plan so measured loads stay non-negative
         unit.cpu_at_sample = plan.cpu_cost()
         unit.cpu_at_adapt = plan.cpu_cost()
-        touched.update(unit.streams)
         if c.obs is not None and c.obs.registry is not None:
             c.obs.registry.inc("recovery.units_restored")
         return unit.ready
@@ -458,22 +449,14 @@ class FaultInjector:
         self.recovery.on_broker_loss(self, fault, node)
 
     def recover_broker_loss(self, node: int) -> None:
-        """Re-flood advertisements, then force-repropagate subscriptions.
-
-        Order matters: the wiped broker forwards a subscription only
-        toward interfaces its advertisement table points at, so adverts
-        must cross it again before the ``force=True`` pass can.
-        """
+        """Have the lost broker's neighbours refill its tables."""
         c = self.cluster
         c._flush_batches()
         obs = c.obs
         profiler = obs.profiler if obs is not None else None
         if profiler is not None:
             profiler.start("recovery")
-        c.network.reflood_advertisements()
-        c._refresh_subscriptions()
-        for uid in sorted(c.units):
-            c._resubscribe_results(c.units[uid].listeners)
+        c.network.restore_broker(node)
         if obs is not None and obs.registry is not None:
             obs.registry.inc("recovery.broker_recoveries")
         if profiler is not None:
@@ -547,7 +530,6 @@ class FaultInjector:
             )
             return
         c.cosmos.remove_processor(node)
-        touched: set = set()
         moved = 0
         for uid in sorted(c.units):
             unit = c.units[uid]
@@ -555,7 +537,6 @@ class FaultInjector:
                 continue
             if unit.alive:
                 c._migrate(unit, self._place_members(unit))
-                touched.update(unit.streams)
                 moved += len(unit.members)
             else:
                 # a retiring unit mid-drain (its members are not in the
@@ -563,8 +544,6 @@ class FaultInjector:
                 # still exists
                 c._detach_unit(uid)
         self._reinsert_stranded()
-        if touched:
-            c._refresh_subscriptions(streams=touched)
         if c.obs is not None:
             c.obs.engine_retired(node, c.engines[node])
         c.engines.pop(node)
@@ -574,11 +553,10 @@ class FaultInjector:
         # the engine left, not the users: members whose *proxy* sits at
         # the departing node keep listening there (the node stays in the
         # overlay as a router), so reinstall their carves
-        c._resubscribe_results(
-            c._by_result_sub[sub_id]
-            for sub_id in removed_subs
-            if sub_id in c._by_result_sub
-        )
+        for sub_id in removed_subs:
+            if sub_id in c._by_result_sub:
+                qs = c.queries[c._by_result_sub[sub_id]]
+                c.network.subscribe(qs.simq.spec.proxy, qs.result_sub)
         c.trace.mark(c.loop.now, "leave", f"p{node}")
         c.fault_log.append(
             {

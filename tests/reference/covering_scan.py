@@ -1,19 +1,16 @@
-"""Subscription tables by list scans; forced walks by recursion.
+"""Subscription tables by list scans.
 
-The definition of what :class:`repro.pubsub.routing.RoutingTable` and
-``PubSubNetwork.subscribe(..., force=True)`` must do.  The table scans
-an interface's whole entry list to find a redeclared ``sub_id``, to ask
-whether an entry covers a new subscription and to prune the entries it
-covers, and it matches an event by testing every entry; production asks
-per-interface ``sub_id`` and stream indexes the maintenance questions
-and a counting forwarding index the matching ones -- including which
-entries can gate an event of a stream, the question a batch route is
-read from.  A forced subscribe
-recurses hop by hop, re-reading the advertisement table at every
-broker; production replays the hops it read the last time until an
-advertisement of the subscription's streams changes.
-``tests/test_control_plane.py`` and ``tests/test_forwarding_index.py``
-hold the two side by side.
+The definition of what :class:`repro.pubsub.routing.RoutingTable` must
+do.  The table scans an interface's whole entry list to find a
+redeclared ``sub_id``, to ask whether an entry covers a new subscription
+and to prune the entries it covers, to find the entries a torn-down
+subscription had been covering, and it matches an event by testing every
+entry; production asks per-interface ``sub_id`` and stream indexes the
+maintenance questions and a counting forwarding index the matching ones
+-- including which entries can gate an event of a stream, the question a
+batch route is read from.  :class:`ScanNetwork` runs the production
+protocols over such tables.  ``tests/test_control_plane.py`` and
+``tests/test_forwarding_index.py`` hold the two side by side.
 """
 
 from typing import Optional, Set
@@ -65,7 +62,8 @@ class ScanRoutingTable(RoutingTable):
 
     def remove_subscription(
         self, sub_id: int, via: Optional[Interface] = None
-    ) -> None:
+    ) -> Optional[Subscription]:
+        removed = None
         ifaces = [via] if via is not None else list(self.subscriptions)
         for iface in ifaces:
             entries = self.subscriptions.get(iface)
@@ -74,10 +72,21 @@ class ScanRoutingTable(RoutingTable):
             kept = [e for e in entries if e.sub_id != sub_id]
             if len(kept) == len(entries):
                 continue
+            removed = next(e for e in entries if e.sub_id == sub_id)
             entries[:] = kept
             self._index.remove(sub_id, iface)
             if not entries:
                 del self.subscriptions[iface]
+        return removed
+
+    def covered_entries(self, sub: Subscription, skip: Interface):
+        return [
+            e
+            for iface, entries in self.subscriptions.items()
+            if iface != skip
+            for e in entries
+            if e.sub_id != sub.sub_id and sub.covers(e)
+        ]
 
     def covered_upstream(self, sub: Subscription, toward: Interface) -> bool:
         for iface, entries in list(self.subscriptions.items()):
@@ -116,39 +125,10 @@ class ScanRoutingTable(RoutingTable):
         ]
 
 
-class RecursiveNetwork(PubSubNetwork):
-    """A :class:`PubSubNetwork` over :class:`ScanRoutingTable` brokers
-    whose forced subscribes recurse instead of replaying a memo."""
+class ScanNetwork(PubSubNetwork):
+    """A :class:`PubSubNetwork` over :class:`ScanRoutingTable` brokers."""
 
     def __init__(self, tree):
         super().__init__(tree)
         for node, broker in self.brokers.items():
             broker.table = ScanRoutingTable(broker=node)
-
-    def subscribe(self, node, sub, size=1.0, force=False):
-        streams = self._sub_streams.get(sub.sub_id, sub.streams) | sub.streams
-        self._sub_streams[sub.sub_id] = streams
-        self._changed(streams)
-        obs = self.observer
-        if obs is not None and obs.registry is not None:
-            obs.registry.inc("broker.subscribes")
-            if force:
-                obs.registry.inc("broker.covering_repairs")
-        self._subscriber_node[sub.sub_id] = node
-        self._broker(node).table.add_subscription(sub, LOCAL)
-        self._propagate_scan(node, sub, LOCAL, size, force)
-
-    def _propagate_scan(self, node, sub, from_iface, size, force):
-        broker = self._broker(node)
-        for iface in broker.table.advertiser_interfaces(sub):
-            if iface == from_iface:
-                continue
-            if not force and broker.table.covered_upstream(sub, toward=iface):
-                obs = self.observer
-                if obs is not None and obs.registry is not None:
-                    obs.registry.inc("broker.covering_suppressions")
-                continue
-            self._account(self.control_bytes, node, iface, size)
-            changed = self._broker(iface).table.add_subscription(sub, node)
-            if changed or force:
-                self._propagate_scan(iface, sub, node, size, force)

@@ -8,81 +8,33 @@ and project them away in the network; the rows carry some, all or none of
 the attributes the filters read, and values some filters cannot compare
 with.  The reference for both is one hop-by-hop ``publish`` per row on a
 third network whose tables scan their entry lists
-(``reference.covering_scan.RecursiveNetwork``), and
+(``reference.covering_scan.ScanNetwork``), and
 ``reference.per_row_publish.PerRowPublishNetwork`` groups those
 deliveries the way ``publish_batch`` returns them.
 """
 
 import pytest
 from cluster_contract import ClusterContract
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from reference.covering_scan import RecursiveNetwork
+from reference.covering_scan import ScanNetwork
 from reference.per_row_publish import PerRowPublishNetwork
+from strategies import (
+    ADVERTS,
+    DETERMINISM_SETTINGS,
+    SOURCE,
+    STANDARD_SETTINGS,
+    STREAMS,
+    apply,
+    control_logs,
+    rows_of,
+    subscription_pool,
+    tree,
+)
 
 from repro.obs import Observer
-from repro.pubsub import Advertisement, Event, Filter, PubSubNetwork, Subscription
-from repro.pubsub.predicates import TRUE_FILTER
-from repro.topology import OverlayTree
+from repro.pubsub import Event, PubSubNetwork, Subscription
 
-STREAMS = ("A", "B", "C")
-#: a tree with a branch: 0-1-2-3, 1-4, 2-5
-LINKS = ((0, 1), (1, 2), (2, 3), (1, 4), (2, 5))
-NODES = tuple(range(6))
-#: where each stream is published from
-SOURCE = {"A": 0, "B": 3, "C": 4}
-FILTERS = (
-    TRUE_FILTER,
-    Filter.of(("x", ">", 2)),
-    Filter.of(("x", "<=", 4), ("y", "==", 1)),
-    Filter.of(("y", "in", (1, 2))),
-    Filter.of(("z", "!=", 0)),
-    Filter.of(("x", "<", 0), ("x", ">", 1)),  # unsatisfiable
-)
-PROJECTIONS = (None, ["x"], ["x", "y"], ["y", "z"])
-
-
-def tree():
-    t = OverlayTree(nodes=list(NODES))
-    for u, v in LINKS:
-        t.add_link(u, v, 1.0)
-    return t
-
-
-def subscription_pool():
-    """Filtered and projected subscriptions, reused by every replay of a
-    log so that all networks see the same ``sub_id``\\ s."""
-    return [
-        Subscription.to_streams(streams, projection=projection, filter=filt)
-        for streams in (["A"], ["B"], ["C"], ["A", "B"], ["B", "C"])
-        for filt in FILTERS
-        for projection in PROJECTIONS
-    ]
-
-
-POOL = len(subscription_pool())
-
-control_ops = st.one_of(
-    st.tuples(
-        st.just("subscribe"), st.sampled_from(NODES), st.integers(0, POOL - 1),
-        st.booleans(),
-    ),
-    st.tuples(st.just("unsubscribe"), st.integers(0, POOL - 1)),
-    st.tuples(st.just("advertise"), st.sampled_from(STREAMS)),
-    st.tuples(st.just("unadvertise"), st.sampled_from(STREAMS)),
-    st.tuples(st.just("reset_broker"), st.sampled_from(NODES)),
-    st.tuples(st.just("link_down"), st.sampled_from(LINKS)),
-    st.tuples(st.just("link_up"), st.sampled_from(LINKS)),
-)
-
-#: rows of attributes: any subset of x, y, z; a string value makes the
-#: compiled interval tests fall back to the generic evaluator
-rows_of = st.lists(
-    st.dictionaries(
-        st.sampled_from("xyz"), st.one_of(st.integers(0, 5), st.just("s"))
-    ),
-    max_size=6,
-)
 batches = st.fixed_dictionaries({stream: rows_of for stream in STREAMS})
 
 
@@ -91,32 +43,17 @@ ROW = [{"x": 3, "y": 1, "z": 2}]
 
 
 def replay(log, pool, publish=None, cls=PubSubNetwork):
-    """A network that has been through ``log``.  With ``publish`` it
-    published ``ROW`` on every stream after every step (by batch: each
-    step met a full memo); without, nothing is memoised when the log
-    ends and no link has carried anything."""
+    """A network that has been through ``log`` (after the whole-stream
+    advertisements).  With ``publish`` it published ``ROW`` on every
+    stream after every step (by batch: each step met a full memo);
+    without, nothing is memoised when the log ends and no link has
+    carried anything."""
     net = cls(tree())
     net.observer = Observer(span_sample_every=0, profile=False)
-    adverts = {}
-    for stream in STREAMS:
-        adverts[stream] = Advertisement(stream=stream)
-        net.advertise(SOURCE[stream], adverts[stream])
+    for source, adv in ADVERTS[:3]:
+        net.advertise(source, adv)
     for op in log:
-        kind = op[0]
-        if kind == "subscribe":
-            net.subscribe(op[1], pool[op[2]], force=op[3])
-        elif kind == "unsubscribe":
-            net.unsubscribe(pool[op[1]].sub_id)
-        elif kind == "advertise":
-            net.advertise(SOURCE[op[1]], adverts[op[1]])
-        elif kind == "unadvertise":
-            net.unadvertise(adverts[op[1]].adv_id)
-        elif kind == "reset_broker":
-            net.reset_broker(op[1])
-        elif kind == "link_down":
-            net.set_link_down(*op[1])
-        else:
-            net.set_link_up(*op[1])
+        apply(net, op, pool)
         if publish is not None:
             for stream in STREAMS:
                 publish(net, SOURCE[stream], stream, ROW)
@@ -180,13 +117,13 @@ class TestBatchRouteContract:
     whether the network under test published batches while the log ran
     (``memoised``) or is built from the log alone (``fresh``)."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(log=st.lists(control_ops, max_size=30), batch=batches)
+    @STANDARD_SETTINGS
+    @given(log=control_logs(15), batch=batches)
     def test_a_batch_goes_where_the_walk_goes(self, publishing, log, batch):
         pool = subscription_pool()
         net = replay(log, pool, by_batch if publishing else None)
         walked = replay(
-            log, pool, by_rows if publishing else None, RecursiveNetwork
+            log, pool, by_rows if publishing else None, ScanNetwork
         )
         # the second round finds every route and row signature memoised
         for _ in range(2):
@@ -199,8 +136,8 @@ class TestBatchRouteContract:
         for _ in range(2):
             assert observe(net, groups, batch) == observe(grouped, groups, batch)
 
-    @settings(max_examples=50, deadline=None)
-    @given(log=st.lists(control_ops, max_size=30), batch=batches)
+    @DETERMINISM_SETTINGS
+    @given(log=control_logs(15), batch=batches)
     def test_batch_rows_are_metered_per_call(self, publishing, log, batch):
         pool = subscription_pool()
         net = replay(log, pool, by_batch if publishing else None)
@@ -224,7 +161,7 @@ def test_whole_rows_add_one_at_a_time_to_a_fractional_link():
     differently."""
     sub = Subscription.to_streams(["A"], projection=["x"])
     nets = []
-    for cls, publish in ((PubSubNetwork, by_batch), (RecursiveNetwork, by_rows)):
+    for cls, publish in ((PubSubNetwork, by_batch), (ScanNetwork, by_rows)):
         net = replay([], [], cls=cls)
         net.subscribe(3, sub)
         publish(net, 0, "A", [{"x": 1, "y": 1, "z": 1}])
@@ -273,7 +210,7 @@ class TestInvalidation:
     def test_another_streams_subscriptions_leave_a_route_alone(self):
         late = Subscription.to_streams(["A"])
         self.net.subscribe(5, late)
-        self.net.subscribe(3, self.a, force=True)
+        self.net.subscribe(3, self.a)
         assert self.publish("B")[1] == (1, 0)
         deliveries, counts = self.publish("A")
         assert counts == (0, 1)
@@ -296,9 +233,8 @@ class TestInvalidation:
     def test_resubscribing_evicts_even_when_no_table_changes(self):
         # the rule is "a call naming the stream drops its routes", not
         # "a call that changed a table does": one rule, no bookkeeping of
-        # which hop changed what; re-subscribes follow real changes to
-        # the same streams anyway (migrations), so little is lost
-        self.net.subscribe(3, self.a, force=True)
+        # which hop changed what
+        self.net.subscribe(3, self.a)
         assert self.publish("A")[1] == (0, 1)
         assert self.publish("A")[1] == (1, 0)
 
@@ -309,28 +245,22 @@ class TestInvalidation:
             lambda net: net.reset_broker(2),
         ],
     )
-    def test_faults_evict_everything_and_bump_the_version(self, fault):
-        version = self.net.version
+    def test_faults_evict_everything(self, fault):
         fault(self.net)
-        assert self.net.version > version
         deliveries, counts = self.publish("A")
         assert counts == (0, 1) and deliveries == []
         assert self.publish("B")[1] == (0, 1)
 
-    def test_healing_a_link_evicts_and_bumps_the_version(self):
+    def test_healing_a_link_evicts(self):
         self.net.set_link_down(1, 2)
         assert self.publish("A")[0] == []
-        version = self.net.version
         self.net.set_link_up(1, 2)
-        assert self.net.version > version
         deliveries, counts = self.publish("A")
         assert counts == (0, 1) and [d.node for d in deliveries] == [3]
 
     def test_removing_a_broker_evicts_what_it_subscribed_to_and_advertised(self):
         assert self.publish("C")[1] == (0, 1)
-        version = self.net.version
         self.net.remove_broker(3)  # subscriber of A, advertiser of B
-        assert self.net.version > version
         deliveries, counts = self.publish("A")
         assert counts == (0, 1) and deliveries == []
         assert self.publish("B")[1] == (0, 1)

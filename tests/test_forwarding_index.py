@@ -4,7 +4,7 @@ The counting index (``repro.pubsub.index``) must be observationally
 identical to the reference scans it replaces: same forwarding sets, same
 local deliveries in the same order, same per-link projections, same
 traffic accounting -- under adds, unsubscribes, covering-based pruning
-and ``force=True`` re-propagation.  These tests drive production tables
+and the re-forwarding a teardown does.  These tests drive production tables
 and networks and their scanning twins (:mod:`reference.covering_scan`)
 with the *same* Subscription objects and compare everything.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from cluster_contract import swapped
-from reference.covering_scan import RecursiveNetwork, ScanRoutingTable
+from reference.covering_scan import ScanNetwork, ScanRoutingTable
 
 from repro.pubsub import (
     Advertisement,
@@ -185,7 +185,7 @@ def build_parity_networks(seed, processors=24, subscriptions=160, substreams=48)
     oracle = SyntheticOracle(n_sources + processors, seed=seed)
     space = SubstreamSpace.random(substreams, sources, rng=rng)
     tree = minimum_latency_spanning_tree(sources + procs, oracle)
-    nets = [PubSubNetwork(tree), RecursiveNetwork(tree)]
+    nets = [PubSubNetwork(tree), ScanNetwork(tree)]
     for sid in range(len(space)):
         adv = Advertisement(stream=f"S{sid}")
         for net in nets:
@@ -240,19 +240,14 @@ class TestNetworkParity:
         assert nets[0].link_bytes == nets[1].link_bytes
 
     def test_parity_through_unsubscribe_and_covering_repair(self):
-        """The PR 2 covering-hole scenario: tear down subscriptions that
-        covered others, repair with ``force=True``, and require parity on
-        the re-propagated tables too."""
+        """The covering-hole scenario: tear down subscriptions that
+        covered others, and require parity on the tables the teardowns
+        re-forwarded the covered ones into."""
         nets, installed, space, rng = build_parity_networks(seed=3)
         victims = installed[::5]
         for _node, sub in victims:
             for net in nets:
                 net.unsubscribe(sub.sub_id)
-        survivors = [p for p in installed if p not in victims]
-        assert survivors
-        for node, sub in survivors[::3]:  # force-re-propagate survivors
-            for net in nets:
-                net.subscribe(node, sub, force=True)
         for node, broker in nets[0].brokers.items():
             assert broker.table.size() == nets[1].brokers[node].table.size()
         for indexed, reference in publish_all(nets, space, rng):
@@ -272,7 +267,7 @@ class TestNetworkParity:
         indexed = run_scenario(
             seed=11, scenario=ScenarioParams(**base), record=True
         )
-        with swapped(PubSubNetwork=RecursiveNetwork):
+        with swapped(PubSubNetwork=ScanNetwork):
             reference = run_scenario(
                 seed=11, scenario=ScenarioParams(**base), record=True
             )
@@ -351,7 +346,7 @@ class TestSubIdDedup:
         assert t.size() == 1
 
     def test_unsubscribe_repair_leaves_no_duplicates(self):
-        """Regression for the ``subscribe(force=True)`` repair path."""
+        """Unsubscribing a coverer re-forwards what it covered, once."""
         tree = chain_tree(5)
         net = PubSubNetwork(tree)
         net.advertise(0, Advertisement(stream="R"))
@@ -360,8 +355,8 @@ class TestSubIdDedup:
         net.subscribe(4, coverer)  # propagates 4 -> 0, covers keeper
         net.subscribe(3, keeper)  # stops at 3: covered upstream
         net.unsubscribe(coverer.sub_id)
-        for _ in range(3):  # repair must be idempotent
-            net.subscribe(3, keeper, force=True)
+        for _ in range(3):  # re-subscribing must be idempotent
+            net.subscribe(3, keeper)
         for broker in net.brokers.values():
             for iface, entries in broker.table.subscriptions.items():
                 ids = [s.sub_id for s in entries]

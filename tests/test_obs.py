@@ -205,19 +205,22 @@ class TestNoPerturbation:
         # the active-registry global never leaks past the run
         assert obs_registry.ACTIVE is None
 
-    def test_shared_run_replays_forced_walks(self):
-        """Covering repairs on the shared plane mostly replay a memoised
-        walk; every repair is a hit or a miss."""
+    def test_shared_run_routes_as_unobserved_and_counts_unsubscribes(self):
+        """An observed shared run routes exactly as an unobserved one, and
+        counts its subscription teardowns next to its subscribes."""
+
+        def run(observer=None):
+            return run_scenario(
+                seed=11, workload=_workload(True), scenario=_scenario(True),
+                record=True, observer=observer,
+            )
+
+        base = run()
         obs = Observer(span_sample_every=0, profile=False)
-        run_scenario(
-            seed=11, workload=_workload(True), scenario=_scenario(True),
-            observer=obs,
-        )
+        observed = run(observer=obs)
+        assert _digest(observed) == _digest(base)
         counters = obs.registry.to_dict()["counters"]
-        hits = counters["broker.walk_memo_hits"]
-        misses = counters["broker.walk_memo_misses"]
-        assert hits > 0 and misses > 0
-        assert hits + misses == counters["broker.covering_repairs"]
+        assert 0 < counters["broker.unsubscribes"] < counters["broker.subscribes"]
 
     def test_fault_plane_identical(self):
         params = _scenario(False, faults=True)

@@ -229,13 +229,47 @@ class TestEndToEnd:
             (2, {"x": 1}), (3, {"x": 1, "y": 2}),
         ]
 
-    def test_weighted_cost_uses_latency(self):
+    def test_unsubscribe_walks_the_upstream_path(self):
+        """Teardown is a protocol: one charged message per hop that held
+        the subscription, and no entry left behind."""
         sub = Subscription.to_streams(["R"])
         self.net.subscribe(4, sub)
         self.net.reset_traffic()
-        self.net.publish(0, Event("R", {"a": 1}, size=1.0))
-        # 4 unit-latency links x 1 byte
-        assert self.net.weighted_data_cost() == pytest.approx(4.0)
+        self.net.unsubscribe(sub.sub_id)
+        assert self.net.control_bytes == {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}
+        assert self.net.routing_table_sizes() == {n: 0 for n in range(5)}
+
+    def test_unsubscribing_a_coverer_reforwards_what_it_covered(self):
+        """``narrow`` stopped at node 3 behind ``wide``; tearing ``wide``
+        down sends ``narrow`` on toward the source in its place."""
+        wide = Subscription.to_streams(["R"])
+        narrow = Subscription.to_streams(["R"], filter=Filter.of(("a", ">", 10)))
+        self.net.subscribe(4, wide)
+        self.net.subscribe(3, narrow)
+        assert self.net._broker(2).table.subscriptions[3] == [wide]
+        self.net.unsubscribe(wide.sub_id)
+        for node in (0, 1, 2):
+            assert [s.sub_id for _, s in self.net._broker(node).table.iter_entries()] == [
+                narrow.sub_id
+            ]
+        assert [n for n, _, _ in self.net.publish(0, Event("R", {"a": 20}))] == [3]
+        assert self.net.publish(0, Event("R", {"a": 5})) == []
+
+    def test_a_new_advertiser_draws_existing_subscriptions(self):
+        """Subscriptions made before a stream had a source at node 4 are
+        forwarded to it when it advertises, and a re-homed source's
+        stale entries do not matter."""
+        sub = Subscription.to_streams(["S"])
+        self.net.subscribe(0, sub)
+        assert self.net.routing_table_sizes()[4] == 0
+        adv = Advertisement(stream="S")
+        self.net.advertise(4, adv)
+        assert [n for n, _, _ in self.net.publish(4, Event("S", {}))] == [0]
+        self.net.unadvertise(adv.adv_id)
+        self.net.advertise(2, Advertisement(stream="S"))
+        self.net.reset_traffic()
+        assert [n for n, _, _ in self.net.publish(2, Event("S", {}))] == [0]
+        assert set(self.net.link_bytes) == {(0, 1), (1, 2)}
 
     def test_star_topology_only_interested_branches(self):
         tree = star_tree(6)
@@ -313,21 +347,14 @@ class TestBrokerRemoval:
             assert all(
                 e.sub_id != gone.sub_id for _, e in broker.table.iter_entries()
             )
-        # `kept` had been covered upstream by `gone`, so its entries
-        # vanish with it -- the caller repairs with the force=True pass
-        # (the PR 3 covering-repair machinery recovery policies reuse).
-        self.net.subscribe(2, kept, force=True)
+        # `kept` had been covered upstream by `gone`: the teardown
+        # re-forwarded it toward the source in its place
         assert [n for n, _, _ in self.net.publish(0, Event("R", {"a": 1}))] == [2]
-
-    def test_version_bumped(self):
-        self.net.advertise(0, Advertisement(stream="R"))
-        before = self.net.version
-        self.net.remove_broker(0)
-        assert self.net.version > before
 
 
 class TestBrokerLossAndRecovery:
-    """``reset_broker`` wipes one table; reflood + force-resubscribe heals."""
+    """``reset_broker`` wipes one table; ``restore_broker`` has the
+    neighbours refill it."""
 
     def setup_method(self):
         self.net = PubSubNetwork(chain_tree(4))
@@ -344,22 +371,32 @@ class TestBrokerLossAndRecovery:
         # the event dies at the wiped broker
         assert self.net.publish(0, Event("R", {"a": 2})) == []
 
-    def test_reflood_then_force_resubscribe_repairs_delivery(self):
+    def test_restore_repairs_delivery(self):
         self.net.reset_broker(1)
         assert self.net.publish(0, Event("R", {"a": 2})) == []
-        # recovery order matters: adverts first (repopulate the wiped
-        # broker's pointers), then the force=True subscription pass.
-        self.net.reflood_advertisements()
+        self.net.restore_broker(1)
         assert self.adv.adv_id in self.net._broker(1).table.advertisements
-        self.net.subscribe(3, self.sub, force=True)
         assert [n for n, _, _ in self.net.publish(0, Event("R", {"a": 3}))] == [3]
 
-    def test_reflood_is_idempotent_on_healthy_brokers(self):
-        sizes = dict(self.net.routing_table_sizes())
-        self.net.reflood_advertisements()
-        assert self.net.routing_table_sizes() == sizes
+    def test_restore_is_idempotent_on_healthy_brokers(self):
+        tables = {n: b.table.iter_entries() for n, b in self.net.brokers.items()}
+        for node in self.net.brokers:
+            self.net.restore_broker(node)
+        assert {n: b.table.iter_entries() for n, b in self.net.brokers.items()} == tables
         for broker in self.net.brokers.values():
             assert list(broker.table.advertisements) == [self.adv.adv_id]
+
+    def test_restore_withdraws_what_was_torn_down_while_it_was_down(self):
+        """An unsubscribe while broker 1 is down stops there; restoring it
+        withdraws the entry its neighbour 0 still holds from it."""
+        self.net.reset_broker(1)
+        self.net.unsubscribe(self.sub.sub_id)
+        assert self.net._broker(0).table.size() == 1
+        self.net.restore_broker(1)
+        assert self.net.routing_table_sizes() == {n: 0 for n in range(4)}
+        self.net.reset_traffic()
+        assert self.net.publish(0, Event("R", {"a": 1})) == []
+        assert self.net.link_bytes == {}
 
     def test_routing_table_clear_matches_fresh_table(self):
         table = self.net._broker(2).table

@@ -26,7 +26,7 @@ import json
 
 import pytest
 from cluster_contract import run_on, swapped
-from reference.covering_scan import RecursiveNetwork
+from reference.covering_scan import ScanNetwork
 from reference.eager_delivery import EagerCluster
 
 from repro.sim import (
@@ -90,7 +90,7 @@ def routed_crash_run(indexed: bool):
     )
     if indexed:
         return run_scenario(**kwargs)
-    with swapped(PubSubNetwork=RecursiveNetwork):
+    with swapped(PubSubNetwork=ScanNetwork):
         return run_scenario(**kwargs)
 
 
@@ -248,7 +248,7 @@ class TestCrashRecoveryInvariants:
 class TestBrokerLossAndPartition:
     @pytest.mark.parametrize("use_sharing", [False, True])
     def test_broker_loss_recovery_restores_delivery(self, use_sharing):
-        """A wiped broker's tables are refloodable: zero total loss."""
+        """A wiped broker is refilled by its neighbours: zero total loss."""
         report = run_scenario(
             seed=2,
             workload=fault_workload(),
@@ -262,7 +262,7 @@ class TestBrokerLossAndPartition:
         assert "broker_loss" in kinds and "recover" in kinds
         oracle = oracle_results(report.actions)
         # no engine died, so nothing is exempt: every query bounded,
-        # and the reflood+resubscribe repair keeps loss transient
+        # and the neighbours' replay keeps loss transient
         for qid, want in oracle.items():
             assert is_subsequence(report.results.get(qid, []), want)
 

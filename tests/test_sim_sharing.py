@@ -310,12 +310,11 @@ class TestGroupLifecycle:
         assert {unit.uid for unit, _ in c._route(0, 0, rows)} == {
             lost.uid, kept.uid,
         }
-        # what a processor crash does to the unit it hosted: detach, tear
-        # its subscriptions out, repair the covering hole that leaves
-        # (``kept``'s identical filter was suppressed behind ``lost``'s)
+        # what a processor crash does to the unit it hosted: detach and
+        # tear its subscriptions out (the teardown re-forwards ``kept``'s
+        # identical filter, which was suppressed behind ``lost``'s)
         lost.detached = True
         c._unsubscribe_sources(lost)
-        c._refresh_subscriptions(streams=set(lost.streams))
         assert lost.subs
         assert [(unit.uid, got) for unit, got in c._route(0, 0, rows)] == [
             (kept.uid, rows),
@@ -324,9 +323,9 @@ class TestGroupLifecycle:
     def test_departure_repairs_covering_for_survivors(self):
         """Identical carves from three proxies: later propagations stop
         at the shared mid broker, covered by the first subscription.
-        When that coverer leaves, the survivors' re-subscriptions cover
-        each *other* at the mid broker, so without the forced repair
-        pass neither reaches the host again: results are routed by the
+        When that coverer leaves, its teardown must re-forward the
+        survivors' carves, which cover each *other* at the mid broker --
+        or neither reaches the host again: results are routed by the
         broker tables."""
         c = chain_cluster()
         for query_id, proxy in ((0, 3), (1, 4), (2, 5)):
