@@ -155,12 +155,16 @@ class PubSubNetwork:
         advertisement-driven forwarding), so a new advertiser -- a shared
         plan re-homed on another processor, say -- is subscribed to by
         everyone interested, through the ordinary covering rules.  A
-        broker reads only the entries naming ``adv.stream``.
+        broker reads only the entries naming ``adv.stream``.  An
+        advertisement live at another source is retracted there first.
         """
         self._changed((adv.stream,))
         obs = self.observer
         if obs is not None and obs.registry is not None:
             obs.registry.inc("broker.advertisements")
+        known = self._advertiser.get(adv.adv_id)
+        if known is not None and known[0] != source:
+            self._unadvertise(adv.adv_id, size)
         self._advertiser[adv.adv_id] = (source, adv)
         for node, came_from in self._flood(source, size):
             table = self.brokers[node].table

@@ -79,7 +79,7 @@ scheduler (``tests/test_batch_parity.py``,
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -636,20 +636,28 @@ class SimCluster:
         return qs
 
     def _install_sources(self, unit: _Unit, fresh: List[Subscription]) -> None:
-        """(Re)install a unit's source subscriptions; the old set goes first.
+        """(Re)declare a unit's source subscriptions, one per stream.
 
-        Leaving a stale set installed would accumulate subscriptions on
-        the processor forever and, whenever a re-merge narrows the hull,
-        keep pulling tuples nobody needs.  (The network's teardown
-        re-forwards whatever the old set had been covering.)  A re-merge
-        that leaves every filter where it was (the common case once a
-        group's hull stabilises) is a no-op.
+        A unit keeps one subscription id per stream it reads, so a
+        re-merge redeclares it and the network tears the old declaration
+        down (re-forwarding whatever it had been covering); leaving a
+        stale set installed would keep pulling tuples nobody needs once a
+        re-merge narrows the hull.  A re-merge that leaves every filter
+        where it was (the common case once a group's hull stabilises) is
+        a no-op.
         """
         if len(fresh) == len(unit.subs) and all(
             _same_subscription(old, new) for old, new in zip(unit.subs, fresh)
         ):
             return
-        self._unsubscribe_sources(unit)
+        ids = {old.streams: old.sub_id for old in unit.subs}
+        fresh = [
+            replace(sub, sub_id=ids.pop(sub.streams)) if sub.streams in ids else sub
+            for sub in fresh
+        ]
+        for sub_id in ids.values():  # streams the unit reads no more
+            self.network.unsubscribe(sub_id)
+            self._by_sub.pop(sub_id, None)
         unit.subs = fresh
         for sub in fresh:
             self.network.subscribe(unit.host, sub)
@@ -662,8 +670,11 @@ class SimCluster:
             self._by_sub.pop(sub.sub_id, None)
 
     def _replace_result_sub(self, qs: _QueryState, sub: Subscription) -> None:
-        """Swap a member's ``p^2`` subscription for ``sub`` at its proxy."""
-        self._drop_result_sub(qs)
+        """Declare ``sub`` as a member's ``p^2`` subscription at its proxy.
+        A member keeps one subscription id, so a new carve redeclares it
+        and the network tears the previous declaration down itself."""
+        if qs.result_sub is not None:
+            sub = replace(sub, sub_id=qs.result_sub.sub_id)
         qs.result_sub = sub
         self._by_result_sub[sub.sub_id] = qs.simq.query_id
         listeners = qs.unit.listeners
@@ -830,9 +841,6 @@ class SimCluster:
         )
         plan = self.engines[old].remove_query(unit.name)
         self.engines[new_host].adopt_plan(plan)
-        self._unsubscribe_sources(unit)
-        if unit.adv is not None:
-            self.network.unadvertise(unit.adv.adv_id)
         self._host_units[old].remove(unit.uid)
         self._home_unit(unit, new_host)
         self.migrations += 1
@@ -840,16 +848,16 @@ class SimCluster:
 
     def _home_unit(self, unit: _Unit, host: int) -> None:
         """Attach a unit (its plan already on ``host``'s engine) to the
-        network there: source subscriptions, and a fresh result-stream
-        advertisement flooded from the new host (which draws the
-        listeners' ``p^2`` carves toward it)."""
+        network there: its source subscriptions and its result-stream
+        advertisement, which the network moves from wherever they were
+        (the advertisement's flood draws the listeners' ``p^2`` carves
+        toward ``host``)."""
         unit.host = host
         unit.slack = self._slack(unit.substreams, host)
         for sub in unit.subs:
             self.network.subscribe(host, sub)
             self._by_sub[sub.sub_id] = unit.uid
         if unit.adv is not None:
-            unit.adv = Advertisement(stream=unit.result_stream)
             self.network.advertise(host, unit.adv)
         self._host_units.setdefault(host, []).append(unit.uid)
 
