@@ -122,7 +122,8 @@ class PubSubNetwork:
         self.brokers: Dict[int, Broker] = {n: Broker(node=n) for n in tree.nodes}
         #: cumulative data bytes forwarded per link
         self.link_bytes: Dict[Tuple[int, int], float] = {}
-        #: cumulative control bytes (advertisement/subscription propagation)
+        #: cumulative control bytes per link: one per control message
+        #: (advertisement, subscription, teardown or replay) crossing it
         self.control_bytes: Dict[Tuple[int, int], float] = {}
         #: sub_id -> (subscriber node, subscription as declared): every
         #: live subscription, in the order it was (last) declared
@@ -147,7 +148,7 @@ class PubSubNetwork:
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
-    def advertise(self, source: int, adv: Advertisement, size: float = 1.0) -> None:
+    def advertise(self, source: int, adv: Advertisement) -> None:
         """Flood ``adv`` from ``source`` over the whole tree.
 
         Every broker the flood reaches forwards back toward ``source`` the
@@ -164,9 +165,9 @@ class PubSubNetwork:
             obs.registry.inc("broker.advertisements")
         known = self._advertiser.get(adv.adv_id)
         if known is not None and known[0] != source:
-            self._unadvertise(adv.adv_id, size)
+            self._unadvertise(adv.adv_id)
         self._advertiser[adv.adv_id] = (source, adv)
-        for node, came_from in self._flood(source, size):
+        for node, came_from in self._flood(source):
             table = self.brokers[node].table
             if came_from is None:
                 table.add_advertisement(adv, LOCAL)
@@ -176,45 +177,45 @@ class PubSubNetwork:
                 sub
                 for iface, sub in table.stream_subscriptions(adv.stream)
                 if iface != came_from and adv.intersects(sub)
-            ], size)
+            ])
 
-    def unadvertise(self, adv_id: int, size: float = 1.0) -> None:
+    def unadvertise(self, adv_id: int) -> None:
         """Retract an advertisement: the mirror image of :meth:`advertise`,
         a flood from its source charged per hop.
 
         Used when a result stream stops being produced (a shared group
-        retiring) or moves to another node (a shared plan migrating --
-        retire, then re-advertise from the new host).  Subscription
-        entries that had been forwarded toward the retired advertiser
-        stay: they still point toward their subscribers, and an event
-        can only match one where an advertisement intersecting it lies
-        the same way -- whose entries are there anyway.
+        retiring, or its host crashing; a migrating plan re-advertises
+        from its new host instead, which moves the advertisement).
+        Subscription entries that had been forwarded toward the retired
+        advertiser stay: they still point toward their subscribers, and
+        an event can only match one where an advertisement intersecting
+        it lies the same way -- whose entries are there anyway.
         """
-        self._unadvertise(adv_id, size)
+        self._unadvertise(adv_id)
 
-    def _unadvertise(self, adv_id: int, size: float) -> None:
+    def _unadvertise(self, adv_id: int) -> None:
         known = self._advertiser.pop(adv_id, None)
         if known is None:
             return
         source, adv = known
         self._changed((adv.stream,))
-        for node, _came_from in self._flood(source, size):
+        for node, _came_from in self._flood(source):
             self.brokers[node].table.remove_advertisement(adv_id)
 
-    def _flood(self, source: int, size: float) -> Iterable[Tuple[int, Optional[int]]]:
+    def _flood(self, source: int) -> Iterable[Tuple[int, Optional[int]]]:
         """Every broker, breadth first from ``source``, with the neighbour
         the flood reached it from (``None`` at ``source``); each hop is
-        charged ``size`` control bytes."""
+        one control message."""
         queue = deque([(source, None)])
         while queue:
             node, came_from = queue.popleft()
             yield node, came_from
             for nbr in self.tree.neighbors(node):
                 if nbr != came_from:
-                    self._account(self.control_bytes, node, nbr, size)
+                    self._message(node, nbr)
                     queue.append((nbr, node))
 
-    def subscribe(self, node: int, sub: Subscription, size: float = 1.0) -> None:
+    def subscribe(self, node: int, sub: Subscription) -> None:
         """Install ``sub`` for a subscriber attached at ``node``.
 
         Propagation follows advertisement pointers toward intersecting
@@ -234,14 +235,12 @@ class PubSubNetwork:
         if known is not None:
             if known[0] == node and (known[1] is sub or known[1] == sub):
                 return
-            self._unsubscribe(sub.sub_id, size)
+            self._unsubscribe(sub.sub_id)
         self._subscribers[sub.sub_id] = (node, sub)
         self._broker(node).table.add_subscription(sub, LOCAL)
-        self._propagate(node, sub, from_iface=LOCAL, size=size)
+        self._propagate(node, sub, from_iface=LOCAL)
 
-    def _propagate(
-        self, node: int, sub: Subscription, from_iface, size: float
-    ) -> None:
+    def _propagate(self, node: int, sub: Subscription, from_iface) -> None:
         broker = self._broker(node)
         targets = broker.table.advertiser_interfaces(sub)
         for iface in targets:
@@ -257,13 +256,11 @@ class PubSubNetwork:
             # every attempted forward is a real message (the sender cannot
             # know the remote table already holds the subscription), so it
             # is charged whether or not the table changes
-            self._account(self.control_bytes, node, nbr, size)
+            self._message(node, nbr)
             if self._broker(nbr).table.add_subscription(sub, node):
-                self._propagate(nbr, sub, from_iface=node, size=size)
+                self._propagate(nbr, sub, from_iface=node)
 
-    def _resend(
-        self, node: int, toward: int, subs: Sequence[Subscription], size: float
-    ) -> None:
+    def _resend(self, node: int, toward: int, subs: Sequence[Subscription]) -> None:
         """Forward entries held at ``node`` to its neighbour ``toward``,
         in order, and on from there by :meth:`_propagate`.  One covered
         by an entry sent before it is not sent; the receiver's covering
@@ -274,24 +271,24 @@ class PubSubNetwork:
                 continue
             sent.append(sub)
             self._changed(sub.streams)
-            self._account(self.control_bytes, node, toward, size)
+            self._message(node, toward)
             if self.brokers[toward].table.add_subscription(sub, node):
-                self._propagate(toward, sub, from_iface=node, size=size)
+                self._propagate(toward, sub, from_iface=node)
 
-    def unsubscribe(self, sub_id: int, size: float = 1.0) -> None:
+    def unsubscribe(self, sub_id: int) -> None:
         """Tear a subscription down (Siena's unsubscription).
 
         The teardown walks the subscription's upstream path from its
-        subscriber node, dropping its entry hop by hop (each hop charged
-        ``size``) and stopping where a neighbour holds no entry for it.
+        subscriber node, dropping its entry hop by hop (one control
+        message each) and stopping where a neighbour holds no entry for it.
         At every hop it re-forwards to that neighbour the entries the
         removed one had been covering, which then travel on by the
         ordinary propagation -- so no surviving subscription is left
         behind a covering hole.
         """
-        self._unsubscribe(sub_id, size)
+        self._unsubscribe(sub_id)
 
-    def _unsubscribe(self, sub_id: int, size: float) -> None:
+    def _unsubscribe(self, sub_id: int) -> None:
         known = self._subscribers.pop(sub_id, None)
         if known is None:
             return
@@ -302,9 +299,9 @@ class PubSubNetwork:
             obs.registry.inc("broker.unsubscribes")
         self.brokers[node].table.remove_subscription(sub_id, LOCAL)
         for nbr in self.tree.neighbors(node):
-            self._retract(node, nbr, sub_id, size)
+            self._retract(node, nbr, sub_id)
 
-    def _retract(self, node: int, nbr: int, sub_id: int, size: float) -> None:
+    def _retract(self, node: int, nbr: int, sub_id: int) -> None:
         """Withdraw the entry ``sub_id`` has at ``nbr`` from ``node``, and
         every entry it led to beyond; then send ``nbr`` what it had been
         covering at ``node`` (depth first, so the re-forwarded entries
@@ -312,16 +309,16 @@ class PubSubNetwork:
         entry = self.brokers[nbr].table.remove_subscription(sub_id, node)
         if entry is None:
             return
-        self._account(self.control_bytes, node, nbr, size)
+        self._message(node, nbr)
         for nxt in self.tree.neighbors(nbr):
             if nxt != node:
-                self._retract(nbr, nxt, sub_id, size)
+                self._retract(nbr, nxt, sub_id)
         table = self.brokers[node].table
         self._resend(node, nbr, [
             sub
             for sub in table.covered_entries(entry, skip=nbr)
             if nbr in table.advertiser_interfaces(sub)
-        ], size)
+        ])
 
     # ------------------------------------------------------------------
     # faults & membership
@@ -343,9 +340,9 @@ class PubSubNetwork:
             if src == node
         ]
         for sub_id in subs:
-            self._unsubscribe(sub_id, 1.0)
+            self._unsubscribe(sub_id)
         for adv_id in advs:
-            self._unadvertise(adv_id, 1.0)
+            self._unadvertise(adv_id)
         return subs, advs
 
     def reset_broker(self, node: int) -> None:
@@ -358,7 +355,7 @@ class PubSubNetwork:
         self._changed(None)
         self._broker(node).table.clear()
 
-    def restore_broker(self, node: int, size: float = 1.0) -> None:
+    def restore_broker(self, node: int) -> None:
         """Refill a restarted broker from its neighbours (Siena's recovery).
 
         The broker starts from an empty table.  It re-installs its own
@@ -369,8 +366,7 @@ class PubSubNetwork:
         Last, a neighbour withdraws (hop by hop, as :meth:`unsubscribe`
         does) every entry it holds from ``node`` for a subscription
         ``node`` no longer holds from another side: one torn down while
-        the broker was down, whose teardown stopped there.  Every
-        message is charged ``size``.
+        the broker was down, whose teardown stopped there.
         """
         self._changed(None)
         table = self._broker(node).table
@@ -382,26 +378,26 @@ class PubSubNetwork:
         for nbr in nbrs:
             for adv, via in list(self.brokers[nbr].table.advertisements.values()):
                 if via != node:
-                    self._account(self.control_bytes, nbr, node, size)
+                    self._message(nbr, node)
                     table.add_advertisement(adv, nbr)
         for home, sub in list(self._subscribers.values()):
             if home == node:
                 table.add_subscription(sub, LOCAL)
-                self._propagate(node, sub, from_iface=LOCAL, size=size)
+                self._propagate(node, sub, from_iface=LOCAL)
         for nbr in nbrs:
             there = self.brokers[nbr].table
             self._resend(nbr, node, [
                 sub
                 for iface, sub in there.iter_entries()
                 if iface != node and node in there.advertiser_interfaces(sub)
-            ], size)
+            ])
         held: Dict[int, Set] = {}
         for iface, sub in table.iter_entries():
             held.setdefault(sub.sub_id, set()).add(iface)
         for nbr in nbrs:
             for sub in list(self.brokers[nbr].table.subscriptions.get(node, ())):
                 if not held.get(sub.sub_id, set()) - {nbr}:
-                    self._retract(node, nbr, sub.sub_id, size)
+                    self._retract(node, nbr, sub.sub_id)
 
     def set_link_down(self, u: int, v: int) -> None:
         """Partition one overlay link: events stop crossing it."""
@@ -735,6 +731,10 @@ class PubSubNetwork:
             return self.brokers[node]
         except KeyError:
             raise KeyError(f"node {node} is not part of the pub/sub overlay") from None
+
+    def _message(self, u: int, v: int) -> None:
+        """Charge one control message over the link ``u`` - ``v``."""
+        self._account(self.control_bytes, u, v, 1.0)
 
     @staticmethod
     def _account(book: Dict[Tuple[int, int], float], u: int, v: int, size: float) -> None:

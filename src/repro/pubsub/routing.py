@@ -282,7 +282,9 @@ class RoutingTable:
             removed = entry
         return removed
 
-    def covered_entries(self, sub: Subscription, skip: Interface) -> List[Subscription]:
+    def covered_entries(
+        self, sub: Subscription, skip: Interface
+    ) -> List[Subscription]:
         """The entries ``sub`` covers, from every interface but ``skip``,
         in table order: what ``sub`` may have kept from being forwarded
         toward ``skip``.  Only entries sharing a stream with ``sub`` are
@@ -327,7 +329,9 @@ class RoutingTable:
         can gate an event of ``stream`` here, whatever its attributes."""
         return self._index.stream_entries(stream)
 
-    def stream_subscriptions(self, stream: str) -> List[Tuple[Interface, Subscription]]:
+    def stream_subscriptions(
+        self, stream: str
+    ) -> List[Tuple[Interface, Subscription]]:
         """``(interface, subscription)`` for every entry requesting
         ``stream``: interface by interface as the table lists them, each
         interface's entries in table order."""

@@ -158,9 +158,9 @@ class CheckpointRecovery(RecoveryPolicy):
     handoff a migration uses -- the state transfer from the checkpoint
     store is charged on the overlay and pauses deliveries for the
     handoff delay.  A shared group thus re-homes wholesale: one restored
-    merged plan, reinstalled ``p^1`` subscriptions and a fresh result
-    advertisement, which draws every listener's ``p^2`` carve toward the
-    new host.  A lost broker is refilled by its neighbours
+    merged plan, reinstalled ``p^1`` subscriptions and its result
+    advertisement re-issued from the new host, which draws every
+    listener's ``p^2`` carve toward it.  A lost broker is refilled by its neighbours
     (``PubSubNetwork.restore_broker``).
     """
 

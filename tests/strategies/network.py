@@ -24,7 +24,8 @@ NODES = tuple(range(6))
 #: where each stream's whole-stream advertisement comes from
 SOURCE = {"A": 0, "B": 3, "C": 4}
 #: (source, advertisement): one whole-stream advertisement per stream,
-#: then second advertisers that promise only part of a stream
+#: then second advertisers that promise only part of a stream, then the
+#: first advertisement again from elsewhere (advertising it there moves it)
 ADVERTS = tuple(
     (SOURCE[stream], Advertisement(stream=stream)) for stream in STREAMS
 ) + (
@@ -32,6 +33,7 @@ ADVERTS = tuple(
     (4, Advertisement(stream="B", filter=Filter.of(("y", "==", 1)))),
     (1, Advertisement(stream="C", filter=Filter.of(("x", "<", 2)))),
 )
+ADVERTS += ((2, ADVERTS[0][1]),)
 FILTERS = (
     TRUE_FILTER,
     Filter.of(("x", ">", 2)),

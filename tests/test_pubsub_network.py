@@ -217,7 +217,9 @@ class TestEndToEnd:
             tree.add_link(u, v, 1.0)
         net = PubSubNetwork(tree)
         net.advertise(0, Advertisement(stream="s"))
-        a = Subscription.to_streams(["s"], projection=["x"], filter=Filter.of(("x", ">", 0)))
+        a = Subscription.to_streams(
+            ["s"], projection=["x"], filter=Filter.of(("x", ">", 0))
+        )
         b = Subscription.to_streams(
             ["s"], projection=["x", "y"],
             filter=Filter.of(("x", ">", 0), ("y", ">", 0)),
@@ -236,7 +238,9 @@ class TestEndToEnd:
         self.net.subscribe(4, sub)
         self.net.reset_traffic()
         self.net.unsubscribe(sub.sub_id)
-        assert self.net.control_bytes == {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}
+        assert self.net.control_bytes == {
+            (0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0,
+        }
         assert self.net.routing_table_sizes() == {n: 0 for n in range(5)}
 
     def test_unsubscribing_a_coverer_reforwards_what_it_covered(self):
@@ -249,9 +253,8 @@ class TestEndToEnd:
         assert self.net._broker(2).table.subscriptions[3] == [wide]
         self.net.unsubscribe(wide.sub_id)
         for node in (0, 1, 2):
-            assert [s.sub_id for _, s in self.net._broker(node).table.iter_entries()] == [
-                narrow.sub_id
-            ]
+            entries = self.net._broker(node).table.iter_entries()
+            assert [s.sub_id for _, s in entries] == [narrow.sub_id]
         assert [n for n, _, _ in self.net.publish(0, Event("R", {"a": 20}))] == [3]
         assert self.net.publish(0, Event("R", {"a": 5})) == []
 

@@ -1,9 +1,9 @@
 """The control plane keeps Siena's invariant by itself.
 
 A network that has been through any control log (after the three
-whole-stream advertisements) -- subscriptions
-declared, redeclared, moved and torn down, advertisers coming and going,
-brokers departing or restarting, links partitioned -- must *route*
+whole-stream advertisements) -- subscriptions declared, redeclared,
+moved and torn down, advertisers coming, going and moving, brokers
+departing or restarting, links partitioned -- must *route*
 exactly like one built fresh from what is live: its advertisements
 first, then its subscriptions in the order they were (last) declared,
 under the same partitions.  Routing means the deliveries of
@@ -52,7 +52,10 @@ class Live:
             self.subs.pop(pool[op[1]].sub_id, None)
         elif kind == "advertise":
             source, adv = ADVERTS[op[1]]
-            self.adverts[adv.adv_id] = (source, adv)
+            known = self.adverts.get(adv.adv_id)
+            if known is None or known[0] != source:
+                self.adverts.pop(adv.adv_id, None)
+                self.adverts[adv.adv_id] = (source, adv)
         elif kind == "unadvertise":
             self.adverts.pop(ADVERTS[op[1]][1].adv_id, None)
         elif kind == "remove_broker":
