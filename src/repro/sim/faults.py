@@ -160,8 +160,8 @@ class CheckpointRecovery(RecoveryPolicy):
     handoff delay.  A shared group thus re-homes wholesale: one restored
     merged plan, reinstalled ``p^1`` subscriptions and its result
     advertisement re-issued from the new host, which draws every
-    listener's ``p^2`` carve toward it.  A lost broker is refilled by its neighbours
-    (``PubSubNetwork.restore_broker``).
+    listener's ``p^2`` carve toward it.  A lost broker is refilled by its
+    neighbours (``PubSubNetwork.restore_broker``).
     """
 
     name = "checkpoint"
