@@ -173,11 +173,12 @@ class PubSubNetwork:
                 table.add_advertisement(adv, LOCAL)
                 continue
             table.add_advertisement(adv, came_from)
-            self._resend(node, came_from, [
-                sub
-                for iface, sub in table.stream_subscriptions(adv.stream)
-                if iface != came_from and adv.intersects(sub)
-            ])
+            if table.subscriptions:  # none yet where sources first advertise
+                self._resend(node, came_from, [
+                    sub
+                    for iface, sub in table.stream_subscriptions(adv.stream)
+                    if iface != came_from and adv.intersects(sub)
+                ])
 
     def unadvertise(self, adv_id: int) -> None:
         """Retract an advertisement: the mirror image of :meth:`advertise`,
@@ -734,7 +735,8 @@ class PubSubNetwork:
 
     def _message(self, u: int, v: int) -> None:
         """Charge one control message over the link ``u`` - ``v``."""
-        self._account(self.control_bytes, u, v, 1.0)
+        key = (u, v) if u < v else (v, u)
+        self.control_bytes[key] = self.control_bytes.get(key, 0.0) + 1.0
 
     @staticmethod
     def _account(book: Dict[Tuple[int, int], float], u: int, v: int, size: float) -> None:

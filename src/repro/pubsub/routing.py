@@ -335,11 +335,11 @@ class RoutingTable:
         """``(interface, subscription)`` for every entry requesting
         ``stream``: interface by interface as the table lists them, each
         interface's entries in table order."""
-        rank = {iface: i for i, iface in enumerate(self.subscriptions)}
-        return sorted(
-            ((iface, sub) for iface, sub, _matches in self.stream_entries(stream)),
-            key=lambda entry: rank[entry[0]],
-        )
+        entries = [(iface, sub) for iface, sub, _matches in self.stream_entries(stream)]
+        if len(entries) > 1:
+            rank = {iface: i for i, iface in enumerate(self.subscriptions)}
+            entries.sort(key=lambda entry: rank[entry[0]])
+        return entries
 
     # ------------------------------------------------------------------
     def covered_upstream(self, sub: Subscription, toward: Interface) -> bool:
