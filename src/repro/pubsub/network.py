@@ -156,29 +156,42 @@ class PubSubNetwork:
         advertisement-driven forwarding), so a new advertiser -- a shared
         plan re-homed on another processor, say -- is subscribed to by
         everyone interested, through the ordinary covering rules.  A
-        broker reads only the entries naming ``adv.stream``.  An
-        advertisement live at another source is retracted there first.
+        broker reads only the entries naming ``adv.stream``, and one that
+        holds ``adv`` already stops the flood.  An advertisement live at
+        another source, or declared otherwise, is retracted first.
         """
         self._changed((adv.stream,))
         obs = self.observer
         if obs is not None and obs.registry is not None:
             obs.registry.inc("broker.advertisements")
         known = self._advertiser.get(adv.adv_id)
-        if known is not None and known[0] != source:
+        if known is not None and known != (source, adv):
             self._unadvertise(adv.adv_id)
         self._advertiser[adv.adv_id] = (source, adv)
-        for node, came_from in self._flood(source):
+        self._broker(source).table.add_advertisement(adv, LOCAL)
+        self._spread(adv, source, self.tree.neighbors(source))
+
+    def _spread(self, adv: Advertisement, node: int, toward: Iterable[int]) -> None:
+        """Send ``adv`` from ``node`` to each neighbour in ``toward``, and
+        on, breadth first, from every broker that did not hold it yet
+        (one control message per hop).  Such a broker forwards back
+        toward the sender the subscriptions it holds that intersect it."""
+        queue = deque((node, nbr) for nbr in toward)
+        while queue:
+            sender, node = queue.popleft()
+            self._message(sender, node)
             table = self.brokers[node].table
-            if came_from is None:
-                table.add_advertisement(adv, LOCAL)
+            if not table.add_advertisement(adv, sender):
                 continue
-            table.add_advertisement(adv, came_from)
             if table.subscriptions:  # none yet where sources first advertise
-                self._resend(node, came_from, [
+                self._resend(node, sender, [
                     sub
                     for iface, sub in table.stream_subscriptions(adv.stream)
-                    if iface != came_from and adv.intersects(sub)
+                    if iface != sender and adv.intersects(sub)
                 ])
+            queue.extend(
+                (node, nbr) for nbr in self.tree.neighbors(node) if nbr != sender
+            )
 
     def unadvertise(self, adv_id: int) -> None:
         """Retract an advertisement: the mirror image of :meth:`advertise`,
@@ -200,17 +213,10 @@ class PubSubNetwork:
             return
         source, adv = known
         self._changed((adv.stream,))
-        for node, _came_from in self._flood(source):
-            self.brokers[node].table.remove_advertisement(adv_id)
-
-    def _flood(self, source: int) -> Iterable[Tuple[int, Optional[int]]]:
-        """Every broker, breadth first from ``source``, with the neighbour
-        the flood reached it from (``None`` at ``source``); each hop is
-        one control message."""
         queue = deque([(source, None)])
         while queue:
             node, came_from = queue.popleft()
-            yield node, came_from
+            self.brokers[node].table.remove_advertisement(adv_id)
             for nbr in self.tree.neighbors(node):
                 if nbr != came_from:
                     self._message(node, nbr)
@@ -364,10 +370,14 @@ class PubSubNetwork:
         neighbour replays across the link the advertisements it holds
         from elsewhere and the subscription entries it would forward
         toward ``node``, which travel on by the ordinary propagation.
-        Last, a neighbour withdraws (hop by hop, as :meth:`unsubscribe`
-        does) every entry it holds from ``node`` for a subscription
-        ``node`` no longer holds from another side: one torn down while
-        the broker was down, whose teardown stopped there.
+        Then ``node`` offers each advertisement it holds to every
+        neighbour but the one it came from; it spreads on as
+        :meth:`advertise` floods wherever it is missing -- at a
+        neighbour restored while ``node`` was down, say.  Last, a neighbour withdraws (hop by hop,
+        as :meth:`unsubscribe` does) every entry it holds from ``node``
+        for a subscription ``node`` no longer holds from another side:
+        one torn down while the broker was down, whose teardown stopped
+        there.
         """
         self._changed(None)
         table = self._broker(node).table
@@ -392,6 +402,8 @@ class PubSubNetwork:
                 for iface, sub in there.iter_entries()
                 if iface != node and node in there.advertiser_interfaces(sub)
             ])
+        for adv, via in list(table.advertisements.values()):
+            self._spread(adv, node, [nbr for nbr in nbrs if nbr != via])
         held: Dict[int, Set] = {}
         for iface, sub in table.iter_entries():
             held.setdefault(sub.sub_id, set()).add(iface)

@@ -88,12 +88,31 @@ control_ops = st.one_of(
 )
 
 
+def _aim(ops):
+    """Point each unsubscribe at a subscription declared earlier in the
+    log, and each restore at a broker still waiting for one, when there
+    is one, and restore what is still down at the end: tearing down or
+    restoring nothing tests nothing."""
+    declared, down, out = [], [], []
+    for op in ops:
+        kind = op[0]
+        if kind == "subscribe":
+            declared.append(op[2])
+        elif kind == "unsubscribe" and declared:
+            op = (kind, declared[op[1] % len(declared)])
+        elif kind == "reset_broker":
+            down.append(op[1])
+        elif kind == "restore_broker" and down:
+            op = (kind, down.pop())
+        out.append(op)
+    return out + [("restore_broker", node) for node in reversed(down)]
+
 
 def control_logs(max_pairs=15):
     """Logs that subscribe before every other step, so that tables fill
     up while the rest of the log tears them down."""
     return st.lists(st.tuples(subscribes, control_ops), max_size=max_pairs).map(
-        lambda pairs: [op for pair in pairs for op in pair]
+        lambda pairs: _aim([op for pair in pairs for op in pair])
     )
 
 
