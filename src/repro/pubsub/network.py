@@ -365,19 +365,18 @@ class PubSubNetwork:
     def restore_broker(self, node: int) -> None:
         """Refill a restarted broker from its neighbours (Siena's recovery).
 
-        The broker starts from an empty table.  It re-installs its own
-        advertisements and the subscriptions attached at it; each
-        neighbour replays across the link the advertisements it holds
-        from elsewhere and the subscription entries it would forward
-        toward ``node``, which travel on by the ordinary propagation.
-        Then ``node`` offers each advertisement it holds to every
-        neighbour but the one it came from; it spreads on as
-        :meth:`advertise` floods wherever it is missing -- at a
-        neighbour restored while ``node`` was down, say.  Last, a neighbour withdraws (hop by hop,
-        as :meth:`unsubscribe` does) every entry it holds from ``node``
-        for a subscription ``node`` no longer holds from another side:
-        one torn down while the broker was down, whose teardown stopped
-        there.
+        The broker starts from an empty table.  It re-advertises its own
+        advertisements, and each neighbour replays across the link the
+        advertisements it holds from elsewhere; both spread on as
+        :meth:`advertise` floods wherever they are missing (at a
+        neighbour restored while ``node`` was down, say).  Then ``node``
+        re-installs the subscriptions attached at it, and each neighbour
+        replays the subscription entries it would forward toward
+        ``node``, which travel on by the ordinary propagation.  Last, a
+        neighbour withdraws (hop by hop, as :meth:`unsubscribe` does)
+        every entry it holds from ``node`` for a subscription ``node`` no
+        longer holds from another side: one torn down while the broker
+        was down, whose teardown stopped there.
         """
         self._changed(None)
         table = self._broker(node).table
@@ -386,11 +385,11 @@ class PubSubNetwork:
         for source, adv in self._advertiser.values():
             if source == node:
                 table.add_advertisement(adv, LOCAL)
+                self._spread(adv, node, nbrs)
         for nbr in nbrs:
             for adv, via in list(self.brokers[nbr].table.advertisements.values()):
                 if via != node:
-                    self._message(nbr, node)
-                    table.add_advertisement(adv, nbr)
+                    self._spread(adv, nbr, [node])
         for home, sub in list(self._subscribers.values()):
             if home == node:
                 table.add_subscription(sub, LOCAL)
@@ -402,8 +401,6 @@ class PubSubNetwork:
                 for iface, sub in there.iter_entries()
                 if iface != node and node in there.advertiser_interfaces(sub)
             ])
-        for adv, via in list(table.advertisements.values()):
-            self._spread(adv, node, [nbr for nbr in nbrs if nbr != via])
         held: Dict[int, Set] = {}
         for iface, sub in table.iter_entries():
             held.setdefault(sub.sub_id, set()).add(iface)

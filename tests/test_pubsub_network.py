@@ -381,10 +381,11 @@ class TestBrokerLossAndRecovery:
         assert self.adv.adv_id in self.net._broker(1).table.advertisements
         assert [n for n, _, _ in self.net.publish(0, Event("R", {"a": 3}))] == [3]
 
-    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2), (2, 1)])
     def test_restoring_adjacent_wiped_brokers_in_any_order(self, order):
-        """With the source's broker wiped too, a neighbour restored first
-        cannot learn the advertisement; the source's restore offers it."""
+        """A broker restored while a neighbour is still wiped cannot learn
+        the advertisements that lie beyond that neighbour; the
+        neighbour's restore spreads them on to it."""
         for node in order:
             self.net.reset_broker(node)
         for node in order:
