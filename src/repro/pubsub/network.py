@@ -189,9 +189,9 @@ class PubSubNetwork:
                     for iface, sub in table.stream_subscriptions(adv.stream)
                     if iface != sender and adv.intersects(sub)
                 ])
-            queue.extend(
-                (node, nbr) for nbr in self.tree.neighbors(node) if nbr != sender
-            )
+            for nbr in self.tree.neighbors(node):
+                if nbr != sender:
+                    queue.append((node, nbr))
 
     def unadvertise(self, adv_id: int) -> None:
         """Retract an advertisement: the mirror image of :meth:`advertise`,
