@@ -164,8 +164,7 @@ class PubSubNetwork:
         obs = self.observer
         if obs is not None and obs.registry is not None:
             obs.registry.inc("broker.advertisements")
-        known = self._advertiser.get(adv.adv_id)
-        if known is not None and known != (source, adv):
+        if self._advertiser.get(adv.adv_id) != (source, adv):
             self._unadvertise(adv.adv_id)
         self._advertiser[adv.adv_id] = (source, adv)
         self._broker(source).table.add_advertisement(adv, LOCAL)
@@ -238,19 +237,16 @@ class PubSubNetwork:
         if obs is not None and obs.registry is not None:
             obs.registry.inc("broker.subscribes")
         self._changed(sub.streams)
-        known = self._subscribers.get(sub.sub_id)
-        if known is not None:
-            if known[0] == node and (known[1] is sub or known[1] == sub):
-                return
-            self._unsubscribe(sub.sub_id)
+        if self._subscribers.get(sub.sub_id) == (node, sub):
+            return
+        self._unsubscribe(sub.sub_id)
         self._subscribers[sub.sub_id] = (node, sub)
         self._broker(node).table.add_subscription(sub, LOCAL)
         self._propagate(node, sub, from_iface=LOCAL)
 
     def _propagate(self, node: int, sub: Subscription, from_iface) -> None:
         broker = self._broker(node)
-        targets = broker.table.advertiser_interfaces(sub)
-        for iface in targets:
+        for iface in broker.table.advertiser_interfaces(sub):
             if iface == from_iface:
                 continue
             if broker.table.covered_upstream(sub, toward=iface):
@@ -258,14 +254,15 @@ class PubSubNetwork:
                 if obs is not None and obs.registry is not None:
                     obs.registry.inc("broker.covering_suppressions")
                 continue
-            nbr = iface
-            assert isinstance(nbr, int)
-            # every attempted forward is a real message (the sender cannot
-            # know the remote table already holds the subscription), so it
-            # is charged whether or not the table changes
-            self._message(node, nbr)
-            if self._broker(nbr).table.add_subscription(sub, node):
-                self._propagate(nbr, sub, from_iface=node)
+            self._forward(node, iface, sub)
+
+    def _forward(self, node: int, toward: int, sub: Subscription) -> None:
+        """Send ``sub`` from ``node`` to its neighbour ``toward``, and on
+        from there if the receiver's table changed.  The message is
+        charged either way: the sender cannot know what the receiver holds."""
+        self._message(node, toward)
+        if self.brokers[toward].table.add_subscription(sub, node):
+            self._propagate(toward, sub, from_iface=node)
 
     def _resend(self, node: int, toward: int, subs: Sequence[Subscription]) -> None:
         """Forward entries held at ``node`` to its neighbour ``toward``,
@@ -278,9 +275,7 @@ class PubSubNetwork:
                 continue
             sent.append(sub)
             self._changed(sub.streams)
-            self._message(node, toward)
-            if self.brokers[toward].table.add_subscription(sub, node):
-                self._propagate(toward, sub, from_iface=node)
+            self._forward(node, toward, sub)
 
     def unsubscribe(self, sub_id: int) -> None:
         """Tear a subscription down (Siena's unsubscription).
@@ -310,15 +305,18 @@ class PubSubNetwork:
 
     def _retract(self, node: int, nbr: int, sub_id: int) -> None:
         """Withdraw the entry ``sub_id`` has at ``nbr`` from ``node``, and
-        every entry it led to beyond; then send ``nbr`` what it had been
-        covering at ``node`` (depth first, so the re-forwarded entries
-        meet no stale coverer on their way)."""
-        entry = self.brokers[nbr].table.remove_subscription(sub_id, node)
+        every entry it led to beyond -- but none that ``nbr`` still
+        holds ``sub_id`` from another side to justify (a subscription
+        moved while a broker on its old path was wiped); then send
+        ``nbr`` what it had been covering at ``node`` (depth first, so
+        the re-forwarded entries meet no stale coverer on their way)."""
+        there = self.brokers[nbr].table
+        entry = there.remove_subscription(sub_id, node)
         if entry is None:
             return
         self._message(node, nbr)
         for nxt in self.tree.neighbors(nbr):
-            if nxt != node:
+            if nxt != node and not there.holds(sub_id, besides=nxt):
                 self._retract(nbr, nxt, sub_id)
         table = self.brokers[node].table
         self._resend(node, nbr, [
@@ -401,12 +399,9 @@ class PubSubNetwork:
                 for iface, sub in there.iter_entries()
                 if iface != node and node in there.advertiser_interfaces(sub)
             ])
-        held: Dict[int, Set] = {}
-        for iface, sub in table.iter_entries():
-            held.setdefault(sub.sub_id, set()).add(iface)
         for nbr in nbrs:
             for sub in list(self.brokers[nbr].table.subscriptions.get(node, ())):
-                if not held.get(sub.sub_id, set()) - {nbr}:
+                if not table.holds(sub.sub_id, besides=nbr):
                     self._retract(node, nbr, sub.sub_id)
 
     def set_link_down(self, u: int, v: int) -> None:

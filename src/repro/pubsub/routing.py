@@ -282,6 +282,10 @@ class RoutingTable:
             removed = entry
         return removed
 
+    def holds(self, sub_id: int, besides: Interface) -> bool:
+        """Whether an interface other than ``besides`` holds ``sub_id``."""
+        return any(sub_id in s.ids for i, s in self._slots.items() if i != besides)
+
     def covered_entries(
         self, sub: Subscription, skip: Interface
     ) -> List[Subscription]:

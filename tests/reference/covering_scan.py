@@ -79,6 +79,14 @@ class ScanRoutingTable(RoutingTable):
                 del self.subscriptions[iface]
         return removed
 
+    def holds(self, sub_id: int, besides: Interface) -> bool:
+        return any(
+            e.sub_id == sub_id
+            for iface, entries in self.subscriptions.items()
+            if iface != besides
+            for e in entries
+        )
+
     def covered_entries(self, sub: Subscription, skip: Interface):
         return [
             e

@@ -77,6 +77,7 @@ subscribes = st.tuples(
 )
 control_ops = st.one_of(
     subscribes,
+    st.tuples(st.just("move"), st.sampled_from(NODES), st.integers(0, POOL - 1)),
     st.tuples(st.just("unsubscribe"), st.integers(0, POOL - 1)),
     st.tuples(st.just("advertise"), st.integers(0, len(ADVERTS) - 1)),
     st.tuples(st.just("unadvertise"), st.integers(0, len(ADVERTS) - 1)),
@@ -90,12 +91,16 @@ control_ops = st.one_of(
 
 def _aim(ops):
     """Point each unsubscribe at a subscription declared earlier in the
-    log, and each restore at a broker still waiting for one, when there
-    is one, and restore what is still down at the end: tearing down or
+    log, turn each move into a subscribe of one (at any node), point each
+    restore at a broker still waiting for one, when there is one, and
+    restore what is still down at the end: tearing down, moving or
     restoring nothing tests nothing."""
     declared, down, out = [], [], []
     for op in ops:
         kind = op[0]
+        if kind == "move":
+            kind, pick = "subscribe", op[2]
+            op = (kind, op[1], declared[pick % len(declared)] if declared else pick)
         if kind == "subscribe":
             declared.append(op[2])
         elif kind == "unsubscribe" and declared:

@@ -192,6 +192,9 @@ class TestTableContract:
                         ] == [
                             names[id(e)] for e in tables[1].covered_entries(sub, toward)
                         ], (op, names[id(sub)], toward)
+                        assert tables[0].holds(sub.sub_id, toward) == (
+                            tables[1].holds(sub.sub_id, toward)
+                        ), (op, names[id(sub)], toward)
 
     def test_stream_less_entries_are_pruned_by_a_covering_subscription(self):
         # every entry names no stream outside the empty set, so any

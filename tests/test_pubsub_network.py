@@ -381,6 +381,15 @@ class TestBrokerLossAndRecovery:
         assert self.adv.adv_id in self.net._broker(1).table.advertisements
         assert [n for n, _, _ in self.net.publish(0, Event("R", {"a": 3}))] == [3]
 
+    def test_restore_keeps_a_subscription_moved_while_it_was_down(self):
+        """The move's teardown stops at wiped broker 2 and leaves entries
+        toward node 1, where the subscription now lives; restoring 2
+        withdraws only the entry that points back at 2."""
+        self.net.reset_broker(2)
+        self.net.subscribe(1, self.sub)
+        self.net.restore_broker(2)
+        assert [n for n, _, _ in self.net.publish(0, Event("R", {"a": 1}))] == [1]
+
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2), (2, 1)])
     def test_restoring_adjacent_wiped_brokers_in_any_order(self, order):
         """A broker restored while a neighbour is still wiped cannot learn
