@@ -89,12 +89,12 @@ control_ops = st.one_of(
 )
 
 
-def _aim(ops):
+def _aim(ops, restore):
     """Point each unsubscribe at a subscription declared earlier in the
-    log, turn each move into a subscribe of one (at any node), point each
-    restore at a broker still waiting for one, when there is one, and
-    restore what is still down at the end: tearing down, moving or
-    restoring nothing tests nothing."""
+    log, turn each move into a subscribe of one (at any node) and point
+    each restore at a broker still waiting for one, when there is one:
+    tearing down, moving or restoring nothing tests nothing.  With
+    ``restore``, restore what is still down at the end."""
     declared, down, out = [], [], []
     for op in ops:
         kind = op[0]
@@ -110,15 +110,20 @@ def _aim(ops):
         elif kind == "restore_broker" and down:
             op = (kind, down.pop())
         out.append(op)
-    return out + [("restore_broker", node) for node in reversed(down)]
+    if restore:
+        out += [("restore_broker", node) for node in reversed(down)]
+    return out
 
 
-def control_logs(max_pairs=15):
+def control_logs(max_pairs=15, min_pairs=0, restore=False):
     """Logs that subscribe before every other step, so that tables fill
-    up while the rest of the log tears them down."""
-    return st.lists(st.tuples(subscribes, control_ops), max_size=max_pairs).map(
-        lambda pairs: _aim([op for pair in pairs for op in pair])
+    up while the rest of the log tears them down.  Without ``restore`` a
+    log may end with brokers wiped; with it, every wiped broker is
+    restored by the end."""
+    pairs = st.lists(
+        st.tuples(subscribes, control_ops), min_size=min_pairs, max_size=max_pairs
     )
+    return pairs.map(lambda pairs: _aim([op for pair in pairs for op in pair], restore))
 
 
 #: rows of attributes: any subset of x, y, z; a string value makes the

@@ -15,13 +15,12 @@ deliveries the way ``publish_batch`` returns them.
 
 import pytest
 from cluster_contract import ClusterContract
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.covering_scan import ScanNetwork
 from reference.per_row_publish import PerRowPublishNetwork
 from strategies import (
     ADVERTS,
-    DETERMINISM_SETTINGS,
     SOURCE,
     STANDARD_SETTINGS,
     STREAMS,
@@ -136,7 +135,7 @@ class TestBatchRouteContract:
         for _ in range(2):
             assert observe(net, groups, batch) == observe(grouped, groups, batch)
 
-    @DETERMINISM_SETTINGS
+    @settings(STANDARD_SETTINGS, max_examples=50)
     @given(log=control_logs(15), batch=batches)
     def test_batch_rows_are_metered_per_call(self, publishing, log, batch):
         pool = subscription_pool()

@@ -24,7 +24,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import (
     ADVERTS,
@@ -245,8 +245,8 @@ class TestNetworkContract:
     control log: the protocols make the same table calls in the same
     order whichever way a table answers them."""
 
-    @STANDARD_SETTINGS
-    @given(log=control_logs(15))
+    @settings(STANDARD_SETTINGS, max_examples=200)
+    @given(log=control_logs(20, min_pairs=6))
     def test_indexed_network_is_the_scan(self, log):
         pool = subscription_pool()
         names = {id(s): i for i, s in enumerate(pool)}

@@ -116,7 +116,7 @@ class TestRoutesLikeAFreshNetwork:
     # projection covering a wider one) need a few hundred logs to show
     @settings(STANDARD_SETTINGS, max_examples=400)
     @given(
-        log=control_logs(20),
+        log=control_logs(20, restore=True),
         rows=st.one_of(whole_rows, rows_of),
     )
     def test_any_control_log_routes_like_a_fresh_build(self, log, rows):
