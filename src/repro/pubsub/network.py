@@ -178,7 +178,7 @@ class PubSubNetwork:
         queue = deque((node, nbr) for nbr in toward)
         while queue:
             sender, node = queue.popleft()
-            self._message(sender, node)
+            self._account(self.control_bytes, sender, node, 1.0)
             table = self.brokers[node].table
             if not table.add_advertisement(adv, sender):
                 continue
@@ -218,7 +218,7 @@ class PubSubNetwork:
             self.brokers[node].table.remove_advertisement(adv_id)
             for nbr in self.tree.neighbors(node):
                 if nbr != came_from:
-                    self._message(node, nbr)
+                    self._account(self.control_bytes, node, nbr, 1.0)
                     queue.append((nbr, node))
 
     def subscribe(self, node: int, sub: Subscription) -> None:
@@ -260,7 +260,7 @@ class PubSubNetwork:
         """Send ``sub`` from ``node`` to its neighbour ``toward``, and on
         from there if the receiver's table changed.  The message is
         charged either way: the sender cannot know what the receiver holds."""
-        self._message(node, toward)
+        self._account(self.control_bytes, node, toward, 1.0)
         if self.brokers[toward].table.add_subscription(sub, node):
             self._propagate(toward, sub, from_iface=node)
 
@@ -314,7 +314,7 @@ class PubSubNetwork:
         entry = there.remove_subscription(sub_id, node)
         if entry is None:
             return
-        self._message(node, nbr)
+        self._account(self.control_bytes, node, nbr, 1.0)
         for nxt in self.tree.neighbors(nbr):
             if nxt != node and not there.holds(sub_id, besides=nxt):
                 self._retract(nbr, nxt, sub_id)
@@ -736,11 +736,6 @@ class PubSubNetwork:
             return self.brokers[node]
         except KeyError:
             raise KeyError(f"node {node} is not part of the pub/sub overlay") from None
-
-    def _message(self, u: int, v: int) -> None:
-        """Charge one control message over the link ``u`` - ``v``."""
-        key = (u, v) if u < v else (v, u)
-        self.control_bytes[key] = self.control_bytes.get(key, 0.0) + 1.0
 
     @staticmethod
     def _account(book: Dict[Tuple[int, int], float], u: int, v: int, size: float) -> None:
