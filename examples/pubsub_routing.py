@@ -52,7 +52,7 @@ def main() -> None:
     # (d) two messages: m1 (a=15) reaches only n7; m2 (a=25) reaches both
     for value in (15, 25):
         net.reset_traffic()
-        deliveries = net.publish(3, Event("R", {"a": value}, size=1.0))
+        deliveries = net.publish(3, Event("R", {"a": value}))
         receivers = sorted(n for n, _, _ in deliveries)
         links = sorted(net.link_bytes)
         print(f"m(a={value}): delivered to {receivers}; links used {links}")

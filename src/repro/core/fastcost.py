@@ -278,10 +278,6 @@ class CostWorkspace:
         out[nz] = np.add.reduceat(contrib, starts[nz], axis=1).T
         return out
 
-    def attach_cost(self, vid: VertexId, target: VertexId) -> float:
-        """Scalar attach cost of placing ``vid`` on one ``target``."""
-        return float(self.attach_costs(vid)[self.target_index[target]])
-
     def neighbour_indices(self, vid: VertexId) -> np.ndarray:
         """Vertex indices of ``vid``'s neighbours (cached array)."""
         idx, _ = self._neighbour_arrays(self.vindex[vid])

@@ -401,17 +401,6 @@ class QueryGraph:
         self.nverts.pop(vid, None)
         self._record(("-v", vid))
 
-    def clear_edges(self) -> None:
-        """Drop every edge, keeping all vertices.
-
-        The tracked way to reset adjacency before a rebuild — mutating
-        ``adj`` directly would leave a synced ``CostWorkspace`` stale.
-        """
-        for vid in self.adj:
-            self.adj[vid] = {}
-        self._edges.clear()
-        self._record(("clear",))
-
     # ------------------------------------------------------------------
     # bulk construction (whole vertex / edge sets, not journaled per item)
     # ------------------------------------------------------------------
@@ -506,30 +495,9 @@ class QueryGraph:
             if vid not in self.adj:
                 raise KeyError(vid)
 
-    def prune_isolated_nverts(self) -> int:
-        """Drop n-vertices with no incident edge; returns how many."""
-        drop = [vid for vid in self.nverts if not self.adj.get(vid)]
-        for vid in drop:
-            self.remove_vertex(vid)
-        return len(drop)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def is_q(self, vid: VertexId) -> bool:
-        """Whether ``vid`` is a q-vertex of this graph."""
-        return vid in self.qverts
-
-    def is_n(self, vid: VertexId) -> bool:
-        """Whether ``vid`` is an n-vertex of this graph."""
-        return vid in self.nverts
-
-    def vertex_weight(self, vid: VertexId) -> float:
-        """Computational weight of a vertex (n-vertices weigh zero)."""
-        if vid in self.qverts:
-            return self.qverts[vid].weight
-        return 0.0
-
     def total_qweight(self) -> float:
         """Sum of all q-vertex weights (``Wq`` of Eqn 3.1)."""
         return sum(v.weight for v in self.qverts.values())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..topology.latency import LatencyOracle
 
@@ -65,16 +65,6 @@ class CoordinatorTree:
     k: int
     oracle: LatencyOracle
     processors: List[int]
-
-    def levels(self) -> List[List[Cluster]]:
-        """Clusters grouped by level, bottom (level 1) first."""
-        by_level: Dict[int, List[Cluster]] = {}
-        stack = [self.root]
-        while stack:
-            c = stack.pop()
-            by_level.setdefault(c.level, []).append(c)
-            stack.extend(c.children)
-        return [by_level[lvl] for lvl in sorted(by_level)]
 
     def leaf_clusters(self) -> List[Cluster]:
         """All childless clusters (the ones that own processors)."""

@@ -23,7 +23,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -53,14 +52,6 @@ class Schema:
         if "timestamp" not in self.attributes:
             object.__setattr__(
                 self, "attributes", self.attributes + ("timestamp",)
-            )
-
-    def validate(self, values: Mapping[str, Any]) -> None:
-        """Raise ``ValueError`` if ``values`` has non-schema attributes."""
-        unknown = set(values) - set(self.attributes)
-        if unknown:
-            raise ValueError(
-                f"attributes {sorted(unknown)} not in schema of {self.stream}"
             )
 
 
@@ -268,41 +259,6 @@ class TupleBatch:
     @classmethod
     def empty(cls, stream: str) -> "TupleBatch":
         return cls(stream, {}, 0)
-
-    @classmethod
-    def concat(cls, stream: str, batches: Iterable["TupleBatch"]) -> "TupleBatch":
-        """Concatenate batches row-wise (attribute union, presence kept).
-
-        Batches sharing one column layout (same attributes and dtypes, no
-        presence masks) concatenate array-wise; mismatched layouts fall
-        back to the tuple round trip, which handles attribute unions and
-        dtype promotion by construction.
-        """
-        batches = [b for b in batches if b.n]
-        if not batches:
-            return cls.empty(stream)
-        if len(batches) == 1:
-            return batches[0].with_stream(stream)
-        first = batches[0]
-        aligned = not first.present and all(
-            not b.present
-            and list(b.columns) == list(first.columns)
-            and all(
-                b.columns[k].dtype == first.columns[k].dtype
-                for k in first.columns
-            )
-            for b in batches[1:]
-        )
-        if aligned:
-            cols = {
-                k: np.concatenate([b.columns[k] for b in batches])
-                for k in first.columns
-            }
-            return cls(stream, cols, sum(b.n for b in batches))
-        return cls.from_tuples(
-            stream,
-            [t for b in batches for t in b.with_stream(stream).to_tuples()],
-        )
 
     def __len__(self) -> int:
         return self.n

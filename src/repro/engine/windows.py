@@ -71,12 +71,6 @@ class SlidingWindow:
             self._buf.popleft()
             self.evicted += 1
 
-    def contents(self, now: Optional[float] = None) -> List[StreamTuple]:
-        """Current window extent (evicting up to ``now`` first)."""
-        if now is not None:
-            self.evict(now)
-        return list(self._buf)
-
     def __iter__(self) -> Iterator[StreamTuple]:
         """Iterate the extent oldest-first without copying the deque.
 
@@ -124,11 +118,6 @@ class ColumnWindow:
         """Live extent of one column (a view), or None if never seen."""
         col = self._cols.get(name)
         return None if col is None else col[self._start:self._end]
-
-    def presence(self, name: str) -> Optional[np.ndarray]:
-        """Live presence mask of a ragged column (None = fully present)."""
-        mask = self._present.get(name)
-        return None if mask is None else mask[self._start:self._end]
 
     def attributes(self) -> List[str]:
         return list(self._cols)

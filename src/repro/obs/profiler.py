@@ -2,25 +2,24 @@
 
 :class:`SubsystemProfiler` attributes elapsed wall-clock time to named
 subsystems — ``event_loop``, ``dissemination``, ``operator_exec``,
-``coordinator``, ``sampling``, ``recovery``, ``setup`` — via scoped
-sections.  Sections nest; each section's *exclusive* time (its elapsed
-minus time spent in child sections) is what accumulates, so the totals
-partition the run's wall time and sum to ≤ the observed wall clock.
+``coordinator``, ``sampling``, ``recovery``, ``setup`` — via
+``start``/``stop`` sections.  Sections nest; each section's *exclusive*
+time (its elapsed minus time spent in child sections) is what
+accumulates, so the totals partition the run's wall time and sum to ≤
+the observed wall clock.
 
 The profiler reads only :func:`time.perf_counter`; it never touches
 simulated state, so it cannot perturb a run.  The converse also holds:
 the simulation never reads the profiler, so wall-clock jitter cannot
 leak into simulated behaviour.
 
-Hot paths use explicit ``start``/``stop`` pairs on single-exit bodies
-(no try/finally, no context-manager allocation); the ``section``
-context manager is for cold paths.
+Callers put explicit ``start``/``stop`` pairs around single-exit bodies
+(no try/finally, no context-manager allocation on hot paths).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Dict, List
 
 __all__ = ["SubsystemProfiler"]
@@ -49,14 +48,6 @@ class SubsystemProfiler:
         self.calls[name] = self.calls.get(name, 0) + 1
         if self._stack:
             self._stack[-1][2] += elapsed
-
-    @contextmanager
-    def section(self, name: str):
-        self.start(name)
-        try:
-            yield
-        finally:
-            self.stop()
 
     # -- export ---------------------------------------------------------
     def coverage(self, wall_s: float) -> float:

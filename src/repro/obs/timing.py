@@ -21,17 +21,14 @@ class Stopwatch:
         ...work...
         elapsed = sw.elapsed()  # seconds since construction (float)
 
-    ``elapsed()`` can be called repeatedly; ``restart()`` resets the
-    origin.  This replaces ad-hoc ``t0 = time.perf_counter()`` pairs so
-    grep finds every wall-clock read in the codebase here.
+    ``elapsed()`` can be called repeatedly.  This replaces ad-hoc
+    ``t0 = time.perf_counter()`` pairs so grep finds every wall-clock
+    read in the codebase here.
     """
 
     __slots__ = ("_t0",)
 
     def __init__(self) -> None:
-        self._t0 = time.perf_counter()
-
-    def restart(self) -> None:
         self._t0 = time.perf_counter()
 
     def elapsed(self) -> float:

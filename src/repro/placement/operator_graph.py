@@ -88,16 +88,6 @@ class OperatorGraph:
     def movable(self) -> List[int]:
         return [i for i, v in self.vertices.items() if v.pinned is None]
 
-    def operator_count(self) -> int:
-        return len(self.vertices)
-
-    def shared_selection_count(self) -> int:
-        return sum(
-            1
-            for v in self.vertices.values()
-            if v.kind == "select" and len(v.queries) > 1
-        )
-
 
 def _covers(outer: Tuple[str, str, str, float], inner: Tuple[str, str, str, float]) -> bool:
     """Predicate containment: every tuple passing ``inner`` passes ``outer``.

@@ -1,7 +1,6 @@
 """Siena-like content-based publish/subscribe substrate."""
 
 from .broker import Broker
-from .index import EventMatch, ForwardingIndex
 from .messages import Event
 from .network import PubSubNetwork
 from .predicates import AttributeRange, Constraint, Filter, TRUE_FILTER
@@ -18,8 +17,6 @@ __all__ = [
     "Advertisement",
     "RoutingTable",
     "LOCAL",
-    "ForwardingIndex",
-    "EventMatch",
     "Broker",
     "PubSubNetwork",
 ]

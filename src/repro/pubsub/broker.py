@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
 
-from .messages import Event
 from .routing import RoutingTable
-from .subscriptions import Subscription
 
 __all__ = ["Broker"]
 
@@ -25,16 +22,3 @@ class Broker:
     def __post_init__(self):
         if self.table is None:
             self.table = RoutingTable(broker=self.node)
-
-    def deliver_matched(
-        self, event: Event, matching: Iterable[Subscription]
-    ) -> List[Tuple[Event, Subscription]]:
-        """Deliver ``event`` to the given (already matched) subscriptions.
-
-        The network layer matches once per dissemination hop
-        (:meth:`RoutingTable.match_event`) and hands the LOCAL matches
-        here.  Each local subscriber receives its own projected copy.
-        """
-        out = [(sub.deliverable(event), sub) for sub in matching]
-        self.delivered_total += len(out)
-        return out

@@ -22,9 +22,10 @@ implements the Siena protocols the paper relies on:
 * **publish** -- content-based forwarding: each event crosses each overlay
   link at most once, is projected down to the attributes still needed
   downstream, and is delivered to every matching local subscriber
-  (Figure 2(d)).  ``publish_batch`` does the same for many rows of one
-  stream at once, replaying a walk of the tables it remembers per
-  ``(stream, source)``.
+  (Figure 2(d)).  ``publish_batch`` routes many rows of one stream at
+  once, replaying a walk of the tables it remembers per ``(stream,
+  source)``; ``publish`` is a batch of one row.  The hop-by-hop walk that
+  defines both is ``tests/reference/per_row_publish.py``.
 
 Every forwarded byte is accounted per link, so experiments can report the
 *measured* weighted communication cost (sum of per-link rate x latency)
@@ -437,37 +438,17 @@ class PubSubNetwork:
     # data plane
     # ------------------------------------------------------------------
     def publish(self, source: int, event: Event) -> List[Tuple[int, Event, Subscription]]:
-        """Route ``event`` from ``source``, breadth first; returns local
-        deliveries as ``(node, projected_event, subscription)``.
-
-        Each broker reached matches the event against its table exactly
-        once (:meth:`RoutingTable.match_event`) -- one index probe yields
-        the local deliveries, the forwarding set *and* the per-link
-        projections -- and every link crossed is charged the size of the
-        event as forwarded over it.  Neighbour links are walked in sorted
-        order so delivery order does not depend on how a table answers; a
-        partitioned link loses the event.
-        """
-        deliveries: List[Tuple[int, Event, Subscription]] = []
-        probes = forwards = 0
-        queue = deque([(source, None, event)])
-        while queue:
-            node, arrived_via, ev = queue.popleft()
-            broker = self._broker(node)
-            match = broker.table.match_event(ev, arrived_via)
-            probes += 1
-            for projected, sub in broker.deliver_matched(ev, match.local):
-                deliveries.append((node, projected, sub))
-            for nbr in match.forward_order(LOCAL):
-                if self.down_links and _edge(node, nbr) in self.down_links:
-                    continue  # partitioned: the event is lost, no bytes
-                needed = match.needed[nbr]
-                forwarded = ev if needed is None else ev.project(needed)
-                self._account(self.link_bytes, node, nbr, forwarded.size)
-                forwards += 1
-                queue.append((nbr, node, forwarded))
-        self._count_dissemination(probes, forwards, len(deliveries))
-        return deliveries
+        """Route ``event`` from ``source``: a one-row :meth:`publish_batch`.
+        Returns the local deliveries as ``(node, delivered event,
+        subscription)`` in delivery order, each event carrying the
+        attributes that reach that subscriber."""
+        stream, values = event.stream, event.attributes
+        return [
+            (node, event if attrs is None else Event(
+                stream, {a: v for a, v in values.items() if a in attrs}
+            ), sub)
+            for node, sub, _rows, attrs in self.publish_batch(source, stream, 1, [values])
+        ]
 
     def _count_dissemination(self, probes: int, forwards: int, delivered: int) -> None:
         obs = self.observer
@@ -486,14 +467,22 @@ class PubSubNetwork:
         ``values`` holds each row's attributes (``rows`` is its length,
         passed on its own so a tap metering the call reads the row count
         off the arguments; a mismatch raises).  The batch is delivered,
-        charged and counted exactly as ``rows`` calls of :meth:`publish`
-        with ``Event(stream, values[i], size=1.0)``: the same rows reach
-        the same subscribers with the same attributes, each link gets the
-        same float additions, and the ``broker.*`` dissemination counters
-        and ``delivered_total`` move alike.  It returns one
-        :class:`Delivery` per subscriber reached (per subscriber and
-        delivered attribute set, when in-network projection shaped its
-        rows differently), in the order :meth:`publish` delivers.
+        charged and counted exactly as ``rows`` events walked hop by hop
+        one after another (``tests/reference/per_row_publish.py``): each
+        broker reached matches the event against its table, delivers it
+        to its matching LOCAL entries and forwards it, projected down to
+        the attributes the matching entries of a neighbour's interface
+        keep, to every such neighbour but the one it came from (in sorted
+        order, over links that are up), charging the link the event's
+        size -- 1.0, shrunk in proportion to the attributes projected
+        away.  So the same rows reach the same subscribers with the same
+        attributes, each link gets the same float additions, and the
+        ``broker.*`` dissemination counters and ``delivered_total`` move
+        alike.  It returns one :class:`Delivery` per subscriber reached
+        (per subscriber and delivered attribute set, when in-network
+        projection shaped its rows differently), in the order the walk
+        reaches them: breadth first from ``source``, table order at each
+        broker.
 
         Where a row can go is read off the tables once per ``(stream,
         source)`` (:meth:`_batch_route`) and kept until a control-plane
@@ -585,7 +574,7 @@ class PubSubNetwork:
                         total += 1.0
                     book[edge] = total
         else:
-            # projected sizes: per row, in row order, as publish adds them
+            # projected sizes: per row, in row order, as the walk adds them
             for signature in signatures:
                 for edge, size in outcomes[signature].charges:
                     book[edge] = book.get(edge, 0.0) + size
@@ -602,9 +591,9 @@ class PubSubNetwork:
 
     def _outcome(self, route: _BatchRoute, key: Any) -> _Outcome:
         """What a row whose signature is ``key`` does on ``route``
-        (memoised in the route): the hop-by-hop walk of :meth:`publish`,
-        with a gate matching iff its filter passes the row and reads no
-        attribute projected away.  ``kept`` is the row's attribute names
+        (memoised in the route): the hop-by-hop walk, with a gate
+        matching iff its filter passes the row and reads no attribute
+        projected away.  ``kept`` is the row's attribute names
         as projected so far (``None``: all of them -- nothing on the
         route projects)."""
         passes = dict(zip(route.tests, key))
@@ -631,7 +620,8 @@ class PubSubNetwork:
                     continue
                 kept, size = arrived
                 if all(gate.projection is not None for gate in passing):
-                    # Event.project, on attribute names
+                    # projection shrinks the size by the share of
+                    # attribute names it keeps
                     forwarded = kept & frozenset().union(
                         *(gate.projection for gate in passing)
                     )
@@ -693,7 +683,7 @@ class PubSubNetwork:
     def account_path(self, u: int, v: int, size: float) -> float:
         """Account ``size`` data bytes along the overlay path ``u`` -> ``v``.
 
-        For transfers that do not flow through :meth:`publish` -- result
+        For transfers that are not content-routed -- result
         streams travelling host -> proxy and migration state handoffs in
         the discrete-event simulator.  Returns the path latency (ms) so the
         caller can derive the transfer delay from the same walk.  Paths

@@ -7,18 +7,16 @@ leading back to the advertiser; the subscription table records, per
 interface, which subscriptions were received from it, so that events are
 forwarded only toward interested parties.
 
-Event matching never scans the table: a
-:class:`~repro.pubsub.index.ForwardingIndex`, kept incrementally
-consistent with it, answers :meth:`RoutingTable.match_event` with one
-counting probe.  Table *maintenance* (subscribe, unsubscribe, covering)
-never scans an interface's entry list either: each interface keeps its
-entries by ``sub_id`` and by stream (:class:`_Slot`), so a redeclaration
-check is a dict probe and a covering test visits only entries that share
-a stream with the subscription -- exact, because ``a.covers(b)`` needs
-``b.streams <= a.streams``.  The entry-list scans that define both --
-matching and maintenance -- are the oracle in
-``tests/reference/covering_scan.py`` (``tests/test_control_plane.py``,
-``tests/test_forwarding_index.py``).
+The network's questions read per-interface indexes, not entry lists:
+each interface keeps its entries by ``sub_id`` and by stream
+(:class:`_Slot`), so a redeclaration check is a dict probe, a covering
+test visits only entries that share a stream with the subscription --
+exact, because ``a.covers(b)`` needs ``b.streams <= a.streams`` -- and
+the entries that can gate an event of a stream
+(:meth:`RoutingTable.stream_entries`, what a content route is read
+from) are one bucket per interface.  The entry-list scans that define
+all three are the oracle in ``tests/reference/covering_scan.py``
+(``tests/test_control_plane.py``).
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .index import EventMatch, ForwardingIndex
-from .messages import Event
 from .subscriptions import Advertisement, Subscription
 
 __all__ = ["LOCAL", "Interface", "RoutingTable"]
@@ -44,7 +40,7 @@ _STREAMLESS = (None,)
 class _Slot:
     """One interface's entries, indexed: ``sub_id`` -> entry, and the
     same entries bucketed by each stream they name (stream-less entries
-    under ``None``).  The interface's list keeps the order."""
+    under ``None``), each bucket in the interface's list order."""
 
     __slots__ = ("ids", "streams")
 
@@ -67,6 +63,18 @@ class _Slot:
             del bucket[sub.sub_id]
             if not bucket:
                 del self.streams[stream]
+
+    def replace(self, old: Subscription, new: Subscription, entries: List[Subscription]) -> None:
+        """Swap ``old`` for ``new`` (one ``sub_id``) where ``entries``, the
+        interface's list, already holds ``new`` in ``old``'s place: the
+        buckets ``new`` lands in are re-read from the list, so they keep
+        its order even for a stream ``old`` did not name."""
+        self.discard(old)
+        self.ids[new.sub_id] = new
+        for stream in new.streams or _STREAMLESS:
+            self.streams[stream] = {
+                e.sub_id: e for e in entries if stream in (e.streams or _STREAMLESS)
+            }
 
     def may_cover(self, sub: Subscription) -> Iterable[Subscription]:
         """Every entry that names all of ``sub``'s streams, perhaps more:
@@ -115,8 +123,6 @@ class RoutingTable:
     )
     #: interface -> subscriptions received from that interface
     subscriptions: Dict[Interface, List[Subscription]] = field(default_factory=dict)
-    #: the counting index event matching is answered from
-    _index: ForwardingIndex = field(init=False, repr=False, compare=False)
     #: stream name -> adv_ids advertising it (propagation never scans the
     #: whole advertisement table; a subscription only intersects
     #: advertisements of streams it requests)
@@ -129,11 +135,9 @@ class RoutingTable:
     )
 
     def __post_init__(self):
-        self._index = ForwardingIndex(LOCAL)
         for iface, entries in self.subscriptions.items():
             slot = self._slots[iface] = _Slot()
             for sub in entries:
-                self._index.add(sub, iface)
                 slot.add(sub)
         for adv_id, (adv, _via) in self.advertisements.items():
             self._adv_streams.setdefault(adv.stream, set()).add(adv_id)
@@ -141,16 +145,14 @@ class RoutingTable:
     def clear(self) -> None:
         """Drop every advertisement and subscription (a broker restart).
 
-        Leaves the table exactly as a freshly constructed one: the
-        forwarding index is rebuilt empty, so matching and covering
-        behave as if the broker had just joined with no state -- the
-        broker-loss fault model of the simulator.
+        Leaves the table exactly as a freshly constructed one, so routing
+        and covering behave as if the broker had just joined with no
+        state -- the broker-loss fault model of the simulator.
         """
         self.advertisements.clear()
         self.subscriptions.clear()
         self._slots.clear()
         self._adv_streams.clear()
-        self._index = ForwardingIndex(LOCAL)
 
     # ------------------------------------------------------------------
     # advertisements
@@ -210,8 +212,7 @@ class RoutingTable:
         every local subscriber must keep receiving its own deliveries.
 
         Only entries sharing a stream with ``sub`` are tested for
-        covering (see :class:`_Slot`); pruned entries leave in list
-        order, so the forwarding index sees the same calls as a scan.
+        covering (see :class:`_Slot`).
         """
         entries = self.subscriptions.get(via)
         if entries is None:
@@ -225,14 +226,12 @@ class RoutingTable:
             if existing is sub or existing == sub:
                 return False
             pos = _position(entries, existing)
-            slot.discard(existing)
             if via == LOCAL:
                 entries[pos] = sub  # replace, keep delivery position
-                slot.add(sub)
-                self._index.add(sub, via)
+                slot.replace(existing, sub, entries)
                 return True
             del entries[pos]  # stale: drop, then re-apply covering
-            self._index.remove(sub.sub_id, via)
+            slot.discard(existing)
             changed = True
         if via != LOCAL:
             for other in slot.may_cover(sub):
@@ -246,10 +245,8 @@ class RoutingTable:
                 entries[:] = kept
                 for e in pruned:
                     slot.discard(e)
-                    self._index.remove(e.sub_id, via)
         entries.append(sub)
         slot.add(sub)
-        self._index.add(sub, via)
         return True
 
     def remove_subscription(
@@ -260,10 +257,8 @@ class RoutingTable:
 
         Interfaces that do not hold ``sub_id`` are skipped by a probe.
         Safe against concurrent readers: interface keys are collected up
-        front, so a caller mid-iteration (a dissemination hop whose
-        :class:`~repro.pubsub.index.EventMatch` was computed eagerly, or
-        anything walking :meth:`iter_entries`) never sees the dict mutate
-        under it.
+        front, so a caller mid-iteration (anything walking
+        :meth:`iter_entries`) never sees the dict mutate under it.
         """
         removed = None
         ifaces = [via] if via is not None else list(self.subscriptions)
@@ -275,7 +270,6 @@ class RoutingTable:
             entries = self.subscriptions[iface]
             del entries[_position(entries, entry)]
             slot.discard(entry)
-            self._index.remove(sub_id, iface)
             if not entries:
                 del self.subscriptions[iface]
                 del self._slots[iface]
@@ -315,35 +309,26 @@ class RoutingTable:
         ]
 
     # ------------------------------------------------------------------
-    # event matching
+    # content routing
     # ------------------------------------------------------------------
-    def match_event(
-        self, event: Event, arrived_via: Optional[Interface] = None
-    ) -> EventMatch:
-        """Everything one dissemination hop needs, in one probe.
-
-        The result is computed eagerly (it never aliases live table
-        state), so a subscription removed mid-hop cannot invalidate it.
-        """
-        return self._index.match(event, arrived_via)
-
     def stream_entries(self, stream: str) -> List[Tuple[Interface, Subscription, object]]:
         """``(interface, subscription, compiled filter)`` for every entry
-        requesting ``stream``, in table order on each interface: what
-        can gate an event of ``stream`` here, whatever its attributes."""
-        return self._index.stream_entries(stream)
+        requesting ``stream``: interface by interface as the table lists
+        them, each interface's entries in table order (for LOCAL entries,
+        delivery order).  What can gate an event of ``stream`` here,
+        whatever its attributes."""
+        return [
+            (iface, sub, sub.filter.matcher())
+            for iface, slot in self._slots.items()
+            for sub in slot.streams.get(stream, {}).values()
+        ]
 
     def stream_subscriptions(
         self, stream: str
     ) -> List[Tuple[Interface, Subscription]]:
         """``(interface, subscription)`` for every entry requesting
-        ``stream``: interface by interface as the table lists them, each
-        interface's entries in table order."""
-        entries = [(iface, sub) for iface, sub, _matches in self.stream_entries(stream)]
-        if len(entries) > 1:
-            rank = {iface: i for i, iface in enumerate(self.subscriptions)}
-            entries.sort(key=lambda entry: rank[entry[0]])
-        return entries
+        ``stream``, in :meth:`stream_entries` order."""
+        return [(iface, sub) for iface, sub, _matches in self.stream_entries(stream)]
 
     # ------------------------------------------------------------------
     def covered_upstream(self, sub: Subscription, toward: Interface) -> bool:

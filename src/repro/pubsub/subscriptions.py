@@ -91,10 +91,6 @@ class Subscription:
             filter=self.filter.hull(other.filter),
         )
 
-    def deliverable(self, event: Event) -> Event:
-        """The event as this subscriber receives it (after projection)."""
-        return event.project(self.projection)
-
     def __str__(self) -> str:
         proj = "*" if self.projection is None else "{" + ",".join(sorted(self.projection)) + "}"
         return f"Sub(S={sorted(self.streams)}, P={proj}, F={self.filter})"

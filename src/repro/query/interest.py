@@ -130,10 +130,6 @@ class SubstreamSpace:
     def sources(self) -> List[int]:
         return sorted(self._source_masks)
 
-    def source_mask(self, source: int) -> int:
-        """Bit vector of all substreams hosted at ``source``."""
-        return self._source_masks.get(source, 0)
-
     def rate(self, mask: int, rates=None) -> float:
         """Total rate of the substreams selected by ``mask``.
 
@@ -210,6 +206,3 @@ class SubstreamSpace:
         for sid in substream_ids:
             self.rates[sid] *= factor
         self.rates_generation += 1
-
-    def random_substreams(self, count: int, rng: random.Random) -> List[int]:
-        return rng.sample(range(len(self)), count)

@@ -89,9 +89,6 @@ class Workload:
                 return q
         raise KeyError(query_id)
 
-    def total_load(self) -> float:
-        return sum(q.load for q in self.queries)
-
     def new_queries(self, count: int, processors: Sequence[int]) -> List[QuerySpec]:
         """Generate ``count`` additional queries from the same hot spots.
 

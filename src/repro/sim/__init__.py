@@ -20,7 +20,7 @@ from .cluster import (
     oracle_results,
     run_scenario,
 )
-from .events import EventHandle, EventLoop
+from .events import EventLoop
 from .faults import (
     RECOVERY_POLICIES,
     BrokerLoss,
@@ -45,7 +45,6 @@ __all__ = [
     "CheckpointRecovery",
     "ChurnParams",
     "CostModel",
-    "EventHandle",
     "EventLoop",
     "FaultInjector",
     "HotSpotShift",

@@ -105,7 +105,7 @@ from ..query.merging import (
     split_subscription,
 )
 from .events import EventLoop
-from .faults import RECOVERY_POLICIES, FaultInjector
+from .faults import FAULT_SPECS, RECOVERY_POLICIES, FaultInjector
 from .trace import AdaptationMark, SimTrace, TraceSample
 from .workload import (
     VALUE_DOMAIN,
@@ -221,6 +221,12 @@ class ScenarioParams:
             if not getattr(self, name) >= 0:
                 raise ValueError(
                     f"{name}: must be >= 0, got {getattr(self, name)!r}"
+                )
+        for fault in self.faults:
+            if not isinstance(fault, FAULT_SPECS):
+                raise ValueError(
+                    f"faults: {fault!r} is not a fault spec (expected one of "
+                    f"{', '.join(spec.__name__ for spec in FAULT_SPECS)})"
                 )
 
 
@@ -455,10 +461,10 @@ class SimCluster:
         #: follow the emissions alone, not when rows were observed
         self._timeout_set: List[bool] = [False] * len(space)
         self._emit_seq = 0
-        #: latest instant a queued row became deliverable (its release, or
-        #: the end of a handoff pause it waited out); the end-of-run drain
-        #: runs there
-        self._deliverable_by = 0.0
+        #: latest instant a queued row became ready for delivery (its
+        #: release, or the end of a handoff pause it waited out); the
+        #: end-of-run drain runs there
+        self._ready_by = 0.0
 
         #: ordered fault/membership/recovery log (always present; empty
         #: without configured faults)
@@ -879,9 +885,9 @@ class SimCluster:
         unit.ready = self.loop.now + handoff_s
         unit.last_release = max(unit.last_release, unit.ready)
         unit.last_release_floor = unit.last_release
-        if unit.pending_rel and unit.ready > self._deliverable_by:
+        if unit.pending_rel and unit.ready > self._ready_by:
             # queued rows releasing during the pause wait until it ends
-            self._deliverable_by = unit.ready
+            self._ready_by = unit.ready
         return state_tuples
 
     # ------------------------------------------------------------------
@@ -986,8 +992,8 @@ class SimCluster:
             release_last = release
             if spans is not None:
                 self._span_queued(spans, tup, unit, source, release)
-        if release_last > self._deliverable_by:
-            self._deliverable_by = release_last
+        if release_last > self._ready_by:
+            self._ready_by = release_last
         return release_last
 
     def _span_queued(self, spans, tup, unit: _Unit, source: int, release) -> None:
@@ -1493,14 +1499,14 @@ class SimCluster:
         """Run to the horizon, then drain in-flight deliveries.
 
         The end-of-run drain observes every unit at the latest instant a
-        queued row became deliverable (or later, when the tail's own
+        queued row became ready for delivery (or later, when the tail's own
         events -- departures, detaches, heals -- ran longer), so each row
         is still accounted at ``max(release, ready)`` and the closing
         sample covers the whole tail.
         """
         self.loop.run_until(self.duration)
         self.loop.run()  # nothing reschedules past the horizon
-        self.loop.run_until(max(self.loop.now, self._deliverable_by))
+        self.loop.run_until(max(self.loop.now, self._ready_by))
         self._flush_batches()
         if self._interval_results:
             self._sample(closing=True)  # catch the drain tail

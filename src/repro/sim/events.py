@@ -17,28 +17,9 @@ import heapq
 import itertools
 from typing import Callable, List, Tuple
 
-__all__ = ["EventHandle", "EventLoop"]
+__all__ = ["EventLoop"]
 
 Action = Callable[[], None]
-
-
-class EventHandle:
-    """Handle for one scheduled action; :meth:`cancel` makes the loop
-    skip it.
-
-    Cancellation is O(1): the heap entry stays queued and is discarded,
-    uncounted, when popped (lazy deletion).  Fault injection uses this to
-    retire events targeting state that a crash destroyed.
-    """
-
-    __slots__ = ("action", "cancelled")
-
-    def __init__(self, action: Action):
-        self.action = action
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class EventLoop:
@@ -55,7 +36,7 @@ class EventLoop:
     def __init__(self, start: float = 0.0, past_epsilon: float = 1e-9):
         self.now: float = start
         self.past_epsilon = past_epsilon
-        self._heap: List[Tuple[float, int, EventHandle]] = []
+        self._heap: List[Tuple[float, int, Action]] = []
         self._seq = itertools.count()
         self.processed: int = 0
         #: optional :class:`repro.obs.SubsystemProfiler`; when set,
@@ -63,31 +44,20 @@ class EventLoop:
         #: (minus whatever nested sections the actions claim)
         self.profiler = None
 
-    def schedule(self, when: float, action: Action) -> EventHandle:
+    def schedule(self, when: float, action: Action) -> None:
         """Schedule ``action`` at absolute time ``when``.
 
         Raises ``ValueError`` if ``when`` lies more than ``past_epsilon``
         before ``now``; times within the epsilon are clamped to ``now``
         (the action still runs after every event already queued at
-        ``now``, preserving the deterministic total order).  Returns a
-        cancellable :class:`EventHandle`.
+        ``now``, preserving the deterministic total order).
         """
         if when < self.now - self.past_epsilon:
             raise ValueError(
                 f"cannot schedule at t={when!r}: already at t={self.now!r} "
                 f"(beyond past_epsilon={self.past_epsilon!r})"
             )
-        handle = EventHandle(action)
-        heapq.heappush(self._heap, (max(when, self.now), next(self._seq), handle))
-        return handle
-
-    def schedule_in(self, delay: float, action: Action) -> EventHandle:
-        """Schedule ``action`` ``delay`` time units from now."""
-        return self.schedule(self.now + delay, action)
-
-    def peek_time(self) -> float:
-        """Time of the next pending event (``inf`` when idle)."""
-        return self._heap[0][0] if self._heap else float("inf")
+        heapq.heappush(self._heap, (max(when, self.now), next(self._seq), action))
 
     def run_until(self, end: float) -> int:
         """Process every event with time <= ``end``; returns the count.
@@ -101,11 +71,9 @@ class EventLoop:
             profiler.start("event_loop")
         try:
             while self._heap and self._heap[0][0] <= end:
-                when, _, handle = heapq.heappop(self._heap)
-                if handle.cancelled:
-                    continue
+                when, _, action = heapq.heappop(self._heap)
                 self.now = when
-                handle.action()
+                action()
                 count += 1
         finally:
             if profiler is not None:

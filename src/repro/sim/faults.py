@@ -64,6 +64,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # fault event specifications
 # ---------------------------------------------------------------------------
+def _check(spec, non_negative: Tuple[str, ...] = ("at",), positive: Tuple[str, ...] = ()) -> None:
+    """Refuse a spec whose times cannot be scheduled: each field named in
+    ``non_negative`` must be >= 0, each in ``positive`` > 0."""
+    for name in non_negative:
+        value = getattr(spec, name)
+        if not value >= 0:
+            raise ValueError(f"{type(spec).__name__}.{name}: must be >= 0, got {value!r}")
+    for name in positive:
+        value = getattr(spec, name)
+        if not value > 0:
+            raise ValueError(f"{type(spec).__name__}.{name}: must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProcessorCrash:
     """A processor's engine dies at ``at``; window state is lost.
@@ -77,6 +90,9 @@ class ProcessorCrash:
     node: Optional[int] = None
     detect_delay: float = 0.25
 
+    def __post_init__(self) -> None:
+        _check(self, ("at", "detect_delay"))
+
 
 @dataclass(frozen=True)
 class BrokerLoss:
@@ -85,6 +101,9 @@ class BrokerLoss:
     at: float
     node: Optional[int] = None
     detect_delay: float = 0.25
+
+    def __post_init__(self) -> None:
+        _check(self, ("at", "detect_delay"))
 
 
 @dataclass(frozen=True)
@@ -95,12 +114,18 @@ class LinkPartition:
     duration: float = 2.0
     link: Optional[Tuple[int, int]] = None
 
+    def __post_init__(self) -> None:
+        _check(self, positive=("duration",))
+
 
 @dataclass(frozen=True)
 class ProcessorJoin:
     """The next spare processor joins the hierarchy at ``at``."""
 
     at: float
+
+    def __post_init__(self) -> None:
+        _check(self)
 
 
 @dataclass(frozen=True)
@@ -110,6 +135,13 @@ class ProcessorLeave:
 
     at: float
     node: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        _check(self)
+
+
+#: every fault spec :attr:`ScenarioParams.faults` may hold
+FAULT_SPECS = (ProcessorCrash, BrokerLoss, LinkPartition, ProcessorJoin, ProcessorLeave)
 
 
 # ---------------------------------------------------------------------------

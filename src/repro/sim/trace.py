@@ -90,9 +90,6 @@ class SimTrace:
     def latencies(self) -> List[float]:
         return [s.mean_latency for s in self.samples if s.throughput > 0]
 
-    def stddev_trajectory(self) -> List[float]:
-        return [s.load_stddev for s in self.samples]
-
     def total_results(self) -> int:
         return self.samples[-1].results_total if self.samples else 0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class LatencyOracle:
 
     ``oracle(u, v)`` returns the shortest-path latency between two nodes.
     Distance rows are computed on first use and memoised as ``array('d')``
-    (8 bytes per entry, readable through the buffer protocol); ``prefetch``
-    can be used to compute rows for a known set of relevant nodes up front.
+    (8 bytes per entry, readable through the buffer protocol).
 
     ``oracle(u, v)`` reads row ``u`` if it is cached, else row ``v`` if that
     one is, else computes row ``u``.  Dijkstra sums a path from its source
@@ -80,10 +79,6 @@ class LatencyOracle:
         if v in self._rows:
             return self._rows[v][u]
         return self.row(u)[v]
-
-    def prefetch(self, nodes: Iterable[int]) -> None:
-        for u in nodes:
-            self.row(u)
 
     def median(self, members: Sequence[int]) -> int:
         """The member with minimum total latency to all other members.

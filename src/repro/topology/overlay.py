@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .latency import LatencyOracle
 
@@ -28,9 +28,7 @@ class OverlayTree:
 
     ``links[u]`` maps neighbour -> latency.  The tree is the unit the
     pub/sub layer routes on; :meth:`path` and :meth:`path_latency` answer
-    routing questions, and :meth:`multicast_edges` returns the edge set a
-    multicast from ``source`` to ``sinks`` uses (each edge at most once --
-    the property that makes pub/sub beat naive unicast).
+    routing questions.
     """
 
     nodes: List[int]
@@ -79,21 +77,6 @@ class OverlayTree:
     def path_latency(self, src: int, dst: int) -> float:
         path = self.path(src, dst)
         return sum(self.links[a][b] for a, b in zip(path, path[1:]))
-
-    def multicast_edges(self, source: int, sinks: Sequence[int]) -> Set[Tuple[int, int]]:
-        """Union of tree-path edges from ``source`` to each sink.
-
-        Edges are normalised as ``(min, max)`` pairs; the result size is the
-        number of links a single multicast message crosses.
-        """
-        used: Set[Tuple[int, int]] = set()
-        for sink in sinks:
-            if sink == source:
-                continue
-            path = self.path(source, sink)
-            for a, b in zip(path, path[1:]):
-                used.add((min(a, b), max(a, b)))
-        return used
 
     def is_tree(self) -> bool:
         """Check acyclicity + connectivity over ``nodes``."""

@@ -130,23 +130,6 @@ class Topology:
     def neighbors(self, u: int) -> Sequence[Tuple[int, float]]:
         return self.adjacency[u]
 
-    def is_connected(self) -> bool:
-        """BFS connectivity check over the whole topology."""
-        if self.n == 0:
-            return True
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self.n
-
 
 def _uniform(rng: random.Random, bounds: Tuple[float, float]) -> float:
     lo, hi = bounds

@@ -4,31 +4,33 @@ The definition of what :class:`repro.pubsub.routing.RoutingTable` must
 do.  The table scans an interface's whole entry list to find a
 redeclared ``sub_id``, to ask whether an entry covers a new subscription
 and to prune the entries it covers, to find the entries a torn-down
-subscription had been covering, and it matches an event by testing every
-entry; production asks per-interface ``sub_id`` and stream indexes the
-maintenance questions and a counting forwarding index the matching ones
--- including which entries can gate an event of a stream, the question a
-batch route is read from.  :class:`ScanNetwork` runs the production
-protocols over such tables.  ``tests/test_control_plane.py`` and
+subscription had been covering, and to list the entries that can gate
+an event of a stream (the question a batch route is read from); it
+matches an event by testing every entry.  Production asks per-interface
+``sub_id`` and stream indexes.  :class:`ScanNetwork` runs the production
+protocols over such tables and publishes an event by the hop-by-hop walk
+(:mod:`reference.per_row_publish`).  ``tests/test_control_plane.py`` and
 ``tests/test_forwarding_index.py`` hold the two side by side.
 """
 
-from typing import Optional, Set
+from typing import Optional
 
-from repro.pubsub.index import EventMatch
+from reference.per_row_publish import match_event, walk_publish
+
 from repro.pubsub.network import PubSubNetwork
 from repro.pubsub.routing import LOCAL, Interface, RoutingTable
 from repro.pubsub.subscriptions import Subscription
 
 
 class ScanRoutingTable(RoutingTable):
-    """A :class:`RoutingTable` that maintains and matches by scanning
+    """A :class:`RoutingTable` that maintains and answers by scanning
     entry lists.
 
     The interface indexes of the production table stay empty and are
-    never read.  The forwarding index is fed the same maintenance calls
-    as production's (so their order can be compared) but never asked.
+    never read.
     """
+
+    match_event = match_event
 
     def add_subscription(self, sub: Subscription, via: Interface) -> bool:
         entries = self.subscriptions.setdefault(via, [])
@@ -39,25 +41,16 @@ class ScanRoutingTable(RoutingTable):
                     return False
                 if via == LOCAL:
                     entries[pos] = sub
-                    self._index.add(sub, via)
                     return True
                 del entries[pos]
-                self._index.remove(sub.sub_id, via)
                 changed = True
                 break
         if via != LOCAL:
             for existing in entries:
                 if existing.covers(sub):
                     return changed
-            kept, pruned = [], []
-            for e in entries:
-                (pruned if sub.covers(e) else kept).append(e)
-            if pruned:
-                entries[:] = kept
-                for e in pruned:
-                    self._index.remove(e.sub_id, via)
+            entries[:] = [e for e in entries if not sub.covers(e)]
         entries.append(sub)
-        self._index.add(sub, via)
         return True
 
     def remove_subscription(
@@ -74,7 +67,6 @@ class ScanRoutingTable(RoutingTable):
                 continue
             removed = next(e for e in entries if e.sub_id == sub_id)
             entries[:] = kept
-            self._index.remove(sub_id, iface)
             if not entries:
                 del self.subscriptions[iface]
         return removed
@@ -104,26 +96,6 @@ class ScanRoutingTable(RoutingTable):
                 return True
         return False
 
-    def match_event(self, event, arrived_via=None) -> EventMatch:
-        out = EventMatch()
-        for iface, entries in list(self.subscriptions.items()):
-            if iface == arrived_via:
-                continue
-            matching = [s for s in entries if s.matches(event)]
-            if not matching:
-                continue
-            out.interfaces.add(iface)
-            if iface == LOCAL:
-                out.local = matching
-            needed: Optional[Set[str]] = set()
-            for sub in matching:
-                if sub.projection is None:
-                    needed = None
-                    break
-                needed |= sub.projection
-            out.needed[iface] = needed
-        return out
-
     def stream_entries(self, stream: str):
         return [
             (iface, sub, sub.filter.matcher())
@@ -134,9 +106,12 @@ class ScanRoutingTable(RoutingTable):
 
 
 class ScanNetwork(PubSubNetwork):
-    """A :class:`PubSubNetwork` over :class:`ScanRoutingTable` brokers."""
+    """A :class:`PubSubNetwork` over :class:`ScanRoutingTable` brokers
+    whose ``publish`` is the hop-by-hop walk."""
 
     def __init__(self, tree):
         super().__init__(tree)
         for node, broker in self.brokers.items():
             broker.table = ScanRoutingTable(broker=node)
+
+    publish = walk_publish

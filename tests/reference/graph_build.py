@@ -47,10 +47,19 @@ def build_query_graph(
     return g
 
 
+def clear_edges(g: QueryGraph) -> None:
+    """Drop every edge of ``g``, keeping all vertices, as one journaled
+    ``("clear",)`` step (a synced ``CostWorkspace`` then rebuilds)."""
+    for vid in g.adj:
+        g.adj[vid] = {}
+    g._edges.clear()
+    g._record(("clear",))
+
+
 def rebuild_edges(
     g: QueryGraph, space: SubstreamSpace, max_overlap_neighbors: int = 20
 ) -> None:
-    g.clear_edges()
+    clear_edges(g)
     _add_edges(g, list(g.qverts.values()), space, max_overlap_neighbors)
 
 

@@ -1,10 +1,11 @@
 """The per-tuple data plane of the simulator.
 
 The definition of what :class:`repro.sim.cluster.SimCluster` must deliver
-and account: every emitted tuple is published at once, hop by hop
-through :meth:`~repro.pubsub.network.PubSubNetwork.publish` (on the
-shared plane the broker tables match its content against the ``p^1``
-filters); every unit it reaches queues it behind the release chain
+and account: every emitted tuple is published at once by the hop-by-hop
+walk of :mod:`reference.per_row_publish` (on the shared plane the broker
+tables match its content against the ``p^1`` filters) -- not by
+production's ``publish``, a one-row ``publish_batch``, which would hold
+production to itself; every unit it reaches queues it behind the release chain
 ``max(ts + slack, last_release)`` and schedules one release event for
 it; each release event pushes its one tuple into the engine with
 ``push_query``.
@@ -19,6 +20,8 @@ spots, migrations and checkpoints.  Fault semantics are pinned by
 
 from collections import deque
 from functools import partial
+
+from reference.per_row_publish import walk_publish
 
 from repro.pubsub.messages import Event
 from repro.sim.cluster import SimCluster
@@ -46,9 +49,9 @@ class ScalarCluster(SimCluster):
 
     def _route(self, source, sid, rows):
         ((_seq, tup),) = rows
-        event = Event(stream=tup.stream, attributes=tup.values, size=1.0)
+        event = Event(stream=tup.stream, attributes=tup.values)
         routed = []
-        for _node, _ev, sub in self.network.publish(source, event):
+        for _node, _ev, sub in walk_publish(self.network, source, event):
             uid = self._by_sub.get(sub.sub_id)
             if uid is not None:
                 routed.append((self.units[uid], rows))

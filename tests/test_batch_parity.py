@@ -89,27 +89,15 @@ class TestTupleBatchConverters:
         back = TupleBatch.from_tuples("R", rows).to_tuples()
         assert dicts(back) == dicts(rows)
 
-    def test_slicing_and_concat(self):
+    def test_slicing(self):
         rows = [tup("R", float(i), a=i) for i in range(6)]
         batch = TupleBatch.from_tuples("R", rows)
         head = batch.filter(np.array([True, True, False, False, False, False]))
         tail = batch.take(np.arange(2, 6))
         assert dicts(head.to_tuples()) == dicts(rows[:2])
         assert dicts(tail.to_tuples()) == dicts(rows[2:])
-        glued = TupleBatch.concat("R", [head, TupleBatch.empty("R"), tail])
-        assert dicts(glued.to_tuples()) == dicts(rows)
-        renamed = glued.with_stream("S")
-        assert renamed.stream == "S" and renamed.n == 6
-
-    def test_concat_mismatched_layouts(self):
-        a = TupleBatch.from_tuples("R", [tup("R", 1.0, a=1)])
-        b = TupleBatch.from_tuples("R", [tup("R", 2.0, b=2.5), tup("R", 3.0)])
-        glued = TupleBatch.concat("R", [a, b])
-        assert dicts(glued.to_tuples()) == [
-            {"a": 1, "timestamp": 1.0},
-            {"b": 2.5, "timestamp": 2.0},
-            {"timestamp": 3.0},
-        ]
+        renamed = tail.with_stream("S")
+        assert renamed.stream == "S" and renamed.n == 4
 
 
 def random_tuples(rng, streams, n, int_values=True, start=0.0, dt_scale=0.5):

@@ -6,10 +6,10 @@ each step had a full memo to evict from) and one built fresh from the log
 (so every route is walked anew).  The subscriptions filter on attributes
 and project them away in the network; the rows carry some, all or none of
 the attributes the filters read, and values some filters cannot compare
-with.  The reference for both is one hop-by-hop ``publish`` per row on a
-third network whose tables scan their entry lists
-(``reference.covering_scan.ScanNetwork``), and
-``reference.per_row_publish.PerRowPublishNetwork`` groups those
+with.  The reference for both is one hop-by-hop walk per row
+(``reference.per_row_publish.walk_publish``) on a third network whose
+tables scan their entry lists (``reference.covering_scan.ScanNetwork``),
+and ``reference.per_row_publish.PerRowPublishNetwork`` groups the walks'
 deliveries the way ``publish_batch`` returns them.
 """
 
@@ -99,7 +99,7 @@ def by_rows(net, source, stream, rows):
     return [
         (i, node, sub.sub_id, dict(event.attributes))
         for i, row in enumerate(rows)
-        for node, event, sub in net.publish(source, Event(stream, row, size=1.0))
+        for node, event, sub in net.publish(source, Event(stream, row))
     ]
 
 

@@ -4,8 +4,9 @@ Two memos sit on the subscription control plane, each defined by a slow
 twin it must agree with exactly:
 
 * **indexed tables** -- ``RoutingTable`` finds a redeclared ``sub_id``,
-  covering candidates and the entries a torn-down subscription had been
-  covering through per-interface indexes; the list scans are
+  covering candidates, the entries a torn-down subscription had been
+  covering and the entries that can gate an event of a stream through
+  per-interface indexes; the list scans are
   :class:`reference.covering_scan.ScanRoutingTable`, and
   :class:`reference.covering_scan.ScanNetwork` runs the protocols over
   them;
@@ -14,14 +15,12 @@ twin it must agree with exactly:
   on every control-plane call naming the stream; the definition is a
   fresh walk of the tables as they are.
 
-Agreement covers entry lists in order, forwarding-index calls in order,
-matching, control and data bytes and batch-route eviction.
+Agreement covers entry lists in order, each stream's gating entries in
+order, control and data bytes and batch-route eviction.
 """
 
-from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +38,6 @@ from strategies import (
 from reference.covering_scan import ScanNetwork, ScanRoutingTable
 
 from repro.pubsub import Event, Filter, PubSubNetwork, Subscription
-from repro.pubsub import routing
-from repro.pubsub.index import ForwardingIndex
 from repro.pubsub.predicates import TRUE_FILTER
 from repro.pubsub.routing import LOCAL, RoutingTable
 from repro.sim import (
@@ -61,60 +58,29 @@ FILTERS = (
     Filter.of(("y", "in", (1, 2))),
     Filter.of(("x", "<", 0), ("x", ">", 1)),  # unsatisfiable
 )
-PROBES = (
-    Event("A", {"x": 6, "y": 1}),
-    Event("A", {"x": 3}),
-    Event("B", {"x": 1, "y": 1}),
-    Event("B", {"y": 2}),
-    Event("C", {"x": -1}),
-    Event("C", {}),
-)
-
-
-class RecordingIndex(ForwardingIndex):
-    """A forwarding index that logs every maintenance call."""
-
-    def __init__(self, local_marker):
-        super().__init__(local_marker)
-        self.calls = []
-
-    def add(self, sub, iface):
-        self.calls.append(("add", id(sub), iface))
-        super().add(sub, iface)
-
-    def remove(self, sub_id, iface):
-        self.calls.append(("remove", sub_id, iface))
-        super().remove(sub_id, iface)
-
-
-@contextmanager
-def recording_index():
-    with mock.patch.object(routing, "ForwardingIndex", RecordingIndex):
-        yield
 
 
 def table_view(table, names):
-    """Everything observable about one table: its entry lists in order,
-    its forwarding-index calls in order and how it matches the probes
-    (from every interface it knows)."""
-    arrivals = [None, *sorted(i for i in table.subscriptions if i != LOCAL)]
-    matches = []
-    for event in PROBES:
-        for via in arrivals:
-            m = table.match_event(event, via)
-            matches.append((
-                sorted(m.interfaces, key=str),
-                [names[id(s)] for s in m.local],
-                {i: None if n is None else sorted(n) for i, n in m.needed.items()},
-            ))
+    """Everything observable about one table: its entry lists in order
+    and, per stream, the entries that can gate its events in order."""
     return dict(
         entries=[
             (iface, [names[id(s)] for s in entries])
             for iface, entries in table.subscriptions.items()
         ],
         size=table.size(),
-        index=None if table._index is None else table._index.calls,
-        matches=matches,
+        streams={
+            stream: [
+                (iface, names[id(sub)]) for iface, sub, _ in table.stream_entries(stream)
+            ]
+            for stream in STREAMS
+        },
+        subscriptions={
+            stream: [
+                (iface, names[id(sub)]) for iface, sub in table.stream_subscriptions(stream)
+            ]
+            for stream in STREAMS
+        },
     )
 
 
@@ -158,6 +124,24 @@ table_ops = st.one_of(
 )
 
 
+#: four subscribers, each declarable four ways under its one ``sub_id``
+DECLARED_AS = (
+    ({"A"}, TRUE_FILTER),
+    ({"A", "B"}, FILTERS[1]),
+    ({"B"}, FILTERS[2]),
+    ({"A"}, FILTERS[3]),
+)
+redeclaration_ops = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.integers(0, 3),
+        st.integers(0, len(DECLARED_AS) - 1),
+        st.sampled_from((LOCAL, LOCAL, 1)),
+    ),
+    st.tuples(st.just("remove"), st.integers(0, 3), st.sampled_from((None, LOCAL, 1))),
+)
+
+
 class TestTableContract:
     """``RoutingTable`` == ``ScanRoutingTable`` after every step of any
     log of adds, removals and clears."""
@@ -167,34 +151,55 @@ class TestTableContract:
     def test_indexed_maintenance_is_the_scan(self, log):
         pool = table_pool()
         names = {id(s): i for i, s in enumerate(pool)}
-        with recording_index():
-            tables = (RoutingTable(broker=0), ScanRoutingTable(broker=0))
-            for op in log:
-                if op[0] == "add":
-                    got = [t.add_subscription(pool[op[1]], op[2]) for t in tables]
-                elif op[0] == "remove":
-                    got = [
-                        t.remove_subscription(pool[op[1]].sub_id, op[2])
-                        for t in tables
-                    ]
-                else:
-                    got = [t.clear() for t in tables]
-                assert got[0] == got[1], op
-                views = [table_view(t, names) for t in tables]
-                assert views[0] == views[1], op
-                for sub in pool:
-                    for toward in IFACES:
-                        assert tables[0].covered_upstream(sub, toward) == (
-                            tables[1].covered_upstream(sub, toward)
-                        ), (op, names[id(sub)], toward)
-                        assert [
-                            names[id(e)] for e in tables[0].covered_entries(sub, toward)
-                        ] == [
-                            names[id(e)] for e in tables[1].covered_entries(sub, toward)
-                        ], (op, names[id(sub)], toward)
-                        assert tables[0].holds(sub.sub_id, toward) == (
-                            tables[1].holds(sub.sub_id, toward)
-                        ), (op, names[id(sub)], toward)
+        tables = (RoutingTable(broker=0), ScanRoutingTable(broker=0))
+        for op in log:
+            if op[0] == "add":
+                got = [t.add_subscription(pool[op[1]], op[2]) for t in tables]
+            elif op[0] == "remove":
+                got = [
+                    t.remove_subscription(pool[op[1]].sub_id, op[2])
+                    for t in tables
+                ]
+            else:
+                got = [t.clear() for t in tables]
+            assert got[0] == got[1], op
+            views = [table_view(t, names) for t in tables]
+            assert views[0] == views[1], op
+            for sub in pool:
+                for toward in IFACES:
+                    assert tables[0].covered_upstream(sub, toward) == (
+                        tables[1].covered_upstream(sub, toward)
+                    ), (op, names[id(sub)], toward)
+                    assert [
+                        names[id(e)] for e in tables[0].covered_entries(sub, toward)
+                    ] == [
+                        names[id(e)] for e in tables[1].covered_entries(sub, toward)
+                    ], (op, names[id(sub)], toward)
+                    assert tables[0].holds(sub.sub_id, toward) == (
+                        tables[1].holds(sub.sub_id, toward)
+                    ), (op, names[id(sub)], toward)
+
+    @STANDARD_SETTINGS
+    @given(log=st.lists(redeclaration_ops, min_size=4, max_size=30))
+    def test_redeclared_entries_gate_in_table_order(self, log):
+        """Few subscribers redeclared often, mostly on LOCAL (in place):
+        each stream's gating entries stay in table order."""
+        pool = [
+            [
+                Subscription(streams=frozenset(streams), filter=f, sub_id=10**6 + k)
+                for streams, f in DECLARED_AS
+            ]
+            for k in range(4)
+        ]
+        names = {id(s): (k, d) for k, subs in enumerate(pool) for d, s in enumerate(subs)}
+        tables = (RoutingTable(broker=0), ScanRoutingTable(broker=0))
+        for op in log:
+            if op[0] == "add":
+                got = [t.add_subscription(pool[op[1]][op[2]], op[3]) for t in tables]
+            else:
+                got = [t.remove_subscription(10**6 + op[1], op[2]) for t in tables]
+            assert got[0] == got[1], op
+            assert table_view(tables[0], names) == table_view(tables[1], names), op
 
     def test_stream_less_entries_are_pruned_by_a_covering_subscription(self):
         # every entry names no stream outside the empty set, so any
@@ -207,25 +212,51 @@ class TestTableContract:
             assert table.subscriptions[1] == [wide]
 
     def test_pruned_entries_leave_in_list_order(self):
-        # list order here is neither id order, set order nor bucket order
+        # list order here is neither id order nor set order; a prune
+        # leaves the survivors in it, in every stream's gating entries
         first = Subscription(
             streams=frozenset({"B"}), filter=FILTERS[2], sub_id=10**6 + 3
+        )
+        kept = Subscription(
+            streams=frozenset({"A", "B", "C"}), filter=FILTERS[4], sub_id=10**6 + 2
         )
         second = Subscription(
             streams=frozenset({"A"}), filter=FILTERS[2], sub_id=10**6 + 1
         )
         wide = Subscription(streams=frozenset({"A", "B"}))
-        calls = []
+        names = {id(s): s.sub_id for s in (first, kept, second, wide)}
+        views = []
         for cls in (RoutingTable, ScanRoutingTable):
-            with recording_index():
-                table = cls(broker=0)
-            for sub in (first, second, wide):
+            table = cls(broker=0)
+            for sub in (first, kept, second, wide):
                 table.add_subscription(sub, 1)
-            assert table.subscriptions[1] == [wide]
-            calls.append(table._index.calls)
-        assert calls[0] == calls[1]
-        removed = [sub_id for kind, sub_id, _ in calls[0] if kind == "remove"]
-        assert removed == [first.sub_id, second.sub_id]
+            assert table.subscriptions[1] == [kept, wide]
+            views.append(table_view(table, names))
+        assert views[0] == views[1]
+        assert views[0]["streams"]["A"] == [(1, kept.sub_id), (1, wide.sub_id)]
+
+    def test_local_redeclaration_keeps_delivery_order(self):
+        """A LOCAL entry redeclared in place keeps its list position, so it
+        keeps its place among a stream's gating entries -- delivery
+        order -- even for a stream its old declaration did not name."""
+        a1, b, a2 = (
+            Subscription(streams=frozenset({s}), sub_id=10**6 + i)
+            for i, s in enumerate("ABA")
+        )
+        names = {}
+        views = []
+        for cls in (RoutingTable, ScanRoutingTable):
+            table = cls(broker=0)
+            for sub in (a1, b, a2):
+                table.add_subscription(sub, LOCAL)
+            for streams in ({"A"}, {"A", "B"}, {"C"}):
+                redeclared = replace(b, streams=frozenset(streams))
+                names[id(redeclared)] = sorted(streams)
+                assert table.add_subscription(redeclared, LOCAL)
+                assert table.subscriptions[LOCAL][1] is redeclared
+                views.append(table_view(table, {**names, id(a1): "a1", id(a2): "a2"}))
+        assert views[:3] == views[3:]
+        assert views[0]["streams"]["A"] == [(LOCAL, "a1"), (LOCAL, ["A"]), (LOCAL, "a2")]
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +267,6 @@ def network_view(net, names):
         tables={n: table_view(b.table, names) for n, b in net.brokers.items()},
         control_bytes=dict(net.control_bytes),
         link_bytes=dict(net.link_bytes),
-        batch_routes={s: sorted(r) for s, r in net._batch_routes.items()},
     )
 
 
@@ -250,22 +280,21 @@ class TestNetworkContract:
     def test_indexed_network_is_the_scan(self, log):
         pool = subscription_pool()
         names = {id(s): i for i, s in enumerate(pool)}
-        with recording_index():
-            nets = (PubSubNetwork(tree()), ScanNetwork(tree()))
+        nets = (PubSubNetwork(tree()), ScanNetwork(tree()))
+        for net in nets:
+            for source, adv in ADVERTS[:3]:
+                net.advertise(source, adv)
+        for op in log:
+            got = []
             for net in nets:
+                # a full route memo before every step: what a step
+                # evicts is part of the contract
+                net._batch_routes = {s: {0: None} for s in STREAMS}
+                got.append((apply(net, op, pool), sorted(net._batch_routes)))
                 for source, adv in ADVERTS[:3]:
-                    net.advertise(source, adv)
-            for op in log:
-                got = []
-                for net in nets:
-                    # a full route memo before every step: what a step
-                    # evicts is part of the contract
-                    net._batch_routes = {s: {0: None} for s in STREAMS}
-                    got.append(apply(net, op, pool))
-                    for source, adv in ADVERTS[:3]:
-                        net.publish(source, Event(adv.stream, {"x": 3, "y": 1}))
-                assert got[0] == got[1], op
-                assert network_view(nets[0], names) == network_view(nets[1], names), op
+                    net.publish(source, Event(adv.stream, {"x": 3, "y": 1}))
+            assert got[0] == got[1], op
+            assert network_view(nets[0], names) == network_view(nets[1], names), op
 
 
 # ----------------------------------------------------------------------

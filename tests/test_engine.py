@@ -22,20 +22,22 @@ class TestSlidingWindow:
         w.insert(tup("R", 0, a=1))
         w.insert(tup("R", 15, a=2))
         w.insert(tup("R", 20, a=3))
-        assert [t.get("a") for t in w.contents()] == [2, 3]
+        assert [t.get("a") for t in w] == [2, 3]
 
     def test_now_window_keeps_current_instant(self):
         w = SlidingWindow(Window(seconds=0))
         w.insert(tup("R", 1, a=1))
         w.insert(tup("R", 1, a=2))
-        assert len(w.contents(now=1)) == 2
-        assert len(w.contents(now=2)) == 0
+        w.evict(1)
+        assert len(w) == 2
+        w.evict(2)
+        assert len(w) == 0
 
     def test_row_window(self):
         w = SlidingWindow(Window(rows=2))
         for i in range(5):
             w.insert(tup("R", i, a=i))
-        assert [t.get("a") for t in w.contents()] == [3, 4]
+        assert [t.get("a") for t in w] == [3, 4]
 
     def test_out_of_order_rejected(self):
         w = SlidingWindow(Window(seconds=10))

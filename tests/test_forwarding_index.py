@@ -1,12 +1,15 @@
-"""Forwarding-index parity and routing-table correctness regressions.
+"""Content-forwarding parity and routing-table correctness regressions.
 
-The counting index (``repro.pubsub.index``) must be observationally
-identical to the reference scans it replaces: same forwarding sets, same
-local deliveries in the same order, same per-link projections, same
-traffic accounting -- under adds, unsubscribes, covering-based pruning
-and the re-forwarding a teardown does.  These tests drive production tables
-and networks and their scanning twins (:mod:`reference.covering_scan`)
-with the *same* Subscription objects and compare everything.
+Production content routing (``publish``, a one-row ``publish_batch``
+replaying the stream entries of each table) must be observationally
+identical to the hop-by-hop walk over entry-list scans: same local
+deliveries in the same order with the same attributes, same per-link
+projections, same traffic accounting -- under every filter operator,
+adds, unsubscribes, covering-based pruning and the re-forwarding a
+teardown does.  These tests drive production tables and networks and
+their scanning twins (:mod:`reference.covering_scan`, whose networks
+publish by :func:`reference.per_row_publish.walk_publish`) with the
+*same* Subscription objects and compare everything.
 """
 
 import json
@@ -45,7 +48,7 @@ def table_pair():
 
 def normalized(deliveries):
     return [
-        (node, sub.sub_id, tuple(sorted(ev.attributes.items())), ev.size)
+        (node, sub.sub_id, tuple(sorted(ev.attributes.items())))
         for node, ev, sub in deliveries
     ]
 
@@ -61,67 +64,18 @@ class TestTableParity:
         assert out[0] == out[1], f"{op}{args} diverged"
         return out[0]
 
-    def assert_same_answers(self, tables, event, ifaces=(None, LOCAL, 1, 2, 3)):
+    def assert_same_answers(self, tables, event):
+        """The entries that can gate ``event``'s stream, in order, and
+        which of them pass it: production's compiled filters against the
+        reference's ``Subscription.matches``."""
         indexed, reference = tables
-        for via in ifaces:
-            got = indexed.match_event(event, via)
-            want = reference.match_event(event, via)
-            assert got.interfaces == want.interfaces
-            assert [s.sub_id for s in got.local] == [s.sub_id for s in want.local]
-            assert got.needed == want.needed
-
-    def test_operator_mix_parity(self):
-        tables = table_pair()
-        subs = [
-            Subscription.to_streams(["R"], filter=Filter.of(("a", ">", 10))),
-            Subscription.to_streams(["R"], filter=Filter.of(("a", "<=", 5))),
-            Subscription.to_streams(["R"], filter=Filter.of(("a", "==", 7))),
-            Subscription.to_streams(
-                ["R"], filter=Filter.of(("a", "in", frozenset([1, 2, 3])))
-            ),
-            Subscription.to_streams(["R"], filter=Filter.of(("a", "!=", 7))),
-            Subscription.to_streams(
-                ["R", "S"], filter=Filter.of(("a", ">=", 0), ("b", "<", 4))
-            ),
-            Subscription.to_streams(["S"]),  # stream-only
-            Subscription.to_streams(  # unsatisfiable
-                ["R"], filter=Filter.of(("a", "==", 1), ("a", "==", 2))
-            ),
+        assert [
+            (iface, sub.sub_id, matches(event.attributes))
+            for iface, sub, matches in indexed.stream_entries(event.stream)
+        ] == [
+            (iface, sub.sub_id, sub.matches(event))
+            for iface, sub, _ in reference.stream_entries(event.stream)
         ]
-        for i, sub in enumerate(subs):
-            via = [LOCAL, 1, 2][i % 3]
-            self.apply_both(tables, "add_subscription", sub, via)
-        for stream in ("R", "S", "T"):
-            for a in (-1, 1, 5, 7, 11, None):
-                for b in (2, 9, None):
-                    attrs = {}
-                    if a is not None:
-                        attrs["a"] = a
-                    if b is not None:
-                        attrs["b"] = b
-                    self.assert_same_answers(tables, Event(stream, attrs))
-
-    def test_string_and_mixed_type_values_parity(self):
-        tables = table_pair()
-        subs = [
-            Subscription.to_streams(["R"], filter=Filter.of(("s", "==", "x"))),
-            Subscription.to_streams(["R"], filter=Filter.of(("s", "!=", "n"))),
-            Subscription.to_streams(
-                ["R"], filter=Filter.of(("s", "in", frozenset(["p", "q"])))
-            ),
-            # numeric range on one attr, string equality on another
-            Subscription.to_streams(
-                ["R"], filter=Filter.of(("a", ">", 1), ("s", "==", "p"))
-            ),
-        ]
-        for sub in subs:
-            self.apply_both(tables, "add_subscription", sub, LOCAL)
-        for value in ("x", "m", "n", "p", 3):
-            for a in (0, 2, None):
-                attrs = {"s": value}
-                if a is not None:
-                    attrs["a"] = a
-                self.assert_same_answers(tables, Event("R", attrs))
 
     def test_parity_after_remove_and_prune(self):
         tables = table_pair()
@@ -170,6 +124,81 @@ class TestTableParity:
         assert indexed.size() == reference.size()
         for value in probes:
             self.assert_same_answers(tables, Event("R", {"a": value}))
+
+
+# ---------------------------------------------------------------------------
+# publish-level parity: filter semantics end to end
+# ---------------------------------------------------------------------------
+
+
+class TestPublishParity:
+    """Production ``publish`` against the walk over scanned tables, with
+    subscribers on every broker of a chain whose ends both advertise."""
+
+    def networks(self, subs):
+        nets = (PubSubNetwork(chain_tree(4)), ScanNetwork(chain_tree(4)))
+        for net in nets:
+            for source in (0, 3):
+                for stream in ("R", "S", "T"):
+                    net.advertise(source, Advertisement(stream=stream))
+            for i, sub in enumerate(subs):
+                net.subscribe(i % 4, sub)
+        return nets
+
+    def assert_same_deliveries(self, nets, event):
+        for source in (0, 3):
+            got, want = (net.publish(source, event) for net in nets)
+            assert normalized(got) == normalized(want), (source, event)
+        assert nets[0].link_bytes == nets[1].link_bytes
+
+    def test_operator_mix_parity(self):
+        nets = self.networks([
+            Subscription.to_streams(["R"], filter=Filter.of(("a", ">", 10))),
+            Subscription.to_streams(["R"], filter=Filter.of(("a", "<=", 5))),
+            Subscription.to_streams(["R"], filter=Filter.of(("a", "==", 7))),
+            Subscription.to_streams(
+                ["R"], filter=Filter.of(("a", "in", frozenset([1, 2, 3])))
+            ),
+            Subscription.to_streams(["R"], filter=Filter.of(("a", "!=", 7))),
+            Subscription.to_streams(
+                ["R", "S"], filter=Filter.of(("a", ">=", 0), ("b", "<", 4))
+            ),
+            Subscription.to_streams(["S"]),  # stream-only
+            Subscription.to_streams(  # unsatisfiable
+                ["R"], filter=Filter.of(("a", "==", 1), ("a", "==", 2))
+            ),
+            Subscription.to_streams(  # projects a filtered attribute away
+                ["R"], projection=["b"], filter=Filter.of(("a", ">", 0))
+            ),
+        ])
+        for stream in ("R", "S", "T"):
+            for a in (-1, 1, 5, 7, 11, None):
+                for b in (2, 9, None):
+                    attrs = {}
+                    if a is not None:
+                        attrs["a"] = a
+                    if b is not None:
+                        attrs["b"] = b
+                    self.assert_same_deliveries(nets, Event(stream, attrs))
+
+    def test_string_and_mixed_type_values_parity(self):
+        nets = self.networks([
+            Subscription.to_streams(["R"], filter=Filter.of(("s", "==", "x"))),
+            Subscription.to_streams(["R"], filter=Filter.of(("s", "!=", "n"))),
+            Subscription.to_streams(
+                ["R"], filter=Filter.of(("s", "in", frozenset(["p", "q"])))
+            ),
+            # numeric range on one attr, string equality on another
+            Subscription.to_streams(
+                ["R"], filter=Filter.of(("a", ">", 1), ("s", "==", "p"))
+            ),
+        ])
+        for value in ("x", "m", "n", "p", 3):
+            for a in (0, 2, None):
+                attrs = {"s": value}
+                if a is not None:
+                    attrs["a"] = a
+                self.assert_same_deliveries(nets, Event("R", attrs))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +254,6 @@ def publish_all(nets, space, rng, count=80):
         event = Event(
             stream=f"S{sid}",
             attributes={"value": int(rng.integers(0, 100))},
-            size=1.0,
         )
         source = int(space.source_of[sid])
         yield [net.publish(source, event) for net in nets]
@@ -255,7 +283,7 @@ class TestNetworkParity:
 
     def test_sim_trace_parity(self):
         """End to end: the simulator's delivered-tuple trace is bit-identical
-        with the index on and off, churn and hot spots included."""
+        over indexed and scanned tables, churn and hot spots included."""
         base = dict(
             duration=18.0,
             sample_interval=4.0,
@@ -301,8 +329,9 @@ class TestSubIdDedup:
             assert t.add_subscription(new, 1)
             assert t.size() == 1
             assert t.subscriptions[1] == [new]
-            assert t.match_event(Event("R", {"a": 7})).interfaces == {1}
-            assert t.match_event(Event("R", {"a": -7})).interfaces == set()
+            ((iface, sub, matches),) = t.stream_entries("R")
+            assert (iface, sub) == (1, new)
+            assert matches({"a": 7}) and not matches({"a": -7})
 
     def test_redeclaration_still_subject_to_covering(self):
         """A redeclared neighbour entry must not bypass covering: if the
@@ -321,8 +350,7 @@ class TestSubIdDedup:
             )
             assert t.add_subscription(narrow, 1)  # table changed: old dropped
             assert t.subscriptions[1] == [wide]
-            ev = Event("R", {"a": 7})
-            assert t.match_event(ev).interfaces == {1}
+            assert [(i, s) for i, s, _ in t.stream_entries("R")] == [(1, wide)]
 
     def test_redeclaration_prunes_newly_covered_entries(self):
         for table_cls in (RoutingTable, ScanRoutingTable):
@@ -368,33 +396,6 @@ class TestSubIdDedup:
 
 
 class TestRemovalSafety:
-    def test_unsubscribe_during_dissemination_round(self):
-        """An unsubscribe fired from inside a local delivery (mid-publish)
-        must not corrupt the rest of the dissemination round."""
-        tree = chain_tree(5)
-        net = PubSubNetwork(tree)
-        net.advertise(0, Advertisement(stream="R"))
-        near = Subscription.to_streams(["R"])
-        far = Subscription.to_streams(["R"])
-        net.subscribe(2, near)
-        net.subscribe(4, far)
-        broker2 = net.brokers[2]
-        original = broker2.deliver_matched
-
-        def unsubscribing_delivery(event, matching):
-            out = original(event, matching)
-            net.unsubscribe(far.sub_id)  # rips entries out of 0..4 tables
-            return out
-
-        broker2.deliver_matched = unsubscribing_delivery
-        deliveries = net.publish(0, Event("R", {"a": 1}))
-        # the near subscriber is served; the event stops cleanly wherever
-        # the teardown got ahead of it -- no RuntimeError, no KeyError
-        assert (2, near.sub_id) in [(n, s.sub_id) for n, _, s in deliveries]
-        broker2.deliver_matched = original
-        after = net.publish(0, Event("R", {"a": 2}))
-        assert [(n, s.sub_id) for n, _, s in after] == [(2, near.sub_id)]
-
     def test_remove_while_iterating_entries(self):
         t = RoutingTable(broker=0)
         subs = [Subscription.to_streams(["R"]) for _ in range(4)]
@@ -406,31 +407,3 @@ class TestRemovalSafety:
             seen += 1
         assert seen == 4
         assert t.size() == 0
-
-
-class TestIndexConsistency:
-    def test_index_tracks_table_through_random_churn(self):
-        rng = np.random.default_rng(7)
-        t = RoutingTable(broker=0)
-        live = []
-        for step in range(300):
-            if not live or rng.random() < 0.6:
-                lo = int(rng.integers(0, 50))
-                sub = Subscription.to_streams(
-                    [f"S{int(rng.integers(4))}"],
-                    filter=Filter.of(("a", ">=", lo), ("a", "<", lo + 10)),
-                )
-                t.add_subscription(sub, [LOCAL, 1, 2][step % 3])
-                live.append(sub)
-            else:
-                t.remove_subscription(live.pop(int(rng.integers(len(live)))).sub_id)
-            assert len(t._index) == t.size()
-        reference = ScanRoutingTable(broker=0)
-        for iface, sub in t.iter_entries():
-            reference.add_subscription(sub, iface)
-        for value in range(0, 60, 3):
-            for stream in ("S0", "S1", "S2", "S3"):
-                event = Event(stream, {"a": value})
-                assert t.match_event(event).interfaces == (
-                    reference.match_event(event).interfaces
-                )

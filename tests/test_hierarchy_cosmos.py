@@ -13,6 +13,17 @@ from repro.topology import (
 )
 
 
+def levels(tree):
+    """The tree's clusters grouped by level, bottom (level 1) first."""
+    by_level = {}
+    stack = [tree.root]
+    while stack:
+        c = stack.pop()
+        by_level.setdefault(c.level, []).append(c)
+        stack.extend(c.children)
+    return [by_level[lvl] for lvl in sorted(by_level)]
+
+
 @pytest.fixture(scope="module")
 def env():
     topo = generate_transit_stub(
@@ -57,8 +68,7 @@ class TestCoordinatorTree:
     def test_levels_consistent(self, env):
         _, oracle, _, processors, _ = env
         tree = build_coordinator_tree(processors, oracle, k=4)
-        levels = tree.levels()
-        assert levels[-1] == [tree.root]
+        assert levels(tree)[-1] == [tree.root]
 
     def test_k_below_two_rejected(self, env):
         _, oracle, _, processors, _ = env
@@ -225,7 +235,7 @@ class TestTreeLeave:
         # remove a leaf coordinator so its parent's member list must change
         victim = tree.leaf_clusters()[0].coordinator
         tree.leave(victim)
-        for level in tree.levels()[1:]:
+        for level in levels(tree)[1:]:
             for cluster in level:
                 assert cluster.members == [
                     c.coordinator for c in cluster.children

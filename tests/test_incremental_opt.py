@@ -159,7 +159,7 @@ class TestCosmosModeParity:
                 ca.adapt()
                 cb.adapt()
             else:
-                ids = workload.space.random_substreams(20, rng)
+                ids = rng.sample(range(len(workload.space)), 20)
                 workload.space.perturb_rates(ids, rng.choice([0.25, 4.0]))
                 for cosmos in (ca, cb):
                     cosmos.refresh_statistics(workload)
@@ -568,7 +568,7 @@ class TestRemovalEquivalence:
             elif r < 0.80:
                 pair.refresh(rng)
             elif r < 0.90:
-                ids = workload.space.random_substreams(20, rng)
+                ids = rng.sample(range(len(workload.space)), 20)
                 workload.space.perturb_rates(ids, rng.choice([0.25, 4.0]))
                 for cosmos in (pair.fast, pair.ref):
                     cosmos.refresh_statistics(workload)

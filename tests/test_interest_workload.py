@@ -71,7 +71,7 @@ class TestSpace:
     def test_source_mask_partition(self, space):
         union = 0
         for s in space.sources:
-            m = space.source_mask(s)
+            m = space._source_masks[s]
             assert union & m == 0  # disjoint
             union |= m
         assert union == mask_of(range(len(space)))

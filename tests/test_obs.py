@@ -74,9 +74,10 @@ class TestMetricsRegistry:
 class TestSubsystemProfiler:
     def test_exclusive_attribution(self):
         prof = SubsystemProfiler()
-        with prof.section("outer"):
-            with prof.section("inner"):
-                pass
+        prof.start("outer")
+        prof.start("inner")
+        prof.stop()
+        prof.stop()
         assert prof.calls == {"outer": 1, "inner": 1}
         # exclusive times: outer excludes inner's elapsed share
         assert prof.totals["outer"] >= 0.0
@@ -91,8 +92,8 @@ class TestSubsystemProfiler:
 
     def test_to_dict_with_wall(self):
         prof = SubsystemProfiler()
-        with prof.section("a"):
-            pass
+        prof.start("a")
+        prof.stop()
         out = prof.to_dict(wall_s=1.0)
         assert out["wall_s"] == 1.0
         assert 0.0 <= out["coverage"] <= 1.0
@@ -134,8 +135,6 @@ class TestTiming:
         a = watch.elapsed()
         b = watch.elapsed()
         assert 0.0 <= a <= b
-        watch.restart()
-        assert watch.elapsed() < b + 1.0
 
 
 # ---------------------------------------------------------------------------

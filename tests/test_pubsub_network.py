@@ -68,10 +68,14 @@ class TestSubscription:
         assert s1.merge(s2).projection is None
 
     def test_deliverable_projects(self):
+        """A subscriber receives only the attributes it keeps."""
+        net = PubSubNetwork(chain_tree(2))
+        net.advertise(0, Advertisement(stream="R"))
         sub = Subscription.to_streams(["R"], projection=["x"])
-        ev = sub.deliverable(Event("R", {"x": 1, "y": 2}, size=8))
+        net.subscribe(1, sub)
+        ((node, ev, got),) = net.publish(0, Event("R", {"x": 1, "y": 2}))
+        assert (node, got) == (1, sub)
         assert dict(ev.attributes) == {"x": 1}
-        assert ev.size < 8
 
     def test_advertisement_intersection(self):
         adv = Advertisement(stream="R", filter=Filter.of(("a", ">=", 0)))
@@ -115,12 +119,18 @@ class TestRoutingTable:
         assert t.size() == 2
 
     def test_forwarding_excludes_arrival_interface(self):
-        t = RoutingTable(broker=0)
-        sub = Subscription.to_streams(["R"])
-        t.add_subscription(sub, 1)
-        ev = Event("R", {})
-        assert t.match_event(ev, arrived_via=1).interfaces == set()
-        assert t.match_event(ev, arrived_via=2).interfaces == {1}
+        """Broker 1 holds entries from both sides; an event arriving from
+        0 goes on to 2 only, never back over the link it came by."""
+        net = PubSubNetwork(chain_tree(3))
+        for source in (0, 2):
+            net.advertise(source, Advertisement(stream="R"))
+        near, far = Subscription.to_streams(["R"]), Subscription.to_streams(["R"])
+        net.subscribe(0, near)
+        net.subscribe(2, far)
+        assert set(net._broker(1).table.subscriptions) == {0, 2}
+        deliveries = net.publish(0, Event("R", {}))
+        assert [(n, s) for n, _, s in deliveries] == [(0, near), (2, far)]
+        assert net.link_bytes == {(0, 1): 1.0, (1, 2): 1.0}
 
     def test_remove_subscription(self):
         t = RoutingTable(broker=0)
@@ -171,9 +181,9 @@ class TestEndToEnd:
                 node, Subscription.to_streams(["R"])
             )
         self.net.reset_traffic()
-        self.net.publish(0, Event("R", {"a": 1}, size=10))
-        # chain 0-1-2-3-4, all links carry exactly one 10-byte message
-        assert all(v == 10 for v in self.net.link_bytes.values())
+        self.net.publish(0, Event("R", {"a": 1}))
+        # chain 0-1-2-3-4, all links carry exactly one whole message
+        assert all(v == 1.0 for v in self.net.link_bytes.values())
         assert len(self.net.link_bytes) == 4
 
     def test_early_filtering_stops_at_first_broker(self):
@@ -187,9 +197,9 @@ class TestEndToEnd:
         sub = Subscription.to_streams(["R"], projection=["a"])
         self.net.subscribe(4, sub)
         self.net.reset_traffic()
-        self.net.publish(0, Event("R", {"a": 1, "b": 2, "c": 3, "d": 4}, size=8))
-        # every link carries the projected (smaller) message
-        assert all(v < 8 for v in self.net.link_bytes.values())
+        self.net.publish(0, Event("R", {"a": 1, "b": 2, "c": 3, "d": 4}))
+        # every link carries the projected message: one attribute of four
+        assert self.net.link_bytes == {(i, i + 1): 0.25 for i in range(4)}
 
     def test_unsubscribe_stops_delivery(self):
         sub = Subscription.to_streams(["R"])
@@ -281,7 +291,7 @@ class TestEndToEnd:
         net.subscribe(2, Subscription.to_streams(["R"]))
         net.subscribe(3, Subscription.to_streams(["S"]))  # different stream
         net.reset_traffic()
-        deliveries = net.publish(1, Event("R", {}, size=1.0))
+        deliveries = net.publish(1, Event("R", {}))
         assert [n for n, _, _ in deliveries] == [2]
         used_links = set(net.link_bytes)
         assert used_links == {(0, 1), (0, 2)}
@@ -428,7 +438,7 @@ class TestBrokerLossAndRecovery:
         assert table.advertisements == fresh.advertisements
         assert table.subscriptions == fresh.subscriptions
         assert table.size() == 0
-        assert table.match_event(Event("R", {"a": 1})).interfaces == set()
+        assert table.stream_entries("R") == fresh.stream_entries("R") == []
 
 
 class TestLinkPartition:
@@ -441,7 +451,7 @@ class TestLinkPartition:
     def test_down_link_drops_events_without_charging(self):
         self.net.set_link_down(1, 2)
         before = self.net.total_data_bytes()
-        assert self.net.publish(0, Event("R", {"a": 1}, size=8.0)) == []
+        assert self.net.publish(0, Event("R", {"a": 1})) == []
         # the hop 0->1 is still charged; the partitioned 1->2 is not
         assert self.net.link_bytes.get((0, 1), 0.0) > before
         assert (1, 2) not in self.net.link_bytes

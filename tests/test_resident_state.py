@@ -148,6 +148,7 @@ class TestOracleLookupRule:
     def test_both_rows_cached_reads_row_u(self, topo, asymmetric_pair):
         u, v, d_uv, d_vu = asymmetric_pair
         oracle = LatencyOracle(topo)
-        oracle.prefetch([v, u])
+        oracle.row(v)
+        oracle.row(u)
         assert oracle(u, v) == d_uv
         assert oracle(v, u) == d_vu

@@ -9,9 +9,14 @@ from repro.core.cosmos import CosmosConfig
 from repro.query.interest import SubstreamSpace
 from repro.query.workload import WorkloadParams, generate_workload
 from repro.sim import (
+    BrokerLoss,
     ChurnParams,
     EventLoop,
     HotSpotShift,
+    LinkPartition,
+    ProcessorCrash,
+    ProcessorJoin,
+    ProcessorLeave,
     ScenarioParams,
     SimWorkloadParams,
     measure_rates,
@@ -84,7 +89,7 @@ class TestEventLoop:
         def tick():
             ticks.append(loop.now)
             if loop.now < 3.0:
-                loop.schedule_in(1.0, tick)
+                loop.schedule(loop.now + 1.0, tick)
 
         loop.schedule(1.0, tick)
         loop.run_until(10.0)
@@ -422,11 +427,44 @@ class TestRunScenario:
         with pytest.raises(ValueError, match=rf"^{field}:"):
             cls(**{field: value})
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda: "x", r"^faults: 'x' is not a fault spec"),
+            (lambda: BrokerLoss, r"^faults: <class .*BrokerLoss'> is not"),
+            (lambda: LinkPartition(at=1.0, duration=-5.0), r"^LinkPartition\.duration:"),
+            (lambda: LinkPartition(at=1.0, duration=0.0), r"^LinkPartition\.duration:"),
+            (lambda: LinkPartition(at=-1.0), r"^LinkPartition\.at:"),
+            (lambda: ProcessorCrash(at=-1.0, detect_delay=-2.0), r"^ProcessorCrash\.at:"),
+            (lambda: ProcessorCrash(at=1.0, detect_delay=-2.0), r"^ProcessorCrash\.detect_delay:"),
+            (lambda: BrokerLoss(at=1.0, detect_delay=float("nan")), r"^BrokerLoss\.detect_delay:"),
+            (lambda: ProcessorJoin(at=-0.5), r"^ProcessorJoin\.at:"),
+            (lambda: ProcessorLeave(at=float("nan")), r"^ProcessorLeave\.at:"),
+        ],
+        ids=[
+            "not_a_spec", "a_spec_class", "negative_duration", "zero_duration",
+            "partition_before_start", "crash_before_start", "negative_detect_delay",
+            "nan_detect_delay", "join_before_start", "nan_leave",
+        ],
+    )
+    def test_malformed_faults_fail_at_construction(self, fault, message):
+        """A fault schedule is checked where it is declared, naming the
+        spec and field -- not when the injector first reads it."""
+        with pytest.raises(ValueError, match=message):
+            ScenarioParams(faults=(ProcessorJoin(at=1.0), fault()))
+
     def test_boundary_knobs_are_valid(self):
         # no overlap edges is the ablation bench's setting
         assert CosmosConfig(max_overlap_neighbors=0, alpha=0.0, vmax=1, k=2)
         assert HotSpotShift(at=0.0, substreams=0, factor=0.0)
         assert ScenarioParams(handoff_ms_per_tuple=0.0)
+        assert ScenarioParams(faults=(
+            ProcessorCrash(at=0.0, detect_delay=0.0),
+            BrokerLoss(at=0.0, detect_delay=0.0),
+            LinkPartition(at=0.0, duration=1e-9),
+            ProcessorJoin(at=0.0),
+            ProcessorLeave(at=0.0),
+        ))
 
     def test_disabled_intervals_are_valid(self):
         params = ScenarioParams(adapt_interval=None, checkpoint_interval=None)

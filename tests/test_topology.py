@@ -17,6 +17,18 @@ from repro.topology import (
 )
 
 
+def connected(topo):
+    """Whether every node of ``topo`` is reachable from node 0."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v, _ in topo.adjacency[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == topo.n
+
+
 @pytest.fixture(scope="module")
 def topo():
     return generate_transit_stub(TransitStubParams(), seed=7)
@@ -32,7 +44,7 @@ class TestGeneration:
         assert topo.n == TransitStubParams().node_count()
 
     def test_connected(self, topo):
-        assert topo.is_connected()
+        assert connected(topo)
 
     def test_partitions_are_disjoint_and_complete(self, topo):
         transit = set(topo.transit_nodes)
@@ -184,17 +196,6 @@ class TestOverlay:
         total = sum(tree.links[x][y] for x, y in zip(path, path[1:]))
         assert tree.path_latency(a, b) == pytest.approx(total)
 
-    def test_multicast_edges_subset_of_tree(self, topo, oracle):
-        sources, processors = select_roles(topo, 3, 9, seed=2)
-        tree = minimum_latency_spanning_tree(sources + processors, oracle)
-        edges = {(min(u, v), max(u, v)) for u, v, _ in tree.edges()}
-        used = tree.multicast_edges(tree.nodes[0], tree.nodes[1:4])
-        assert used <= edges
-
-    def test_multicast_to_self_uses_no_edges(self, oracle):
-        tree = minimum_latency_spanning_tree([1, 2], oracle)
-        assert tree.multicast_edges(1, [1]) == set()
-
     def test_singleton_tree(self, oracle):
         tree = minimum_latency_spanning_tree([5], oracle)
         assert tree.is_tree() and tree.nodes == [5]
@@ -213,7 +214,7 @@ def test_generated_topologies_always_connected(seed):
     params = TransitStubParams(
         transit_domains=2, transit_nodes=3, stubs_per_transit_node=2, stub_nodes=3
     )
-    assert generate_transit_stub(params, seed=seed).is_connected()
+    assert connected(generate_transit_stub(params, seed=seed))
 
 
 @settings(max_examples=20, deadline=None)
