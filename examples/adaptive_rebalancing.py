@@ -37,7 +37,7 @@ def main() -> None:
     cosmos = Cosmos(oracle, processors, workload.space,
                     CosmosConfig(k=4, vmax=60))
     cosmos.distribute(workload.queries)
-    cost_model = CostModel.over(None, workload.space, distance=oracle)
+    cost_model = CostModel(workload.space, oracle)
 
     rng = random.Random(7)
     pattern = ["I", "D", "I", "I", "D"]

@@ -49,7 +49,7 @@ def main() -> None:
           f"{cosmos.coordinator_count()} coordinators")
 
     # 4. measure: weighted communication cost and load balance
-    cost_model = CostModel.over(None, workload.space, distance=oracle)
+    cost_model = CostModel(workload.space, oracle)
     for name, pl in (
         ("naive (stay at proxy)", naive_placement(workload.queries)),
         ("COSMOS", placement),

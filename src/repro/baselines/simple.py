@@ -71,8 +71,7 @@ def global_network_graph(
             )
             for p in processors
         ],
-        oracle.__call__,
-        oracle=oracle,
+        oracle,
     )
 
 

@@ -17,7 +17,7 @@ from .graphs import (
     qvertex_from_query,
 )
 from .hierarchy import Cluster, CoordinatorTree, build_coordinator_tree
-from .insertion import attach_vertex, choose_target
+from .insertion import choose_target
 from .mapping import MappingResult, greedy_mapping, map_graph, refine_mapping
 from .rebalance import RebalanceStats, rebalance, refine_distribution
 
@@ -43,7 +43,6 @@ __all__ = [
     "greedy_mapping",
     "map_graph",
     "refine_mapping",
-    "attach_vertex",
     "choose_target",
     "diffusion_solution",
     "RebalanceStats",

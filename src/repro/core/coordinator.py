@@ -200,7 +200,7 @@ class Coordinator:
                         covers=frozenset(descendants),
                     )
                 )
-        return NetworkGraph(vertices, self.oracle.__call__, oracle=self.oracle)
+        return NetworkGraph(vertices, self.oracle)
 
     def _child_by_vid(self, vid: VertexId) -> "Coordinator":
         for child in self.children:
@@ -844,10 +844,7 @@ class Coordinator:
                 limits = self.qg.capacity_limits(self.ng, self.alpha)
                 ws.init_positions(self.assignment)
                 for v in sorted(newcomers, key=lambda x: -x.weight):
-                    target, _ = choose_target(
-                        self.qg, self.ng, v, None, loads, limits,
-                        workspace=ws,
-                    )
+                    target, _ = choose_target(self.ng, v, loads, limits, ws)
                     self.assignment[v.vid] = target
                     loads[target] += v.weight
                     ws.set_position(v.vid, target)

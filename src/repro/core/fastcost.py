@@ -6,8 +6,10 @@ evaluates, for a q-vertex ``v`` and every candidate target ``t``,
     cost(v, t) = sum over neighbours u of  w(v,u) * d(site(t), pos(u)).
 
 :class:`CostWorkspace` assigns every vertex an integer index, keeps all
-positions in one numpy array, precomputes one latency row per target site
-and per-vertex neighbour index/weight arrays -- so the evaluation is one
+positions (topology node ids) in one numpy array, copies one latency row
+per target from the network graph's oracle -- ``d(site(t), p)`` is
+``oracle.row(site(t))[p]``, the row of the target's site -- and caches
+per-vertex neighbour index/weight arrays, so the evaluation is one
 fancy-indexing gather plus a matrix-vector product over all targets at
 once, with no per-neighbour Python iteration.
 
@@ -55,27 +57,12 @@ class CostWorkspace:
         self.vindex: Dict[VertexId, int] = {v: i for i, v in enumerate(self.vids)}
         self.nq = len(qg.qverts)
 
-        oracle = getattr(ng, "oracle", None)
-        if oracle is not None:
-            n = oracle.topology.n
-            self.rows = np.empty((len(self.targets), n))
-            for i, t in enumerate(self.targets):
-                self.rows[i, :] = oracle.row(ng.site(t))
-        else:
-            # fallback: dense rows over the node universe actually used
-            nodes = set()
-            for nv in qg.nverts.values():
-                nodes.add(nv.node)
-            for t in self.targets:
-                nodes.add(ng.site(t))
-            self._node_list = sorted(nodes)
-            self._node_pos = {node: i for i, node in enumerate(self._node_list)}
-            self.rows = np.empty((len(self.targets), len(self._node_list)))
-            for i, t in enumerate(self.targets):
-                site = ng.site(t)
-                for j, node in enumerate(self._node_list):
-                    self.rows[i, j] = ng.site_distance(site, node)
-        self._remap = oracle is None
+        #: ``rows[i]`` is the oracle's row from target ``i``'s site,
+        #: indexed by topology node id
+        oracle = ng.oracle
+        self.rows = np.empty((len(self.targets), oracle.topology.n))
+        for i, t in enumerate(self.targets):
+            self.rows[i, :] = oracle.row(ng.site(t))
 
         # static neighbour structure
         self._nbr_idx: List[Optional[np.ndarray]] = [None] * len(self.vids)
@@ -89,23 +76,6 @@ class CostWorkspace:
         self._dead: Set[VertexId] = set()
 
     # ------------------------------------------------------------------
-    def _node_id(self, node: int) -> int:
-        """Column index of a topology node in :attr:`rows`."""
-        if self._remap:
-            if node not in self._node_pos:
-                # extend the distance table for a previously unseen node
-                self._node_pos[node] = len(self._node_list)
-                self._node_list.append(node)
-                col = np.asarray(
-                    [
-                        self.ng.site_distance(self.ng.site(t), node)
-                        for t in self.targets
-                    ]
-                )[:, None]
-                self.rows = np.concatenate([self.rows, col], axis=1)
-            return self._node_pos[node]
-        return node
-
     def init_positions(self, mapping: Mapping) -> None:
         """Seed positions from a (possibly partial) mapping."""
         self.pos.fill(-1)
@@ -115,17 +85,17 @@ class CostWorkspace:
             if vid in qverts:
                 target = mapping.get(vid)
                 if target is not None:
-                    self.pos[i] = self._node_id(self.ng.site(target))
+                    self.pos[i] = self.ng.site(target)
             else:
                 nv = nverts.get(vid)
                 if nv is not None:
                     node = self.ng.site(nv.clu) if nv.clu is not None else nv.node
-                    self.pos[i] = self._node_id(node)
+                    self.pos[i] = node
                 # tombstoned vertices stay unplaced (contribute nothing)
 
     def set_position(self, vid: VertexId, target: VertexId) -> None:
         """Record that ``vid`` now occupies ``target``'s site."""
-        self.pos[self.vindex[vid]] = self._node_id(self.ng.site(target))
+        self.pos[self.vindex[vid]] = self.ng.site(target)
 
     def clear_position(self, vid: VertexId) -> None:
         """Mark ``vid`` unplaced; it then contributes no cost."""
@@ -154,7 +124,7 @@ class CostWorkspace:
         if vid in self.qg.nverts:
             nv = self.qg.nverts[vid]
             node = self.ng.site(nv.clu) if nv.clu is not None else nv.node
-            self.pos[i] = self._node_id(node)
+            self.pos[i] = node
 
     def invalidate_vertex(self, vid: VertexId) -> None:
         """Drop cached neighbour arrays (call after edges change)."""

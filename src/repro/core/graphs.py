@@ -5,8 +5,10 @@ Two graphs:
 * :class:`NetworkGraph` -- one vertex per mapping target (a processor, or
   a child coordinator's whole cluster in the hierarchical scheme), weighted
   by computational capability; the "edge weights" are latencies between the
-  vertices' representative sites, answered by a distance callable so no
-  quadratic structure is materialised.
+  vertices' representative sites.  Every latency is read from the
+  :class:`~repro.topology.latency.LatencyOracle` the graph holds -- its
+  lazily computed per-node rows -- so no quadratic structure is
+  materialised.
 * :class:`QueryGraph` -- q-vertices (queries, weighted by CPU load) and
   n-vertices (sources and proxies, weight 0).  Edges carry stream rates:
   q-n edges are source-request or result-delivery rates; q-q edges are the
@@ -37,7 +39,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -98,19 +99,17 @@ class NetVertex:
 
 
 class NetworkGraph:
-    """The set of mapping targets plus a distance metric between sites."""
+    """The set of mapping targets plus the latency oracle between sites.
 
-    def __init__(
-        self,
-        vertices: Iterable[NetVertex],
-        distance: Callable[[int, int], float],
-        oracle=None,
-    ):
+    ``oracle`` is the only source of topology latency: the cost kernels
+    (:class:`GraphArrays`, :class:`~repro.core.fastcost.CostWorkspace`)
+    read its ``row(site)`` arrays.
+    """
+
+    def __init__(self, vertices: Iterable[NetVertex], oracle):
         self.vertices: Dict[VertexId, NetVertex] = {v.vid: v for v in vertices}
         if not self.vertices:
             raise ValueError("network graph needs at least one vertex")
-        self._distance = distance
-        #: optional LatencyOracle enabling vectorised cost rows
         self.oracle = oracle
         self._covering: Dict[int, VertexId] = {}
         for v in self.vertices.values():
@@ -132,18 +131,6 @@ class NetworkGraph:
     def covering_vertex(self, node: int) -> Optional[VertexId]:
         """The vertex whose cluster covers topology node ``node``, if any."""
         return self._covering.get(node)
-
-    def distance(self, vid_a: VertexId, vid_b: VertexId) -> float:
-        """Latency between two vertices' representative sites."""
-        if vid_a == vid_b:
-            return 0.0
-        return self._distance(self.site(vid_a), self.site(vid_b))
-
-    def site_distance(self, site_a: int, site_b: int) -> float:
-        """Latency between two raw topology nodes."""
-        if site_a == site_b:
-            return 0.0
-        return self._distance(site_a, site_b)
 
     def ids(self) -> List[VertexId]:
         """All vertex ids, in insertion order."""
@@ -597,9 +584,9 @@ class GraphArrays:
       ``_edges`` order.
 
     The WEC reads ``D`` at row = the first endpoint's site, column = the
-    second's.  A row is read from the latency oracle when ``ng`` has one
-    (``ng.site_distance`` otherwise) with ``D[i, i] = 0``.  The oracle is
-    not symmetric in the last bits, so the row rule is part of the value.
+    second's: ``D[i]`` is ``ng.oracle.row(sites[i])`` restricted to the
+    site universe, with ``D[i, i] = 0``.  The oracle is not symmetric in
+    the last bits, so the row rule is part of the value.
     """
 
     def __init__(self, qg: QueryGraph, ng: NetworkGraph):
@@ -644,17 +631,10 @@ class GraphArrays:
         heads = self.edge_u[self.edge_u >= nq] - nq
         rows = np.union1d(self.target_site_idx, self._nsite_idx[heads])
         self.D = np.zeros((len(sites), len(sites)))
-        oracle = getattr(ng, "oracle", None)
         columns = np.asarray(sites, dtype=np.int64)
         for i in rows.tolist():
-            a = sites[i]
-            if oracle is not None:
-                self.D[i] = np.asarray(oracle.row(a))[columns]
-                self.D[i, i] = 0.0
-            else:
-                for j, b in enumerate(sites):
-                    if j != i:
-                        self.D[i, j] = ng.site_distance(a, b)
+            self.D[i] = np.asarray(ng.oracle.row(sites[i]))[columns]
+            self.D[i, i] = 0.0
 
     def positions(self, mapping: Mapping) -> np.ndarray:
         """Site-universe index of every vertex slot under ``mapping``.

@@ -22,7 +22,7 @@ moves), so each refinement step is one masked argmax over the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .graphs import (
     Mapping,
     NetworkGraph,
     QueryGraph,
-    VertexId,
 )
 
 __all__ = ["MappingResult", "greedy_mapping", "refine_mapping", "map_graph"]
@@ -47,23 +46,6 @@ class MappingResult:
     feasible: bool
     #: number of refinement moves applied
     moves: int = 0
-
-
-def _attach_cost(
-    qg: QueryGraph,
-    vid: VertexId,
-    target: VertexId,
-    pos: Dict[VertexId, int],
-    ng: NetworkGraph,
-) -> float:
-    """Scalar attach cost (reference implementation, used by tests)."""
-    site = ng.site(target)
-    total = 0.0
-    for nbr, w in qg.neighbors(vid).items():
-        p = pos.get(nbr)
-        if p is not None:
-            total += w * ng.site_distance(site, p)
-    return total
 
 
 def greedy_mapping(

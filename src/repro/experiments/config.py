@@ -128,7 +128,7 @@ def build_testbed(config: ExperimentConfig) -> Testbed:
     workload = generate_workload(
         config.workload, sources, processors, seed=config.seed + 2
     )
-    cost_model = CostModel.over(None, workload.space, distance=oracle)
+    cost_model = CostModel(workload.space, oracle)
     return Testbed(
         config=config,
         topology=topo,

@@ -89,8 +89,8 @@ def run(
     cosmos = bed.new_cosmos()
     cosmos.distribute(queries)
     pl_static = dict(cosmos.placement)
-    pl_remap = dict(pl_static)
-    prev_remap = dict(pl_static)
+    remapped = dict(pl_static)
+    remapped_prev = dict(pl_static)
 
     series = Fig10Series()
 
@@ -102,8 +102,8 @@ def run(
         placement = dict(cosmos.placement)
         series.adaptive_cost.append(bed.cost(placement))
         series.adaptive_std.append(bed.stddev(placement))
-        series.remapping_cost.append(bed.cost(pl_remap))
-        series.remapping_std.append(bed.stddev(pl_remap))
+        series.remapping_cost.append(bed.cost(remapped))
+        series.remapping_std.append(bed.stddev(remapped))
 
     snapshot(0, "-")
     for step, kind in enumerate(pattern, start=1):
@@ -125,15 +125,15 @@ def run(
         report = cosmos.adapt()
         series.adaptive_migrations += report.migrated_queries
 
-        pl_remap = centralized_placement(
+        remapped = centralized_placement(
             queries, bed.processors, bed.workload.space, bed.oracle, max_outer=2
         )
         series.remapping_migrations += sum(
             1
             for q in queries
-            if prev_remap.get(q.query_id) != pl_remap[q.query_id]
+            if remapped_prev.get(q.query_id) != remapped[q.query_id]
         )
-        prev_remap = dict(pl_remap)
+        remapped_prev = dict(remapped)
         snapshot(step, kind)
     return series
 

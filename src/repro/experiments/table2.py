@@ -19,9 +19,7 @@ the unit tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict
 
 from ..core.graphs import (
     NetVertex,
@@ -31,28 +29,33 @@ from ..core.graphs import (
     QVertex,
 )
 from ..core.mapping import map_graph
+from ..topology.latency import LatencyOracle
+from ..topology.transit_stub import Topology
 
 __all__ = ["Table2Instance", "build_instance", "run"]
 
 # topology node ids for the example
 S1, S2, N1, N2 = 0, 1, 2, 3
 
-#: symmetric latencies of the example network (Figure 5(a)-like):
-#: each processor is close to one source and far from the other.
-_DIST = {
-    (S1, N1): 1.0,
-    (S1, N2): 5.0,
-    (S2, N1): 5.0,
-    (S2, N2): 1.0,
-    (N1, N2): 5.0,
-    (S1, S2): 6.0,
-}
+#: the links of the example network (Figure 5(a)-like): each processor
+#: is close to one source and far from the other.  Every pair's shortest
+#: path is its direct link (S1-S2 ties at 6.0 through either processor),
+#: so the oracle's latency of a pair is the link's.
+_LINKS = (
+    (S1, N1, 1.0),
+    (S1, N2, 5.0),
+    (S2, N1, 5.0),
+    (S2, N2, 1.0),
+    (N1, N2, 5.0),
+    (S1, S2, 6.0),
+)
 
 
-def _distance(a: int, b: int) -> float:
-    if a == b:
-        return 0.0
-    return _DIST.get((a, b), _DIST.get((b, a), 10.0))
+def _oracle() -> LatencyOracle:
+    topo = Topology(n=4, adjacency=[[] for _ in range(4)])
+    for u, v, latency in _LINKS:
+        topo.add_edge(u, v, latency)
+    return LatencyOracle(topo)
 
 
 @dataclass
@@ -69,7 +72,7 @@ def build_instance() -> Table2Instance:
             NetVertex(vid="n1", site=N1, capability=1.0, covers=frozenset([N1])),
             NetVertex(vid="n2", site=N2, capability=1.0, covers=frozenset([N2])),
         ],
-        _distance,
+        _oracle(),
     )
 
     qg = QueryGraph()

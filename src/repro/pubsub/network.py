@@ -680,22 +680,14 @@ class PubSubNetwork:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def account_path(self, u: int, v: int, size: float) -> float:
-        """Account ``size`` data bytes along the overlay path ``u`` -> ``v``.
+    def _path(self, u: int, v: int) -> Tuple[list, float]:
+        """The overlay path ``u`` -> ``v`` as ``(edges, latency ms)``.
 
-        For transfers that are not content-routed -- result
-        streams travelling host -> proxy and migration state handoffs in
-        the discrete-event simulator.  Returns the path latency (ms) so the
-        caller can derive the transfer delay from the same walk.  Paths
-        are memoised (the tree is immutable), so repeated transfers over
-        one pair -- every result tuple of a query -- skip the tree walk.
-        The latency is summed from the smaller id to the larger, whichever
-        direction is asked first, so it never depends on call order.
+        Memoised (the tree is immutable).  The latency is summed from the
+        smaller id to the larger, whichever direction is asked first, so
+        it never depends on call order.
         """
-        if u == v:
-            return 0.0
-        key = (u, v)
-        cached = self._path_cache.get(key)
+        cached = self._path_cache.get((u, v))
         if cached is None:
             lo, hi = (u, v) if u < v else (v, u)
             path = self.tree.path(lo, hi)
@@ -703,10 +695,36 @@ class PubSubNetwork:
             lat = sum(self.tree.links[a][b] for a, b in edges)
             self._path_cache[(lo, hi)] = (edges, lat)
             self._path_cache[(hi, lo)] = ([(b, a) for a, b in reversed(edges)], lat)
-            cached = self._path_cache[key]
-        for a, b in cached[0]:
+            cached = self._path_cache[(u, v)]
+        return cached
+
+    def path_latency(self, u: int, v: int) -> float:
+        """Overlay path latency (ms) between two overlay nodes.
+
+        The one source of overlay latency: the simulator's reordering
+        slack and result-delivery delays read it here, from the memo that
+        :meth:`account_path` fills.
+        """
+        if u == v:
+            return 0.0
+        return self._path(u, v)[1]
+
+    def account_path(self, u: int, v: int, size: float) -> float:
+        """Account ``size`` data bytes along the overlay path ``u`` -> ``v``.
+
+        For transfers that are not content-routed -- result
+        streams travelling host -> proxy and migration state handoffs in
+        the discrete-event simulator.  Returns :meth:`path_latency` so the
+        caller can derive the transfer delay from the same walk; repeated
+        transfers over one pair -- every result tuple of a query -- skip
+        the tree walk.
+        """
+        if u == v:
+            return 0.0
+        edges, lat = self._path(u, v)
+        for a, b in edges:
             self._account(self.link_bytes, a, b, size)
-        return cached[1]
+        return lat
 
     def reset_traffic(self) -> None:
         self.link_bytes.clear()

@@ -35,7 +35,7 @@ from .faults import (
     is_subsequence,
     recovery_invariants,
 )
-from .metrics import CostModel, RootedOverlay, load_stddev
+from .metrics import CostModel, load_stddev
 from .trace import AdaptationMark, SimTrace, TraceSample
 from .workload import SimQuery, SimQueryFactory, SimWorkloadParams, measure_rates
 
@@ -55,7 +55,6 @@ __all__ = [
     "ProcessorLeave",
     "RECOVERY_POLICIES",
     "RecoveryPolicy",
-    "RootedOverlay",
     "ScenarioParams",
     "SimCluster",
     "SimQuery",

@@ -440,7 +440,6 @@ class SimCluster:
         #: ``p^2`` result subscription id -> member query id
         self._by_result_sub: Dict[int, int] = {}
         self._pindex = {p: i for i, p in enumerate(self.processors)}
-        self._path_ms: Dict[Tuple[int, int], float] = {}
         self._emit_gen: List[int] = [0] * len(space)
 
         self.duration = params.duration
@@ -476,26 +475,10 @@ class SimCluster:
     # ------------------------------------------------------------------
     # latency helpers
     # ------------------------------------------------------------------
-    def _path_latency_ms(self, u: int, v: int) -> float:
-        """Overlay path latency (ms) between two overlay nodes, cached.
-
-        Summed along the path from the smaller id to the larger: float
-        addition is order-sensitive, so summing in the direction asked
-        first would make the cached value depend on call order.
-        """
-        if u == v:
-            return 0.0
-        key = (u, v) if u < v else (v, u)
-        lat = self._path_ms.get(key)
-        if lat is None:
-            lat = self.network.tree.path_latency(*key)
-            self._path_ms[key] = lat
-        return lat
-
     def _slack(self, substreams: Tuple[int, ...], host: int) -> float:
         """Reordering slack (s): the worst input transit delay to ``host``."""
         return max(
-            self._path_latency_ms(int(self.space.source_of[sid]), host)
+            self.network.path_latency(int(self.space.source_of[sid]), host)
             for sid in substreams
         ) / 1000.0
 
@@ -1250,7 +1233,7 @@ class SimCluster:
             if query_id is None:
                 continue
             qs = self.queries[query_id]
-            proxy_s = self._path_latency_ms(unit.host, delivery.node) / 1000.0
+            proxy_s = self.network.path_latency(unit.host, delivery.node) / 1000.0
             # one addition per result, in order, as accounting the
             # results one at a time does
             lat_sum = qs.lat_sum

@@ -2,14 +2,16 @@
 
 The paper reports two system-level metrics:
 
-* **weighted communication cost** -- per-unit-time traffic x latency,
-  summed over links.  We measure it on the pub/sub overlay: every
-  substream is multicast from its source to the set of processors hosting
-  at least one interested query (each overlay link carries the substream
-  at most once -- the sharing COSMOS exploits), and every query's result
-  stream travels from its host to its proxy.  Result delivery from a proxy
-  to its local user is identical under every scheme and is excluded, as in
-  the paper.
+* **weighted communication cost** -- per-unit-time traffic x latency.
+  Every substream travels once from its source to each *distinct*
+  processor hosting at least one interested query (co-location is the
+  only sharing), and every query's result stream travels from its host to
+  its proxy, each over the shortest topology path whose latency the
+  :class:`~repro.topology.latency.LatencyOracle` answers.  On a large WAN
+  the paths from a source to scattered processors share few links, so
+  this matches the paper's link-level metric.  Result delivery from a
+  proxy to its local user is identical under every scheme and is
+  excluded, as in the paper.
 * **load standard deviation** -- stddev of per-processor query load
   (normalised by capability), the load-balance indicator of Figures 7-10.
 """
@@ -17,154 +19,43 @@ The paper reports two system-level metrics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..query.interest import SubstreamSpace, iter_bits
 from ..query.workload import QuerySpec
-from ..topology.overlay import OverlayTree
+from ..topology.latency import LatencyOracle
 
-__all__ = ["RootedOverlay", "CostModel", "load_stddev"]
-
-
-class RootedOverlay:
-    """An overlay tree rooted once for fast path/multicast queries."""
-
-    def __init__(self, tree: OverlayTree):
-        self.tree = tree
-        root = tree.nodes[0]
-        self.parent: Dict[int, int] = {root: root}
-        self.depth: Dict[int, int] = {root: 0}
-        self.up_latency: Dict[int, float] = {root: 0.0}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, lat in tree.neighbors(u).items():
-                if v not in self.parent:
-                    self.parent[v] = u
-                    self.depth[v] = self.depth[u] + 1
-                    self.up_latency[v] = lat
-                    stack.append(v)
-
-    def path_edges(self, u: int, v: int) -> List[int]:
-        """Edges on the tree path, each identified by its lower endpoint
-        (the child side of the parent link)."""
-        edges: List[int] = []
-        a, b = u, v
-        while a != b:
-            if self.depth[a] >= self.depth[b]:
-                edges.append(a)
-                a = self.parent[a]
-            else:
-                edges.append(b)
-                b = self.parent[b]
-        return edges
-
-    def path_latency(self, u: int, v: int) -> float:
-        return sum(self.up_latency[e] for e in self.path_edges(u, v))
-
-    def multicast_cost(self, source: int, sinks: Iterable[int]) -> float:
-        """Latency-weighted size of the multicast edge union."""
-        used: set = set()
-        for sink in set(sinks):
-            if sink == source:
-                continue
-            used.update(self.path_edges(source, sink))
-        return sum(self.up_latency[e] for e in used)
+__all__ = ["CostModel", "load_stddev"]
 
 
 @dataclass
 class CostModel:
-    """Measures weighted communication cost of a placement.
+    """Measures the weighted communication cost of a placement."""
 
-    Two accounting modes:
-
-    * ``"unicast"`` (default) -- each substream travels once per *distinct
-      hosting processor* over the shortest topology path (co-location is
-      the only sharing).  This matches the paper's link-level metric on a
-      large WAN, where paths from a source to scattered processors share
-      few links.
-    * ``"multicast"`` -- each substream is multicast over the pub/sub
-      overlay tree, each tree link carrying it at most once.  This is the
-      exact pub/sub data plane; on small overlays path sharing compresses
-      the differences between schemes.
-    """
-
-    overlay: Optional[RootedOverlay]
     space: SubstreamSpace
-    distance: Optional[object] = None  # LatencyOracle-like callable
-
-    @classmethod
-    def over(
-        cls,
-        tree: Optional[OverlayTree],
-        space: SubstreamSpace,
-        distance=None,
-    ) -> "CostModel":
-        return cls(
-            overlay=RootedOverlay(tree) if tree is not None else None,
-            space=space,
-            distance=distance,
-        )
+    oracle: LatencyOracle
 
     def weighted_cost(
-        self,
-        placement: Dict[int, int],
-        queries: Sequence[QuerySpec],
-        mode: str = "unicast",
+        self, placement: Dict[int, int], queries: Sequence[QuerySpec]
     ) -> float:
         """Source delivery cost + result delivery cost of a placement."""
-        if mode not in ("unicast", "multicast"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "unicast" and self.distance is None:
-            raise ValueError("unicast mode needs a distance oracle")
-        if mode == "multicast" and self.overlay is None:
-            raise ValueError("multicast mode needs an overlay tree")
-
         interested: Dict[int, set] = {}
         for q in queries:
             host = placement[q.query_id]
             for sid in iter_bits(q.mask):
                 interested.setdefault(sid, set()).add(host)
 
-        total = 0.0
-        if mode == "multicast":
-            for sid, hosts in interested.items():
-                source = int(self.space.source_of[sid])
-                total += float(self.space.rates[sid]) * self.overlay.multicast_cost(
-                    source, hosts
-                )
-        else:
-            total += self._unicast_source_cost(interested)
-
+        total = self._source_cost(interested)
         for q in queries:
             host = placement[q.query_id]
             if host != q.proxy:
-                if mode == "multicast":
-                    total += q.result_rate * self.overlay.path_latency(host, q.proxy)
-                else:
-                    total += q.result_rate * self.distance(host, q.proxy)
+                total += q.result_rate * self.oracle(host, q.proxy)
         return total
 
-    def _unicast_source_cost(self, interested: Dict[int, set]) -> float:
-        """Source-delivery cost, vectorised over each source's row.
-
-        When the distance oracle exposes cached per-node rows
-        (:meth:`~repro.topology.latency.LatencyOracle.row`), the cost of
-        one source serving all its substreams' hosts is a single gather;
-        otherwise fall back to scalar distance calls.
-        """
-        row_of = getattr(self.distance, "row", None)
-        if row_of is None:
-            total = 0.0
-            for sid, hosts in interested.items():
-                source = int(self.space.source_of[sid])
-                rate = float(self.space.rates[sid])
-                for host in hosts:
-                    total += rate * self.distance(source, host)
-            return total
-
+    def _source_cost(self, interested: Dict[int, set]) -> float:
+        """Source-delivery cost, one oracle row gather per source."""
         # group substreams by source so each row is fetched once
         by_source: Dict[int, List[int]] = {}
         for sid in interested:
@@ -172,7 +63,7 @@ class CostModel:
         total = 0.0
         rates = self.space.rates
         for source, sids in by_source.items():
-            row = np.asarray(row_of(source))
+            row = np.asarray(self.oracle.row(source))
             for sid in sids:
                 hosts = np.fromiter(
                     interested[sid], dtype=np.int64, count=len(interested[sid])

@@ -19,7 +19,9 @@ code.  All randomness flows through caller-provided
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,6 +73,40 @@ class SimWorkloadParams:
     #: plans; substream *rates* and sources are untouched.
     pool_substreams: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if not self.num_substreams >= 1:
+            raise ValueError(
+                f"num_substreams: must be >= 1, got {self.num_substreams!r}"
+            )
+        for name in ("num_queries", "zipf_theta", "load_factor"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"{name}: must be >= 0, got {getattr(self, name)!r}"
+                )
+        if not 0 <= self.join_fraction <= 1:
+            raise ValueError(
+                f"join_fraction: must be within [0, 1], got {self.join_fraction!r}"
+            )
+        for name, top in (
+            ("rate_range", math.inf),
+            ("window_range", math.inf),
+            ("selectivity_range", 1.0),
+        ):
+            lo, hi = getattr(self, name)
+            if not (0 <= lo <= hi <= top and math.isfinite(hi)):
+                raise ValueError(
+                    f"{name}: must be a finite, ordered (low, high) pair"
+                    f" within [0, {top}], got {getattr(self, name)!r}"
+                )
+        if not all(isinstance(w, numbers.Integral) for w in self.window_range):
+            raise ValueError(
+                f"window_range: must be whole seconds, got {self.window_range!r}"
+            )
+        if self.pool_substreams is not None and not self.pool_substreams >= 1:
+            raise ValueError(
+                f"pool_substreams: must be None or >= 1, got {self.pool_substreams!r}"
+            )
+
 
 @dataclass
 class SimQuery:
@@ -121,8 +157,6 @@ class SimQueryFactory:
         #: every previously generated workload -- unchanged
         self._pool = n
         if params.pool_substreams is not None:
-            if params.pool_substreams < 1:
-                raise ValueError("pool_substreams must be >= 1")
             self._pool = min(n, params.pool_substreams)
         ranks = np.arange(1, self._pool + 1, dtype=float)
         weights = ranks ** (-params.zipf_theta)

@@ -27,8 +27,10 @@ class OverlayTree:
     """An undirected tree over a set of overlay nodes.
 
     ``links[u]`` maps neighbour -> latency.  The tree is the unit the
-    pub/sub layer routes on; :meth:`path` and :meth:`path_latency` answer
-    routing questions.
+    pub/sub layer routes on; :meth:`path` answers routing questions, and
+    the network built over the tree
+    (:meth:`~repro.pubsub.network.PubSubNetwork.path_latency`) answers
+    path latencies.
     """
 
     nodes: List[int]
@@ -73,10 +75,6 @@ class OverlayTree:
             path.append(parent[path[-1]])
         path.reverse()
         return path
-
-    def path_latency(self, src: int, dst: int) -> float:
-        path = self.path(src, dst)
-        return sum(self.links[a][b] for a, b in zip(path, path[1:]))
 
     def is_tree(self) -> bool:
         """Check acyclicity + connectivity over ``nodes``."""

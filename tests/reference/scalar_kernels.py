@@ -1,10 +1,12 @@
 """The optimizer's cost kernels as plain Python loops.
 
 The definitions ``src/`` vectorises: the Weighted Edge Cut of Eqn 3.2
-(``QueryGraph.wec`` gathers it from ``GraphArrays``), the vertex
-positions the scalar attach cost (``repro.core.mapping._attach_cost``)
-reads, and Hu & Blake diffusion as a generic least-squares solve
-(``diffusion_solution`` uses the closed form for the complete graph).
+(``QueryGraph.wec`` gathers it from ``GraphArrays``), the attach cost of
+one vertex at one target and the vertex positions it reads
+(``CostWorkspace.attach_costs`` evaluates every target at once), and Hu &
+Blake diffusion as a generic least-squares solve (``diffusion_solution``
+uses the closed form for the complete graph).  Every latency is one
+scalar call of the network graph's oracle, ``ng.oracle(a, b)``.
 """
 
 import itertools
@@ -27,7 +29,7 @@ def wec(qg: QueryGraph, mapping: Mapping, ng: NetworkGraph) -> float:
             if marker in done:
                 continue
             done.add(marker)
-            total += w * ng.site_distance(pos[a], pos[b])
+            total += w * ng.oracle(pos[a], pos[b])
     return total
 
 
@@ -39,6 +41,24 @@ def positions(
         vid: qg.position(vid, mapping, ng)
         for vid in itertools.chain(qg.qverts, qg.nverts)
     }
+
+
+def attach_cost(
+    qg: QueryGraph,
+    vid: VertexId,
+    target: VertexId,
+    pos: Dict[VertexId, int],
+    ng: NetworkGraph,
+) -> float:
+    """Cost of ``vid`` at ``target``: its placed neighbours' edge weights
+    times their latency from the target's site."""
+    site = ng.site(target)
+    total = 0.0
+    for nbr, w in qg.neighbors(vid).items():
+        p = pos.get(nbr)
+        if p is not None:
+            total += w * ng.oracle(site, p)
+    return total
 
 
 def diffusion_solution(

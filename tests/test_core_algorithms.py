@@ -11,7 +11,6 @@ from repro.core.coarsening import coarsen, merge_qvertices, uncoarsen_vertex
 from repro.core.diffusion import diffusion_solution
 from repro.core.graphs import (
     NetVertex,
-    NetworkGraph,
     build_query_graph,
     qvertex_from_query,
 )
@@ -19,6 +18,8 @@ from repro.core.mapping import greedy_mapping, map_graph, refine_mapping
 from repro.core.rebalance import rebalance, refine_distribution
 from repro.query.interest import SubstreamSpace, mask_of
 from repro.query.workload import QuerySpec
+
+from line_oracle import line_network
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +29,12 @@ def space():
 
 @pytest.fixture(scope="module")
 def ng():
-    return NetworkGraph(
+    return line_network(
         [
             NetVertex(vid=f"P{i}", site=i * 10, capability=1.0,
                       covers=frozenset([i * 10]))
             for i in range(4)
-        ],
-        lambda a, b: abs(a - b),
+        ]
     )
 
 
@@ -162,10 +162,9 @@ class TestMapping:
         assert result.feasible
 
     def test_single_target_trivial(self, space):
-        ng1 = NetworkGraph(
+        ng1 = line_network(
             [NetVertex(vid="only", site=0, capability=1.0,
-                       covers=frozenset([0]))],
-            lambda a, b: abs(a - b),
+                       covers=frozenset([0]))]
         )
         g = graph_of(space, ng1, make_queries(space, 5, proxy_nodes=(0,)))
         result = map_graph(g, ng1)

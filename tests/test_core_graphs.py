@@ -17,19 +17,16 @@ from repro.core.graphs import (
 from repro.query.interest import SubstreamSpace, mask_of
 from repro.query.workload import QuerySpec
 
-
-def simple_distance(a, b):
-    return 0.0 if a == b else abs(a - b)
+from line_oracle import line_network, line_oracle
 
 
 @pytest.fixture
 def ng():
-    return NetworkGraph(
+    return line_network(
         [
             NetVertex(vid="A", site=0, capability=1.0, covers=frozenset([0])),
             NetVertex(vid="B", site=10, capability=1.0, covers=frozenset([10])),
-        ],
-        simple_distance,
+        ]
     )
 
 
@@ -50,18 +47,12 @@ class TestNetworkGraph:
         assert ng.covering_vertex(10) == "B"
         assert ng.covering_vertex(99) is None
 
-    def test_distance_zero_same_vertex(self, ng):
-        assert ng.distance("A", "A") == 0.0
-
-    def test_distance_between_sites(self, ng):
-        assert ng.distance("A", "B") == 10.0
-
     def test_total_capability(self, ng):
         assert ng.total_capability() == 2.0
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            NetworkGraph([], simple_distance)
+            NetworkGraph([], line_oracle())
 
 
 class TestQueryGraph:
@@ -173,12 +164,11 @@ class TestLoadConstraint:
         assert loads == {"A": 5.0, "B": 0.0}
 
     def test_heterogeneous_capabilities(self):
-        ng2 = NetworkGraph(
+        ng2 = line_network(
             [
                 NetVertex(vid="A", site=0, capability=3.0, covers=frozenset([0])),
                 NetVertex(vid="B", site=1, capability=1.0, covers=frozenset([1])),
-            ],
-            simple_distance,
+            ]
         )
         g = QueryGraph()
         g.add_qvertex(make_qvertex("q1", weight=8.0))

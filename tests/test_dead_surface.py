@@ -27,7 +27,6 @@ ALLOWED = {
     "repro.core.coarsening:coarsen": "tap core.coarsen",
     # Public API of the library, exported by its package for users and
     # documented there; only the tests call them.
-    "repro.core.insertion:attach_vertex": "adds one q-vertex with estimated edges",
     "repro.query.containment:equivalent": "query equivalence by containment",
     "repro.query.interest:bits_of": "inverse of mask_of",
     "repro.sim.faults:recovery_invariants": "checks a fault run against the oracle",

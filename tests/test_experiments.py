@@ -72,6 +72,17 @@ class TestTable2:
         text = table2.format_results(table2.run())
         assert "scheme3 < scheme2 < scheme1: True" in text
 
+    def test_wec_values_exact(self):
+        # the Figure 5 instance's latencies come from a LatencyOracle over
+        # its six links; every pair's shortest path is its direct link
+        assert table2.run() == {
+            "scheme1": 115.0,
+            "scheme2": 105.0,
+            "scheme3": 85.0,
+            "algorithm2": 105.0,
+            "algorithm2_relaxed": 80.0,
+        }
+
 
 class TestFig6:
     def test_rows_and_ordering(self):

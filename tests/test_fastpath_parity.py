@@ -9,13 +9,15 @@ randomized workloads:
 * ``coarsen`` vs ``coarsen`` on ``pair_coarsening``'s matcher and
   pair-by-pair collapse -- identical graphs, compared exactly (weights,
   vertex order, merge steps)
-* ``CostWorkspace.attach_costs`` vs the scalar ``_attach_cost`` loop
+* ``CostWorkspace.attach_costs`` vs ``scalar_kernels.attach_cost``
 """
 
 import random
 from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,11 +33,12 @@ from repro.core.graphs import (
     build_query_graph,
     qvertex_from_query,
 )
-from repro.core.mapping import _attach_cost, map_graph
+from repro.core.mapping import map_graph
 from repro.obs.registry import MetricsRegistry, set_active
 from repro.query.interest import SubstreamSpace, mask_of
 from repro.query.workload import QuerySpec
 
+from line_oracle import line_network
 from reference import graph_build, scalar_kernels
 from reference.pair_coarsening import pairwise_coarsening
 
@@ -47,13 +50,12 @@ def space():
 
 @pytest.fixture(scope="module")
 def ng():
-    return NetworkGraph(
+    return line_network(
         [
             NetVertex(vid=f"P{i}", site=i * 7, capability=1.0,
                       covers=frozenset([i * 7]))
             for i in range(5)
-        ],
-        lambda a, b: abs(a - b),
+        ]
     )
 
 
@@ -150,17 +152,6 @@ class TestWECParity:
         assert result.wec == pytest.approx(g.wec(result.mapping, ng))
         assert result.wec == pytest.approx(
             scalar_kernels.wec(g, result.mapping, ng)
-        )
-
-    def test_no_oracle_distance_matrix(self, space, ng):
-        # ng has no oracle: GraphArrays must fall back to pairwise
-        # site_distance calls and still agree
-        g = make_graph(space, ng, 15, seed=5)
-        arrays = GraphArrays(g, ng)
-        assert arrays.D.shape[0] == arrays.D.shape[1]
-        mapping = random_mapping(g, ng, seed=5)
-        assert arrays.wec(mapping) == pytest.approx(
-            scalar_kernels.wec(g, mapping, ng)
         )
 
 
@@ -416,5 +407,61 @@ class TestAttachCostParity:
             fast = ws.attach_costs(vid)
             for i, t in enumerate(ng.ids()):
                 assert fast[i] == pytest.approx(
-                    _attach_cost(g, vid, t, pos, ng), rel=1e-9, abs=1e-9
+                    scalar_kernels.attach_cost(g, vid, t, pos, ng),
+                    rel=1e-9, abs=1e-9,
                 )
+
+
+class SkewedOracle:
+    """An oracle whose two directions differ: ``row(u)[v] = |u - v| +
+    1e-3 * u`` off the diagonal.  A real oracle differs by direction only
+    in the last bits; this one makes reading the wrong row visible."""
+
+    def __init__(self, n=128):
+        self.topology = SimpleNamespace(n=n)
+
+    def row(self, u):
+        row = np.abs(np.arange(self.topology.n) - u) + 1e-3 * u
+        row[u] = 0.0
+        return row
+
+
+class TestOracleRowRule:
+    """Production's direction: a cost kernel reads the oracle row of the
+    target's site (attach costs) or of an edge's first endpoint (WEC)."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        return NetworkGraph(
+            [
+                NetVertex(vid=f"P{i}", site=i * 7, capability=1.0,
+                          covers=frozenset([i * 7]))
+                for i in range(5)
+            ],
+            SkewedOracle(),
+        )
+
+    def test_attach_costs_read_the_target_row(self, space, skewed):
+        row = skewed.oracle.row
+        g = make_graph(space, skewed, 30, seed=9)
+        mapping = random_mapping(g, skewed, seed=9)
+        pos = scalar_kernels.positions(g, mapping, skewed)
+        ws = CostWorkspace(g, skewed)
+        ws.init_positions(mapping)
+        for vid in list(g.qverts)[:10]:
+            nbrs = g.neighbors(vid).items()
+            sites = [skewed.site(t) for t in skewed.ids()]
+            expected = [sum(w * row(s)[pos[n]] for n, w in nbrs) for s in sites]
+            transposed = [sum(w * row(pos[n])[s] for n, w in nbrs) for s in sites]
+            assert expected != pytest.approx(transposed, rel=1e-9)
+            assert list(ws.attach_costs(vid)) == pytest.approx(expected, rel=1e-12)
+
+    def test_wec_reads_the_first_endpoint_row(self, space, skewed):
+        row = skewed.oracle.row
+        g = make_graph(space, skewed, 30, seed=4)
+        mapping = random_mapping(g, skewed, seed=4)
+        pos = scalar_kernels.positions(g, mapping, skewed)
+        expected = sum(w * row(pos[a])[pos[b]] for (a, b), w in g._edges.items())
+        transposed = sum(w * row(pos[b])[pos[a]] for (a, b), w in g._edges.items())
+        assert expected != pytest.approx(transposed, rel=1e-9)
+        assert GraphArrays(g, skewed).wec(mapping) == pytest.approx(expected, rel=1e-12)

@@ -131,7 +131,7 @@ class TestCosmosDistribution:
 
         _, oracle, _, _, _ = env
         cosmos, placement, workload, processors = cosmos_env
-        cm = CostModel.over(None, workload.space, distance=oracle)
+        cm = CostModel(workload.space, oracle)
         cost_cosmos = cm.weighted_cost(placement, workload.queries)
         cost_naive = cm.weighted_cost(
             naive_placement(workload.queries), workload.queries
@@ -188,7 +188,7 @@ class TestCosmosInsertAdapt:
                         CosmosConfig(k=4, vmax=40))
         pl = random_placement(workload.queries, processors, seed=8)
         cosmos.adopt(workload.queries, pl)
-        cm = CostModel.over(None, workload.space, distance=oracle)
+        cm = CostModel(workload.space, oracle)
         before = cm.weighted_cost(pl, workload.queries)
         for _ in range(3):
             cosmos.adapt()

@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from line_oracle import line_network
 from reference import full_rebuild, scalar_kernels
 from test_fastpath_parity import content_sig
 
@@ -30,7 +31,6 @@ from repro.core.coarsening import plan_key
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
     NetVertex,
-    NetworkGraph,
     NVertex,
     build_query_graph,
     qvertex_from_query,
@@ -291,13 +291,12 @@ class TestSnapshotAndWorkspaceParity:
     @pytest.fixture(scope="class")
     def small(self):
         space = SubstreamSpace.random(300, sources=[0, 40, 80], seed=11)
-        ng = NetworkGraph(
+        ng = line_network(
             [
                 NetVertex(vid=f"P{i}", site=i * 5, capability=1.0,
                           covers=frozenset([i * 5]))
                 for i in range(5)
-            ],
-            lambda a, b: abs(a - b),
+            ]
         )
         return space, ng
 

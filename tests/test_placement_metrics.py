@@ -16,10 +16,9 @@ from repro.placement import (
     placement_cost,
 )
 from repro.placement.operator_graph import _covers
-from repro.sim.metrics import CostModel, RootedOverlay, load_stddev
+from repro.sim.metrics import CostModel, load_stddev
 from repro.topology import (
     LatencyOracle,
-    OverlayTree,
     TransitStubParams,
     generate_transit_stub,
     select_roles,
@@ -183,7 +182,7 @@ class TestBaselines:
 
     def test_centralized_not_worse_than_greedy(self, queries_env):
         oracle, processors, workload = queries_env
-        cm = CostModel.over(None, workload.space, distance=oracle)
+        cm = CostModel(workload.space, oracle)
         pl_g = greedy_placement(
             workload.queries, processors, workload.space, oracle)
         pl_c = centralized_placement(
@@ -193,26 +192,6 @@ class TestBaselines:
 
 
 class TestMetrics:
-    def chain(self, n):
-        tree = OverlayTree(nodes=list(range(n)))
-        for i in range(n - 1):
-            tree.add_link(i, i + 1, 2.0)
-        return tree
-
-    def test_rooted_overlay_path_latency(self):
-        ro = RootedOverlay(self.chain(5))
-        assert ro.path_latency(0, 4) == pytest.approx(8.0)
-        assert ro.path_latency(2, 2) == 0.0
-
-    def test_multicast_cost_union(self):
-        ro = RootedOverlay(self.chain(5))
-        # paths 0->2 and 0->4 share links: union is the 0..4 chain
-        assert ro.multicast_cost(0, [2, 4]) == pytest.approx(8.0)
-
-    def test_multicast_cost_empty(self):
-        ro = RootedOverlay(self.chain(3))
-        assert ro.multicast_cost(1, [1]) == 0.0
-
     def test_load_stddev_balanced_zero(self):
         from repro.query.workload import QuerySpec
 
@@ -237,23 +216,6 @@ class TestMetrics:
         # capability 2 on the heavy node normalises both to 1.0
         assert load_stddev(pl, qs, [100, 101], {100: 2.0}) == 0.0
 
-    def test_cost_model_requires_oracle_for_unicast(self):
-        from repro.query.interest import SubstreamSpace
-
-        space = SubstreamSpace.random(10, sources=[0], seed=0)
-        cm = CostModel.over(None, space)
-        with pytest.raises(ValueError):
-            cm.weighted_cost({}, [], mode="unicast")
-
-    def test_cost_model_unknown_mode(self, env):
-        from repro.query.interest import SubstreamSpace
-
-        _, oracle, _, _ = env
-        space = SubstreamSpace.random(10, sources=[0], seed=0)
-        cm = CostModel.over(None, space, distance=oracle)
-        with pytest.raises(ValueError):
-            cm.weighted_cost({}, [], mode="bogus")
-
     def test_unicast_cost_counts_distinct_hosts_once(self, env):
         from repro.query.interest import SubstreamSpace, mask_of
         from repro.query.workload import QuerySpec
@@ -264,7 +226,7 @@ class TestMetrics:
                        group=0, load=1, result_rate=0, state_size=1)
         q2 = QuerySpec(query_id=1, proxy=processors[0], mask=mask_of([0]),
                        group=0, load=1, result_rate=0, state_size=1)
-        cm = CostModel.over(None, space, distance=oracle)
+        cm = CostModel(space, oracle)
         src = int(space.source_of[0])
         both_same = cm.weighted_cost(
             {0: processors[0], 1: processors[0]}, [q1, q2])

@@ -1,6 +1,7 @@
 """Tests for the discrete-event cluster simulator."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -453,7 +454,50 @@ class TestRunScenario:
         with pytest.raises(ValueError, match=message):
             ScenarioParams(faults=(ProcessorJoin(at=1.0), fault()))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_substreams", 0),
+            ("num_queries", -3),
+            ("rate_range", (5.0, 1.0)),
+            ("rate_range", (-1.0, 1.0)),
+            ("rate_range", (0.2, math.inf)),
+            ("window_range", (10, 5)),
+            ("window_range", (-4, -2)),
+            ("window_range", (2.5, 4)),
+            ("selectivity_range", (1.5, 2.0)),
+            ("selectivity_range", (0.9, 0.3)),
+            ("join_fraction", 1.5),
+            ("join_fraction", -0.1),
+            ("zipf_theta", -0.8),
+            ("load_factor", -1.0),
+            ("pool_substreams", 0),
+            ("num_substreams", math.nan),
+            ("num_queries", math.nan),
+            ("rate_range", (math.nan, 1.0)),
+            ("rate_range", (0.2, math.nan)),
+            ("window_range", (math.nan, 4)),
+            ("selectivity_range", (0.3, math.nan)),
+            ("join_fraction", math.nan),
+            ("zipf_theta", math.nan),
+            ("load_factor", math.nan),
+            ("pool_substreams", math.nan),
+        ],
+    )
+    def test_malformed_workload_fails_at_construction(self, field, value):
+        """The executable workload's knobs are checked when declared,
+        naming the field: not deep in numpy or the CQL parser during
+        query generation, and not left to run with negative thresholds
+        or loads.  NaN fails every rule."""
+        with pytest.raises(ValueError, match=rf"^{field}:"):
+            SimWorkloadParams(**{field: value})
+
     def test_boundary_knobs_are_valid(self):
+        assert SimWorkloadParams(
+            num_queries=0, rate_range=(0.0, 0.0), window_range=(0, 0),
+            selectivity_range=(0.0, 1.0), join_fraction=1.0, zipf_theta=0.0,
+            load_factor=0.0, pool_substreams=1,
+        )
         # no overlap edges is the ablation bench's setting
         assert CosmosConfig(max_overlap_neighbors=0, alpha=0.0, vmax=1, k=2)
         assert HotSpotShift(at=0.0, substreams=0, factor=0.0)
@@ -522,7 +566,7 @@ class TestUnitFollowsMajority:
 
 
 class TestPathLatencyOrderIndependence:
-    """Cached path latencies must not depend on which direction of a
+    """Memoised path latencies must not depend on which direction of a
     pair is asked first: float sums along a path differ by direction."""
 
     @staticmethod
@@ -533,29 +577,32 @@ class TestPathLatencyOrderIndependence:
         for u, v, lat in ((0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3)):
             tree.add_link(u, v, lat)
         # the premise: the two directions' sums really differ
-        assert tree.path_latency(0, 3) != tree.path_latency(3, 0)
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
         return tree
 
     def test_cluster_path_latency(self):
-        from types import SimpleNamespace
+        from repro.pubsub.network import PubSubNetwork
 
-        from repro.sim import SimCluster
-
-        def fresh():
-            return SimpleNamespace(
-                network=SimpleNamespace(tree=self._chain()), _path_ms={}
-            )
-
-        forward, backward = fresh(), fresh()
-        first = SimCluster._path_latency_ms(forward, 0, 3)
-        assert SimCluster._path_latency_ms(backward, 3, 0) == first
-        assert SimCluster._path_latency_ms(backward, 0, 3) == first
+        # the simulator's reordering slack and proxy delays read the
+        # network's path_latency; asking either direction first must give
+        # the same figure as the traffic accounting's walk
+        forward, backward = (PubSubNetwork(self._chain()) for _ in range(2))
+        first = forward.path_latency(0, 3)
+        assert first == 0.1 + 0.2 + 0.3
+        assert backward.path_latency(3, 0) == first
+        assert backward.path_latency(0, 3) == first
+        assert backward.account_path(3, 0, 1.0) == first
+        assert forward.path_latency(2, 2) == 0.0
 
     def test_network_account_path(self):
         from repro.pubsub.network import PubSubNetwork
 
+        # the traffic accounting reads account_path, the simulator's delays
+        # read path_latency: one memo answers both
         forward, backward = (PubSubNetwork(self._chain()) for _ in range(2))
         first = forward.account_path(0, 3, 1.0)
+        assert first == 0.1 + 0.2 + 0.3
         assert backward.account_path(3, 0, 1.0) == first
         assert backward.account_path(0, 3, 1.0) == first
+        assert backward.path_latency(3, 0) == first
         assert forward.account_path(3, 0, 1.0) == first
