@@ -13,15 +13,17 @@ strictest reading of the cluster constraint (see :func:`coarsen`).
 
 A coarse vertex carries enough aggregate state (interest mask, per-source
 and per-proxy rate maps, children) that its edges are re-estimated exactly
-and it can later be uncoarsened one level.  All of it happens on a
-:class:`_WorkGraph` -- plain vertex and adjacency dicts, no mutation
-journal -- that is turned into a :class:`QueryGraph` once, at the end.
-Matching runs as array operations (:func:`_match_pass_arrays`) and a
-whole matching pass collapses at a time (:func:`_collapse_pass`: every
-surviving coarse edge estimated once per pass).  The dict-based matcher
-and the pair-by-pair collapse with one scalar estimate per neighbour
-define the identical graph; they are the oracle in
-``tests/reference/pair_coarsening.py`` (``tests/test_fastpath_parity.py``).
+and it can later be uncoarsened one level.  The engine
+(:func:`_coarsen_arrays`) works on a vertex list and q-q edge arrays
+only: matching reads nothing else, a merged vertex's aggregates come from
+:func:`merge_qvertices` alone, and n-vertices enter as a count.  A pass
+matches with one ``lexsort`` and a greedy walk (:func:`_match`), merges
+its pairs, remaps the edges through a representative array and
+re-estimates every coarse edge at a merged vertex once, in one batched
+call of :meth:`SubstreamSpace.overlap_rates_grouped` (:func:`_collapse`).
+The dict-based matcher and the pair-by-pair collapse with one scalar
+estimate per neighbour define the identical vertices and edges; they are
+the oracle in ``tests/reference/pair_coarsening.py``.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import registry as _obs
 from ..query.interest import SubstreamSpace
-from .graphs import QueryGraph, QVertex, VertexId, _estimate_edges
+from .graphs import QueryGraph, QVertex, _estimate_edges
 
 __all__ = [
     "coarsen",
@@ -54,8 +56,10 @@ def plan_key(v: QVertex) -> Tuple[int, ...]:
     return tuple(sorted(v.members))
 
 
-def content_rng(seed: int, stable_id: int, g: QueryGraph) -> random.Random:
-    """An rng derived from ``(seed, coordinator, graph content)``.
+def content_rng(
+    seed: int, stable_id: int, qverts: Iterable[QVertex]
+) -> random.Random:
+    """An rng derived from ``(seed, coordinator, input q-vertices)``.
 
     Coarsening consumes randomness (the per-round shuffle); deriving it
     from the input's member sets instead of a shared sequential stream
@@ -65,7 +69,7 @@ def content_rng(seed: int, stable_id: int, g: QueryGraph) -> random.Random:
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(str((seed, stable_id)).encode())
-    for v in g.qverts.values():
+    for v in qverts:
         h.update(str(plan_key(v)).encode())
     return random.Random(int.from_bytes(h.digest(), "big"))
 
@@ -107,215 +111,200 @@ def rebuild_edges(
     g._replace_edges(*_estimate_edges(g, space, max_overlap_neighbors))
 
 
-class _WorkGraph:
-    """The graph a coarsening run mutates: vertices and adjacency only.
+#: edges as arrays: two endpoint-position arrays and the weights
+EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    A run rewrites most of the graph and keeps nothing but the final
-    vertices, so it carries none of :class:`QueryGraph`'s canonical edge
-    store, mutation journal or version.  :meth:`to_query_graph` builds the
-    public result once, from the final (at most ``vmax``-vertex) state.
+
+def graph_edges(g: QueryGraph) -> Tuple[EdgeArrays, EdgeArrays]:
+    """``g``'s edges as ``(q-q edges, q-n edges)`` arrays.
+
+    q endpoints are positions in ``g.qverts``, n endpoints positions in
+    ``g.nverts``; a query graph holds no n-n edge.
     """
-
-    __slots__ = ("qverts", "nverts", "adj")
-
-    def __init__(self, g: QueryGraph):
-        self.qverts = dict(g.qverts)
-        self.nverts = dict(g.nverts)
-        self.adj = {vid: dict(nbrs) for vid, nbrs in g.adj.items()}
-
-    def vertex_count(self) -> int:
-        return len(self.qverts) + len(self.nverts)
-
-    def to_query_graph(self) -> QueryGraph:
-        out = QueryGraph()
-        out._install_vertices(self.qverts.values(), self.nverts.values())
-        # every edge once, from whichever endpoint ``adj`` lists first; a
-        # mixed edge is stored q endpoint first, as ``set_edge`` would
-        vids = list(self.adj)
-        index = {vid: i for i, vid in enumerate(vids)}
-        qverts = self.qverts
-        heads: List[int] = []
-        tails: List[int] = []
-        weights: List[float] = []
-        for i, (a, nbrs) in enumerate(self.adj.items()):
-            for b, w in nbrs.items():
-                j = index[b]
-                if j > i and w > 0:
-                    q_first = a in qverts or b not in qverts
-                    heads.append(i if q_first else j)
-                    tails.append(j if q_first else i)
-                    weights.append(w)
-        out._install_edges(vids, heads, tails, weights)
-        return out
+    nq = len(g.qverts)
+    slot = {
+        vid: i for i, vid in enumerate(itertools.chain(g.qverts, g.nverts))
+    }
+    ne = len(g._edges)
+    a = np.fromiter((slot[x] for x, _ in g._edges), np.int64, ne)
+    b = np.fromiter((slot[y] for _, y in g._edges), np.int64, ne)
+    w = np.fromiter(g._edges.values(), float, ne)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    qq = hi < nq
+    mixed = ~qq
+    return (lo[qq], hi[qq], w[qq]), (lo[mixed], hi[mixed] - nq, w[mixed])
 
 
-def _match_pass_arrays(
-    work: _WorkGraph, order: List[VertexId]
-) -> List[Tuple[VertexId, VertexId]]:
-    """One heavy-edge matching pass over ``order``.
+def _match(order: List[int], edges: EdgeArrays) -> List[Tuple[int, int]]:
+    """One heavy-edge matching pass, visiting vertex positions in ``order``.
 
-    Visits q-vertices in the given order; each unmatched vertex pairs
-    with its heaviest-edged unmatched q-neighbour.  Ties break toward the
-    neighbour appearing earliest in ``order``.  Returns disjoint pairs.
-    Candidate filtering and the heaviest-edge argmax run as numpy
-    operations over a CSR snapshot of the q-q subgraph instead of
-    per-edge Python tuples.
+    Each unmatched vertex pairs with its heaviest-edged unmatched
+    neighbour, ties toward the neighbour earliest in ``order``.  One
+    ``lexsort`` lists every vertex's candidates in that preference, so the
+    greedy walk takes the first free one.  Returns disjoint pairs.
     """
-    rank = {vid: r for r, vid in enumerate(order)}
+    u, v, w = edges
     nq = len(order)
-    # CSR over q-q edges only, vertex index = rank in `order`
-    indptr = np.zeros(nq + 1, dtype=np.int64)
-    flat_idx: List[int] = []
-    flat_w: List[float] = []
-    qverts = work.qverts
-    for r, vid in enumerate(order):
-        count = 0
-        for nbr, w in work.adj[vid].items():
-            if nbr in qverts and nbr != vid:
-                flat_idx.append(rank[nbr])
-                flat_w.append(w)
-                count += 1
-        indptr[r + 1] = indptr[r] + count
-    if not flat_idx:
+    if not w.size:
         return []
-    indices = np.asarray(flat_idx, dtype=np.int64)
-    weights = np.asarray(flat_w, dtype=float)
-
-    matched = np.zeros(nq, dtype=bool)
-    pairs: List[Tuple[VertexId, VertexId]] = []
-    for r in range(nq):
-        if matched[r]:
-            continue
-        lo, hi = indptr[r], indptr[r + 1]
-        cand = indices[lo:hi]
-        if cand.size == 0:
-            continue
-        free = ~matched[cand]
-        if not free.any():
-            continue
-        cand = cand[free]
-        cw = weights[lo:hi][free]
-        # heaviest edge first; ties toward the earliest-ranked neighbour
-        best = cand[np.lexsort((cand, -cw))[0]]
-        pairs.append((order[r], order[int(best)]))
-        matched[r] = True
-        matched[best] = True
+    rank = np.empty(nq, dtype=np.int64)
+    rank[order] = np.arange(nq)
+    src = rank[np.concatenate((u, v))]
+    dst = rank[np.concatenate((v, u))]
+    ordered = np.lexsort((dst, -np.concatenate((w, w)), src))
+    candidates = dst[ordered].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=nq)).tolist()
+    matched = [False] * nq
+    pairs: List[Tuple[int, int]] = []
+    lo = 0
+    for r, hi in enumerate(ends):
+        if not matched[r]:
+            for c in candidates[lo:hi]:
+                if not matched[c]:
+                    matched[r] = matched[c] = True
+                    pairs.append((order[r], order[c]))
+                    break
+        lo = hi
     return pairs
 
 
-def _merge_pair(
-    qverts: Dict[VertexId, QVertex],
-    a: VertexId,
-    b: VertexId,
+def _merge(
+    verts: List[QVertex],
+    pairs: List[Tuple[int, int]],
     origin: Optional[Hashable],
-) -> QVertex:
-    """Take ``a`` and ``b`` out of ``qverts``; return their merged vertex
-    (not yet inserted)."""
-    u, v = qverts.pop(a), qverts.pop(b)
-    # the pair lives on only as the merged vertex's ``children``: nothing
-    # estimates overlaps against it again unless a later uncoarsening
-    # brings it back, so it must not pin its index array
-    u.drop_indices()
-    v.drop_indices()
-    return merge_qvertices(u, v, origin=origin)
+) -> Tuple[List[QVertex], np.ndarray, int]:
+    """Merge ``pairs`` in order; returns ``(vertices, rep, survivors)``.
 
-
-def _collapse_pass(
-    work: _WorkGraph,
-    pairs: List[Tuple[VertexId, VertexId]],
-    space: SubstreamSpace,
-    origin: Optional[Hashable],
-    vmax: int,
-) -> None:
-    """Collapse one matching pass (disjoint ``pairs``) as a whole.
-
-    The first ``vertex_count - vmax`` pairs merge, in pair order (same
-    coarse ids as merging them one by one).  Every old endpoint is then
-    mapped to its representative and each merged vertex takes the union
-    of its pair's neighbour sets through that map: q-n weights are summed
-    ``a`` then ``b``; a q-q edge is estimated from the two final masks by
-    :meth:`SubstreamSpace.overlap_rates` -- once, by whichever endpoint
-    comes first in pair order -- so an edge between two vertices merged
-    in this pass costs one estimate instead of the three a pair-by-pair
-    collapse spends on its intermediate states.
-
-    The result equals the pair-by-pair collapse's (merge one pair, union
-    its neighbour edges, re-estimate each q-q edge with a scalar
-    ``overlap_rate``; stop at ``vmax``) because an edge touching a
-    merged vertex depends on the two final masks only, the kernel is
-    symmetric in its operands (either way round it sums the ascending
-    intersection), and q-vertex order (survivors, then merged vertices in
-    creation order) is the same.  It relies on what holds for every graph
-    the optimizer builds: q-q edges join interests that share a
-    positive-rate substream, so a union of them never estimates to zero.
+    The new list is the unpaired vertices in their order, then the merged
+    ones in pair order; ``rep[i]`` is old position ``i``'s new position
+    and the first ``survivors`` positions are the unpaired ones.
     """
-    pairs = pairs[: work.vertex_count() - vmax]
-    qverts, adj = work.qverts, work.adj
-    rep: Dict[VertexId, VertexId] = {}
-    merged: List[QVertex] = []
+    nq = len(verts)
+    paired = np.zeros(nq, dtype=bool)
+    paired[np.asarray(pairs, dtype=np.int64).ravel()] = True
+    kept = np.flatnonzero(~paired)
+    survivors = kept.size
+    rep = np.empty(nq, dtype=np.int64)
+    rep[kept] = np.arange(survivors)
+    out = [verts[i] for i in kept.tolist()]
     for a, b in pairs:
-        w_new = _merge_pair(qverts, a, b, origin)
-        rep[a] = rep[b] = w_new.vid
-        merged.append(w_new)
-    for w_new in merged:
-        qverts[w_new.vid] = w_new
-        adj[w_new.vid] = {}
-
-    estimates = 0
-    for (a, b), w_new in zip(pairs, merged):
-        wid = w_new.vid
-        mine = adj[wid]
-        # q-neighbours whose edge to ``w_new`` no earlier vertex has set
-        todo: List[VertexId] = []
-        for old in (a, b):
-            for nbr, w in adj.pop(old).items():
-                r = rep.get(nbr)
-                if r is None:
-                    del adj[nbr][old]
-                    if nbr in qverts:
-                        if nbr not in mine:
-                            mine[nbr] = 0.0
-                            todo.append(nbr)
-                    else:
-                        mine[nbr] = adj[nbr][wid] = mine.get(nbr, 0.0) + w
-                elif r != wid and r not in mine:
-                    mine[r] = 0.0
-                    todo.append(r)
-        if todo:
-            rates = space.overlap_rates(
-                w_new.indices, [qverts[nbr].indices for nbr in todo]
-            )
-            for nbr, w in zip(todo, rates):
-                if w > 0:
-                    mine[nbr] = adj[nbr][wid] = w
-                else:
-                    del mine[nbr]
-            estimates += len(todo)
-    if _obs.ACTIVE is not None:
-        _obs.ACTIVE.inc("opt.coarsen_passes")
-        _obs.ACTIVE.inc("opt.coarsen_merges", len(merged))
-        _obs.ACTIVE.inc("opt.coarsen_overlap_pairs", estimates)
+        rep[a] = rep[b] = len(out)
+        x, y = verts[a], verts[b]
+        # the pair lives on only as the merged vertex's ``children``:
+        # nothing estimates overlaps against it again unless a later
+        # uncoarsening brings it back, so it must not pin its index array
+        x.drop_indices()
+        y.drop_indices()
+        out.append(merge_qvertices(x, y, origin=origin))
+    return out, rep, survivors
 
 
-def _coarsen_work(
-    g: QueryGraph,
+def _collapse(
+    verts: List[QVertex],
+    rep: np.ndarray,
+    survivors: int,
+    edges: EdgeArrays,
+    space: SubstreamSpace,
+) -> Tuple[EdgeArrays, int]:
+    """The q-q edges after a merge step, and how many were estimated.
+
+    Endpoints are remapped through ``rep`` and self-edges dropped.  An
+    edge between two survivors keeps its weight; every distinct pair with
+    a merged endpoint is re-estimated once, from the two final masks, in
+    one :meth:`SubstreamSpace.overlap_rates_grouped` call (probe: the
+    merged endpoint, the later one if both are).  A zero estimate drops
+    the edge.
+    """
+    u, v, w = edges
+    a, b = rep[u], rep[v]
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    live = hi != lo
+    fresh = live & (hi >= survivors)
+    stay = live & ~fresh
+    n = len(verts)
+    probe, other = np.divmod(np.unique(hi[fresh] * n + lo[fresh]), n)
+    rates = np.empty(0)
+    if probe.size:
+        starts = np.flatnonzero(np.diff(probe, prepend=-1))
+        bounds = [*starts.tolist(), probe.size]
+        others = other.tolist()
+        indices = [x.indices for x in verts]
+        groups = zip(probe[starts].tolist(), bounds, bounds[1:])
+        rates = space.overlap_rates_grouped(
+            (indices[p], [indices[o] for o in others[start:end]])
+            for p, start, end in groups
+        )
+    positive = rates > 0
+    return (
+        (
+            np.concatenate((lo[stay], other[positive])),
+            np.concatenate((hi[stay], probe[positive])),
+            np.concatenate((w[stay], rates[positive])),
+        ),
+        probe.size,
+    )
+
+
+def _collapse_rates(
+    rep: np.ndarray, survivors: int, n_count: int, edges: EdgeArrays
+) -> EdgeArrays:
+    """The q-n edges after a merge step: a merged vertex's edge to an
+    n-vertex is the sum of its pair's two (a two-term sum: exact in
+    either order)."""
+    q, node, w = edges
+    q = rep[q]
+    fresh = q >= survivors
+    keys, inverse = np.unique(
+        q[fresh] * n_count + node[fresh], return_inverse=True
+    )
+    totals = np.zeros(keys.size)
+    np.add.at(totals, inverse, w[fresh])
+    merged_q, merged_node = np.divmod(keys, n_count)
+    return (
+        np.concatenate((q[~fresh], merged_q)),
+        np.concatenate((node[~fresh], merged_node)),
+        np.concatenate((w[~fresh], totals)),
+    )
+
+
+def _coarsen_arrays(
+    verts: Sequence[QVertex],
+    edges: EdgeArrays,
+    n_count: int,
     vmax: int,
     space: SubstreamSpace,
     origin: Optional[Hashable],
     rng: Optional[random.Random],
-) -> _WorkGraph:
-    """:func:`coarsen` up to, not including, the result graph."""
+    rate_edges: Optional[EdgeArrays] = None,
+) -> Tuple[List[QVertex], EdgeArrays, Optional[EdgeArrays]]:
+    """Algorithm 1 on arrays: ``(coarse vertices, q-q edges, q-n edges)``.
+
+    ``edges`` are the input's q-q edges (positions in ``verts``), the only
+    ones matching reads; ``n_count`` n-vertices count toward ``vmax`` but
+    never merge.  ``rate_edges`` (q-n, positions in ``verts`` and among
+    the n-vertices) are carried along only when a caller asks for them.
+    """
     rng = rng or random.Random(0)
-    work = _WorkGraph(g)
-    qverts = work.qverts
-    while work.vertex_count() > vmax:
-        qids = list(qverts)
-        rng.shuffle(qids)
-        pairs = _match_pass_arrays(work, qids)
+    verts = list(verts)
+    while True:
+        # the stop rule: merge until the graph has at most vmax vertices
+        excess = len(verts) + n_count - vmax
+        if excess <= 0:
+            break
+        order = list(range(len(verts)))
+        rng.shuffle(order)
+        pairs = _match(order, edges)[:excess]
         if not pairs:
             break  # nothing left to collapse (graph may stay above vmax)
-        _collapse_pass(work, pairs, space, origin, vmax)
-    return work
+        verts, rep, survivors = _merge(verts, pairs, origin)
+        edges, estimated = _collapse(verts, rep, survivors, edges, space)
+        if rate_edges is not None:
+            rate_edges = _collapse_rates(rep, survivors, n_count, rate_edges)
+        if _obs.ACTIVE is not None:
+            _obs.ACTIVE.inc("opt.coarsen_passes")
+            _obs.ACTIVE.inc("opt.coarsen_merges", len(pairs))
+            _obs.ACTIVE.inc("opt.coarsen_overlap_pairs", estimated)
+    return verts, edges, rate_edges
 
 
 def coarsen(
@@ -340,22 +329,38 @@ def coarsen(
     uncoarsening bookkeeping simple.  n-vertices therefore never merge
     (the strictest reading of the cluster constraint).
     """
-    return _coarsen_work(g, vmax, space, origin, rng).to_query_graph()
+    qq, qn = graph_edges(g)
+    verts, (u, v, w), (q, node, rates) = _coarsen_arrays(
+        g.qverts.values(), qq, len(g.nverts), vmax, space, origin, rng, qn
+    )
+    out = QueryGraph()
+    out._install_vertices(verts, g.nverts.values())
+    nq = len(verts)
+    out._install_edges(
+        [*(x.vid for x in verts), *g.nverts],
+        np.concatenate((q, u)),
+        np.concatenate((node + nq, v)),
+        np.concatenate((rates, w)),
+    )
+    return out
 
 
 def coarsen_cached(
-    g: QueryGraph,
+    verts: Sequence[QVertex],
+    edges: EdgeArrays,
+    n_count: int,
     vmax: int,
     space: SubstreamSpace,
     origin: Optional[Hashable] = None,
     rng: Optional[random.Random] = None,
 ) -> List[QVertex]:
-    """:func:`coarsen`'s coarse vertices, without building their graph.
+    """:func:`coarsen`'s coarse vertices, from the input's q-vertices, its
+    q-q ``edges`` and its n-vertex count alone.
 
-    ``collect`` and ``adopt`` keep only the vertex list, so the result
-    graph is never assembled.
+    ``collect`` and ``adopt`` keep only the vertex list, so neither the
+    input graph nor the result graph is ever assembled.
     """
-    return list(_coarsen_work(g, vmax, space, origin, rng).qverts.values())
+    return _coarsen_arrays(verts, edges, n_count, vmax, space, origin, rng)[0]
 
 
 def uncoarsen_vertex(v: QVertex) -> List[QVertex]:

@@ -32,15 +32,17 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs import registry as _obs
 from ..query.interest import SubstreamSpace
 from ..query.workload import QuerySpec
 from ..topology.latency import LatencyOracle
 from .coarsening import (
+    EdgeArrays,
     coarsen_cached,
     content_rng,
+    graph_edges,
     merge_qvertices,
     rebuild_edges,
     uncoarsen_vertex,
@@ -54,9 +56,11 @@ from .graphs import (
     QueryGraph,
     QVertex,
     VertexId,
+    _overlap_edges,
     attach_overlap_edges,
     build_query_graph,
     qvertex_from_query,
+    rate_nodes,
 )
 from .fastcost import CostWorkspace
 from .hierarchy import Cluster
@@ -235,44 +239,74 @@ class Coordinator:
     # ------------------------------------------------------------------
     def collect(self, queries: Sequence[QuerySpec]) -> List[QVertex]:
         """Build the query-graph hierarchy; returns this subtree's coarse
-        vertex set (what would be "submitted to the parent coordinator")."""
+        vertex set (what would be "submitted to the parent coordinator").
+
+        Every leaf starts from the queries whose proxy its cluster holds.
+        """
+        return self._collect(self._leaf_buckets(queries, lambda q: q.proxy))
+
+    def _leaf_buckets(
+        self,
+        queries: Sequence[QuerySpec],
+        node_of: Callable[[QuerySpec], Optional[int]],
+    ) -> Dict["Coordinator", List[QuerySpec]]:
+        """Each leaf of the subtree -> the queries with ``node_of(query)``
+        in its cluster, in population order (one pass over ``queries``)."""
+        buckets: Dict[Coordinator, List[QuerySpec]] = {}
+        at_node: Dict[int, List[List[QuerySpec]]] = {}
+        for c in self.all_coordinators():
+            if c.is_leaf:
+                bucket = buckets[c] = []
+                for node in c.cluster.members:
+                    at_node.setdefault(node, []).append(bucket)
+        for q in queries:
+            for bucket in at_node.get(node_of(q), ()):
+                bucket.append(q)
+        return buckets
+
+    def _collect(
+        self, buckets: Dict["Coordinator", List[QuerySpec]]
+    ) -> List[QVertex]:
+        """:meth:`collect` over queries already split per leaf."""
         t0 = time.perf_counter()
         if self.is_leaf:
-            local = [
-                qvertex_from_query(q, self.space)
-                for q in queries
-                if q.proxy in self.cluster.members
+            incoming = [
+                qvertex_from_query(q, self.space) for q in buckets[self]
             ]
-            incoming = local
         else:
             incoming = []
             for child in self.children:
-                incoming.extend(child.collect(queries))
+                incoming.extend(child._collect(buckets))
             t0 = time.perf_counter()  # exclude children's time from ours
 
         if len(incoming) > self.vmax:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.inc("opt.coarsen_invocations")
                 _obs.ACTIVE.inc("opt.coarsen_input_vertices", len(incoming))
-            graph = build_query_graph(
-                incoming, self.space, self.ng, self.max_overlap_neighbors
+            # no graph: coarsening reads the q-q edges and the n-vertex count
+            edges = _overlap_edges(
+                incoming, self.space, self.max_overlap_neighbors
             )
-            result = self._coarsen(graph)
+            result = self._coarsen(incoming, edges, len(rate_nodes(incoming)))
         else:
             result = list(incoming)
         self.cpu_time += time.perf_counter() - t0
         return result
 
-    def _coarsen(self, graph: QueryGraph) -> List[QVertex]:
-        """Coarsen ``graph`` (Algorithm 1) to this coordinator's ``vmax``.
+    def _coarsen(
+        self, vertices: List[QVertex], edges: EdgeArrays, n_count: int
+    ) -> List[QVertex]:
+        """Coarsen ``vertices`` (Algorithm 1) to this coordinator's ``vmax``.
 
-        The rng is derived from the input content (not the coordinator's
-        sequential stream), so a coarsening run is a pure function of its
-        inputs.
+        ``edges`` are their q-q edges and ``n_count`` the n-vertices of
+        their graph.  The rng is derived from the input content (not the
+        coordinator's sequential stream), so a coarsening run is a pure
+        function of its inputs.
         """
-        rng = content_rng(self._seed, self._stable_id, graph)
+        rng = content_rng(self._seed, self._stable_id, vertices)
         return coarsen_cached(
-            graph, self.vmax, self.space, origin=self.name, rng=rng
+            vertices, edges, n_count, self.vmax, self.space,
+            origin=self.name, rng=rng,
         )
 
     # ------------------------------------------------------------------
@@ -335,32 +369,36 @@ class Coordinator:
         assignment reflects the given placement instead of a fresh
         mapping.  Returns this subtree's (possibly coarse) vertex set.
         """
+        return self._adopt(
+            self._leaf_buckets(queries, lambda q: placement.get(q.query_id)),
+            placement,
+        )
+
+    def _adopt(
+        self,
+        buckets: Dict["Coordinator", List[QuerySpec]],
+        placement: Dict[int, int],
+    ) -> List[QVertex]:
+        """:meth:`adopt` over queries already split per leaf."""
+        vertices = []
+        self.assignment = {}
         if self.is_leaf:
-            vertices = []
-            self.assignment = {}
-            for q in queries:
-                host = placement.get(q.query_id)
-                if host in self.cluster.members:
-                    v = qvertex_from_query(q, self.space)
-                    vertices.append(v)
-                    self.assignment[v.vid] = ("p", host)
-                    self.placement[q.query_id] = host
-            self.vertices = {v.vid: v for v in vertices}
-            self.qg = build_query_graph(
-                vertices, self.space, self.ng, self.max_overlap_neighbors
-            )
+            for q in buckets[self]:
+                host = placement[q.query_id]
+                v = qvertex_from_query(q, self.space)
+                vertices.append(v)
+                self.assignment[v.vid] = ("p", host)
+                self.placement[q.query_id] = host
         else:
-            vertices = []
-            self.assignment = {}
             for child in self.children:
-                child_vertices = child.adopt(queries, placement)
+                child_vertices = child._adopt(buckets, placement)
                 vertices.extend(child_vertices)
                 for v in child_vertices:
                     self.assignment[v.vid] = child.name
-            self.vertices = {v.vid: v for v in vertices}
-            self.qg = build_query_graph(
-                vertices, self.space, self.ng, self.max_overlap_neighbors
-            )
+        self.vertices = {v.vid: v for v in vertices}
+        self.qg = build_query_graph(
+            vertices, self.space, self.ng, self.max_overlap_neighbors
+        )
 
         self._reset_incremental_state()
         self._invalidate_routing_state()
@@ -368,7 +406,8 @@ class Coordinator:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.inc("opt.coarsen_invocations")
                 _obs.ACTIVE.inc("opt.coarsen_input_vertices", len(vertices))
-            return self._coarsen(self.qg)
+            qq, _ = graph_edges(self.qg)
+            return self._coarsen(vertices, qq, len(self.qg.nverts))
         return list(vertices)
 
     # ------------------------------------------------------------------

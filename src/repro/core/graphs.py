@@ -46,6 +46,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -67,6 +68,7 @@ __all__ = [
     "qvertex_from_query",
     "build_query_graph",
     "attach_overlap_edges",
+    "rate_nodes",
     "stable_vertex_key",
     "DEFAULT_ALPHA",
     "JOURNAL_LIMIT",
@@ -500,10 +502,6 @@ class QueryGraph:
         """
         return [(a, b, w) for (a, b), w in self._edges.items()]
 
-    def vertex_count(self) -> int:
-        """Total number of vertices (q plus n)."""
-        return len(self.qverts) + len(self.nverts)
-
     # ------------------------------------------------------------------
     # mapping quality
     # ------------------------------------------------------------------
@@ -661,16 +659,33 @@ class GraphArrays:
 
 
 def qvertex_from_query(q: QuerySpec, space: SubstreamSpace) -> QVertex:
-    """Atomic q-vertex for one query."""
-    return QVertex(
+    """Atomic q-vertex for one query.
+
+    The mask is unpacked once: the rate maps are summed from that unpack
+    and it seeds the vertex's ``indices`` cache.
+    """
+    idx = index_array(q.mask).astype(np.int32)
+    v = QVertex(
         vid=("q", q.query_id),
         weight=q.load,
         mask=q.mask,
-        source_rates=space.rates_by_source(q.mask),
+        source_rates=space.rates_by_source(q.mask, idx),
         proxy_rates={q.proxy: q.result_rate},
         state_size=q.state_size,
         members=(q.query_id,),
     )
+    v._idx = (q.mask, idx)
+    return v
+
+
+def rate_nodes(qvertices: Iterable[QVertex]) -> Set[int]:
+    """Every source / proxy node the q-vertices' rate maps name: the
+    n-vertices of their query graph."""
+    nodes: Set[int] = set()
+    for qv in qvertices:
+        nodes.update(qv.source_rates)
+        nodes.update(qv.proxy_rates)
+    return nodes
 
 
 def build_query_graph(
@@ -694,16 +709,12 @@ def build_query_graph(
     """
     g = QueryGraph()
     qlist = list(qvertices)
-    nodes = set()
-    for qv in qlist:
-        nodes.update(qv.source_rates)
-        nodes.update(qv.proxy_rates)
     g._install_vertices(qlist, [
         NVertex(
             vid=("n", node), node=node,
             clu=ng.covering_vertex(node) if ng is not None else None,
         )
-        for node in sorted(nodes)
+        for node in sorted(rate_nodes(qlist))
     ])
     g._install_edges(*_estimate_edges(g, space, max_overlap_neighbors))
     return g

@@ -10,19 +10,32 @@ Bit vectors are plain Python ints (arbitrary precision), which makes AND /
 OR / popcount fast and allocation-free for the 20,000-substream paper
 configuration.  Summing rates needs the set bits as an index array;
 :func:`index_array` unpacks a mask once and
-:meth:`SubstreamSpace.overlap_rates` is the one overlap kernel every
-optimizer layer shares, working on those (cacheable) arrays.
+:meth:`SubstreamSpace.overlap_rates` is the overlap kernel every
+optimizer layer shares, working on those (cacheable) arrays;
+:meth:`SubstreamSpace.overlap_rates_grouped` is its many-probe form,
+bit-identical to it (:func:`segment_sums`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SubstreamSpace", "bits_of", "index_array", "mask_of", "iter_bits"]
+__all__ = [
+    "SubstreamSpace",
+    "bits_of",
+    "index_array",
+    "mask_of",
+    "iter_bits",
+    "segment_sums",
+]
+
+#: gathered indices :meth:`SubstreamSpace.overlap_rates_grouped` holds
+#: before it sums them (bounds the memory of one call)
+_GROUPED_FLUSH = 200_000
 
 
 def mask_of(substream_ids: Iterable[int]) -> int:
@@ -56,6 +69,55 @@ def index_array(mask: int) -> np.ndarray:
         mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8
     )
     return np.unpackbits(raw, bitorder="little").nonzero()[0]
+
+
+def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values[s:e].sum()`` for consecutive segments of ``lengths``, bit
+    for bit, with no Python step per segment of up to 128 terms.
+
+    ``ndarray.sum`` on float64 is numpy's pairwise summation: under 8
+    terms a left fold; up to 128 terms eight accumulators over strided
+    lanes, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
+    remaining terms added in order; above that the two halves, each
+    summed the same way.  The first two cases run as array operations
+    over all segments at once (a zero pad adds nothing to a sum); a
+    longer segment calls ``.sum()`` itself.  The order is numpy's, not an
+    API promise: ``tests/test_segment_sums.py`` pins it.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    out = np.zeros(lengths.size)
+    starts = np.cumsum(lengths) - lengths
+    padded = np.append(np.asarray(values, dtype=float), 0.0)
+    zero = padded.size - 1
+
+    def terms(first: np.ndarray, present: np.ndarray) -> np.ndarray:
+        return padded[np.where(present, first, zero)]
+
+    short = lengths < 8
+    if short.any():
+        first, n = starts[short], lengths[short]
+        acc = np.zeros(first.size)
+        for j in range(int(n.max())):
+            acc += terms(first + j, n > j)
+        out[short] = acc
+    mid = ~short & (lengths <= 128)
+    if mid.any():
+        first, n = starts[mid], lengths[mid]
+        blocks, rest = n >> 3, n & 7
+        lanes = first[:, None] + np.arange(8)
+        r = padded[lanes]
+        for b in range(1, int(blocks.max())):
+            r += terms(lanes + 8 * b, (blocks > b)[:, None])
+        acc = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + (
+            (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
+        )
+        tail = first + (blocks << 3)
+        for j in range(int(rest.max())):
+            acc += terms(tail + j, rest > j)
+        out[mid] = acc
+    for i in np.flatnonzero(lengths > 128).tolist():
+        out[i] = padded[starts[i]:starts[i] + lengths[i]].sum()
+    return out
 
 
 @dataclass
@@ -171,20 +233,76 @@ class SubstreamSpace:
             mark[idx] = False
         return out
 
+    def overlap_rates_grouped(
+        self, groups: Iterable[Tuple[np.ndarray, Sequence[np.ndarray]]]
+    ) -> np.ndarray:
+        """:meth:`overlap_rates` of many probes in one call: for every
+        ``(idx, others)`` group in turn, the overlap of ``idx`` with each
+        of ``others``, flat and bit-identical to it.
+
+        A group costs one mark and one ``take`` over its others' indices
+        laid end to end; the rates of the selected indices are gathered
+        and summed per pair by :func:`segment_sums` once per ~200k
+        gathered indices, not once per pair.
+        """
+        mark = self._mark
+        out: List[np.ndarray] = []
+        picked: List[np.ndarray] = []
+        at: List[np.ndarray] = []
+        lengths: List[int] = []
+        held = 0
+        for idx, others in groups:
+            gathered = np.concatenate(others)
+            mark[idx] = True
+            try:
+                hit = mark.take(gathered).nonzero()[0]
+            finally:
+                mark[idx] = False
+            picked.append(gathered.take(hit))
+            at.append(hit + held)
+            lengths.extend(map(len, others))
+            held += gathered.size
+            if held >= _GROUPED_FLUSH:
+                out.append(self._sum_selected(picked, at, lengths))
+                picked, at, lengths, held = [], [], [], 0
+        out.append(self._sum_selected(picked, at, lengths))
+        return np.concatenate(out)
+
+    def _sum_selected(
+        self,
+        picked: List[np.ndarray],
+        at: List[np.ndarray],
+        lengths: List[int],
+    ) -> np.ndarray:
+        """Per-pair rate sums of one gathered batch: pair ``i`` spans the
+        next ``lengths[i]`` gathered positions and owns the selected
+        indices whose positions (``at``) fall among them."""
+        if not lengths:
+            return np.empty(0)
+        ends = np.searchsorted(np.concatenate(at), np.cumsum(lengths))
+        return segment_sums(
+            self.rates.take(np.concatenate(picked)), np.diff(ends, prepend=0)
+        )
+
     def overlap_rate(self, mask_a: int, mask_b: int) -> float:
         """Rate of the data of interest to *both* masks: the one-pair form
         of :meth:`overlap_rates` for callers that hold no index arrays
         (it unpacks just the intersection)."""
         return self.rate(mask_a & mask_b)
 
-    def rates_by_source(self, mask: int) -> Dict[int, float]:
+    def rates_by_source(
+        self, mask: int, idx: Optional[np.ndarray] = None
+    ) -> Dict[int, float]:
         """Per-source requested rate for a query interest mask.
 
         These are the q-vertex -> source n-vertex edge weights of the query
         graph.  Keys are the space's own node-id ints, so the many maps the
-        optimizer holds share them instead of each boxing its own.
+        optimizer holds share them instead of each boxing its own.  A
+        caller that has unpacked ``mask`` already passes its
+        :func:`index_array` as ``idx``.
         """
-        idx = index_array(mask)
+        if idx is None:
+            idx = index_array(mask)
         if idx.size == 0:
             return {}
         srcs = self.source_of[idx]

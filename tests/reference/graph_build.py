@@ -1,11 +1,10 @@
 """Query-graph construction, one journaled edge at a time.
 
-The definition of the graph :func:`repro.core.graphs.build_query_graph`,
-:func:`repro.core.coarsening.rebuild_edges` and ``_WorkGraph.to_query_graph``
-must produce: vertices through ``add_qvertex`` / ``add_nvertex``, q-n edges
-through accumulating ``add_edge``, overlap edges through one top-k
-selection per row and ``set_edge`` under a first-setter-wins check against
-the live adjacency.  ``adj`` and ``_edges`` insertion orders are part of
+The definition of the graph :func:`repro.core.graphs.build_query_graph`
+and :func:`repro.core.coarsening.rebuild_edges` must produce: vertices
+through ``add_qvertex`` / ``add_nvertex``, q-n edges through accumulating
+``add_edge``, overlap edges through one top-k selection per row and
+``set_edge`` under a first-setter-wins check against the live adjacency.  ``adj`` and ``_edges`` insertion orders are part of
 the definition (they fix :class:`GraphArrays` slot order and every float
 sum over a neighbourhood); the journal these leave behind is not.
 """
@@ -123,7 +122,9 @@ def attach_topk(g, qlist, rows, overlap, max_neighbors, select=None) -> None:
 
 
 def to_query_graph(work) -> QueryGraph:
-    """``_WorkGraph.to_query_graph``, one ``set_edge`` per edge."""
+    """The graph of a coarsening work graph (``qverts``, ``nverts``,
+    ``adj`` dicts, as in :mod:`reference.pair_coarsening`), one
+    ``set_edge`` per edge."""
     out = QueryGraph()
     for qv in work.qverts.values():
         out.add_qvertex(qv)

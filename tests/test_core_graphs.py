@@ -90,7 +90,7 @@ class TestQueryGraph:
         g.add_edge("q1", "q2", 5.0)
         g.remove_vertex("q1")
         assert "q1" not in g.adj["q2"]
-        assert g.vertex_count() == 1
+        assert len(g.qverts) + len(g.nverts) == 1
 
     def test_total_qweight(self):
         g = QueryGraph()

@@ -6,9 +6,9 @@ randomized workloads:
 
 * ``QueryGraph.wec`` (GraphArrays gather) vs ``scalar_kernels.wec``
 * ``diffusion_solution`` (closed form) vs ``scalar_kernels.diffusion_solution``
-* ``coarsen`` vs ``coarsen`` on ``pair_coarsening``'s matcher and
-  pair-by-pair collapse -- identical graphs, compared exactly (weights,
-  vertex order, merge steps)
+* ``coarsen`` vs ``pair_coarsening.coarsen`` (dict work graph, matcher,
+  pair-by-pair collapse) -- identical graphs, compared exactly (weights,
+  vertex order, merge steps, coarsening counters; edges as a set)
 * ``CostWorkspace.attach_costs`` vs ``scalar_kernels.attach_cost``
 """
 
@@ -40,7 +40,7 @@ from repro.query.workload import QuerySpec
 
 from line_oracle import line_network
 from reference import graph_build, scalar_kernels
-from reference.pair_coarsening import pairwise_coarsening
+from reference import pair_coarsening
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +191,8 @@ def coarse_facts(cg):
     """Everything two coarsening runs of one input must agree on, exactly.
 
     Coarse vertex ids come from a process-wide counter, so vertices are
-    named by their member keys.
+    named by their member keys.  The edges are a set: no production path
+    reads the result graph's edge order.
     """
 
     def name(vid):
@@ -225,8 +226,15 @@ def recording_merges(steps):
         coarsening.merge_qvertices = real
 
 
+COUNTERS = (
+    "opt.coarsen_passes", "opt.coarsen_merges", "opt.coarsen_overlap_pairs"
+)
+
+
 def coarsen_both(g, vmax, space, seed, **kwargs):
-    """``(fast facts, reference facts, fast graph, fast-run counters)``."""
+    """``(fast facts, reference facts, fast graph, fast-run counters)``;
+    each side's facts include its merge steps and its coarsening
+    counters."""
     reg = MetricsRegistry()
     set_active(reg)
     fast_steps = []
@@ -236,10 +244,19 @@ def coarsen_both(g, vmax, space, seed, **kwargs):
     finally:
         set_active(None)
     ref_steps = []
-    with pairwise_coarsening(), recording_merges(ref_steps):
-        ref = coarsen(g, vmax, space, rng=random.Random(seed), **kwargs)
-    fast_facts = dict(coarse_facts(fast), steps=fast_steps)
-    ref_facts = dict(coarse_facts(ref), steps=ref_steps)
+    log = []
+    with recording_merges(ref_steps):
+        ref = pair_coarsening.coarsen(
+            g, vmax, space, rng=random.Random(seed), log=log, **kwargs
+        )
+    fast_facts = dict(
+        coarse_facts(fast), steps=fast_steps,
+        counters={name: reg.counters.get(name, 0) for name in COUNTERS},
+    )
+    ref_facts = dict(
+        coarse_facts(ref), steps=ref_steps,
+        counters=pair_coarsening.counters(log, len(ref_steps)),
+    )
     return fast_facts, ref_facts, fast, reg.counters
 
 
@@ -256,18 +273,19 @@ class TestCoarseningParity:
         vmax = len(g.nverts) + 2
         fast, ref, cg, counters = coarsen_both(g, vmax, space, seed=11)
         assert fast == ref
-        assert cg.vertex_count() == vmax
+        assert len(cg.qverts) + len(cg.nverts) == vmax
         assert counters["opt.coarsen_passes"] >= 3
         assert counters["opt.coarsen_merges"] == 40 - len(cg.qverts)
 
     def test_vmax_cuts_a_pass_in_the_middle(self, space, ng):
         g = make_graph(space, ng, 40, seed=2)
         # the same first pass (same rng) matches at least 15 pairs ...
-        _, _, _, whole = coarsen_both(g, g.vertex_count() - 15, space, seed=5)
+        count = len(g.qverts) + len(g.nverts)
+        _, _, _, whole = coarsen_both(g, count - 15, space, seed=5)
         assert whole["opt.coarsen_passes"] == 1
         # ... of which only the first 6 may collapse here
         fast, ref, cg, counters = coarsen_both(
-            g, g.vertex_count() - 6, space, seed=5
+            g, count - 6, space, seed=5
         )
         assert fast == ref
         assert counters["opt.coarsen_passes"] == 1
@@ -282,7 +300,7 @@ class TestCoarseningParity:
         vmax = len(g.nverts) - 2
         fast, ref, cg, _ = coarsen_both(g, vmax, space, seed=2)
         assert fast == ref
-        assert cg.vertex_count() > vmax
+        assert len(cg.qverts) + len(cg.nverts) > vmax
         assert set(cg.nverts) == set(g.nverts)
         assert all(
             nbr not in cg.qverts
@@ -308,64 +326,66 @@ class TestCollapsePass:
     """The mechanism behind the pass-level collapse, pinned exactly."""
 
     def _observed_run(self, g, vmax, space, monkeypatch):
-        """Coarsen with spies on the pass function and the kernel.
+        """Coarsen with a spy on the batched kernel.
 
-        Returns ``(counters, per-pass q-q edge count at merged vertices)``
-        after checking, pass by pass, which pairs the kernel was handed.
+        Returns ``(counters, pairs handed to the kernel per call)``, each
+        pair named by the member keys of its two vertices.
         """
-        calls = []
-        real_rates = SubstreamSpace.overlap_rates
+        known = list(g.qverts.values())
+        real_merge = coarsening.merge_qvertices
 
-        def spy_rates(self, idx, others):
-            others = list(others)
-            calls.append((idx, others))
-            return real_rates(self, idx, others)
+        def merge(u, v, origin=None):
+            known.append(real_merge(u, v, origin=origin))
+            return known[-1]
 
-        incident_per_pass = []
-        real_pass = coarsening._collapse_pass
+        handed = []
+        real_grouped = SubstreamSpace.overlap_rates_grouped
 
-        def spy_pass(work, *args):
-            before = set(work.qverts)
-            del calls[:]
-            real_pass(work, *args)
-            owner = {id(v.indices): vid for vid, v in work.qverts.items()}
-            handed = [
-                frozenset((owner[id(idx)], owner[id(o)]))
-                for idx, others in calls for o in others
-            ]
-            # (a) no unordered pair is estimated twice within the pass
-            assert len(handed) == len(set(handed))
-            incident = {
-                frozenset((vid, nbr))
-                for vid in set(work.qverts) - before
-                for nbr in work.adj[vid] if nbr in work.qverts
+        def spy_grouped(self, groups):
+            groups = [(idx, list(others)) for idx, others in groups]
+            # a vertex is known by its cached index array: merged-away
+            # vertices dropped theirs, so no stale array is in the table
+            owner = {
+                id(v._idx[1]): plan_key(v) for v in known if v._idx is not None
             }
-            # ... and the pairs are exactly the coarse edges it created
-            assert set(handed) == incident
-            incident_per_pass.append(len(incident))
+            handed.append([
+                frozenset((owner[id(idx)], owner[id(o)]))
+                for idx, others in groups for o in others
+            ])
+            return real_grouped(self, groups)
 
-        monkeypatch.setattr(SubstreamSpace, "overlap_rates", spy_rates)
-        monkeypatch.setattr(coarsening, "_collapse_pass", spy_pass)
+        monkeypatch.setattr(coarsening, "merge_qvertices", merge)
+        monkeypatch.setattr(
+            SubstreamSpace, "overlap_rates_grouped", spy_grouped
+        )
         reg = MetricsRegistry()
         set_active(reg)
         try:
             coarsen(g, vmax, space, rng=random.Random(8))
         finally:
             set_active(None)
-        return reg.counters, incident_per_pass
+        return reg.counters, handed
 
     def test_every_coarse_edge_estimated_once_per_pass(
         self, space, ng, monkeypatch
     ):
         g = make_graph(space, ng, 40, seed=0)
         vmax = len(g.nverts) + 2
-        counters, incident = self._observed_run(g, vmax, space, monkeypatch)
-        assert len(incident) >= 3
-        assert counters["opt.coarsen_passes"] == len(incident)
+        counters, handed = self._observed_run(g, vmax, space, monkeypatch)
+        log = []
+        pair_coarsening.coarsen(g, vmax, space, rng=random.Random(8), log=log)
+        assert len(handed) >= 3
+        # one kernel call per pass ...
+        assert counters["opt.coarsen_passes"] == len(handed) == len(log)
         assert counters["opt.coarsen_merges"] == 38
+        for pairs, incident in zip(handed, log):
+            # (a) no unordered pair is estimated twice within the pass
+            assert len(pairs) == len(set(pairs))
+            # ... and the pairs are exactly the coarse edges it created
+            assert set(pairs) == incident
         # (b) one estimate per q-q edge at a merged vertex, summed over
         # passes -- and the same number on every run
-        assert counters["opt.coarsen_overlap_pairs"] == sum(incident)
+        assert counters["opt.coarsen_overlap_pairs"] == sum(map(len, log))
         again, _ = self._observed_run(g, vmax, space, monkeypatch)
         assert again == counters
 
@@ -377,23 +397,28 @@ class TestCollapsePass:
         coarsen(g, vmax, space, rng=random.Random(8))
         assert not space._mark.any()
 
-        real_rates = SubstreamSpace.overlap_rates
+        real_grouped = SubstreamSpace.overlap_rates_grouped
         seen = []
 
-        def failing_rates(self, idx, others):
-            seen.append(idx)
-            if len(seen) == 5:
-                # fails inside the kernel, with the probe marked
-                others = list(others) + [None]
-            return real_rates(self, idx, others)
+        def failing_groups(groups):
+            for idx, others in groups:
+                seen.append(idx)
+                if len(seen) == 5:
+                    # an index past the space: ``take`` raises inside the
+                    # kernel, with the probe marked
+                    others = list(others) + [np.array([len(space) + 3])]
+                yield idx, others
 
-        monkeypatch.setattr(SubstreamSpace, "overlap_rates", failing_rates)
-        count = g.vertex_count()
-        with pytest.raises(AttributeError):
+        monkeypatch.setattr(
+            SubstreamSpace, "overlap_rates_grouped",
+            lambda self, groups: real_grouped(self, failing_groups(groups)),
+        )
+        count = len(g.qverts) + len(g.nverts)
+        with pytest.raises(IndexError):
             coarsen(g, vmax, space, rng=random.Random(8))
         assert len(seen) == 5
         assert not space._mark.any()
-        assert g.vertex_count() == count
+        assert len(g.qverts) + len(g.nverts) == count
 
 
 class TestAttachCostParity:

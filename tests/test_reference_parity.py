@@ -1,21 +1,27 @@
 """Array-built production paths == the sequential references.
 
-Two mechanisms of the cold optimizer path are built from arrays in
+Three mechanisms of the cold optimizer path are built from arrays in
 ``src/`` and defined by a slow, sequential twin under ``tests/reference``:
 
 * **graph construction** -- ``build_query_graph`` / ``rebuild_edges`` /
-  ``_WorkGraph.to_query_graph`` / ``attach_overlap_edges`` against one
-  journaled ``add_edge`` / ``set_edge`` per edge
-  (:mod:`reference.graph_build`);
+  ``attach_overlap_edges`` against one journaled ``add_edge`` /
+  ``set_edge`` per edge (:mod:`reference.graph_build`), and the graph
+  ``coarsen`` returns against :mod:`reference.pair_coarsening`'s;
+* **the bottom-up pass** -- ``Coordinator.collect`` (per-leaf buckets,
+  no query graph, the array coarsening engine) against the population
+  scan, per-edge graph build and pair-by-pair coarsening of
+  :func:`reference.pair_coarsening.collect`;
 * **flow realisation** -- ``rebalance`` against the per-move scan of the
   source child's vertex list (:mod:`reference.flow_scan`).
 
-Agreement is exact: dict insertion orders, float bits, rng state.  The
+Agreement is exact: dict insertion orders (but for a coarse graph's edge
+order, which nothing reads), float bits, rng state.  The
 last class shows the examples can tell apart the two things identity
 hangs on (which kernel recomputes a staled cost row; ``argpartition``
 rather than a sort for the top-k cut).
 """
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -24,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import flow_scan, graph_build, scalar_kernels
+from reference import flow_scan, graph_build, pair_coarsening, scalar_kernels
 from test_fastpath_parity import (  # noqa: F401  (space, ng: fixtures)
     make_queries,
     ng,
@@ -32,8 +38,9 @@ from test_fastpath_parity import (  # noqa: F401  (space, ng: fixtures)
     space,
 )
 
+from repro.core import CosmosConfig, coarsening
 from repro.core import graphs as graphs_module
-from repro.core.coarsening import _coarsen_work, coarsen, plan_key, rebuild_edges
+from repro.core.coarsening import coarsen, plan_key, rebuild_edges
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
     NVertex,
@@ -42,6 +49,9 @@ from repro.core.graphs import (
     qvertex_from_query,
 )
 from repro.core.rebalance import RebalanceStats, rebalance
+from repro.experiments.config import ExperimentConfig, build_testbed
+from repro.query.workload import WorkloadParams
+from repro.topology import TransitStubParams
 
 # ----------------------------------------------------------------------
 # graph construction
@@ -203,18 +213,20 @@ class TestGraphBuildParity:
         verts = population(space, ["plain"] * 36 + ["copy"] * 4, seed, pool)
         g = build_query_graph(verts, space, ng)
         fast = coarsen(g, vmax, space, rng=random.Random(seed))
-        slow = graph_build.to_query_graph(_coarsen_work(
-            g, vmax, space, None, random.Random(seed)
-        ))
+        slow = pair_coarsening.coarsen(g, vmax, space, rng=random.Random(seed))
 
-        # coarse ids come from a process-wide counter: name by members
+        # coarse ids come from a process-wide counter: name by members.
+        # Vertex order is pinned; edge and row orders are not (nothing
+        # reads a coarse graph's edge order), so edges compare as a set
+        # and rows as maps
         def named(cg):
             def name(vid):
                 return plan_key(cg.qverts[vid]) if vid in cg.qverts else vid
             return (
-                [(name(a), name(b), w) for a, b, w in cg.edges()],
-                [(name(v), [(name(n), w) for n, w in row.items()])
-                 for v, row in cg.adj.items()],
+                [name(v) for v in cg.adj],
+                {(frozenset((name(a), name(b))), w) for a, b, w in cg.edges()},
+                {name(v): {name(n): w for n, w in row.items()}
+                 for v, row in cg.adj.items()},
             )
 
         assert named(fast) == named(slow)
@@ -235,6 +247,46 @@ class TestGraphBuildParity:
         assert (g._jbase, g._journal) == (0, [])
         rebuild_edges(g, space, 5)
         assert (g._jbase, g._journal) == (0, [("clear",)])
+
+
+# ----------------------------------------------------------------------
+# the bottom-up pass of the initial distribution
+# ----------------------------------------------------------------------
+def smoke_testbed(seed):
+    """The ``opt_cold`` benchmark's smoke-scale testbed."""
+    return build_testbed(ExperimentConfig(
+        num_processors=48,
+        seed=seed,
+        topology=TransitStubParams(2, 3, 3, 6),
+        num_sources=6,
+        workload=WorkloadParams(
+            num_substreams=600, num_queries=500, groups=8,
+            substreams_per_query=(10, 20), selectivity_range=(0.01, 0.05),
+        ),
+        cosmos=CosmosConfig(k=4, vmax=40, max_overlap_neighbors=20, seed=seed),
+    ))
+
+
+def vertex_tree(v):
+    """A vertex and everything it was coarsened from."""
+    return (v.vid, v.members, v.mask, [vertex_tree(c) for c in v.children])
+
+
+class TestCollectParity:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_collect_matches_the_reference_engine(self, seed, monkeypatch):
+        testbed = smoke_testbed(seed)
+        root = testbed.new_cosmos().root
+        queries = testbed.workload.queries
+        # coarse ids come from a process-wide counter: start both runs at
+        # one value, so equal ids mean equal merges in equal order
+        monkeypatch.setattr(coarsening, "_coarse_ids", itertools.count(10**6))
+        fast = root.collect(queries)
+        monkeypatch.setattr(coarsening, "_coarse_ids", itertools.count(10**6))
+        ref = pair_coarsening.collect(root, queries)
+        assert [vertex_tree(v) for v in fast] == [vertex_tree(v) for v in ref]
+        # the walk coarsened for real below the root
+        assert any(v.children for v in fast)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,7 @@ class TestEdgeWeightsShared:
 
     def test_coarsen_result(self, graph, space):
         out = coarsen(graph, 12, space, rng=random.Random(5))
-        assert out.vertex_count() < graph.vertex_count()
+        assert len(out.qverts) < len(graph.qverts)
         assert_weights_shared(out)
 
 
