@@ -37,7 +37,7 @@ import numpy as np
 
 from ..obs import registry as _obs
 from ..query.interest import SubstreamSpace
-from .graphs import QueryGraph, QVertex, _estimate_edges
+from .graphs import QueryGraph, QVertex, VertexId, _estimate_edges
 
 __all__ = [
     "coarsen",
@@ -115,12 +115,8 @@ def rebuild_edges(
 EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def graph_edges(g: QueryGraph) -> Tuple[EdgeArrays, EdgeArrays]:
-    """``g``'s edges as ``(q-q edges, q-n edges)`` arrays.
-
-    q endpoints are positions in ``g.qverts``, n endpoints positions in
-    ``g.nverts``; a query graph holds no n-n edge.
-    """
+def qq_edges(g: QueryGraph) -> EdgeArrays:
+    """``g``'s q-q edges as arrays; endpoints are positions in ``g.qverts``."""
     nq = len(g.qverts)
     slot = {
         vid: i for i, vid in enumerate(itertools.chain(g.qverts, g.nverts))
@@ -129,10 +125,8 @@ def graph_edges(g: QueryGraph) -> Tuple[EdgeArrays, EdgeArrays]:
     a = np.fromiter((slot[x] for x, _ in g._edges), np.int64, ne)
     b = np.fromiter((slot[y] for _, y in g._edges), np.int64, ne)
     w = np.fromiter(g._edges.values(), float, ne)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    qq = hi < nq
-    mixed = ~qq
-    return (lo[qq], hi[qq], w[qq]), (lo[mixed], hi[mixed] - nq, w[mixed])
+    qq = (a < nq) & (b < nq)
+    return a[qq], b[qq], w[qq]
 
 
 def _match(order: List[int], edges: EdgeArrays) -> List[Tuple[int, int]]:
@@ -245,28 +239,6 @@ def _collapse(
     )
 
 
-def _collapse_rates(
-    rep: np.ndarray, survivors: int, n_count: int, edges: EdgeArrays
-) -> EdgeArrays:
-    """The q-n edges after a merge step: a merged vertex's edge to an
-    n-vertex is the sum of its pair's two (a two-term sum: exact in
-    either order)."""
-    q, node, w = edges
-    q = rep[q]
-    fresh = q >= survivors
-    keys, inverse = np.unique(
-        q[fresh] * n_count + node[fresh], return_inverse=True
-    )
-    totals = np.zeros(keys.size)
-    np.add.at(totals, inverse, w[fresh])
-    merged_q, merged_node = np.divmod(keys, n_count)
-    return (
-        np.concatenate((q[~fresh], merged_q)),
-        np.concatenate((node[~fresh], merged_node)),
-        np.concatenate((w[~fresh], totals)),
-    )
-
-
 def _coarsen_arrays(
     verts: Sequence[QVertex],
     edges: EdgeArrays,
@@ -275,14 +247,12 @@ def _coarsen_arrays(
     space: SubstreamSpace,
     origin: Optional[Hashable],
     rng: Optional[random.Random],
-    rate_edges: Optional[EdgeArrays] = None,
-) -> Tuple[List[QVertex], EdgeArrays, Optional[EdgeArrays]]:
-    """Algorithm 1 on arrays: ``(coarse vertices, q-q edges, q-n edges)``.
+) -> Tuple[List[QVertex], EdgeArrays]:
+    """Algorithm 1 on arrays: ``(coarse vertices, their q-q edges)``.
 
     ``edges`` are the input's q-q edges (positions in ``verts``), the only
     ones matching reads; ``n_count`` n-vertices count toward ``vmax`` but
-    never merge.  ``rate_edges`` (q-n, positions in ``verts`` and among
-    the n-vertices) are carried along only when a caller asks for them.
+    never merge.
     """
     rng = rng or random.Random(0)
     verts = list(verts)
@@ -298,13 +268,11 @@ def _coarsen_arrays(
             break  # nothing left to collapse (graph may stay above vmax)
         verts, rep, survivors = _merge(verts, pairs, origin)
         edges, estimated = _collapse(verts, rep, survivors, edges, space)
-        if rate_edges is not None:
-            rate_edges = _collapse_rates(rep, survivors, n_count, rate_edges)
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.inc("opt.coarsen_passes")
             _obs.ACTIVE.inc("opt.coarsen_merges", len(pairs))
             _obs.ACTIVE.inc("opt.coarsen_overlap_pairs", estimated)
-    return verts, edges, rate_edges
+    return verts, edges
 
 
 def coarsen(
@@ -329,19 +297,32 @@ def coarsen(
     uncoarsening bookkeeping simple.  n-vertices therefore never merge
     (the strictest reading of the cluster constraint).
     """
-    qq, qn = graph_edges(g)
-    verts, (u, v, w), (q, node, rates) = _coarsen_arrays(
-        g.qverts.values(), qq, len(g.nverts), vmax, space, origin, rng, qn
+    verts, (u, v, w) = _coarsen_arrays(
+        g.qverts.values(), qq_edges(g), len(g.nverts), vmax, space, origin,
+        rng,
     )
+
+    def rate_edges(x: QVertex) -> Dict[VertexId, float]:
+        # an input vertex's q-n edges are g's; a merged vertex's are its
+        # children's summed (a two-term sum: exact in either order)
+        if x.vid in g.qverts:
+            return {
+                n: wt for n, wt in g.neighbors(x.vid).items() if n in g.nverts
+            }
+        a, b = x.children
+        return _merge_rate_maps(rate_edges(a), rate_edges(b))
+
+    vids = [*(x.vid for x in verts), *g.nverts]
+    slot = {vid: i for i, vid in enumerate(vids)}
+    heads, tails, weights = u.tolist(), v.tolist(), w.tolist()
+    for i, x in enumerate(verts):
+        for n, wt in rate_edges(x).items():
+            heads.append(i)
+            tails.append(slot[n])
+            weights.append(wt)
     out = QueryGraph()
     out._install_vertices(verts, g.nverts.values())
-    nq = len(verts)
-    out._install_edges(
-        [*(x.vid for x in verts), *g.nverts],
-        np.concatenate((q, u)),
-        np.concatenate((node + nq, v)),
-        np.concatenate((rates, w)),
-    )
+    out._install_edges(vids, heads, tails, weights)
     return out
 
 

@@ -42,8 +42,8 @@ from .coarsening import (
     EdgeArrays,
     coarsen_cached,
     content_rng,
-    graph_edges,
     merge_qvertices,
+    qq_edges,
     rebuild_edges,
     uncoarsen_vertex,
 )
@@ -406,8 +406,9 @@ class Coordinator:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.inc("opt.coarsen_invocations")
                 _obs.ACTIVE.inc("opt.coarsen_input_vertices", len(vertices))
-            qq, _ = graph_edges(self.qg)
-            return self._coarsen(vertices, qq, len(self.qg.nverts))
+            return self._coarsen(
+                vertices, qq_edges(self.qg), len(self.qg.nverts)
+            )
         return list(vertices)
 
     # ------------------------------------------------------------------
