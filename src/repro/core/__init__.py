@@ -7,7 +7,6 @@ from .diffusion import diffusion_solution
 from .fastcost import CostWorkspace
 from .graphs import (
     DEFAULT_ALPHA,
-    GraphArrays,
     NetVertex,
     NetworkGraph,
     NVertex,
@@ -24,7 +23,6 @@ from .rebalance import RebalanceStats, rebalance, refine_distribution
 __all__ = [
     "DEFAULT_ALPHA",
     "CostWorkspace",
-    "GraphArrays",
     "NetVertex",
     "NetworkGraph",
     "NVertex",

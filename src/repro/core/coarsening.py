@@ -106,7 +106,8 @@ def rebuild_edges(
     q-n edges come from the vertices' rate maps (nodes ``g`` tracks no
     n-vertex for are skipped); q-q overlap edges from interest-mask AND
     (the paper's bit-vector estimation).  The new edge set is estimated
-    first and swapped in as one journal step.
+    first and swapped in as one step, which compacts the graph's slots
+    and edge arrays.
     """
     g._replace_edges(*_estimate_edges(g, space, max_overlap_neighbors))
 
@@ -116,16 +117,13 @@ EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def qq_edges(g: QueryGraph) -> EdgeArrays:
-    """``g``'s q-q edges as arrays; endpoints are positions in ``g.qverts``."""
-    nq = len(g.qverts)
-    slot = {
-        vid: i for i, vid in enumerate(itertools.chain(g.qverts, g.nverts))
-    }
-    ne = len(g._edges)
-    a = np.fromiter((slot[x] for x, _ in g._edges), np.int64, ne)
-    b = np.fromiter((slot[y] for _, y in g._edges), np.int64, ne)
-    w = np.fromiter(g._edges.values(), float, ne)
-    qq = (a < nq) & (b < nq)
+    """``g``'s q-q edges as arrays, read from its edge store in edge order
+    and stored direction; endpoints are positions in ``g.qverts``."""
+    u, v, w = g.edge_arrays()
+    qpos = np.full(g.slot_count, -1, dtype=np.int64)
+    qpos[[g.slot(vid) for vid in g.qverts]] = np.arange(len(g.qverts))
+    a, b = qpos[u], qpos[v]
+    qq = (a >= 0) & (b >= 0)
     return a[qq], b[qq], w[qq]
 
 

@@ -580,7 +580,7 @@ class Coordinator:
                     ]
                     self.qg.remove_vertex(owner_vid)
                     for n in nbrs:
-                        if not self.qg.neighbors(n):
+                        if not self.qg.degree(n):
                             self.qg.remove_vertex(n)
             else:
                 _strip_member(v, query_id)
@@ -623,21 +623,16 @@ class Coordinator:
     def _workspace(self) -> CostWorkspace:
         """The cost workspace for this round.
 
-        One workspace outlives rounds and is journal-synced to the graph;
-        it is rebuilt only when the graph object was replaced.  A synced
-        workspace returns the attach costs a fresh one would (costs
-        gather through the live adjacency dicts);
+        One workspace (its latency rows) outlives rounds; it is rebuilt
+        only when the graph object was replaced.  It holds no vertex index
+        of its own -- every pass re-seeds positions from the graph's slot
+        table and gathers neighbours from the graph's edge store -- so it
+        returns the attach costs a fresh one would;
         ``tests/reference/full_rebuild.py`` builds a fresh one every round
         and is held to the same placements.
         """
         if self._ws is None or self._ws.qg is not self.qg:
             self._ws = CostWorkspace(self.qg, self.ng)
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.inc("opt.workspace_rebuilds")
-        else:
-            self._ws.ensure_synced()
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.inc("opt.workspace_syncs")
         return self._ws
 
     def _sync_graph(self, vertices: List[QVertex]) -> bool:
@@ -684,7 +679,7 @@ class Coordinator:
             nbrs = [n for n in qg.neighbors(vid) if n in qg.nverts]
             qg.remove_vertex(vid)
             for n in nbrs:
-                if not qg.neighbors(n):
+                if not qg.degree(n):
                     qg.remove_vertex(n)
             changed = True
         # rebind same-vid vertices to this round's objects (content-equal
@@ -802,8 +797,7 @@ class Coordinator:
         neighbor_edges.update(zip(qnbrs, self.space.overlap_rates(
             merged.indices, [self.qg.qverts[nbr].indices for nbr in qnbrs]
         )))
-        for nbr, w in neighbor_edges.items():
-            self.qg.set_edge(merged.vid, nbr, w)
+        self.qg.set_edges(merged.vid, neighbor_edges.items())
 
     # ------------------------------------------------------------------
     # phase 3: adaptive redistribution (Section 3.7)
@@ -965,14 +959,17 @@ class Coordinator:
         overlaps = dict(zip(qnbrs, self.space.overlap_rates(
             v.indices, [qg.qverts[nbr].indices for nbr in qnbrs]
         )))
-        for nbr in nbrs:
-            if nbr in qg.nverts:
-                new = rates.pop(nbr, 0.0)
-                qg.set_edge(v.vid, nbr, new)
-                if new == 0.0 and not qg.neighbors(nbr):
-                    qg.remove_vertex(nbr)
-            elif nbr in overlaps:
-                qg.set_edge(v.vid, nbr, overlaps[nbr])
+        # every current edge gets its new weight, in row order; a q-n
+        # edge whose rate fell to zero goes, and with it an n-vertex it
+        # leaves isolated
+        reweighed = [
+            (nbr, rates.pop(nbr, 0.0) if nbr in qg.nverts else overlaps[nbr])
+            for nbr in nbrs
+        ]
+        qg.set_edges(v.vid, reweighed)
+        for nbr, new in reweighed:
+            if new == 0.0 and nbr in qg.nverts and not qg.degree(nbr):
+                qg.remove_vertex(nbr)
         for nvid, rate in rates.items():
             # rate-map nodes that had no edge yet (only ones whose
             # n-vertex this graph already tracks, as in rebuild_edges)

@@ -19,24 +19,27 @@ A *mapping* assigns every query-graph vertex to a network-graph vertex;
 n-vertices are pinned (network constraint).  Quality is the **Weighted
 Edge Cut** (Eqn 3.2) subject to the load-balance constraint (Eqn 3.1).
 
-Incremental maintenance
------------------------
+The edge store
+--------------
 
-Mutations are journalled: every structural change appends a compact delta
-op, and a consumer that caches derived state (the ``CostWorkspace`` in
-``fastcost``) replays the suffix of the journal since its last sync
-instead of rebuilding from scratch.  The WEC snapshot
-(:class:`GraphArrays`) caches nothing: it is built for one evaluation.
+:class:`QueryGraph` holds each edge once: vertex slots, three edge arrays
+(endpoint slots and weights, in insertion order) and per-vertex incidence
+rows in that same order.  Every reader works on that store in place --
+the WEC reduces over the edge arrays, coarsening takes its q-q edges
+from them, and the cost kernels' per-vertex neighbour arrays are gathered
+from the rows and cached on the graph until an incident edge is written.
+Nothing is journaled: a consumer re-reads positions from the slot table
+when it starts a pass (:meth:`QueryGraph.positions`).
 
-Construction is the exception: :func:`build_query_graph` estimates a whole
-graph's edges as arrays and installs them in bulk, writing no journal
-record (nobody holds a cursor into a graph that does not exist yet), and
-``rebuild_edges`` swaps a live graph's edge set as one ``("clear",)`` step.
+Construction is bulk: :func:`build_query_graph` estimates a whole graph's
+edges as arrays and appends them in one step, and ``rebuild_edges`` swaps
+a live graph's edge set, compacting its slots and edges.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
@@ -63,7 +66,6 @@ __all__ = [
     "QVertex",
     "NVertex",
     "QueryGraph",
-    "GraphArrays",
     "Mapping",
     "qvertex_from_query",
     "build_query_graph",
@@ -71,15 +73,10 @@ __all__ = [
     "rate_nodes",
     "stable_vertex_key",
     "DEFAULT_ALPHA",
-    "JOURNAL_LIMIT",
 ]
 
 #: The paper's load-imbalance tolerance (Section 3.1.1).
 DEFAULT_ALPHA = 0.1
-
-#: Journal entries kept before the oldest half is trimmed; consumers whose
-#: cursor falls off the retained suffix rebuild from scratch.
-JOURNAL_LIMIT = 65536
 
 VertexId = Hashable
 
@@ -104,7 +101,7 @@ class NetworkGraph:
     """The set of mapping targets plus the latency oracle between sites.
 
     ``oracle`` is the only source of topology latency: the cost kernels
-    (:class:`GraphArrays`, :class:`~repro.core.fastcost.CostWorkspace`)
+    (:meth:`QueryGraph.wec`, :class:`~repro.core.fastcost.CostWorkspace`)
     read its ``row(site)`` arrays.
     """
 
@@ -241,96 +238,131 @@ Mapping = Dict[VertexId, VertexId]
 
 
 class QueryGraph:
-    """q-vertices + n-vertices + weighted edges (adjacency maps).
+    """q-vertices + n-vertices + weighted undirected edges, each edge held once.
 
-    Besides the adjacency maps the graph keeps a *canonical edge store*
-    (``_edges``, an insertion-ordered dict keyed by the edge's canonical
-    endpoint pair) and a *mutation journal*.  The journal records one
-    compact op per structural change:
+    **Vertex slots.**  Every vertex, q or n, owns an integer slot
+    (:meth:`slot`), handed out in insertion order.  A removed vertex leaves
+    a dead slot behind; a vid added again gets a fresh one.
 
-    ``("+q", vid)``
-        a q-vertex was added;
-    ``("+n", vid, clu, node)``
-        an n-vertex was added (self-contained: the vertex may be removed
-        again later in the same journal suffix);
-    ``("-v", vid)``
-        a vertex was removed (its per-edge removal ops precede it);
-    ``("e", a, b, w)``
-        edge ``(a, b)`` now has absolute weight ``w`` (``0.0`` = removed);
-        the pair is in canonical key direction;
-    ``("clear",)``
-        all edges dropped — consumers rebuild.
+    **Edge arrays.**  Edge ``k`` joins slots ``_eu[k]`` and ``_ev[k]``
+    (C ``int``, stored direction) with weight ``_ew[k]`` (C ``double``),
+    in ``array`` objects: a scalar read or write is O(1) Python work,
+    growth is amortised, and vector reads take a numpy view of the buffer
+    for the length of one expression.  A new edge appends, an update
+    writes in place, a removal leaves a tombstone (endpoints ``-1``).  A
+    new q-n edge stores its q endpoint first.  :meth:`_replace_edges`
+    compacts slots and edges.
 
-    ``_version == _jbase + len(_journal)`` always holds; a consumer holding
-    cursor ``c`` obtained from :meth:`journal_cursor` can later fetch the
-    exact delta via :meth:`journal_since`.
+    **Incidence rows.**  Slot ``s`` lists its neighbours' slots in
+    ``_nbr[s]`` and the joining edges in ``_eid[s]`` (parallel
+    ``array('i')`` rows, 8 bytes per half-edge).  An edge enters both
+    endpoints' rows when it is appended and leaves both when it is
+    removed; an update leaves the rows alone; a bulk install fills them by
+    a stable sort on owner.  So **a vertex's row lists its incident edges
+    in global edge order** -- the order an insertion-ordered adjacency
+    dict kept beside an insertion-ordered edge dict would have
+    (``tests/reference/graph_build.py::DictGraph``), and the order every
+    float sum over a neighbourhood runs in.
+
+    Per slot, the neighbour slots and weights the cost kernels gather are
+    cached (:meth:`neighbour_arrays`) and dropped on any write to an
+    incident edge.
     """
 
     def __init__(self):
         self.qverts: Dict[VertexId, QVertex] = {}
         self.nverts: Dict[VertexId, NVertex] = {}
-        self.adj: Dict[VertexId, Dict[VertexId, float]] = {}
-        #: canonical edge store; insertion order == GraphArrays edge order
-        self._edges: Dict[Tuple[VertexId, VertexId], float] = {}
-        #: bumped on every structural mutation
-        self._version: int = 0
-        self._jbase: int = 0
-        self._journal: List[tuple] = []
+        self._slot: Dict[VertexId, int] = {}
+        #: slot -> vid (``None``: dead slot)
+        self._vids: List[Optional[VertexId]] = []
+        self._nbr: List[Optional[array]] = []
+        self._eid: List[Optional[array]] = []
+        self._cached: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+        self._eu = array("i")
+        self._ev = array("i")
+        self._ew = array("d")
+        #: tombstoned edges
+        self._dead = 0
 
     # ------------------------------------------------------------------
-    # journal
+    # slots and the edge store
     # ------------------------------------------------------------------
-    def _record(self, op: tuple) -> None:
-        self._journal.append(op)
-        self._version += 1
-        if len(self._journal) > JOURNAL_LIMIT:
-            drop = len(self._journal) // 2
-            del self._journal[:drop]
-            self._jbase += drop
+    def slot(self, vid: VertexId) -> int:
+        """The slot of a vertex the graph holds (``KeyError`` otherwise)."""
+        return self._slot[vid]
 
-    def journal_cursor(self) -> int:
-        """Opaque cursor capturing the graph's current mutation point."""
-        return self._version
+    @property
+    def slot_count(self) -> int:
+        """Slots handed out since the last compaction, dead ones included."""
+        return len(self._vids)
 
-    def journal_since(self, cursor: int) -> Optional[List[tuple]]:
-        """Ops recorded since ``cursor``, or ``None`` if trimmed away."""
-        if cursor < self._jbase:
-            return None
-        return self._journal[cursor - self._jbase:]
+    def _add_slot(self, vid: VertexId) -> None:
+        if vid in self._slot:
+            raise ValueError(f"duplicate vertex id {vid!r}")
+        self._slot[vid] = len(self._vids)
+        self._vids.append(vid)
+        self._nbr.append(array("i"))
+        self._eid.append(array("i"))
+        self._cached.append(None)
 
-    def _ekey(self, a: VertexId, b: VertexId) -> Tuple[VertexId, VertexId]:
-        """Canonical key direction for edge ``(a, b)``.
+    def _find(self, sa: int, sb: int) -> int:
+        """Index of the edge joining slots ``sa`` and ``sb``, or ``-1``
+        (scans the shorter of the two rows)."""
+        if len(self._nbr[sb]) < len(self._nbr[sa]):
+            sa, sb = sb, sa
+        row = self._nbr[sa]
+        if sb in row:
+            return self._eid[sa][row.index(sb)]
+        return -1
 
-        An existing edge keeps its stored direction; a new mixed q-n edge
-        puts the q endpoint first (so distance-matrix rows are only ever
-        needed for mapping-target sites and n-n edges).
-        """
-        if (a, b) in self._edges:
-            return (a, b)
-        if (b, a) in self._edges:
-            return (b, a)
-        if a in self.qverts or b not in self.qverts:
-            return (a, b)
-        return (b, a)
+    def _append(
+        self, a: VertexId, b: VertexId, sa: int, sb: int, weight: float
+    ) -> int:
+        """Store a new edge ``(a, b)``, a mixed q-n edge q endpoint first."""
+        if not (a in self.qverts or b not in self.qverts):
+            sa, sb = sb, sa
+        k = len(self._ew)
+        self._eu.append(sa)
+        self._ev.append(sb)
+        self._ew.append(weight)
+        for s, t in ((sa, sb), (sb, sa)):
+            self._nbr[s].append(t)
+            self._eid[s].append(k)
+            self._cached[s] = None
+        return k
+
+    def _unlink(self, k: int, s: int) -> None:
+        """Take edge ``k`` out of slot ``s``'s row."""
+        eids = self._eid[s]
+        i = eids.index(k)
+        del eids[i]
+        del self._nbr[s][i]
+        self._cached[s] = None
+
+    def _drop(self, k: int, sa: int, sb: int) -> None:
+        """Tombstone edge ``k``, which joins slots ``sa`` and ``sb``."""
+        self._unlink(k, sa)
+        self._unlink(k, sb)
+        self._eu[k] = self._ev[k] = -1
+        self._dead += 1
+
+    def _write(self, k: int, sa: int, sb: int, weight: float) -> None:
+        """Set live edge ``k``'s weight in place (rows keep their order)."""
+        self._ew[k] = weight
+        self._cached[sa] = self._cached[sb] = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_qvertex(self, v: QVertex) -> None:
         """Add a q-vertex; raises ``ValueError`` on a duplicate id."""
-        if v.vid in self.qverts or v.vid in self.nverts:
-            raise ValueError(f"duplicate vertex id {v.vid!r}")
+        self._add_slot(v.vid)
         self.qverts[v.vid] = v
-        self.adj.setdefault(v.vid, {})
-        self._record(("+q", v.vid))
 
     def add_nvertex(self, v: NVertex) -> None:
         """Add an n-vertex; raises ``ValueError`` on a duplicate id."""
-        if v.vid in self.qverts or v.vid in self.nverts:
-            raise ValueError(f"duplicate vertex id {v.vid!r}")
+        self._add_slot(v.vid)
         self.nverts[v.vid] = v
-        self.adj.setdefault(v.vid, {})
-        self._record(("+n", v.vid, v.clu, v.node))
 
     def add_edge(self, a: VertexId, b: VertexId, weight: float) -> None:
         """Accumulate ``weight`` onto the undirected edge ``(a, b)``.
@@ -338,77 +370,92 @@ class QueryGraph:
         Self-edges and non-positive weights are ignored; an endpoint the
         graph does not hold raises ``KeyError`` and changes nothing.
         """
-        if a == b:
+        if a == b or weight <= 0:
             return
-        if weight <= 0:
-            return
-        # both rows are looked up before anything is written: an endpoint
-        # the graph does not hold raises ``KeyError`` on a graph untouched
-        row_a, row_b = self.adj[a], self.adj[b]
-        key = self._ekey(a, b)
-        total = self._edges.get(key, 0.0) + weight
-        self._edges[key] = total
-        row_a[b] = total
-        row_b[a] = total
-        self._record(("e", key[0], key[1], total))
+        sa, sb = self._slot[a], self._slot[b]
+        k = self._find(sa, sb)
+        if k < 0:
+            self._append(a, b, sa, sb, weight)
+        else:
+            self._write(k, sa, sb, self._ew[k] + weight)
 
     def set_edge(self, a: VertexId, b: VertexId, weight: float) -> None:
         """Set the undirected edge ``(a, b)`` to exactly ``weight``.
 
         A non-positive weight removes the edge; self-edges, no-op removals
-        and value-equal overwrites are ignored (no version bump).  An
-        endpoint the graph does not hold raises ``KeyError`` and changes
-        nothing.
+        and value-equal overwrites are ignored.  An endpoint the graph
+        does not hold raises ``KeyError`` and changes nothing.
         """
-        if a == b:
-            return
-        key = self._ekey(a, b)
+        if a != b:
+            self._set(a, b, weight, None)
+
+    def set_edges(
+        self, a: VertexId, weights: Iterable[Tuple[VertexId, float]]
+    ) -> None:
+        """:meth:`set_edge` ``(a, b, w)`` for every ``(b, w)`` of
+        ``weights``, in order, on a vertex ``a`` the graph holds.
+
+        ``a``'s row is indexed once, so each write costs O(1) however
+        many neighbours ``a`` has.
+        """
+        sa = self._slot[a]
+        known = dict(zip(self._nbr[sa], self._eid[sa]))
+        for b, w in weights:
+            if b != a:
+                self._set(a, b, w, known)
+
+    def _set(
+        self, a: VertexId, b: VertexId, weight: float,
+        known: Optional[Dict[int, int]],
+    ) -> None:
+        """:meth:`set_edge`; ``known`` (``a``'s row as neighbour slot ->
+        edge, kept current here) replaces the row scan when given."""
         if weight <= 0:
-            if self._edges.pop(key, None) is None:
+            sa, sb = self._slot.get(a), self._slot.get(b)
+            if sa is None or sb is None:
                 return
-            del self.adj[a][b]
-            del self.adj[b][a]
-            self._record(("e", key[0], key[1], 0.0))
+            k = self._find(sa, sb) if known is None else known.pop(sb, -1)
+            if k >= 0:
+                self._drop(k, sa, sb)
             return
-        if self._edges.get(key) == weight:
-            return
-        row_a, row_b = self.adj[a], self.adj[b]  # KeyError before any write
-        self._edges[key] = weight
-        row_a[b] = weight
-        row_b[a] = weight
-        self._record(("e", key[0], key[1], weight))
+        sa, sb = self._slot[a], self._slot[b]
+        k = self._find(sa, sb) if known is None else known.get(sb, -1)
+        if k < 0:
+            k = self._append(a, b, sa, sb, weight)
+            if known is not None:
+                known[sb] = k
+        elif self._ew[k] != weight:
+            self._write(k, sa, sb, weight)
 
     def remove_vertex(self, vid: VertexId) -> None:
-        """Remove a vertex and every edge incident to it."""
-        for nbr in list(self.adj.get(vid, {})):
-            del self.adj[nbr][vid]
-            key = (vid, nbr) if (vid, nbr) in self._edges else (nbr, vid)
-            del self._edges[key]
-            self._record(("e", key[0], key[1], 0.0))
-        self.adj.pop(vid, None)
+        """Remove a vertex and every edge incident to it (an id the graph
+        does not hold is ignored)."""
         self.qverts.pop(vid, None)
         self.nverts.pop(vid, None)
-        self._record(("-v", vid))
+        s = self._slot.pop(vid, None)
+        if s is None:
+            return
+        eids = self._eid[s]
+        for t, k in zip(self._nbr[s], eids):
+            self._unlink(k, t)
+            self._eu[k] = self._ev[k] = -1
+        self._dead += len(eids)
+        self._vids[s] = self._nbr[s] = self._eid[s] = self._cached[s] = None
 
     # ------------------------------------------------------------------
-    # bulk construction (whole vertex / edge sets, not journaled per item)
+    # bulk construction (whole vertex / edge sets)
     # ------------------------------------------------------------------
     def _install_vertices(
         self, qverts: Iterable[QVertex], nverts: Iterable[NVertex]
     ) -> None:
-        """Add whole vertex sets, q-vertices first, without journal records.
+        """Add whole vertex sets, q-vertices first.
 
-        For a graph under construction only: no consumer can hold a cursor
-        into a graph that does not exist yet, so there is nobody to tell.
         Raises ``ValueError`` on a duplicate id, like :meth:`add_qvertex`.
         """
-        adj = self.adj
         for store, verts in ((self.qverts, qverts), (self.nverts, nverts)):
             for v in verts:
-                if v.vid in adj:
-                    raise ValueError(f"duplicate vertex id {v.vid!r}")
+                self._add_slot(v.vid)
                 store[v.vid] = v
-                adj[v.vid] = {}
 
     def _install_edges(
         self,
@@ -417,46 +464,48 @@ class QueryGraph:
         tails: Sequence[int],
         weights: Sequence[float],
     ) -> None:
-        """Install a whole edge set onto an empty edge store, unjournaled.
+        """Append a whole edge set in one step.
 
-        Edge ``t`` joins ``vids[heads[t]]`` to ``vids[tails[t]]``, stored in
-        that direction.  The result is what one ``set_edge`` per edge in
-        order ``t`` leaves behind: ``_edges`` in order ``t`` and every
-        ``adj`` row in the order its vertex's edges appear in ``t`` -- that
-        order is :class:`GraphArrays` edge order and the order every float
-        sum over a neighbourhood runs in.  The caller passes distinct
-        pairs, no self-edge and positive weights.  Every vertex is checked
-        before anything is written (``KeyError`` naming a missing one).
+        Edge ``t`` joins ``vids[heads[t]]`` to ``vids[tails[t]]``, stored
+        in that direction.  The result is what one ``set_edge`` per edge
+        in order ``t`` leaves behind: the edges appended in order ``t`` and
+        every row extended in that order (a stable sort of the half-edges
+        by owner).  The caller passes pairs the graph does not hold yet,
+        distinct, no self-edge and positive weights.  Every vertex is
+        checked before anything is written (``KeyError`` naming a missing
+        one).
         """
-        adj = self.adj
-        self._require(vids)
-        heads = np.asarray(heads, dtype=np.int64)
-        tails = np.asarray(tails, dtype=np.int64)
+        slots = np.fromiter(
+            map(self._slot.__getitem__, vids), dtype=np.int64, count=len(vids)
+        )
         weights = np.asarray(weights, dtype=float)
-        if not weights.size:
+        m = weights.size
+        if not m:
             return
-        vid_of = vids.__getitem__
-        # one float object per edge, shared by _edges and both adj halves
-        wlist = weights.tolist()
-        self._edges.update(zip(
-            zip(map(vid_of, heads.tolist()), map(vid_of, tails.tolist())),
-            wlist,
-        ))
+        heads = slots[np.asarray(heads, dtype=np.int64)]
+        tails = slots[np.asarray(tails, dtype=np.int64)]
+        k0 = len(self._ew)
+        self._eu.frombytes(heads.astype(np.intc).tobytes())
+        self._ev.frombytes(tails.astype(np.intc).tobytes())
+        self._ew.frombytes(weights.tobytes())
         # both half-edges of every edge, edge-major; a stable sort by owner
-        # then lists each vertex's neighbours in install order
-        owner = np.empty(2 * weights.size, dtype=np.int64)
+        # then lists each slot's new neighbours in edge order
+        owner = np.empty(2 * m, dtype=np.int64)
         owner[0::2] = heads
         owner[1::2] = tails
         order = np.argsort(owner, kind="stable")
         edge = order >> 1
         other = np.where(order & 1, heads[edge], tails[edge])
-        halves = zip(
-            map(vid_of, other.tolist()), map(wlist.__getitem__, edge.tolist())
-        )
-        degree = np.bincount(owner, minlength=len(vids))
-        for vid, deg in zip(vids, degree.tolist()):
-            if deg:
-                adj[vid].update(itertools.islice(halves, deg))
+        nbr_bytes = other.astype(np.intc).tobytes()
+        eid_bytes = (edge + k0).astype(np.intc).tobytes()
+        counts = np.bincount(owner)
+        touched = np.flatnonzero(counts)
+        stops = np.cumsum(counts)[touched] * 4
+        starts = stops - counts[touched] * 4
+        for s, lo, hi in zip(touched.tolist(), starts.tolist(), stops.tolist()):
+            self._nbr[s].frombytes(nbr_bytes[lo:hi])
+            self._eid[s].frombytes(eid_bytes[lo:hi])
+            self._cached[s] = None
 
     def _replace_edges(
         self,
@@ -465,23 +514,28 @@ class QueryGraph:
         tails: Sequence[int],
         weights: Sequence[float],
     ) -> None:
-        """Swap in a whole new edge set on a live graph: one journal step.
+        """Swap in a whole new edge set on a live graph, compacting.
 
-        The single ``("clear",)`` record is appended *after* the last edge
-        is in place, so a cursor can sit before the swap or after it, never
-        between the record and the edges; every consumer rebuilds on it.
+        Dead slots and tombstoned edges are dropped: live vertices are
+        renumbered in slot order, and the new edges are installed as by
+        :meth:`_install_edges` into fresh arrays.  Every vertex is checked
+        before anything is written.
         """
         self._require(vids)
-        for vid in self.adj:
-            self.adj[vid] = {}
-        self._edges.clear()
+        live = [vid for vid in self._vids if vid is not None]
+        self._slot = {vid: s for s, vid in enumerate(live)}
+        self._vids = live
+        self._nbr = [array("i") for _ in live]
+        self._eid = [array("i") for _ in live]
+        self._cached = [None] * len(live)
+        self._eu, self._ev, self._ew = array("i"), array("i"), array("d")
+        self._dead = 0
         self._install_edges(vids, heads, tails, weights)
-        self._record(("clear",))
 
     def _require(self, vids: Iterable[VertexId]) -> None:
         """``KeyError`` naming the first of ``vids`` the graph does not hold."""
         for vid in vids:
-            if vid not in self.adj:
+            if vid not in self._slot:
                 raise KeyError(vid)
 
     # ------------------------------------------------------------------
@@ -491,16 +545,48 @@ class QueryGraph:
         """Sum of all q-vertex weights (``Wq`` of Eqn 3.1)."""
         return sum(v.weight for v in self.qverts.values())
 
+    def degree(self, vid: VertexId) -> int:
+        """Number of edges at a vertex (0 for an id the graph does not hold)."""
+        s = self._slot.get(vid)
+        return 0 if s is None else len(self._nbr[s])
+
     def neighbors(self, vid: VertexId) -> Dict[VertexId, float]:
-        """Adjacency map ``{neighbour: edge weight}`` of a vertex."""
-        return self.adj.get(vid, {})
+        """``{neighbour: edge weight}`` of a vertex, in row order (empty
+        for an id the graph does not hold)."""
+        s = self._slot.get(vid)
+        if s is None:
+            return {}
+        return dict(zip(map(self._vids.__getitem__, self._nbr[s]),
+                        map(self._ew.__getitem__, self._eid[s])))
+
+    def neighbour_arrays(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Neighbour slots (C ``int``) and edge weights of live slot ``s``,
+        in row order; cached until an edge at ``s`` is written.  Read-only."""
+        cached = self._cached[s]
+        if cached is None:
+            cached = self._cached[s] = (
+                np.array(self._nbr[s], dtype=np.intc),
+                np.frombuffer(self._ew)[np.frombuffer(self._eid[s], np.intc)],
+            )
+        return cached
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live edges as ``(head slots, tail slots, weights)`` numpy
+        copies, in edge order and stored direction."""
+        u = np.array(self._eu, dtype=np.intc)
+        v = np.array(self._ev, dtype=np.intc)
+        w = np.array(self._ew, dtype=float)
+        if self._dead:
+            live = u >= 0
+            return u[live], v[live], w[live]
+        return u, v, w
 
     def edges(self) -> List[Tuple[VertexId, VertexId, float]]:
-        """All undirected edges as ``(a, b, weight)``, each edge once.
-
-        Canonical store order: edge insertion order, stored direction.
-        """
-        return [(a, b, w) for (a, b), w in self._edges.items()]
+        """All undirected edges as ``(a, b, weight)``, each edge once, in
+        edge order and stored direction."""
+        u, v, w = self.edge_arrays()
+        vid = self._vids.__getitem__
+        return list(zip(map(vid, u.tolist()), map(vid, v.tolist()), w.tolist()))
 
     # ------------------------------------------------------------------
     # mapping quality
@@ -519,16 +605,56 @@ class QueryGraph:
             return ng.site(nv.clu)
         return nv.node
 
+    def positions(self, target_of, ng: NetworkGraph) -> np.ndarray:
+        """Topology site of every slot, as :meth:`position` places it.
+
+        ``target_of(vid)`` names a q-vertex's network vertex (``None``:
+        unplaced); unplaced q-vertices and dead slots read ``-1``.
+        """
+        slots: List[int] = []
+        sites: List[int] = []
+        site, slot = ng.site, self._slot
+        for vid in self.qverts:
+            target = target_of(vid)
+            if target is not None:
+                slots.append(slot[vid])
+                sites.append(site(target))
+        for vid, nv in self.nverts.items():
+            slots.append(slot[vid])
+            sites.append(site(nv.clu) if nv.clu is not None else nv.node)
+        pos = np.full(len(self._vids), -1, dtype=np.int64)
+        pos[slots] = sites
+        return pos
+
     def wec(self, mapping: Mapping, ng: NetworkGraph) -> float:
         """Weighted Edge Cut of a mapping (Eqn 3.2, undirected edges once).
 
-        Gathers it from a :class:`GraphArrays` snapshot built for this
-        call.  ``tests/reference/scalar_kernels.py`` keeps the
+        Read in place from the edge arrays: edge ``k`` costs its weight
+        times the latency in row = its first endpoint's site, column = its
+        second's (``0`` on equal sites; the oracle is not symmetric in the
+        last bits, so the row rule is part of the value), summed by one
+        ``np.add.reduce`` in edge order.  ``KeyError`` if an edge exists
+        and a q-vertex is missing from ``mapping``.  Rows are read for
+        every target site and every head site: scalar oracle lookups
+        answer from whichever rows are cached, so that set is part of the
+        behaviour.  ``tests/reference/scalar_kernels.py`` keeps the
         pure-Python definition.
         """
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.inc("opt.wec_evaluations")
-        return GraphArrays(self, ng).wec(mapping)
+        u, v, w = self.edge_arrays()
+        pu = pv = np.empty(0, dtype=np.int64)
+        if w.size:
+            pos = self.positions(mapping.__getitem__, ng)
+            pu, pv = pos[u], pos[v]
+        rows = np.union1d([ng.site(t) for t in ng.ids()], pu)
+        columns, col = np.unique(pv, return_inverse=True)
+        dist = np.empty((rows.size, columns.size))
+        for r, site in enumerate(rows.tolist()):
+            dist[r] = np.asarray(ng.oracle.row(site))[columns]
+        d = dist[np.searchsorted(rows, pu), col]
+        d[pu == pv] = 0.0
+        return float(np.add.reduce(w * d))
 
     def loads(self, mapping: Mapping, ng: NetworkGraph) -> Dict[VertexId, float]:
         """Per-network-vertex query load under a mapping."""
@@ -563,99 +689,6 @@ class QueryGraph:
             if nv.clu is not None:
                 out[vid] = nv.clu
         return out
-
-
-class GraphArrays:
-    """Read-only array snapshot of one (query graph, network graph) pair.
-
-    The object API of :class:`QueryGraph` is dictionary-based and
-    convenient to mutate; a WEC evaluation only *reads* the graph, and at
-    10k queries per-edge Python iteration dominates it.  ``GraphArrays``
-    is built once, for one evaluation, and holds:
-
-    * the *site universe* -- the target sites, then the sites of the
-      n-vertices -- with a dense inter-site distance matrix :attr:`D`;
-    * vertex slots: q-vertices, then n-vertices, in graph order, with
-      every n-vertex's site index (its covering target's site, or its own
-      node when no target covers it);
-    * the edges as endpoint-slot and weight arrays in canonical
-      ``_edges`` order.
-
-    The WEC reads ``D`` at row = the first endpoint's site, column = the
-    second's: ``D[i]`` is ``ng.oracle.row(sites[i])`` restricted to the
-    site universe, with ``D[i, i] = 0``.  The oracle is not symmetric in
-    the last bits, so the row rule is part of the value.
-    """
-
-    def __init__(self, qg: QueryGraph, ng: NetworkGraph):
-        targets = ng.ids()
-        self.target_index: Dict[VertexId, int] = {
-            t: i for i, t in enumerate(targets)
-        }
-        site_pos: Dict[int, int] = {}
-
-        def intern(site: int) -> int:
-            return site_pos.setdefault(site, len(site_pos))
-
-        self.target_site_idx = np.asarray(
-            [intern(ng.site(t)) for t in targets], dtype=np.int64
-        )
-        self._qvids = list(qg.qverts)
-        nq = len(self._qvids)
-        self._nsite_idx = np.asarray(
-            [
-                intern(ng.site(nv.clu) if nv.clu is not None else nv.node)
-                for nv in qg.nverts.values()
-            ],
-            dtype=np.int64,
-        )
-        sites = list(site_pos)
-
-        slot = {
-            vid: s
-            for s, vid in enumerate(itertools.chain(qg.qverts, qg.nverts))
-        }
-        ne = len(qg._edges)
-        self.edge_u = np.fromiter(
-            (slot[a] for a, _ in qg._edges), dtype=np.int64, count=ne
-        )
-        self.edge_v = np.fromiter(
-            (slot[b] for _, b in qg._edges), dtype=np.int64, count=ne
-        )
-        self.edge_w = np.fromiter(qg._edges.values(), dtype=float, count=ne)
-
-        # rows: every target site, and the site of every n-vertex that
-        # heads an edge (n-n edges); the rest of D is never read
-        heads = self.edge_u[self.edge_u >= nq] - nq
-        rows = np.union1d(self.target_site_idx, self._nsite_idx[heads])
-        self.D = np.zeros((len(sites), len(sites)))
-        columns = np.asarray(sites, dtype=np.int64)
-        for i in rows.tolist():
-            self.D[i] = np.asarray(ng.oracle.row(sites[i]))[columns]
-            self.D[i, i] = 0.0
-
-    def positions(self, mapping: Mapping) -> np.ndarray:
-        """Site-universe index of every vertex slot under ``mapping``.
-
-        q-vertices occupy the site of their mapped target; n-vertices sit
-        at their pinned site.  Raises ``KeyError`` when a q-vertex is
-        missing from the mapping, like the reference path.
-        """
-        tindex = self.target_index
-        ti = np.fromiter(
-            (tindex[mapping[vid]] for vid in self._qvids),
-            dtype=np.int64,
-            count=len(self._qvids),
-        )
-        return np.concatenate([self.target_site_idx[ti], self._nsite_idx])
-
-    def wec(self, mapping: Mapping) -> float:
-        """Weighted Edge Cut of ``mapping`` (vectorised Eqn 3.2)."""
-        if self.edge_w.size == 0:
-            return 0.0
-        pos = self.positions(mapping)
-        contrib = self.edge_w * self.D[pos[self.edge_u], pos[self.edge_v]]
-        return float(np.add.reduce(contrib))
 
 
 def qvertex_from_query(q: QuerySpec, space: SubstreamSpace) -> QVertex:
@@ -704,8 +737,8 @@ def build_query_graph(
       overlap edges (candidates found via a substream incidence matrix, so
       disjoint queries never pay a comparison).
 
-    The graph is filled in bulk (:func:`_estimate_edges`) and starts with
-    an empty journal: nobody can hold a cursor into it yet.
+    The graph is filled in bulk (:func:`_estimate_edges`): its edge
+    arrays are allocated at exactly the edge count.
     """
     g = QueryGraph()
     qlist = list(qvertices)
@@ -909,9 +942,10 @@ def attach_overlap_edges(
     q-vertex of ``g``, in graph order).  Each listed row is scored against
     the full query population -- one row-sliced sparse product instead of a
     per-pair ``overlap_rate`` loop -- and keeps its ``max_neighbors``
-    heaviest overlaps, selected exactly as at build time.  The graph is
-    live, so the handful of edges go through journaled ``set_edge``; an
-    edge the graph already has is left as it is.
+    heaviest overlaps, selected exactly as at build time.  The edges go
+    onto the live graph row by row, each row in one ``set_edges``; an
+    edge the graph already has -- from before or from an earlier row --
+    is left as it is.
     """
     if len(qlist) < 2 or not len(new_rows):
         return
@@ -921,8 +955,10 @@ def attach_overlap_edges(
         _overlap_product(qlist, space, rows),
         max_neighbors,
     )
-    adj = g.adj
-    for i, j, w in zip(heads.tolist(), tails.tolist(), weights.tolist()):
-        a, b = qlist[i].vid, qlist[j].vid
-        if b not in adj[a]:
-            g.set_edge(a, b, w)
+    picks = zip(heads.tolist(), tails.tolist(), weights.tolist())
+    for i, row in itertools.groupby(picks, key=lambda pick: pick[0]):
+        a = qlist[i].vid
+        have = g.neighbors(a)
+        g.set_edges(a, [
+            (qlist[j].vid, w) for _, j, w in row if qlist[j].vid not in have
+        ])

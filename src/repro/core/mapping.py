@@ -104,7 +104,8 @@ def refine_mapping(
             mapping=mapping, wec=wec,
             feasible=qg.satisfies_load_constraint(mapping, ng, alpha),
         )
-    qrow = {vid: r for r, vid in enumerate(qvids)}
+    # graph slot -> cost-matrix row of every q-vertex
+    qrow = {qg.slot(vid): r for r, vid in enumerate(qvids)}
     w_arr = np.asarray([qg.qverts[v].weight for v in qvids])
     tindex = ws.target_index
 
@@ -164,10 +165,10 @@ def refine_mapping(
             total_moves += 1
             current_wec -= float(best_gain)
             # refresh the rows of the moved vertex's q-neighbours; `qrow`
-            # membership doubles as the q-vertex test (a long-lived
-            # workspace no longer keeps q slots contiguous at the front)
-            for nb in ws.neighbour_indices(vid):
-                rr = qrow.get(ws.vids[nb])
+            # membership doubles as the q-vertex test (a live graph does
+            # not keep q slots contiguous at the front)
+            for nb in ws.neighbour_indices(vid).tolist():
+                rr = qrow.get(nb)
                 if rr is not None:
                     cost[rr] = ws.attach_costs_idx(nb)
             if current_wec < min_wec - 1e-9:

@@ -130,7 +130,6 @@ def rebalance(
     stats.flows_requested = len(flows)
 
     ws = workspace or CostWorkspace(qg, ng)
-    ws.ensure_synced()
     ws.init_positions(assignment)
     tindex = ws.target_index
     qverts = qg.qverts
@@ -153,10 +152,10 @@ def rebalance(
     n = len(universe)
     members = [qverts[v] for v in universe]
     costs = ws.attach_costs_batch(universe)
-    ws_index = [ws.vindex[v] for v in universe]
-    # workspace index -> slot; n-vertices and q-vertices outside the
+    ws_index = [qg.slot(v) for v in universe]
+    # graph slot -> universe slot; n-vertices and q-vertices outside the
     # universe share the spare slot ``n`` (staled, never read)
-    slot_of = np.full(len(ws.vids), n, dtype=np.int64)
+    slot_of = np.full(qg.slot_count, n, dtype=np.int64)
     slot_of[ws_index] = np.arange(n)
     stale = np.zeros(n + 1, dtype=bool)
     weight = np.fromiter((qv.weight for qv in members), float, count=n)
@@ -252,7 +251,6 @@ def refine_distribution(
     """
     rng = rng or random.Random(0)
     ws = workspace or CostWorkspace(qg, ng)
-    ws.ensure_synced()
     ws.init_positions(assignment)
     tindex = ws.target_index
     n_targets = len(ws.targets)
@@ -277,7 +275,8 @@ def refine_distribution(
     # move only changes the rows of the moved vertex's neighbours, so
     # those few are marked stale and re-evaluated individually
     batch = ws.attach_costs_batch(order)
-    stale: Set[VertexId] = set()
+    # graph slots whose row ``batch`` no longer holds
+    stale: Set[int] = set()
     # exact pre-filter: a vertex whose best target (load feasibility
     # aside) beats its current position by nothing cannot move under
     # rule 2, and with no distinct "home" rule 1 cannot fire either --
@@ -289,8 +288,9 @@ def refine_distribution(
     )
     for k, vid in enumerate(order):
         here = assignment[vid]
+        slot = qg.slot(vid)
         if (
-            vid not in stale
+            slot not in stale
             and immobile[k]
             and original.get(vid, here) == here
         ):
@@ -305,7 +305,7 @@ def refine_distribution(
             continue
         fits = loads + w <= limits + 1e-9
 
-        costs = ws.attach_costs(vid) if vid in stale else batch[k]
+        costs = ws.attach_costs_idx(slot) if slot in stale else batch[k]
 
         def apply(ti: int, target: VertexId) -> None:
             nonlocal moves, hi
@@ -313,7 +313,7 @@ def refine_distribution(
             assignment[vid] = target
             loads[ti] += w
             ws.set_position(vid, target)
-            stale.update(qg.adj.get(vid, ()))
+            stale.update(ws.neighbour_indices(vid).tolist())
             moves += 1
 
         # rule 1: go home if free

@@ -34,7 +34,7 @@ def single_row(ws: CostWorkspace, vid: VertexId) -> np.ndarray:
     neighbours' latency columns, gathered and weighted by one matvec
     (what ``CostWorkspace.attach_costs`` must return, to the bit)."""
     nbrs = ws.qg.neighbors(vid)
-    idx = np.asarray([ws.vindex[n] for n in nbrs], dtype=np.int64)
+    idx = np.asarray([ws.qg.slot(n) for n in nbrs], dtype=np.int64)
     w = np.asarray(list(nbrs.values()), dtype=float)
     if idx.size == 0:
         return np.zeros(len(ws.targets))
@@ -80,7 +80,6 @@ def rebalance(
     stats.flows_requested = len(flows)
 
     ws = workspace or CostWorkspace(qg, ng)
-    ws.ensure_synced()
     ws.init_positions(assignment)
     tindex = ws.target_index
     by_source: Dict[VertexId, List[VertexId]] = {}
@@ -141,7 +140,7 @@ def rebalance(
         assignment[chosen] = j
         ws.set_position(chosen, j)
         row_cache.pop(chosen, None)
-        for nb in qg.adj.get(chosen, ()):
+        for nb in qg.neighbors(chosen):
             row_cache.pop(nb, None)
         by_source[i].remove(chosen)
         by_source.setdefault(j, []).append(chosen)

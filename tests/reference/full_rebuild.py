@@ -1,10 +1,11 @@
 """The optimizer with no state carried between adaptation rounds.
 
 Production keeps each coordinator's ``CostWorkspace`` alive across rounds
-and syncs it from the query graph's mutation journal
-(``Coordinator._workspace``).  :class:`FullRebuildCoordinator` builds a
-fresh workspace every round instead, which is the definition a synced
-workspace must reproduce.  Everything else -- graph maintenance,
+(``Coordinator._workspace``), and the query graph keeps every vertex's
+neighbour arrays cached until an incident edge is written.
+:class:`FullRebuildCoordinator` builds a fresh workspace every round and
+drops every cached neighbour array first, which is the definition the
+long-lived state must reproduce.  Everything else -- graph maintenance,
 coarsening, the skip rules -- is the production code: children are built
 with ``type(self)``, so the whole tree is of this class.
 
@@ -20,9 +21,11 @@ from repro.core.fastcost import CostWorkspace
 
 
 class FullRebuildCoordinator(Coordinator):
-    """A coordinator whose cost workspace is rebuilt every round."""
+    """A coordinator whose cost workspace and neighbour arrays are
+    rebuilt every round."""
 
     def _workspace(self) -> CostWorkspace:
+        self.qg._cached = [None] * self.qg.slot_count
         return CostWorkspace(self.qg, self.ng)
 
 

@@ -1,15 +1,18 @@
-"""Query-graph construction, one journaled edge at a time.
+"""Query-graph construction, one edge at a time, and the dict model of
+the edge store.
 
 The definition of the graph :func:`repro.core.graphs.build_query_graph`
 and :func:`repro.core.coarsening.rebuild_edges` must produce: vertices
 through ``add_qvertex`` / ``add_nvertex``, q-n edges through accumulating
 ``add_edge``, overlap edges through one top-k selection per row and
-``set_edge`` under a first-setter-wins check against the live adjacency.  ``adj`` and ``_edges`` insertion orders are part of
-the definition (they fix :class:`GraphArrays` slot order and every float
-sum over a neighbourhood); the journal these leave behind is not.
+``set_edge`` under a first-setter-wins check against the live adjacency.
+The builders fill either store: a production
+:class:`~repro.core.graphs.QueryGraph` or a :class:`DictGraph`.  Edge
+order and every row's order are part of the definition (the WEC reduces
+in edge order; every float sum over a neighbourhood runs in row order).
 """
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,15 +26,134 @@ from repro.core.graphs import (
 from repro.query.interest import SubstreamSpace
 
 
+class DictGraph:
+    """The dict model of a query graph's edge store.
+
+    ``_edges`` is an insertion-ordered dict keyed by the stored endpoint
+    pair, ``adj`` one insertion-ordered ``{neighbour: weight}`` row per
+    vertex, and every mutation writes both together: a new edge is
+    inserted at the end of ``_edges`` and of both rows, an update writes
+    in place, a removal deletes from all three.  A new mixed q-n edge is
+    stored q endpoint first.  Whatever sequence of these mutations runs,
+    each row therefore lists its vertex's edges in ``_edges`` order -- the
+    identity :class:`~repro.core.graphs.QueryGraph` is built on, which
+    keeps one copy of each edge and its incidence rows in that order.
+    """
+
+    def __init__(self):
+        self.qverts: Dict = {}
+        self.nverts: Dict = {}
+        self.adj: Dict = {}
+        self._edges: Dict = {}
+
+    def _add(self, store, v) -> None:
+        if v.vid in self.adj:
+            raise ValueError(f"duplicate vertex id {v.vid!r}")
+        store[v.vid] = v
+        self.adj[v.vid] = {}
+
+    def add_qvertex(self, v: QVertex) -> None:
+        self._add(self.qverts, v)
+
+    def add_nvertex(self, v: NVertex) -> None:
+        self._add(self.nverts, v)
+
+    def _key(self, a, b):
+        if (a, b) in self._edges:
+            return (a, b)
+        if (b, a) in self._edges:
+            return (b, a)
+        if a in self.qverts or b not in self.qverts:
+            return (a, b)
+        return (b, a)
+
+    def add_edge(self, a, b, weight: float) -> None:
+        if a == b or weight <= 0:
+            return
+        row_a, row_b = self.adj[a], self.adj[b]
+        key = self._key(a, b)
+        total = self._edges.get(key, 0.0) + weight
+        self._edges[key] = row_a[b] = row_b[a] = total
+
+    def set_edge(self, a, b, weight: float) -> None:
+        if a == b:
+            return
+        key = self._key(a, b)
+        if weight <= 0:
+            if self._edges.pop(key, None) is not None:
+                del self.adj[a][b]
+                del self.adj[b][a]
+            return
+        if self._edges.get(key) == weight:
+            return
+        row_a, row_b = self.adj[a], self.adj[b]
+        self._edges[key] = row_a[b] = row_b[a] = weight
+
+    def set_edges(self, a, weights) -> None:
+        for b, w in weights:
+            self.set_edge(a, b, w)
+
+    def remove_vertex(self, vid) -> None:
+        for nbr in list(self.adj.get(vid, {})):
+            del self.adj[nbr][vid]
+            key = (vid, nbr) if (vid, nbr) in self._edges else (nbr, vid)
+            del self._edges[key]
+        self.adj.pop(vid, None)
+        self.qverts.pop(vid, None)
+        self.nverts.pop(vid, None)
+
+    def _replace_edges(self, vids, heads, tails, weights) -> None:
+        for vid in vids:
+            if vid not in self.adj:
+                raise KeyError(vid)
+        self._edges.clear()
+        for vid in self.adj:
+            self.adj[vid] = {}
+        for h, t, w in zip(heads, tails, weights):
+            a, b = vids[h], vids[t]
+            self._edges[(a, b)] = self.adj[a][b] = self.adj[b][a] = float(w)
+
+    def neighbors(self, vid) -> Dict:
+        return self.adj.get(vid, {})
+
+    def edges(self):
+        return [(a, b, w) for (a, b), w in self._edges.items()]
+
+
+def vertex_order(g) -> List:
+    """Every vertex of either store, in insertion order (for a
+    :class:`QueryGraph`: its live slots, which compaction keeps in
+    order)."""
+    if isinstance(g, DictGraph):
+        return list(g.adj)
+    return [vid for vid in g._vids if vid is not None]
+
+
+def dict_model(g: QueryGraph) -> DictGraph:
+    """The :class:`DictGraph` of ``g``'s vertices and its edges replayed
+    in edge order, one ``set_edge`` each (stored direction kept)."""
+    out = DictGraph()
+    for vid in vertex_order(g):
+        if vid in g.qverts:
+            out.add_qvertex(g.qverts[vid])
+        else:
+            out.add_nvertex(g.nverts[vid])
+    for a, b, w in g.edges():
+        out._edges[(a, b)] = out.adj[a][b] = out.adj[b][a] = w
+    return out
+
+
 def build_query_graph(
     qvertices: Iterable[QVertex],
     space: SubstreamSpace,
     ng: Optional[NetworkGraph] = None,
     max_overlap_neighbors: int = 20,
     select=None,
-) -> QueryGraph:
-    """``select``: see :func:`attach_topk`."""
-    g = QueryGraph()
+    graph_cls=QueryGraph,
+):
+    """``select``: see :func:`attach_topk`; ``graph_cls``: the store to
+    fill (:class:`QueryGraph` or :class:`DictGraph`)."""
+    g = graph_cls()
     qlist = list(qvertices)
     for qv in qlist:
         g.add_qvertex(qv)
@@ -46,13 +168,9 @@ def build_query_graph(
     return g
 
 
-def clear_edges(g: QueryGraph) -> None:
-    """Drop every edge of ``g``, keeping all vertices, as one journaled
-    ``("clear",)`` step (a synced ``CostWorkspace`` then rebuilds)."""
-    for vid in g.adj:
-        g.adj[vid] = {}
-    g._edges.clear()
-    g._record(("clear",))
+def clear_edges(g) -> None:
+    """Drop every edge of ``g``, keeping all vertices (in order)."""
+    g._replace_edges([], [], [], [])
 
 
 def rebuild_edges(
@@ -114,10 +232,9 @@ def attach_topk(g, qlist, rows, overlap, max_neighbors, select=None) -> None:
             top = select(ws, max_neighbors)
             js, ws = js[top], ws[top]
         a = qlist[i].vid
-        adj_a = g.adj[a]
         for j, w in zip(js, ws):
             b = qlist[int(j)].vid
-            if b not in adj_a:
+            if b not in g.neighbors(a):
                 g.set_edge(a, b, float(w))
 
 

@@ -33,7 +33,7 @@ class WorkGraph:
     def __init__(self, g: QueryGraph):
         self.qverts = dict(g.qverts)
         self.nverts = dict(g.nverts)
-        self.adj = {vid: dict(nbrs) for vid, nbrs in g.adj.items()}
+        self.adj = {vid: g.neighbors(vid) for vid in graph_build.vertex_order(g)}
 
     def vertex_count(self) -> int:
         return len(self.qverts) + len(self.nverts)

@@ -1,7 +1,7 @@
 """The optimizer's cost kernels as plain Python loops.
 
 The definitions ``src/`` vectorises: the Weighted Edge Cut of Eqn 3.2
-(``QueryGraph.wec`` gathers it from ``GraphArrays``), the attach cost of
+(``QueryGraph.wec`` reduces it over the edge arrays), the attach cost of
 one vertex at one target and the vertex positions it reads
 (``CostWorkspace.attach_costs`` evaluates every target at once), and Hu &
 Blake diffusion as a generic least-squares solve (``diffusion_solution``
@@ -22,14 +22,8 @@ def wec(qg: QueryGraph, mapping: Mapping, ng: NetworkGraph) -> float:
     """Weighted Edge Cut of a mapping, each undirected edge once."""
     total = 0.0
     pos = positions(qg, mapping, ng)
-    done = set()
-    for a, nbrs in qg.adj.items():
-        for b, w in nbrs.items():
-            marker = frozenset((a, b))
-            if marker in done:
-                continue
-            done.add(marker)
-            total += w * ng.oracle(pos[a], pos[b])
+    for a, b, w in qg.edges():
+        total += w * ng.oracle(pos[a], pos[b])
     return total
 
 

@@ -67,21 +67,21 @@ class TestQueryGraph:
         g.add_qvertex(make_qvertex("q1"))
         g.add_qvertex(make_qvertex("q2"))
         g.add_edge("q1", "q2", 5.0)
-        assert g.adj["q1"]["q2"] == 5.0
-        assert g.adj["q2"]["q1"] == 5.0
+        assert g.neighbors("q1") == {"q2": 5.0}
+        assert g.neighbors("q2") == {"q1": 5.0}
 
     def test_zero_weight_edge_ignored(self):
         g = QueryGraph()
         g.add_qvertex(make_qvertex("q1"))
         g.add_qvertex(make_qvertex("q2"))
         g.add_edge("q1", "q2", 0.0)
-        assert "q2" not in g.adj["q1"]
+        assert "q2" not in g.neighbors("q1")
 
     def test_self_edge_ignored(self):
         g = QueryGraph()
         g.add_qvertex(make_qvertex("q1"))
         g.add_edge("q1", "q1", 5.0)
-        assert g.adj["q1"] == {}
+        assert g.neighbors("q1") == {}
 
     def test_remove_vertex_cleans_edges(self):
         g = QueryGraph()
@@ -89,7 +89,8 @@ class TestQueryGraph:
         g.add_qvertex(make_qvertex("q2"))
         g.add_edge("q1", "q2", 5.0)
         g.remove_vertex("q1")
-        assert "q1" not in g.adj["q2"]
+        assert "q1" not in g.neighbors("q2")
+        assert g.degree("q2") == 0
         assert len(g.qverts) + len(g.nverts) == 1
 
     def test_total_qweight(self):
@@ -213,7 +214,7 @@ class TestBuildQueryGraph:
             [qvertex_from_query(q1, space), qvertex_from_query(q2, space)],
             space, ng,
         )
-        w = g.adj[("q", 1)][("q", 2)]
+        w = g.neighbors(("q", 1))[("q", 2)]
         assert w == pytest.approx(space.overlap_rate(q1.mask, q2.mask))
 
     def test_overlap_neighbor_cap(self, space, ng):
@@ -244,7 +245,7 @@ class TestBuildQueryGraph:
 class TestUnknownEndpoint:
     """An edge write naming a vertex the graph does not hold raises
     ``KeyError`` for that vertex and leaves the graph as it was -- no
-    half-edge in ``_edges`` / ``adj``, no journal record, no version bump."""
+    edge appended, no row touched, no slot handed out."""
 
     @staticmethod
     def _graph():
@@ -258,9 +259,9 @@ class TestUnknownEndpoint:
     def _state(g):
         return (
             g.edges(),
-            {v: dict(row) for v, row in g.adj.items()},
-            g.journal_cursor(),
-            list(g.journal_since(0)),
+            {v: g.neighbors(v) for v in g._slot},
+            g.slot_count,
+            len(g._ew),
         )
 
     @pytest.mark.parametrize("method", ["add_edge", "set_edge"])
@@ -294,5 +295,6 @@ class TestUnknownEndpoint:
         # and with every vertex known, the same call goes through
         g._replace_edges(["q1", "q3", "q2"], [0, 1], [1, 2], [2.0, 4.0])
         assert g.edges() == [("q1", "q3", 2.0), ("q3", "q2", 4.0)]
-        assert list(g.adj["q3"].items()) == [("q1", 2.0), ("q2", 4.0)]
-        assert g.journal_since(before[2]) == [("clear",)]
+        assert list(g.neighbors("q3").items()) == [("q1", 2.0), ("q2", 4.0)]
+        # the swap compacts: the old q1-q2 edge is gone, not tombstoned
+        assert (len(g._ew), g._dead) == (2, 0)

@@ -31,6 +31,7 @@ ALLOWED = {
     "repro.query.interest:bits_of": "inverse of mask_of",
     "repro.sim.faults:recovery_invariants": "checks a fault run against the oracle",
     "repro.pubsub.subscriptions:Subscription.merge": "Siena subscription merging",
+    "repro.core.graphs:QueryGraph.set_edge": "single-edge write (production batches through set_edges)",
     # Loaders of outside input.
     "repro.sim.trace:SimTrace.from_dict": "parses a trace written by to_dict",
 }

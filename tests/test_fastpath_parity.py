@@ -4,7 +4,7 @@ Every vectorised kernel introduced for the optimizer keeps its reference
 implementation; these property-style tests assert both paths agree on
 randomized workloads:
 
-* ``QueryGraph.wec`` (GraphArrays gather) vs ``scalar_kernels.wec``
+* ``QueryGraph.wec`` (edge-array reduction) vs ``scalar_kernels.wec``
 * ``diffusion_solution`` (closed form) vs ``scalar_kernels.diffusion_solution``
 * ``coarsen`` vs ``pair_coarsening.coarsen`` (dict work graph, matcher,
   pair-by-pair collapse) -- identical graphs, compared exactly (weights,
@@ -27,7 +27,6 @@ from repro.core.coarsening import coarsen, plan_key
 from repro.core.diffusion import diffusion_solution
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
-    GraphArrays,
     NetVertex,
     NetworkGraph,
     build_query_graph,
@@ -486,7 +485,7 @@ class TestOracleRowRule:
         g = make_graph(space, skewed, 30, seed=4)
         mapping = random_mapping(g, skewed, seed=4)
         pos = scalar_kernels.positions(g, mapping, skewed)
-        expected = sum(w * row(pos[a])[pos[b]] for (a, b), w in g._edges.items())
-        transposed = sum(w * row(pos[b])[pos[a]] for (a, b), w in g._edges.items())
+        expected = sum(w * row(pos[a])[pos[b]] for a, b, w in g.edges())
+        transposed = sum(w * row(pos[b])[pos[a]] for a, b, w in g.edges())
         assert expected != pytest.approx(transposed, rel=1e-9)
-        assert GraphArrays(g, skewed).wec(mapping) == pytest.approx(expected, rel=1e-12)
+        assert g.wec(mapping, skewed) == pytest.approx(expected, rel=1e-12)

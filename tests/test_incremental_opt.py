@@ -1,8 +1,9 @@
 """Incremental optimizer parity: delta maintenance == full rebuild.
 
 The optimizer delta-maintains its state across adaptation rounds --
-journaled graph mutations, a :class:`CostWorkspace` that syncs instead of
-being reconstructed, converged coordinator levels that skip their phases.
+graph mutations in place, a :class:`CostWorkspace` and per-vertex
+neighbour arrays that outlive rounds, converged coordinator levels that
+skip their phases.
 Every one of those shortcuts claims *bit-identical* results to the
 full-rebuild reference (``tests/reference/full_rebuild.py``, a fresh
 workspace every round); these property-style tests drive randomized
@@ -21,13 +22,13 @@ import numpy as np
 import pytest
 
 from line_oracle import line_network
-from reference import full_rebuild, scalar_kernels
+from reference import flow_scan, full_rebuild, scalar_kernels
 from test_fastpath_parity import content_sig
 
 from repro.core import Cosmos, CosmosConfig
 from repro.core import coordinator as coordinator_module
 from repro.core import hierarchy as hierarchy_module
-from repro.core.coarsening import plan_key
+from repro.core.coarsening import plan_key, rebuild_edges
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
     NetVertex,
@@ -286,7 +287,10 @@ class TestRemovalCycles:
 
 class TestSnapshotAndWorkspaceParity:
     """Randomized mutation sequences: the WEC of the mutated graph is the
-    definition's, and a synced workspace equals a fresh one."""
+    definition's, and a reused workspace equals a fresh one -- also
+    across the slot table's hazards: a compaction renumbering every slot,
+    a vid re-added in a fresh slot, an n-vertex newer than the
+    workspace."""
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -366,7 +370,6 @@ class TestSnapshotAndWorkspaceParity:
                 assert g.wec(mapping, ng) == pytest.approx(
                     scalar_kernels.wec(g, mapping, ng), rel=1e-12, abs=1e-12
                 )
-                ws.ensure_synced()
                 ws.init_positions(mapping)
                 ws2 = CostWorkspace(g, ng)
                 ws2.init_positions(mapping)
@@ -374,6 +377,84 @@ class TestSnapshotAndWorkspaceParity:
                     got = ws.attach_costs(vid)
                     want = ws2.attach_costs(vid)
                     assert np.array_equal(got, want)
+
+    @staticmethod
+    def _assert_as_fresh(g, ng, ws, mapping):
+        """``ws``, reused, costs every q-vertex exactly as a fresh one --
+        and as the kernel spelled out over the graph's rows, which reads
+        no cached neighbour array (both workspaces read the graph's)."""
+        fresh = CostWorkspace(g, ng)
+        for w in (ws, fresh):
+            w.init_positions(mapping)
+        assert np.array_equal(ws.pos, fresh.pos)
+        vids = list(g.qverts)
+        for vid in vids:
+            got = ws.attach_costs(vid)
+            assert np.array_equal(got, fresh.attach_costs(vid))
+            assert np.array_equal(got, flow_scan.single_row(fresh, vid))
+        assert np.array_equal(
+            ws.attach_costs_batch(vids), fresh.attach_costs_batch(vids)
+        )
+
+    @staticmethod
+    def _warm(g, ng, seed):
+        """A workspace over ``g`` that has cached every neighbour array,
+        and the mapping it used."""
+        rng = random.Random(seed)
+        mapping = {vid: rng.choice(ng.ids()) for vid in g.qverts}
+        ws = CostWorkspace(g, ng)
+        ws.init_positions(mapping)
+        ws.attach_costs_batch(list(g.qverts))
+        return ws, mapping
+
+    @pytest.mark.parametrize("seed", PARITY_SEEDS[:4])
+    def test_workspace_reused_across_a_compaction(self, small, seed):
+        space, ng = small
+        g = self._make_graph(space, ng, 24, seed)
+        ws, mapping = self._warm(g, ng, seed)
+        gone = list(g.qverts)[1::5]
+        for vid in gone:
+            g.remove_vertex(vid)
+            del mapping[vid]
+        before = {vid: g.slot(vid) for vid in g.qverts}
+        rebuild_edges(g, space, 6)
+        # the dead slots went, and the live ones moved down
+        assert g.slot_count == len(g.qverts) + len(g.nverts)
+        assert any(g.slot(vid) != s for vid, s in before.items())
+        self._assert_as_fresh(g, ng, ws, mapping)
+
+    @pytest.mark.parametrize("seed", PARITY_SEEDS[:4])
+    def test_vertex_removed_and_readded_under_its_vid(self, small, seed):
+        space, ng = small
+        g = self._make_graph(space, ng, 24, seed)
+        ws, mapping = self._warm(g, ng, seed)
+        v = list(g.qverts.values())[3]
+        old_slot = g.slot(v.vid)
+        edges = list(g.neighbors(v.vid).items())
+        g.remove_vertex(v.vid)
+        g.add_qvertex(v)
+        for nbr, w in edges[::2]:
+            g.set_edge(v.vid, nbr, w)
+        assert g.slot(v.vid) != old_slot
+        # the neighbours had cached arrays naming the old slot
+        self._assert_as_fresh(g, ng, ws, mapping)
+
+    @pytest.mark.parametrize("seed", PARITY_SEEDS[:4])
+    def test_nvertex_added_after_the_workspace(self, small, seed):
+        space, ng = small
+        g = self._make_graph(space, ng, 24, seed)
+        ws, mapping = self._warm(g, ng, seed)
+        late = [NVertex(vid=("x", 3), node=3),
+                NVertex(vid=("x", 5), node=5, clu=ng.covering_vertex(5))]
+        qvids = list(g.qverts)
+        for k, nv in enumerate(late):
+            g.add_nvertex(nv)
+            for vid in qvids[k::3]:
+                g.add_edge(vid, nv.vid, 0.5 + k)
+        assert g.slot(late[0].vid) >= ws.pos.size
+        self._assert_as_fresh(g, ng, ws, mapping)
+        assert ws.pos[g.slot(late[0].vid)] == 3
+        assert ws.pos[g.slot(late[1].vid)] == ng.site(late[1].clu)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ Three mechanisms of the cold optimizer path are built from arrays in
 ``src/`` and defined by a slow, sequential twin under ``tests/reference``:
 
 * **graph construction** -- ``build_query_graph`` / ``rebuild_edges`` /
-  ``attach_overlap_edges`` against one journaled ``add_edge`` /
-  ``set_edge`` per edge (:mod:`reference.graph_build`), and the graph
-  ``coarsen`` returns against :mod:`reference.pair_coarsening`'s;
+  ``attach_overlap_edges`` against one ``add_edge`` / ``set_edge`` per
+  edge (:mod:`reference.graph_build`), into the production store and into
+  the dict model of it (``DictGraph``), and the graph ``coarsen`` returns
+  against :mod:`reference.pair_coarsening`'s;
 * **the bottom-up pass** -- ``Coordinator.collect`` (per-leaf buckets,
   no query graph, the array coarsening engine) against the population
   scan, per-edge graph build and pair-by-pair coarsening of
@@ -14,8 +15,8 @@ Three mechanisms of the cold optimizer path are built from arrays in
 * **flow realisation** -- ``rebalance`` against the per-move scan of the
   source child's vertex list (:mod:`reference.flow_scan`).
 
-Agreement is exact: dict insertion orders (but for a coarse graph's edge
-order, which nothing reads), float bits, rng state.  The
+Agreement is exact: vertex, edge and row orders (but for a coarse graph's
+edge order, which nothing reads), float bits, rng state.  The
 last class shows the examples can tell apart the two things identity
 hangs on (which kernel recomputes a staled cost row; ``argpartition``
 rather than a sort for the top-k cut).
@@ -39,7 +40,6 @@ from test_fastpath_parity import (  # noqa: F401  (space, ng: fixtures)
 )
 
 from repro.core import CosmosConfig, coarsening
-from repro.core import graphs as graphs_module
 from repro.core.coarsening import coarsen, plan_key, rebuild_edges
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
@@ -91,12 +91,13 @@ def population(space, kinds, seed, pool):
 
 
 def assert_same_graph(g, h):
-    """Same vertices, adjacency and edge store: orders and exact floats."""
+    """Same vertices, rows and edges: orders and exact floats (either
+    store, ``QueryGraph`` or ``DictGraph``, on either side)."""
     assert list(g.qverts) == list(h.qverts)
     assert list(g.nverts) == list(h.nverts)
-    assert list(g.adj) == list(h.adj)
-    for vid in g.adj:
-        assert list(g.adj[vid].items()) == list(h.adj[vid].items()), vid
+    assert graph_build.vertex_order(g) == graph_build.vertex_order(h)
+    for vid in graph_build.vertex_order(g):
+        assert list(g.neighbors(vid).items()) == list(h.neighbors(vid).items()), vid
     assert g.edges() == h.edges()
 
 
@@ -131,11 +132,13 @@ class TestGraphBuildParity:
         g = build_query_graph(verts, space, ng, k)
         h = graph_build.build_query_graph(verts, space, ng, k)
         assert_same_graph(g, h)
+        assert_same_graph(g, graph_build.build_query_graph(
+            verts, space, ng, k, graph_cls=graph_build.DictGraph
+        ))
         mapping = random_mapping(g, ng, seed=seed)
         assert g.wec(mapping, ng) == h.wec(mapping, ng)
-        # construction is not journaled: nothing to replay, from any cursor
-        assert g.journal_cursor() == 0
-        assert g.journal_since(0) == []
+        # the bulk build appends every edge once: no tombstone
+        assert (g._dead, len(g._ew)) == (0, len(g.edges()))
 
     def test_duplicate_id_is_rejected_by_both(self, space, ng):
         verts = population(space, ["plain"] * 4, 5, 60)
@@ -161,19 +164,20 @@ class TestGraphBuildParity:
                 graph.remove_vertex(vid)
         mapping = random_mapping(g, ng, seed=seed)
         ws = CostWorkspace(g, ng)
-        cursor = g.journal_cursor()
+        ws.init_positions(mapping)
+        ws.attach_costs_batch(list(g.qverts))  # neighbour arrays cached
 
         rebuild_edges(g, space, k2)
         graph_build.rebuild_edges(h, space, k2)
         assert_same_graph(g, h)
-        # one record, appended once the edges are in place
-        assert g.journal_since(cursor) == [("clear",)]
+        # the swap compacted: no dead slot, no tombstoned edge
+        assert g.slot_count == len(g.qverts) + len(g.nverts)
+        assert g._dead == 0
         # the WEC reads the swapped edge set, and a workspace taken
         # before equals a fresh one after
         assert_same_wec(g, h, ng, mapping)
         fresh = CostWorkspace(g, ng)
         for w in (ws, fresh):
-            w.ensure_synced()
             w.init_positions(mapping)
         for vid in g.qverts:
             assert np.array_equal(ws.attach_costs(vid), fresh.attach_costs(vid))
@@ -202,7 +206,7 @@ class TestGraphBuildParity:
         attach_overlap_edges(g, qlist, [30, 31], space, k)
         graph_build.attach_overlap_edges(h, qlist, [30, 31], space, k)
         assert_same_graph(g, h)
-        assert g.adj[new[0].vid][old[0].vid] == 123.0
+        assert g.neighbors(new[0].vid)[old[0].vid] == 123.0
         mapping = random_mapping(g, ng, seed=seed)
         assert_same_wec(g, h, ng, mapping)
 
@@ -222,31 +226,15 @@ class TestGraphBuildParity:
         def named(cg):
             def name(vid):
                 return plan_key(cg.qverts[vid]) if vid in cg.qverts else vid
+            order = graph_build.vertex_order(cg)
             return (
-                [name(v) for v in cg.adj],
+                [name(v) for v in order],
                 {(frozenset((name(a), name(b))), w) for a, b, w in cg.edges()},
-                {name(v): {name(n): w for n, w in row.items()}
-                 for v, row in cg.adj.items()},
+                {name(v): {name(n): w for n, w in cg.neighbors(v).items()}
+                 for v in order},
             )
 
         assert named(fast) == named(slow)
-        assert fast.journal_since(0) == []
-
-    def test_construction_cannot_trim_its_own_journal(
-        self, space, ng, monkeypatch
-    ):
-        monkeypatch.setattr(graphs_module, "JOURNAL_LIMIT", 16)
-        verts = population(space, ["plain"] * 20, 11, 60)
-        # the per-edge builder writes one record per vertex and edge and
-        # trims the oldest half away while it is still building ...
-        h = graph_build.build_query_graph(verts, space, ng)
-        assert h._jbase > 0
-        # ... the bulk one writes none, and a rebuild on a live graph one
-        g = build_query_graph(verts, space, ng)
-        assert len(g.edges()) > 16
-        assert (g._jbase, g._journal) == (0, [])
-        rebuild_edges(g, space, 5)
-        assert (g._jbase, g._journal) == (0, [("clear",)])
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +385,7 @@ class TestFlowRealisationParity:
     ):
         g = flow_graph(space, ng, kinds, seed)
         workspaces = (CostWorkspace(g, ng), CostWorkspace(g, ng))
+        built = g.slot_count
         # vertices leave after the workspaces indexed them; one comes back
         gone = list(g.qverts.values())[:: 4]
         for v in gone:
@@ -406,9 +395,11 @@ class TestFlowRealisationParity:
         assignment = skewed_assignment(g, ng, seed, spread)
         outcomes = run_pair(g, ng, assignment, seed, workspaces=workspaces)
         assert_same_outcome(outcomes)
-        # a feasible or weightless start returns before the workspaces sync
-        if len(gone) > 1 and outcomes[0][1].flows_requested:
-            assert all(ws._dead for ws in workspaces)
+        # the removed vertices left dead slots; the returning one got a
+        # fresh slot, past the ones the workspaces were built over
+        if len(gone) > 1:
+            assert g.slot_count == len(g.qverts) + len(g.nverts) + len(gone)
+            assert g.slot(gone[0].vid) >= built
 
     @settings(max_examples=25, deadline=None)
     @given(**flow_cases)
