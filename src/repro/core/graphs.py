@@ -611,19 +611,17 @@ class QueryGraph:
         ``target_of(vid)`` names a q-vertex's network vertex (``None``:
         unplaced); unplaced q-vertices and dead slots read ``-1``.
         """
-        slots: List[int] = []
-        sites: List[int] = []
-        site, slot = ng.site, self._slot
-        for vid in self.qverts:
-            target = target_of(vid)
-            if target is not None:
-                slots.append(slot[vid])
-                sites.append(site(target))
-        for vid, nv in self.nverts.items():
-            slots.append(slot[vid])
-            sites.append(site(nv.clu) if nv.clu is not None else nv.node)
+        site = {t: v.site for t, v in ng.vertices.items()}
+        site[None] = -1
+        slot = self._slot.__getitem__
         pos = np.full(len(self._vids), -1, dtype=np.int64)
-        pos[slots] = sites
+        pos[list(map(slot, self.qverts))] = [
+            site[target_of(vid)] for vid in self.qverts
+        ]
+        pos[list(map(slot, self.nverts))] = [
+            nv.node if nv.clu is None else site[nv.clu]
+            for nv in self.nverts.values()
+        ]
         return pos
 
     def wec(self, mapping: Mapping, ng: NetworkGraph) -> float:
