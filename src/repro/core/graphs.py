@@ -28,8 +28,9 @@ rows in that same order.  Every reader works on that store in place --
 the WEC reduces over the edge arrays, coarsening takes its q-q edges
 from them, and the cost kernels' per-vertex neighbour arrays are gathered
 from the rows and cached on the graph until an incident edge is written.
-Nothing is journaled: a consumer re-reads positions from the slot table
-when it starts a pass (:meth:`QueryGraph.positions`).
+No consumer keeps a mirror it would have to be told about: a cost
+workspace re-reads positions from the slot table when it starts a pass
+(:meth:`QueryGraph.positions`).
 
 Construction is bulk: :func:`build_query_graph` estimates a whole graph's
 edges as arrays and appends them in one step, and ``rebuild_edges`` swaps

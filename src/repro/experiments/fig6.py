@@ -6,7 +6,9 @@ population:
 * Naive        -- queries stay at their proxies;
 * Greedy       -- global greedy mapping only;
 * Hierarchical -- COSMOS (coarsen bottom-up, map top-down);
-* Centralized  -- global Algorithm 2 (the optimality benchmark).
+* Centralized  -- global Algorithm 2 (greedy + refinement on the global
+  graph: the paper's reference scheme, a heuristic rather than an
+  optimum).
 
 Figure 6(a) reports the weighted communication cost of each scheme;
 Figure 6(b) the response time (critical path) and total CPU time of the

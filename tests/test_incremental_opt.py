@@ -375,8 +375,8 @@ class TestSnapshotAndWorkspaceParity:
                 ws2.init_positions(mapping)
                 for vid in list(g.qverts)[:8]:
                     got = ws.attach_costs(vid)
-                    want = ws2.attach_costs(vid)
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(got, ws2.attach_costs(vid))
+                    assert np.array_equal(got, flow_scan.single_row(ws2, vid))
 
     @staticmethod
     def _assert_as_fresh(g, ng, ws, mapping):

@@ -135,8 +135,9 @@ def test_rows_follow_edges_under_mutation(verts, space, ng, ops):
             elif op == "drop":
                 h.set_edge(a, b, 0.0)
             elif op == "bulk":
+                # the third write finds the edge the first one appended
                 h.set_edges(a, [(b, w), (live[(j + 1) % len(live)], 0.0),
-                                (live[(j + 2) % len(live)], w + 1.0)])
+                                (b, w + 1.0)])
             elif op == "remove" and len(live) > 4:
                 v = model.qverts.get(a) or model.nverts[a]
                 if h is g:
