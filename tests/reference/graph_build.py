@@ -131,7 +131,8 @@ def vertex_order(g) -> List:
 
 def dict_model(g: QueryGraph) -> DictGraph:
     """The :class:`DictGraph` of ``g``'s vertices and its edges replayed
-    in edge order, one ``set_edge`` each (stored direction kept)."""
+    in edge order, each inserted into the edge dict and both rows (stored
+    direction kept)."""
     out = DictGraph()
     for vid in vertex_order(g):
         if vid in g.qverts:

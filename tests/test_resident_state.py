@@ -23,12 +23,7 @@ from reference.graph_build import DictGraph, dict_model, vertex_order
 from test_fastpath_parity import make_queries, ng, space  # noqa: F401  (fixtures)
 
 from repro.core.coarsening import coarsen, rebuild_edges
-from repro.core.graphs import (
-    NVertex,
-    QueryGraph,
-    build_query_graph,
-    qvertex_from_query,
-)
+from repro.core.graphs import build_query_graph, qvertex_from_query
 from repro.query.interest import SubstreamSpace, index_array, mask_of
 from repro.topology import (
     LatencyOracle,
@@ -162,7 +157,7 @@ def test_bytes_per_edge(space, ng):
     The store this one replaced -- ``_edges``, a dict keyed by vid-pair
     tuples, plus one ``{neighbour: weight}`` dict per vertex, sharing one
     float per edge -- traced 380,644 B: 208.6 B per edge.  The slot
-    arrays and ``array('i')`` incidence rows trace 99,303 B: 54.4 B per
+    arrays and ``array('i')`` incidence rows trace 101,951 B: 55.9 B per
     edge, all vertex bookkeeping included.  Pinned at half the old
     figure.
     """
