@@ -36,7 +36,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import registry as _obs
-from ..query.interest import SubstreamSpace
+from ..query.interest import RateMap, SubstreamSpace
 from .graphs import QueryGraph, QVertex, VertexId, _estimate_edges
 
 __all__ = [
@@ -74,13 +74,6 @@ def content_rng(
     return random.Random(int.from_bytes(h.digest(), "big"))
 
 
-def _merge_rate_maps(a: Dict[int, float], b: Dict[int, float]) -> Dict[int, float]:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + v
-    return out
-
-
 def merge_qvertices(
     u: QVertex, v: QVertex, origin: Optional[Hashable] = None
 ) -> QVertex:
@@ -89,8 +82,8 @@ def merge_qvertices(
         vid=("c", next(_coarse_ids)),
         weight=u.weight + v.weight,
         mask=u.mask | v.mask,
-        source_rates=_merge_rate_maps(u.source_rates, v.source_rates),
-        proxy_rates=_merge_rate_maps(u.proxy_rates, v.proxy_rates),
+        source_rates=RateMap.merged(u.source_rates, v.source_rates),
+        proxy_rates=RateMap.merged(u.proxy_rates, v.proxy_rates),
         state_size=u.state_size + v.state_size,
         members=u.members + v.members,
         children=(u, v),
@@ -308,7 +301,10 @@ def coarsen(
                 n: wt for n, wt in g.neighbors(x.vid).items() if n in g.nverts
             }
         a, b = x.children
-        return _merge_rate_maps(rate_edges(a), rate_edges(b))
+        out = rate_edges(a)
+        for n, wt in rate_edges(b).items():
+            out[n] = out.get(n, 0.0) + wt
+        return out
 
     vids = [*(x.vid for x in verts), *g.nverts]
     slot = {vid: i for i, vid in enumerate(vids)}

@@ -35,7 +35,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs import registry as _obs
-from ..query.interest import SubstreamSpace
+from ..query.interest import RateMap, SubstreamSpace
 from ..query.workload import QuerySpec
 from ..topology.latency import LatencyOracle
 from .coarsening import (
@@ -445,6 +445,7 @@ class Coordinator:
             c: self.space.overlap_rate(v.mask, mask)
             for c, mask in self._child_masks.items()
         }
+        rated = [*v.source_rates.items(), *v.proxy_rates.items()]
         best = None
         best_cost = float("inf")
         fallback = None
@@ -452,9 +453,7 @@ class Coordinator:
         for t in self.ng.ids():
             site = self.ng.site(t)
             cost = 0.0
-            for node, rate in v.source_rates.items():
-                cost += rate * self.oracle(site, node)
-            for node, rate in v.proxy_rates.items():
+            for node, rate in rated:
                 cost += rate * self.oracle(site, node)
             for c, ov in overlaps.items():
                 if c != t and ov > 0:
@@ -692,9 +691,8 @@ class Coordinator:
             changed = True
             for v in added:
                 qg.add_qvertex(v)
-                for node, rate in list(v.source_rates.items()) + list(
-                    v.proxy_rates.items()
-                ):
+                for node, rate in [*v.source_rates.items(),
+                                   *v.proxy_rates.items()]:
                     nvid = ("n", node)
                     if nvid not in qg.nverts:
                         clu = self.ng.covering_vertex(node)
@@ -785,7 +783,10 @@ class Coordinator:
                 neighbor_edges[nbr] = neighbor_edges.get(nbr, 0.0) + w
         self.qg.remove_vertex(a)
         self.qg.remove_vertex(b)
-        del self.vertices[a], self.vertices[b]
+        # the pair lives on only as ``merged.children`` (the rule
+        # ``coarsening._merge`` applies): it must not pin its index arrays
+        self.vertices.pop(a).drop_indices()
+        self.vertices.pop(b).drop_indices()
         del self.assignment[a], self.assignment[b]
         self.qg.add_qvertex(merged)
         self.vertices[merged.vid] = merged
@@ -1038,17 +1039,11 @@ def _strip_member(v: QVertex, query_id: int) -> None:
     v.weight = sum(c.weight for c in keep)
     v.state_size = sum(c.state_size for c in keep)
     mask = 0
-    source_rates: Dict[int, float] = {}
-    proxy_rates: Dict[int, float] = {}
     for c in keep:
         mask |= c.mask
-        for node, rate in c.source_rates.items():
-            source_rates[node] = source_rates.get(node, 0.0) + rate
-        for node, rate in c.proxy_rates.items():
-            proxy_rates[node] = proxy_rates.get(node, 0.0) + rate
     v.mask = mask
-    v.source_rates = source_rates
-    v.proxy_rates = proxy_rates
+    v.source_rates = RateMap.summed(c.source_rates for c in keep)
+    v.proxy_rates = RateMap.summed(c.proxy_rates for c in keep)
 
 
 def _refresh_weights(
@@ -1101,10 +1096,7 @@ def _refresh_vertex(
         for child in v.children:
             _refresh_vertex(child, query_loads, space, memo)
         v.weight = sum(c.weight for c in v.children)
-        v.source_rates = {}
-        for c in v.children:
-            for node, rate in c.source_rates.items():
-                v.source_rates[node] = v.source_rates.get(node, 0.0) + rate
+        v.source_rates = RateMap.summed(c.source_rates for c in v.children)
     else:
         if v.members and v.members[0] in query_loads:
             v.weight = query_loads[v.members[0]]

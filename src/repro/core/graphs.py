@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -58,7 +58,7 @@ import numpy as np
 from scipy import sparse
 
 from ..obs import registry as _obs
-from ..query.interest import SubstreamSpace, index_array
+from ..query.interest import RateMap, SubstreamSpace, index_array
 from ..query.workload import QuerySpec
 
 __all__ = [
@@ -147,14 +147,16 @@ class QVertex:
     ``source_rates`` / ``proxy_rates`` aggregate the member queries'
     requested per-source rates and per-proxy result rates; together with
     the interest ``mask`` they are sufficient to rebuild every edge of the
-    query graph at any coarsening level.
+    query graph at any coarsening level.  Both are read-only
+    :class:`~repro.query.interest.RateMap` s: the constructor converts any
+    mapping it is given, and a re-aggregation assigns a new map.
     """
 
     vid: VertexId
     weight: float
     mask: int
-    source_rates: Dict[int, float]
-    proxy_rates: Dict[int, float]
+    source_rates: RateMap
+    proxy_rates: RateMap
     state_size: float = 1.0
     #: atomic query ids represented by this (possibly coarse) vertex
     members: Tuple[int, ...] = ()
@@ -168,6 +170,12 @@ class QVertex:
     _idx: Optional[Tuple[int, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        if type(self.source_rates) is not RateMap:
+            self.source_rates = RateMap(self.source_rates)
+        if type(self.proxy_rates) is not RateMap:
+            self.proxy_rates = RateMap(self.proxy_rates)
 
     @property
     def indices(self) -> np.ndarray:
@@ -196,14 +204,6 @@ class QVertex:
     def load_density(self) -> float:
         """Weight per unit of migratable state (Algorithm 3's tie-breaker)."""
         return self.weight / self.state_size if self.state_size > 0 else float("inf")
-
-    def copy(self) -> "QVertex":
-        """Shallow copy with private rate maps (safe to mutate)."""
-        return replace(
-            self,
-            source_rates=dict(self.source_rates),
-            proxy_rates=dict(self.proxy_rates),
-        )
 
 
 def stable_vertex_key(qv: QVertex) -> str:
@@ -702,7 +702,7 @@ def qvertex_from_query(q: QuerySpec, space: SubstreamSpace) -> QVertex:
         weight=q.load,
         mask=q.mask,
         source_rates=space.rates_by_source(q.mask, idx),
-        proxy_rates={q.proxy: q.result_rate},
+        proxy_rates=RateMap.from_lists([q.proxy], [q.result_rate]),
         state_size=q.state_size,
         members=(q.query_id,),
     )
@@ -731,10 +731,14 @@ def build_query_graph(
     * an n-vertex is created for every source / proxy node referenced by
       any q-vertex; its ``clu`` is resolved against ``ng`` when given;
     * q-n edges get the aggregated request / result rates;
-    * q-q overlap edges get ``rate(mask_a AND mask_b)``; to keep the graph
-      sparse each q-vertex keeps at most ``max_overlap_neighbors`` heaviest
-      overlap edges (candidates found via a substream incidence matrix, so
-      disjoint queries never pay a comparison).
+    * q-q overlap edges get the rate of ``mask_a AND mask_b``, summed
+      left to right from ``0.0`` in ascending substream order (the sparse
+      product's order, :func:`_overlap_product`) -- not numpy's pairwise
+      order of ``SubstreamSpace.rate`` / ``overlap_rates``, so the two may
+      differ in the last bits; to keep the graph sparse each q-vertex
+      keeps at most ``max_overlap_neighbors`` heaviest overlap edges
+      (candidates found via a substream incidence matrix, so disjoint
+      queries never pay a comparison).
 
     The graph is filled in bulk (:func:`_estimate_edges`): its edge
     arrays are allocated at exactly the edge count.
@@ -785,25 +789,22 @@ def _rate_edges(
     """
     nq = len(qlist)
     slot = {vid: nq + k for k, vid in enumerate(g.nverts)}
-    nodes: List[int] = []
-    rates: List[float] = []
-    counts: List[int] = []
-    shared = False
-    for qv in qlist:
-        source, proxy = qv.source_rates, qv.proxy_rates
-        nodes.extend(source)
-        nodes.extend(proxy)
-        rates.extend(source.values())
-        rates.extend(proxy.values())
-        counts.append(len(source) + len(proxy))
-        shared = shared or not source.keys().isdisjoint(proxy)
+    source = [qv.source_rates for qv in qlist]
+    proxy = [qv.proxy_rates for qv in qlist]
+    maps = [m for pair in zip(source, proxy) for m in pair]
+    nodes = np.frombuffer(b"".join([m.nodes for m in maps]), np.intc)
+    weights = np.frombuffer(b"".join([m.rates for m in maps]))
+    counts = [len(s.nodes) + len(p.nodes) for s, p in zip(source, proxy)]
+    shared = any(
+        any(map(s.nodes.__contains__, p.nodes)) for s, p in zip(source, proxy)
+    )
     heads = np.repeat(np.arange(nq, dtype=np.int64), counts)
     # rate-map node x <-> n-vertex ("n", x)
     tails = np.fromiter(
-        map(slot.get, zip(itertools.repeat("n"), nodes), itertools.repeat(-1)),
-        np.int64, len(nodes),
+        map(slot.get, zip(itertools.repeat("n"), nodes.tolist()),
+            itertools.repeat(-1)),
+        np.int64, nodes.size,
     )
-    weights = np.array(rates, dtype=float)
     keep = ~(weights <= 0) & (tails >= 0)
     if not keep.all():
         heads, tails, weights = heads[keep], tails[keep], weights[keep]
@@ -875,7 +876,12 @@ def _overlap_product(
 
     With ``A`` the query x substream incidence matrix, the full pairwise
     overlap-rate matrix is ``A diag(rates) A^T``; ``rows`` restricts the
-    left factor to those rows of ``qlist`` (one CSR row per entry).
+    left factor to those rows of ``qlist`` (one CSR row per entry).  The
+    product accumulates each entry over the left row's substreams in
+    ascending order, so an overlap is the sequential sum ``((0.0 + r_1) +
+    r_2) + ...`` of its rates, which is not the pairwise sum
+    :meth:`SubstreamSpace.overlap_rates` returns for the same pair
+    (``tests/test_segment_sums.py`` pins both orders).
     """
     incidence = _incidence_matrix(qlist, space)
     weighted = incidence.multiply(space.rates[np.newaxis, :]).tocsr()

@@ -105,7 +105,8 @@ def refine_mapping(
             feasible=qg.satisfies_load_constraint(mapping, ng, alpha),
         )
     # graph slot -> cost-matrix row of every q-vertex
-    qrow = {qg.slot(vid): r for r, vid in enumerate(qvids)}
+    qslots = [qg.slot(vid) for vid in qvids]
+    qrow = dict(zip(qslots, range(nq)))
     w_arr = np.asarray([qg.qverts[v].weight for v in qvids])
     tindex = ws.target_index
 
@@ -124,8 +125,7 @@ def refine_mapping(
 
         # full attach-cost matrix; row r valid until a neighbour of r moves
         cost = np.empty((nq, n_targets))
-        for r, vid in enumerate(qvids):
-            cost[r] = ws.attach_costs(vid)
+        ws.fill_rows(cost, range(nq), qslots)
 
         matched = np.zeros(nq, dtype=bool)
         rows_idx = np.arange(nq)
@@ -167,10 +167,9 @@ def refine_mapping(
             # refresh the rows of the moved vertex's q-neighbours; `qrow`
             # membership doubles as the q-vertex test (a live graph does
             # not keep q slots contiguous at the front)
-            for nb in ws.neighbour_indices(vid).tolist():
-                rr = qrow.get(nb)
-                if rr is not None:
-                    cost[rr] = ws.attach_costs_idx(nb)
+            nbs = [nb for nb in ws.neighbour_indices(vid).tolist()
+                   if nb in qrow]
+            ws.fill_rows(cost, map(qrow.__getitem__, nbs), nbs)
             if current_wec < min_wec - 1e-9:
                 min_wec = current_wec
                 min_mapping = dict(mapping)

@@ -189,9 +189,10 @@ def rebalance(
             remaining[(i, j)] = 0.0
             pairs.remove((i, j))
             continue
-        for k in movable[stale[movable]].tolist():
-            costs[k] = ws.attach_costs_idx(ws_index[k])
-            stale[k] = False
+        redo = movable[stale[movable]].tolist()
+        if redo:
+            ws.fill_rows(costs, redo, map(ws_index.__getitem__, redo))
+            stale[redo] = False
         benefits = costs[movable, ti_i] - costs[movable, ti_j]
         best_benefit = float(benefits.max())
         span = abs(best_benefit) if best_benefit != 0 else 1.0

@@ -95,8 +95,8 @@ def build_instance() -> Table2Instance:
                 vid=name,
                 weight=0.1,
                 mask=0,
-                source_rates=dict(src),
-                proxy_rates=dict(prox),
+                source_rates=src,
+                proxy_rates=prox,
                 members=(),
             )
         )

@@ -19,12 +19,17 @@ bit-identical to it (:func:`segment_sums`).
 from __future__ import annotations
 
 import random
+from array import array
+from collections.abc import ItemsView, Mapping as MappingABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 __all__ = [
+    "RateMap",
     "SubstreamSpace",
     "bits_of",
     "index_array",
@@ -69,6 +74,109 @@ def index_array(mask: int) -> np.ndarray:
         mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8
     )
     return np.unpackbits(raw, bitorder="little").nonzero()[0]
+
+
+class _RateItems(ItemsView):
+    """A :class:`RateMap`'s items, zipped from its arrays (the inherited
+    view would look every key up)."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping.nodes, self._mapping.rates)
+
+
+class RateMap(MappingABC):
+    """A read-only ``{node: rate}`` map: the per-source and per-proxy
+    rates a query vertex aggregates.
+
+    Held as two parallel arrays in insertion order -- ``nodes``
+    (``array('i')``) and ``rates`` (``array('d')``) -- so a map costs 12
+    bytes per entry plus two array headers instead of a dict's table and
+    one boxed float per entry.  It iterates, compares (``==`` a dict with
+    the same items) and looks up like the dict it replaces; a lookup scans
+    ``nodes`` in C, and maps are a few dozen entries long.  Consumers that
+    want the arrays whole read their buffers (``np.frombuffer``).
+
+    Build one from any mapping (``RateMap(d)``), or by :meth:`merged` and
+    :meth:`summed`, whose key orders and float sums are those of the dict
+    code they replace.
+    """
+
+    __slots__ = ("nodes", "rates")
+
+    def __init__(self, items: Union[MappingABC, Iterable] = ()):
+        d = dict(items.items() if isinstance(items, MappingABC) else items)
+        self.nodes = array("i", list(d))
+        self.rates = array("d", list(d.values()))
+
+    @classmethod
+    def from_lists(
+        cls, nodes: List[int], rates: List[float],
+        same_nodes: Optional["RateMap"] = None,
+    ) -> "RateMap":
+        """The map ``zip(nodes, rates)``; the caller passes distinct nodes.
+
+        ``same_nodes``, a map whose nodes the caller knows to equal
+        ``nodes``, lends its ``nodes`` array instead of a new one (maps
+        are read-only, so they may share it).  Lists, not buffers: an
+        array built from a list is allocated at exactly its length, one
+        filled from bytes keeps growth room.
+        """
+        out = cls.__new__(cls)
+        out.nodes = (
+            array("i", nodes) if same_nodes is None else same_nodes.nodes
+        )
+        out.rates = array("d", rates)
+        return out
+
+    @classmethod
+    def merged(cls, a: "RateMap", b: "RateMap") -> "RateMap":
+        """``a`` plus ``b``: ``a``'s nodes then ``b``'s new ones, in order,
+        valued ``a[k] + b[k]`` (``0.0 + b[k]`` for a node only ``b``
+        names) -- the dict ``{**a}`` updated by ``d[k] = d.get(k, 0.0) +
+        b[k]`` for each ``k`` of ``b``."""
+        return cls._fold(dict(zip(a.nodes, a.rates)), a, [b])
+
+    @classmethod
+    def summed(cls, maps: Iterable["RateMap"]) -> "RateMap":
+        """The left fold of ``maps`` from an empty dict: nodes in order of
+        first appearance, each valued ``((0.0 + r1) + r2) + ...`` over the
+        maps that name it, in order."""
+        maps = list(maps)
+        return cls._fold({}, maps[0], maps) if maps else cls()
+
+    @classmethod
+    def _fold(
+        cls, out: Dict[int, float], head: "RateMap", maps: List["RateMap"]
+    ) -> "RateMap":
+        """``out`` updated by ``out[k] = out.get(k, 0.0) + r`` for every
+        ``(k, r)`` of ``maps`` in turn, as a map.  ``out`` starts with
+        ``head``'s nodes or ends up starting with them, so when it has no
+        more the result shares ``head``'s nodes array."""
+        for m in maps:
+            for node, rate in zip(m.nodes, m.rates):
+                out[node] = out.get(node, 0.0) + rate
+        same = head if len(out) == len(head.nodes) else None
+        return cls.from_lists(list(out), list(out.values()), same)
+
+    def __getitem__(self, node) -> float:
+        try:
+            return self.rates[self.nodes.index(node)]
+        except ValueError:
+            raise KeyError(node) from None
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def items(self) -> ItemsView:
+        return _RateItems(self)
+
+    def __repr__(self) -> str:
+        return f"RateMap({dict(self.items())!r})"
 
 
 def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -142,9 +250,6 @@ class SubstreamSpace:
     #: reusable membership scratch of :meth:`overlap_rates` (all False
     #: between calls)
     _mark: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``_node_ids[s] == s`` for every source node id: the int objects
-    #: :meth:`rates_by_source` keys its maps with, built once per space
-    _node_ids: List[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rates = np.asarray(self.rates, dtype=float)
@@ -152,8 +257,6 @@ class SubstreamSpace:
         if len(self.rates) != len(self.source_of):
             raise ValueError("rates and source_of must have the same length")
         self._mark = np.zeros(len(self.rates), dtype=bool)
-        top = int(self.source_of.max()) + 1 if len(self.source_of) else 0
-        self._node_ids = list(range(top))
         self._rebuild_source_masks()
 
     def _rebuild_source_masks(self) -> None:
@@ -220,6 +323,12 @@ class SubstreamSpace:
         invalidation) and nothing is unpacked here: the cost per pair is
         one gather over the other's set bits (``take``/``compress`` rather
         than ``[]``: half the time on narrow index dtypes).
+
+        The sum is numpy's pairwise one.  A freshly built query graph's
+        overlap edges are sequential sums instead (the sparse product of
+        ``build_query_graph``), so an edge re-estimated here may differ
+        from its build-time weight in the last bits although the pair's
+        intersection did not change.
         """
         mark = self._mark
         rates = self.rates
@@ -299,26 +408,24 @@ class SubstreamSpace:
 
     def rates_by_source(
         self, mask: int, idx: Optional[np.ndarray] = None
-    ) -> Dict[int, float]:
+    ) -> RateMap:
         """Per-source requested rate for a query interest mask.
 
         These are the q-vertex -> source n-vertex edge weights of the query
-        graph.  Keys are the space's own node-id ints, so the many maps the
-        optimizer holds share them instead of each boxing its own.  A
-        caller that has unpacked ``mask`` already passes its
-        :func:`index_array` as ``idx``.
+        graph: sources in ascending node order, each rate summed over the
+        mask's substreams in ascending order.  A caller that has unpacked
+        ``mask`` already passes its :func:`index_array` as ``idx``.
         """
         if idx is None:
             idx = index_array(mask)
         if idx.size == 0:
-            return {}
+            return RateMap()
         srcs = self.source_of[idx]
         weights = self.rates[idx]
         totals = np.zeros(int(srcs.max()) + 1)
         np.add.at(totals, srcs, weights)
         nz = np.nonzero(totals)[0]
-        keys = map(self._node_ids.__getitem__, nz.tolist())
-        return dict(zip(keys, totals[nz].tolist()))
+        return RateMap.from_lists(nz.tolist(), totals[nz].tolist())
 
     def perturb_rates(
         self, substream_ids: Sequence[int], factor: float

@@ -95,10 +95,12 @@ class Workload:
         Used by the Figure 8 experiment (1,500 new queries per interval).
         The new queries are appended to :attr:`queries`.
         """
+        log_weights = np.log(self._zipf_weights)
+        processors = list(processors)
         fresh = [
             _make_query(
                 self._alloc_id(), self.space, self.params, self.group_perms,
-                self._zipf_weights, processors, self._rng, self._np_rng,
+                log_weights, processors, self._rng, self._np_rng,
             )
             for _ in range(count)
         ]
@@ -134,26 +136,29 @@ def _make_query(
     space: SubstreamSpace,
     params: WorkloadParams,
     group_perms: List[np.ndarray],
-    zipf_weights: Optional[np.ndarray],
-    processors: Sequence[int],
+    log_weights: np.ndarray,
+    processors: List[int],
     rng: random.Random,
     np_rng: np.random.Generator,
 ) -> QuerySpec:
+    """One query; ``log_weights`` is ``np.log`` of the zipf probabilities
+    (taken once per batch, like the ``processors`` list)."""
     group = rng.randrange(len(group_perms))
     lo, hi = params.substreams_per_query
     k = rng.randint(lo, min(hi, len(space)))
     # Gumbel top-k trick == weighted sampling without replacement: the k
     # permuted ranks with the largest (log p + Gumbel noise) keys.
     noise = np_rng.gumbel(size=len(space))
-    keys = np.log(zipf_weights) + noise
+    keys = log_weights + noise
     ranks = np.argpartition(-keys, k - 1)[:k]
-    substreams = group_perms[group][ranks]
-    mask = mask_of(int(s) for s in substreams)
-    input_rate = space.rate(mask)
+    substreams = np.sort(group_perms[group][ranks])
+    mask = mask_of(substreams.tolist())
+    # ascending substreams: the terms and order ``space.rate(mask)`` sums
+    input_rate = float(space.rates[substreams].sum())
     selectivity = rng.uniform(*params.selectivity_range)
     return QuerySpec(
         query_id=query_id,
-        proxy=rng.choice(list(processors)),
+        proxy=rng.choice(processors),
         mask=mask,
         group=group,
         load=params.load_factor * input_rate,
@@ -205,11 +210,5 @@ def generate_workload(
     workload._np_rng = np_rng
     workload._zipf_weights = zipf_weights
     workload._next_id = 0
-    for _ in range(params.num_queries):
-        workload.queries.append(
-            _make_query(
-                workload._alloc_id(), space, params, group_perms, zipf_weights,
-                processors, rng, np_rng,
-            )
-        )
+    workload.new_queries(params.num_queries, processors)
     return workload

@@ -42,7 +42,7 @@ def single_row(ws: CostWorkspace, vid: VertexId) -> np.ndarray:
     mask = p >= 0
     if not mask.any():
         return np.zeros(len(ws.targets))
-    return ws.rows[:, p[mask]] @ w[mask]
+    return ws.by_node[p[mask]].T @ w[mask]
 
 
 def rebalance(

@@ -36,7 +36,7 @@ from repro.core.graphs import (
     build_query_graph,
     qvertex_from_query,
 )
-from repro.query.interest import SubstreamSpace, mask_of
+from repro.query.interest import SubstreamSpace, index_array, mask_of
 from repro.query.workload import QuerySpec, WorkloadParams, generate_workload
 from repro.topology import (
     LatencyOracle,
@@ -795,6 +795,29 @@ class TestOwnerIndex:
             assert all(
                 merged[0] not in v.members for v in coord.vertices.values()
             )
+
+
+    def test_compress_releases_the_merged_pairs_index_arrays(self, deep_env):
+        """A pair ``_replace_pair`` folds away lives on only as the merged
+        vertex's ``children``: like a pair coarsening merges, it must not
+        pin its cached index array (a later reader re-unpacks it)."""
+        workload = deep_workload(deep_env, 650)
+        cosmos = twin_cosmos(deep_env, workload)[0]
+        cosmos.distribute(workload.queries)
+        for q in workload.new_queries(100, deep_env[3]):
+            cosmos.insert(q)
+        root = cosmos.root
+        root._sync_graph(list(root.vertices.values()))
+        before = dict(root.vertices)
+        for v in before.values():
+            v.indices  # every vertex holds its array
+        root._maybe_compress()
+        merged = [v for vid, v in root.vertices.items() if vid not in before]
+        assert merged
+        for v in merged:
+            for child in v.children:
+                assert child._idx is None
+                assert np.array_equal(child.indices, index_array(child.mask))
 
 
 class TestRefreshInvalidatesRouting:

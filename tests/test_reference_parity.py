@@ -50,6 +50,7 @@ from repro.core.graphs import (
 )
 from repro.core.rebalance import RebalanceStats, rebalance
 from repro.experiments.config import ExperimentConfig, build_testbed
+from repro.query.interest import RateMap
 from repro.query.workload import WorkloadParams
 from repro.topology import TransitStubParams
 
@@ -77,13 +78,13 @@ def population(space, kinds, seed, pool):
                         source_rates=dict(verts[-1].source_rates))
         elif kind == "both":
             # one node is both a source and the proxy: one summed edge
-            v.proxy_rates = {node: 1.5}
+            v.proxy_rates = RateMap({node: 1.5})
         elif kind == "zero":
-            v.source_rates[node] = 0.0
+            v.source_rates = RateMap({**v.source_rates, node: 0.0})
         elif kind == "negative":
             # only the positive one of the node's two rates counts
-            v.source_rates[node] = -2.0
-            v.proxy_rates = {node: 0.75, **v.proxy_rates}
+            v.source_rates = RateMap({**v.source_rates, node: -2.0})
+            v.proxy_rates = RateMap({node: 0.75, **v.proxy_rates})
         elif kind == "empty":
             v = replace(v, mask=0, source_rates={})
         verts.append(v)
@@ -158,7 +159,9 @@ class TestGraphBuildParity:
         # the aggregates moved under the graph, and a rate map names a
         # node the graph no longer tracks: skipped, not an error
         for v in verts[::3]:
-            v.source_rates = {n: 2.0 * r for n, r in v.source_rates.items()}
+            v.source_rates = RateMap(
+                {n: 2.0 * r for n, r in v.source_rates.items()}
+            )
         for graph in (g, h):
             for vid in list(graph.nverts)[:1]:
                 graph.remove_vertex(vid)
@@ -417,7 +420,10 @@ class TestFlowRealisationParity:
                 assert np.array_equal(
                     ws.attach_costs(vid), flow_scan.single_row(ws, vid)
                 )
-        ws.pos.fill(-1)  # nothing placed at all
+        # nothing placed at all, cleared one by one from a full placement
+        ws.init_positions(assignment)
+        for vid in [*g.qverts, *g.nverts]:
+            ws.clear_position(vid)
         for vid in g.qverts:
             assert not ws.attach_costs(vid).any()
 

@@ -6,12 +6,18 @@ float64 summation order segment by segment, so that
 overlap kernel per pass -- returns the very bits the per-pair kernel
 ``overlap_rates`` returns.  That order is numpy's implementation, not its
 API: if these tests fail after a numpy upgrade, the summation order
-changed and coarse edge weights (hence placements) would drift.
+changed and coarse edge weights (hence placements) would drift.  The
+last test pins, next to it, the other order the optimizer sums overlaps
+in: a graph build's sequential one.
 """
+
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
+from repro.core.graphs import QVertex, _overlap_product
 from repro.query import interest
 from repro.query.interest import SubstreamSpace, segment_sums
 
@@ -83,3 +89,43 @@ def test_grouped_kernel_equals_the_per_probe_kernel(monkeypatch, flush):
     got = space.overlap_rates_grouped(iter(groups))
     assert_bits_equal(got, want)
     assert not space._mark.any()
+
+
+def test_the_two_overlap_summation_orders():
+    """A built graph's overlap edges are sequential sums; the overlap
+    kernels' are pairwise.
+
+    ``build_query_graph`` (and ``attach_overlap_edges``) take q-q weights
+    from one sparse product, which adds each pair's common rates left to
+    right in ascending substream order; ``overlap_rates`` and
+    ``overlap_rates_grouped`` return ``rates[common].sum()``, numpy's
+    pairwise order.  Both orders are pinned here, and the interests are
+    wide enough that they tell apart.
+    """
+    rng = np.random.default_rng(7)
+    n = 4_000
+    space = SubstreamSpace(rates=six_decades(rng, n), source_of=np.zeros(n))
+    verts = [
+        QVertex(vid=i, weight=1.0, source_rates={}, proxy_rates={},
+                mask=interest.mask_of(rng.choice(n, 600, replace=False).tolist()))
+        for i in range(40)
+    ]
+    product = _overlap_product(verts, space).tocoo()
+    pairs = [(i, j, w) for i, j, w in zip(product.row, product.col, product.data)
+             if i != j]
+    assert len(pairs) == 40 * 39
+    differ = 0
+    for i, j, w in pairs:
+        common = verts[i].indices[np.isin(verts[i].indices, verts[j].indices)]
+        assert w == reduce(add, space.rates[common].tolist(), 0.0)
+        (pairwise,) = space.overlap_rates(verts[i].indices, [verts[j].indices])
+        assert pairwise == space.rates[common].sum()
+        differ += w != pairwise
+    assert differ > 0
+    grouped = space.overlap_rates_grouped(
+        (verts[i].indices, [verts[j].indices]) for i, j, _ in pairs
+    )
+    assert grouped.tolist() == [
+        space.overlap_rates(verts[i].indices, [verts[j].indices])[0]
+        for i, j, _ in pairs
+    ]
