@@ -160,11 +160,11 @@ class Coordinator:
         # in place, so unlike the routing state it survives removals.
         self._owners: Dict[int, VertexId] = {}
         self._owners_of: Optional[Dict[VertexId, QVertex]] = None
-        # incremental-adaptation state: a cost workspace that outlives
-        # rounds, the previous round's move count (0 + no changes => the
-        # round can be skipped), and dirtiness flags set by statistics
-        # refresh / query removal / rate perturbation
-        self._ws: Optional[CostWorkspace] = None
+        # incremental-adaptation state: the previous round's move count
+        # (0 + no changes => the round can be skipped) and dirtiness flags
+        # set by statistics refresh / query removal / rate perturbation.
+        # The cost workspace is not among them: a round builds its own
+        # and drops it (``_workspace``)
         self._last_moves: Optional[int] = None
         self._stats_dirty = False
         self._edges_stale = False
@@ -612,7 +612,6 @@ class Coordinator:
 
     def _reset_incremental_state(self) -> None:
         """Called after a wholesale graph replacement (distribute/adopt)."""
-        self._ws = None
         self._last_moves = None
         self._stats_dirty = False
         self._edges_stale = False
@@ -620,19 +619,9 @@ class Coordinator:
         self._subtree_quiet = False
 
     def _workspace(self) -> CostWorkspace:
-        """The cost workspace for this round.
-
-        One workspace (its latency rows) outlives rounds; it is rebuilt
-        only when the graph object was replaced.  It holds no vertex index
-        of its own -- every pass re-seeds positions from the graph's slot
-        table and gathers neighbours from the graph's edge store -- so it
-        returns the attach costs a fresh one would;
-        ``tests/reference/full_rebuild.py`` builds a fresh one every round
-        and is held to the same placements.
-        """
-        if self._ws is None or self._ws.qg is not self.qg:
-            self._ws = CostWorkspace(self.qg, self.ng)
-        return self._ws
+        """A fresh cost workspace for this round's graph (the round drops
+        it: only that round reads its latency table)."""
+        return CostWorkspace(self.qg, self.ng)
 
     def _sync_graph(self, vertices: List[QVertex]) -> bool:
         """Bring ``self.qg`` in line with this round's vertex set.
@@ -663,7 +652,12 @@ class Coordinator:
         ):
             # wholesale replacement (first round after distribute at a
             # leaf flips coarse vertices to atoms; rate perturbation
-            # staled every edge; ...): rebuild from scratch
+            # staled every edge; ...): rebuild from scratch.  A vertex
+            # that leaves the graph releases its index array (another
+            # level that still reads it re-unpacks the same bits)
+            for v in current.values():
+                if want.get(v.vid) is not v:
+                    v.drop_indices()
             self.qg = build_query_graph(
                 vertices, self.space, self.ng, self.max_overlap_neighbors
             )
@@ -675,6 +669,7 @@ class Coordinator:
 
         changed = False
         for vid in removed:
+            current[vid].drop_indices()
             nbrs = [n for n in qg.neighbors(vid) if n in qg.nverts]
             qg.remove_vertex(vid)
             for n in nbrs:
@@ -686,6 +681,7 @@ class Coordinator:
         for vid, v in want.items():
             cur = current.get(vid)
             if cur is not None and cur is not v:
+                cur.drop_indices()
                 current[vid] = v
         if added:
             changed = True
@@ -1041,7 +1037,11 @@ def _strip_member(v: QVertex, query_id: int) -> None:
     mask = 0
     for c in keep:
         mask |= c.mask
-    v.mask = mask
+    if mask != v.mask:
+        # the cached index array unpacked the old bits: release it now,
+        # not when a reader next looks
+        v.mask = mask
+        v.drop_indices()
     v.source_rates = RateMap.summed(c.source_rates for c in keep)
     v.proxy_rates = RateMap.summed(c.proxy_rates for c in keep)
 

@@ -18,10 +18,12 @@ product over all targets at once, with no per-neighbour Python iteration.
 While every vertex is placed (a count the position writers keep) the
 gather needs no mask.
 
-A workspace outlives graph mutations without being told about them: it
-holds no vertex index of its own, and :meth:`CostWorkspace.init_positions`
-re-reads the slot table, so a reused workspace returns bit-identical cost
-vectors to a freshly built one.
+A workspace is working state of one adaptation round: a coordinator
+builds one for the round's graph and drops it when the round ends, so
+its table of latency rows is not resident between rounds.  It holds no
+vertex index of its own -- :meth:`CostWorkspace.init_positions` re-reads
+the slot table -- so one kept across graph mutations would still return
+the cost vectors a freshly built one does.
 """
 
 from __future__ import annotations

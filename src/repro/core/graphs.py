@@ -182,13 +182,13 @@ class QVertex:
         """Ascending set-bit indices of ``mask`` (read-only; cached).
 
         The operand of :meth:`SubstreamSpace.overlap_rates`.  The cache
-        lives and dies with the vertex, so the memory it holds is bounded
-        by the live vertex set, and it is validated against the *identity*
-        of the mask it was unpacked from: ints are immutable, so the same
-        object means the same bits, and any reassignment of ``mask``
-        (stripping a member, re-aggregation) is picked up without the
-        writer having to know about the cache.  Stored as ``int32``: half
-        the resident bytes of ``intp`` for a few percent of gather time.
+        is validated against the *identity* of the mask it was unpacked
+        from: ints are immutable, so the same object means the same bits,
+        and any reassignment of ``mask`` is picked up on the next read.
+        Holders release it (:meth:`drop_indices`) when the vertex leaves a
+        coordinator's graph or a strip changes its mask, so a vertex that
+        left every graph keeps none.  Stored as ``int32``: half the resident
+        bytes of ``intp`` for a few percent of gather time.
         """
         cached = self._idx
         if cached is None or cached[0] is not self.mask:
@@ -254,9 +254,12 @@ class QueryGraph:
     new q-n edge stores its q endpoint first.  :meth:`_replace_edges`
     compacts slots and edges.
 
-    **Incidence rows.**  Slot ``s`` lists its neighbours' slots in
-    ``_nbr[s]`` and the joining edges in ``_eid[s]`` (parallel
-    ``array('i')`` rows, 8 bytes per half-edge).  An edge enters both
+    **Incidence rows.**  Slot ``s`` owns one ``array('i')`` row,
+    ``_rows[s]``: its neighbours' slots, then the joining edges' indices
+    in the same order (8 bytes per half-edge; :meth:`row` splits it).
+    With the neighbours first, the first match of a neighbour slot in the
+    whole row is a neighbour entry if the slot is a neighbour at all, so a
+    single-edge lookup is one C ``array.index``.  An edge enters both
     endpoints' rows when it is appended and leaves both when it is
     removed; an update leaves the rows alone; a bulk install fills them by
     a stable sort on owner.  So **a vertex's row lists its incident edges
@@ -276,8 +279,7 @@ class QueryGraph:
         self._slot: Dict[VertexId, int] = {}
         #: slot -> vid (``None``: dead slot)
         self._vids: List[Optional[VertexId]] = []
-        self._nbr: List[Optional[array]] = []
-        self._eid: List[Optional[array]] = []
+        self._rows: List[Optional[array]] = []
         self._cached: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
         self._eu = array("i")
         self._ev = array("i")
@@ -302,18 +304,27 @@ class QueryGraph:
             raise ValueError(f"duplicate vertex id {vid!r}")
         self._slot[vid] = len(self._vids)
         self._vids.append(vid)
-        self._nbr.append(array("i"))
-        self._eid.append(array("i"))
+        self._rows.append(array("i"))
         self._cached.append(None)
+
+    def row(self, s: int) -> Tuple[array, array]:
+        """Live slot ``s``'s incidence row: its neighbours' slots and the
+        joining edges' indices, in edge order (copies)."""
+        row = self._rows[s]
+        d = len(row) >> 1
+        return row[:d], row[d:]
 
     def _find(self, sa: int, sb: int) -> int:
         """Index of the edge joining slots ``sa`` and ``sb``, or ``-1``
         (scans the shorter of the two rows)."""
-        if len(self._nbr[sb]) < len(self._nbr[sa]):
+        if len(self._rows[sb]) < len(self._rows[sa]):
             sa, sb = sb, sa
-        row = self._nbr[sa]
+        row = self._rows[sa]
         if sb in row:
-            return self._eid[sa][row.index(sb)]
+            i = row.index(sb)
+            d = len(row) >> 1
+            if i < d:
+                return row[d + i]
         return -1
 
     def _append(
@@ -327,23 +338,24 @@ class QueryGraph:
         self._ev.append(sb)
         self._ew.append(weight)
         for s, t in ((sa, sb), (sb, sa)):
-            self._nbr[s].append(t)
-            self._eid[s].append(k)
+            row = self._rows[s]
+            row.insert(len(row) >> 1, t)
+            row.append(k)
             self._cached[s] = None
         return k
 
-    def _unlink(self, k: int, s: int) -> None:
-        """Take edge ``k`` out of slot ``s``'s row."""
-        eids = self._eid[s]
-        i = eids.index(k)
-        del eids[i]
-        del self._nbr[s][i]
+    def _unlink(self, s: int, t: int) -> None:
+        """Take the edge to neighbour slot ``t`` out of slot ``s``'s row."""
+        row = self._rows[s]
+        i = row.index(t)
+        del row[(len(row) >> 1) + i]
+        del row[i]
         self._cached[s] = None
 
     def _drop(self, k: int, sa: int, sb: int) -> None:
         """Tombstone edge ``k``, which joins slots ``sa`` and ``sb``."""
-        self._unlink(k, sa)
-        self._unlink(k, sb)
+        self._unlink(sa, sb)
+        self._unlink(sb, sa)
         self._eu[k] = self._ev[k] = -1
         self._dead += 1
 
@@ -400,7 +412,7 @@ class QueryGraph:
         many neighbours ``a`` has.
         """
         sa = self._slot[a]
-        known = dict(zip(self._nbr[sa], self._eid[sa]))
+        known = dict(zip(*self.row(sa)))
         for b, w in weights:
             if b != a:
                 self._set(a, b, w, known)
@@ -436,12 +448,12 @@ class QueryGraph:
         s = self._slot.pop(vid, None)
         if s is None:
             return
-        eids = self._eid[s]
-        for t, k in zip(self._nbr[s], eids):
-            self._unlink(k, t)
+        nbrs, eids = self.row(s)
+        for t, k in zip(nbrs, eids):
+            self._unlink(t, s)
             self._eu[k] = self._ev[k] = -1
         self._dead += len(eids)
-        self._vids[s] = self._nbr[s] = self._eid[s] = self._cached[s] = None
+        self._vids[s] = self._rows[s] = self._cached[s] = None
 
     # ------------------------------------------------------------------
     # bulk construction (whole vertex / edge sets)
@@ -504,8 +516,10 @@ class QueryGraph:
         stops = np.cumsum(counts)[touched] * 4
         starts = stops - counts[touched] * 4
         for s, lo, hi in zip(touched.tolist(), starts.tolist(), stops.tolist()):
-            self._nbr[s].frombytes(nbr_bytes[lo:hi])
-            self._eid[s].frombytes(eid_bytes[lo:hi])
+            row = self._rows[s]
+            d = len(row) >> 1
+            row[d:d] = array("i", nbr_bytes[lo:hi])
+            row.frombytes(eid_bytes[lo:hi])
             self._cached[s] = None
 
     def _replace_edges(
@@ -526,8 +540,7 @@ class QueryGraph:
         live = [vid for vid in self._vids if vid is not None]
         self._slot = {vid: s for s, vid in enumerate(live)}
         self._vids = live
-        self._nbr = [array("i") for _ in live]
-        self._eid = [array("i") for _ in live]
+        self._rows = [array("i") for _ in live]
         self._cached = [None] * len(live)
         self._eu, self._ev, self._ew = array("i"), array("i"), array("d")
         self._dead = 0
@@ -549,7 +562,7 @@ class QueryGraph:
     def degree(self, vid: VertexId) -> int:
         """Number of edges at a vertex (0 for an id the graph does not hold)."""
         s = self._slot.get(vid)
-        return 0 if s is None else len(self._nbr[s])
+        return 0 if s is None else len(self._rows[s]) >> 1
 
     def neighbors(self, vid: VertexId) -> Dict[VertexId, float]:
         """``{neighbour: edge weight}`` of a vertex, in row order (empty
@@ -557,17 +570,19 @@ class QueryGraph:
         s = self._slot.get(vid)
         if s is None:
             return {}
-        return dict(zip(map(self._vids.__getitem__, self._nbr[s]),
-                        map(self._ew.__getitem__, self._eid[s])))
+        nbrs, eids = self.row(s)
+        return dict(zip(map(self._vids.__getitem__, nbrs),
+                        map(self._ew.__getitem__, eids)))
 
     def neighbour_arrays(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
         """Neighbour slots (C ``int``) and edge weights of live slot ``s``,
         in row order; cached until an edge at ``s`` is written.  Read-only."""
         cached = self._cached[s]
         if cached is None:
+            row = np.frombuffer(self._rows[s], np.intc)
+            d = row.size >> 1
             cached = self._cached[s] = (
-                np.array(self._nbr[s], dtype=np.intc),
-                np.frombuffer(self._ew)[np.frombuffer(self._eid[s], np.intc)],
+                row[:d].copy(), np.frombuffer(self._ew)[row[d:]],
             )
         return cached
 
@@ -789,16 +804,11 @@ def _rate_edges(
     """
     nq = len(qlist)
     slot = {vid: nq + k for k, vid in enumerate(g.nverts)}
-    source = [qv.source_rates for qv in qlist]
-    proxy = [qv.proxy_rates for qv in qlist]
-    maps = [m for pair in zip(source, proxy) for m in pair]
-    nodes = np.frombuffer(b"".join([m.nodes for m in maps]), np.intc)
-    weights = np.frombuffer(b"".join([m.rates for m in maps]))
-    counts = [len(s.nodes) + len(p.nodes) for s, p in zip(source, proxy)]
-    shared = any(
-        any(map(s.nodes.__contains__, p.nodes)) for s, p in zip(source, proxy)
-    )
-    heads = np.repeat(np.arange(nq, dtype=np.int64), counts)
+    maps = [m for qv in qlist for m in (qv.source_rates, qv.proxy_rates)]
+    nodes, weights = RateMap.columns(maps)
+    counts = np.fromiter(map(len, maps), np.int64, len(maps))
+    per_vertex = counts[0::2] + counts[1::2]
+    heads = np.repeat(np.arange(nq, dtype=np.int64), per_vertex)
     # rate-map node x <-> n-vertex ("n", x)
     tails = np.fromiter(
         map(slot.get, zip(itertools.repeat("n"), nodes.tolist()),
@@ -808,13 +818,14 @@ def _rate_edges(
     keep = ~(weights <= 0) & (tails >= 0)
     if not keep.all():
         heads, tails, weights = heads[keep], tails[keep], weights[keep]
-    if shared:
-        pairs, first, inverse = np.unique(
-            heads * (nq + len(g.nverts)) + tails,
-            return_index=True, return_inverse=True,
-        )
-        # a pair occurs at most twice (once per rate map), so its weight
-        # is the one commutative sum of the two
+    pairs, first, inverse = np.unique(
+        heads * (nq + len(g.nverts)) + tails,
+        return_index=True, return_inverse=True,
+    )
+    if pairs.size < heads.size:
+        # a map names a node once, so a pair occurs at most twice (the
+        # node is a source and a proxy of the vertex), and its weight is
+        # the one commutative sum of the two
         totals = np.zeros(pairs.size)
         np.add.at(totals, inverse, weights)
         first.sort()

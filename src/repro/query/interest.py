@@ -19,7 +19,7 @@ bit-identical to it (:func:`segment_sums`).
 from __future__ import annotations
 
 import random
-from array import array
+import struct
 from collections.abc import ItemsView, Mapping as MappingABC
 from dataclasses import dataclass, field
 from typing import (
@@ -77,57 +77,49 @@ def index_array(mask: int) -> np.ndarray:
 
 
 class _RateItems(ItemsView):
-    """A :class:`RateMap`'s items, zipped from its arrays (the inherited
+    """A :class:`RateMap`'s items, zipped from its buffer (the inherited
     view would look every key up)."""
 
     __slots__ = ()
 
     def __iter__(self):
-        return zip(self._mapping.nodes, self._mapping.rates)
+        return zip(*self._mapping._columns())
+
+
+def _packed(nodes: Sequence[int], rates: Sequence[float]) -> bytes:
+    """``rates`` as C ``double`` s followed by ``nodes`` as C ``int`` s."""
+    n = len(rates)
+    return struct.pack("%dd%di" % (n, n), *rates, *nodes)
 
 
 class RateMap(MappingABC):
     """A read-only ``{node: rate}`` map: the per-source and per-proxy
     rates a query vertex aggregates.
 
-    Held as two parallel arrays in insertion order -- ``nodes``
-    (``array('i')``) and ``rates`` (``array('d')``) -- so a map costs 12
-    bytes per entry plus two array headers instead of a dict's table and
+    Held as one ``bytes`` buffer in insertion order -- the rates as C
+    ``double`` s, then the nodes as C ``int`` s -- so a map costs 12
+    bytes per entry plus one buffer header instead of a dict's table and
     one boxed float per entry.  It iterates, compares (``==`` a dict with
-    the same items) and looks up like the dict it replaces; a lookup scans
-    ``nodes`` in C, and maps are a few dozen entries long.  Consumers that
-    want the arrays whole read their buffers (``np.frombuffer``).
+    the same items) and looks up like the dict it replaces; maps are a
+    few dozen entries long and nothing on the optimizer's path looks a
+    node up.  :meth:`columns` reads many maps' entries whole.
 
     Build one from any mapping (``RateMap(d)``), or by :meth:`merged` and
     :meth:`summed`, whose key orders and float sums are those of the dict
     code they replace.
     """
 
-    __slots__ = ("nodes", "rates")
+    __slots__ = ("_buf",)
 
     def __init__(self, items: Union[MappingABC, Iterable] = ()):
         d = dict(items.items() if isinstance(items, MappingABC) else items)
-        self.nodes = array("i", list(d))
-        self.rates = array("d", list(d.values()))
+        self._buf = _packed(list(d), list(d.values()))
 
     @classmethod
-    def from_lists(
-        cls, nodes: List[int], rates: List[float],
-        same_nodes: Optional["RateMap"] = None,
-    ) -> "RateMap":
-        """The map ``zip(nodes, rates)``; the caller passes distinct nodes.
-
-        ``same_nodes``, a map whose nodes the caller knows to equal
-        ``nodes``, lends its ``nodes`` array instead of a new one (maps
-        are read-only, so they may share it).  Lists, not buffers: an
-        array built from a list is allocated at exactly its length, one
-        filled from bytes keeps growth room.
-        """
+    def from_lists(cls, nodes: List[int], rates: List[float]) -> "RateMap":
+        """The map ``zip(nodes, rates)``; the caller passes distinct nodes."""
         out = cls.__new__(cls)
-        out.nodes = (
-            array("i", nodes) if same_nodes is None else same_nodes.nodes
-        )
-        out.rates = array("d", rates)
+        out._buf = _packed(nodes, rates)
         return out
 
     @classmethod
@@ -136,41 +128,63 @@ class RateMap(MappingABC):
         valued ``a[k] + b[k]`` (``0.0 + b[k]`` for a node only ``b``
         names) -- the dict ``{**a}`` updated by ``d[k] = d.get(k, 0.0) +
         b[k]`` for each ``k`` of ``b``."""
-        return cls._fold(dict(zip(a.nodes, a.rates)), a, [b])
+        return cls._fold(dict(zip(*a._columns())), [b])
 
     @classmethod
     def summed(cls, maps: Iterable["RateMap"]) -> "RateMap":
         """The left fold of ``maps`` from an empty dict: nodes in order of
         first appearance, each valued ``((0.0 + r1) + r2) + ...`` over the
         maps that name it, in order."""
-        maps = list(maps)
-        return cls._fold({}, maps[0], maps) if maps else cls()
+        return cls._fold({}, maps)
 
     @classmethod
     def _fold(
-        cls, out: Dict[int, float], head: "RateMap", maps: List["RateMap"]
+        cls, out: Dict[int, float], maps: Iterable["RateMap"]
     ) -> "RateMap":
         """``out`` updated by ``out[k] = out.get(k, 0.0) + r`` for every
-        ``(k, r)`` of ``maps`` in turn, as a map.  ``out`` starts with
-        ``head``'s nodes or ends up starting with them, so when it has no
-        more the result shares ``head``'s nodes array."""
+        ``(k, r)`` of ``maps`` in turn, as a map."""
         for m in maps:
-            for node, rate in zip(m.nodes, m.rates):
+            for node, rate in zip(*m._columns()):
                 out[node] = out.get(node, 0.0) + rate
-        same = head if len(out) == len(head.nodes) else None
-        return cls.from_lists(list(out), list(out.values()), same)
+        return cls.from_lists(list(out), list(out.values()))
+
+    @staticmethod
+    def columns(maps: Sequence["RateMap"]) -> Tuple[np.ndarray, np.ndarray]:
+        """Every entry of ``maps``, map after map in order, as a C ``int``
+        array of nodes and a ``float64`` array of rates (one gather over
+        the joined buffers)."""
+        bufs = [m._buf for m in maps]
+        raw = np.frombuffer(b"".join(bufs), np.uint8)
+        size = np.fromiter(map(len, bufs), np.int64, len(bufs))
+        n = size // 12
+        start = np.cumsum(size) - size
+        # entry j of a map starting at byte s with n entries: its rate at
+        # byte s + 8j, its node at byte s + 8n + 4j
+        j = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+        at = np.repeat(start, n) + 8 * j
+        rates = raw[at[:, None] + np.arange(8)].view(np.float64)
+        at += np.repeat(8 * n, n) - 4 * j
+        nodes = raw[at[:, None] + np.arange(4)].view(np.intc)
+        return nodes.ravel(), rates.ravel()
+
+    def _columns(self) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+        """The nodes and the rates, in order."""
+        n = len(self._buf) // 12
+        values = struct.unpack("%dd%di" % (n, n), self._buf)
+        return values[n:], values[:n]
 
     def __getitem__(self, node) -> float:
+        nodes, rates = self._columns()
         try:
-            return self.rates[self.nodes.index(node)]
+            return rates[nodes.index(node)]
         except ValueError:
             raise KeyError(node) from None
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.nodes)
+        return iter(self._columns()[0])
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._buf) // 12
 
     def items(self) -> ItemsView:
         return _RateItems(self)

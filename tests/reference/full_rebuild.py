@@ -1,11 +1,11 @@
-"""The optimizer with no state carried between adaptation rounds.
+"""The optimizer with no neighbour array carried between adaptation rounds.
 
-Production keeps each coordinator's ``CostWorkspace`` alive across rounds
-(``Coordinator._workspace``), and the query graph keeps every vertex's
-neighbour arrays cached until an incident edge is written.
-:class:`FullRebuildCoordinator` builds a fresh workspace every round and
-drops every cached neighbour array first, which is the definition the
-long-lived state must reproduce.  Everything else -- graph maintenance,
+Production builds a fresh ``CostWorkspace`` every round
+(``Coordinator._workspace``), but the query graph keeps every vertex's
+neighbour arrays cached across rounds until an incident edge is written.
+:class:`FullRebuildCoordinator` drops every cached neighbour array before
+it builds the round's workspace, which is the definition the cached
+arrays must reproduce.  Everything else -- graph maintenance,
 coarsening, the skip rules -- is the production code: children are built
 with ``type(self)``, so the whole tree is of this class.
 
@@ -21,8 +21,7 @@ from repro.core.fastcost import CostWorkspace
 
 
 class FullRebuildCoordinator(Coordinator):
-    """A coordinator whose cost workspace and neighbour arrays are
-    rebuilt every round."""
+    """A coordinator whose neighbour arrays are rebuilt every round."""
 
     def _workspace(self) -> CostWorkspace:
         self.qg._cached = [None] * self.qg.slot_count

@@ -2,7 +2,7 @@
 
 ``QVertex.source_rates`` / ``proxy_rates`` were insertion-ordered
 ``{node: rate}`` dicts, built by the functions below; production builds
-:class:`~repro.query.interest.RateMap` arrays instead.  Key order and
+:class:`~repro.query.interest.RateMap` buffers instead.  Key order and
 every float are part of the definition -- the q-n edges of a query graph
 are installed in rate-map order, and every re-aggregation is a float sum
 -- so production must list the same items, in the same order and to the

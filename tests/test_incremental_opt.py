@@ -1,12 +1,11 @@
 """Incremental optimizer parity: delta maintenance == full rebuild.
 
 The optimizer delta-maintains its state across adaptation rounds --
-graph mutations in place, a :class:`CostWorkspace` and per-vertex
-neighbour arrays that outlive rounds, converged coordinator levels that
-skip their phases.
+graph mutations in place, per-vertex neighbour arrays that outlive
+rounds, converged coordinator levels that skip their phases.
 Every one of those shortcuts claims *bit-identical* results to the
-full-rebuild reference (``tests/reference/full_rebuild.py``, a fresh
-workspace every round); these property-style tests drive randomized
+full-rebuild reference (``tests/reference/full_rebuild.py``, no cached
+neighbour array every round); these property-style tests drive randomized
 insert / remove / adapt / perturb interleavings through both side by side
 and assert exact equality of placements, per-coordinator vertex
 aggregates and WEC.  The graph-level cases hold ``QueryGraph.wec`` on

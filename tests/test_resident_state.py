@@ -2,17 +2,21 @@
 
 The optimizer's graphs and latency rows are the bulk of its memory.
 These tests pin the rules that keep them small -- each query-graph edge
-held once, in slot arrays, rate maps as ``array`` pairs, latency rows as
-``array('d')`` -- each next to an equality with the
-representation it replaced, so that the compact form never changes a
-value, an order or a lookup.  They also pin the latency oracle's lookup
-rule, whose answer depends on which rows are cached.
+held once, in slot arrays and one incidence row per slot, a rate map as
+one buffer, latency rows as ``array('d')`` -- each next to an equality
+with the representation it replaced, so that the compact form never
+changes a value, an order or a lookup.  They pin that a level's working
+state (its cost workspace, the index arrays of vertices it no longer
+holds) lives only for the round that uses it, and the latency oracle's
+lookup rule, whose answer depends on which rows are cached.
 """
 
 import gc
 import random
 import tracemalloc
+import types
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,10 +26,14 @@ from reference import graph_build, rate_maps
 from reference.graph_build import DictGraph, dict_model, vertex_order
 from test_fastpath_parity import make_queries, ng, space  # noqa: F401  (fixtures)
 
+from repro.core import CosmosConfig
 from repro.core.coarsening import coarsen, merge_qvertices, rebuild_edges
 from repro.core.coordinator import _refresh_vertex, _strip_member
+from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import QVertex, build_query_graph, qvertex_from_query
+from repro.experiments.config import ExperimentConfig, build_testbed
 from repro.query.interest import RateMap, SubstreamSpace, mask_of
+from repro.query.workload import WorkloadParams
 from repro.topology import (
     LatencyOracle,
     TransitStubParams,
@@ -49,9 +57,24 @@ def assert_same_store(g, model):
     assert g.edges() == model.edges()
 
 
+def assert_rows_are_edge_ordered(g):
+    """Read through ``QueryGraph.row``: every slot's row names exactly its
+    live incident edges, in ascending edge index, each beside the slot at
+    its other end."""
+    heads, tails = np.array(g._eu), np.array(g._ev)
+    for vid in vertex_order(g):
+        s = g.slot(vid)
+        nbrs, eids = g.row(s)
+        incident = np.flatnonzero((heads == s) | (tails == s))
+        assert list(eids) == incident.tolist(), vid
+        other = np.where(heads[incident] == s, tails[incident], heads[incident])
+        assert list(nbrs) == other.tolist(), vid
+
+
 def assert_rows_follow_edges(g):
     """The identity: every vertex's neighbour order is its incident edges
     in global edge order -- what the dict model fed the same edges holds."""
+    assert_rows_are_edge_ordered(g)
     edges = g.edges()
     for vid in vertex_order(g):
         incident = [(b if a == vid else a, w) for a, b, w in edges
@@ -146,6 +169,7 @@ def test_rows_follow_edges_under_mutation(verts, space, ng, ops):
         if op == "readd" and removed:
             removed.remove(removed[i % len(removed)])
         assert_same_store(g, model)
+        assert_rows_are_edge_ordered(g)
     assert_rows_follow_edges(g)
 
 
@@ -158,9 +182,10 @@ def test_bytes_per_edge(space, ng):
     The store this one replaced -- ``_edges``, a dict keyed by vid-pair
     tuples, plus one ``{neighbour: weight}`` dict per vertex, sharing one
     float per edge -- traced 380,644 B: 208.6 B per edge.  The slot
-    arrays and ``array('i')`` incidence rows trace 101,951 B: 55.9 B per
-    edge, all vertex bookkeeping included.  Pinned at half the old
-    figure.
+    arrays with two ``array('i')`` incidence rows per slot (neighbours,
+    edges) traced 101,951 B: 55.9 B per edge; with one row per slot
+    (neighbours then edges) the store traces 91,606 B: 50.2 B per edge,
+    all vertex bookkeeping included.  Pinned below the two-row figure.
     """
     verts = [qvertex_from_query(q, space) for q in make_queries(space, 120, seed=3)]
     build_query_graph(verts, space, ng)
@@ -174,7 +199,7 @@ def test_bytes_per_edge(space, ng):
     finally:
         tracemalloc.stop()
     assert len(g.edges()) == 1825
-    assert used / 1825 <= 208.6 / 2
+    assert used / 1825 <= 53.0
 
 
 # ----------------------------------------------------------------------
@@ -298,9 +323,10 @@ def test_bytes_per_vertex():
     Both forms are built from the same inputs in the same order and held
     in one flat list, so only the representation differs: the dict model
     traced 1,375.9 B per vertex (a hash table plus a boxed float per
-    entry), the arrays 606.9 B (a merged map whose nodes are its first
-    child's shares that child's ``nodes`` array).  Pinned at half the
-    dict form.
+    entry); maps of two arrays each (with a merged map sharing its first
+    child's ``nodes`` array when it names no new node) traced 606.9 B,
+    and maps of one buffer each trace 425.9 B.  Pinned at a third of the
+    dict form, which the two-array maps exceed.
     """
     space = SubstreamSpace.random(4000, sources=range(20), seed=3)
     queries = make_queries(space, 256, seed=3)
@@ -346,7 +372,149 @@ def test_bytes_per_vertex():
             tracemalloc.stop()
         assert len(held) == 2 * 511
     assert list(map(bits, production())) == list(map(bits, model()))
-    assert used[production] <= used[model] / 2
+    assert used[production] <= used[model] / 3
+
+
+# ----------------------------------------------------------------------
+# working state lives only for the round that uses it
+# ----------------------------------------------------------------------
+def reachable(root, *kinds):
+    """kind -> every object of that exact type ``root`` reaches by
+    references, not through a type, module or function."""
+    seen, stack = {id(root)}, [root]
+    found = {kind: [] for kind in kinds}
+    skip = (type, types.ModuleType, types.FunctionType)
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in seen or isinstance(ref, skip):
+                continue
+            seen.add(id(ref))
+            stack.append(ref)
+            if type(ref) in found:
+                found[type(ref)].append(ref)
+    return found
+
+
+def graph_vertices(cosmos):
+    """id -> q-vertex of every vertex some coordinator's graph holds."""
+    return {
+        id(v): v
+        for c in cosmos.root.all_coordinators()
+        for v in c.qg.qverts.values()
+    }
+
+
+class TestRoundState:
+    """On the smoke ``opt_churn`` testbed (32 processors, 500 queries, 4
+    churn rounds of 10 removes and 10 inserts): a level's cost workspace
+    and the index arrays of vertices no graph holds any more do not
+    outlive the round."""
+
+    @pytest.fixture(scope="class")
+    def testbed(self):
+        return build_testbed(ExperimentConfig(
+            topology=TransitStubParams(2, 3, 3, 6),
+            num_sources=6,
+            num_processors=32,
+            workload=WorkloadParams(
+                num_substreams=600, num_queries=500, groups=8,
+                substreams_per_query=(10, 20),
+                selectivity_range=(0.01, 0.05),
+            ),
+            cosmos=CosmosConfig(k=4, vmax=40, max_overlap_neighbors=20),
+        ))
+
+    @pytest.fixture(scope="class")
+    def steps(self, testbed):
+        """One record per step -- after distribute, after every adapt and
+        after every batch of removes -- of what the tree then holds: the
+        cost workspaces it reaches, the vertices that left every graph
+        since distribute and still hold an index array, and the vertices
+        whose index array no longer matches their mask."""
+        rng = random.Random(0)
+        cosmos = testbed.new_cosmos()
+        departed = {}
+        out = []
+
+        def record():
+            gc.collect()
+            found = reachable(cosmos, CostWorkspace, QVertex)
+            held = graph_vertices(cosmos)
+            out.append(dict(
+                workspaces=len(found[CostWorkspace]),
+                departed=len(departed),
+                left_with_index=[v.vid for i, v in departed.items()
+                                 if i not in held and v._idx is not None],
+                stale=[v.vid for v in found[QVertex]
+                       if v._idx is not None and v._idx[0] is not v.mask],
+            ))
+
+        def adapt():
+            before = graph_vertices(cosmos)
+            report = cosmos.adapt()
+            after = graph_vertices(cosmos)
+            departed.update((i, v) for i, v in before.items() if i not in after)
+            record()
+            return report.coordinator_moves + report.refinement_moves
+
+        cosmos.distribute(testbed.workload.queries)
+        record()
+        for _ in range(10):
+            if adapt() == 0:
+                break
+        live = {q.query_id: q for q in testbed.workload.queries}
+        for _ in range(4):
+            for query_id in rng.sample(sorted(live), 10):
+                assert cosmos.remove(query_id)
+                del live[query_id]
+            record()
+            for q in testbed.workload.new_queries(10, testbed.processors):
+                cosmos.insert(q)
+                live[q.query_id] = q
+            drifted = rng.sample(sorted(live), 5)
+            cosmos.refresh_measured_loads(
+                {qid: live[qid].load * 1.5 for qid in drifted}
+            )
+            adapt()
+        return out
+
+    def test_no_coordinator_holds_a_workspace(self, steps):
+        assert len(steps) > 5
+        assert [step["workspaces"] for step in steps] == [0] * len(steps)
+
+    def test_vertices_that_left_every_graph_hold_no_index_array(self, steps):
+        assert steps[-1]["departed"] > 50
+        for step in steps:
+            assert not step["left_with_index"]
+
+    def test_graph_sync_releases_what_leaves(self, testbed):
+        """Both branches of ``_sync_graph``: a vertex removed or replaced
+        by a content-equal copy in place, and one a wholesale rebuild
+        leaves out, releases its index array; a staying one keeps it."""
+        cosmos = testbed.new_cosmos()
+        cosmos.distribute(testbed.workload.queries)
+        cosmos.adapt()
+        leaf = max(
+            (c for c in cosmos.root.all_coordinators() if c.is_leaf),
+            key=lambda c: len(c.qg.qverts),
+        )
+        held = list(leaf.qg.qverts.values())
+        assert len(held) > 8
+        for v in held:
+            v.indices
+        copy = replace(held[2])
+        assert leaf._sync_graph([copy, *held[3:]])
+        assert leaf.qg.qverts[copy.vid] is copy
+        assert [v._idx for v in held[:3]] == [None] * 3
+        assert all(v._idx is not None for v in held[3:])
+        leaf._edges_stale = True
+        assert leaf._sync_graph(held[4:])
+        assert held[3]._idx is None
+        assert all(v._idx is not None for v in held[4:])
+
+    def test_no_index_array_outlives_its_mask(self, steps):
+        for step in steps:
+            assert not step["stale"]
 
 
 # ----------------------------------------------------------------------
