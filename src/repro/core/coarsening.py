@@ -20,7 +20,7 @@ only: matching reads nothing else, a merged vertex's aggregates come from
 matches with one ``lexsort`` and a greedy walk (:func:`_match`), merges
 its pairs, remaps the edges through a representative array and
 re-estimates every coarse edge at a merged vertex once, in one batched
-call of :meth:`SubstreamSpace.overlap_rates_grouped` (:func:`_collapse`).
+call of :meth:`SubstreamSpace.overlap_rates` (:func:`_collapse`).
 The dict-based matcher and the pair-by-pair collapse with one scalar
 estimate per neighbour define the identical vertices and edges; they are
 the oracle in ``tests/reference/pair_coarsening.py``.
@@ -196,7 +196,7 @@ def _collapse(
     Endpoints are remapped through ``rep`` and self-edges dropped.  An
     edge between two survivors keeps its weight; every distinct pair with
     a merged endpoint is re-estimated once, from the two final masks, in
-    one :meth:`SubstreamSpace.overlap_rates_grouped` call (probe: the
+    one :meth:`SubstreamSpace.overlap_rates` call (probe: the
     merged endpoint, the later one if both are).  A zero estimate drops
     the edge.
     """
@@ -215,7 +215,7 @@ def _collapse(
         others = other.tolist()
         indices = [x.indices for x in verts]
         groups = zip(probe[starts].tolist(), bounds, bounds[1:])
-        rates = space.overlap_rates_grouped(
+        rates = space.overlap_rates(
             (indices[p], [indices[o] for o in others[start:end]])
             for p, start, end in groups
         )

@@ -582,9 +582,10 @@ class Coordinator:
                         if not self.qg.degree(n):
                             self.qg.remove_vertex(n)
             else:
+                before = v.mask
                 _strip_member(v, query_id)
                 if owner_vid in self.qg.qverts:
-                    self._refresh_stripped_edges(v)
+                    self._refresh_stripped_edges(v, before & ~v.mask)
             # the graph changed under last round's converged state --
             # the next adaptation round must not be skipped
             self._stats_dirty = True
@@ -791,9 +792,9 @@ class Coordinator:
         # q-q overlaps re-estimated exactly from the merged mask, in one
         # batch; edges are still set in ``neighbor_edges`` order
         qnbrs = [nbr for nbr in neighbor_edges if nbr in self.qg.qverts]
-        neighbor_edges.update(zip(qnbrs, self.space.overlap_rates(
+        neighbor_edges.update(zip(qnbrs, self.space.overlap_rates([(
             merged.indices, [self.qg.qverts[nbr].indices for nbr in qnbrs]
-        )))
+        )]).tolist()))
         self.qg.set_edges(merged.vid, neighbor_edges.items())
 
     # ------------------------------------------------------------------
@@ -933,17 +934,22 @@ class Coordinator:
                 c._subtree_quiet for c in self.children
             )
 
-    def _refresh_stripped_edges(self, v: QVertex) -> None:
+    def _refresh_stripped_edges(self, v: QVertex, stripped: int) -> None:
         """Re-estimate a just-stripped vertex's edges in place.
 
         Before delta maintenance, edges touching a stripped coarse vertex
         went stale until the next wholesale graph rebuild -- which no
         longer happens every round.  q-n edges are reset to the stripped
         vertex's re-aggregated rate maps (dropping n-vertices that become
-        isolated) and q-q overlaps are re-estimated against the current
-        neighbours' masks.
+        isolated).  A q-q overlap changes only where the neighbour's mask
+        meets the ``stripped`` bits, so only those are re-estimated: every
+        other weight is already the exact rate of the unchanged
+        intersection -- unless this level's edges are stale or the rates
+        moved since they were estimated, when every neighbour is.
         """
         qg = self.qg
+        if self._edges_stale or self._rates_gen != self.space.rates_generation:
+            stripped = -1
         rates: Dict[VertexId, float] = {}
         for node, rate in v.source_rates.items():
             nvid = ("n", node)
@@ -951,17 +957,21 @@ class Coordinator:
         for node, rate in v.proxy_rates.items():
             nvid = ("n", node)
             rates[nvid] = rates.get(nvid, 0.0) + rate
-        nbrs = list(qg.neighbors(v.vid))
-        qnbrs = [nbr for nbr in nbrs if nbr in qg.qverts]
-        overlaps = dict(zip(qnbrs, self.space.overlap_rates(
+        nbrs = qg.neighbors(v.vid)
+        qnbrs = [
+            nbr for nbr in nbrs
+            if nbr in qg.qverts and qg.qverts[nbr].mask & stripped
+        ]
+        overlaps = dict(zip(qnbrs, self.space.overlap_rates([(
             v.indices, [qg.qverts[nbr].indices for nbr in qnbrs]
-        )))
+        )]).tolist()))
         # every current edge gets its new weight, in row order; a q-n
         # edge whose rate fell to zero goes, and with it an n-vertex it
         # leaves isolated
         reweighed = [
-            (nbr, rates.pop(nbr, 0.0) if nbr in qg.nverts else overlaps[nbr])
-            for nbr in nbrs
+            (nbr, rates.pop(nbr, 0.0) if nbr in qg.nverts
+             else overlaps.get(nbr, w))
+            for nbr, w in nbrs.items()
         ]
         qg.set_edges(v.vid, reweighed)
         for nbr, new in reweighed:

@@ -746,11 +746,8 @@ def build_query_graph(
     * an n-vertex is created for every source / proxy node referenced by
       any q-vertex; its ``clu`` is resolved against ``ng`` when given;
     * q-n edges get the aggregated request / result rates;
-    * q-q overlap edges get the rate of ``mask_a AND mask_b``, summed
-      left to right from ``0.0`` in ascending substream order (the sparse
-      product's order, :func:`_overlap_product`) -- not numpy's pairwise
-      order of ``SubstreamSpace.rate`` / ``overlap_rates``, so the two may
-      differ in the last bits; to keep the graph sparse each q-vertex
+    * q-q overlap edges get the rate of ``mask_a AND mask_b``
+      (:func:`_overlap_product`); to keep the graph sparse each q-vertex
       keeps at most ``max_overlap_neighbors`` heaviest overlap edges
       (candidates found via a substream incidence matrix, so disjoint
       queries never pay a comparison).
@@ -887,12 +884,10 @@ def _overlap_product(
 
     With ``A`` the query x substream incidence matrix, the full pairwise
     overlap-rate matrix is ``A diag(rates) A^T``; ``rows`` restricts the
-    left factor to those rows of ``qlist`` (one CSR row per entry).  The
-    product accumulates each entry over the left row's substreams in
-    ascending order, so an overlap is the sequential sum ``((0.0 + r_1) +
-    r_2) + ...`` of its rates, which is not the pairwise sum
-    :meth:`SubstreamSpace.overlap_rates` returns for the same pair
-    (``tests/test_segment_sums.py`` pins both orders).
+    left factor to those rows of ``qlist`` (one CSR row per entry).  Rates
+    lie on the rate grid, so each entry is the exact overlap rate:
+    :meth:`SubstreamSpace.overlap_rates` returns the same bits for the
+    same pair.
     """
     incidence = _incidence_matrix(qlist, space)
     weighted = incidence.multiply(space.rates[np.newaxis, :]).tocsr()

@@ -11,9 +11,12 @@ OR / popcount fast and allocation-free for the 20,000-substream paper
 configuration.  Summing rates needs the set bits as an index array;
 :func:`index_array` unpacks a mask once and
 :meth:`SubstreamSpace.overlap_rates` is the overlap kernel every
-optimizer layer shares, working on those (cacheable) arrays;
-:meth:`SubstreamSpace.overlap_rates_grouped` is its many-probe form,
-bit-identical to it (:func:`segment_sums`).
+optimizer layer shares, working on those (cacheable) arrays.
+
+Every rate lies on a dyadic grid (:func:`on_rate_grid`), so a sum of
+rates is exact and comes out the same whatever order adds it: a graph
+build's sparse product, the overlap kernel and a rate-map fold agree to
+the bit.
 """
 
 from __future__ import annotations
@@ -35,12 +38,28 @@ __all__ = [
     "index_array",
     "mask_of",
     "iter_bits",
-    "segment_sums",
+    "on_rate_grid",
 ]
 
-#: gathered indices :meth:`SubstreamSpace.overlap_rates_grouped` holds
-#: before it sums them (bounds the memory of one call)
-_GROUPED_FLUSH = 200_000
+#: gathered indices :meth:`SubstreamSpace.overlap_rates` holds before it
+#: sums them (bounds the memory of one call)
+_OVERLAP_FLUSH = 200_000
+
+
+def on_rate_grid(x):
+    """``x`` rounded to the nearest multiple of 2^-24, elementwise.
+
+    Applied where rates are made -- a space's substream rates, their
+    perturbation, a query's result rate -- and nowhere else.  A float64
+    holds 53 significant bits, so a sum of grid values is exact, in any
+    order, while every partial sum stays below 2^29 ~ 5.4e8; the largest
+    aggregate at ``opt_scale``'s 100k queries is <= 3e7 (100k queries x
+    <= 30 substreams x rate <= 10).  Rounding moves a rate of 1 or more
+    by at most 3e-8 of its value.  Loads are not rounded:
+    ``load_factor`` 0.01 is not a power of two, so their sums stay
+    order-dependent.  ``tests/test_rate_grid.py`` holds the rule.
+    """
+    return np.round(np.asarray(x, dtype=float) * 2**24) / 2**24
 
 
 def mask_of(substream_ids: Iterable[int]) -> int:
@@ -105,8 +124,9 @@ class RateMap(MappingABC):
     node up.  :meth:`columns` reads many maps' entries whole.
 
     Build one from any mapping (``RateMap(d)``), or by :meth:`merged` and
-    :meth:`summed`, whose key orders and float sums are those of the dict
-    code they replace.
+    :meth:`summed`, whose key orders are those of the dict code they
+    replace: the q-n edges follow them downstream.  Their sums are of grid
+    rates (:func:`on_rate_grid`), so any order adds them to the same bits.
     """
 
     __slots__ = ("_buf",)
@@ -193,55 +213,6 @@ class RateMap(MappingABC):
         return f"RateMap({dict(self.items())!r})"
 
 
-def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``values[s:e].sum()`` for consecutive segments of ``lengths``, bit
-    for bit, with no Python step per segment of up to 128 terms.
-
-    ``ndarray.sum`` on float64 is numpy's pairwise summation: under 8
-    terms a left fold; up to 128 terms eight accumulators over strided
-    lanes, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
-    remaining terms added in order; above that the two halves, each
-    summed the same way.  The first two cases run as array operations
-    over all segments at once (a zero pad adds nothing to a sum); a
-    longer segment calls ``.sum()`` itself.  The order is numpy's, not an
-    API promise: ``tests/test_segment_sums.py`` pins it.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    out = np.zeros(lengths.size)
-    starts = np.cumsum(lengths) - lengths
-    padded = np.append(np.asarray(values, dtype=float), 0.0)
-    zero = padded.size - 1
-
-    def terms(first: np.ndarray, present: np.ndarray) -> np.ndarray:
-        return padded[np.where(present, first, zero)]
-
-    short = lengths < 8
-    if short.any():
-        first, n = starts[short], lengths[short]
-        acc = np.zeros(first.size)
-        for j in range(int(n.max())):
-            acc += terms(first + j, n > j)
-        out[short] = acc
-    mid = ~short & (lengths <= 128)
-    if mid.any():
-        first, n = starts[mid], lengths[mid]
-        blocks, rest = n >> 3, n & 7
-        lanes = first[:, None] + np.arange(8)
-        r = padded[lanes]
-        for b in range(1, int(blocks.max())):
-            r += terms(lanes + 8 * b, (blocks > b)[:, None])
-        acc = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + (
-            (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
-        )
-        tail = first + (blocks << 3)
-        for j in range(int(rest.max())):
-            acc += terms(tail + j, rest > j)
-        out[mid] = acc
-    for i in np.flatnonzero(lengths > 128).tolist():
-        out[i] = padded[starts[i]:starts[i] + lengths[i]].sum()
-    return out
-
-
 @dataclass
 class SubstreamSpace:
     """The universe of substreams: rates and source placement.
@@ -261,16 +232,16 @@ class SubstreamSpace:
     #: bumped on every in-place rate mutation; consumers that cache
     #: rate-derived aggregates compare generations instead of rescanning
     rates_generation: int = field(default=0, repr=False)
-    #: reusable membership scratch of :meth:`overlap_rates` (all False
-    #: between calls)
-    _mark: np.ndarray = field(init=False, repr=False, compare=False)
+    #: reusable scratch of :meth:`overlap_rates`: a probe's rates at its
+    #: indices (all zero between calls)
+    _probe: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rates = np.asarray(self.rates, dtype=float)
+        self.rates = on_rate_grid(self.rates)
         self.source_of = np.asarray(self.source_of, dtype=np.int64)
         if len(self.rates) != len(self.source_of):
             raise ValueError("rates and source_of must have the same length")
-        self._mark = np.zeros(len(self.rates), dtype=bool)
+        self._probe = np.zeros(len(self.rates))
         self._rebuild_source_masks()
 
     def _rebuild_source_masks(self) -> None:
@@ -323,96 +294,61 @@ class SubstreamSpace:
         return float(vec[idx].sum())
 
     def overlap_rates(
-        self, idx: np.ndarray, others: Iterable[np.ndarray]
-    ) -> List[float]:
-        """Overlap rate of one interest against each of ``others`` (q-q
-        edge weights), all given as :func:`index_array` arrays.
-
-        The probe's indices are marked in a boolean scratch vector and
-        each other selects its marked entries, ``o[mark[o]]``: exactly the
-        set bits of ``mask_a & mask_o`` in ascending order, so
-        ``rates[...].sum()`` adds the same floats in the same order as
-        ``rate(mask_a & mask_o)`` and the results are bit-identical to
-        it.  ``rates`` is read live (rate perturbation needs no
-        invalidation) and nothing is unpacked here: the cost per pair is
-        one gather over the other's set bits (``take``/``compress`` rather
-        than ``[]``: half the time on narrow index dtypes).
-
-        The sum is numpy's pairwise one.  A freshly built query graph's
-        overlap edges are sequential sums instead (the sparse product of
-        ``build_query_graph``), so an edge re-estimated here may differ
-        from its build-time weight in the last bits although the pair's
-        intersection did not change.
-        """
-        mark = self._mark
-        rates = self.rates
-        mark[idx] = True
-        try:
-            out: List[float] = []
-            for o in others:
-                sel = o.compress(mark.take(o))
-                out.append(float(rates.take(sel).sum()) if sel.size else 0.0)
-        finally:
-            mark[idx] = False
-        return out
-
-    def overlap_rates_grouped(
         self, groups: Iterable[Tuple[np.ndarray, Sequence[np.ndarray]]]
     ) -> np.ndarray:
-        """:meth:`overlap_rates` of many probes in one call: for every
-        ``(idx, others)`` group in turn, the overlap of ``idx`` with each
-        of ``others``, flat and bit-identical to it.
+        """Overlap rates (q-q edge weights) of many probes in one call: for
+        every ``(idx, others)`` group in turn, the rate of the interest
+        ``idx`` shares with each of ``others``, all given as
+        :func:`index_array` arrays, flat in one ``float64`` array.
 
-        A group costs one mark and one ``take`` over its others' indices
-        laid end to end; the rates of the selected indices are gathered
-        and summed per pair by :func:`segment_sums` once per ~200k
-        gathered indices, not once per pair.  That wins where pairs are
-        many and overlaps short (a coarsening pass).  The warm path's
-        probes are coarse vertices whose overlaps mostly run past 128
-        terms, where :func:`segment_sums` calls ``.sum()`` per segment
-        anyway and the batching only adds passes over the gathered
-        indices, so it keeps :meth:`overlap_rates` (on a live
-        ``opt_churn`` unit, seed 0, both run on each of its 1,224 calls:
-        0.71-0.73 s per-probe loop, 0.96-0.97 s this form).
+        A group writes the probe's rates at ``idx`` into a zeroed scratch
+        vector and ``take`` s it over ``others`` laid end to end: each
+        other's indices gather their rate where the probe has the bit and
+        ``0.0`` where it has not.  Once per ~200k gathered indices, not
+        once per pair, one ``np.add.reduceat`` sums every pair's segment.
+        On the rate grid adding zeros and the order of the adds change no
+        bit, so the result equals ``rate(mask_a & mask_o)``.  ``rates`` is
+        read live (rate perturbation needs no invalidation) and nothing is
+        unpacked here.
         """
-        mark = self._mark
+        probe = self._probe
+        rates = self.rates
         out: List[np.ndarray] = []
-        picked: List[np.ndarray] = []
-        at: List[np.ndarray] = []
+        pieces: List[np.ndarray] = []
         lengths: List[int] = []
         held = 0
+
+        def flush() -> None:
+            size = np.array(lengths)
+            sums = np.zeros(size.size)
+            # an empty other sums to 0.0 and has no segment of its own
+            some = size > 0
+            if some.any():
+                sums[some] = np.add.reduceat(
+                    pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
+                    (np.cumsum(size) - size)[some],
+                )
+            out.append(sums)
+            pieces.clear()
+            lengths.clear()
+
         for idx, others in groups:
+            if not len(others):
+                continue
             gathered = np.concatenate(others)
-            mark[idx] = True
+            probe[idx] = rates.take(idx)
             try:
-                hit = mark.take(gathered).nonzero()[0]
+                pieces.append(probe.take(gathered))
             finally:
-                mark[idx] = False
-            picked.append(gathered.take(hit))
-            at.append(hit + held)
+                probe[idx] = 0.0
             lengths.extend(map(len, others))
             held += gathered.size
-            if held >= _GROUPED_FLUSH:
-                out.append(self._sum_selected(picked, at, lengths))
-                picked, at, lengths, held = [], [], [], 0
-        out.append(self._sum_selected(picked, at, lengths))
-        return np.concatenate(out)
-
-    def _sum_selected(
-        self,
-        picked: List[np.ndarray],
-        at: List[np.ndarray],
-        lengths: List[int],
-    ) -> np.ndarray:
-        """Per-pair rate sums of one gathered batch: pair ``i`` spans the
-        next ``lengths[i]`` gathered positions and owns the selected
-        indices whose positions (``at``) fall among them."""
-        if not lengths:
-            return np.empty(0)
-        ends = np.searchsorted(np.concatenate(at), np.cumsum(lengths))
-        return segment_sums(
-            self.rates.take(np.concatenate(picked)), np.diff(ends, prepend=0)
-        )
+            if held >= _OVERLAP_FLUSH:
+                flush()
+                held = 0
+        if lengths:
+            flush()
+        return np.concatenate(out) if out else np.empty(0)
 
     def overlap_rate(self, mask_a: int, mask_b: int) -> float:
         """Rate of the data of interest to *both* masks: the one-pair form
@@ -447,8 +383,11 @@ class SubstreamSpace:
         """Multiply the rates of the given substreams by ``factor``.
 
         Used by the Figure 10 experiment, which increases ("I") or
-        decreases ("D") the rates of 800 random streams at runtime.
+        decreases ("D") the rates of 800 random streams at runtime.  The
+        products are put back on the rate grid.
         """
         for sid in substream_ids:
             self.rates[sid] *= factor
+        ids = np.asarray(substream_ids, dtype=np.intp)
+        self.rates[ids] = on_rate_grid(self.rates[ids])
         self.rates_generation += 1

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .interest import SubstreamSpace, mask_of
+from .interest import SubstreamSpace, mask_of, on_rate_grid
 
 __all__ = ["QuerySpec", "WorkloadParams", "Workload", "generate_workload"]
 
@@ -39,10 +39,13 @@ class QuerySpec:
     group: int
     #: CPU time consumed per unit time on a capability-1 processor
     load: float
-    #: rate (bytes/s) of the query's result stream
+    #: rate (bytes/s) of the query's result stream, on the rate grid
     result_rate: float
     #: size of the query's operator state (for migration cost accounting)
     state_size: float
+
+    def __post_init__(self):
+        self.result_rate = float(on_rate_grid(self.result_rate))
 
     def input_rate(self, space: SubstreamSpace) -> float:
         return space.rate(self.mask)

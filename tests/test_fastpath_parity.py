@@ -338,9 +338,9 @@ class TestCollapsePass:
             return known[-1]
 
         handed = []
-        real_grouped = SubstreamSpace.overlap_rates_grouped
+        real_kernel = SubstreamSpace.overlap_rates
 
-        def spy_grouped(self, groups):
+        def spy_kernel(self, groups):
             groups = [(idx, list(others)) for idx, others in groups]
             # a vertex is known by its cached index array: merged-away
             # vertices dropped theirs, so no stale array is in the table
@@ -351,12 +351,10 @@ class TestCollapsePass:
                 frozenset((owner[id(idx)], owner[id(o)]))
                 for idx, others in groups for o in others
             ])
-            return real_grouped(self, groups)
+            return real_kernel(self, groups)
 
         monkeypatch.setattr(coarsening, "merge_qvertices", merge)
-        monkeypatch.setattr(
-            SubstreamSpace, "overlap_rates_grouped", spy_grouped
-        )
+        monkeypatch.setattr(SubstreamSpace, "overlap_rates", spy_kernel)
         reg = MetricsRegistry()
         set_active(reg)
         try:
@@ -394,9 +392,9 @@ class TestCollapsePass:
         g = make_graph(space, ng, 40, seed=0)
         vmax = len(g.nverts) + 2
         coarsen(g, vmax, space, rng=random.Random(8))
-        assert not space._mark.any()
+        assert not space._probe.any()
 
-        real_grouped = SubstreamSpace.overlap_rates_grouped
+        real_kernel = SubstreamSpace.overlap_rates
         seen = []
 
         def failing_groups(groups):
@@ -409,14 +407,14 @@ class TestCollapsePass:
                 yield idx, others
 
         monkeypatch.setattr(
-            SubstreamSpace, "overlap_rates_grouped",
-            lambda self, groups: real_grouped(self, failing_groups(groups)),
+            SubstreamSpace, "overlap_rates",
+            lambda self, groups: real_kernel(self, failing_groups(groups)),
         )
         count = len(g.qverts) + len(g.nverts)
         with pytest.raises(IndexError):
             coarsen(g, vmax, space, rng=random.Random(8))
         assert len(seen) == 5
-        assert not space._mark.any()
+        assert not space._probe.any()
         assert len(g.qverts) + len(g.nverts) == count
 
 

@@ -462,8 +462,10 @@ class TestSnapshotAndWorkspaceParity:
 
 
 def _reference_remove_level(coord, query_id):
-    """The pre-index removal, kept verbatim as the oracle: every level of
-    the subtree linear-scans its vertices' member tuples for the owner."""
+    """The pre-index removal as the oracle: every level of the subtree
+    linear-scans its vertices' member tuples for the owner, and a strip
+    re-estimates every q-q edge of the stripped vertex, not only those
+    whose neighbour meets the stripped bits."""
     found = False
     owner_vid = next(
         (vid for vid, v in coord.vertices.items() if query_id in v.members),
@@ -487,7 +489,7 @@ def _reference_remove_level(coord, query_id):
         else:
             coordinator_module._strip_member(v, query_id)
             if owner_vid in coord.qg.qverts:
-                coord._refresh_stripped_edges(v)
+                coord._refresh_stripped_edges(v, -1)
         coord._stats_dirty = True
         coord._subtree_quiet = False
     for child in coord.children:

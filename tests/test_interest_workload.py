@@ -111,9 +111,9 @@ def spaces_and_masks(draw):
 
 
 class TestOverlapKernel:
-    """The batched kernel equals the mask path *bit for bit*: it gathers
-    the same rates in the same ascending order, so even the float sums'
-    rounding agrees -- placements depend on that."""
+    """The batched kernel equals the mask path *bit for bit*: it sums the
+    same grid rates, and a sum of grid rates is exact in any order --
+    placements depend on that."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=spaces_and_masks(), factor=st.sampled_from([0.25, 3.0]))
@@ -122,11 +122,11 @@ class TestOverlapKernel:
 
         def check():
             got = space.overlap_rates(
-                index_array(probe), [index_array(o) for o in others]
-            )
+                [(index_array(probe), [index_array(o) for o in others])]
+            ).tolist()
             assert got == [space.rate(probe & o) for o in others]
             assert got == [space.overlap_rate(probe, o) for o in others]
-            assert not space._mark.any()  # scratch handed back clean
+            assert not space._probe.any()  # scratch handed back clean
 
         check()
         # rates are read live: no cache to invalidate after a perturbation
@@ -148,7 +148,9 @@ class TestOverlapKernel:
         ws = [vertex(o) for o in others]
 
         def check():
-            got = space.overlap_rates(v.indices, [w.indices for w in ws])
+            got = space.overlap_rates(
+                [(v.indices, [w.indices for w in ws])]
+            ).tolist()
             assert got == [space.rate(v.mask & w.mask) for w in ws]
 
         check()
@@ -165,11 +167,13 @@ class TestOverlapKernel:
     def test_scratch_restored_after_a_failed_call(self, space):
         bad = np.array([len(space)])  # out of range for the rates vector
         with pytest.raises(IndexError):
-            space.overlap_rates(index_array(0b1011), [index_array(0b11), bad])
-        assert not space._mark.any()
+            space.overlap_rates(
+                [(index_array(0b1011), [index_array(0b11), bad])]
+            )
+        assert not space._probe.any()
         assert space.overlap_rates(
-            index_array(0b1011), [index_array(0b0110)]
-        ) == [space.rate(0b0010)]
+            [(index_array(0b1011), [index_array(0b0110)])]
+        ).tolist() == [space.rate(0b0010)]
 
 
 class TestWorkload:

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from line_oracle import LINE_NODES
 from reference import flow_scan, graph_build, pair_coarsening, scalar_kernels
 from test_fastpath_parity import (  # noqa: F401  (space, ng: fixtures)
     make_queries,
@@ -43,6 +44,7 @@ from repro.core import CosmosConfig, coarsening
 from repro.core.coarsening import coarsen, plan_key, rebuild_edges
 from repro.core.fastcost import CostWorkspace
 from repro.core.graphs import (
+    NetworkGraph,
     NVertex,
     attach_overlap_edges,
     build_query_graph,
@@ -53,6 +55,8 @@ from repro.experiments.config import ExperimentConfig, build_testbed
 from repro.query.interest import RateMap
 from repro.query.workload import WorkloadParams
 from repro.topology import TransitStubParams
+from repro.topology.latency import LatencyOracle
+from repro.topology.transit_stub import Topology
 
 # ----------------------------------------------------------------------
 # graph construction
@@ -466,6 +470,16 @@ def _stable_sort(ws, k):
     return np.argsort(-ws, kind="stable")[:k]
 
 
+def non_dyadic_network(ng):
+    """``ng``'s vertices over a path topology of 1.1-latency links:
+    latencies are Dijkstra sums of a non-dyadic float, as production
+    latencies are, so cost rows (rate x latency) are not dyadic either."""
+    topo = Topology(n=LINE_NODES, adjacency=[[] for _ in range(LINE_NODES)])
+    for u in range(LINE_NODES - 1):
+        topo.add_edge(u, u + 1, 1.1)
+    return NetworkGraph(ng.vertices.values(), LatencyOracle(topo))
+
+
 class TestIdentityBearingChoices:
     def test_batch_recompute_of_a_staled_row_is_a_different_algorithm(
         self, space, ng
@@ -473,7 +487,9 @@ class TestIdentityBearingChoices:
         """Were ``rebalance`` to recompute invalidated rows with the batch
         kernel, most of these cases would come out differently: clones tie
         exactly while one kernel scores them all, and a zero-width window
-        admits exact ties only."""
+        admits exact ties only.  The latencies are not dyadic: on whole
+        ones every cost row is exact and the two kernels tie."""
+        ng = non_dyadic_network(ng)
         differing = 0
         for seed in range(10):
             g = flow_graph(space, ng, (["plain"] + ["clone"] * 12) * 3, seed)
